@@ -67,9 +67,11 @@
 //! result); the effect is confined to `tail_time` and the
 //! [`SpeculationStats`] waste accounting.
 
-use parlog_faults::{MpcFaultPlan, PartitionPlan, SpeculationPolicy};
+use crate::partition::{seed_cluster, InitialPartition};
+use parlog_faults::{MpcFaultPlan, SpeculationPolicy};
 use parlog_relal::eval::{eval_query_with, EvalStrategy};
 use parlog_relal::fact::Fact;
+use parlog_relal::fastmap::fxset;
 use parlog_relal::instance::Instance;
 use parlog_trace::{
     CommCounters, FaultEvent, FaultEventKind, Phase, Span, TraceEvent, TraceHandle,
@@ -227,38 +229,42 @@ impl RoundStats {
     }
 }
 
-/// Evaluate `route` over every `(source, fact)` item, fanned out over at
-/// most `threads` scoped workers on contiguous chunks. The returned
-/// routing decisions are aligned with `items`, in `items` order — exactly
-/// what a sequential scan would produce — so the caller's merge is
-/// byte-identical to the sequential engine no matter how many workers ran.
-fn route_chunked<F>(items: &[(ServerId, &Fact)], threads: usize, route: &F) -> Vec<Routing>
+/// Below this many work items (facts to route, deliveries to ingest,
+/// facts to compute over) a phase runs on the calling thread. Spawning
+/// and joining one scoped worker costs about 40 µs on Linux, and an item
+/// of phase work 0.1–0.3 µs, so a second worker pays for itself at a few
+/// hundred items and halves the phase only well past a thousand; 2048
+/// keeps the small rounds of GYM and the skew engine's residual waves —
+/// hundreds of facts each — off the pool.
+const PAR_MIN_ITEMS: usize = 2048;
+
+/// `f(offset, chunk)` over contiguous chunks of `items` on at most
+/// `threads` scoped workers, results in chunk order — what one sequential
+/// sweep over `items` would see, whatever the pool width. `work` is the
+/// phase's item count; small phases stay on the calling thread.
+fn par_chunks<T, U, F>(items: &[T], threads: usize, work: usize, f: F) -> Vec<U>
 where
-    F: Fn(ServerId, &Fact) -> Routing + Sync,
+    T: Sync,
+    U: Send,
+    F: Fn(usize, &[T]) -> U + Sync,
 {
-    let threads = threads.min(items.len()).max(1);
-    if threads == 1 {
-        return items.iter().map(|&(src, f)| route(src, f)).collect();
+    let threads = if work < PAR_MIN_ITEMS { 1 } else { threads };
+    let chunk = items.len().div_ceil(threads).max(1);
+    if chunk >= items.len() {
+        return vec![f(0, items)];
     }
-    let chunk = items.len().div_ceil(threads);
-    let mut routings: Vec<Routing> = Vec::with_capacity(items.len());
     std::thread::scope(|scope| {
-        let handles: Vec<_> = items
+        let f = &f;
+        let workers: Vec<_> = items
             .chunks(chunk)
-            .map(|slice| {
-                scope.spawn(move || {
-                    slice
-                        .iter()
-                        .map(|&(src, f)| route(src, f))
-                        .collect::<Vec<Routing>>()
-                })
-            })
+            .enumerate()
+            .map(|(i, slice)| scope.spawn(move || f(i * chunk, slice)))
             .collect();
-        for h in handles {
-            routings.extend(h.join().expect("routing worker panicked"));
-        }
-    });
-    routings
+        let joined = workers.into_iter().map(|h| h.join());
+        joined
+            .map(|r| r.unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    })
 }
 
 /// Estimated wire size of one fact: 8 bytes per value plus an 8-byte
@@ -267,102 +273,126 @@ fn fact_bytes(f: &Fact) -> u64 {
     8 * (f.args.len() as u64 + 1)
 }
 
-/// Apply routing decisions to build the next cluster state, strictly in
-/// `items` order (= source-server order): the single, sequential merge
-/// point both engines share. Keep-retained facts are free; each `Send`
-/// delivery counts as load once per destination (deduplicated against
-/// whatever that destination already received, as in the model's
-/// accounting of repartitioning). The third component is the estimated
-/// payload bytes of the counted deliveries, for the trace layer.
-fn apply_deliveries(
-    p: usize,
-    items: &[(ServerId, &Fact)],
-    routings: Vec<Routing>,
-) -> (Vec<Instance>, Vec<usize>, u64) {
-    let mut next: Vec<Instance> = vec![Instance::new(); p];
-    let mut received = vec![0usize; p];
-    let mut bytes = 0u64;
-    for (&(src, f), routing) in items.iter().zip(routings) {
-        match routing {
-            Routing::Keep => {
-                next[src].insert(f.clone());
-            }
-            Routing::Send(dests) => {
-                for &dest in &dests {
-                    assert!(dest < p, "destination {dest} out of range for p={p}");
-                    if next[dest].insert(f.clone()) {
-                        received[dest] += 1;
-                        bytes += fact_bytes(f);
-                    }
-                }
-            }
-            Routing::Drop => {}
-        }
-    }
-    (next, received, bytes)
-}
-
 /// A message copy held at its source by an open partition epoch:
 /// `(source, destination, fact)`. Flushed — re-checked against the plan —
 /// in the first communication round at or after the severing epoch heals.
 type HeldCopy = (ServerId, ServerId, Fact);
 
-/// Everything the partitioned delivery path needs beyond the items:
-/// the round-indexed plan, the committed-round clock, the holds carried
-/// in from earlier rounds, and the buffer collecting what stays held.
-struct PartitionCtx<'a> {
-    plan: &'a PartitionPlan,
-    round: usize,
-    carried: &'a [HeldCopy],
-    held_out: &'a std::cell::RefCell<Vec<HeldCopy>>,
+/// One fact bound for one server, and whether its arrival counts as load
+/// (a `Send`, a flushed hold) or is free (a `Keep`).
+type Delivery<'a> = (&'a Fact, bool);
+
+/// What one attempt at a communication round produced: the next cluster
+/// state, the load and payload bytes it cost, and the copies it left held.
+#[derive(Default)]
+struct Delivered {
+    next: Vec<Instance>,
+    received: Vec<usize>,
+    bytes: u64,
+    held: Vec<HeldCopy>,
 }
 
-/// [`apply_deliveries`] under an open partition schedule. Copies whose
-/// `(src, dest)` link is severed this round are pushed to `held_out`
-/// instead of delivered (held, not lost — no load, no bytes); carried
-/// holds whose severing epochs have all closed flush first, counted as
-/// this round's load. The pass is idempotent per attempt — `held_out`
-/// is cleared on entry — so a crash-replayed attempt re-derives the
-/// exact same holds.
-fn apply_deliveries_partitioned(
-    p: usize,
-    items: &[(ServerId, &Fact)],
-    routings: Vec<Routing>,
-    ctx: &PartitionCtx<'_>,
-) -> (Vec<Instance>, Vec<usize>, u64) {
-    let mut next: Vec<Instance> = vec![Instance::new(); p];
-    let mut received = vec![0usize; p];
-    let mut bytes = 0u64;
-    let mut held = ctx.held_out.borrow_mut();
-    held.clear();
-    for (src, dest, f) in ctx.carried {
-        if ctx.plan.severed(ctx.round, *src, *dest).is_some() {
-            held.push((*src, *dest, f.clone()));
-        } else if next[*dest].insert(f.clone()) {
-            received[*dest] += 1;
-            bytes += fact_bytes(f);
-        }
-    }
-    for (&(src, f), routing) in items.iter().zip(routings) {
-        match routing {
-            Routing::Keep => {
-                next[src].insert(f.clone());
-            }
+/// Route `items` in order, scattering each decision into per-destination
+/// `buckets` — or onto `held` when `severed(src, dest)` (held, not lost:
+/// no load, no bytes). Keep-retained facts are free.
+fn scatter<'a, R, S>(
+    buckets: &mut [Vec<Delivery<'a>>],
+    held: &mut Vec<HeldCopy>,
+    items: &[(ServerId, &'a Fact)],
+    route: &R,
+    severed: &S,
+) where
+    R: Fn(ServerId, &Fact) -> Routing,
+    S: Fn(ServerId, ServerId) -> bool,
+{
+    let p = buckets.len();
+    for &(src, f) in items {
+        match route(src, f) {
+            Routing::Keep => buckets[src].push((f, false)),
             Routing::Send(dests) => {
-                for &dest in &dests {
+                for dest in dests {
                     assert!(dest < p, "destination {dest} out of range for p={p}");
-                    if ctx.plan.severed(ctx.round, src, dest).is_some() {
+                    if severed(src, dest) {
                         held.push((src, dest, f.clone()));
-                    } else if next[dest].insert(f.clone()) {
-                        received[dest] += 1;
-                        bytes += fact_bytes(f);
+                    } else {
+                        buckets[dest].push((f, true));
                     }
                 }
             }
             Routing::Drop => {}
         }
     }
-    (next, received, bytes)
+}
+
+/// One communication attempt, the merge point every phase and both
+/// engines share. Carried holds whose links have healed flush first,
+/// then `items` are routed and scattered in order (per-worker buckets
+/// concatenated in chunk order, so bucket and hold order are the
+/// sequential ones), and each destination's instance is bulk-built from
+/// its bucket. A delivery counts as load once per destination,
+/// deduplicated against whatever that destination already received, as in
+/// the model's accounting of repartitioning. The pass reads only its
+/// arguments, so a crash-replayed attempt re-derives the same outcome.
+fn deliver<R, S>(
+    p: usize,
+    threads: usize,
+    items: &[(ServerId, &Fact)],
+    carried: &[HeldCopy],
+    route: &R,
+    severed: &S,
+) -> Delivered
+where
+    R: Fn(ServerId, &Fact) -> Routing + Sync,
+    S: Fn(ServerId, ServerId) -> bool + Sync,
+{
+    let mut buckets: Vec<Vec<Delivery<'_>>> = vec![Vec::new(); p];
+    let mut held = Vec::new();
+    for (src, dest, f) in carried {
+        if severed(*src, *dest) {
+            held.push((*src, *dest, f.clone()));
+        } else {
+            buckets[*dest].push((f, true));
+        }
+    }
+    let routed = par_chunks(items, threads, items.len(), |_, chunk| {
+        let mut part = (vec![Vec::new(); p], Vec::new());
+        scatter(&mut part.0, &mut part.1, chunk, route, severed);
+        part
+    });
+    for (part, part_held) in routed {
+        for (bucket, more) in buckets.iter_mut().zip(part) {
+            bucket.extend(more);
+        }
+        held.extend(part_held);
+    }
+    let deliveries = buckets.iter().map(Vec::len).sum();
+    let built = par_chunks(&buckets, threads, deliveries, |_, dests| {
+        let ingest = |bucket: &Vec<Delivery<'_>>| {
+            let mut inst = Instance::new();
+            let (mut got, mut bytes) = (0usize, 0u64);
+            for run in bucket.chunk_by(|a, b| a.1 == b.1) {
+                let counted = run[0].1;
+                inst.insert_all(run.iter().map(|d| d.0), |f| {
+                    if counted {
+                        got += 1;
+                        bytes += fact_bytes(f);
+                    }
+                });
+            }
+            (inst, got, bytes)
+        };
+        dests.iter().map(ingest).collect::<Vec<_>>()
+    });
+    let mut out = Delivered {
+        held,
+        ..Delivered::default()
+    };
+    for (inst, got, bytes) in built.into_iter().flatten() {
+        out.next.push(inst);
+        out.received.push(got);
+        out.bytes += bytes;
+    }
+    out
 }
 
 /// A simulated shared-nothing cluster of `p` servers.
@@ -501,8 +531,8 @@ impl Cluster {
     }
 
     /// Commit one communication round with checkpoint/replay: `attempt`
-    /// maps the checkpoint (the current local state, left untouched on
-    /// failure) to the next state and per-server received counts. If the
+    /// maps the checkpoint (the current local state and carried holds,
+    /// left untouched on failure) to what the round [`Delivered`]. If the
     /// fault plan crashes a server during the attempt, the results are
     /// discarded and the attempt replays — deterministically, so the
     /// committed stats and state are exactly those of a fault-free run.
@@ -511,7 +541,7 @@ impl Cluster {
     /// Panics when a round exhausts the plan's retry budget.
     fn commit_round<G>(&mut self, mut attempt: G) -> &RoundStats
     where
-        G: FnMut(&[Instance]) -> (Vec<Instance>, Vec<usize>, u64),
+        G: FnMut(&[Instance], &[HeldCopy]) -> Delivered,
     {
         let mut replays_this_round = 0u32;
         let round = self.rounds.len();
@@ -520,11 +550,12 @@ impl Cluster {
             let attempt_idx = self.recovery.attempts;
             self.recovery.attempts += 1;
             let wall = self.trace.is_on().then(std::time::Instant::now);
-            let (next, received, bytes) = attempt(&self.local);
+            let out = attempt(&self.local, &self.held);
+            let (received, bytes) = (out.received, out.bytes);
             let wall_ns = wall.map(|t0| t0.elapsed().as_nanos() as u64);
             let crashed = (0..self.p()).any(|s| self.faults.crashes_in(attempt_idx, s));
             if !crashed {
-                self.local = next;
+                (self.local, self.held) = (out.next, out.held);
                 self.trace.emit(|| TraceEvent::Loads {
                     round,
                     received: &received,
@@ -701,49 +732,29 @@ impl Cluster {
         self.pump_partition_events(round);
         let plan = self.faults.partition.clone();
         let collapse = collapse && plan.is_none();
-        let carried = std::mem::take(&mut self.held);
-        let held_out = std::cell::RefCell::new(Vec::new());
-        self.commit_round(|local| {
-            let mut all = Instance::new();
+        // Without a plan no link is ever severed: the plan-less round is
+        // the partitioned round that holds nothing.
+        let plan = plan.as_ref();
+        let severed = |src, dest| plan.is_some_and(|pl| pl.severed(round, src, dest).is_some());
+        self.commit_round(|local, carried| {
+            let holders = local
+                .iter()
+                .enumerate()
+                .chain(storage.into_iter().flatten().enumerate());
+            let held_facts = holders.flat_map(|(src, inst)| inst.iter().map(move |f| (src, f)));
             let items: Vec<(ServerId, &Fact)> = if collapse {
-                // Collect the distinct facts across servers (and
-                // storage) to route each exactly once.
-                for inst in local.iter().chain(storage.into_iter().flatten()) {
-                    all.extend_from(inst);
-                }
-                all.iter().map(|f| (0, f)).collect()
-            } else {
-                local
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(src, inst)| inst.iter().map(move |f| (src, f)))
-                    .chain(
-                        storage
-                            .into_iter()
-                            .flatten()
-                            .enumerate()
-                            .flat_map(|(src, inst)| inst.iter().map(move |f| (src, f))),
-                    )
+                // Route each distinct fact exactly once, deduplicated by
+                // reference in first-holder order.
+                let mut seen = fxset();
+                held_facts
+                    .filter(|&(_, f)| seen.insert(f))
+                    .map(|(_, f)| (0, f))
                     .collect()
+            } else {
+                held_facts.collect()
             };
-            let routings = route_chunked(&items, threads, &route);
-            match &plan {
-                None => apply_deliveries(p, &items, routings),
-                Some(plan) => apply_deliveries_partitioned(
-                    p,
-                    &items,
-                    routings,
-                    &PartitionCtx {
-                        plan,
-                        round,
-                        carried: &carried,
-                        held_out: &held_out,
-                    },
-                ),
-            }
-        });
-        self.held = held_out.into_inner();
-        self.rounds.last().expect("round just committed")
+            deliver(p, threads, &items, carried, &route, &severed)
+        })
     }
 
     /// Emit `PartitionStart` / `PartitionHeal` timeline events for every
@@ -852,38 +863,26 @@ impl Cluster {
     /// local instance, replacing (`extend = false`) or extending
     /// (`extend = true`) it with the result. With parallelism `n > 1` the
     /// servers are split into contiguous chunks, one scoped worker each;
-    /// every server's result lands in its own slot, so the outcome is
-    /// identical to the sequential sweep.
+    /// results come back in server order, so the outcome is identical to
+    /// the sequential sweep. Workers only read the old state: it is
+    /// replaced — and freed — on the calling thread, because freeing
+    /// another thread's allocations contends on its allocator arena.
     fn run_compute<F>(&mut self, f: F, extend: bool)
     where
         F: Fn(ServerId, &Instance) -> Instance + Sync,
     {
         let wall = self.trace.is_on().then(std::time::Instant::now);
-        let threads = self.parallelism.min(self.local.len());
-        let apply = |s: ServerId, inst: &mut Instance| {
-            let out = f(s, inst);
+        let work = self.local.iter().map(Instance::len).sum();
+        let outs = par_chunks(&self.local, self.parallelism, work, |first, servers| {
+            let outs = (first..).zip(servers).map(|(s, inst)| f(s, inst));
+            outs.collect::<Vec<Instance>>()
+        });
+        for (inst, out) in self.local.iter_mut().zip(outs.into_iter().flatten()) {
             if extend {
                 inst.extend_from(&out);
             } else {
                 *inst = out;
             }
-        };
-        if threads <= 1 {
-            for (s, inst) in self.local.iter_mut().enumerate() {
-                apply(s, inst);
-            }
-        } else {
-            let chunk = self.local.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                for (ci, slice) in self.local.chunks_mut(chunk).enumerate() {
-                    let apply = &apply;
-                    scope.spawn(move || {
-                        for (off, inst) in slice.iter_mut().enumerate() {
-                            apply(ci * chunk + off, inst);
-                        }
-                    });
-                }
-            });
         }
         if let Some(t0) = wall {
             // Computation is free in the model's accounting, so the
@@ -961,9 +960,7 @@ impl Cluster {
     /// can never change underneath it.
     pub fn from_snapshot(p: usize, snap: &parlog_relal::snapshot::Snapshot) -> Cluster {
         let mut c = Cluster::new(p);
-        for (i, f) in snap.instance().sorted_facts().into_iter().enumerate() {
-            c.local_mut(i % p).insert(f);
-        }
+        seed_cluster(&mut c, snap.instance(), InitialPartition::RoundRobin);
         c
     }
 
@@ -985,6 +982,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parlog_faults::PartitionPlan;
     use parlog_relal::fact::fact;
 
     fn seeded(p: usize, facts: &[Fact]) -> Cluster {
@@ -1442,11 +1440,332 @@ mod tests {
         );
     }
 
+    // ---- The per-fact delivery the bucketed pass replaced, kept
+    // verbatim as its oracle: route everything first, then one
+    // sequential merge inserting fact by fact.
+
+    fn apply_deliveries(
+        p: usize,
+        items: &[(ServerId, &Fact)],
+        routings: Vec<Routing>,
+    ) -> (Vec<Instance>, Vec<usize>, u64) {
+        let mut next: Vec<Instance> = vec![Instance::new(); p];
+        let mut received = vec![0usize; p];
+        let mut bytes = 0u64;
+        for (&(src, f), routing) in items.iter().zip(routings) {
+            match routing {
+                Routing::Keep => {
+                    next[src].insert(f.clone());
+                }
+                Routing::Send(dests) => {
+                    for &dest in &dests {
+                        assert!(dest < p, "destination {dest} out of range for p={p}");
+                        if next[dest].insert(f.clone()) {
+                            received[dest] += 1;
+                            bytes += fact_bytes(f);
+                        }
+                    }
+                }
+                Routing::Drop => {}
+            }
+        }
+        (next, received, bytes)
+    }
+
+    struct PartitionCtx<'a> {
+        plan: &'a PartitionPlan,
+        round: usize,
+        carried: &'a [HeldCopy],
+        held_out: &'a std::cell::RefCell<Vec<HeldCopy>>,
+    }
+
+    fn apply_deliveries_partitioned(
+        p: usize,
+        items: &[(ServerId, &Fact)],
+        routings: Vec<Routing>,
+        ctx: &PartitionCtx<'_>,
+    ) -> (Vec<Instance>, Vec<usize>, u64) {
+        let mut next: Vec<Instance> = vec![Instance::new(); p];
+        let mut received = vec![0usize; p];
+        let mut bytes = 0u64;
+        let mut held = ctx.held_out.borrow_mut();
+        held.clear();
+        for (src, dest, f) in ctx.carried {
+            if ctx.plan.severed(ctx.round, *src, *dest).is_some() {
+                held.push((*src, *dest, f.clone()));
+            } else if next[*dest].insert(f.clone()) {
+                received[*dest] += 1;
+                bytes += fact_bytes(f);
+            }
+        }
+        for (&(src, f), routing) in items.iter().zip(routings) {
+            match routing {
+                Routing::Keep => {
+                    next[src].insert(f.clone());
+                }
+                Routing::Send(dests) => {
+                    for &dest in &dests {
+                        assert!(dest < p, "destination {dest} out of range for p={p}");
+                        if ctx.plan.severed(ctx.round, src, dest).is_some() {
+                            held.push((src, dest, f.clone()));
+                        } else if next[dest].insert(f.clone()) {
+                            received[dest] += 1;
+                            bytes += fact_bytes(f);
+                        }
+                    }
+                }
+                Routing::Drop => {}
+            }
+        }
+        (next, received, bytes)
+    }
+
+    /// One attempt the old way: sequential routing, then the per-fact
+    /// merge (partitioned iff a plan is given).
+    fn deliver_per_fact(
+        p: usize,
+        items: &[(ServerId, &Fact)],
+        carried: &[HeldCopy],
+        route: &(impl Fn(ServerId, &Fact) -> Routing + Sync),
+        plan: Option<(&PartitionPlan, usize)>,
+    ) -> Delivered {
+        let routings: Vec<Routing> = items.iter().map(|&(src, f)| route(src, f)).collect();
+        let held_out = std::cell::RefCell::new(Vec::new());
+        let (next, received, bytes) = match plan {
+            None => apply_deliveries(p, items, routings),
+            Some((plan, round)) => {
+                let ctx = PartitionCtx {
+                    plan,
+                    round,
+                    carried,
+                    held_out: &held_out,
+                };
+                apply_deliveries_partitioned(p, items, routings, &ctx)
+            }
+        };
+        Delivered {
+            next,
+            received,
+            bytes,
+            held: held_out.into_inner(),
+        }
+    }
+
+    /// Two states are the same down to each server's mutation history:
+    /// same facts, same epochs, same delta log.
+    fn assert_same_state(a: &[Instance], b: &[Instance], what: &str) {
+        assert_eq!(a.len(), b.len());
+        for (s, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(x, y, "{what}: server {s} facts");
+            assert_eq!(x.epoch(), y.epoch(), "{what}: server {s} epoch");
+            assert_eq!(
+                x.delta_since(0),
+                y.delta_since(0),
+                "{what}: server {s} delta log"
+            );
+        }
+    }
+
+    /// A holder-dependent fate per `(source, fact)`: a fifth each of
+    /// `Keep` and `Drop`, the rest `Send` to one to three destinations
+    /// (repeats allowed) — deliberately *not* value-deterministic, so
+    /// the same fact is kept by one holder and sent by another.
+    fn mixed_fate(p: usize, salt: u64) -> impl Fn(ServerId, &Fact) -> Routing + Sync {
+        use parlog_relal::fastmap::hash_u64;
+        move |src, f| {
+            let mut h = hash_u64(salt, src as u64);
+            for v in &f.args {
+                h = hash_u64(h, v.0);
+            }
+            match h % 5 {
+                0 => Routing::Keep,
+                1 => Routing::Drop,
+                k => Routing::Send(
+                    (0..k - 1)
+                        .map(|i| (hash_u64(h, i) % p as u64) as usize)
+                        .collect(),
+                ),
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// The bucketed attempt equals the per-fact one on the same item
+        /// stream: mixed `Keep`/`Send`/`Drop`, the same fact offered by
+        /// several holders, carried holds, an open or healed partition
+        /// epoch, rounds below and above the sequential cut-off, at
+        /// parallelism 1, 2 and 4 — next state (with delta logs), loads,
+        /// bytes and held copies identical.
+        #[test]
+        fn bucketed_attempt_matches_per_fact_delivery(
+            p in 1..6usize,
+            large in 0..3usize,
+            n_small in 0..60usize,
+            domain in 2..12u64,
+            salt in 0..1000u64,
+            partition in 0..3usize,
+            n_carried in 0..8usize,
+        ) {
+            use parlog_relal::fastmap::hash_u64;
+            // Every third case is big enough to run on the pool.
+            let n = if large == 0 { PAR_MIN_ITEMS + 40 * n_small } else { n_small };
+            let domain = if large == 0 { 40 } else { domain };
+            let pool: Vec<Fact> = (0..domain * domain)
+                .map(|i| fact(["R", "S"][(i % 2) as usize], &[i / domain, i % domain]))
+                .collect();
+            let pick = |i: usize, k: u64| hash_u64(salt + k, i as u64);
+            let items: Vec<(ServerId, &Fact)> = (0..n)
+                .map(|i| (pick(i, 1) as usize % p, &pool[pick(i, 2) as usize % pool.len()]))
+                .collect();
+            let carried: Vec<HeldCopy> = (0..n_carried)
+                .map(|i| {
+                    let f = pool[pick(i, 3) as usize % pool.len()].clone();
+                    (pick(i, 4) as usize % p, pick(i, 5) as usize % p, f)
+                })
+                .collect();
+            // No plan; an epoch open this round (server 0 cut off); or
+            // one that has healed, so every carried hold flushes.
+            let plan = PartitionPlan::split(0, 2, &[0]);
+            let (plan, carried): (Option<(&PartitionPlan, usize)>, &[HeldCopy]) = match partition {
+                0 => (None, &[]),
+                1 => (Some((&plan, 1)), &carried),
+                _ => (Some((&plan, 2)), &carried),
+            };
+            let route = mixed_fate(p, salt);
+            let severed = |src: ServerId, dest: ServerId| {
+                plan.is_some_and(|(plan, round)| plan.severed(round, src, dest).is_some())
+            };
+            let want = deliver_per_fact(p, &items, carried, &route, plan);
+            for threads in [1, 2, 4] {
+                let got = deliver(p, threads, &items, carried, &route, &severed);
+                assert_same_state(&got.next, &want.next, "bucketed vs per-fact");
+                proptest::prop_assert_eq!(&got.received, &want.received);
+                proptest::prop_assert_eq!(got.bytes, want.bytes);
+                proptest::prop_assert_eq!(&got.held, &want.held);
+            }
+        }
+    }
+
+    /// A collapsed round routes each distinct fact once, by reference:
+    /// it commits what the old construction — union every holder and
+    /// every storage shard into a scratch instance, route its facts —
+    /// committed, as sets and as loads.
+    #[test]
+    fn collapsed_round_matches_the_unioned_item_stream() {
+        let facts: Vec<Fact> = (0..90u64).map(|i| fact("R", &[i % 30, i % 7])).collect();
+        let p = 4;
+        let mut c = seeded(p, &facts);
+        let storage: Vec<Instance> = (0..p)
+            .map(|s| Instance::from_facts(facts.iter().skip(s).step_by(3).cloned()))
+            .collect();
+        // Some facts on several servers and in several shards.
+        c.local_mut(2).extend_from(&storage[1]);
+        let route = |f: &Fact| vec![(f.args[0].0 % 4) as usize, (f.args[1].0 % 4) as usize];
+
+        let mut all = Instance::new();
+        for inst in c.local.iter().chain(&storage) {
+            all.extend_from(inst);
+        }
+        let items: Vec<(ServerId, &Fact)> = all.iter().map(|f| (0, f)).collect();
+        let want = deliver_per_fact(p, &items, &[], &|_, f| Routing::Send(route(f)), None);
+
+        c.communicate_with(&storage, route);
+        for s in 0..p {
+            assert_eq!(c.local(s), &want.next[s], "server {s}");
+        }
+        assert_eq!(c.rounds()[0].received, want.received);
+    }
+
+    /// Whole rounds through the public phases: storage shards, mixed
+    /// fates, a partition epoch that holds copies and later flushes
+    /// them, and a crashed attempt replayed from the checkpoint. State
+    /// (down to delta logs), `RoundStats`, held copies and recovery
+    /// tallies are identical at parallelism 1, 2 and 4, and the replayed
+    /// run commits what the crash-free run commits.
+    #[test]
+    fn held_flushed_and_replayed_rounds_are_identical_at_every_parallelism() {
+        let n = PAR_MIN_ITEMS as u64 + 500;
+        let facts: Vec<Fact> = (0..n).map(|i| fact("R", &[i, i * 7 % 13])).collect();
+        let p = 4;
+        let storage: Vec<Instance> = (0..p)
+            .map(|s| Instance::from_facts((0..50u64).map(|i| fact("S", &[i % 20, s as u64]))))
+            .collect();
+        let run = |threads: usize, crashes: MpcFaultPlan| {
+            let plan = crashes.with_partition(PartitionPlan::split(0, 2, &[3]));
+            let mut c = seeded(p, &facts)
+                .with_parallelism(threads)
+                .with_faults(plan);
+            c.reshuffle_with(&storage, mixed_fate(p, 5));
+            let held_open = c.held.clone();
+            c.communicate_from(|src, f| vec![(f.args[0].0 as usize + src) % p]);
+            c.reshuffle(mixed_fate(p, 6));
+            c.communicate(|f| vec![(f.args[0].0 % 4) as usize]);
+            (c, held_open)
+        };
+        let (base, base_open) = run(1, MpcFaultPlan::none());
+        assert!(!base_open.is_empty(), "round 0 held cross-block copies");
+        assert_eq!(base.held_by_partition(), 0, "every hold flushed");
+        for threads in [1, 2, 4] {
+            // Attempt 1 is round 1's first try: it crashes and replays.
+            let (c, open) = run(threads, MpcFaultPlan::crash(1, 2));
+            assert_same_state(&c.local, &base.local, "replayed vs crash-free");
+            assert_eq!(open, base_open, "threads={threads}: held copies");
+            assert_eq!(c.held, base.held);
+            assert_eq!(c.recovery().replays, 1);
+            assert_eq!(c.round_count(), base.round_count());
+            for (a, b) in c.rounds().iter().zip(base.rounds()) {
+                assert_eq!(a.received, b.received, "threads={threads}");
+                assert_eq!(a.max_load, b.max_load);
+                assert_eq!(a.total_comm, b.total_comm);
+                assert_eq!(a.tail_time, b.tail_time);
+            }
+        }
+    }
+
+    /// Rounds below the cut-off never leave the calling thread, whatever
+    /// the pool width; rounds above it do.
+    #[test]
+    fn small_phases_stay_on_the_calling_thread() {
+        let me = std::thread::current().id();
+        let on_caller = |n: usize, threads: usize| {
+            let items: Vec<usize> = (0..n).collect();
+            par_chunks(&items, threads, n, |_, _| std::thread::current().id())
+                .iter()
+                .all(|&id| id == me)
+        };
+        assert!(on_caller(PAR_MIN_ITEMS - 1, 4));
+        assert!(on_caller(0, 4));
+        assert!(on_caller(PAR_MIN_ITEMS, 1));
+        assert!(!on_caller(PAR_MIN_ITEMS, 2));
+        // Chunks come back in order and cover every item once.
+        let items: Vec<usize> = (0..PAR_MIN_ITEMS + 3).collect();
+        let spans = par_chunks(&items, 3, items.len(), |first, chunk| (first, chunk.len()));
+        let mut next = 0;
+        for (first, len) in spans {
+            assert_eq!(first, next);
+            next += len;
+        }
+        assert_eq!(next, items.len());
+    }
+
     #[test]
     #[should_panic(expected = "out of range")]
     fn parallel_bad_destination_rejected() {
         let mut c = seeded(2, &[fact("R", &[1, 2])]).with_parallelism(4);
         c.communicate(|_| vec![7]);
+    }
+
+    /// A routing worker's panic reaches the caller with its message.
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn bad_destination_rejected_on_the_pool() {
+        let facts: Vec<Fact> = (0..PAR_MIN_ITEMS as u64 + 1)
+            .map(|i| fact("R", &[i, i]))
+            .collect();
+        let mut c = seeded(2, &facts).with_parallelism(2);
+        c.communicate(|f| vec![if f.args[0].0 == 0 { 7 } else { 0 }]);
     }
 
     #[test]

@@ -93,34 +93,28 @@ impl HypercubeAlgorithm {
         if atom.rel != f.rel || atom.arity() != f.arity() || !atom.matches(f) {
             return None;
         }
-        // Fix the coordinates of the variables the atom binds.
-        let k = self.shares.shares.len();
-        let mut fixed: Vec<Option<usize>> = vec![None; k];
-        for (t, &v) in atom.terms.iter().zip(f.args.iter()) {
-            if let Term::Var(var) = t {
-                if let Some(i) = self.shares.vars.iter().position(|n| *n == var.0) {
-                    fixed[i] = Some(self.axis_hash(i, v));
+        // Grow the flat server ids one axis at a time (mixed radix, as
+        // `Shares::flatten`): an axis whose variable the atom binds
+        // contributes the hash of the bound value, a free axis every
+        // coordinate.
+        let mut ids = vec![0usize];
+        for (i, &share) in self.shares.shares.iter().enumerate() {
+            let name = &self.shares.vars[i];
+            let bound = atom.terms.iter().zip(&f.args).find_map(|(t, &v)| match t {
+                Term::Var(var) if var.0 == *name => Some(self.axis_hash(i, v)),
+                _ => None,
+            });
+            match bound {
+                Some(c) => ids.iter_mut().for_each(|id| *id = *id * share + c),
+                None => {
+                    ids = ids
+                        .iter()
+                        .flat_map(|&id| (0..share).map(move |c| id * share + c))
+                        .collect()
                 }
             }
         }
-        // Enumerate the free axes.
-        let mut coords: Vec<Vec<usize>> = vec![Vec::new()];
-        for (i, fx) in fixed.iter().enumerate() {
-            let choices: Vec<usize> = match fx {
-                Some(c) => vec![*c],
-                None => (0..self.shares.shares[i]).collect(),
-            };
-            let mut next = Vec::with_capacity(coords.len() * choices.len());
-            for c in &coords {
-                for &ch in &choices {
-                    let mut cc = c.clone();
-                    cc.push(ch);
-                    next.push(cc);
-                }
-            }
-            coords = next;
-        }
-        Some(coords.iter().map(|c| self.shares.flatten(c)).collect())
+        Some(ids)
     }
 
     /// All destination servers of a fact (union over matching atoms —

@@ -59,6 +59,19 @@ pub enum InitialPartition {
     SingleServer,
 }
 
+/// Deal `facts`, in order, onto `p` fresh instances — fact `i` goes to
+/// `place(i, fact)` — each built by one bulk ingest of its share.
+pub fn deal<P>(p: usize, facts: Vec<Fact>, place: P) -> Vec<Instance>
+where
+    P: Fn(usize, &Fact) -> ServerId,
+{
+    let mut shares: Vec<Vec<Fact>> = vec![Vec::new(); p];
+    for (i, f) in facts.into_iter().enumerate() {
+        shares[place(i, &f)].push(f);
+    }
+    shares.into_iter().map(Instance::from_facts).collect()
+}
+
 /// Place `db` on `cluster` according to `how`. Panics if the cluster
 /// already holds data.
 pub fn seed_cluster(cluster: &mut Cluster, db: &Instance, how: InitialPartition) {
@@ -83,9 +96,8 @@ pub fn seed_cluster(cluster: &mut Cluster, db: &Instance, how: InitialPartition)
             InitialPartition::SingleServer => 0,
         }
     };
-    for (i, f) in db.sorted_facts().into_iter().enumerate() {
-        let s = place(i, &f);
-        cluster.local_mut(s).insert(f);
+    for (s, inst) in deal(p, db.sorted_facts(), place).into_iter().enumerate() {
+        *cluster.local_mut(s) = inst;
     }
 }
 

@@ -46,6 +46,7 @@ use crate::algorithms::treejoin::binding_of;
 use crate::cluster::{Cluster, Routing};
 use crate::datagen::top_heavy_hitters;
 use crate::hypercube::HypercubeAlgorithm;
+use crate::partition::deal;
 use crate::report::RunReport;
 use crate::shares::Shares;
 use crate::shares_skew::HeavyPattern;
@@ -497,10 +498,7 @@ impl SkewAdaptiveJoin {
         assert_eq!(cluster.p(), self.p, "cluster sized for this plan");
         // Round-robin storage shards, mirroring `seed_cluster`'s
         // placement of the sorted input.
-        let mut storage = vec![Instance::new(); self.p];
-        for (i, f) in db.sorted_facts().into_iter().enumerate() {
-            storage[i % self.p].insert(f);
-        }
+        let storage = deal(self.p, db.sorted_facts(), |i, _| i % self.p);
 
         let mut passes = 0usize;
         loop {

@@ -35,13 +35,27 @@ pub struct DeltaEntry {
 }
 
 /// A bounded, ordered log of [`DeltaEntry`]s.
-#[derive(Debug, Clone)]
+///
+/// The **logical window** is the last `capacity` entries pushed; it is
+/// what [`DeltaLog::len`] and [`DeltaLog::since`] describe. Physically
+/// the window is the tail `entries[head..]` of one vector: truncating an
+/// entry advances `head` (O(1)) instead of shifting the window, and the
+/// dead prefix is reclaimed in one move once it exceeds `capacity / 4`
+/// entries — so a push moves at most four live entries amortised, and the
+/// vector never holds more than `capacity + capacity / 4 + 1` entries.
+#[derive(Debug)]
 pub struct DeltaLog {
     entries: Vec<DeltaEntry>,
+    /// Start of the logical window inside `entries`.
+    head: usize,
     /// Highest epoch whose entry has been truncated away (0 = nothing
     /// truncated). `since(e)` is answerable iff `e >= truncated_to`.
     truncated_to: u64,
     capacity: usize,
+    /// Live entries shifted by prefix reclamation so far (the guard
+    /// against the per-push memmove this layout replaced).
+    #[cfg(test)]
+    moved: usize,
 }
 
 /// Default number of retained entries — enough for every realistic
@@ -54,13 +68,30 @@ impl Default for DeltaLog {
     }
 }
 
+/// A clone carries the logical window only, never the dead prefix.
+impl Clone for DeltaLog {
+    fn clone(&self) -> DeltaLog {
+        DeltaLog {
+            entries: self.window().to_vec(),
+            head: 0,
+            truncated_to: self.truncated_to,
+            capacity: self.capacity,
+            #[cfg(test)]
+            moved: 0,
+        }
+    }
+}
+
 impl DeltaLog {
     /// An empty log retaining at most `capacity` entries.
     pub fn with_capacity(capacity: usize) -> DeltaLog {
         DeltaLog {
             entries: Vec::new(),
+            head: 0,
             truncated_to: 0,
             capacity: capacity.max(1),
+            #[cfg(test)]
+            moved: 0,
         }
     }
 
@@ -71,12 +102,24 @@ impl DeltaLog {
 
     /// Number of retained entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.len() - self.head
     }
 
     /// Is the log empty?
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
+    }
+
+    /// The retained entries, oldest first.
+    fn window(&self) -> &[DeltaEntry] {
+        &self.entries[self.head..]
+    }
+
+    /// Make room for `additional` more pushes without reallocating, as
+    /// far as the window can use it (a bulk ingest knows its size).
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        let room = (self.capacity + self.capacity / 4 + 1).saturating_sub(self.entries.len());
+        self.entries.reserve(additional.min(room));
     }
 
     /// Record a mutation that moved the instance to `epoch`. Entries must
@@ -84,10 +127,17 @@ impl DeltaLog {
     pub fn push(&mut self, epoch: u64, op: DeltaOp, fact: Fact) {
         debug_assert!(self.entries.last().is_none_or(|e| e.epoch < epoch));
         self.entries.push(DeltaEntry { epoch, op, fact });
-        if self.entries.len() > self.capacity {
-            let drop = self.entries.len() - self.capacity;
-            self.truncated_to = self.entries[drop - 1].epoch;
-            self.entries.drain(..drop);
+        if self.len() > self.capacity {
+            self.truncated_to = self.entries[self.head].epoch;
+            self.head += 1;
+            if self.head > self.capacity / 4 {
+                #[cfg(test)]
+                {
+                    self.moved += self.len();
+                }
+                self.entries.drain(..self.head);
+                self.head = 0;
+            }
         }
     }
 
@@ -98,8 +148,8 @@ impl DeltaLog {
         if e < self.truncated_to {
             return None;
         }
-        let start = self.entries.partition_point(|d| d.epoch <= e);
-        Some(&self.entries[start..])
+        let window = self.window();
+        Some(&window[window.partition_point(|d| d.epoch <= e)..])
     }
 }
 
@@ -107,6 +157,158 @@ impl DeltaLog {
 mod tests {
     use super::*;
     use crate::fact::fact;
+    use proptest::prelude::*;
+
+    /// The log as it was before the head index: the window *is* the
+    /// vector, and every truncation shifts it (`drain(..1)`, one memmove
+    /// of the whole window per push at capacity). Kept as the model the
+    /// current layout is checked against.
+    struct ShiftingLog {
+        entries: Vec<DeltaEntry>,
+        truncated_to: u64,
+        capacity: usize,
+    }
+
+    impl ShiftingLog {
+        fn with_capacity(capacity: usize) -> ShiftingLog {
+            ShiftingLog {
+                entries: Vec::new(),
+                truncated_to: 0,
+                capacity: capacity.max(1),
+            }
+        }
+
+        fn push(&mut self, epoch: u64, op: DeltaOp, fact: Fact) {
+            self.entries.push(DeltaEntry { epoch, op, fact });
+            if self.entries.len() > self.capacity {
+                let drop = self.entries.len() - self.capacity;
+                self.truncated_to = self.entries[drop - 1].epoch;
+                self.entries.drain(..drop);
+            }
+        }
+
+        fn since(&self, e: u64) -> Option<&[DeltaEntry]> {
+            if e < self.truncated_to {
+                return None;
+            }
+            let start = self.entries.partition_point(|d| d.epoch <= e);
+            Some(&self.entries[start..])
+        }
+    }
+
+    /// Push `n` entries (epochs `1 + gap`, `1 + 2·gap`, … so that some
+    /// epochs fall between entries) into both logs, comparing every
+    /// observable after every push when `every_push`, else at the end.
+    fn check_against_model(capacity: usize, n: usize, gap: u64, every_push: bool) {
+        let mut log = DeltaLog::with_capacity(capacity);
+        let mut model = ShiftingLog::with_capacity(capacity);
+        assert_eq!(log.capacity(), model.capacity);
+        for i in 0..n {
+            let epoch = 1 + gap * (i as u64 + 1);
+            let op = if i % 3 == 2 {
+                DeltaOp::Delete
+            } else {
+                DeltaOp::Insert
+            };
+            log.push(epoch, op, fact("R", &[i as u64]));
+            model.push(epoch, op, fact("R", &[i as u64]));
+            if every_push || i + 1 == n {
+                assert_eq!(log.len(), model.entries.len());
+                assert_eq!(log.is_empty(), model.entries.is_empty());
+                assert_eq!(log.truncated_to, model.truncated_to);
+                assert!(log.entries.len() <= log.capacity + log.capacity / 4);
+                // The whole window once, then `since` for every epoch
+                // it can tell apart plus two on each side — each answer
+                // is a suffix of the window, so its length and first
+                // entry pin it down.
+                assert_eq!(log.window(), &model.entries[..]);
+                let suffix = |s: Option<&[DeltaEntry]>| s.map(|s| (s.len(), s.first().cloned()));
+                let lo = model.truncated_to.saturating_sub(2);
+                for e in lo..=epoch + 2 {
+                    assert_eq!(
+                        suffix(log.since(e)),
+                        suffix(model.since(e)),
+                        "since({e}) after push {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Small capacities, every observable after every push.
+        #[test]
+        fn head_index_log_matches_shifting_model(
+            capacity in 1..24usize,
+            multiple in 0..5usize,
+            extra in 0..30usize,
+            gap in 1..4u64,
+        ) {
+            // Lengths around exact multiples of the capacity, where the
+            // truncation and reclamation edges are.
+            check_against_model(capacity, capacity * multiple + extra, gap, true);
+            check_against_model(capacity, capacity * multiple, gap, true);
+        }
+    }
+
+    /// The default capacity and its neighbours (2¹⁴ ± 1), up to the cap,
+    /// across it, and across the first reclamation of the dead prefix.
+    /// (The model shifts its whole window on every push past the cap, so
+    /// the runs stop soon after.)
+    #[test]
+    fn default_capacity_edges_match_the_model() {
+        let cap = DEFAULT_LOG_CAPACITY;
+        for n in [cap - 1, cap, cap + 1, cap + cap / 4 + 2] {
+            check_against_model(cap, n, 1, false);
+        }
+        check_against_model(cap - 1, cap + 1, 1, false);
+        check_against_model(cap + 1, cap + 2, 1, false);
+        // And once with every push compared, on a capacity big enough to
+        // reclaim a multi-entry prefix several times.
+        check_against_model(64, 64 * 5 + 3, 2, true);
+    }
+
+    /// Clock-free guard against the per-push memmove coming back: the
+    /// log counts the live entries its reclamations shift. A window of
+    /// `capacity` entries in a vector of at most `1.25 · capacity` can
+    /// slide `capacity / 4` pushes before it must be moved back, so the
+    /// bound this layout can meet is 4 shifted entries per push — the
+    /// shifting model pays `capacity` per push.
+    #[test]
+    fn reclamation_moves_at_most_four_entries_per_push() {
+        for capacity in [1, 2, 3, 4, 7, 64, 1000, DEFAULT_LOG_CAPACITY] {
+            let mut log = DeltaLog::with_capacity(capacity);
+            let n = 5 * capacity + 3;
+            for i in 0..n {
+                log.push(i as u64 + 1, DeltaOp::Insert, fact("R", &[i as u64]));
+                assert!(log.moved <= 4 * (i + 1), "capacity {capacity}, push {i}");
+                assert!(
+                    4 * log.entries.len() <= 5 * capacity.max(4),
+                    "physical length {} at capacity {capacity}",
+                    log.entries.len()
+                );
+            }
+            assert_eq!(log.len(), capacity);
+        }
+    }
+
+    /// A clone is the window alone, whatever dead prefix the original
+    /// was carrying.
+    #[test]
+    fn clone_carries_the_window_only() {
+        let mut log = DeltaLog::with_capacity(8);
+        for i in 0..10u64 {
+            log.push(i + 1, DeltaOp::Insert, fact("R", &[i]));
+        }
+        assert_eq!(log.head, 2, "a dead prefix is pending");
+        let copy = log.clone();
+        assert_eq!(copy.entries.len(), 8);
+        for e in 0..12 {
+            assert_eq!(copy.since(e), log.since(e));
+        }
+    }
 
     #[test]
     fn since_slices_by_epoch() {

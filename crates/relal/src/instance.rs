@@ -23,17 +23,35 @@ use crate::lsm::TrieLayers;
 use crate::symbols::RelId;
 use crate::trie::TrieRel;
 use std::any::Any;
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// The trie cache: `(relation, column permutation) → LSM layers`.
+/// The trie cache: `relation → column permutation → LSM layers`. Nested
+/// so that a probe borrows the caller's `&[usize]` instead of allocating
+/// a `(RelId, Vec<usize>)` key.
 ///
 /// Held behind `Arc` for copy-on-write sharing: a clone of the instance
 /// shares the whole map O(1) (not just the runs inside each entry), and
 /// a **sealed** instance exposes the same `Arc` lock-free to concurrent
 /// readers (see [`Instance::seal`]).
-type TrieCache = FxMap<(RelId, Vec<usize>), TrieLayers>;
+type TrieCache = FxMap<RelId, FxMap<Vec<usize>, TrieLayers>>;
+
+/// The cache entry of `(rel, perm)`, if any — allocation-free.
+fn cached<'c>(cache: &'c TrieCache, rel: RelId, perm: &[usize]) -> Option<&'c TrieLayers> {
+    cache.get(&rel)?.get(perm)
+}
+
+/// Every `(rel, perm)` key of the cache, sorted.
+fn cache_keys(cache: &TrieCache) -> Vec<(RelId, Vec<usize>)> {
+    let mut keys: Vec<(RelId, Vec<usize>)> = cache
+        .iter()
+        .flat_map(|(&rel, perms)| perms.keys().map(move |perm| (rel, perm.clone())))
+        .collect();
+    keys.sort();
+    keys
+}
 
 /// Registry of maintained derived results (e.g. materialized Datalog
 /// fixpoints), keyed by an opaque consumer-chosen token. Stored as `Any`
@@ -93,23 +111,64 @@ impl Instance {
         Instance::default()
     }
 
-    /// Build an instance from an iterator of facts.
+    /// Build an instance from an iterator of facts (one bulk ingest, see
+    /// [`Instance::insert_all`]).
     pub fn from_facts<I: IntoIterator<Item = Fact>>(facts: I) -> Instance {
         let mut inst = Instance::new();
-        for f in facts {
-            inst.insert(f);
-        }
+        inst.ingest(facts.into_iter().map(Cow::Owned), |_| {});
         inst
     }
 
     /// Insert a fact; returns `true` if it was not already present.
     pub fn insert(&mut self, f: Fact) -> bool {
-        let fresh = self.by_rel.entry(f.rel).or_default().insert(f.clone());
-        if fresh {
-            self.len += 1;
-            self.note_mutation(DeltaOp::Insert, f);
+        let before = self.len;
+        self.ingest(std::iter::once(Cow::Owned(f)), |_| {});
+        self.len > before
+    }
+
+    /// Bulk insert by reference: exactly the effect of calling
+    /// [`Instance::insert`] on a clone of every fact in order — one epoch
+    /// bump and one delta-log entry per *new* fact — but duplicates are
+    /// never cloned. `on_new` sees each fact that was new, in order.
+    pub fn insert_all<'a, I, F>(&mut self, facts: I, on_new: F)
+    where
+        I: IntoIterator<Item = &'a Fact>,
+        F: FnMut(&Fact),
+    {
+        self.ingest(facts.into_iter().map(Cow::Borrowed), on_new);
+    }
+
+    /// The one insertion path. Bookkeeping that is per relation rather
+    /// than per fact — the `by_rel` lookup, the relation-epoch stamp — is
+    /// done once per run of consecutive facts of one relation, and a new
+    /// fact is copied exactly once more than its caller already had to
+    /// (the set and the delta log each own one).
+    fn ingest<'a, I, F>(&mut self, facts: I, mut on_new: F)
+    where
+        I: Iterator<Item = Cow<'a, Fact>>,
+        F: FnMut(&Fact),
+    {
+        self.log.reserve(facts.size_hint().0);
+        let mut facts = facts.peekable();
+        while let Some(first) = facts.peek() {
+            let rel = first.rel;
+            let set = self.by_rel.entry(rel).or_default();
+            let before = self.epoch;
+            while let Some(f) = facts.next_if(|f| f.rel == rel) {
+                if set.contains(&*f) {
+                    continue;
+                }
+                let f = f.into_owned();
+                on_new(&f);
+                set.insert(f.clone());
+                self.epoch += 1;
+                self.log.push(self.epoch, DeltaOp::Insert, f);
+            }
+            if self.epoch > before {
+                self.len += (self.epoch - before) as usize;
+                self.note_mutation(rel);
+            }
         }
-        fresh
     }
 
     /// Remove a fact; returns `true` if it was present. An absent remove
@@ -122,7 +181,9 @@ impl Instance {
             .unwrap_or(false);
         if removed {
             self.len -= 1;
-            self.note_mutation(DeltaOp::Delete, f.clone());
+            self.epoch += 1;
+            self.log.push(self.epoch, DeltaOp::Delete, f.clone());
+            self.note_mutation(f.rel);
         }
         removed
     }
@@ -148,14 +209,13 @@ impl Instance {
         self.log.len()
     }
 
-    /// Record a successful mutation: bump the global and per-relation
-    /// epochs and append to the delta log. Cached tries are *not*
-    /// dropped — stale entries replay the log on next read, and entries
-    /// of other relations remain exactly valid.
-    fn note_mutation(&mut self, op: DeltaOp, f: Fact) {
-        self.epoch += 1;
-        self.rel_epochs.insert(f.rel, self.epoch);
-        self.log.push(self.epoch, op, f);
+    /// Close a run of successful mutations of `rel`, the last of which
+    /// moved the instance to the current epoch: stamp the relation's
+    /// epoch. Cached tries are *not* dropped — stale entries replay the
+    /// log on next read, and entries of other relations remain exactly
+    /// valid.
+    fn note_mutation(&mut self, rel: RelId) {
+        self.rel_epochs.insert(rel, self.epoch);
         // A mutated instance is no longer a consistent frozen snapshot.
         self.frozen_tries = None;
     }
@@ -168,34 +228,31 @@ impl Instance {
         rel: RelId,
         perm: &[usize],
     ) -> &'c mut TrieLayers {
-        use std::collections::hash_map::Entry;
-        match cache.entry((rel, perm.to_vec())) {
-            Entry::Occupied(o) => {
-                let layers = o.into_mut();
-                if layers.built_epoch < self.rel_epoch(rel) {
-                    match self.log.since(layers.built_epoch) {
-                        Some(deltas) => {
-                            if layers.advance(deltas, self, rel, perm, self.epoch) {
-                                self.builds.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        None => {
-                            *layers = TrieLayers::build_full(self, rel, perm, self.epoch);
-                            self.builds.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                } else {
-                    // Entry is current for `rel`; stamp it forward so
-                    // later refreshes replay only genuinely new deltas.
-                    layers.built_epoch = self.epoch;
-                }
-                layers
-            }
-            Entry::Vacant(v) => {
-                self.builds.fetch_add(1, Ordering::Relaxed);
-                v.insert(TrieLayers::build_full(self, rel, perm, self.epoch))
-            }
+        let perms = cache.entry(rel).or_default();
+        if !perms.contains_key(perm) {
+            self.builds.fetch_add(1, Ordering::Relaxed);
+            let built = TrieLayers::build_full(self, rel, perm, self.epoch);
+            return perms.entry(perm.to_vec()).or_insert(built);
         }
+        let layers = perms.get_mut(perm).expect("checked above");
+        if layers.built_epoch < self.rel_epoch(rel) {
+            match self.log.since(layers.built_epoch) {
+                Some(deltas) => {
+                    if layers.advance(deltas, self, rel, perm, self.epoch) {
+                        self.builds.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                None => {
+                    *layers = TrieLayers::build_full(self, rel, perm, self.epoch);
+                    self.builds.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        } else {
+            // Entry is current for `rel`; stamp it forward so later
+            // refreshes replay only genuinely new deltas.
+            layers.built_epoch = self.epoch;
+        }
+        layers
     }
 
     /// The LSM trie layers of `rel` under the column permutation `perm`,
@@ -208,7 +265,7 @@ impl Instance {
     /// every read on an unsealed instance) go through the cache mutex.
     pub fn trie_layers(&self, rel: RelId, perm: &[usize]) -> TrieLayers {
         if let Some(frozen) = &self.frozen_tries {
-            if let Some(layers) = frozen.get(&(rel, perm.to_vec())) {
+            if let Some(layers) = cached(frozen, rel, perm) {
                 return layers.clone();
             }
         }
@@ -216,7 +273,7 @@ impl Instance {
         // Read-only fast path: an entry that is current for `rel` is
         // served without editing the map, so a fresh clone keeps
         // sharing the cache spine with its origin.
-        if let Some(layers) = cache.get(&(rel, perm.to_vec())) {
+        if let Some(layers) = cached(&cache, rel, perm) {
             if layers.built_epoch >= self.rel_epoch(rel) {
                 return layers.clone();
             }
@@ -230,7 +287,7 @@ impl Instance {
     /// callers that want one flat trie.
     pub fn trie(&self, rel: RelId, perm: &[usize]) -> Arc<TrieRel> {
         if let Some(frozen) = &self.frozen_tries {
-            if let Some(layers) = frozen.get(&(rel, perm.to_vec())) {
+            if let Some(layers) = cached(frozen, rel, perm) {
                 if layers.run_count() == 1 && !layers.has_tombstones() {
                     return Arc::clone(&layers.runs()[0]);
                 }
@@ -238,7 +295,7 @@ impl Instance {
         }
         let mut cache = lock_recover(&self.tries);
         // Same read-only fast path as `trie_layers`.
-        if let Some(layers) = cache.get(&(rel, perm.to_vec())) {
+        if let Some(layers) = cached(&cache, rel, perm) {
             if layers.built_epoch >= self.rel_epoch(rel)
                 && layers.run_count() == 1
                 && !layers.has_tombstones()
@@ -272,8 +329,7 @@ impl Instance {
             let this: &Instance = &*self;
             let mut guard = lock_recover(&this.tries);
             let cache = Arc::make_mut(&mut guard);
-            let keys: Vec<(RelId, Vec<usize>)> = cache.keys().cloned().collect();
-            for (rel, perm) in keys {
+            for (rel, perm) in cache_keys(cache) {
                 this.refresh_entry(cache, rel, &perm);
             }
             Arc::clone(&guard)
@@ -304,10 +360,8 @@ impl Instance {
     pub fn compaction_candidates(&self) -> Vec<(RelId, Vec<usize>, TrieLayers)> {
         let mut guard = lock_recover(&self.tries);
         let cache = Arc::make_mut(&mut guard);
-        let mut keys: Vec<(RelId, Vec<usize>)> = cache.keys().cloned().collect();
-        keys.sort();
         let mut out = Vec::new();
-        for (rel, perm) in keys {
+        for (rel, perm) in cache_keys(cache) {
             let layers = self.refresh_entry(cache, rel, &perm);
             if layers.run_count() > 1 || layers.has_tombstones() {
                 out.push((rel, perm, layers.clone()));
@@ -328,13 +382,14 @@ impl Instance {
         // refresh replays only genuinely new deltas.
         layers.built_epoch = self.epoch;
         let mut guard = lock_recover(&self.tries);
-        Arc::make_mut(&mut guard).insert((rel, perm.to_vec()), layers);
+        let perms = Arc::make_mut(&mut guard).entry(rel).or_default();
+        perms.insert(perm.to_vec(), layers);
         true
     }
 
     /// Number of tries currently cached (test/diagnostic hook).
     pub fn cached_tries(&self) -> usize {
-        lock_recover(&self.tries).len()
+        lock_recover(&self.tries).values().map(|p| p.len()).sum()
     }
 
     /// Number of full trie builds this instance has performed
@@ -417,21 +472,15 @@ impl Instance {
     /// Set union (`I ∪ J`).
     pub fn union(&self, other: &Instance) -> Instance {
         let mut out = self.clone();
-        for f in other.iter() {
-            out.insert(f.clone());
-        }
+        out.extend_from(other);
         out
     }
 
     /// In-place union; returns the number of newly added facts.
     pub fn extend_from(&mut self, other: &Instance) -> usize {
-        let mut added = 0;
-        for f in other.iter() {
-            if self.insert(f.clone()) {
-                added += 1;
-            }
-        }
-        added
+        let before = self.len;
+        self.insert_all(other.iter(), |_| {});
+        self.len - before
     }
 
     /// Set intersection (`I ∩ J`).
@@ -840,6 +889,165 @@ mod tests {
         i.insert(fact("R", &[8, 8]));
         assert!(!i.install_layers(r, &perm, stale.merged()));
         assert_eq!(i.trie_layers(r, &perm).run_count(), 2);
+    }
+
+    /// The nested cache counts and orders entries as the flat
+    /// `(rel, perm)`-keyed one did: one entry per pair, candidates sorted
+    /// by relation, then permutation.
+    #[test]
+    fn cache_entries_are_per_rel_and_perm_and_candidates_sorted() {
+        let mut i = abc();
+        for (name, perm) in [("S", [1, 0]), ("R", [1, 0]), ("R", [0, 1]), ("S", [1, 0])] {
+            let _ = i.trie_layers(rel(name), &perm);
+        }
+        assert_eq!(i.cached_tries(), 3);
+        assert_eq!(i.trie_builds(), 3);
+        i.insert(fact("R", &[3, 4]));
+        i.insert(fact("S", &[8, 8]));
+        let keys: Vec<(RelId, Vec<usize>)> = i
+            .compaction_candidates()
+            .into_iter()
+            .map(|(r, perm, _)| (r, perm))
+            .collect();
+        let mut sorted = keys.clone();
+        sorted.sort();
+        assert_eq!(keys, sorted);
+        assert_eq!(keys.len(), 3);
+        // Installing over an existing entry replaces it, never adds one.
+        let (r, perm, layers) = i.compaction_candidates().swap_remove(0);
+        assert!(i.install_layers(r, &perm, layers.merged()));
+        assert_eq!(i.cached_tries(), 3);
+    }
+
+    /// What a loop of single inserts does to the observable bookkeeping,
+    /// written without any of the instance's machinery: the reference
+    /// the bulk ingest is checked against.
+    #[derive(Default)]
+    struct InsertLoop {
+        facts: std::collections::BTreeSet<Fact>,
+        epoch: u64,
+        rel_epochs: std::collections::BTreeMap<RelId, u64>,
+        log: Vec<DeltaEntry>,
+    }
+
+    impl InsertLoop {
+        fn insert(&mut self, f: &Fact) -> bool {
+            let fresh = self.facts.insert(f.clone());
+            if fresh {
+                self.epoch += 1;
+                self.rel_epochs.insert(f.rel, self.epoch);
+                self.log.push(DeltaEntry {
+                    epoch: self.epoch,
+                    op: DeltaOp::Insert,
+                    fact: f.clone(),
+                });
+            }
+            fresh
+        }
+
+        fn assert_matches(&self, inst: &Instance) {
+            assert_eq!(inst.len(), self.facts.len());
+            assert_eq!(inst.epoch(), self.epoch);
+            assert_eq!(
+                inst.sorted_facts(),
+                self.facts.iter().cloned().collect::<Vec<_>>()
+            );
+            for name in ["R", "S", "T", "U"] {
+                let want = self.rel_epochs.get(&rel(name)).copied().unwrap_or(0);
+                assert_eq!(inst.rel_epoch(rel(name)), want, "rel_epoch({name})");
+            }
+            for e in 0..=self.epoch + 1 {
+                let want = &self.log[self.log.partition_point(|d| d.epoch <= e)..];
+                assert_eq!(inst.delta_since(e), Some(want), "delta_since({e})");
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// `from_facts`, `insert_all`, `extend_from` and `insert`, mixed
+        /// over one stream with duplicates, interleaved relations and
+        /// mixed arities, leave exactly the bookkeeping of the insert
+        /// loop — and `insert_all` reports exactly the new facts.
+        #[test]
+        fn bulk_ingest_matches_the_insert_loop(
+            stream in prop::collection::vec((0..4usize, 0..4u64, 0..3u64, 0..4usize), 0..60),
+        ) {
+            let facts: Vec<(Fact, usize)> = stream
+                .into_iter()
+                .map(|(r, a, b, how)| {
+                    let name = ["R", "S", "T", "U"][r];
+                    // `U` carries both unary and binary facts.
+                    let f = if r == 3 && a % 2 == 0 { fact(name, &[a]) } else { fact(name, &[a, b]) };
+                    (f, how)
+                })
+                .collect();
+            let mut model = InsertLoop::default();
+            // The stream is cut wherever the ingest method changes.
+            let mut chunks = facts.chunk_by(|a, b| a.1 == b.1);
+            let first: Vec<Fact> = chunks
+                .next()
+                .map_or(Vec::new(), |c| c.iter().map(|(f, _)| f.clone()).collect());
+            for f in &first {
+                model.insert(f);
+            }
+            let mut inst = Instance::from_facts(first);
+            model.assert_matches(&inst);
+            for chunk in chunks {
+                let chunk_facts: Vec<&Fact> = chunk.iter().map(|(f, _)| f).collect();
+                match chunk[0].1 {
+                    0 | 1 => {
+                        let mut seen = Vec::new();
+                        inst.insert_all(chunk_facts.iter().copied(), |f| seen.push(f.clone()));
+                        let want: Vec<Fact> = chunk_facts
+                            .iter()
+                            .filter(|f| model.insert(f))
+                            .map(|f| (*f).clone())
+                            .collect();
+                        prop_assert_eq!(seen, want);
+                    }
+                    2 => {
+                        let other = Instance::from_facts(chunk_facts.iter().map(|f| (*f).clone()));
+                        // The model follows the iteration order the
+                        // union actually sees.
+                        let added = other.iter().filter(|f| model.insert(f)).count();
+                        prop_assert_eq!(inst.extend_from(&other), added);
+                    }
+                    _ => {
+                        for f in chunk_facts {
+                            prop_assert_eq!(inst.insert(f.clone()), model.insert(f));
+                        }
+                    }
+                }
+                model.assert_matches(&inst);
+            }
+        }
+    }
+
+    /// Past the log capacity the bulk ingest truncates like the loop:
+    /// same window, same cut-off.
+    #[test]
+    fn bulk_ingest_truncates_like_the_insert_loop() {
+        let n = crate::delta::DEFAULT_LOG_CAPACITY as u64 + 10;
+        let facts: Vec<Fact> = (0..n).map(|i| fact("R", &[i, i % 7])).collect();
+        let bulk = Instance::from_facts(facts.clone());
+        let mut looped = Instance::new();
+        for f in facts {
+            looped.insert(f);
+        }
+        assert_eq!(bulk.epoch(), looped.epoch());
+        assert_eq!(bulk.delta_log_len(), looped.delta_log_len());
+        for e in [0, 9, 10, 11, n - 1, n] {
+            assert_eq!(
+                bulk.delta_since(e),
+                looped.delta_since(e),
+                "delta_since({e})"
+            );
+        }
+        assert!(bulk.delta_since(9).is_none() && bulk.delta_since(10).is_some());
     }
 
     /// Absent removes are complete no-ops: epoch, delta log and views all

@@ -91,16 +91,26 @@ impl TrieLayers {
         let Some(first) = self.runs.first() else {
             return self.clone();
         };
-        let perm = first.perm.clone();
-        let mut tuples: Vec<Vec<Val>> = self.runs.iter().flat_map(|r| r.tuples()).collect();
-        tuples.sort_unstable();
-        tuples.dedup();
-        if !self.tombstones.is_empty() {
-            tuples.retain(|t| !self.tombstones.contains(t));
+        let mut flat: Vec<Val> = Vec::with_capacity(self.total_rows() * first.depth());
+        let mut rows = 0;
+        for run in &self.runs {
+            for r in 0..run.rows() {
+                let start = flat.len();
+                run.push_row(r, &mut flat);
+                if self.tombstones.contains(&flat[start..]) {
+                    flat.truncate(start);
+                } else {
+                    rows += 1;
+                }
+            }
         }
         TrieLayers {
             built_epoch: self.built_epoch,
-            runs: vec![Arc::new(TrieRel::from_sorted_tuples(perm, tuples))],
+            runs: vec![Arc::new(TrieRel::from_rows(
+                first.perm.clone(),
+                &flat,
+                rows,
+            ))],
             tombstones: Arc::new(fxset()),
         }
     }
@@ -166,11 +176,10 @@ impl TrieLayers {
                 tombs.insert(t);
             }
             if !inserted.is_empty() {
-                inserted.sort_unstable();
-                inserted.dedup();
-                self.runs.push(Arc::new(TrieRel::from_sorted_tuples(
+                self.runs.push(Arc::new(TrieRel::from_rows(
                     perm.to_vec(),
-                    inserted,
+                    &inserted.concat(),
+                    inserted.len(),
                 )));
             }
         }

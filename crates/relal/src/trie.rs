@@ -62,28 +62,28 @@ impl TrieRel {
     /// whose arity differs from `perm.len()` cannot match the atom the
     /// permutation came from and are skipped.
     pub fn build(instance: &Instance, rel: crate::symbols::RelId, perm: &[usize]) -> TrieRel {
-        let mut tuples: Vec<Vec<Val>> = instance
-            .relation(rel)
-            .filter(|f| f.args.len() == perm.len())
-            .map(|f| perm.iter().map(|&p| f.args[p]).collect())
-            .collect();
-        tuples.sort_unstable();
-        tuples.dedup();
-        TrieRel::from_sorted_tuples(perm.to_vec(), tuples)
-    }
-
-    /// Build a trie run directly from already-permuted, sorted,
-    /// deduplicated tuples — the LSM tail-run constructor.
-    pub fn from_sorted_tuples(perm: Vec<usize>, tuples: Vec<Vec<Val>>) -> TrieRel {
-        debug_assert!(tuples.windows(2).all(|w| w[0] < w[1]));
-        let rows = tuples.len();
-        let mut cols = vec![Vec::with_capacity(rows); perm.len()];
-        for t in &tuples {
-            debug_assert_eq!(t.len(), perm.len());
-            for (d, &v) in t.iter().enumerate() {
-                cols[d].push(v);
+        let mut flat = Vec::with_capacity(instance.relation_len(rel) * perm.len());
+        let mut rows = 0;
+        for f in instance.relation(rel) {
+            if f.args.len() == perm.len() {
+                flat.extend(perm.iter().map(|&p| f.args[p]));
+                rows += 1;
             }
         }
+        TrieRel::from_rows(perm.to_vec(), &flat, rows)
+    }
+
+    /// Build a trie run from `rows` already-permuted tuples laid out
+    /// row-major in `flat` (stride `perm.len()`), in any order and with
+    /// duplicates allowed: one sort and dedup of fixed-width rows, then a
+    /// scatter into the columns — no allocation per tuple.
+    pub fn from_rows(perm: Vec<usize>, flat: &[Val], rows: usize) -> TrieRel {
+        assert_eq!(flat.len(), rows * perm.len(), "row-major, one stride");
+        let (cols, rows) = match perm.len() {
+            1 => sorted_columns::<1>(flat),
+            2 => sorted_columns::<2>(flat),
+            k => sorted_columns_wide(flat, k, rows),
+        };
         TrieRel { perm, cols, rows }
     }
 
@@ -103,10 +103,15 @@ impl TrieRel {
         self.cols[depth][row]
     }
 
-    /// Iterate the stored (permuted) tuples in sorted row order — the
-    /// LSM compactor's input when merging runs off-thread.
+    /// Iterate the stored (permuted) tuples in sorted row order.
     pub fn tuples(&self) -> impl Iterator<Item = Vec<Val>> + '_ {
         (0..self.rows).map(move |r| (0..self.depth()).map(|d| self.cols[d][r]).collect())
+    }
+
+    /// Append the (permuted) tuple at `row` to `out` — the LSM
+    /// compactor's input when merging runs off-thread.
+    pub fn push_row(&self, row: usize, out: &mut Vec<Val>) {
+        out.extend(self.cols.iter().map(|c| c[row]));
     }
 
     /// First row in `[lo, hi)` whose depth-`d` value is `≥ v`, or `hi`.
@@ -133,6 +138,30 @@ impl TrieRel {
         }
         (start, self.seek_gt(d, start, hi, v))
     }
+}
+
+/// Sort and dedup the `N`-wide rows of `flat` as arrays (compared in
+/// place, no indirection) and scatter them into `N` columns.
+fn sorted_columns<const N: usize>(flat: &[Val]) -> (Vec<Vec<Val>>, usize) {
+    let mut rows: Vec<[Val; N]> = flat
+        .chunks_exact(N)
+        .map(|r| r.try_into().expect("chunk is N wide"))
+        .collect();
+    rows.sort_unstable();
+    rows.dedup();
+    let cols = (0..N).map(|d| rows.iter().map(|r| r[d]).collect());
+    (cols.collect(), rows.len())
+}
+
+/// [`sorted_columns`] for any width `k` (including 0, where all `n` rows
+/// are the one empty tuple): sort and dedup row *indices* over `flat`.
+fn sorted_columns_wide(flat: &[Val], k: usize, n: usize) -> (Vec<Vec<Val>>, usize) {
+    let row = |i: usize| &flat[i * k..(i + 1) * k];
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+    order.dedup_by(|a, b| row(*a) == row(*b));
+    let cols = (0..k).map(|d| order.iter().map(|&i| flat[i * k + d]).collect());
+    (cols.collect(), order.len())
 }
 
 /// First index `i` in `[lo, hi)` with `pred(col[i])`, or `hi` — `pred`
@@ -599,6 +628,86 @@ mod tests {
         assert_eq!(rt.value(0, 0), Val(1));
         assert_eq!(rt.value(1, 0), Val(1));
         assert_eq!(rt.value(0, 2), Val(2));
+    }
+
+    /// The build as it was before the flat one: one heap `Vec<Val>` per
+    /// tuple, sorted and deduplicated as a `Vec<Vec<Val>>`, then copied
+    /// into the columns. Kept as the reference for the flat build.
+    fn build_by_tuple_vectors(
+        instance: &Instance,
+        rel: crate::symbols::RelId,
+        perm: &[usize],
+    ) -> TrieRel {
+        let mut tuples: Vec<Vec<Val>> = instance
+            .relation(rel)
+            .filter(|f| f.args.len() == perm.len())
+            .map(|f| perm.iter().map(|&p| f.args[p]).collect())
+            .collect();
+        tuples.sort_unstable();
+        tuples.dedup();
+        let rows = tuples.len();
+        let mut cols = vec![Vec::with_capacity(rows); perm.len()];
+        for t in &tuples {
+            for (d, &v) in t.iter().enumerate() {
+                cols[d].push(v);
+            }
+        }
+        TrieRel {
+            perm: perm.to_vec(),
+            cols,
+            rows,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// The flat build equals the tuple-vector build, column for
+        /// column, on relations of arity 0 to 4 with repeated values and
+        /// with facts of other arities mixed in (skipped by both).
+        #[test]
+        fn flat_build_matches_tuple_vector_build(
+            arity in 0..5usize,
+            rows in proptest::prop::collection::vec(
+                (0..4u64, 0..3u64, 0..4u64, 0..2u64, 0..6usize), 0..40),
+            rotate in 0..4usize,
+        ) {
+            let mut db = Instance::new();
+            for (a, b, c, d, width) in rows {
+                // Most facts have the relation's arity; some are wider
+                // or narrower and must be ignored.
+                let width = if width == 5 { (arity + 1) % 5 } else { arity };
+                let args: Vec<Val> = [a, b, c, d][..width].iter().map(|&v| Val(v)).collect();
+                db.insert(Fact::new(rel("M"), args));
+            }
+            let mut perm: Vec<usize> = (0..arity).collect();
+            perm.rotate_left(rotate % arity.max(1));
+            let flat = TrieRel::build(&db, rel("M"), &perm);
+            let reference = build_by_tuple_vectors(&db, rel("M"), &perm);
+            proptest::prop_assert_eq!(flat.rows(), reference.rows());
+            proptest::prop_assert_eq!(&flat.perm, &reference.perm);
+            proptest::prop_assert_eq!(&flat.cols, &reference.cols);
+        }
+    }
+
+    /// `from_rows` takes unsorted rows with duplicates — what an LSM
+    /// merge of overlapping runs hands it.
+    #[test]
+    fn from_rows_sorts_and_dedups() {
+        let flat: Vec<Val> = [3, 1, 1, 2, 3, 1, 1, 1].iter().map(|&v| Val(v)).collect();
+        let t = TrieRel::from_rows(vec![0, 1], &flat, 4);
+        let rows: Vec<Vec<Val>> = t.tuples().collect();
+        assert_eq!(
+            rows,
+            vec![
+                vec![Val(1), Val(1)],
+                vec![Val(1), Val(2)],
+                vec![Val(3), Val(1)]
+            ]
+        );
+        // Arity 0: any number of empty tuples is the one empty tuple.
+        assert_eq!(TrieRel::from_rows(vec![], &[], 3).rows(), 1);
+        assert_eq!(TrieRel::from_rows(vec![], &[], 0).rows(), 0);
     }
 
     #[test]
