@@ -32,33 +32,31 @@ fn add_adom(db: &mut Instance, p: &Program) {
     }
 }
 
-/// Strip helper relations (ADom and deltas) from the result.
-fn cleanup(db: &mut Instance, extra: &[RelId]) {
-    let adom_rel = rel(ADOM);
-    let to_remove: Vec<Fact> = db
-        .iter()
-        .filter(|f| f.rel == adom_rel || extra.contains(&f.rel))
-        .cloned()
-        .collect();
-    for f in to_remove {
-        db.remove(&f);
+/// Strip the `ADom` helper facts from a result by reading that one
+/// relation — never a scan of the whole database.
+pub(crate) fn strip_adom(db: &mut Instance) {
+    let facts: Vec<Fact> = db.relation(rel(ADOM)).cloned().collect();
+    for f in &facts {
+        db.remove(f);
     }
 }
 
-/// The satisfying valuations of one rule under `strategy`. `prefix` is
-/// the delta-outermost hint for the Wcoj path: the variables of the
-/// rewritten delta atom become the outermost trie levels, so the
-/// leapfrog enumerates the (small) delta first and the rest of the body
-/// only under its bindings — the trie-side analogue of semi-naive's
-/// "start from the new facts".
+/// A rule, the strategy it resolved to, and its Wcoj prefix hint.
+type Resolved<'r> = (&'r ConjunctiveQuery, EvalStrategy, &'r [Var]);
+
+/// The satisfying valuations of one rule under its *resolved* strategy
+/// (resolving `Auto` runs GYO on the body — once per stratum, not once
+/// per round). `prefix` is the delta-outermost hint for the Wcoj path:
+/// the variables of the rewritten delta atom become the outermost trie
+/// levels, so the leapfrog enumerates the (small) delta first and the
+/// rest of the body only under its bindings — the trie-side analogue of
+/// semi-naive's "start from the new facts".
 fn rule_valuations(
-    r: &ConjunctiveQuery,
+    (r, resolved, prefix): Resolved<'_>,
     db: &Instance,
-    index: Option<&Indexed<'_>>,
-    strategy: EvalStrategy,
-    prefix: &[Var],
+    index: Option<&Indexed>,
 ) -> Vec<Valuation> {
-    match strategy.resolve(r) {
+    match resolved {
         EvalStrategy::Wcoj => {
             let order = wcoj_variable_order(r, prefix);
             satisfying_valuations_wcoj_ordered(r, db, &order)
@@ -71,6 +69,26 @@ fn rule_valuations(
     }
 }
 
+/// The facts `rules` derive that `db` does not hold yet, each once, in
+/// derivation order.
+fn new_facts<'r>(
+    rules: impl Iterator<Item = Resolved<'r>>,
+    db: &Instance,
+    index: Option<&Indexed>,
+) -> Vec<Fact> {
+    let mut pending = fxset();
+    let mut out = Vec::new();
+    for rule in rules {
+        for v in rule_valuations(rule, db, index) {
+            let f = v.derived_fact(rule.0);
+            if !db.contains(&f) && pending.insert(f.clone()) {
+                out.push(f);
+            }
+        }
+    }
+    out
+}
+
 /// Evaluate `p` on `edb` with stratified semi-naive evaluation. The result
 /// contains the EDB and all derived IDB facts.
 pub fn eval_program(p: &Program, edb: &Instance) -> Result<Instance, ProgramError> {
@@ -78,10 +96,10 @@ pub fn eval_program(p: &Program, edb: &Instance) -> Result<Instance, ProgramErro
 }
 
 /// [`eval_program`] with an explicit local-join [`EvalStrategy`]: the
-/// strategy is resolved per rule (and per delta rewrite, for `Auto`);
-/// the Wcoj path evaluates each delta variant with the delta atom's
-/// variables as the outermost trie levels. All strategies produce the
-/// same fixpoint.
+/// strategy is resolved once per rule per stratum (a delta rewrite
+/// resolves like its rule); the Wcoj path evaluates each delta variant
+/// with the delta atom's variables as the outermost trie levels. All
+/// strategies produce the same fixpoint.
 ///
 /// When a maintained view for `(p, strategy)` is installed on `edb` (see
 /// [`crate::maintain::materialize`]), the fixpoint is refreshed from the
@@ -107,8 +125,10 @@ pub fn eval_program_scratch(
     edb: &Instance,
     strategy: EvalStrategy,
 ) -> Result<Instance, ProgramError> {
-    let mut db = eval_program_with_adom(p, edb, strategy)?;
-    cleanup(&mut db, &[]);
+    // `ADom` costs a pass over the EDB and an insert per value: a program
+    // that never reads it does not pay for it.
+    let mut db = fixpoint(p, edb, strategy, p.predicates().contains(&rel(ADOM)))?;
+    strip_adom(&mut db);
     Ok(db)
 }
 
@@ -132,21 +152,26 @@ pub fn eval_program_snapshot(
     eval_program_scratch(p, snap.instance(), strategy).map(std::sync::Arc::new)
 }
 
-/// The from-scratch fixpoint *including* the `ADom` helper facts — the
-/// state the incremental maintainer ([`crate::maintain`]) tracks. Delta
-/// helper relations are stripped; `ADom` stays.
-pub(crate) fn eval_program_with_adom(
+/// The stratified semi-naive fixpoint, `ADom` helper facts included when
+/// `with_adom` (always, for the state [`crate::maintain`] tracks). A round
+/// costs its delta: the positional index is built once per stratum and
+/// every accepted fact is appended to it, so nothing inside the `while`
+/// is proportional to `db`.
+pub(crate) fn fixpoint(
     p: &Program,
     edb: &Instance,
     strategy: EvalStrategy,
+    with_adom: bool,
 ) -> Result<Instance, ProgramError> {
     let strat = p.stratify()?;
     let mut db = edb.clone();
-    add_adom(&mut db, p);
+    if with_adom {
+        add_adom(&mut db, p);
+    }
 
-    let mut delta_rels: Vec<RelId> = Vec::new();
     for stratum in &strat.rule_strata {
         let rules: Vec<&ConjunctiveQuery> = stratum.iter().map(|&i| &p.rules[i]).collect();
+        let resolved: Vec<EvalStrategy> = rules.iter().map(|r| strategy.resolve(r)).collect();
         let recursive: Vec<RelId> = {
             let mut v: Vec<RelId> = rules.iter().map(|r| r.head.rel).collect();
             v.sort_unstable();
@@ -161,15 +186,9 @@ pub(crate) fn eval_program_with_adom(
             .map(|&r| (r, rel(&format!("Δ{r}"))))
             .collect();
         let delta_of = |r: RelId| delta_ids[&r];
-        for &r in &recursive {
-            let d = delta_of(r);
-            if !delta_rels.contains(&d) {
-                delta_rels.push(d);
-            }
-        }
 
         // Body relations of every rule plus their delta variants: one
-        // shared index per pass covers all rules and all delta rewrites.
+        // shared index per stratum covers all rules and all delta rewrites.
         let body_rels: Vec<RelId> = {
             let mut v: Vec<RelId> = rules
                 .iter()
@@ -183,94 +202,75 @@ pub(crate) fn eval_program_with_adom(
 
         // The delta variants of each rule, precomputed once per stratum
         // (one rewrite per recursive body atom), each with its delta
-        // atom's variables — the Wcoj outermost-level hint.
-        let variants: Vec<(ConjunctiveQuery, Vec<Var>)> = rules
-            .iter()
-            .flat_map(|r| {
-                r.body.iter().enumerate().filter_map(|(j, atom)| {
-                    if !recursive.contains(&atom.rel) {
-                        return None;
-                    }
+        // atom's variables — the Wcoj outermost-level hint. The rewrite
+        // only renames a body relation, so a variant resolves (acyclicity,
+        // `Auto`) exactly like its source rule.
+        let mut variants: Vec<(ConjunctiveQuery, EvalStrategy, Vec<Var>)> = Vec::new();
+        for (r, &s) in rules.iter().zip(&resolved) {
+            for (j, atom) in r.body.iter().enumerate() {
+                if recursive.contains(&atom.rel) {
                     let mut variant = (*r).clone();
                     variant.body[j].rel = delta_of(atom.rel);
                     let prefix = variant.body[j].variables();
-                    Some((variant, prefix))
-                })
-            })
-            .collect();
-
-        // Initial round: full evaluation of every rule against one shared
-        // index. Insertions are deferred to the end of the pass (the index
-        // borrows the database), which is fixpoint-safe: a derivation that
-        // would have used a same-pass fact fires in the next iteration via
-        // that fact's delta, and negation only sees lower strata.
-        // The delta rewrite only renames a body relation, so a variant
-        // resolves (acyclicity, `Auto`) exactly like its source rule —
-        // one check decides whether any pass needs the hash index.
-        let needs_index = rules
-            .iter()
-            .any(|r| strategy.resolve(r) != EvalStrategy::Wcoj);
-
-        let mut delta: Vec<Fact> = Vec::new();
-        {
-            let mut pending = fxset();
-            let index = needs_index.then(|| Indexed::build(&db, &body_rels));
-            for r in &rules {
-                for v in rule_valuations(r, &db, index.as_ref(), strategy, &[]) {
-                    let f = v.derived_fact(r);
-                    if !db.contains(&f) && pending.insert(f.clone()) {
-                        delta.push(f);
-                    }
+                    variants.push((variant, s, prefix));
                 }
             }
         }
-        for f in &delta {
-            db.insert(f.clone());
-        }
+
+        // Where the stratum's deltas live: backtracker rules read them
+        // from the index, which also covers the delta relations; LFTJ
+        // rules read them through `db`'s tries, so only a stratum with
+        // such a rule publishes them into `db`.
+        let wcoj = |s: &EvalStrategy| *s == EvalStrategy::Wcoj;
+        let publishes = resolved.iter().any(wcoj);
+        let mut index = (!resolved.iter().all(wcoj)).then(|| Indexed::build(&db, &body_rels));
+        // Accepted facts join `db` and the index only after their pass,
+        // which is fixpoint-safe: a derivation that would have used a
+        // same-pass fact fires in the next round via that fact's delta,
+        // and negation only sees lower strata.
+        let accept = |db: &mut Instance, index: &mut Option<Indexed>, facts: &[Fact]| {
+            db.insert_all(facts, |_| {});
+            if let Some(ix) = index {
+                facts.iter().for_each(|f| ix.push(f));
+            }
+        };
+
+        // Initial round: full evaluation of every rule.
+        let initial = rules.iter().zip(&resolved).map(|(r, &s)| (*r, s, &[][..]));
+        let mut delta = new_facts(initial, &db, index.as_ref());
+        accept(&mut db, &mut index, &delta);
 
         // Semi-naive iterations.
         while !delta.is_empty() {
-            // Publish the delta under the delta relation names.
             let published: Vec<Fact> = delta
                 .iter()
                 .map(|f| Fact::new(delta_of(f.rel), f.args.clone()))
                 .collect();
-            for f in &published {
-                db.insert(f.clone());
+            if let Some(ix) = &mut index {
+                published.iter().for_each(|f| ix.push(f));
             }
-            let mut next: Vec<Fact> = Vec::new();
-            {
-                let mut pending = fxset();
-                let index = needs_index.then(|| Indexed::build(&db, &body_rels));
-                for (variant, prefix) in &variants {
-                    for v in rule_valuations(variant, &db, index.as_ref(), strategy, prefix) {
-                        let f = v.derived_fact(variant);
-                        if !db.contains(&f) && pending.insert(f.clone()) {
-                            next.push(f);
-                        }
-                    }
+            if publishes {
+                db.insert_all(&published, |_| {});
+            }
+            let rewrites = variants
+                .iter()
+                .map(|(v, s, prefix)| (v, *s, prefix.as_slice()));
+            let next = new_facts(rewrites, &db, index.as_ref());
+            accept(&mut db, &mut index, &next);
+            // Retract the round's deltas before the next one: no helper
+            // fact outlives its round, in `db` or in the index.
+            if publishes {
+                for f in &published {
+                    db.remove(f);
                 }
             }
-            for f in &next {
-                db.insert(f.clone());
-            }
-            // Retract the published deltas before the next round.
-            for f in &published {
-                db.remove(f);
+            if let Some(ix) = &mut index {
+                recursive.iter().for_each(|&r| ix.clear(delta_of(r)));
             }
             delta = next;
         }
-    }
-
-    // Strip only the delta helper relations; `ADom` is part of the
-    // maintained state and the caller removes it.
-    let stale: Vec<Fact> = db
-        .iter()
-        .filter(|f| delta_rels.contains(&f.rel))
-        .cloned()
-        .collect();
-    for f in stale {
-        db.remove(&f);
+        #[cfg(test)]
+        tests::INDEX_WRITES.with(|c| c.set(c.get() + index.map_or(0, |ix| ix.entries_written())));
     }
     Ok(db)
 }
@@ -315,7 +315,7 @@ pub fn eval_program_naive(p: &Program, edb: &Instance) -> Result<Instance, Progr
             }
         }
     }
-    cleanup(&mut db, &[]);
+    strip_adom(&mut db);
     Ok(db)
 }
 
@@ -334,8 +334,297 @@ mod tests {
     use crate::program::parse_program;
     use parlog_relal::fact::fact;
 
+    use parlog_relal::opcount;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Positional-index entries written by this thread's fixpoints
+        /// (the loop adds each stratum's index, the model each rebuild).
+        pub(super) static INDEX_WRITES: Cell<usize> = const { Cell::new(0) };
+    }
+
     fn chain(n: u64) -> Instance {
         Instance::from_facts((0..n).map(|i| fact("E", &[i, i + 1])))
+    }
+
+    /// The loop this module used to run, kept as the model: every round
+    /// publishes its deltas into `db` and re-indexes every body relation
+    /// of the stratum from scratch. `ADom` stays, as in
+    /// `fixpoint(.., true)`.
+    fn rebuild_per_round_model(p: &Program, edb: &Instance, strategy: EvalStrategy) -> Instance {
+        let strat = p.stratify().unwrap();
+        let mut db = edb.clone();
+        add_adom(&mut db, p);
+        for stratum in &strat.rule_strata {
+            let rules: Vec<&ConjunctiveQuery> = stratum.iter().map(|&i| &p.rules[i]).collect();
+            let mut recursive: Vec<RelId> = rules.iter().map(|r| r.head.rel).collect();
+            recursive.sort_unstable();
+            recursive.dedup();
+            let delta_of = |r: RelId| rel(&format!("Δ{r}"));
+            let mut body_rels: Vec<RelId> = rules
+                .iter()
+                .flat_map(|r| r.body.iter().map(|a| a.rel))
+                .chain(recursive.iter().map(|&r| delta_of(r)))
+                .collect();
+            body_rels.sort_unstable();
+            body_rels.dedup();
+            let mut variants: Vec<(ConjunctiveQuery, Vec<Var>)> = Vec::new();
+            for r in &rules {
+                for (j, atom) in r.body.iter().enumerate() {
+                    if recursive.contains(&atom.rel) {
+                        let mut variant = (*r).clone();
+                        variant.body[j].rel = delta_of(atom.rel);
+                        let prefix = variant.body[j].variables();
+                        variants.push((variant, prefix));
+                    }
+                }
+            }
+            let needs_index = rules
+                .iter()
+                .any(|r| strategy.resolve(r) != EvalStrategy::Wcoj);
+            let rebuild = |db: &Instance| {
+                needs_index.then(|| {
+                    let index = Indexed::build(db, &body_rels);
+                    INDEX_WRITES.with(|c| c.set(c.get() + index.entries_written()));
+                    index
+                })
+            };
+
+            let index = rebuild(&db);
+            let initial = rules.iter().map(|r| (*r, strategy.resolve(r), &[][..]));
+            let mut delta = new_facts(initial, &db, index.as_ref());
+            db.insert_all(&delta, |_| {});
+            while !delta.is_empty() {
+                let published: Vec<Fact> = delta
+                    .iter()
+                    .map(|f| Fact::new(delta_of(f.rel), f.args.clone()))
+                    .collect();
+                db.insert_all(&published, |_| {});
+                let index = rebuild(&db);
+                let rewrites = variants
+                    .iter()
+                    .map(|(v, prefix)| (v, strategy.resolve(v), prefix.as_slice()));
+                let next = new_facts(rewrites, &db, index.as_ref());
+                db.insert_all(&next, |_| {});
+                for f in &published {
+                    db.remove(f);
+                }
+                delta = next;
+            }
+        }
+        db
+    }
+
+    const STRATEGIES: [EvalStrategy; 4] = [
+        EvalStrategy::Naive,
+        EvalStrategy::Indexed,
+        EvalStrategy::Wcoj,
+        EvalStrategy::Auto,
+    ];
+
+    /// Run `f` with zeroed counters; return its result, the evaluator
+    /// steps and the index entries it wrote.
+    fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, usize) {
+        opcount::reset();
+        INDEX_WRITES.with(|c| c.set(0));
+        let out = f();
+        (out, opcount::read(), INDEX_WRITES.with(|c| c.get()))
+    }
+
+    /// The new loop against the model under every strategy: equal
+    /// fixpoints and equal `opcount`, with and without the `ADom` facts.
+    fn assert_matches_model(p: &Program, edb: &Instance) {
+        for s in STRATEGIES {
+            let (model, model_ops, _) = counted(|| rebuild_per_round_model(p, edb, s));
+            let (kept, kept_ops, _) = counted(|| fixpoint(p, edb, s, true).unwrap());
+            assert_eq!(kept, model, "{s:?} fixpoint with ADom\n{p:?}");
+            assert_eq!(kept_ops, model_ops, "{s:?} opcount with ADom\n{p:?}");
+            let (scratch, scratch_ops, _) = counted(|| eval_program_scratch(p, edb, s).unwrap());
+            let mut stripped = model;
+            strip_adom(&mut stripped);
+            assert_eq!(scratch, stripped, "{s:?} scratch fixpoint\n{p:?}");
+            assert_eq!(scratch_ops, model_ops, "{s:?} scratch opcount\n{p:?}");
+        }
+    }
+
+    /// A random safe, stratified program as text, over EDB `E/2`, `S/2`,
+    /// `V/1` and three IDB levels (`P`,`Q` | `T`,`U` | `W`). A predicate's
+    /// first rule reads only lower levels; later ones may read its own
+    /// level (linear, quadratic and mutual recursion, self-joins), `ADom`,
+    /// constants; negation reads strictly lower levels.
+    fn random_program(rng: &mut StdRng) -> String {
+        const LEVELS: [&[(&str, usize)]; 4] = [
+            &[("E", 2), ("S", 2), ("V", 1)],
+            &[("P", 2), ("Q", 2)],
+            &[("T", 2), ("U", 1)],
+            &[("W", 2)],
+        ];
+        const VARS: [&str; 4] = ["x", "y", "z", "w"];
+        let term = |rng: &mut StdRng, pool: &[&str]| -> String {
+            if pool.is_empty() || rng.gen_range(0..8) == 0 {
+                rng.gen_range(0..5u64).to_string()
+            } else {
+                pool[rng.gen_range(0..pool.len())].to_string()
+            }
+        };
+        let atom = |rng: &mut StdRng, preds: &[(&str, usize)], pool: &[&str]| -> String {
+            let (name, arity) = preds[rng.gen_range(0..preds.len())];
+            let terms: Vec<String> = (0..arity).map(|_| term(rng, pool)).collect();
+            format!("{name}({})", terms.join(","))
+        };
+        let mut rules: Vec<String> = Vec::new();
+        for level in 1..LEVELS.len() {
+            for &head in LEVELS[level] {
+                for k in 0..rng.gen_range(1..4) {
+                    let readable = if k == 0 { level } else { level + 1 };
+                    let mut sources: Vec<(&str, usize)> = LEVELS[..readable]
+                        .iter()
+                        .flat_map(|l| l.iter().copied())
+                        .collect();
+                    sources.push((ADOM, 1));
+                    let mut body: Vec<String> = (0..rng.gen_range(1..4))
+                        .map(|_| atom(rng, &sources, &VARS))
+                        .collect();
+                    if k > 0 {
+                        // A later rule is recursive through its own level.
+                        body[0] = atom(rng, LEVELS[level], &VARS);
+                    }
+                    let bound: Vec<&str> = VARS
+                        .iter()
+                        .copied()
+                        .filter(|v| body.iter().any(|a| a.contains(v)))
+                        .collect();
+                    let lower: Vec<(&str, usize)> = LEVELS[..level]
+                        .iter()
+                        .flat_map(|l| l.iter().copied())
+                        .collect();
+                    if rng.gen_range(0..3) == 0 {
+                        let negated = atom(rng, &lower, &bound);
+                        body.push(format!("not {negated}"));
+                    }
+                    if bound.len() >= 2 && rng.gen_range(0..3) == 0 {
+                        body.push(format!("{} != {}", bound[0], term(rng, &bound[1..])));
+                    }
+                    // Head terms start at a random bound variable, so heads
+                    // are not all diagonal.
+                    let mut head_pool = bound.clone();
+                    head_pool.rotate_left(rng.gen_range(0..bound.len().max(1)));
+                    let head_terms: Vec<String> = (0..head.1)
+                        .map(|i| term(rng, &head_pool[i.min(head_pool.len())..]))
+                        .collect();
+                    rules.push(format!(
+                        "{}({}) <- {}",
+                        head.0,
+                        head_terms.join(","),
+                        body.join(", ")
+                    ));
+                }
+            }
+        }
+        // A cyclic body beside the acyclic ones of its stratum: `Auto`
+        // resolves this rule to `Wcoj` and its neighbours to `Indexed`.
+        if rng.gen_range(0..2) == 0 {
+            rules.push("P(x,y) <- E(x,y), P(y,z), Q(z,x)".to_string());
+        }
+        rules.join("\n")
+    }
+
+    fn random_edb(rng: &mut StdRng) -> Instance {
+        let mut facts = Vec::new();
+        for (name, arity, most) in [("E", 2, 10), ("S", 2, 6), ("V", 1, 4)] {
+            for _ in 0..rng.gen_range(0..=most) {
+                let args: Vec<u64> = (0..arity).map(|_| rng.gen_range(0..5)).collect();
+                facts.push(fact(name, &args));
+            }
+        }
+        Instance::from_facts(facts)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn appending_loop_matches_the_rebuild_per_round_model(seed in 0..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let p = parse_program(&random_program(&mut rng)).unwrap();
+            assert_matches_model(&p, &random_edb(&mut rng));
+        }
+    }
+
+    #[test]
+    fn appending_loop_matches_the_model_on_named_shapes() {
+        let mut cyclic = chain(7);
+        cyclic.insert(fact("E", &[7, 2]));
+        cyclic.insert(fact("V", &[3]));
+        for src in [
+            // Linear, quadratic and mutual recursion.
+            "TC(x,y) <- E(x,y)\nTC(x,y) <- E(x,z), TC(z,y)",
+            "TC(x,y) <- E(x,y)\nTC(x,y) <- TC(x,z), TC(z,y)",
+            "A(x) <- V(x)\nA(y) <- B(x), E(x,y)\nB(y) <- A(x), E(x,y)",
+            // Stratified negation over `ADom`, inequalities, constants.
+            "TC(x,y) <- E(x,y)\nTC(x,y) <- TC(x,z), TC(z,y)\n\
+             OUT(x,y) <- ADom(x), ADom(y), not TC(x,y), x != y",
+            "R(x) <- E(0,x)\nR(y) <- R(x), E(x,y), y != 4",
+            // Self-join with a repeated variable; a cyclic rule (`Wcoj`
+            // under `Auto`) sharing a stratum with acyclic ones.
+            "P(x,z) <- E(x,y), E(y,z), E(x,x)\nP(x,z) <- P(x,y), P(y,z)",
+            "P(x,y) <- E(x,y)\nP(x,y) <- P(x,z), E(z,y)\nP(x,y) <- E(x,y), P(y,z), P(z,x)",
+        ] {
+            assert_matches_model(&parse_program(src).unwrap(), &cyclic);
+        }
+    }
+
+    /// Clock-free guard against the per-round rebuild coming back: one
+    /// fixpoint writes each fact's index entries once as a database row
+    /// and once as a delta row, so at most `2 · arity · (|db| + Σ|Δ|)`
+    /// where `|db|` is the final size and every derived fact is in exactly
+    /// one delta. The model re-indexes the stratum every round.
+    #[test]
+    fn a_fixpoint_writes_each_index_entry_at_most_twice() {
+        let reach = parse_program("R(x) <- E(0,x)\nR(y) <- R(x), E(x,y)").unwrap();
+        let tc = parse_program("TC(x,y) <- E(x,y)\nTC(x,y) <- TC(x,z), TC(z,y)").unwrap();
+        for (p, edb, arity, model_factor) in [(&reach, chain(200), 2, 50), (&tc, chain(48), 2, 2)] {
+            let (out, _, written) =
+                counted(|| eval_program_scratch(p, &edb, EvalStrategy::Indexed).unwrap());
+            let derived = out.len() - edb.len();
+            let bound = 2 * arity * (out.len() + derived);
+            assert!(written <= bound, "{written} index entries > {bound}");
+            let (_, _, model) = counted(|| rebuild_per_round_model(p, &edb, EvalStrategy::Indexed));
+            assert!(
+                model > model_factor * written,
+                "model {model} vs loop {written}"
+            );
+        }
+    }
+
+    /// A scratch fixpoint of a program that never reads `ADom` neither
+    /// inserts nor leaves an `ADom` fact: the working copy's delta log
+    /// grows by the derived facts only.
+    #[test]
+    fn scratch_fixpoint_without_adom_never_materialises_it() {
+        let p = parse_program("TC(x,y) <- E(x,y)\nTC(x,y) <- E(x,z), TC(z,y)").unwrap();
+        let edb = chain(10);
+        for s in STRATEGIES {
+            let out = eval_program_scratch(&p, &edb, s).unwrap();
+            assert_eq!(out.relation_len(rel(ADOM)), 0, "{s:?}");
+            assert_eq!(out.relation_len(rel("TC")), 55, "{s:?}");
+            if s.resolve(&p.rules[1]) != EvalStrategy::Wcoj {
+                // Deltas live in the index only: one log entry per
+                // derived fact, none for helpers.
+                assert_eq!(out.delta_log_len() - edb.delta_log_len(), 55, "{s:?}");
+            }
+        }
+        // A program that reads `ADom` still gets it, and still strips it.
+        let reads = parse_program("N(x,y) <- ADom(x), ADom(y), not E(x,y)").unwrap();
+        let out = eval_program_scratch(&reads, &edb, EvalStrategy::Indexed).unwrap();
+        assert_eq!(out.relation_len(rel(ADOM)), 0);
+        assert_eq!(out.relation_len(rel("N")), 11 * 11 - 10);
+        // The maintained state keeps it.
+        let kept = fixpoint(&p, &edb, EvalStrategy::Indexed, true).unwrap();
+        assert_eq!(kept.relation_len(rel(ADOM)), 11);
     }
 
     #[test]

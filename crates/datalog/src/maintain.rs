@@ -33,7 +33,7 @@
 //! truncated past the view's epoch, or when the base instance mutates
 //! relations the maintenance state owns (IDB heads or `ADom`).
 
-use crate::eval::eval_program_with_adom;
+use crate::eval::{fixpoint, strip_adom};
 use crate::program::{Program, ProgramError, ADOM};
 use parlog_relal::atom::{Atom, Term};
 use parlog_relal::delta::{DeltaEntry, DeltaOp};
@@ -210,7 +210,7 @@ impl MaterializedView {
         self.degraded = base
             .iter()
             .any(|f| self.idb_rels.contains(&f.rel) || f.rel == adom_rel);
-        self.db = eval_program_with_adom(&self.program, base, self.strategy)
+        self.db = fixpoint(&self.program, base, self.strategy, true)
             .expect("program stratified at materialize time");
         self.counts.clear();
         for &ri in &self.counting_rules {
@@ -260,12 +260,8 @@ impl MaterializedView {
     }
 
     fn output(&self) -> Instance {
-        let mut out = self.db.clone();
-        let adom_rel = rel(ADOM);
-        let helpers: Vec<Fact> = out.relation(adom_rel).cloned().collect();
-        for f in helpers {
-            out.remove(&f);
-        }
+        let mut out = self.db.clone_without_log();
+        strip_adom(&mut out);
         out
     }
 
@@ -891,6 +887,22 @@ mod tests {
         let via_view = eval_program_with(p, base, strategy).unwrap();
         let scratch = eval_program_with(p, &base.clone(), strategy).unwrap();
         assert_eq!(via_view.sorted_facts(), scratch.sorted_facts());
+    }
+
+    /// A view output is a read-only copy: it carries the facts, not the
+    /// derivation history of the maintained database (which doubled it).
+    #[test]
+    fn view_outputs_carry_no_derivation_log() {
+        let p = parse_program("T(x,y) <- E(x,y)\nT(x,z) <- E(x,y), T(y,z)").unwrap();
+        let mut db = Instance::from_facts((0..20u64).map(|i| fact("E", &[i, i + 1])));
+        let out = materialize(&p, &db, EvalStrategy::Indexed).unwrap();
+        assert_eq!(out.relation_len(rel("T")), 210);
+        // Only the stripping of the 21 `ADom` helpers is on its log.
+        assert_eq!(out.delta_log_len(), 21);
+        db.insert(fact("E", &[21, 22]));
+        let refreshed = eval_program_with(&p, &db, EvalStrategy::Indexed).unwrap();
+        assert_eq!(refreshed.relation_len(rel("T")), 211);
+        assert_eq!(refreshed.delta_log_len(), 23);
     }
 
     #[test]

@@ -95,6 +95,16 @@ impl DeltaLog {
         }
     }
 
+    /// An empty log that has already forgotten everything up to `epoch`:
+    /// `since(e)` is `None` for `e < epoch` (rebuild, always correct) and
+    /// empty at `epoch` — the log of a copy that keeps no history.
+    pub(crate) fn forgotten_to(epoch: u64, capacity: usize) -> DeltaLog {
+        DeltaLog {
+            truncated_to: epoch,
+            ..DeltaLog::with_capacity(capacity)
+        }
+    }
+
     /// Maximum number of retained entries.
     pub fn capacity(&self) -> usize {
         self.capacity

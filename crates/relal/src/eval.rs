@@ -66,48 +66,55 @@ impl EvalStrategy {
     }
 }
 
-/// Per-relation fact store with positional value indices.
+/// Per-relation row store with positional value indices.
 ///
-/// Building the index is `O(Σ arity · |relation|)` — cheap, but not free
-/// when evaluation runs in a loop over the *same* instance (a Datalog
-/// stratum evaluating many rules per iteration, a union query evaluating
-/// many disjuncts, an MPC server evaluating several bag queries per
-/// round). For those callers the index is public and reusable: build it
-/// once with [`Indexed::build`] and hand it to
-/// [`satisfying_valuations_indexed`] / [`eval_query_indexed`] for every
-/// query over the same instance snapshot. One-shot callers keep using
-/// [`eval_query`], which builds a fresh index internally.
-pub struct Indexed<'a> {
-    facts: FxMap<RelId, Vec<&'a Fact>>,
-    /// `(rel, position, value) → fact indices` into `facts[rel]`.
-    by_pos: FxMap<(RelId, usize, Val), Vec<usize>>,
+/// The index **owns** its rows: a covered relation is one arity-strided
+/// `Vec<Val>` (row `i` is `vals[i·arity..][..arity]`) and the
+/// `(rel, arity, position, value)` lists hold row ids. Owning the rows is
+/// what lets a caller that grows the instance keep its index — a Datalog
+/// stratum builds it once and [`Indexed::push`]es each accepted fact, so
+/// a semi-naive round costs its delta, not the database. One-shot callers
+/// ([`eval_query`], [`eval_union_with`], an MPC server's local join) build
+/// with [`Indexed::build`] / [`Indexed::for_query`] and drop it.
+///
+/// An [`Instance`] is schema-less, so a relation may hold facts of several
+/// arities; like the tries, the index keeps one block per arity and an atom
+/// only ever sees the rows of its own arity.
+pub struct Indexed {
+    rels: FxMap<RelId, Vec<Block>>,
+    /// `(rel, arity, position, value) → row ids` into that block.
+    by_pos: FxMap<(RelId, usize, usize, Val), Vec<u32>>,
+    written: usize,
 }
 
-impl<'a> Indexed<'a> {
+/// The rows of one relation at one arity.
+struct Block {
+    arity: usize,
+    len: usize,
+    vals: Vec<Val>,
+}
+
+impl Indexed {
     /// Index the given relations of `instance`. Duplicate entries in
-    /// `rels` (self-joins list a relation once per atom) are indexed once.
-    pub fn build(instance: &'a Instance, rels: &[RelId]) -> Indexed<'a> {
-        let mut facts: FxMap<RelId, Vec<&Fact>> = fxmap();
-        let mut by_pos: FxMap<(RelId, usize, Val), Vec<usize>> = fxmap();
-        let mut seen: Vec<RelId> = Vec::with_capacity(rels.len());
+    /// `rels` (self-joins list a relation once per atom) are indexed once;
+    /// a relation with no facts is covered and empty.
+    pub fn build(instance: &Instance, rels: &[RelId]) -> Indexed {
+        let mut index = Indexed {
+            rels: fxmap(),
+            by_pos: fxmap(),
+            written: 0,
+        };
         for &r in rels {
-            if seen.contains(&r) {
-                continue;
+            if !index.covers(r) {
+                index.rels.insert(r, Vec::new());
+                instance.relation(r).for_each(|f| index.push(f));
             }
-            seen.push(r);
-            let fs: Vec<&Fact> = instance.relation(r).collect();
-            for (i, f) in fs.iter().enumerate() {
-                for (pos, &v) in f.args.iter().enumerate() {
-                    by_pos.entry((r, pos, v)).or_default().push(i);
-                }
-            }
-            facts.insert(r, fs);
         }
-        Indexed { facts, by_pos }
+        index
     }
 
     /// Index every relation appearing in the body of `q`.
-    pub fn for_query(q: &ConjunctiveQuery, instance: &'a Instance) -> Indexed<'a> {
+    pub fn for_query(q: &ConjunctiveQuery, instance: &Instance) -> Indexed {
         let rels: Vec<RelId> = q.body.iter().map(|a| a.rel).collect();
         Indexed::build(instance, &rels)
     }
@@ -115,99 +122,169 @@ impl<'a> Indexed<'a> {
     /// Is `rel` covered by this index? Evaluating a query whose body
     /// mentions an uncovered relation would silently treat it as empty.
     pub fn covers(&self, rel: RelId) -> bool {
-        self.facts.contains_key(&rel)
+        self.rels.contains_key(&rel)
     }
 
-    /// Candidate facts for `atom` under the partial valuation `val`:
+    /// Number of rows of `rel` (0 if uncovered): `relation_len` of the
+    /// indexed instance for every covered relation that was only grown
+    /// through [`Indexed::push`] in step with it.
+    pub fn len(&self, rel: RelId) -> usize {
+        self.rels
+            .get(&rel)
+            .map_or(0, |blocks| blocks.iter().map(|b| b.len).sum())
+    }
+
+    /// Append one row. The caller keeps set semantics (push a fact once);
+    /// a fact of an **uncovered** relation is ignored — the set of covered
+    /// relations is fixed at build time, never silently widened.
+    pub fn push(&mut self, f: &Fact) {
+        let Some(blocks) = self.rels.get_mut(&f.rel) else {
+            return;
+        };
+        let arity = f.args.len();
+        let k = blocks
+            .iter()
+            .position(|b| b.arity == arity)
+            .unwrap_or_else(|| {
+                blocks.push(Block {
+                    arity,
+                    len: 0,
+                    vals: Vec::new(),
+                });
+                blocks.len() - 1
+            });
+        let block = &mut blocks[k];
+        let id = u32::try_from(block.len).expect("fewer than 2^32 rows per relation");
+        block.vals.extend_from_slice(&f.args);
+        block.len += 1;
+        for (pos, &v) in f.args.iter().enumerate() {
+            self.by_pos
+                .entry((f.rel, arity, pos, v))
+                .or_default()
+                .push(id);
+        }
+        self.written += arity;
+    }
+
+    /// Drop every row of `rel` in time proportional to what it holds; the
+    /// relation stays covered.
+    pub fn clear(&mut self, rel: RelId) {
+        for block in self.rels.get_mut(&rel).into_iter().flatten() {
+            for (k, &v) in block.vals.iter().enumerate() {
+                self.by_pos.remove(&(rel, block.arity, k % block.arity, v));
+            }
+            block.vals.clear();
+            block.len = 0;
+        }
+    }
+
+    /// Positional-index entries written since the build started
+    /// (diagnostic, like `Instance::trie_builds`: a fixpoint that appends
+    /// keeps this near `arity · (|db| + Σ|Δ|)`).
+    pub fn entries_written(&self) -> usize {
+        self.written
+    }
+
+    /// Candidate rows for `atom` under the partial valuation `val`:
     /// if some position is bound, use the positional index, else scan all.
     /// A bound value with *no* index entry proves there is no matching
-    /// fact, so the candidate set is empty — never a full relation scan.
+    /// row, so the candidate set is empty — never a full relation scan.
     ///
     /// Allocation-free: the returned [`Candidates`] iterator walks the
-    /// index entry (or the fact slice) in place. The evaluator calls this
+    /// index entry (or the row block) in place. The evaluator calls this
     /// once per atom × valuation extension, so a fresh `Vec` here used to
     /// dominate the join's allocation profile.
-    pub fn candidate_iter<'s>(&'s self, atom: &Atom, val: &Valuation) -> Candidates<'s, 'a> {
-        let all = match self.facts.get(&atom.rel) {
-            Some(fs) => fs,
-            None => return Candidates::Empty,
+    pub fn candidate_iter<'s>(&'s self, atom: &Atom, val: &Valuation) -> Candidates<'s> {
+        let arity = atom.terms.len();
+        let block = self
+            .rels
+            .get(&atom.rel)
+            .and_then(|blocks| blocks.iter().find(|b| b.arity == arity));
+        let Some(block) = block else {
+            return Candidates::EMPTY;
         };
         // Find the most selective bound position.
-        let mut best: Option<&Vec<usize>> = None;
+        let mut best: Option<&Vec<u32>> = None;
         for (pos, t) in atom.terms.iter().enumerate() {
             if let Some(v) = val.apply_term(t) {
-                match self.by_pos.get(&(atom.rel, pos, v)) {
+                match self.by_pos.get(&(atom.rel, arity, pos, v)) {
                     Some(ix) => {
                         if best.is_none_or(|b| ix.len() < b.len()) {
                             best = Some(ix);
                         }
                     }
-                    None => return Candidates::Empty, // bound value absent entirely
+                    None => return Candidates::EMPTY, // bound value absent entirely
                 }
             }
         }
-        match best {
-            Some(ix) => Candidates::ByIndex {
-                indices: ix.iter(),
-                facts: all,
+        Candidates {
+            vals: &block.vals,
+            arity,
+            ids: match best {
+                Some(ix) => RowIds::Listed(ix.iter()),
+                None => RowIds::All(0..block.len),
             },
-            None => Candidates::All(all.iter()),
         }
     }
 
     /// [`Indexed::candidate_iter`], collected. Kept for callers that want
     /// an owned list; the evaluator itself iterates without allocating.
-    pub fn candidates(&self, atom: &Atom, val: &Valuation) -> Vec<&'a Fact> {
+    pub fn candidates(&self, atom: &Atom, val: &Valuation) -> Vec<&[Val]> {
         self.candidate_iter(atom, val).collect()
     }
 }
 
-/// Iterator over the candidate facts of one atom under a partial
-/// valuation (see [`Indexed::candidate_iter`]). A named type rather than
-/// `impl Iterator` so the borrow of the index (`'s`) and of the instance
-/// (`'a`) stay independent.
-pub enum Candidates<'s, 'a> {
-    /// Provably no matching fact.
-    Empty,
-    /// Walk one positional-index entry.
-    ByIndex {
-        /// Positions into `facts`.
-        indices: std::slice::Iter<'s, usize>,
-        /// The relation's fact slice.
-        facts: &'s [&'a Fact],
-    },
-    /// No position bound: scan the whole relation.
-    All(std::slice::Iter<'s, &'a Fact>),
+/// Iterator over the candidate rows of one atom under a partial
+/// valuation (see [`Indexed::candidate_iter`]).
+pub struct Candidates<'s> {
+    vals: &'s [Val],
+    arity: usize,
+    ids: RowIds<'s>,
 }
 
-impl<'a> Iterator for Candidates<'_, 'a> {
-    type Item = &'a Fact;
+enum RowIds<'s> {
+    /// Walk one positional-index entry.
+    Listed(std::slice::Iter<'s, u32>),
+    /// No position bound: scan the whole block.
+    All(std::ops::Range<usize>),
+}
 
-    fn next(&mut self) -> Option<&'a Fact> {
-        match self {
-            Candidates::Empty => None,
-            Candidates::ByIndex { indices, facts } => indices.next().map(|&i| facts[i]),
-            Candidates::All(it) => it.next().copied(),
-        }
+impl Candidates<'_> {
+    /// Provably no matching row.
+    const EMPTY: Self = Candidates {
+        vals: &[],
+        arity: 0,
+        ids: RowIds::All(0..0),
+    };
+}
+
+impl<'s> Iterator for Candidates<'s> {
+    type Item = &'s [Val];
+
+    fn next(&mut self) -> Option<&'s [Val]> {
+        let i = match &mut self.ids {
+            RowIds::Listed(it) => *it.next()? as usize,
+            RowIds::All(range) => range.next()?,
+        };
+        Some(&self.vals[i * self.arity..][..self.arity])
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            Candidates::Empty => (0, Some(0)),
-            Candidates::ByIndex { indices, .. } => indices.size_hint(),
-            Candidates::All(it) => it.size_hint(),
+        match &self.ids {
+            RowIds::Listed(it) => it.size_hint(),
+            RowIds::All(range) => range.size_hint(),
         }
     }
 }
 
-/// Try to extend `val` so that `atom` maps onto `f`; returns the list of
-/// variables newly bound (for backtracking), or `None` on mismatch.
-fn unify(atom: &Atom, f: &Fact, val: &mut Valuation) -> Option<Vec<crate::atom::Var>> {
-    if f.args.len() != atom.terms.len() {
+/// Try to extend `val` so that `atom` maps onto `row`; returns the list
+/// of variables newly bound (for backtracking), or `None` on mismatch.
+fn unify(atom: &Atom, row: &[Val], val: &mut Valuation) -> Option<Vec<crate::atom::Var>> {
+    if row.len() != atom.terms.len() {
         return None;
     }
     let mut newly = Vec::new();
-    for (t, &a) in atom.terms.iter().zip(f.args.iter()) {
+    for (t, &a) in atom.terms.iter().zip(row) {
         match t {
             Term::Const(c) => {
                 if *c != a {
@@ -252,7 +329,9 @@ fn inequalities_ok_so_far(q: &ConjunctiveQuery, val: &Valuation) -> bool {
 /// relation, then repeatedly pick the atom sharing the most variables with
 /// those already placed (ties: smaller relation first). This keeps the
 /// backtracking search close to a left-deep join over connected atoms.
-fn atom_order(q: &ConjunctiveQuery, instance: &Instance) -> Vec<usize> {
+/// Sizes are read from the index: it is what the search walks, and a
+/// fixpoint's delta relations live only there.
+fn atom_order(q: &ConjunctiveQuery, index: &Indexed) -> Vec<usize> {
     let n = q.body.len();
     let mut placed: Vec<usize> = Vec::with_capacity(n);
     let mut bound_vars: Vec<crate::atom::Var> = Vec::new();
@@ -268,7 +347,7 @@ fn atom_order(q: &ConjunctiveQuery, instance: &Instance) -> Vec<usize> {
                     .iter()
                     .filter(|v| bound_vars.contains(v))
                     .count();
-                let size = instance.relation_len(a.rel);
+                let size = index.len(a.rel);
                 // Maximize shared vars (negate), then minimize size.
                 (usize::MAX - shared, size)
             })
@@ -295,18 +374,18 @@ pub fn satisfying_valuations(q: &ConjunctiveQuery, instance: &Instance) -> Vec<V
 
 /// [`satisfying_valuations`] against a prebuilt [`Indexed`] — the reusable
 /// path for callers evaluating many queries over one instance snapshot.
-/// `instance` must be the indexed instance (negated atoms are checked
-/// against it directly) and `index` must cover every body relation.
+/// Positive atoms read only `index`, which must cover every body
+/// relation; negated atoms are checked against `instance` directly.
 pub fn satisfying_valuations_indexed(
     q: &ConjunctiveQuery,
     instance: &Instance,
-    index: &Indexed<'_>,
+    index: &Indexed,
 ) -> Vec<Valuation> {
     debug_assert!(
         q.body.iter().all(|a| index.covers(a.rel)),
         "index must cover every body relation of the query"
     );
-    let order = atom_order(q, instance);
+    let order = atom_order(q, index);
     let mut out = Vec::new();
     let mut val = Valuation::new();
 
@@ -314,7 +393,7 @@ pub fn satisfying_valuations_indexed(
         q: &ConjunctiveQuery,
         order: &[usize],
         depth: usize,
-        index: &Indexed<'_>,
+        index: &Indexed,
         instance: &Instance,
         val: &mut Valuation,
         out: &mut Vec<Valuation>,
@@ -332,9 +411,9 @@ pub fn satisfying_valuations_indexed(
             return;
         }
         let atom = &q.body[order[depth]];
-        for f in index.candidate_iter(atom, val) {
+        for row in index.candidate_iter(atom, val) {
             crate::opcount::bump();
-            if let Some(newly) = unify(atom, f, val) {
+            if let Some(newly) = unify(atom, row, val) {
                 if inequalities_ok_so_far(q, val) {
                     recurse(q, order, depth + 1, index, instance, val, out);
                 }
@@ -354,11 +433,7 @@ pub fn eval_query(q: &ConjunctiveQuery, instance: &Instance) -> Instance {
 }
 
 /// [`eval_query`] against a prebuilt [`Indexed`] (see [`Indexed::build`]).
-pub fn eval_query_indexed(
-    q: &ConjunctiveQuery,
-    instance: &Instance,
-    index: &Indexed<'_>,
-) -> Instance {
+pub fn eval_query_indexed(q: &ConjunctiveQuery, instance: &Instance, index: &Indexed) -> Instance {
     Instance::from_facts(
         satisfying_valuations_indexed(q, instance, index)
             .iter()
@@ -417,17 +492,23 @@ pub fn eval_union_with(u: &UnionQuery, instance: &Instance, strategy: EvalStrate
             .collect();
         Indexed::build(instance, &rels)
     });
+    // Head facts go straight into `out`: the answer is materialised once.
     let mut out = Instance::new();
     for d in &u.disjuncts {
-        let part = match strategy.resolve(d) {
-            EvalStrategy::Naive => eval_query_naive(d, instance),
-            EvalStrategy::Indexed => {
-                eval_query_indexed(d, instance, index.as_ref().expect("index built"))
+        let valuations = match strategy.resolve(d) {
+            EvalStrategy::Naive => {
+                out.extend_from(&eval_query_naive(d, instance));
+                continue;
             }
-            EvalStrategy::Wcoj => eval_query_wcoj(d, instance),
+            EvalStrategy::Indexed => {
+                satisfying_valuations_indexed(d, instance, index.as_ref().expect("index built"))
+            }
+            EvalStrategy::Wcoj => satisfying_valuations_wcoj(d, instance),
             EvalStrategy::Auto => unreachable!("resolve() eliminates Auto"),
         };
-        out.extend_from(&part);
+        for v in valuations {
+            out.insert(v.derived_fact(d));
+        }
     }
     out
 }
@@ -621,7 +702,7 @@ mod tests {
     fn candidate_iter_streams_exactly_what_candidates_collects() {
         // Regression for the hot-loop allocation fix: the recursion now
         // consumes `candidate_iter` directly instead of a fresh
-        // `Vec<&Fact>` per step. The iterator must yield the same facts in
+        // `Vec` per step. The iterator must yield the same rows in
         // the same order as the collected form in all three regimes —
         // unbound (full scan), bound-present (positional index), and
         // bound-absent (provably empty).
@@ -645,7 +726,7 @@ mod tests {
                 val.bind(x.clone(), v);
             }
             let collected = index.candidates(atom, &val);
-            let streamed: Vec<&Fact> = index.candidate_iter(atom, &val).collect();
+            let streamed: Vec<&[Val]> = index.candidate_iter(atom, &val).collect();
             assert_eq!(streamed, collected, "bound = {bound:?}");
             // The size hint is exact in every regime — downstream code may
             // rely on it for preallocation.
@@ -667,6 +748,132 @@ mod tests {
         val.bind(q.body[0].variables()[0].clone(), crate::fact::Val(1));
         assert_eq!(index.candidates(&q.body[0], &val).len(), 1);
         assert_eq!(satisfying_valuations(&q, &i).len(), 1);
+    }
+
+    #[test]
+    fn push_ignores_uncovered_relations_and_clear_keeps_coverage() {
+        let q = parse_query("H(x) <- R(x,y)").unwrap();
+        let i = Instance::from_facts([fact("R", &[1, 2])]);
+        let mut index = Indexed::for_query(&q, &i);
+        // Never silently widened: an uncovered relation stays uncovered.
+        index.push(&fact("U", &[7]));
+        assert!(!index.covers(crate::symbols::rel("U")));
+        assert_eq!(index.len(crate::symbols::rel("U")), 0);
+        index.push(&fact("R", &[1, 3]));
+        assert_eq!(index.len(q.body[0].rel), 2);
+        let mut val = Valuation::new();
+        val.bind(q.body[0].variables()[0].clone(), Val(1));
+        assert_eq!(index.candidates(&q.body[0], &val).len(), 2);
+        index.clear(q.body[0].rel);
+        assert!(index.covers(q.body[0].rel));
+        assert_eq!(index.len(q.body[0].rel), 0);
+        assert!(index.candidates(&q.body[0], &val).is_empty());
+        assert!(index.candidates(&q.body[0], &Valuation::new()).is_empty());
+        // A cleared relation takes rows again.
+        index.push(&fact("R", &[1, 9]));
+        assert_eq!(
+            index.candidates(&q.body[0], &val),
+            vec![&[Val(1), Val(9)][..]]
+        );
+    }
+
+    mod appended_index {
+        use super::*;
+        use crate::atom::Var;
+        use crate::symbols::rel;
+        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        /// Relations with their usual arity; `R` also takes the odd
+        /// ternary fact (an instance is schema-less).
+        const RELS: [(&str, usize); 3] = [("R", 2), ("S", 1), ("Z", 0)];
+
+        fn random_fact(rng: &mut StdRng) -> Fact {
+            let (name, arity) = RELS[rng.gen_range(0..RELS.len())];
+            let arity = if name == "R" && rng.gen_range(0..6) == 0 {
+                3
+            } else {
+                arity
+            };
+            let args: Vec<u64> = (0..arity).map(|_| rng.gen_range(0..4)).collect();
+            fact(name, &args)
+        }
+
+        /// Sorted candidate multiset of `atom` under `val`.
+        fn sorted_candidates(index: &Indexed, atom: &Atom, val: &Valuation) -> Vec<Vec<Val>> {
+            let mut rows: Vec<Vec<Val>> = index
+                .candidate_iter(atom, val)
+                .map(<[Val]>::to_vec)
+                .collect();
+            rows.sort_unstable();
+            rows
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// After any interleaving of `push` and `clear`, the index is
+            /// a fresh `build` of the same contents: `len`, `covers` and
+            /// the candidate multiset of every atom shape under every
+            /// partial valuation.
+            #[test]
+            fn push_and_clear_equal_a_fresh_build(seed in 0..u64::MAX) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let covered: Vec<RelId> = RELS.iter().map(|&(n, _)| rel(n)).collect();
+                let mut contents =
+                    Instance::from_facts((0..rng.gen_range(0..8)).map(|_| random_fact(&mut rng)));
+                let mut index = Indexed::build(&contents, &covered);
+                for _ in 0..rng.gen_range(0..40) {
+                    match rng.gen_range(0..10) {
+                        0 => {
+                            let r = covered[rng.gen_range(0..covered.len())];
+                            index.clear(r);
+                            let gone: Vec<Fact> = contents.relation(r).cloned().collect();
+                            gone.iter().for_each(|f| {
+                                contents.remove(f);
+                            });
+                        }
+                        1 => index.push(&fact("Uncovered", &[rng.gen_range(0..4)])),
+                        _ => {
+                            let f = random_fact(&mut rng);
+                            if contents.insert(f.clone()) {
+                                index.push(&f);
+                            }
+                        }
+                    }
+                }
+                let fresh = Indexed::build(&contents, &covered);
+                for &r in covered.iter().chain([&rel("Uncovered")]) {
+                    prop_assert_eq!(index.covers(r), fresh.covers(r));
+                    prop_assert_eq!(index.len(r), fresh.len(r));
+                    prop_assert_eq!(index.len(r), contents.relation_len(r));
+                }
+                for _ in 0..24 {
+                    let f = random_fact(&mut rng);
+                    let terms: Vec<Term> = f
+                        .args
+                        .iter()
+                        .map(|&a| match rng.gen_range(0..3) {
+                            0 => Term::Const(a),
+                            k => Term::Var(Var::new(["x", "y"][k - 1])),
+                        })
+                        .collect();
+                    let atom = Atom { rel: f.rel, terms };
+                    let mut val = Valuation::new();
+                    for name in ["x", "y"] {
+                        if rng.gen_range(0..2) == 0 {
+                            val.bind(Var::new(name), Val(rng.gen_range(0..4)));
+                        }
+                    }
+                    prop_assert_eq!(
+                        sorted_candidates(&index, &atom, &val),
+                        sorted_candidates(&fresh, &atom, &val),
+                        "atom {:?} under {:?}", atom, val
+                    );
+                }
+            }
+        }
     }
 
     #[test]

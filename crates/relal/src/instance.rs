@@ -188,6 +188,30 @@ impl Instance {
         removed
     }
 
+    /// A clone (see `impl Clone`) with `log` as its delta log.
+    fn fork(&self, log: DeltaLog) -> Instance {
+        Instance {
+            by_rel: self.by_rel.clone(),
+            len: self.len,
+            epoch: self.epoch,
+            rel_epochs: self.rel_epochs.clone(),
+            log,
+            tries: Mutex::new(Arc::clone(&lock_recover(&self.tries))),
+            frozen_tries: None,
+            views: Mutex::new(fxmap()),
+            builds: AtomicU64::new(0),
+        }
+    }
+
+    /// A clone that keeps no mutation history: same facts, epochs and
+    /// warm tries, but an empty delta log truncated to the current epoch
+    /// (a consumer behind it rebuilds, as after any truncation). For
+    /// read-only copies — a frozen view output is its database again in
+    /// facts, and its log doubled that.
+    pub fn clone_without_log(&self) -> Instance {
+        self.fork(DeltaLog::forgotten_to(self.epoch, self.log.capacity()))
+    }
+
     /// The mutation epoch: bumped exactly when the fact set changes.
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -585,17 +609,7 @@ impl Instance {
 /// clone is never sealed — it is a mutable fork.
 impl Clone for Instance {
     fn clone(&self) -> Instance {
-        Instance {
-            by_rel: self.by_rel.clone(),
-            len: self.len,
-            epoch: self.epoch,
-            rel_epochs: self.rel_epochs.clone(),
-            log: self.log.clone(),
-            tries: Mutex::new(Arc::clone(&lock_recover(&self.tries))),
-            frozen_tries: None,
-            views: Mutex::new(fxmap()),
-            builds: AtomicU64::new(0),
-        }
+        self.fork(self.log.clone())
     }
 }
 
@@ -845,6 +859,33 @@ mod tests {
         assert!(!i.shares_trie_storage(&c));
         // The clone still serves the pre-divergence run untouched.
         assert!(Arc::ptr_eq(&r_run, &c.trie(rel("R"), &[0, 1])));
+    }
+
+    /// A log-less clone is the same instance with its history already
+    /// truncated: equal facts and epoch, shared warm tries, no delta
+    /// entries, and a trie that was stale at the fork rebuilds (the
+    /// truncation fallback) instead of replaying.
+    #[test]
+    fn clone_without_log_forgets_history_only() {
+        let mut i = abc();
+        let _ = i.trie(rel("R"), &[0, 1]);
+        i.insert(fact("R", &[9, 9])); // the cached R trie is now stale
+        let c = i.clone_without_log();
+        assert_eq!(c, i);
+        assert_eq!(c.epoch(), i.epoch());
+        assert!(c.shares_trie_storage(&i));
+        assert_eq!(c.delta_log_len(), 0);
+        assert!(c.delta_since(i.epoch() - 1).is_none());
+        assert_eq!(c.delta_since(c.epoch()).map(<[_]>::len), Some(0));
+        let layers = c.trie_layers(rel("R"), &[0, 1]);
+        assert_eq!(layers.run_count(), 1);
+        assert_eq!(layers.total_rows(), 3);
+        assert_eq!(c.trie_builds(), 1);
+        // It is still a mutable fork: new mutations are logged from here.
+        let mut c = c;
+        c.insert(fact("R", &[5, 5]));
+        assert_eq!(c.delta_since(i.epoch()).map(<[_]>::len), Some(1));
+        assert_eq!(c.trie_layers(rel("R"), &[0, 1]).total_rows(), 4);
     }
 
     /// A sealed instance serves warm tries lock-free from the frozen

@@ -25,7 +25,7 @@ use crate::plan::{PlanCache, PlanCacheStats, PlanKind};
 use parlog_datalog::eval::eval_program_scratch;
 use parlog_datalog::maintain::publish_views;
 use parlog_datalog::program::{Program, ProgramError};
-use parlog_relal::eval::{eval_query_indexed, eval_query_naive, EvalStrategy, Indexed};
+use parlog_relal::eval::{eval_query_naive, satisfying_valuations_indexed, EvalStrategy, Indexed};
 use parlog_relal::fact::Fact;
 use parlog_relal::instance::Instance;
 use parlog_relal::opcount;
@@ -281,7 +281,8 @@ impl Session<'_> {
 }
 
 /// Evaluate `disjuncts` against `inst` with each disjunct's resolved
-/// strategy and memoized WCOJ order, unioning the outputs.
+/// strategy and memoized WCOJ order, deriving every head fact straight
+/// into the one answer instance.
 fn execute_disjuncts(
     disjuncts: &[ConjunctiveQuery],
     analysis: &crate::plan::QueryAnalysis,
@@ -296,7 +297,9 @@ fn execute_disjuncts(
             }
             EvalStrategy::Indexed => {
                 let index = Indexed::for_query(q, inst);
-                out.extend_from(&eval_query_indexed(q, inst, &index));
+                for v in satisfying_valuations_indexed(q, inst, &index) {
+                    out.insert(v.derived_fact(q));
+                }
             }
             EvalStrategy::Wcoj | EvalStrategy::Auto => {
                 // `Auto` cannot survive `resolve`, but WCOJ is a safe
