@@ -14,8 +14,7 @@ use parlog_relal::fastmap::{fxset, FxMap};
 use parlog_relal::instance::Instance;
 use parlog_relal::query::ConjunctiveQuery;
 use parlog_relal::symbols::{rel, RelId};
-use parlog_relal::trie::{satisfying_valuations_wcoj_ordered, wcoj_variable_order};
-use parlog_relal::valuation::Valuation;
+use parlog_relal::trie::{wcoj_heads, wcoj_variable_order};
 
 /// Add the built-in `ADom` facts: one per active-domain value of the EDB
 /// plus every constant in the program.
@@ -44,33 +43,15 @@ pub(crate) fn strip_adom(db: &mut Instance) {
 /// A rule, the strategy it resolved to, and its Wcoj prefix hint.
 type Resolved<'r> = (&'r ConjunctiveQuery, EvalStrategy, &'r [Var]);
 
-/// The satisfying valuations of one rule under its *resolved* strategy
-/// (resolving `Auto` runs GYO on the body — once per stratum, not once
-/// per round). `prefix` is the delta-outermost hint for the Wcoj path:
-/// the variables of the rewritten delta atom become the outermost trie
-/// levels, so the leapfrog enumerates the (small) delta first and the
-/// rest of the body only under its bindings — the trie-side analogue of
-/// semi-naive's "start from the new facts".
-fn rule_valuations(
-    (r, resolved, prefix): Resolved<'_>,
-    db: &Instance,
-    index: Option<&Indexed>,
-) -> Vec<Valuation> {
-    match resolved {
-        EvalStrategy::Wcoj => {
-            let order = wcoj_variable_order(r, prefix);
-            satisfying_valuations_wcoj_ordered(r, db, &order)
-        }
-        // `Naive` has no valuation-level entry point distinct from the
-        // backtracker; the fixpoint loop needs valuations, and the
-        // indexed backtracker is the same semantics (the differential
-        // property tests pin all three evaluators together).
-        _ => satisfying_valuations_indexed(r, db, index.expect("index built for this stratum")),
-    }
-}
-
 /// The facts `rules` derive that `db` does not hold yet, each once, in
-/// derivation order.
+/// derivation order, each rule under its *resolved* strategy (resolving
+/// `Auto` runs GYO on the body — once per stratum, not once per round).
+/// `prefix` is the delta-outermost hint for the Wcoj path: the variables
+/// of the rewritten delta atom become the outermost trie levels, so the
+/// leapfrog enumerates the (small) delta first and the rest of the body
+/// only under its bindings — the trie-side analogue of semi-naive's
+/// "start from the new facts" — and its head rows come straight from the
+/// bindings.
 fn new_facts<'r>(
     rules: impl Iterator<Item = Resolved<'r>>,
     db: &Instance,
@@ -78,12 +59,21 @@ fn new_facts<'r>(
 ) -> Vec<Fact> {
     let mut pending = fxset();
     let mut out = Vec::new();
-    for rule in rules {
-        for v in rule_valuations(rule, db, index) {
-            let f = v.derived_fact(rule.0);
-            if !db.contains(&f) && pending.insert(f.clone()) {
-                out.push(f);
-            }
+    let mut keep = |f: Fact| {
+        if !db.contains(&f) && pending.insert(f.clone()) {
+            out.push(f);
+        }
+    };
+    for (r, resolved, prefix) in rules {
+        match resolved {
+            EvalStrategy::Wcoj => wcoj_heads(r, db, &wcoj_variable_order(r, prefix), &mut keep),
+            // `Naive` has no valuation-level entry point distinct from
+            // the backtracker, and the indexed backtracker is the same
+            // semantics (the differential property tests pin all three
+            // evaluators together).
+            _ => satisfying_valuations_indexed(r, db, index.expect("index built for this stratum"))
+                .iter()
+                .for_each(|v| keep(v.derived_fact(r))),
         }
     }
     out

@@ -69,7 +69,7 @@
 
 use crate::partition::{seed_cluster, InitialPartition};
 use parlog_faults::{MpcFaultPlan, SpeculationPolicy};
-use parlog_relal::eval::{eval_query_with, EvalStrategy};
+use parlog_relal::eval::{eval_query_wcoj_ordered, eval_query_with, EvalStrategy};
 use parlog_relal::fact::Fact;
 use parlog_relal::fastmap::fxset;
 use parlog_relal::instance::Instance;
@@ -967,15 +967,22 @@ impl Cluster {
     /// Computation phase evaluating one conjunctive query on every
     /// server's local instance with the chosen local-join strategy —
     /// the standard "local evaluation after routing" step of HyperCube
-    /// and the repartition joins. All strategies produce byte-identical
-    /// results at every `with_parallelism` thread count.
+    /// and the repartition joins. The query is planned once for the
+    /// phase (`Auto` resolved, the WCOJ variable order computed), not once
+    /// per server. All strategies produce byte-identical results at every
+    /// `with_parallelism` thread count.
     pub fn compute_query(
         &mut self,
         q: &parlog_relal::query::ConjunctiveQuery,
         strategy: EvalStrategy,
     ) {
-        let q = q.clone();
-        self.compute(move |local| eval_query_with(&q, local, strategy));
+        match strategy.resolve(q) {
+            EvalStrategy::Wcoj => {
+                let order = parlog_relal::trie::wcoj_variable_order(q, &[]);
+                self.compute(|local| eval_query_wcoj_ordered(q, local, &order));
+            }
+            resolved => self.compute(|local| eval_query_with(q, local, resolved)),
+        }
     }
 }
 

@@ -17,8 +17,9 @@ use crate::hypergraph::is_acyclic;
 use crate::instance::Instance;
 use crate::query::{ConjunctiveQuery, UnionQuery};
 use crate::symbols::RelId;
-use crate::trie::satisfying_valuations_wcoj;
+use crate::trie::{wcoj_heads, wcoj_variable_order};
 use crate::valuation::Valuation;
+use std::collections::hash_map::Entry;
 
 /// Which local join algorithm evaluates a conjunctive query.
 ///
@@ -69,21 +70,21 @@ impl EvalStrategy {
 /// Per-relation row store with positional value indices.
 ///
 /// The index **owns** its rows: a covered relation is one arity-strided
-/// `Vec<Val>` (row `i` is `vals[i·arity..][..arity]`) and the
-/// `(rel, arity, position, value)` lists hold row ids. Owning the rows is
-/// what lets a caller that grows the instance keep its index — a Datalog
-/// stratum builds it once and [`Indexed::push`]es each accepted fact, so
-/// a semi-naive round costs its delta, not the database. One-shot callers
-/// ([`eval_query`], [`eval_union_with`], an MPC server's local join) build
-/// with [`Indexed::build`] / [`Indexed::for_query`] and drop it.
+/// `Vec<Val>` (row `i` is `vals[i·arity..][..arity]`), and the rows
+/// holding one value at one position are a **chain** threaded through a
+/// second array strided the same way — no vector per `(position, value)`.
+/// Owning the rows is what lets a caller that grows the instance keep its
+/// index — a Datalog stratum builds it once and [`Indexed::push`]es each
+/// accepted fact, so a semi-naive round costs its delta, not the
+/// database. One-shot callers ([`eval_query`], [`eval_union_with`], an MPC
+/// server's local join) build with [`Indexed::build`] /
+/// [`Indexed::for_query`] and drop it.
 ///
 /// An [`Instance`] is schema-less, so a relation may hold facts of several
 /// arities; like the tries, the index keeps one block per arity and an atom
 /// only ever sees the rows of its own arity.
 pub struct Indexed {
     rels: FxMap<RelId, Vec<Block>>,
-    /// `(rel, arity, position, value) → row ids` into that block.
-    by_pos: FxMap<(RelId, usize, usize, Val), Vec<u32>>,
     written: usize,
 }
 
@@ -92,6 +93,22 @@ struct Block {
     arity: usize,
     len: usize,
     vals: Vec<Val>,
+    /// `next[i·arity + pos]` = the next row after `i` with row `i`'s value
+    /// at `pos` (unspecified for the last row of a chain — [`Chain::len`]
+    /// ends the walk). Rows are appended at the tail, so a chain runs in
+    /// ascending row id.
+    next: Vec<u32>,
+    /// Per position, `value → chain` of the rows holding it there.
+    chains: Vec<FxMap<Val, Chain>>,
+}
+
+/// The rows holding one value at one position, linked through
+/// [`Block::next`].
+#[derive(Clone, Copy)]
+struct Chain {
+    head: u32,
+    tail: u32,
+    len: u32,
 }
 
 impl Indexed {
@@ -101,7 +118,6 @@ impl Indexed {
     pub fn build(instance: &Instance, rels: &[RelId]) -> Indexed {
         let mut index = Indexed {
             rels: fxmap(),
-            by_pos: fxmap(),
             written: 0,
         };
         for &r in rels {
@@ -150,18 +166,32 @@ impl Indexed {
                     arity,
                     len: 0,
                     vals: Vec::new(),
+                    next: Vec::new(),
+                    chains: (0..arity).map(|_| fxmap()).collect(),
                 });
                 blocks.len() - 1
             });
         let block = &mut blocks[k];
         let id = u32::try_from(block.len).expect("fewer than 2^32 rows per relation");
         block.vals.extend_from_slice(&f.args);
+        block.next.resize(block.vals.len(), id);
         block.len += 1;
         for (pos, &v) in f.args.iter().enumerate() {
-            self.by_pos
-                .entry((f.rel, arity, pos, v))
-                .or_default()
-                .push(id);
+            match block.chains[pos].entry(v) {
+                Entry::Occupied(mut chain) => {
+                    let chain = chain.get_mut();
+                    block.next[chain.tail as usize * arity + pos] = id;
+                    chain.tail = id;
+                    chain.len += 1;
+                }
+                Entry::Vacant(slot) => {
+                    slot.insert(Chain {
+                        head: id,
+                        tail: id,
+                        len: 1,
+                    });
+                }
+            }
         }
         self.written += arity;
     }
@@ -170,10 +200,11 @@ impl Indexed {
     /// relation stays covered.
     pub fn clear(&mut self, rel: RelId) {
         for block in self.rels.get_mut(&rel).into_iter().flatten() {
-            for (k, &v) in block.vals.iter().enumerate() {
-                self.by_pos.remove(&(rel, block.arity, k % block.arity, v));
+            for (k, v) in block.vals.iter().enumerate() {
+                block.chains[k % block.arity].remove(v);
             }
             block.vals.clear();
+            block.next.clear();
             block.len = 0;
         }
     }
@@ -191,9 +222,9 @@ impl Indexed {
     /// row, so the candidate set is empty — never a full relation scan.
     ///
     /// Allocation-free: the returned [`Candidates`] iterator walks the
-    /// index entry (or the row block) in place. The evaluator calls this
-    /// once per atom × valuation extension, so a fresh `Vec` here used to
-    /// dominate the join's allocation profile.
+    /// chain (or the row block) in place, in ascending row id. The
+    /// evaluator calls this once per atom × valuation extension, so a
+    /// fresh `Vec` here used to dominate the join's allocation profile.
     pub fn candidate_iter<'s>(&'s self, atom: &Atom, val: &Valuation) -> Candidates<'s> {
         let arity = atom.terms.len();
         let block = self
@@ -203,14 +234,14 @@ impl Indexed {
         let Some(block) = block else {
             return Candidates::EMPTY;
         };
-        // Find the most selective bound position.
-        let mut best: Option<&Vec<u32>> = None;
+        // Find the most selective bound position (the first on ties).
+        let mut best: Option<(usize, Chain)> = None;
         for (pos, t) in atom.terms.iter().enumerate() {
             if let Some(v) = val.apply_term(t) {
-                match self.by_pos.get(&(atom.rel, arity, pos, v)) {
-                    Some(ix) => {
-                        if best.is_none_or(|b| ix.len() < b.len()) {
-                            best = Some(ix);
+                match block.chains[pos].get(&v) {
+                    Some(chain) => {
+                        if best.is_none_or(|(_, b)| chain.len < b.len) {
+                            best = Some((pos, *chain));
                         }
                     }
                     None => return Candidates::EMPTY, // bound value absent entirely
@@ -221,16 +252,14 @@ impl Indexed {
             vals: &block.vals,
             arity,
             ids: match best {
-                Some(ix) => RowIds::Listed(ix.iter()),
+                Some((pos, chain)) => RowIds::Chained {
+                    next: &block.next[pos..],
+                    at: chain.head,
+                    left: chain.len,
+                },
                 None => RowIds::All(0..block.len),
             },
         }
-    }
-
-    /// [`Indexed::candidate_iter`], collected. Kept for callers that want
-    /// an owned list; the evaluator itself iterates without allocating.
-    pub fn candidates(&self, atom: &Atom, val: &Valuation) -> Vec<&[Val]> {
-        self.candidate_iter(atom, val).collect()
     }
 }
 
@@ -243,8 +272,9 @@ pub struct Candidates<'s> {
 }
 
 enum RowIds<'s> {
-    /// Walk one positional-index entry.
-    Listed(std::slice::Iter<'s, u32>),
+    /// Walk one chain: `left` rows starting at `at`, each followed by
+    /// `next[row · arity]` (`next` starts at the chain's position).
+    Chained { next: &'s [u32], at: u32, left: u32 },
     /// No position bound: scan the whole block.
     All(std::ops::Range<usize>),
 }
@@ -263,7 +293,12 @@ impl<'s> Iterator for Candidates<'s> {
 
     fn next(&mut self) -> Option<&'s [Val]> {
         let i = match &mut self.ids {
-            RowIds::Listed(it) => *it.next()? as usize,
+            RowIds::Chained { next, at, left } => {
+                *left = left.checked_sub(1)?;
+                let i = *at as usize;
+                *at = next[i * self.arity];
+                i
+            }
             RowIds::All(range) => range.next()?,
         };
         Some(&self.vals[i * self.arity..][..self.arity])
@@ -271,7 +306,7 @@ impl<'s> Iterator for Candidates<'s> {
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         match &self.ids {
-            RowIds::Listed(it) => it.size_hint(),
+            RowIds::Chained { left, .. } => (*left as usize, Some(*left as usize)),
             RowIds::All(range) => range.size_hint(),
         }
     }
@@ -316,7 +351,7 @@ fn undo(val: &mut Valuation, newly: Vec<crate::atom::Var>) {
 }
 
 /// Check every inequality of `q` whose endpoints are both bound.
-fn inequalities_ok_so_far(q: &ConjunctiveQuery, val: &Valuation) -> bool {
+pub(crate) fn inequalities_ok_so_far(q: &ConjunctiveQuery, val: &Valuation) -> bool {
     q.inequalities.iter().all(|(s, t)| {
         match (val.apply_term(s), val.apply_term(t)) {
             (Some(a), Some(b)) => a != b,
@@ -446,11 +481,20 @@ pub fn eval_query_indexed(q: &ConjunctiveQuery, instance: &Instance, index: &Ind
 /// AGM bound, versus `Ω(m²)` for the binary-join backtracker on cyclic
 /// queries' hard instances.
 pub fn eval_query_wcoj(q: &ConjunctiveQuery, instance: &Instance) -> Instance {
-    Instance::from_facts(
-        satisfying_valuations_wcoj(q, instance)
-            .iter()
-            .map(|v| v.derived_fact(q)),
-    )
+    eval_query_wcoj_ordered(q, instance, &wcoj_variable_order(q, &[]))
+}
+
+/// [`eval_query_wcoj`] under a caller-supplied variable order (see
+/// [`wcoj_variable_order`]) — for callers that plan once and evaluate on
+/// many instances, like an MPC computation phase.
+pub fn eval_query_wcoj_ordered(
+    q: &ConjunctiveQuery,
+    instance: &Instance,
+    order: &[crate::atom::Var],
+) -> Instance {
+    let mut heads = Vec::new();
+    wcoj_heads(q, instance, order, |f| heads.push(f));
+    Instance::from_facts(heads)
 }
 
 /// Evaluate `q` with an explicit [`EvalStrategy`]. All strategies return
@@ -480,11 +524,8 @@ pub fn eval_union(u: &UnionQuery, instance: &Instance) -> Instance {
 /// across disjuncts; the `Wcoj` path shares the instance's trie cache
 /// the same way (tries persist across disjuncts until the next insert).
 pub fn eval_union_with(u: &UnionQuery, instance: &Instance, strategy: EvalStrategy) -> Instance {
-    let needs_index = u
-        .disjuncts
-        .iter()
-        .any(|d| strategy.resolve(d) == EvalStrategy::Indexed);
-    let index = needs_index.then(|| {
+    let resolved: Vec<EvalStrategy> = u.disjuncts.iter().map(|d| strategy.resolve(d)).collect();
+    let index = resolved.contains(&EvalStrategy::Indexed).then(|| {
         let rels: Vec<RelId> = u
             .disjuncts
             .iter()
@@ -494,20 +535,23 @@ pub fn eval_union_with(u: &UnionQuery, instance: &Instance, strategy: EvalStrate
     });
     // Head facts go straight into `out`: the answer is materialised once.
     let mut out = Instance::new();
-    for d in &u.disjuncts {
-        let valuations = match strategy.resolve(d) {
+    for (d, resolved) in u.disjuncts.iter().zip(resolved) {
+        match resolved {
             EvalStrategy::Naive => {
                 out.extend_from(&eval_query_naive(d, instance));
-                continue;
             }
             EvalStrategy::Indexed => {
-                satisfying_valuations_indexed(d, instance, index.as_ref().expect("index built"))
+                let index = index.as_ref().expect("index built");
+                for v in satisfying_valuations_indexed(d, instance, index) {
+                    out.insert(v.derived_fact(d));
+                }
             }
-            EvalStrategy::Wcoj => satisfying_valuations_wcoj(d, instance),
+            EvalStrategy::Wcoj => {
+                wcoj_heads(d, instance, &wcoj_variable_order(d, &[]), |f| {
+                    out.insert(f);
+                });
+            }
             EvalStrategy::Auto => unreachable!("resolve() eliminates Auto"),
-        };
-        for v in valuations {
-            out.insert(v.derived_fact(d));
         }
     }
     out
@@ -561,6 +605,13 @@ mod tests {
     use super::*;
     use crate::fact::fact;
     use crate::parser::parse_query;
+
+    impl Indexed {
+        /// [`Indexed::candidate_iter`], collected.
+        fn candidates(&self, atom: &Atom, val: &Valuation) -> Vec<&[Val]> {
+            self.candidate_iter(atom, val).collect()
+        }
+    }
 
     fn triangle_db() -> Instance {
         Instance::from_facts([
@@ -816,7 +867,9 @@ mod tests {
             /// After any interleaving of `push` and `clear`, the index is
             /// a fresh `build` of the same contents: `len`, `covers` and
             /// the candidate multiset of every atom shape under every
-            /// partial valuation.
+            /// partial valuation. Against a fresh index holding the same
+            /// rows **in the same order** the candidate *sequence* is
+            /// equal too, and it ascends in row id.
             #[test]
             fn push_and_clear_equal_a_fresh_build(seed in 0..u64::MAX) {
                 let mut rng = StdRng::seed_from_u64(seed);
@@ -824,11 +877,15 @@ mod tests {
                 let mut contents =
                     Instance::from_facts((0..rng.gen_range(0..8)).map(|_| random_fact(&mut rng)));
                 let mut index = Indexed::build(&contents, &covered);
+                // The rows the index holds, in the order it took them.
+                let mut held: Vec<Fact> =
+                    covered.iter().flat_map(|&r| contents.relation(r).cloned()).collect();
                 for _ in 0..rng.gen_range(0..40) {
                     match rng.gen_range(0..10) {
                         0 => {
                             let r = covered[rng.gen_range(0..covered.len())];
                             index.clear(r);
+                            held.retain(|f| f.rel != r);
                             let gone: Vec<Fact> = contents.relation(r).cloned().collect();
                             gone.iter().for_each(|f| {
                                 contents.remove(f);
@@ -839,11 +896,14 @@ mod tests {
                             let f = random_fact(&mut rng);
                             if contents.insert(f.clone()) {
                                 index.push(&f);
+                                held.push(f);
                             }
                         }
                     }
                 }
                 let fresh = Indexed::build(&contents, &covered);
+                let mut replayed = Indexed::build(&Instance::new(), &covered);
+                held.iter().for_each(|f| replayed.push(f));
                 for &r in covered.iter().chain([&rel("Uncovered")]) {
                     prop_assert_eq!(index.covers(r), fresh.covers(r));
                     prop_assert_eq!(index.len(r), fresh.len(r));
@@ -871,6 +931,24 @@ mod tests {
                         sorted_candidates(&fresh, &atom, &val),
                         "atom {:?} under {:?}", atom, val
                     );
+                    let sequence = index.candidates(&atom, &val);
+                    prop_assert_eq!(
+                        &sequence,
+                        &replayed.candidates(&atom, &val),
+                        "atom {:?} under {:?}", atom, val
+                    );
+                    // Row ids: positions in the unbound scan of the block
+                    // (rows are distinct facts).
+                    let scan = Atom {
+                        rel: f.rel,
+                        terms: (0..f.args.len()).map(|k| Term::var(format!("v{k}"))).collect(),
+                    };
+                    let scan = index.candidates(&scan, &Valuation::new());
+                    let ids: Vec<usize> = sequence
+                        .iter()
+                        .map(|row| scan.iter().position(|r| r == row).unwrap())
+                        .collect();
+                    prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "row ids {:?}", ids);
                 }
             }
         }

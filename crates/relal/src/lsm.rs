@@ -8,9 +8,9 @@
 //! insertions become a small new run appended to the stack, deletions
 //! become tombstones — and the LeapFrog TrieJoin descends all runs of an
 //! atom simultaneously (a k-way merge cursor, see
-//! [`crate::trie::satisfying_valuations_wcoj_ordered`]). Tombstoned
-//! tuples may linger inside old runs; they are filtered at the leaves,
-//! where the atom is fully ground and membership is authoritative.
+//! [`crate::trie::leapfrog`]). Tombstoned tuples may linger inside old
+//! runs; they are filtered at the leaves, where the atom is fully ground
+//! and membership is authoritative.
 //!
 //! Deterministic **size-tiered compaction** bounds read amplification:
 //! when the run stack exceeds [`MAX_RUNS`] or tombstones reach half the

@@ -23,20 +23,23 @@
 //!   query hypergraph (highest atom-degree first, connectivity-greedy),
 //!   optionally forced to start with a caller-supplied prefix (the
 //!   Datalog semi-naive loop puts the delta atom's variables outermost).
-//! * [`satisfying_valuations_wcoj`] — the LeapFrog TrieJoin itself:
-//!   per-variable leapfrog intersection across all atoms containing the
-//!   variable, descending **every run** of each atom's trie stack one
-//!   level per variable (a k-way merge cursor: the candidate value at a
-//!   level is the leapfrogged minimum over live runs, so the LSM layering
-//!   is invisible to the join). Tombstoned tuples lingering in old runs
-//!   are filtered at the leaves, where atoms are fully ground and
-//!   instance membership is authoritative. Negated atoms are checked at
-//!   the leaves, inequalities as soon as both endpoints are bound —
-//!   exactly the contract of the backtracking evaluator in
-//!   [`crate::eval`], so the two agree fact-for-fact.
+//! * [`leapfrog`] — the LeapFrog TrieJoin itself: per-variable leapfrog
+//!   intersection across all atoms containing the variable, descending
+//!   **every run** of each atom's trie stack one level per variable (a
+//!   k-way merge cursor: the candidate value at a level is the
+//!   leapfrogged minimum over live runs, so the LSM layering is
+//!   invisible to the join). Variables are bound to **slots** — their
+//!   positions in the order — and every satisfying binding vector is
+//!   handed to a sink; head rows ([`wcoj_heads`]) and valuations
+//!   ([`satisfying_valuations_wcoj`]) are projections of it. Tombstoned
+//!   tuples lingering in old runs are filtered at the leaves, where atoms
+//!   are fully ground and instance membership is authoritative. Negated
+//!   atoms are checked at the leaves, inequalities as soon as both
+//!   endpoints are bound — exactly the contract of the backtracking
+//!   evaluator in [`crate::eval`], so the two agree fact-for-fact.
 
-use crate::atom::{Term, Var};
-use crate::fact::Val;
+use crate::atom::{Atom, Term, Var};
+use crate::fact::{Fact, Val};
 use crate::instance::Instance;
 use crate::query::ConjunctiveQuery;
 use crate::valuation::Valuation;
@@ -44,15 +47,16 @@ use std::sync::Arc;
 
 /// A relation stored as a sorted columnar trie for one column permutation.
 ///
-/// `cols[d][i]` is the depth-`d` value of the `i`-th tuple in the sorted
-/// order; tuples are deduplicated, so for binary `R` under the identity
+/// Column `d` holds the depth-`d` value of every tuple in sorted order;
+/// tuples are deduplicated, so for binary `R` under the identity
 /// permutation the rows are exactly the sorted distinct pairs of `R`.
 #[derive(Debug, Clone)]
 pub struct TrieRel {
     /// `perm[d]` = the fact argument position stored at trie depth `d`.
     pub perm: Vec<usize>,
-    /// Column-major tuple storage, aligned by row index.
-    cols: Vec<Vec<Val>>,
+    /// Column-major tuple storage in one allocation: column `d` is
+    /// `vals[d·rows..][..rows]`, aligned by row index.
+    vals: Vec<Val>,
     /// Number of stored (distinct, permuted) tuples.
     rows: usize,
 }
@@ -79,12 +83,12 @@ impl TrieRel {
     /// scatter into the columns — no allocation per tuple.
     pub fn from_rows(perm: Vec<usize>, flat: &[Val], rows: usize) -> TrieRel {
         assert_eq!(flat.len(), rows * perm.len(), "row-major, one stride");
-        let (cols, rows) = match perm.len() {
+        let (vals, rows) = match perm.len() {
             1 => sorted_columns::<1>(flat),
             2 => sorted_columns::<2>(flat),
             k => sorted_columns_wide(flat, k, rows),
         };
-        TrieRel { perm, cols, rows }
+        TrieRel { perm, vals, rows }
     }
 
     /// Number of stored tuples.
@@ -97,21 +101,22 @@ impl TrieRel {
         self.perm.len()
     }
 
+    /// Column `d`, sorted within every depth-`d` trie node.
+    #[inline]
+    fn col(&self, d: usize) -> &[Val] {
+        &self.vals[d * self.rows..][..self.rows]
+    }
+
     /// The value at `(depth, row)`.
     #[inline]
     pub fn value(&self, depth: usize, row: usize) -> Val {
-        self.cols[depth][row]
-    }
-
-    /// Iterate the stored (permuted) tuples in sorted row order.
-    pub fn tuples(&self) -> impl Iterator<Item = Vec<Val>> + '_ {
-        (0..self.rows).map(move |r| (0..self.depth()).map(|d| self.cols[d][r]).collect())
+        self.col(depth)[row]
     }
 
     /// Append the (permuted) tuple at `row` to `out` — the LSM
     /// compactor's input when merging runs off-thread.
     pub fn push_row(&self, row: usize, out: &mut Vec<Val>) {
-        out.extend(self.cols.iter().map(|c| c[row]));
+        out.extend((0..self.depth()).map(|d| self.value(d, row)));
     }
 
     /// First row in `[lo, hi)` whose depth-`d` value is `≥ v`, or `hi`.
@@ -120,20 +125,20 @@ impl TrieRel {
     /// more often than it jumps), then binary-searches the bracketed run —
     /// `O(log gap)` rather than `O(log (hi−lo))`.
     pub fn seek_ge(&self, d: usize, lo: usize, hi: usize, v: Val) -> usize {
-        gallop(&self.cols[d], lo, hi, |x| x >= v)
+        gallop(self.col(d), lo, hi, |x| x >= v)
     }
 
     /// First row in `[lo, hi)` whose depth-`d` value is `> v`, or `hi` —
     /// i.e. the end of `v`'s run starting at `lo`.
     pub fn seek_gt(&self, d: usize, lo: usize, hi: usize, v: Val) -> usize {
-        gallop(&self.cols[d], lo, hi, |x| x > v)
+        gallop(self.col(d), lo, hi, |x| x > v)
     }
 
     /// Narrow `[lo, hi)` at depth `d` to the rows whose value equals `v`
     /// (possibly empty).
     pub fn descend(&self, d: usize, lo: usize, hi: usize, v: Val) -> (usize, usize) {
         let start = self.seek_ge(d, lo, hi, v);
-        if start == hi || self.cols[d][start] != v {
+        if start == hi || self.value(d, start) != v {
             return (start, start);
         }
         (start, self.seek_gt(d, start, hi, v))
@@ -141,27 +146,29 @@ impl TrieRel {
 }
 
 /// Sort and dedup the `N`-wide rows of `flat` as arrays (compared in
-/// place, no indirection) and scatter them into `N` columns.
-fn sorted_columns<const N: usize>(flat: &[Val]) -> (Vec<Vec<Val>>, usize) {
+/// place, no indirection) and scatter them column-major.
+fn sorted_columns<const N: usize>(flat: &[Val]) -> (Vec<Val>, usize) {
     let mut rows: Vec<[Val; N]> = flat
         .chunks_exact(N)
         .map(|r| r.try_into().expect("chunk is N wide"))
         .collect();
     rows.sort_unstable();
     rows.dedup();
-    let cols = (0..N).map(|d| rows.iter().map(|r| r[d]).collect());
-    (cols.collect(), rows.len())
+    let mut vals = Vec::with_capacity(N * rows.len());
+    (0..N).for_each(|d| vals.extend(rows.iter().map(|r| r[d])));
+    (vals, rows.len())
 }
 
 /// [`sorted_columns`] for any width `k` (including 0, where all `n` rows
 /// are the one empty tuple): sort and dedup row *indices* over `flat`.
-fn sorted_columns_wide(flat: &[Val], k: usize, n: usize) -> (Vec<Vec<Val>>, usize) {
+fn sorted_columns_wide(flat: &[Val], k: usize, n: usize) -> (Vec<Val>, usize) {
     let row = |i: usize| &flat[i * k..(i + 1) * k];
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
     order.dedup_by(|a, b| row(*a) == row(*b));
-    let cols = (0..k).map(|d| order.iter().map(|&i| flat[i * k + d]).collect());
-    (cols.collect(), order.len())
+    let mut vals = Vec::with_capacity(k * order.len());
+    (0..k).for_each(|d| vals.extend(order.iter().map(|&i| flat[i * k + d])));
+    (vals, order.len())
 }
 
 /// First index `i` in `[lo, hi)` with `pred(col[i])`, or `hi` — `pred`
@@ -223,75 +230,130 @@ pub fn wcoj_variable_order(q: &ConjunctiveQuery, prefix: &[Var]) -> Vec<Var> {
     order
 }
 
-/// One immutable run of an atom's LSM trie stack, with the stack of row
-/// ranges descended so far (one entry per trie level; empty ranges are
-/// padded so every run's stack stays depth-aligned).
-struct RunCursor {
+/// A query term resolved against the variable order: a constant, or the
+/// slot of its variable (its index in `order`, and in the binding vector).
+#[derive(Clone, Copy)]
+enum Slot {
+    Const(Val),
+    Var(usize),
+}
+
+impl Slot {
+    fn of(t: &Term, order: &[Var]) -> Slot {
+        match t {
+            Term::Const(c) => Slot::Const(*c),
+            Term::Var(v) => Slot::Var(
+                order
+                    .iter()
+                    .position(|w| w == v)
+                    .expect("safe query: every variable occurs in the positive body"),
+            ),
+        }
+    }
+
+    #[inline]
+    fn value(self, vals: &[Val]) -> Val {
+        match self {
+            Slot::Const(c) => c,
+            Slot::Var(oi) => vals[oi],
+        }
+    }
+}
+
+/// One immutable run of a body atom's LSM trie stack. The row range the
+/// run has been narrowed to *before* trie depth `d` lives at
+/// `Cursors::ranges[base + d]` (entry `depth` is the leaf range); an
+/// empty range stays empty below, so every run stays depth-aligned.
+struct Run {
     trie: Arc<TrieRel>,
+    base: usize,
+}
+
+/// A body atom at the level of one of its variables: its runs (oldest
+/// first — the k-way merge cursor), the adjacent trie depths
+/// `first..end` the variable occupies (more than one when it repeats
+/// inside the atom) and where its per-run `(pos, hi)` cursors for this
+/// level start in `Cursors::slots`.
+struct Part {
+    runs: std::ops::Range<usize>,
+    first: usize,
+    end: usize,
+    slots: usize,
+}
+
+/// One variable level: the atoms containing the variable, in body order,
+/// and the inequalities that become decidable once it is bound.
+#[derive(Default)]
+struct Level {
+    parts: Vec<Part>,
+    ineqs: Vec<(Slot, Slot)>,
+}
+
+/// An atom probed against the instance at the leaves, where it is ground:
+/// a body atom whose layers carry tombstones must be present (a dead
+/// tuple may linger in an old run), a negated atom absent. One scratch
+/// fact is refilled for every probe.
+struct Probe {
+    terms: Vec<Slot>,
+    fact: Fact,
+    present: bool,
+}
+
+impl Probe {
+    fn new(atom: &Atom, order: &[Var], present: bool) -> Probe {
+        Probe {
+            terms: atom.terms.iter().map(|t| Slot::of(t, order)).collect(),
+            fact: Fact::new(atom.rel, vec![Val(0); atom.terms.len()]),
+            present,
+        }
+    }
+
+    fn holds(&mut self, vals: &[Val], instance: &Instance) -> bool {
+        for (arg, t) in self.fact.args.iter_mut().zip(&self.terms) {
+            *arg = t.value(vals);
+        }
+        instance.contains(&self.fact) == self.present
+    }
+}
+
+/// The compiled, immutable side of one enumeration.
+struct Plan<'a> {
+    instance: &'a Instance,
+    runs: Vec<Run>,
+    levels: Vec<Level>,
+}
+
+/// Everything the enumeration writes, allocated before it starts.
+struct Cursors {
     ranges: Vec<(usize, usize)>,
+    slots: Vec<(usize, usize)>,
+    /// The binding vector, indexed like the variable order.
+    vals: Vec<Val>,
+    probes: Vec<Probe>,
 }
 
-/// The per-atom state of the LeapFrog TrieJoin: every run of its layered
-/// trie, descended in lockstep — the k-way merge cursor.
-struct AtomCursor {
-    /// The runs of the atom's [`crate::lsm::TrieLayers`], oldest first.
-    runs: Vec<RunCursor>,
-    /// `levels[l]` = the variable-order index of the variable at trie
-    /// depth `l`, or `None` for a constant column (descended at init).
-    levels: Vec<Option<usize>>,
-    /// Constant columns, as `(depth, value)` in depth order.
-    consts: Vec<(usize, Val)>,
-    /// The layers carried tombstones: verify ground facts at the leaves
-    /// (old runs may still contain deleted tuples).
-    live_check: bool,
-}
-
-/// All trie depths bound to variable-order index `oi` in `levels`
-/// (repeated variables occupy several adjacent depths).
-fn depths_of(levels: &[Option<usize>], oi: usize) -> std::ops::Range<usize> {
-    let start = levels.iter().position(|l| *l == Some(oi));
-    match start {
-        None => 0..0,
-        Some(s) => {
-            let mut e = s;
-            while e < levels.len() && levels[e] == Some(oi) {
-                e += 1;
-            }
-            s..e
-        }
-    }
-}
-
-/// Minimum depth-`d` value over the live runs of one participant
-/// (`slots[r] = (pos, hi)`; a run is live while `pos < hi`). Must only be
-/// called with at least one live slot.
-fn min_live(cur: &AtomCursor, slots: &[(usize, usize)], d: usize) -> Val {
-    let mut m = Val(u64::MAX);
-    for (r, &(p, h)) in slots.iter().enumerate() {
-        if p < h {
-            let v = cur.runs[r].trie.value(d, p);
-            if v < m {
-                m = v;
-            }
-        }
-    }
-    m
-}
-
-/// Enumerate all satisfying valuations of `q` on `instance` with LeapFrog
-/// TrieJoin, visiting variables in `order` (see [`wcoj_variable_order`]).
-/// `order` must contain every positive-body variable exactly once.
+/// Enumerate the satisfying valuations of `q` on `instance` with LeapFrog
+/// TrieJoin, visiting variables in `order` (see [`wcoj_variable_order`]),
+/// and hand each to `sink` as its **binding vector**: `bindings[i]` is the
+/// value of `order[i]`. `order` must contain every positive-body variable
+/// exactly once.
 ///
-/// The valuations produced are exactly those of
+/// The valuations are exactly those of
 /// [`crate::eval::satisfying_valuations`] — same semantics, different
-/// asymptotics. With a single-run, tombstone-free trie stack (the state
-/// of any freshly built cache entry) the seek sequence is identical to
-/// the classic single-trie LFTJ, so op-counts are unchanged.
-pub fn satisfying_valuations_wcoj_ordered(
+/// asymptotics. The plan is compiled once per call (variable → slot,
+/// participants and decidable inequalities per level, leaf probes) and
+/// all cursor state is allocated up front, so the enumeration itself
+/// allocates nothing: a seek costs a seek. With a single-run,
+/// tombstone-free trie stack (the state of any freshly built cache entry)
+/// the seek sequence is identical to the classic single-trie LFTJ. The
+/// sink is `dyn` — one call per *output* row — so the engine is compiled
+/// once, not once per caller's closure.
+pub fn leapfrog(
     q: &ConjunctiveQuery,
     instance: &Instance,
     order: &[Var],
-) -> Vec<Valuation> {
+    sink: &mut dyn FnMut(&[Val]),
+) {
     debug_assert_eq!(
         {
             let mut o: Vec<&Var> = order.iter().collect();
@@ -302,200 +364,176 @@ pub fn satisfying_valuations_wcoj_ordered(
         q.body_variables().len(),
         "order must cover the body variables exactly once"
     );
-    let mut cursors: Vec<AtomCursor> = Vec::with_capacity(q.body.len());
+    let mut plan = Plan {
+        instance,
+        runs: Vec::new(),
+        levels: order.iter().map(|_| Level::default()).collect(),
+    };
+    let mut cur = Cursors {
+        ranges: Vec::new(),
+        slots: Vec::new(),
+        vals: vec![Val(0); order.len()],
+        probes: Vec::new(),
+    };
+    // Per atom: its runs and the constants to descend, in depth order.
+    let mut atoms: Vec<(std::ops::Range<usize>, Vec<Val>)> = Vec::with_capacity(q.body.len());
     for atom in &q.body {
+        let terms: Vec<Slot> = atom.terms.iter().map(|t| Slot::of(t, order)).collect();
         // Column permutation: constants first (by position), then
         // variables by their place in the global order; equal keys (a
         // repeated variable) stay in position order, making its columns
         // adjacent trie depths.
-        let mut cols: Vec<usize> = (0..atom.terms.len()).collect();
-        let key = |j: usize| match &atom.terms[j] {
-            Term::Const(_) => (0usize, j),
-            Term::Var(v) => (
-                1 + order.iter().position(|w| w == v).expect("var in order"),
-                j,
-            ),
-        };
-        cols.sort_by_key(|&j| key(j));
+        let mut cols: Vec<usize> = (0..terms.len()).collect();
+        cols.sort_by_key(|&j| match terms[j] {
+            Slot::Const(_) => (0, j),
+            Slot::Var(oi) => (1 + oi, j),
+        });
         let layers = instance.trie_layers(atom.rel, &cols);
-        let mut levels = Vec::with_capacity(cols.len());
+        let first_run = plan.runs.len();
+        for trie in layers.runs() {
+            let base = cur.ranges.len();
+            cur.ranges.resize(base + cols.len() + 1, (0, 0));
+            cur.ranges[base] = (0, trie.rows());
+            plan.runs.push(Run {
+                trie: Arc::clone(trie),
+                base,
+            });
+        }
+        let runs = first_run..plan.runs.len();
         let mut consts = Vec::new();
-        for (d, &j) in cols.iter().enumerate() {
-            match &atom.terms[j] {
-                Term::Const(c) => {
-                    levels.push(None);
-                    consts.push((d, *c));
+        let mut d = 0;
+        while d < cols.len() {
+            match terms[cols[d]] {
+                Slot::Const(c) => {
+                    consts.push(c);
+                    d += 1;
                 }
-                Term::Var(v) => {
-                    levels.push(Some(order.iter().position(|w| w == v).unwrap()));
+                Slot::Var(oi) => {
+                    let first = d;
+                    while d < cols.len() && matches!(terms[cols[d]], Slot::Var(o) if o == oi) {
+                        d += 1;
+                    }
+                    plan.levels[oi].parts.push(Part {
+                        runs: runs.clone(),
+                        first,
+                        end: d,
+                        slots: cur.slots.len(),
+                    });
+                    cur.slots.resize(cur.slots.len() + runs.len(), (0, 0));
                 }
             }
         }
-        let runs = layers
-            .runs()
-            .iter()
-            .map(|t| RunCursor {
-                ranges: vec![(0, t.rows())],
-                trie: Arc::clone(t),
-            })
-            .collect();
-        cursors.push(AtomCursor {
-            runs,
-            levels,
-            consts,
-            live_check: layers.has_tombstones(),
-        });
+        if layers.has_tombstones() {
+            cur.probes.push(Probe::new(atom, order, true));
+        }
+        atoms.push((runs, consts));
+    }
+    for a in &q.negated {
+        cur.probes.push(Probe::new(a, order, false));
+    }
+    for (s, t) in &q.inequalities {
+        // Decidable at the deeper of its endpoints' levels (a constant
+        // pair at the first: it is only re-checked once a variable binds).
+        let pair = (Slot::of(s, order), Slot::of(t, order));
+        let bound_at = |s: Slot| match s {
+            Slot::Const(_) => 0,
+            Slot::Var(oi) => oi,
+        };
+        if let Some(l) = plan.levels.get_mut(bound_at(pair.0).max(bound_at(pair.1))) {
+            l.ineqs.push(pair);
+        }
     }
 
     // Descend every constant column up front, in every run; an atom whose
     // runs are all empty proves the query unsatisfiable on this instance
     // (tombstones only ever shrink the answer further).
-    for cur in &mut cursors {
+    for (runs, consts) in atoms {
         let mut alive = false;
-        for rc in &mut cur.runs {
-            let mut range = rc.ranges[0];
-            for &(d, v) in &cur.consts {
-                range = rc.trie.descend(d, range.0, range.1, v);
-                rc.ranges.push(range);
+        for run in &plan.runs[runs] {
+            let mut range = cur.ranges[run.base];
+            for (d, &c) in consts.iter().enumerate() {
+                range = run.trie.descend(d, range.0, range.1, c);
+                cur.ranges[run.base + d + 1] = range;
             }
-            if range.0 < range.1 {
-                alive = true;
-            }
+            alive |= range.0 < range.1;
         }
         if !alive {
-            return Vec::new();
+            return;
         }
     }
-
-    // Atoms participating at each variable level, and pure membership
-    // checks (repeated-variable-only atoms never participate — they are
-    // fully descended once all their variables are bound).
-    let participants: Vec<Vec<usize>> = (0..order.len())
-        .map(|oi| {
-            (0..cursors.len())
-                .filter(|&k| !depths_of(&cursors[k].levels, oi).is_empty())
-                .collect()
-        })
-        .collect();
-
-    let mut out = Vec::new();
-    let mut val = Valuation::new();
-    lftj(
-        q,
-        instance,
-        order,
-        &participants,
-        &mut cursors,
-        0,
-        &mut val,
-        &mut out,
-    );
-    out
+    intersect(&plan, &mut cur, 0, sink);
 }
 
-/// [`satisfying_valuations_wcoj_ordered`] with the default hypergraph
-/// order ([`wcoj_variable_order`] with an empty prefix).
-pub fn satisfying_valuations_wcoj(q: &ConjunctiveQuery, instance: &Instance) -> Vec<Valuation> {
-    let order = wcoj_variable_order(q, &[]);
-    satisfying_valuations_wcoj_ordered(q, instance, &order)
+/// Minimum depth-`d` value over the live runs of one participant (a run
+/// is live while its slot has `pos < hi`). Must only be called with at
+/// least one live slot.
+#[inline]
+fn min_live(runs: &[Run], slots: &[(usize, usize)], d: usize) -> Val {
+    let live = runs.iter().zip(slots).filter(|(_, s)| s.0 < s.1);
+    live.map(|(run, s)| run.trie.value(d, s.0))
+        .min()
+        .unwrap_or(Val(u64::MAX))
 }
 
 /// One leapfrog level: intersect the candidate values of every atom
 /// containing `order[oi]` — taking each atom's value as the minimum over
 /// its live runs — and for each common value descend all of its columns
 /// in every run of every participating atom, recursing to the next level.
-#[allow(clippy::too_many_arguments)]
-fn lftj(
-    q: &ConjunctiveQuery,
-    instance: &Instance,
-    order: &[Var],
-    participants: &[Vec<usize>],
-    cursors: &mut [AtomCursor],
-    oi: usize,
-    val: &mut Valuation,
-    out: &mut Vec<Valuation>,
-) {
-    if oi == order.len() {
+fn intersect(plan: &Plan, cur: &mut Cursors, oi: usize, sink: &mut dyn FnMut(&[Val])) {
+    let Some(level) = plan.levels.get(oi) else {
         // Leaf: every positive atom fully descended and non-empty in some
-        // run. Atoms whose layers carry tombstones verify the ground fact
-        // against the instance (a dead tuple may linger in an old run);
-        // then check negation (inequalities were checked incrementally).
-        for (k, cur) in cursors.iter().enumerate() {
-            if cur.live_check {
-                match val.apply(&q.body[k]) {
-                    Some(f) if instance.contains(&f) => {}
-                    _ => return,
-                }
-            }
+        // run; inequalities were checked on the way down.
+        let vals = &cur.vals;
+        if cur.probes.iter_mut().all(|p| p.holds(vals, plan.instance)) {
+            sink(vals);
         }
-        for a in &q.negated {
-            match val.apply(a) {
-                Some(f) if !instance.contains(&f) => {}
-                _ => return,
-            }
-        }
-        out.push(val.clone());
         return;
-    }
-    let parts = &participants[oi];
-    debug_assert!(!parts.is_empty(), "safety: every variable is in an atom");
-
-    // First column of this variable per participant; extra (repeated)
-    // columns are descended only on a candidate match.
-    let firsts: Vec<usize> = parts
-        .iter()
-        .map(|&k| depths_of(&cursors[k].levels, oi).start)
-        .collect();
+    };
+    debug_assert!(
+        !level.parts.is_empty(),
+        "safety: every variable is in an atom"
+    );
     // Per participant, per run: the (pos, hi) cursor within the run's
     // current range at this level. A run with `pos == hi` is exhausted
     // (or was already empty at this subtree) and is skipped.
-    let mut slots: Vec<Vec<(usize, usize)>> = Vec::with_capacity(parts.len());
-    for (i, &k) in parts.iter().enumerate() {
-        let mut s = Vec::with_capacity(cursors[k].runs.len());
+    for part in &level.parts {
         let mut alive = false;
-        for rc in &cursors[k].runs {
-            let &(lo, hi) = rc.ranges.last().unwrap();
-            debug_assert_eq!(rc.ranges.len() - 1, firsts[i]);
-            if lo < hi {
-                alive = true;
-            }
-            s.push((lo, hi));
+        for (run, slot) in plan.runs[part.runs.clone()]
+            .iter()
+            .zip(&mut cur.slots[part.slots..])
+        {
+            *slot = cur.ranges[run.base + part.first];
+            alive |= slot.0 < slot.1;
         }
         if !alive {
             return;
         }
-        slots.push(s);
     }
-
-    'leapfrog: loop {
+    loop {
         // The leapfrog: raise every run of every participant to the
         // current maximum value until all participants' minima agree (a
         // candidate) or one participant runs off every run's range.
         let mut max = Val(0);
-        for (i, &k) in parts.iter().enumerate() {
-            let v = min_live(&cursors[k], &slots[i], firsts[i]);
-            if v > max {
-                max = v;
-            }
+        for part in &level.parts {
+            let runs = &plan.runs[part.runs.clone()];
+            max = max.max(min_live(runs, &cur.slots[part.slots..], part.first));
         }
         loop {
             let mut all_equal = true;
-            for (i, &k) in parts.iter().enumerate() {
-                let d = firsts[i];
-                let cur = &cursors[k];
+            for part in &level.parts {
+                let runs = &plan.runs[part.runs.clone()];
+                let slots = &mut cur.slots[part.slots..][..runs.len()];
                 let mut any_live = false;
-                for (r, slot) in slots[i].iter_mut().enumerate() {
-                    if slot.0 < slot.1 && cur.runs[r].trie.value(d, slot.0) < max {
-                        slot.0 = cur.runs[r].trie.seek_ge(d, slot.0, slot.1, max);
+                for (run, slot) in runs.iter().zip(slots.iter_mut()) {
+                    if slot.0 < slot.1 && run.trie.value(part.first, slot.0) < max {
+                        slot.0 = run.trie.seek_ge(part.first, slot.0, slot.1, max);
                     }
-                    if slot.0 < slot.1 {
-                        any_live = true;
-                    }
+                    any_live |= slot.0 < slot.1;
                 }
                 if !any_live {
                     return;
                 }
-                let v = min_live(cur, &slots[i], d);
+                let v = min_live(runs, slots, part.first);
                 if v > max {
                     max = v;
                     all_equal = false;
@@ -511,82 +549,95 @@ fn lftj(
         // every run of every participant (repeated columns must also
         // equal x). Runs positioned past x get depth-aligned empty
         // ranges; the atom survives if any run still has rows.
-        let mut ok = true;
-        let mut pushed: Vec<(usize, usize)> = Vec::with_capacity(parts.len());
-        for (i, &k) in parts.iter().enumerate() {
-            let cur = &mut cursors[k];
-            let depths = depths_of(&cur.levels, oi);
+        let ok = level.parts.iter().all(|part| {
             let mut atom_alive = false;
-            for (r, &(p, h)) in slots[i].iter().enumerate() {
-                let rc = &mut cur.runs[r];
-                let mut range = if p < h && rc.trie.value(depths.start, p) == x {
-                    (p, rc.trie.seek_gt(depths.start, p, h, x))
+            for (run, &(p, h)) in plan.runs[part.runs.clone()]
+                .iter()
+                .zip(&cur.slots[part.slots..])
+            {
+                let mut range = if p < h && run.trie.value(part.first, p) == x {
+                    (p, run.trie.seek_gt(part.first, p, h, x))
                 } else {
                     (p, p)
                 };
-                rc.ranges.push(range);
-                for d in depths.start + 1..depths.end {
-                    if range.0 < range.1 {
-                        range = rc.trie.descend(d, range.0, range.1, x);
+                cur.ranges[run.base + part.first + 1] = range;
+                for d in part.first + 1..part.end {
+                    range = if range.0 < range.1 {
+                        run.trie.descend(d, range.0, range.1, x)
                     } else {
-                        range = (range.0, range.0);
-                    }
-                    rc.ranges.push(range);
+                        (range.0, range.0)
+                    };
+                    cur.ranges[run.base + d + 1] = range;
                 }
-                if range.0 < range.1 {
-                    atom_alive = true;
-                }
+                atom_alive |= range.0 < range.1;
             }
-            pushed.push((k, depths.len()));
-            if !atom_alive {
-                ok = false;
-                break;
-            }
-        }
+            atom_alive
+        });
         if ok {
-            val.bind(order[oi].clone(), x);
-            if inequalities_ok_so_far(q, val) {
-                lftj(q, instance, order, participants, cursors, oi + 1, val, out);
-            }
-            val.unbind(&order[oi]);
-        }
-        for &(k, n) in &pushed {
-            for rc in &mut cursors[k].runs {
-                for _ in 0..n {
-                    rc.ranges.pop();
-                }
+            cur.vals[oi] = x;
+            let differ = |(s, t): &(Slot, Slot)| s.value(&cur.vals) != t.value(&cur.vals);
+            if level.ineqs.iter().all(differ) {
+                intersect(plan, cur, oi + 1, sink);
             }
         }
 
         // Advance every run positioned at x past x's run; a participant
         // with no live runs left ends the level.
-        for (i, &k) in parts.iter().enumerate() {
-            let cur = &cursors[k];
-            let d = firsts[i];
+        for part in &level.parts {
             let mut any_live = false;
-            for (r, slot) in slots[i].iter_mut().enumerate() {
-                if slot.0 < slot.1 && cur.runs[r].trie.value(d, slot.0) == x {
-                    slot.0 = cur.runs[r].trie.seek_gt(d, slot.0, slot.1, x);
+            for (run, slot) in plan.runs[part.runs.clone()]
+                .iter()
+                .zip(&mut cur.slots[part.slots..])
+            {
+                if slot.0 < slot.1 && run.trie.value(part.first, slot.0) == x {
+                    slot.0 = run.trie.seek_gt(part.first, slot.0, slot.1, x);
                 }
-                if slot.0 < slot.1 {
-                    any_live = true;
-                }
+                any_live |= slot.0 < slot.1;
             }
             if !any_live {
-                break 'leapfrog;
+                return;
             }
         }
     }
 }
 
-/// Check every inequality of `q` whose endpoints are both bound.
-fn inequalities_ok_so_far(q: &ConjunctiveQuery, val: &Valuation) -> bool {
-    q.inequalities.iter().all(|(s, t)| {
-        match (val.apply_term(s), val.apply_term(t)) {
-            (Some(a), Some(b)) => a != b,
-            _ => true, // not yet decidable
-        }
-    })
+/// [`leapfrog`] projected onto the head: `sink` receives the derived fact
+/// of every satisfying valuation, in enumeration order (one per
+/// valuation — duplicates are the caller's to merge).
+pub fn wcoj_heads(
+    q: &ConjunctiveQuery,
+    instance: &Instance,
+    order: &[Var],
+    mut sink: impl FnMut(Fact),
+) {
+    let head: Vec<Slot> = q.head.terms.iter().map(|t| Slot::of(t, order)).collect();
+    leapfrog(q, instance, order, &mut |vals| {
+        sink(Fact::new(
+            q.head.rel,
+            head.iter().map(|s| s.value(vals)).collect(),
+        ))
+    });
+}
+
+/// [`leapfrog`] collected as [`Valuation`]s, for the callers where a
+/// valuation is the point (certificates, view maintenance).
+pub fn satisfying_valuations_wcoj_ordered(
+    q: &ConjunctiveQuery,
+    instance: &Instance,
+    order: &[Var],
+) -> Vec<Valuation> {
+    let mut out = Vec::new();
+    leapfrog(q, instance, order, &mut |vals| {
+        out.push(order.iter().cloned().zip(vals.iter().copied()).collect());
+    });
+    out
+}
+
+/// [`satisfying_valuations_wcoj_ordered`] with the default hypergraph
+/// order ([`wcoj_variable_order`] with an empty prefix).
+pub fn satisfying_valuations_wcoj(q: &ConjunctiveQuery, instance: &Instance) -> Vec<Valuation> {
+    let order = wcoj_variable_order(q, &[]);
+    satisfying_valuations_wcoj_ordered(q, instance, &order)
 }
 
 #[cfg(test)]
@@ -596,6 +647,13 @@ mod tests {
     use crate::fact::fact;
     use crate::parser::parse_query;
     use crate::symbols::rel;
+
+    impl TrieRel {
+        /// The stored (permuted) tuples in sorted row order.
+        pub(crate) fn tuples(&self) -> impl Iterator<Item = Vec<Val>> + '_ {
+            (0..self.rows).map(move |r| (0..self.depth()).map(|d| self.value(d, r)).collect())
+        }
+    }
 
     fn db_triangle() -> Instance {
         Instance::from_facts([
@@ -646,15 +704,10 @@ mod tests {
         tuples.sort_unstable();
         tuples.dedup();
         let rows = tuples.len();
-        let mut cols = vec![Vec::with_capacity(rows); perm.len()];
-        for t in &tuples {
-            for (d, &v) in t.iter().enumerate() {
-                cols[d].push(v);
-            }
-        }
+        let vals = (0..perm.len()).flat_map(|d| tuples.iter().map(move |t| t[d]));
         TrieRel {
             perm: perm.to_vec(),
-            cols,
+            vals: vals.collect(),
             rows,
         }
     }
@@ -686,7 +739,7 @@ mod tests {
             let reference = build_by_tuple_vectors(&db, rel("M"), &perm);
             proptest::prop_assert_eq!(flat.rows(), reference.rows());
             proptest::prop_assert_eq!(&flat.perm, &reference.perm);
-            proptest::prop_assert_eq!(&flat.cols, &reference.cols);
+            proptest::prop_assert_eq!(&flat.vals, &reference.vals);
         }
     }
 
@@ -912,5 +965,494 @@ mod tests {
             assert_eq!(eval_query_wcoj(&q, &db), eval_query(&q, &db), "step {step}");
         }
         assert!(k > 0);
+    }
+
+    /// The engine this module had before the slot-bound core: a
+    /// `Valuation` bound and unbound per candidate value, fresh cursor
+    /// vectors per level entered. Kept as the reference the core is
+    /// tested against — same bindings, same order, same seeks.
+    mod model {
+        use super::super::*;
+        use crate::eval::inequalities_ok_so_far;
+
+        /// One immutable run of an atom's LSM trie stack, with the stack of row
+        /// ranges descended so far (one entry per trie level; empty ranges are
+        /// padded so every run's stack stays depth-aligned).
+        struct RunCursor {
+            trie: Arc<TrieRel>,
+            ranges: Vec<(usize, usize)>,
+        }
+
+        /// The per-atom state of the LeapFrog TrieJoin: every run of its layered
+        /// trie, descended in lockstep — the k-way merge cursor.
+        struct AtomCursor {
+            /// The runs of the atom's [`crate::lsm::TrieLayers`], oldest first.
+            runs: Vec<RunCursor>,
+            /// `levels[l]` = the variable-order index of the variable at trie
+            /// depth `l`, or `None` for a constant column (descended at init).
+            levels: Vec<Option<usize>>,
+            /// Constant columns, as `(depth, value)` in depth order.
+            consts: Vec<(usize, Val)>,
+            /// The layers carried tombstones: verify ground facts at the leaves
+            /// (old runs may still contain deleted tuples).
+            live_check: bool,
+        }
+
+        /// All trie depths bound to variable-order index `oi` in `levels`
+        /// (repeated variables occupy several adjacent depths).
+        fn depths_of(levels: &[Option<usize>], oi: usize) -> std::ops::Range<usize> {
+            let start = levels.iter().position(|l| *l == Some(oi));
+            match start {
+                None => 0..0,
+                Some(s) => {
+                    let mut e = s;
+                    while e < levels.len() && levels[e] == Some(oi) {
+                        e += 1;
+                    }
+                    s..e
+                }
+            }
+        }
+
+        /// Minimum depth-`d` value over the live runs of one participant
+        /// (`slots[r] = (pos, hi)`; a run is live while `pos < hi`). Must only be
+        /// called with at least one live slot.
+        fn min_live(cur: &AtomCursor, slots: &[(usize, usize)], d: usize) -> Val {
+            let mut m = Val(u64::MAX);
+            for (r, &(p, h)) in slots.iter().enumerate() {
+                if p < h {
+                    let v = cur.runs[r].trie.value(d, p);
+                    if v < m {
+                        m = v;
+                    }
+                }
+            }
+            m
+        }
+
+        /// The satisfying valuations of `q` on `instance`, visiting variables
+        /// in `order`.
+        pub(super) fn valuations(
+            q: &ConjunctiveQuery,
+            instance: &Instance,
+            order: &[Var],
+        ) -> Vec<Valuation> {
+            debug_assert_eq!(
+                {
+                    let mut o: Vec<&Var> = order.iter().collect();
+                    o.sort();
+                    o.dedup();
+                    o.len()
+                },
+                q.body_variables().len(),
+                "order must cover the body variables exactly once"
+            );
+            let mut cursors: Vec<AtomCursor> = Vec::with_capacity(q.body.len());
+            for atom in &q.body {
+                // Column permutation: constants first (by position), then
+                // variables by their place in the global order; equal keys (a
+                // repeated variable) stay in position order, making its columns
+                // adjacent trie depths.
+                let mut cols: Vec<usize> = (0..atom.terms.len()).collect();
+                let key = |j: usize| match &atom.terms[j] {
+                    Term::Const(_) => (0usize, j),
+                    Term::Var(v) => (
+                        1 + order.iter().position(|w| w == v).expect("var in order"),
+                        j,
+                    ),
+                };
+                cols.sort_by_key(|&j| key(j));
+                let layers = instance.trie_layers(atom.rel, &cols);
+                let mut levels = Vec::with_capacity(cols.len());
+                let mut consts = Vec::new();
+                for (d, &j) in cols.iter().enumerate() {
+                    match &atom.terms[j] {
+                        Term::Const(c) => {
+                            levels.push(None);
+                            consts.push((d, *c));
+                        }
+                        Term::Var(v) => {
+                            levels.push(Some(order.iter().position(|w| w == v).unwrap()));
+                        }
+                    }
+                }
+                let runs = layers
+                    .runs()
+                    .iter()
+                    .map(|t| RunCursor {
+                        ranges: vec![(0, t.rows())],
+                        trie: Arc::clone(t),
+                    })
+                    .collect();
+                cursors.push(AtomCursor {
+                    runs,
+                    levels,
+                    consts,
+                    live_check: layers.has_tombstones(),
+                });
+            }
+
+            // Descend every constant column up front, in every run; an atom whose
+            // runs are all empty proves the query unsatisfiable on this instance
+            // (tombstones only ever shrink the answer further).
+            for cur in &mut cursors {
+                let mut alive = false;
+                for rc in &mut cur.runs {
+                    let mut range = rc.ranges[0];
+                    for &(d, v) in &cur.consts {
+                        range = rc.trie.descend(d, range.0, range.1, v);
+                        rc.ranges.push(range);
+                    }
+                    if range.0 < range.1 {
+                        alive = true;
+                    }
+                }
+                if !alive {
+                    return Vec::new();
+                }
+            }
+
+            // Atoms participating at each variable level, and pure membership
+            // checks (repeated-variable-only atoms never participate — they are
+            // fully descended once all their variables are bound).
+            let participants: Vec<Vec<usize>> = (0..order.len())
+                .map(|oi| {
+                    (0..cursors.len())
+                        .filter(|&k| !depths_of(&cursors[k].levels, oi).is_empty())
+                        .collect()
+                })
+                .collect();
+
+            let mut out = Vec::new();
+            let mut val = Valuation::new();
+            lftj(
+                q,
+                instance,
+                order,
+                &participants,
+                &mut cursors,
+                0,
+                &mut val,
+                &mut out,
+            );
+            out
+        }
+
+        /// One leapfrog level: intersect the candidate values of every atom
+        /// containing `order[oi]` — taking each atom's value as the minimum over
+        /// its live runs — and for each common value descend all of its columns
+        /// in every run of every participating atom, recursing to the next level.
+        #[allow(clippy::too_many_arguments)]
+        fn lftj(
+            q: &ConjunctiveQuery,
+            instance: &Instance,
+            order: &[Var],
+            participants: &[Vec<usize>],
+            cursors: &mut [AtomCursor],
+            oi: usize,
+            val: &mut Valuation,
+            out: &mut Vec<Valuation>,
+        ) {
+            if oi == order.len() {
+                // Leaf: every positive atom fully descended and non-empty in some
+                // run. Atoms whose layers carry tombstones verify the ground fact
+                // against the instance (a dead tuple may linger in an old run);
+                // then check negation (inequalities were checked incrementally).
+                for (k, cur) in cursors.iter().enumerate() {
+                    if cur.live_check {
+                        match val.apply(&q.body[k]) {
+                            Some(f) if instance.contains(&f) => {}
+                            _ => return,
+                        }
+                    }
+                }
+                for a in &q.negated {
+                    match val.apply(a) {
+                        Some(f) if !instance.contains(&f) => {}
+                        _ => return,
+                    }
+                }
+                out.push(val.clone());
+                return;
+            }
+            let parts = &participants[oi];
+            debug_assert!(!parts.is_empty(), "safety: every variable is in an atom");
+
+            // First column of this variable per participant; extra (repeated)
+            // columns are descended only on a candidate match.
+            let firsts: Vec<usize> = parts
+                .iter()
+                .map(|&k| depths_of(&cursors[k].levels, oi).start)
+                .collect();
+            // Per participant, per run: the (pos, hi) cursor within the run's
+            // current range at this level. A run with `pos == hi` is exhausted
+            // (or was already empty at this subtree) and is skipped.
+            let mut slots: Vec<Vec<(usize, usize)>> = Vec::with_capacity(parts.len());
+            for (i, &k) in parts.iter().enumerate() {
+                let mut s = Vec::with_capacity(cursors[k].runs.len());
+                let mut alive = false;
+                for rc in &cursors[k].runs {
+                    let &(lo, hi) = rc.ranges.last().unwrap();
+                    debug_assert_eq!(rc.ranges.len() - 1, firsts[i]);
+                    if lo < hi {
+                        alive = true;
+                    }
+                    s.push((lo, hi));
+                }
+                if !alive {
+                    return;
+                }
+                slots.push(s);
+            }
+
+            'leapfrog: loop {
+                // The leapfrog: raise every run of every participant to the
+                // current maximum value until all participants' minima agree (a
+                // candidate) or one participant runs off every run's range.
+                let mut max = Val(0);
+                for (i, &k) in parts.iter().enumerate() {
+                    let v = min_live(&cursors[k], &slots[i], firsts[i]);
+                    if v > max {
+                        max = v;
+                    }
+                }
+                loop {
+                    let mut all_equal = true;
+                    for (i, &k) in parts.iter().enumerate() {
+                        let d = firsts[i];
+                        let cur = &cursors[k];
+                        let mut any_live = false;
+                        for (r, slot) in slots[i].iter_mut().enumerate() {
+                            if slot.0 < slot.1 && cur.runs[r].trie.value(d, slot.0) < max {
+                                slot.0 = cur.runs[r].trie.seek_ge(d, slot.0, slot.1, max);
+                            }
+                            if slot.0 < slot.1 {
+                                any_live = true;
+                            }
+                        }
+                        if !any_live {
+                            return;
+                        }
+                        let v = min_live(cur, &slots[i], d);
+                        if v > max {
+                            max = v;
+                            all_equal = false;
+                        }
+                    }
+                    if all_equal {
+                        break;
+                    }
+                }
+                let x = max;
+
+                // Candidate value x: descend every column of this variable in
+                // every run of every participant (repeated columns must also
+                // equal x). Runs positioned past x get depth-aligned empty
+                // ranges; the atom survives if any run still has rows.
+                let mut ok = true;
+                let mut pushed: Vec<(usize, usize)> = Vec::with_capacity(parts.len());
+                for (i, &k) in parts.iter().enumerate() {
+                    let cur = &mut cursors[k];
+                    let depths = depths_of(&cur.levels, oi);
+                    let mut atom_alive = false;
+                    for (r, &(p, h)) in slots[i].iter().enumerate() {
+                        let rc = &mut cur.runs[r];
+                        let mut range = if p < h && rc.trie.value(depths.start, p) == x {
+                            (p, rc.trie.seek_gt(depths.start, p, h, x))
+                        } else {
+                            (p, p)
+                        };
+                        rc.ranges.push(range);
+                        for d in depths.start + 1..depths.end {
+                            if range.0 < range.1 {
+                                range = rc.trie.descend(d, range.0, range.1, x);
+                            } else {
+                                range = (range.0, range.0);
+                            }
+                            rc.ranges.push(range);
+                        }
+                        if range.0 < range.1 {
+                            atom_alive = true;
+                        }
+                    }
+                    pushed.push((k, depths.len()));
+                    if !atom_alive {
+                        ok = false;
+                        break;
+                    }
+                }
+                if ok {
+                    val.bind(order[oi].clone(), x);
+                    if inequalities_ok_so_far(q, val) {
+                        lftj(q, instance, order, participants, cursors, oi + 1, val, out);
+                    }
+                    val.unbind(&order[oi]);
+                }
+                for &(k, n) in &pushed {
+                    for rc in &mut cursors[k].runs {
+                        for _ in 0..n {
+                            rc.ranges.pop();
+                        }
+                    }
+                }
+
+                // Advance every run positioned at x past x's run; a participant
+                // with no live runs left ends the level.
+                for (i, &k) in parts.iter().enumerate() {
+                    let cur = &cursors[k];
+                    let d = firsts[i];
+                    let mut any_live = false;
+                    for (r, slot) in slots[i].iter_mut().enumerate() {
+                        if slot.0 < slot.1 && cur.runs[r].trie.value(d, slot.0) == x {
+                            slot.0 = cur.runs[r].trie.seek_gt(d, slot.0, slot.1, x);
+                        }
+                        if slot.0 < slot.1 {
+                            any_live = true;
+                        }
+                    }
+                    if !any_live {
+                        break 'leapfrog;
+                    }
+                }
+            }
+        }
+    }
+
+    mod core_vs_model {
+        use super::*;
+        use crate::opcount;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        const RELS: [(&str, usize); 5] = [("R", 2), ("S", 2), ("T", 3), ("U", 1), ("Z", 0)];
+        const DOM: u64 = 4;
+
+        fn random_fact(rng: &mut StdRng, (name, arity): (&str, usize)) -> Fact {
+            let args: Vec<u64> = (0..arity).map(|_| rng.gen_range(0..DOM)).collect();
+            fact(name, &args)
+        }
+
+        /// A variable of `vars` three times out of four, else a constant
+        /// (always a constant when there is no variable to pick).
+        fn random_term(rng: &mut StdRng, vars: &[Var]) -> Term {
+            if vars.is_empty() || rng.gen_range(0..4) == 0 {
+                Term::val(rng.gen_range(0..DOM))
+            } else {
+                Term::Var(vars[rng.gen_range(0..vars.len())].clone())
+            }
+        }
+
+        /// A safe random `CQ¬`/`CQ≠`: one to four body atoms over a pool
+        /// of four variables (so self-joins and a variable repeated inside
+        /// one atom are common), constants anywhere, at most one negated
+        /// atom, up to two var–var / var–const / const–const
+        /// inequalities, and a head of zero to three terms (Boolean,
+        /// ground and repeated-variable heads included).
+        fn random_query(rng: &mut StdRng) -> ConjunctiveQuery {
+            let pool: Vec<Var> = ["x", "y", "z", "w"].into_iter().map(Var::new).collect();
+            let atom = |rng: &mut StdRng, vars: &[Var]| {
+                let (name, arity) = RELS[rng.gen_range(0..RELS.len())];
+                Atom::new(
+                    rel(name),
+                    (0..arity).map(|_| random_term(rng, vars)).collect(),
+                )
+            };
+            let body: Vec<Atom> = (0..rng.gen_range(1..5)).map(|_| atom(rng, &pool)).collect();
+            let mut bound: Vec<Var> = body.iter().flat_map(|a| a.variables()).collect();
+            bound.sort();
+            bound.dedup();
+            let negated = (0..rng.gen_range(0..2))
+                .map(|_| atom(rng, &bound))
+                .collect();
+            let inequalities = (0..rng.gen_range(0..3))
+                .map(|_| (random_term(rng, &bound), random_term(rng, &bound)))
+                .collect();
+            let head = (0..rng.gen_range(0..4))
+                .map(|_| random_term(rng, &bound))
+                .collect();
+            ConjunctiveQuery::with_extras(Atom::new(rel("H"), head), body, negated, inequalities)
+                .expect("safe by construction")
+        }
+
+        /// The binding vectors `engine` enumerates, in order, and the
+        /// seeks it made.
+        fn counted(engine: impl FnOnce() -> Vec<Vec<Val>>) -> (Vec<Vec<Val>>, u64) {
+            opcount::reset();
+            let rows = engine();
+            (rows, opcount::read())
+        }
+
+        proptest::proptest! {
+            #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+            /// The slot-bound core against the valuation-based engine it
+            /// replaced, on trie stacks that grow runs and tombstones
+            /// between evaluations: the same bindings in the same order,
+            /// the same head facts and valuations through the two
+            /// projections, and **the same number of seeks**.
+            #[test]
+            fn core_matches_the_valuation_engine(seed in 0..u64::MAX) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let q = random_query(&mut rng);
+                // A random order prefix, as the semi-naive loop supplies.
+                let mut prefix = q.body_variables();
+                for i in (1..prefix.len()).rev() {
+                    prefix.swap(i, rng.gen_range(0..i + 1));
+                }
+                prefix.truncate(rng.gen_range(0..prefix.len() + 1));
+                let order = wcoj_variable_order(&q, &prefix);
+
+                // Every relation starts with eight distinct facts, so the
+                // single mutations below never trip a compaction by
+                // themselves (tombstones stay under half the rows).
+                let mut db = Instance::new();
+                for r in RELS {
+                    while db.relation_len(rel(r.0)) < 8.min(DOM.pow(r.1 as u32) as usize) {
+                        db.insert(random_fact(&mut rng, r));
+                    }
+                }
+                let first = RELS.iter().find(|r| rel(r.0) == q.body[0].rel).unwrap();
+                for step in 0..6 {
+                    let old = counted(|| {
+                        model::valuations(&q, &db, &order)
+                            .iter()
+                            .map(|v| order.iter().map(|x| v.get(x).unwrap()).collect())
+                            .collect()
+                    });
+                    let new = counted(|| {
+                        let mut rows = Vec::new();
+                        leapfrog(&q, &db, &order, &mut |vals| rows.push(vals.to_vec()));
+                        rows
+                    });
+                    proptest::prop_assert_eq!(&new, &old, "step {} of {}", step, q);
+                    if step == 1 && first.1 > 1 {
+                        // The first atom's stack really was layered: one
+                        // new run, at most four tombstones on nine rows.
+                        proptest::prop_assert!(!db.compaction_candidates().is_empty());
+                    }
+                    let mut heads = Vec::new();
+                    wcoj_heads(&q, &db, &order, |f| heads.push(f));
+                    let valuations = satisfying_valuations_wcoj_ordered(&q, &db, &order);
+                    proptest::prop_assert_eq!(&valuations, &model::valuations(&q, &db, &order));
+                    let derived: Vec<Fact> = valuations.iter().map(|v| v.derived_fact(&q)).collect();
+                    proptest::prop_assert_eq!(heads, derived);
+
+                    // Grow a run and a tombstone under the first atom,
+                    // and churn the other relations at random.
+                    let gone = db.relation(q.body[0].rel).next().cloned();
+                    gone.iter().for_each(|f| { db.remove(f); });
+                    while !db.insert(random_fact(&mut rng, *first)) && first.1 > 1 {}
+                    for _ in 0..rng.gen_range(0..4) {
+                        let r = RELS[rng.gen_range(0..RELS.len())];
+                        let f = random_fact(&mut rng, r);
+                        if rng.gen_range(0..3) == 0 {
+                            db.remove(&f);
+                        } else {
+                            db.insert(f);
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -1,0 +1,121 @@
+//! A clock-free guard on the evaluators' allocation profile.
+//!
+//! A leapfrog seek must cost a seek: once the plan is compiled and the
+//! cursors are allocated, enumerating allocates nothing, so the number of
+//! heap blocks one enumeration takes depends on the query, not on the
+//! data. Likewise the positional index threads its rows through flat
+//! arrays, so building it allocates for the maps' and arrays' growth —
+//! logarithmically many blocks — not once per distinct value.
+//!
+//! Counted with a per-thread counting allocator, so the two tests (and the
+//! harness's own threads) do not see each other.
+
+use parlog_relal::eval::Indexed;
+use parlog_relal::fact::fact;
+use parlog_relal::instance::Instance;
+use parlog_relal::parser::parse_query;
+use parlog_relal::trie::{leapfrog, wcoj_variable_order};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    static BLOCKS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting the blocks each thread asks for.
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the only addition is a bump of a
+// `const`-initialised, destructor-free thread-local `Cell`, which neither
+// allocates nor unwinds (`try_with` turns a torn-down slot into a no-op).
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = BLOCKS.try_with(|b| b.set(b.get() + 1));
+        // SAFETY: `layout` is the caller's, passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc`/`realloc` with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = BLOCKS.try_with(|b| b.set(b.get() + 1));
+        // SAFETY: the caller's arguments, passed through.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Blocks this thread allocated (or grew) while `f` ran.
+fn blocks_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = BLOCKS.with(Cell::get);
+    let out = f();
+    (out, BLOCKS.with(Cell::get) - before)
+}
+
+/// E22's adversarial triangle: three hub-and-spoke relations whose
+/// pairwise joins have `n²` tuples while one triangle exists.
+fn hub_triangle(n: u64) -> Instance {
+    let (x0, y0, z0, p) = (100, 100 + n, 100 + 2 * n, 100 + 3 * n);
+    let spokes = (0..n).flat_map(|i| {
+        [
+            fact("R", &[x0 + i, 2]),
+            fact("R", &[1, y0 + i]),
+            fact("S", &[y0 + i, 3]),
+            fact("S", &[2, z0 + i]),
+            fact("T", &[z0 + i, 1]),
+            fact("T", &[3, x0 + i]),
+        ]
+    });
+    let planted = [
+        fact("R", &[p, p + 1]),
+        fact("S", &[p + 1, p + 2]),
+        fact("T", &[p + 2, p]),
+    ];
+    Instance::from_facts(spokes.chain(planted))
+}
+
+#[test]
+fn leapfrog_allocates_per_query_not_per_seek() {
+    let q = parse_query("H(x,y,z) <- R(x,y), S(y,z), T(z,x)").unwrap();
+    let order = wcoj_variable_order(&q, &[]);
+    let measure = |n: u64| {
+        let db = hub_triangle(n);
+        // Warm the tries: the measured enumeration builds nothing.
+        leapfrog(&q, &db, &order, &mut |_| {});
+        parlog_relal::opcount::reset();
+        let mut rows = 0;
+        let ((), blocks) = blocks_during(|| leapfrog(&q, &db, &order, &mut |_| rows += 1));
+        assert_eq!(rows, 1, "the planted triangle");
+        (blocks, parlog_relal::opcount::read())
+    };
+    let (small, small_ops) = measure(64);
+    let (large, large_ops) = measure(512);
+    assert!(
+        large_ops > 6 * small_ops,
+        "the work grows with n: {small_ops} → {large_ops} seeks"
+    );
+    assert_eq!(
+        small, large,
+        "blocks allocated by one enumeration, n = 64 vs n = 512"
+    );
+}
+
+#[test]
+fn positional_index_allocates_no_block_per_value() {
+    let q = parse_query("H(x,y) <- R(x,y)").unwrap();
+    let m = 4096u64;
+    // Every value distinct: 2m `(position, value)` keys.
+    let db = Instance::from_facts((0..m).map(|i| fact("R", &[i, m + i])));
+    let (index, blocks) = blocks_during(|| Indexed::for_query(&q, &db));
+    assert_eq!(index.len(q.body[0].rel), m as usize);
+    assert!(
+        blocks < m / 8,
+        "{blocks} blocks for {m} rows of distinct values"
+    );
+}

@@ -31,7 +31,7 @@ use parlog_relal::instance::Instance;
 use parlog_relal::opcount;
 use parlog_relal::query::{ConjunctiveQuery, UnionQuery};
 use parlog_relal::snapshot::{Snapshot, SnapshotStore};
-use parlog_relal::trie::satisfying_valuations_wcoj_ordered;
+use parlog_relal::trie::wcoj_heads;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -304,9 +304,9 @@ fn execute_disjuncts(
             EvalStrategy::Wcoj | EvalStrategy::Auto => {
                 // `Auto` cannot survive `resolve`, but WCOJ is a safe
                 // executor for anything, so fold it in rather than panic.
-                for v in satisfying_valuations_wcoj_ordered(q, inst, &d.order) {
-                    out.insert(v.derived_fact(q));
-                }
+                wcoj_heads(q, inst, &d.order, |f| {
+                    out.insert(f);
+                });
             }
         }
     }
