@@ -4,7 +4,8 @@
 //! [`MaterializedView`] in the base instance's view registry. From then on
 //! [`crate::eval::eval_program_with`] (via [`try_refresh`]) answers from
 //! the view: it replays the instance's delta log instead of recomputing
-//! the fixpoint from scratch.
+//! the fixpoint from scratch, as **one batch** — every logged change is
+//! applied, then the cascade settles once.
 //!
 //! Two maintenance algorithms, chosen per stratum at materialize time:
 //!
@@ -12,18 +13,24 @@
 //!   graph is acyclic (no recursion). Every membership change cascades
 //!   through a FIFO queue; candidate heads are discovered by unifying the
 //!   changed fact with its body occurrences (an over-approximation that
-//!   skips negation checks and temporarily re-adds facts deleted earlier
-//!   in the refresh, so derivations that died mid-batch are still seen),
-//!   then each candidate's derivation count is **recomputed exactly**
-//!   against the current database. The invariant is `h ∈ db ⟺
-//!   count(h) > 0`; exact recounting makes the cascade order-insensitive.
+//!   skips negation checks and reads the database together with the
+//!   facts deleted earlier in the refresh, so derivations that died
+//!   mid-batch are still seen), then each candidate's derivation count is
+//!   **recomputed exactly** against the current database. The invariant
+//!   is `h ∈ db ⟺ count(h) > 0`; exact recounting makes the cascade
+//!   order-insensitive.
 //!
 //! * **DRed** (delete–rederive) for recursive strata: overdelete
 //!   everything transitively supported by a deleted fact (or blocked by
-//!   an inserted fact through negation), rederive what has an alternative
-//!   derivation, then run the insertion worklist — the classical
+//!   an inserted fact through negation), rederive — one existence probe
+//!   per overdeleted fact — and run the insertion worklist seeded with
+//!   the rederived facts too (Gupta–Mumick–Subrahmanian): the classical
 //!   algorithm, sound under stratified negation because negated
 //!   relations always sit in strictly lower strata.
+//!
+//! Every probe is an occurrence plan (`Occurrence`) prepared once per
+//! `(rule, occurrence)` when the view is built: the occurrence's
+//! variables are leapfrog parameters, the rest of the body the residual.
 //!
 //! The built-in `ADom` relation is maintained by per-value reference
 //! counts over the base facts (program constants are pinned), so
@@ -43,8 +50,7 @@ use parlog_relal::fastmap::{fxmap, fxset, FxHasher, FxMap, FxSet};
 use parlog_relal::instance::Instance;
 use parlog_relal::query::ConjunctiveQuery;
 use parlog_relal::symbols::{rel, RelId};
-use parlog_relal::trie::{satisfying_valuations_wcoj_ordered, wcoj_variable_order};
-use parlog_relal::valuation::Valuation;
+use parlog_relal::trie::{wcoj_heads, wcoj_variable_order, LeapfrogPlan, Slot};
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 
@@ -100,15 +106,172 @@ struct DredStratum {
     neg_rels: FxSet<RelId>,
 }
 
-/// Mutable per-refresh state: the cascade queue, the ordered log of every
-/// membership change applied so far (consumed per DRed stratum through a
-/// cursor), and the facts deleted during this refresh (temporarily
-/// re-added during candidate generation).
+/// A rule body prepared for probing from one occurrence — its head, a
+/// positive body atom or a negated one. The occurrence's variables are
+/// the leapfrog parameters (first occurrences, in order) and the rest of
+/// the body is the residual, enumerated in the order
+/// [`wcoj_variable_order`] gives it with the parameters bound. Two plans:
+/// `derive` checks negation (real derivations), `candidates` skips it
+/// (an over-approximation; the caller decides membership exactly).
+struct Occurrence {
+    rel: RelId,
+    /// The occurrence atom's terms, resolved against the order.
+    terms: Vec<Slot>,
+    head_rel: RelId,
+    /// The rule head's terms, resolved against the order.
+    head: Vec<Slot>,
+    derive: LeapfrogPlan,
+    candidates: LeapfrogPlan,
+}
+
+impl Occurrence {
+    /// Prepare rule `r` for probes through `at`, with the positive body
+    /// atom `skip` (the occurrence itself, if positive) left out.
+    fn new(r: &ConjunctiveQuery, at: &Atom, skip: Option<usize>) -> Occurrence {
+        let params = at.variables();
+        let body: Vec<Atom> = (0..r.body.len())
+            .filter(|&k| Some(k) != skip)
+            .map(|k| r.body[k].clone())
+            .collect();
+        // The parameters play constants to the order heuristic.
+        let bound = |t: &Term| match t {
+            Term::Var(v) if params.contains(v) => Term::val(0),
+            _ => t.clone(),
+        };
+        let shape = ConjunctiveQuery {
+            head: r.head.clone(),
+            body: body
+                .iter()
+                .map(|a| Atom::new(a.rel, a.terms.iter().map(bound).collect()))
+                .collect(),
+            negated: Vec::new(),
+            inequalities: Vec::new(),
+        };
+        let mut order = params.clone();
+        order.extend(wcoj_variable_order(&shape, &[]));
+        let mut residual = ConjunctiveQuery {
+            head: r.head.clone(),
+            body,
+            negated: r.negated.clone(),
+            inequalities: r.inequalities.clone(),
+        };
+        let derive = LeapfrogPlan::new(&residual, &order, params.len());
+        residual.negated.clear();
+        let slots = |a: &Atom| a.terms.iter().map(|t| Slot::of(t, &order)).collect();
+        Occurrence {
+            rel: at.rel,
+            terms: slots(at),
+            head_rel: r.head.rel,
+            head: slots(&r.head),
+            derive,
+            candidates: LeapfrogPlan::new(&residual, &order, params.len()),
+        }
+    }
+
+    /// Run the occurrence from `f` over the union of `instances` (nothing
+    /// if `f` does not match the occurrence atom), handing every derived
+    /// head to `sink`; `full` checks negation.
+    fn heads(&self, full: bool, f: &Fact, instances: &[&Instance], sink: &mut dyn FnMut(&[Val])) {
+        if f.rel != self.rel || f.args.len() != self.terms.len() {
+            return;
+        }
+        let mut params = Vec::with_capacity(self.terms.len());
+        for (s, &v) in self.terms.iter().zip(&f.args) {
+            match *s {
+                Slot::Const(c) if c != v => return,
+                Slot::Var(i) if i < params.len() && params[i] != v => return,
+                Slot::Var(i) if i == params.len() => params.push(v),
+                _ => {}
+            }
+        }
+        let plan = if full { &self.derive } else { &self.candidates };
+        plan.run(instances, &params, sink);
+    }
+
+    /// The derived head of a binding vector.
+    fn ground(&self, vals: &[Val]) -> Fact {
+        Fact::new(
+            self.head_rel,
+            self.head.iter().map(|s| s.value(vals)).collect(),
+        )
+    }
+}
+
+/// One rule's occurrences, prepared at build.
+struct RulePlans {
+    head: Occurrence,
+    pos: Vec<Occurrence>,
+    neg: Vec<Occurrence>,
+}
+
+impl RulePlans {
+    /// `None` for a rule with a false constant inequality: it never fires.
+    fn new(r: &ConjunctiveQuery) -> Option<RulePlans> {
+        let r = decide_ground_inequalities(r)?;
+        Some(RulePlans {
+            head: Occurrence::new(&r, &r.head, None),
+            pos: (0..r.body.len())
+                .map(|j| Occurrence::new(&r, &r.body[j], Some(j)))
+                .collect(),
+            neg: r
+                .negated
+                .iter()
+                .map(|a| Occurrence::new(&r, a, None))
+                .collect(),
+        })
+    }
+
+    /// The heads derived through positive (`via_neg = false`) or negated
+    /// occurrences of `f`, over the union of `instances`.
+    fn heads_through(
+        &self,
+        f: &Fact,
+        via_neg: bool,
+        full: bool,
+        instances: &[&Instance],
+        out: &mut Vec<Fact>,
+    ) {
+        let occurrences = if via_neg { &self.neg } else { &self.pos };
+        for o in occurrences {
+            o.heads(full, f, instances, &mut |vals| out.push(o.ground(vals)));
+        }
+    }
+
+    /// The number of derivations of `h` on `db` (full semantics).
+    fn derivations(&self, h: &Fact, db: &Instance) -> i64 {
+        let mut n = 0i64;
+        self.head.heads(true, h, &[db], &mut |_| n += 1);
+        n
+    }
+}
+
+/// `r` with its constant–constant inequalities decided (the leapfrog
+/// only re-checks those once a variable binds): `None` if one is false.
+fn decide_ground_inequalities(r: &ConjunctiveQuery) -> Option<ConjunctiveQuery> {
+    let mut r = r.clone();
+    let mut ok = true;
+    r.inequalities
+        .retain(|(s, t)| match (s.as_const(), t.as_const()) {
+            (Some(a), Some(b)) => {
+                ok &= a != b;
+                false
+            }
+            _ => true,
+        });
+    ok.then_some(r)
+}
+
+/// Mutable per-refresh state: the counting cascade queue, the ordered
+/// log of every membership change applied so far (consumed per DRed
+/// stratum through a cursor), and the facts deleted during this refresh
+/// — read beside the database, never put back into it, when counting
+/// looks for candidates. The queue and the graveyard stay empty for a
+/// view with no counting rule.
 struct Ctx {
     queue: VecDeque<Fact>,
     batchlog: Vec<(DeltaOp, Fact)>,
     cursors: Vec<usize>,
-    recently_deleted: FxSet<Fact>,
+    graveyard: Instance,
 }
 
 impl Ctx {
@@ -117,7 +280,7 @@ impl Ctx {
             queue: VecDeque::new(),
             batchlog: Vec::new(),
             cursors: vec![0; strata],
-            recently_deleted: fxset(),
+            graveyard: Instance::new(),
         }
     }
 }
@@ -148,6 +311,8 @@ pub struct MaterializedView {
     adom_refs: FxMap<Val, i64>,
     counting_rules: Vec<usize>,
     dred: Vec<DredStratum>,
+    /// Per rule, its prepared occurrences (`None`: the rule never fires).
+    plans: Vec<Option<RulePlans>>,
     idb_rels: FxSet<RelId>,
     /// The base overlapped IDB/`ADom` relations at build time; every
     /// refresh degrades to a full rebuild (still correct, never fast).
@@ -193,6 +358,7 @@ impl MaterializedView {
             adom_refs: fxmap(),
             counting_rules,
             dred,
+            plans: p.rules.iter().map(RulePlans::new).collect(),
             idb_rels: p.idb().into_iter().collect(),
             degraded: false,
             full_rebuilds: 0,
@@ -214,10 +380,12 @@ impl MaterializedView {
             .expect("program stratified at materialize time");
         self.counts.clear();
         for &ri in &self.counting_rules {
-            let r = &self.program.rules[ri];
-            for v in enumerate_rule(r, &self.db) {
-                *self.counts.entry(v.derived_fact(r)).or_insert(0) += 1;
-            }
+            let Some(r) = decide_ground_inequalities(&self.program.rules[ri]) else {
+                continue;
+            };
+            wcoj_heads(&r, &self.db, &wcoj_variable_order(&r, &[]), |h| {
+                *self.counts.entry(h).or_insert(0) += 1;
+            });
         }
         self.adom_refs.clear();
         for f in base.iter() {
@@ -238,18 +406,15 @@ impl MaterializedView {
     pub fn refresh(&mut self, base: &Instance) -> Instance {
         if base.epoch() != self.applied_epoch {
             let adom_rel = rel(ADOM);
-            let entries: Option<Vec<DeltaEntry>> = base
-                .delta_since(self.applied_epoch)
-                .map(|s| s.to_vec())
-                .filter(|es| {
-                    !self.degraded
-                        && es
-                            .iter()
-                            .all(|e| !self.idb_rels.contains(&e.fact.rel) && e.fact.rel != adom_rel)
-                });
-            match entries {
+            let replayable = base.delta_since(self.applied_epoch).filter(|es| {
+                !self.degraded
+                    && es
+                        .iter()
+                        .all(|e| !self.idb_rels.contains(&e.fact.rel) && e.fact.rel != adom_rel)
+            });
+            match replayable {
                 Some(es) => {
-                    self.apply_entries(&es);
+                    self.apply_entries(es);
                     self.applied_epoch = base.epoch();
                     self.incremental_applied += es.len() as u64;
                 }
@@ -265,9 +430,9 @@ impl MaterializedView {
         out
     }
 
-    /// Replay base-instance delta-log entries. Each entry is expanded
-    /// into its `ADom` reference-count consequences plus the fact change
-    /// itself, then the cascade settles before the next entry.
+    /// Replay base-instance delta-log entries as one batch: each entry is
+    /// expanded into its `ADom` reference-count consequences plus the
+    /// fact change itself, then the cascade settles once.
     fn apply_entries(&mut self, entries: &[DeltaEntry]) {
         let adom_rel = rel(ADOM);
         let mut ctx = Ctx::new(self.dred.len());
@@ -295,8 +460,8 @@ impl MaterializedView {
                     }
                 }
             }
-            self.settle(&mut ctx);
         }
+        self.settle(&mut ctx);
     }
 
     /// Apply one membership change to the database and record it for the
@@ -304,10 +469,7 @@ impl MaterializedView {
     fn push(&mut self, ctx: &mut Ctx, op: DeltaOp, f: Fact) {
         let changed = match op {
             DeltaOp::Insert => self.db.insert(f.clone()),
-            DeltaOp::Delete => {
-                ctx.recently_deleted.insert(f.clone());
-                self.db.remove(&f)
-            }
+            DeltaOp::Delete => self.db.remove(&f),
         };
         debug_assert!(changed, "delta entries are real membership changes");
         self.emit(ctx, op, f);
@@ -315,11 +477,13 @@ impl MaterializedView {
 
     /// Record an already-applied membership change (DRed applies changes
     /// itself during its phases).
-    fn emit(&mut self, ctx: &mut Ctx, op: DeltaOp, f: Fact) {
-        if op == DeltaOp::Delete {
-            ctx.recently_deleted.insert(f.clone());
+    fn emit(&self, ctx: &mut Ctx, op: DeltaOp, f: Fact) {
+        if !self.counting_rules.is_empty() {
+            if op == DeltaOp::Delete {
+                ctx.graveyard.insert(f.clone());
+            }
+            ctx.queue.push_back(f.clone());
         }
-        ctx.queue.push_back(f.clone());
         ctx.batchlog.push((op, f));
     }
 
@@ -337,36 +501,20 @@ impl MaterializedView {
     }
 
     /// Pop applied changes, discover candidate heads of counting rules by
-    /// occurrence unification (over-approximate: negation checks skipped,
-    /// refresh-deleted facts temporarily re-added), and recount each
-    /// candidate exactly against the current database.
+    /// occurrence unification over the database and the refresh's
+    /// graveyard (over-approximate: negation checks skipped), and recount
+    /// each candidate exactly against the current database.
     fn drain_counting(&mut self, ctx: &mut Ctx) {
+        #[cfg(test)]
+        let epoch = self.db.epoch();
         while let Some(f) = ctx.queue.pop_front() {
-            let readded: Vec<Fact> = ctx
-                .recently_deleted
-                .iter()
-                .filter(|g| !self.db.contains(g))
-                .cloned()
-                .collect();
-            for g in &readded {
-                self.db.insert(g.clone());
-            }
             let mut cands: Vec<Fact> = Vec::new();
+            let union = [&self.db, &ctx.graveyard];
             for &ri in &self.counting_rules {
-                let r = &self.program.rules[ri];
-                for (j, a) in r.body.iter().enumerate() {
-                    if let Some(sig) = unify(a, &f) {
-                        cands.extend(candidate_heads(r, Some(j), &sig, &self.db));
-                    }
+                if let Some(plans) = &self.plans[ri] {
+                    plans.heads_through(&f, false, false, &union, &mut cands);
+                    plans.heads_through(&f, true, false, &union, &mut cands);
                 }
-                for a in &r.negated {
-                    if let Some(sig) = unify(a, &f) {
-                        cands.extend(candidate_heads(r, None, &sig, &self.db));
-                    }
-                }
-            }
-            for g in &readded {
-                self.db.remove(g);
             }
             cands.sort_unstable();
             cands.dedup();
@@ -388,24 +536,36 @@ impl MaterializedView {
                 }
             }
         }
+        #[cfg(test)]
+        tests::DRAIN_WRITES.with(|c| c.set(c.get() + self.db.epoch() - epoch));
     }
 
     /// The exact derivation count of `h` over all counting rules with its
     /// head relation, against the current database (full semantics).
     fn recount(&self, h: &Fact) -> i64 {
-        let mut n = 0i64;
-        for &ri in &self.counting_rules {
-            let r = &self.program.rules[ri];
-            if r.head.rel != h.rel {
-                continue;
+        self.counting_rules
+            .iter()
+            .filter_map(|&ri| self.plans[ri].as_ref())
+            .map(|plans| plans.derivations(h, &self.db))
+            .sum()
+    }
+
+    /// The heads the rules of `stratum` derive through an occurrence of
+    /// `x` — positive or negated (`via_neg`) — on the current database.
+    fn stratum_heads(
+        &self,
+        stratum: &DredStratum,
+        x: &Fact,
+        via_neg: bool,
+        full: bool,
+    ) -> Vec<Fact> {
+        let mut out = Vec::new();
+        for &ri in &stratum.rules {
+            if let Some(plans) = &self.plans[ri] {
+                plans.heads_through(x, via_neg, full, &[&self.db], &mut out);
             }
-            let Some(sig) = unify(&r.head, h) else {
-                continue;
-            };
-            n += residual_valuations(&r.body, &r.negated, &r.inequalities, &sig, &self.db).len()
-                as i64;
         }
-        n
+        out
     }
 
     /// Delete–rederive for recursive stratum `s`, consuming the batch-log
@@ -472,31 +632,16 @@ impl MaterializedView {
             }
         }
         while let Some((x, via_neg)) = work.pop_front() {
-            for &ri in &stratum.rules {
-                let r = &self.program.rules[ri];
-                let mut cands: Vec<Fact> = Vec::new();
-                if via_neg {
-                    for a in &r.negated {
-                        if let Some(sig) = unify(a, &x) {
-                            cands.extend(candidate_heads(r, None, &sig, &self.db));
-                        }
-                    }
-                } else {
-                    for (j, a) in r.body.iter().enumerate() {
-                        if let Some(sig) = unify(a, &x) {
-                            cands.extend(candidate_heads(r, Some(j), &sig, &self.db));
-                        }
-                    }
-                }
-                for h in cands {
-                    if self.db.contains(&h) && over.insert(h.clone()) {
-                        work.push_back((h, false));
-                    }
+            for h in self.stratum_heads(&stratum, &x, via_neg, false) {
+                if self.db.contains(&h) && over.insert(h.clone()) {
+                    work.push_back((h, false));
                 }
             }
         }
         let mut over_sorted: Vec<Fact> = over.iter().cloned().collect();
         over_sorted.sort_unstable();
+        #[cfg(test)]
+        tests::OVERDELETED.with(|c| c.set(c.get() + over_sorted.len() as u64));
         for h in &over_sorted {
             self.db.remove(h);
         }
@@ -504,30 +649,24 @@ impl MaterializedView {
             self.db.remove(d);
         }
 
-        // Phase 2 — rederive: an overdeleted fact with an alternative
-        // derivation (full semantics, lower strata now final) comes back;
-        // iterate because rederived facts can support one another.
-        let mut rederived: FxSet<Fact> = fxset();
-        loop {
-            let mut changed = false;
-            for h in &over_sorted {
-                if rederived.contains(h) {
-                    continue;
-                }
-                if self.derivable(&stratum, h) {
-                    self.db.insert(h.clone());
-                    rederived.insert(h.clone());
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
+        // Phase 2 — rederive: one existence probe per overdeleted fact
+        // against the database without the overdeleted set (full
+        // semantics, lower strata now final). A fact whose only
+        // alternative derivations run through other overdeleted facts is
+        // left to phase 3, which the facts that pass here seed. They are
+        // inserted after the pass, so the probes read tries that stay
+        // current throughout.
+        let rederived: Vec<Fact> = over_sorted
+            .iter()
+            .filter(|h| self.derivable(&stratum, h))
+            .cloned()
+            .collect();
+        self.db.insert_all(&rederived, |_| {});
 
         // Phase 3 — insert: the semi-naive worklist over inserted support
-        // (positive occurrences) and deleted support (negated
-        // occurrences), full semantics, cascading through new heads.
+        // (positive occurrences), deleted support (negated occurrences)
+        // and the rederived facts, full semantics, cascading through new
+        // heads.
         let mut added: FxSet<Fact> = fxset();
         let mut work: VecDeque<(Fact, bool)> = VecDeque::new();
         for i in &ins {
@@ -538,29 +677,13 @@ impl MaterializedView {
                 work.push_back((d.clone(), true));
             }
         }
+        work.extend(rederived.into_iter().map(|h| (h, false)));
         while let Some((x, via_neg)) = work.pop_front() {
-            for &ri in &stratum.rules {
-                let r = &self.program.rules[ri];
-                let mut cands: Vec<Fact> = Vec::new();
-                if via_neg {
-                    for a in &r.negated {
-                        if let Some(sig) = unify(a, &x) {
-                            cands.extend(full_candidate_heads(r, None, &sig, &self.db));
-                        }
-                    }
-                } else {
-                    for (j, a) in r.body.iter().enumerate() {
-                        if let Some(sig) = unify(a, &x) {
-                            cands.extend(full_candidate_heads(r, Some(j), &sig, &self.db));
-                        }
-                    }
-                }
-                for h in cands {
-                    if !self.db.contains(&h) {
-                        self.db.insert(h.clone());
-                        added.insert(h.clone());
-                        work.push_back((h, false));
-                    }
+            for h in self.stratum_heads(&stratum, &x, via_neg, true) {
+                if !self.db.contains(&h) {
+                    self.db.insert(h.clone());
+                    added.insert(h.clone());
+                    work.push_back((h, false));
                 }
             }
         }
@@ -589,22 +712,15 @@ impl MaterializedView {
     }
 
     /// Does any rule of `stratum` derive exactly `h` on the current
-    /// database (full semantics)?
+    /// database (full semantics)? One existence probe.
     fn derivable(&self, stratum: &DredStratum, h: &Fact) -> bool {
-        for &ri in &stratum.rules {
-            let r = &self.program.rules[ri];
-            if r.head.rel != h.rel {
-                continue;
-            }
-            let Some(sig) = unify(&r.head, h) else {
-                continue;
-            };
-            if !residual_valuations(&r.body, &r.negated, &r.inequalities, &sig, &self.db).is_empty()
-            {
-                return true;
-            }
-        }
-        false
+        #[cfg(test)]
+        tests::REDERIVE_PROBES.with(|c| c.set(c.get() + 1));
+        stratum.rules.iter().any(|&ri| {
+            self.plans[ri]
+                .as_ref()
+                .is_some_and(|plans| plans.derivations(h, &self.db) > 0)
+        })
     }
 
     fn stats(&self) -> ViewStats {
@@ -628,8 +744,12 @@ fn stratum_is_acyclic(p: &Program, stratum: &[usize], heads: &FxSet<RelId>) -> b
         let r = &p.rules[ri];
         for a in &r.body {
             if heads.contains(&a.rel) && edges.insert((a.rel, r.head.rel)) {
-                adj.get_mut(&a.rel).unwrap().push(r.head.rel);
-                *indeg.get_mut(&r.head.rel).unwrap() += 1;
+                adj.get_mut(&a.rel)
+                    .expect("body relation is a stratum head")
+                    .push(r.head.rel);
+                *indeg
+                    .get_mut(&r.head.rel)
+                    .expect("rule head is a stratum head") += 1;
             }
         }
     }
@@ -642,7 +762,7 @@ fn stratum_is_acyclic(p: &Program, stratum: &[usize], heads: &FxSet<RelId>) -> b
     while let Some(n) = queue.pop() {
         seen += 1;
         for &m in &adj[&n] {
-            let d = indeg.get_mut(&m).unwrap();
+            let d = indeg.get_mut(&m).expect("edge target is a stratum head");
             *d -= 1;
             if *d == 0 {
                 queue.push(m);
@@ -650,172 +770,6 @@ fn stratum_is_acyclic(p: &Program, stratum: &[usize], heads: &FxSet<RelId>) -> b
         }
     }
     seen == heads.len()
-}
-
-/// Match `f` against `atom`, binding its variables. `None` on mismatch.
-fn unify(atom: &Atom, f: &Fact) -> Option<Valuation> {
-    if atom.rel != f.rel || atom.terms.len() != f.args.len() {
-        return None;
-    }
-    let mut sig = Valuation::new();
-    for (t, &val) in atom.terms.iter().zip(&f.args) {
-        match t {
-            Term::Const(c) => {
-                if *c != val {
-                    return None;
-                }
-            }
-            Term::Var(x) => match sig.get(x) {
-                Some(prev) if prev != val => return None,
-                Some(_) => {}
-                None => {
-                    sig.bind(x.clone(), val);
-                }
-            },
-        }
-    }
-    Some(sig)
-}
-
-fn subst_term(t: &Term, sig: &Valuation) -> Term {
-    match t {
-        Term::Var(x) => sig.get(x).map_or_else(|| t.clone(), Term::Const),
-        Term::Const(_) => t.clone(),
-    }
-}
-
-fn subst_atom(a: &Atom, sig: &Valuation) -> Atom {
-    Atom::new(a.rel, a.terms.iter().map(|t| subst_term(t, sig)).collect())
-}
-
-fn dummy_head() -> Atom {
-    Atom::new(rel("__maint"), Vec::new())
-}
-
-/// Substitute `sig` into `ineqs`; fully-ground inequalities are decided
-/// here (the trie evaluator only re-checks them once a variable binds).
-/// `None` means some ground inequality is violated.
-fn subst_inequalities(ineqs: &[(Term, Term)], sig: &Valuation) -> Option<Vec<(Term, Term)>> {
-    let mut out = Vec::new();
-    for (s, t) in ineqs {
-        let (s2, t2) = (subst_term(s, sig), subst_term(t, sig));
-        match (s2.as_const(), t2.as_const()) {
-            (Some(a), Some(b)) => {
-                if a == b {
-                    return None;
-                }
-            }
-            _ => out.push((s2, t2)),
-        }
-    }
-    Some(out)
-}
-
-/// The satisfying valuations of a rule body under partial substitution
-/// `sig`: positives and negated atoms substituted, ground inequalities
-/// pre-decided, the rest enumerated by LeapFrog TrieJoin. `body` may be
-/// empty (everything substituted away): then the ground constraints are
-/// checked directly.
-fn residual_valuations(
-    body: &[Atom],
-    negated: &[Atom],
-    ineqs: &[(Term, Term)],
-    sig: &Valuation,
-    db: &Instance,
-) -> Vec<Valuation> {
-    let Some(ineqs) = subst_inequalities(ineqs, sig) else {
-        return Vec::new();
-    };
-    let body: Vec<Atom> = body.iter().map(|a| subst_atom(a, sig)).collect();
-    let negated: Vec<Atom> = negated.iter().map(|a| subst_atom(a, sig)).collect();
-    if body.is_empty() {
-        debug_assert!(ineqs.is_empty(), "residual inequality without body vars");
-        let blocked = negated.iter().any(|a| {
-            let f = a.as_fact().expect("ground negated atom in empty residual");
-            db.contains(&f)
-        });
-        return if blocked {
-            Vec::new()
-        } else {
-            vec![Valuation::new()]
-        };
-    }
-    let q = ConjunctiveQuery {
-        head: dummy_head(),
-        body,
-        negated,
-        inequalities: ineqs,
-    };
-    let order = wcoj_variable_order(&q, &[]);
-    satisfying_valuations_wcoj_ordered(&q, db, &order)
-}
-
-/// Ground `head` under the occurrence substitution and a residual
-/// valuation.
-fn ground_head(head: &Atom, sig: &Valuation, v: &Valuation) -> Fact {
-    let args = head
-        .terms
-        .iter()
-        .map(|t| match t {
-            Term::Const(c) => *c,
-            Term::Var(x) => sig
-                .get(x)
-                .or_else(|| v.get(x))
-                .expect("head variable bound by occurrence or residual"),
-        })
-        .collect();
-    Fact::new(head.rel, args)
-}
-
-/// Candidate heads of `r` whose derivations go through the occurrence
-/// bound by `sig` (`skip` = the matched positive atom, `None` for a
-/// negated occurrence). Negation checks are skipped — candidates are an
-/// over-approximation; the caller decides membership exactly.
-fn candidate_heads(
-    r: &ConjunctiveQuery,
-    skip: Option<usize>,
-    sig: &Valuation,
-    db: &Instance,
-) -> Vec<Fact> {
-    let body: Vec<Atom> = r
-        .body
-        .iter()
-        .enumerate()
-        .filter(|(k, _)| Some(*k) != skip)
-        .map(|(_, a)| a.clone())
-        .collect();
-    residual_valuations(&body, &[], &r.inequalities, sig, db)
-        .iter()
-        .map(|v| ground_head(&r.head, sig, v))
-        .collect()
-}
-
-/// Like [`candidate_heads`] but with full semantics (negation checked) —
-/// the DRed rederive/insert phases derive real facts, not candidates.
-fn full_candidate_heads(
-    r: &ConjunctiveQuery,
-    skip: Option<usize>,
-    sig: &Valuation,
-    db: &Instance,
-) -> Vec<Fact> {
-    let body: Vec<Atom> = r
-        .body
-        .iter()
-        .enumerate()
-        .filter(|(k, _)| Some(*k) != skip)
-        .map(|(_, a)| a.clone())
-        .collect();
-    residual_valuations(&body, &r.negated, &r.inequalities, sig, db)
-        .iter()
-        .map(|v| ground_head(&r.head, sig, v))
-        .collect()
-}
-
-/// The full-semantics satisfying valuations of one rule (no
-/// substitution), used to seed derivation counts at build time.
-fn enumerate_rule(r: &ConjunctiveQuery, db: &Instance) -> Vec<Valuation> {
-    let order = wcoj_variable_order(r, &[]);
-    satisfying_valuations_wcoj_ordered(r, db, &order)
 }
 
 /// Evaluate `p` once and install a maintained view in `base`'s view
@@ -882,6 +836,20 @@ mod tests {
     use crate::eval::eval_program_with;
     use crate::program::parse_program;
     use parlog_relal::fact::fact;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Rederive-phase existence probes made on this thread.
+        pub(super) static REDERIVE_PROBES: Cell<u64> = const { Cell::new(0) };
+        /// Facts overdeleted by DRed on this thread.
+        pub(super) static OVERDELETED: Cell<u64> = const { Cell::new(0) };
+        /// Database mutations made inside the counting drain.
+        pub(super) static DRAIN_WRITES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn take(counter: &'static std::thread::LocalKey<Cell<u64>>) -> u64 {
+        counter.with(|c| c.replace(0))
+    }
 
     fn assert_matches_scratch(p: &Program, base: &Instance, strategy: EvalStrategy) {
         let via_view = eval_program_with(p, base, strategy).unwrap();
@@ -1155,5 +1123,218 @@ mod tests {
         let stats = view_stats(&p, &db, EvalStrategy::Auto).unwrap();
         assert_eq!(stats.full_rebuilds, 0);
         assert_eq!(stats.incremental_applied, 3);
+    }
+
+    /// Clock-free guard on the retract path `view_churn` times: a chord
+    /// and two spurs retracted from a 64-chain in one batch (its fourth
+    /// group's). Rederive is one probe per overdeleted fact — the
+    /// iterate-to-fixpoint loop re-probed the set once per chain step
+    /// the alternatives lay behind (1 774 probes for 178 facts on one
+    /// such batch) — and the TC view, which has no counting rule, never
+    /// touches its database in the counting drain (the per-pop re-add
+    /// made 11 605 mutations there).
+    #[test]
+    fn chord_retraction_probes_each_overdeleted_fact_once() {
+        let p = parse_program("T(x,y) <- E(x,y)\nT(x,z) <- E(x,y), T(y,z)").unwrap();
+        let mut db = Instance::from_facts((1..64u64).map(|i| fact("E", &[i, i + 1])));
+        let extra = [
+            fact("E", &[27, 900_006]),
+            fact("E", &[30, 900_007]),
+            fact("E", &[25, 41]),
+        ];
+        for f in &extra {
+            db.insert(f.clone());
+        }
+        materialize(&p, &db, EvalStrategy::Auto).unwrap();
+        for f in &extra {
+            db.remove(f);
+        }
+        take(&REDERIVE_PROBES);
+        take(&OVERDELETED);
+        take(&DRAIN_WRITES);
+        assert_matches_scratch(&p, &db, EvalStrategy::Auto);
+        let (probes, over) = (take(&REDERIVE_PROBES), take(&OVERDELETED));
+        // T(x,y) for x ≤ 25 < 41 ≤ y, and everything below a spur.
+        assert_eq!(over, 25 * 24 + 27 + 30);
+        assert!(probes <= over, "{probes} rederive probes for {over} facts");
+        assert_eq!(take(&DRAIN_WRITES), 0);
+        let stats = view_stats(&p, &db, EvalStrategy::Auto).unwrap();
+        assert_eq!((stats.full_rebuilds, stats.incremental_applied), (0, 3));
+    }
+
+    /// The counting drain reads the refresh's deleted facts beside the
+    /// database instead of re-adding them: a batch that deletes both
+    /// supports of a join still retracts its head, and the drain's only
+    /// writes are the recounted heads themselves.
+    #[test]
+    fn counting_finds_heads_whose_supports_died_together() {
+        let p = parse_program("J(x,z) <- R(x,y), S(y,z)").unwrap();
+        let mut db =
+            Instance::from_facts([fact("R", &[1, 2]), fact("S", &[2, 3]), fact("R", &[4, 2])]);
+        materialize(&p, &db, EvalStrategy::Auto).unwrap();
+        db.remove(&fact("R", &[1, 2]));
+        db.remove(&fact("S", &[2, 3]));
+        take(&DRAIN_WRITES);
+        let out = eval_program_with(&p, &db, EvalStrategy::Auto).unwrap();
+        assert!(!out.contains(&fact("J", &[1, 3])) && !out.contains(&fact("J", &[4, 3])));
+        assert_matches_scratch(&p, &db, EvalStrategy::Auto);
+        // J(1,3) and J(4,3) retracted: two writes, none to find them.
+        assert_eq!(take(&DRAIN_WRITES), 2);
+    }
+
+    /// A constant inequality is decided once per rule, when the plans are
+    /// built: the leapfrog only re-checks one once a variable binds, and
+    /// an occurrence whose every variable is a parameter binds none.
+    #[test]
+    fn constant_inequalities_are_decided_at_build() {
+        let p = parse_program("H(x) <- R(x), 1 != 1\nG(x) <- R(x), 1 != 2").unwrap();
+        let mut db = Instance::from_facts([fact("R", &[1])]);
+        materialize(&p, &db, EvalStrategy::Indexed).unwrap();
+        db.insert(fact("R", &[2]));
+        db.remove(&fact("R", &[1]));
+        let out = eval_program_with(&p, &db, EvalStrategy::Indexed).unwrap();
+        assert!(out.contains(&fact("G", &[2])) && !out.contains(&fact("H", &[2])));
+        assert_eq!(out.len(), 2);
+        assert_matches_scratch(&p, &db, EvalStrategy::Indexed);
+    }
+
+    /// Occurrence plans agree with the residual evaluator they replaced
+    /// — substitute the occurrence's bindings, decide the ground
+    /// inequalities, run the leapfrog on the residual query in its own
+    /// order — in heads, multiplicity and seeks, on every occurrence of
+    /// rules with constants, repeated variables, negation and
+    /// inequalities.
+    #[test]
+    fn occurrence_plans_match_the_substituted_residual() {
+        use parlog_relal::opcount;
+        use parlog_relal::valuation::Valuation;
+
+        fn unify(atom: &Atom, f: &Fact) -> Option<Valuation> {
+            if atom.rel != f.rel || atom.terms.len() != f.args.len() {
+                return None;
+            }
+            let mut sig = Valuation::new();
+            for (t, &val) in atom.terms.iter().zip(&f.args) {
+                match t {
+                    Term::Const(c) if *c != val => return None,
+                    Term::Const(_) => {}
+                    Term::Var(x) => match sig.get(x) {
+                        Some(prev) if prev != val => return None,
+                        Some(_) => {}
+                        None => {
+                            sig.bind(x.clone(), val);
+                        }
+                    },
+                }
+            }
+            Some(sig)
+        }
+
+        fn substituted(
+            r: &ConjunctiveQuery,
+            skip: Option<usize>,
+            sig: &Valuation,
+            full: bool,
+        ) -> Option<ConjunctiveQuery> {
+            let subst = |t: &Term| match t {
+                Term::Var(x) => sig.get(x).map_or_else(|| t.clone(), Term::Const),
+                Term::Const(_) => t.clone(),
+            };
+            let atom = |a: &Atom| Atom::new(a.rel, a.terms.iter().map(subst).collect());
+            let mut inequalities = Vec::new();
+            for (s, t) in &r.inequalities {
+                let (s, t) = (subst(s), subst(t));
+                match (s.as_const(), t.as_const()) {
+                    (Some(a), Some(b)) if a == b => return None,
+                    (Some(_), Some(_)) => {}
+                    _ => inequalities.push((s, t)),
+                }
+            }
+            Some(ConjunctiveQuery {
+                head: atom(&r.head),
+                body: (0..r.body.len())
+                    .filter(|&k| Some(k) != skip)
+                    .map(|k| atom(&r.body[k]))
+                    .collect(),
+                negated: if full {
+                    r.negated.iter().map(atom).collect()
+                } else {
+                    Vec::new()
+                },
+                inequalities,
+            })
+        }
+
+        let p = parse_program(
+            "H(x,z) <- R(x,y), S(y,z), x != z, not T(z,x)
+             G(x) <- R(x,x), S(x,5), not T(x,1)
+             K(x,w) <- R(x,y), R(y,z), S(z,w), y != 3",
+        )
+        .unwrap();
+        let mut db = Instance::new();
+        for i in 0..6u64 {
+            for j in 0..6u64 {
+                if (i * 7 + j * 3) % 4 != 0 {
+                    db.insert(fact("R", &[i, j]));
+                }
+                if (i + 2 * j) % 3 != 1 {
+                    db.insert(fact("S", &[i, j]));
+                }
+                if (i * j) % 5 == 1 {
+                    db.insert(fact("T", &[i, j]));
+                }
+            }
+        }
+        // Layered stacks: a tail run and tombstones under every relation.
+        let _ = eval_program_with(&p, &db.clone(), EvalStrategy::Wcoj);
+        db.remove(&fact("R", &[1, 2]));
+        db.insert(fact("S", &[9, 5]));
+        db.remove(&fact("T", &[1, 1]));
+        let probes: Vec<Fact> = db.iter().cloned().collect();
+        for r in &p.rules {
+            let plans = RulePlans::new(r).unwrap();
+            let occurrences = std::iter::once((&plans.head, &r.head, None))
+                .chain(
+                    plans
+                        .pos
+                        .iter()
+                        .zip(&r.body)
+                        .enumerate()
+                        .map(|(j, (o, a))| (o, a, Some(j))),
+                )
+                .chain(plans.neg.iter().zip(&r.negated).map(|(o, a)| (o, a, None)));
+            for (o, at, skip) in occurrences {
+                for f in probes.iter().chain(std::iter::once(&fact("H", &[2, 4]))) {
+                    for full in [false, true] {
+                        opcount::reset();
+                        let mut got = Vec::new();
+                        o.heads(full, f, &[&db], &mut |v| got.push(o.ground(v)));
+                        let got_ops = opcount::reset();
+                        let sig = unify(at, f);
+                        let want = sig
+                            .as_ref()
+                            .and_then(|sig| substituted(r, skip, sig, full).map(|q| (q, sig)))
+                            .map_or_else(Vec::new, |(q, sig)| {
+                                let order = wcoj_variable_order(&q, &[]);
+                                let vs = parlog_relal::trie::satisfying_valuations_wcoj_ordered(
+                                    &q, &db, &order,
+                                );
+                                vs.iter()
+                                    .map(|v| {
+                                        let mut all = sig.clone();
+                                        v.iter().for_each(|(x, val)| {
+                                            all.bind(x.clone(), val);
+                                        });
+                                        all.derived_fact(r)
+                                    })
+                                    .collect()
+                            });
+                        let want_ops = opcount::reset();
+                        assert_eq!(got, want, "{r} via {at} from {f} full={full}");
+                        assert_eq!(got_ops, want_ops, "{r} via {at} from {f} full={full}");
+                    }
+                }
+            }
+        }
     }
 }

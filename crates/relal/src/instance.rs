@@ -337,28 +337,45 @@ impl Instance {
         Arc::clone(&layers.runs()[0])
     }
 
+    /// Bring every cached trie entry up to the current epoch, in place:
+    /// stale entries replay the delta log, current ones are stamped
+    /// forward. Touches the copy-on-write cache map only when some entry
+    /// is behind, so an instance whose cache is already current keeps
+    /// sharing it with the forks taken from it.
+    pub(crate) fn refresh_tries(&self) {
+        let mut guard = lock_recover(&self.tries);
+        let keys: Vec<(RelId, Vec<usize>)> = cache_keys(&guard)
+            .into_iter()
+            .filter(|(rel, perm)| {
+                cached(&guard, *rel, perm).is_some_and(|l| l.built_epoch < self.epoch)
+            })
+            .collect();
+        if keys.is_empty() {
+            return;
+        }
+        let cache = Arc::make_mut(&mut guard);
+        for (rel, perm) in keys {
+            self.refresh_entry(cache, rel, &perm);
+        }
+    }
+
     /// Seal the instance for concurrent lock-free reads: refresh every
-    /// cached trie entry to the current epoch, then publish the cache
-    /// `Arc` as an immutable alias that [`Instance::trie_layers`] reads
-    /// without locking. Any later mutation unseals automatically.
+    /// cached trie entry to the current epoch (`refresh_tries`), then
+    /// publish the cache `Arc` as an immutable alias that
+    /// [`Instance::trie_layers`] reads without locking. Any later mutation
+    /// unseals automatically.
     ///
-    /// Sealing is what [`crate::snapshot::SnapshotStore::publish`] does
-    /// to the copy-on-write clone it is about to expose as a snapshot:
-    /// after `seal`, arbitrarily many threads can evaluate against the
-    /// instance and the only synchronization they ever execute is the
-    /// `Arc` refcount — no mutex, no rebuild, no delta replay.
+    /// Sealing is what [`crate::snapshot::SnapshotStore::publish_with`]
+    /// does to the log-less fork it is about to expose as a snapshot
+    /// (after refreshing the writer's own cache, so the fork's is already
+    /// current): after `seal`, arbitrarily many threads can evaluate
+    /// against the instance and the only synchronization they ever
+    /// execute is the `Arc` refcount — no mutex, no rebuild, no delta
+    /// replay.
     pub fn seal(&mut self) {
         self.frozen_tries = None;
-        let frozen = {
-            let this: &Instance = &*self;
-            let mut guard = lock_recover(&this.tries);
-            let cache = Arc::make_mut(&mut guard);
-            for (rel, perm) in cache_keys(cache) {
-                this.refresh_entry(cache, rel, &perm);
-            }
-            Arc::clone(&guard)
-        };
-        self.frozen_tries = Some(frozen);
+        self.refresh_tries();
+        self.frozen_tries = Some(Arc::clone(&lock_recover(&self.tries)));
     }
 
     /// Is the instance sealed for lock-free reads (see [`Instance::seal`])?
@@ -382,16 +399,16 @@ impl Instance {
     /// (the runs inside are `Arc`-shared), so merging them on another
     /// thread never blocks this instance.
     pub fn compaction_candidates(&self) -> Vec<(RelId, Vec<usize>, TrieLayers)> {
-        let mut guard = lock_recover(&self.tries);
-        let cache = Arc::make_mut(&mut guard);
-        let mut out = Vec::new();
-        for (rel, perm) in cache_keys(cache) {
-            let layers = self.refresh_entry(cache, rel, &perm);
-            if layers.run_count() > 1 || layers.has_tombstones() {
-                out.push((rel, perm, layers.clone()));
-            }
-        }
-        out
+        self.refresh_tries();
+        let guard = lock_recover(&self.tries);
+        cache_keys(&guard)
+            .into_iter()
+            .filter_map(|(rel, perm)| {
+                let layers = cached(&guard, rel, &perm).expect("key of this cache");
+                (layers.run_count() > 1 || layers.has_tombstones())
+                    .then(|| (rel, perm, layers.clone()))
+            })
+            .collect()
     }
 
     /// Install an off-thread-compacted entry, iff it is still current:

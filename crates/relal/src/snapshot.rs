@@ -14,10 +14,19 @@
 //!   refreshed at publication (keyed by the consumer's opaque view key,
 //!   see `parlog-datalog`'s `view_key_for`);
 //! * a [`SnapshotStore`] owns the mutable **writer** instance and the
-//!   current snapshot. [`SnapshotStore::publish`] clones the writer
-//!   (O(1) for the trie cache — copy-on-write), seals the clone, swaps
-//!   it in as the new current snapshot and *then* bumps the generation
-//!   counter with a single release-store — the linearization point.
+//!   current snapshot. [`SnapshotStore::publish`] brings the writer's
+//!   cached tries up to date in place, forks a **log-less** copy of it
+//!   (facts and the copy-on-write trie cache, none of the writer's delta
+//!   history), seals the fork, swaps it in as the new current snapshot
+//!   and *then* bumps the generation counter with a single release-store
+//!   — the linearization point.
+//!
+//! A snapshot carries no delta log because nothing reads one: readers
+//! evaluate against facts and sealed tries, and a replica catches up by
+//! replaying the *writer's* log. Refreshing the tries on the writer,
+//! not on the fork, is what lets the fork go without the log — a stale
+//! entry on a log-less instance could only be rebuilt — and lets the
+//! next publication replay only the deltas since this one.
 //!
 //! Readers [`pin`](SnapshotStore::pin) a snapshot once and evaluate
 //! against it for as long as they like; concurrent publications never
@@ -37,6 +46,15 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// must not wedge every later caller).
 fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// The snapshot instance of `writer`: its cached tries refreshed in
+/// place, then a log-less fork of it, sealed.
+fn freeze(writer: &Instance) -> Instance {
+    writer.refresh_tries();
+    let mut frozen = writer.clone_without_log();
+    frozen.seal();
+    frozen
 }
 
 /// One immutable published version of the database: a sealed instance
@@ -106,15 +124,13 @@ pub struct SnapshotStore {
 impl SnapshotStore {
     /// Open a store over `initial`, publishing it as generation 0.
     pub fn new(initial: Instance) -> SnapshotStore {
-        let mut frozen = initial.clone();
-        frozen.seal();
         SnapshotStore {
-            writer: Mutex::new(initial),
             current: Mutex::new(Arc::new(Snapshot {
                 generation: 0,
-                instance: frozen,
+                instance: freeze(&initial),
                 view_outputs: fxmap(),
             })),
+            writer: Mutex::new(initial),
             generation: AtomicU64::new(0),
             publishes: AtomicU64::new(0),
         }
@@ -194,21 +210,24 @@ impl SnapshotStore {
     /// snapshot's views are already consistent and no reader ever pays
     /// the refresh).
     ///
-    /// The steps, in order: (1) copy-on-write clone of the writer —
-    /// O(1) for the trie cache; (2) seal the clone, refreshing every
-    /// cached trie to the writer's epoch; (3) swap the `current`
+    /// The steps, in order: (1) refresh the writer's cached tries in
+    /// place, replaying only the deltas since the last publication; (2)
+    /// fork the writer without its delta log and seal the fork — its
+    /// trie cache is the writer's, shared copy-on-write and already
+    /// current, so sealing only aliases it; (3) swap the `current`
     /// pointer; (4) **release-store the new generation** — the single
     /// store that makes the snapshot observable to the lock-free
     /// staleness probe, and hence the publication's linearization
-    /// point. Readers pinned to older generations are untouched.
+    /// point. Readers pinned to older generations are untouched. The
+    /// writer itself stays unsealed: compactors install merged runs
+    /// into it, which a sealed instance refuses.
     pub fn publish_with<F>(&self, views: F) -> Arc<Snapshot>
     where
         F: FnOnce(&Instance) -> FxMap<u64, Arc<Instance>>,
     {
         let writer = lock_recover(&self.writer);
         let view_outputs = views(&writer);
-        let mut frozen = writer.clone();
-        frozen.seal();
+        let frozen = freeze(&writer);
         let generation = self.generation.load(Ordering::Relaxed) + 1;
         let snap = Arc::new(Snapshot {
             generation,
@@ -292,6 +311,54 @@ mod tests {
         let layers = snap.instance().trie_layers(rel("R"), &[0, 1]);
         assert_eq!(layers.runs().iter().map(|r| r.rows()).sum::<usize>(), 2);
         assert_eq!(snap.instance().trie_builds(), 0);
+    }
+
+    /// A snapshot carries none of the writer's history, and its warm
+    /// tries were refreshed before the fork: the first read of a warm
+    /// permutation builds nothing, although a log-less instance could
+    /// only rebuild a stale entry.
+    #[test]
+    fn published_snapshots_carry_no_log_and_build_nothing() {
+        let store = triangle_store();
+        store.warm(rel("R"), &[0, 1]);
+        assert_eq!(store.pin().instance().delta_log_len(), 0);
+        for k in 10..14u64 {
+            store.mutate(|w| {
+                w.insert(fact("R", &[k, k + 1]));
+                w.remove(&fact("R", &[k, k + 1]));
+                w.insert(fact("R", &[k, k]));
+            });
+            let snap = store.publish();
+            assert_eq!(snap.instance().delta_log_len(), 0);
+            let layers = snap.instance().trie_layers(rel("R"), &[0, 1]);
+            assert_eq!(layers.built_epoch(), snap.epoch());
+            assert_eq!(snap.instance().trie_builds(), 0);
+        }
+        assert!(store.with_writer(|w| w.delta_log_len()) >= 12);
+    }
+
+    /// The tries are refreshed on the writer, which stays unsealed: after
+    /// any number of publications with no compactor in between, every
+    /// warm entry is current as of the writer's epoch — the next
+    /// publication replays only the deltas since this one.
+    #[test]
+    fn publishing_keeps_the_writers_warm_entries_current() {
+        let store = triangle_store();
+        store.warm(rel("R"), &[0, 1]);
+        store.warm(rel("S"), &[1, 0]);
+        for k in 0..5u64 {
+            store.mutate(|w| {
+                w.insert(fact("R", &[20 + k, k]));
+            });
+            store.publish();
+            store.with_writer(|w| {
+                assert!(!w.is_sealed());
+                for (r, perm) in [("R", [0, 1]), ("S", [1, 0])] {
+                    let layers = w.trie_layers(rel(r), &perm);
+                    assert_eq!(layers.built_epoch(), w.epoch(), "{r} after {k}");
+                }
+            });
+        }
     }
 
     #[test]

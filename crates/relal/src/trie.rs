@@ -38,10 +38,11 @@
 //!   endpoints are bound — exactly the contract of the backtracking
 //!   evaluator in [`crate::eval`], so the two agree fact-for-fact.
 
-use crate::atom::{Atom, Term, Var};
+use crate::atom::{Term, Var};
 use crate::fact::{Fact, Val};
 use crate::instance::Instance;
 use crate::query::ConjunctiveQuery;
+use crate::symbols::RelId;
 use crate::valuation::Valuation;
 use std::sync::Arc;
 
@@ -232,14 +233,17 @@ pub fn wcoj_variable_order(q: &ConjunctiveQuery, prefix: &[Var]) -> Vec<Var> {
 
 /// A query term resolved against the variable order: a constant, or the
 /// slot of its variable (its index in `order`, and in the binding vector).
-#[derive(Clone, Copy)]
-enum Slot {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Slot {
+    /// A constant.
     Const(Val),
+    /// The variable at this index of the order.
     Var(usize),
 }
 
 impl Slot {
-    fn of(t: &Term, order: &[Var]) -> Slot {
+    /// Resolve `t` against `order`; every variable must be in it.
+    pub fn of(t: &Term, order: &[Var]) -> Slot {
         match t {
             Term::Const(c) => Slot::Const(*c),
             Term::Var(v) => Slot::Var(
@@ -251,12 +255,238 @@ impl Slot {
         }
     }
 
+    /// The slot's value under the binding vector `vals`.
     #[inline]
-    fn value(self, vals: &[Val]) -> Val {
+    pub fn value(self, vals: &[Val]) -> Val {
         match self {
             Slot::Const(c) => c,
             Slot::Var(oi) => vals[oi],
         }
+    }
+}
+
+/// One positive body atom, compiled against the order: its trie's column
+/// permutation — fixed columns (constants and parameters) first by
+/// position, then variables by their place in the order, a repeated
+/// variable's columns adjacent — and the fixed columns' values, descended
+/// on entry.
+struct AtomPlan {
+    rel: RelId,
+    terms: Vec<Slot>,
+    cols: Vec<usize>,
+    fixed: Vec<Slot>,
+}
+
+/// A LeapFrog TrieJoin plan, compiled once and run any number of times:
+/// variable → slot, each atom's trie permutation and variable segments,
+/// the inequalities decidable at each level, the negated atoms' leaf
+/// probes. Only the instance-dependent part — which runs each atom's trie
+/// stack has — is resolved per run.
+///
+/// The first `params` variables of the order are **parameters**: bound by
+/// the caller on every run and descended like constants, never
+/// enumerated. That is the shape of an occurrence probe in view
+/// maintenance, where a changed fact binds some of a rule's variables and
+/// the rest of the body is the residual to enumerate; planning it once
+/// per occurrence, not once per changed fact, is what the parameters are
+/// for. A run with parameter values `p` makes exactly the seeks of the
+/// parameter-free plan of the query with `p` substituted for them, once
+/// the inequalities that makes ground are decided (here: on entry).
+pub struct LeapfrogPlan {
+    params: usize,
+    width: usize,
+    atoms: Vec<AtomPlan>,
+    /// One `(atom, level, first depth, end depth)` per variable of each
+    /// atom, in body order.
+    segments: Vec<(usize, usize, usize, usize)>,
+    negated: Vec<(RelId, Vec<Slot>)>,
+    /// Per level, the inequalities decidable once its variable binds.
+    ineqs: Vec<Vec<(Slot, Slot)>>,
+    /// Inequalities between parameters and constants, decided on entry.
+    entry_ineqs: Vec<(Slot, Slot)>,
+}
+
+impl LeapfrogPlan {
+    /// Compile `q`'s body for enumeration in `order`, whose first `params`
+    /// variables are parameters. Every body variable must be in `order`,
+    /// and every variable after the parameters in the body.
+    pub fn new(q: &ConjunctiveQuery, order: &[Var], params: usize) -> LeapfrogPlan {
+        debug_assert!(
+            {
+                let body = q.body_variables();
+                let mut o: Vec<&Var> = order.iter().collect();
+                o.sort();
+                o.dedup();
+                o.len() == order.len()
+                    && order[params..].iter().all(|v| body.contains(v))
+                    && body.iter().all(|v| order.contains(v))
+            },
+            "order must cover the body variables exactly once"
+        );
+        let mut segments = Vec::new();
+        let atoms = q
+            .body
+            .iter()
+            .enumerate()
+            .map(|(ai, atom)| {
+                let terms: Vec<Slot> = atom.terms.iter().map(|t| Slot::of(t, order)).collect();
+                let mut cols: Vec<usize> = (0..terms.len()).collect();
+                cols.sort_by_key(|&j| match terms[j] {
+                    Slot::Var(oi) if oi >= params => (1 + oi, j),
+                    _ => (0, j),
+                });
+                let mut fixed = Vec::new();
+                let mut d = 0;
+                while d < cols.len() {
+                    match terms[cols[d]] {
+                        Slot::Var(oi) if oi >= params => {
+                            let first = d;
+                            while d < cols.len() && terms[cols[d]] == Slot::Var(oi) {
+                                d += 1;
+                            }
+                            segments.push((ai, oi, first, d));
+                        }
+                        s => {
+                            fixed.push(s);
+                            d += 1;
+                        }
+                    }
+                }
+                AtomPlan {
+                    rel: atom.rel,
+                    terms,
+                    cols,
+                    fixed,
+                }
+            })
+            .collect();
+        let negated = q
+            .negated
+            .iter()
+            .map(|a| (a.rel, a.terms.iter().map(|t| Slot::of(t, order)).collect()))
+            .collect();
+        let mut ineqs = vec![Vec::new(); order.len()];
+        let mut entry_ineqs = Vec::new();
+        for (s, t) in &q.inequalities {
+            // Decidable at the deeper of its endpoints' levels; between
+            // parameters and constants, on entry. A constant pair sits at
+            // the first enumerated level: it is only re-checked once a
+            // variable binds (ROADMAP item 2a).
+            let pair = (Slot::of(s, order), Slot::of(t, order));
+            let level = |s: Slot| match s {
+                Slot::Const(_) => None,
+                Slot::Var(oi) => Some(oi),
+            };
+            match level(pair.0).max(level(pair.1)) {
+                Some(l) if l >= params => ineqs[l].push(pair),
+                Some(_) => entry_ineqs.push(pair),
+                None => ineqs.get_mut(params).into_iter().for_each(|l| l.push(pair)),
+            }
+        }
+        LeapfrogPlan {
+            params,
+            width: order.len(),
+            atoms,
+            segments,
+            negated,
+            ineqs,
+            entry_ineqs,
+        }
+    }
+
+    /// Enumerate the plan over the union of `instances` with the
+    /// parameters bound to `params`, handing every satisfying binding
+    /// vector (indexed like the order, parameters first) to `sink`.
+    ///
+    /// The first instance is the database; any further one is an
+    /// **overlay** read as extra LSM runs of the relations it holds — the
+    /// k-way merge cursor already treats a tuple repeated across runs as
+    /// one — and leaf membership (tombstones, negation) is decided against
+    /// the union. All cursor state is allocated before the enumeration
+    /// starts, so the enumeration itself allocates nothing.
+    pub fn run(&self, instances: &[&Instance], params: &[Val], sink: &mut dyn FnMut(&[Val])) {
+        debug_assert_eq!(params.len(), self.params, "one value per parameter");
+        let mut vals = vec![Val(0); self.width];
+        vals[..self.params].copy_from_slice(params);
+        if self
+            .entry_ineqs
+            .iter()
+            .any(|(s, t)| s.value(&vals) == t.value(&vals))
+        {
+            return;
+        }
+        // Sized for two runs per atom, the steady state under a compactor.
+        let depths: usize = self.atoms.iter().map(|a| a.cols.len() + 1).sum();
+        let mut plan = Plan {
+            instances,
+            runs: Vec::with_capacity(2 * self.atoms.len()),
+            levels: (0..self.width).map(|_| Vec::new()).collect(),
+            ineqs: &self.ineqs,
+        };
+        let mut cur = Cursors {
+            ranges: Vec::with_capacity(2 * depths),
+            slots: Vec::with_capacity(2 * self.segments.len()),
+            vals,
+            probes: Vec::new(),
+        };
+        let mut atom_runs = Vec::with_capacity(self.atoms.len());
+        for atom in &self.atoms {
+            let first_run = plan.runs.len();
+            let mut tombstoned = false;
+            for (k, instance) in instances.iter().enumerate() {
+                if k > 0 && instance.relation_len(atom.rel) == 0 {
+                    continue;
+                }
+                let layers = instance.trie_layers(atom.rel, &atom.cols);
+                for trie in layers.runs() {
+                    let base = cur.ranges.len();
+                    cur.ranges.resize(base + atom.cols.len() + 1, (0, 0));
+                    cur.ranges[base] = (0, trie.rows());
+                    plan.runs.push(Run {
+                        trie: Arc::clone(trie),
+                        base,
+                    });
+                }
+                tombstoned |= layers.has_tombstones();
+            }
+            if tombstoned {
+                cur.probes.push(Probe::new(atom.rel, &atom.terms, true));
+            }
+            atom_runs.push(first_run..plan.runs.len());
+        }
+        for &(ai, oi, first, end) in &self.segments {
+            let runs = atom_runs[ai].clone();
+            let slots = cur.slots.len();
+            cur.slots.resize(slots + runs.len(), (0, 0));
+            plan.levels[oi].push(Part {
+                runs,
+                first,
+                end,
+                slots,
+            });
+        }
+        for (rel, terms) in &self.negated {
+            cur.probes.push(Probe::new(*rel, terms, false));
+        }
+
+        // Descend every fixed column up front, in every run; an atom whose
+        // runs are all empty proves the query unsatisfiable on this
+        // instance (tombstones only ever shrink the answer further).
+        for (atom, runs) in self.atoms.iter().zip(atom_runs) {
+            let mut alive = false;
+            for run in &plan.runs[runs] {
+                let mut range = cur.ranges[run.base];
+                for (d, s) in atom.fixed.iter().enumerate() {
+                    range = run.trie.descend(d, range.0, range.1, s.value(&cur.vals));
+                    cur.ranges[run.base + d + 1] = range;
+                }
+                alive |= range.0 < range.1;
+            }
+            if !alive {
+                return;
+            }
+        }
+        intersect(&plan, &mut cur, self.params, sink);
     }
 }
 
@@ -281,55 +511,49 @@ struct Part {
     slots: usize,
 }
 
-/// One variable level: the atoms containing the variable, in body order,
-/// and the inequalities that become decidable once it is bound.
-#[derive(Default)]
-struct Level {
-    parts: Vec<Part>,
-    ineqs: Vec<(Slot, Slot)>,
-}
-
-/// An atom probed against the instance at the leaves, where it is ground:
-/// a body atom whose layers carry tombstones must be present (a dead
-/// tuple may linger in an old run), a negated atom absent. One scratch
-/// fact is refilled for every probe.
-struct Probe {
-    terms: Vec<Slot>,
+/// An atom probed against the instances at the leaves, where it is
+/// ground: a body atom whose layers carry tombstones must be present (a
+/// dead tuple may linger in an old run), a negated atom absent. One
+/// scratch fact is refilled for every probe.
+struct Probe<'a> {
+    terms: &'a [Slot],
     fact: Fact,
     present: bool,
 }
 
-impl Probe {
-    fn new(atom: &Atom, order: &[Var], present: bool) -> Probe {
+impl<'a> Probe<'a> {
+    fn new(rel: RelId, terms: &'a [Slot], present: bool) -> Probe<'a> {
         Probe {
-            terms: atom.terms.iter().map(|t| Slot::of(t, order)).collect(),
-            fact: Fact::new(atom.rel, vec![Val(0); atom.terms.len()]),
+            terms,
+            fact: Fact::new(rel, vec![Val(0); terms.len()]),
             present,
         }
     }
 
-    fn holds(&mut self, vals: &[Val], instance: &Instance) -> bool {
-        for (arg, t) in self.fact.args.iter_mut().zip(&self.terms) {
+    fn holds(&mut self, vals: &[Val], instances: &[&Instance]) -> bool {
+        for (arg, t) in self.fact.args.iter_mut().zip(self.terms) {
             *arg = t.value(vals);
         }
-        instance.contains(&self.fact) == self.present
+        instances.iter().any(|i| i.contains(&self.fact)) == self.present
     }
 }
 
-/// The compiled, immutable side of one enumeration.
+/// The instance-bound side of one run: the trie runs of every atom and,
+/// per variable level, the atoms containing the variable in body order.
 struct Plan<'a> {
-    instance: &'a Instance,
+    instances: &'a [&'a Instance],
     runs: Vec<Run>,
-    levels: Vec<Level>,
+    levels: Vec<Vec<Part>>,
+    ineqs: &'a [Vec<(Slot, Slot)>],
 }
 
 /// Everything the enumeration writes, allocated before it starts.
-struct Cursors {
+struct Cursors<'a> {
     ranges: Vec<(usize, usize)>,
     slots: Vec<(usize, usize)>,
     /// The binding vector, indexed like the variable order.
     vals: Vec<Val>,
-    probes: Vec<Probe>,
+    probes: Vec<Probe<'a>>,
 }
 
 /// Enumerate the satisfying valuations of `q` on `instance` with LeapFrog
@@ -340,8 +564,7 @@ struct Cursors {
 ///
 /// The valuations are exactly those of
 /// [`crate::eval::satisfying_valuations`] — same semantics, different
-/// asymptotics. The plan is compiled once per call (variable → slot,
-/// participants and decidable inequalities per level, leaf probes) and
+/// asymptotics. The plan is compiled once per call ([`LeapfrogPlan`]) and
 /// all cursor state is allocated up front, so the enumeration itself
 /// allocates nothing: a seek costs a seek. With a single-run,
 /// tombstone-free trie stack (the state of any freshly built cache entry)
@@ -354,114 +577,7 @@ pub fn leapfrog(
     order: &[Var],
     sink: &mut dyn FnMut(&[Val]),
 ) {
-    debug_assert_eq!(
-        {
-            let mut o: Vec<&Var> = order.iter().collect();
-            o.sort();
-            o.dedup();
-            o.len()
-        },
-        q.body_variables().len(),
-        "order must cover the body variables exactly once"
-    );
-    let mut plan = Plan {
-        instance,
-        runs: Vec::new(),
-        levels: order.iter().map(|_| Level::default()).collect(),
-    };
-    let mut cur = Cursors {
-        ranges: Vec::new(),
-        slots: Vec::new(),
-        vals: vec![Val(0); order.len()],
-        probes: Vec::new(),
-    };
-    // Per atom: its runs and the constants to descend, in depth order.
-    let mut atoms: Vec<(std::ops::Range<usize>, Vec<Val>)> = Vec::with_capacity(q.body.len());
-    for atom in &q.body {
-        let terms: Vec<Slot> = atom.terms.iter().map(|t| Slot::of(t, order)).collect();
-        // Column permutation: constants first (by position), then
-        // variables by their place in the global order; equal keys (a
-        // repeated variable) stay in position order, making its columns
-        // adjacent trie depths.
-        let mut cols: Vec<usize> = (0..terms.len()).collect();
-        cols.sort_by_key(|&j| match terms[j] {
-            Slot::Const(_) => (0, j),
-            Slot::Var(oi) => (1 + oi, j),
-        });
-        let layers = instance.trie_layers(atom.rel, &cols);
-        let first_run = plan.runs.len();
-        for trie in layers.runs() {
-            let base = cur.ranges.len();
-            cur.ranges.resize(base + cols.len() + 1, (0, 0));
-            cur.ranges[base] = (0, trie.rows());
-            plan.runs.push(Run {
-                trie: Arc::clone(trie),
-                base,
-            });
-        }
-        let runs = first_run..plan.runs.len();
-        let mut consts = Vec::new();
-        let mut d = 0;
-        while d < cols.len() {
-            match terms[cols[d]] {
-                Slot::Const(c) => {
-                    consts.push(c);
-                    d += 1;
-                }
-                Slot::Var(oi) => {
-                    let first = d;
-                    while d < cols.len() && matches!(terms[cols[d]], Slot::Var(o) if o == oi) {
-                        d += 1;
-                    }
-                    plan.levels[oi].parts.push(Part {
-                        runs: runs.clone(),
-                        first,
-                        end: d,
-                        slots: cur.slots.len(),
-                    });
-                    cur.slots.resize(cur.slots.len() + runs.len(), (0, 0));
-                }
-            }
-        }
-        if layers.has_tombstones() {
-            cur.probes.push(Probe::new(atom, order, true));
-        }
-        atoms.push((runs, consts));
-    }
-    for a in &q.negated {
-        cur.probes.push(Probe::new(a, order, false));
-    }
-    for (s, t) in &q.inequalities {
-        // Decidable at the deeper of its endpoints' levels (a constant
-        // pair at the first: it is only re-checked once a variable binds).
-        let pair = (Slot::of(s, order), Slot::of(t, order));
-        let bound_at = |s: Slot| match s {
-            Slot::Const(_) => 0,
-            Slot::Var(oi) => oi,
-        };
-        if let Some(l) = plan.levels.get_mut(bound_at(pair.0).max(bound_at(pair.1))) {
-            l.ineqs.push(pair);
-        }
-    }
-
-    // Descend every constant column up front, in every run; an atom whose
-    // runs are all empty proves the query unsatisfiable on this instance
-    // (tombstones only ever shrink the answer further).
-    for (runs, consts) in atoms {
-        let mut alive = false;
-        for run in &plan.runs[runs] {
-            let mut range = cur.ranges[run.base];
-            for (d, &c) in consts.iter().enumerate() {
-                range = run.trie.descend(d, range.0, range.1, c);
-                cur.ranges[run.base + d + 1] = range;
-            }
-            alive |= range.0 < range.1;
-        }
-        if !alive {
-            return;
-        }
-    }
-    intersect(&plan, &mut cur, 0, sink);
+    LeapfrogPlan::new(q, order, 0).run(&[instance], &[], sink);
 }
 
 /// Minimum depth-`d` value over the live runs of one participant (a run
@@ -480,23 +596,20 @@ fn min_live(runs: &[Run], slots: &[(usize, usize)], d: usize) -> Val {
 /// its live runs — and for each common value descend all of its columns
 /// in every run of every participating atom, recursing to the next level.
 fn intersect(plan: &Plan, cur: &mut Cursors, oi: usize, sink: &mut dyn FnMut(&[Val])) {
-    let Some(level) = plan.levels.get(oi) else {
+    let Some(parts) = plan.levels.get(oi) else {
         // Leaf: every positive atom fully descended and non-empty in some
         // run; inequalities were checked on the way down.
         let vals = &cur.vals;
-        if cur.probes.iter_mut().all(|p| p.holds(vals, plan.instance)) {
+        if cur.probes.iter_mut().all(|p| p.holds(vals, plan.instances)) {
             sink(vals);
         }
         return;
     };
-    debug_assert!(
-        !level.parts.is_empty(),
-        "safety: every variable is in an atom"
-    );
+    debug_assert!(!parts.is_empty(), "safety: every variable is in an atom");
     // Per participant, per run: the (pos, hi) cursor within the run's
     // current range at this level. A run with `pos == hi` is exhausted
     // (or was already empty at this subtree) and is skipped.
-    for part in &level.parts {
+    for part in parts {
         let mut alive = false;
         for (run, slot) in plan.runs[part.runs.clone()]
             .iter()
@@ -514,13 +627,13 @@ fn intersect(plan: &Plan, cur: &mut Cursors, oi: usize, sink: &mut dyn FnMut(&[V
         // current maximum value until all participants' minima agree (a
         // candidate) or one participant runs off every run's range.
         let mut max = Val(0);
-        for part in &level.parts {
+        for part in parts {
             let runs = &plan.runs[part.runs.clone()];
             max = max.max(min_live(runs, &cur.slots[part.slots..], part.first));
         }
         loop {
             let mut all_equal = true;
-            for part in &level.parts {
+            for part in parts {
                 let runs = &plan.runs[part.runs.clone()];
                 let slots = &mut cur.slots[part.slots..][..runs.len()];
                 let mut any_live = false;
@@ -549,7 +662,7 @@ fn intersect(plan: &Plan, cur: &mut Cursors, oi: usize, sink: &mut dyn FnMut(&[V
         // every run of every participant (repeated columns must also
         // equal x). Runs positioned past x get depth-aligned empty
         // ranges; the atom survives if any run still has rows.
-        let ok = level.parts.iter().all(|part| {
+        let ok = parts.iter().all(|part| {
             let mut atom_alive = false;
             for (run, &(p, h)) in plan.runs[part.runs.clone()]
                 .iter()
@@ -576,14 +689,14 @@ fn intersect(plan: &Plan, cur: &mut Cursors, oi: usize, sink: &mut dyn FnMut(&[V
         if ok {
             cur.vals[oi] = x;
             let differ = |(s, t): &(Slot, Slot)| s.value(&cur.vals) != t.value(&cur.vals);
-            if level.ineqs.iter().all(differ) {
+            if plan.ineqs[oi].iter().all(differ) {
                 intersect(plan, cur, oi + 1, sink);
             }
         }
 
         // Advance every run positioned at x past x's run; a participant
         // with no live runs left ends the level.
-        for part in &level.parts {
+        for part in parts {
             let mut any_live = false;
             for (run, slot) in plan.runs[part.runs.clone()]
                 .iter()
@@ -643,6 +756,7 @@ pub fn satisfying_valuations_wcoj(q: &ConjunctiveQuery, instance: &Instance) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::atom::Atom;
     use crate::eval::{eval_query, eval_query_naive, eval_query_wcoj};
     use crate::fact::fact;
     use crate::parser::parse_query;
@@ -1452,6 +1566,79 @@ mod tests {
                         }
                     }
                 }
+            }
+
+            /// A parameterised plan against the parameter-free plan of the
+            /// query with the parameter values substituted (and the
+            /// inequalities that makes ground decided first, as view
+            /// maintenance always did): the same bindings after the
+            /// parameters, in the same order, and the same seeks.
+            #[test]
+            fn parameters_run_like_substituted_constants(seed in 0..u64::MAX) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let q = random_query(&mut rng);
+                let mut prefix = q.body_variables();
+                for i in (1..prefix.len()).rev() {
+                    prefix.swap(i, rng.gen_range(0..i + 1));
+                }
+                let order = wcoj_variable_order(&q, &prefix);
+                let k = rng.gen_range(0..order.len() + 1);
+                let params: Vec<Val> = (0..k).map(|_| Val(rng.gen_range(0..DOM))).collect();
+                let mut db = Instance::new();
+                for r in RELS {
+                    for _ in 0..8 {
+                        db.insert(random_fact(&mut rng, r));
+                    }
+                }
+                // A second run and a tombstone under every relation.
+                let _ = eval_query_wcoj(&q, &db);
+                for r in RELS {
+                    let gone = db.relation(rel(r.0)).next().cloned();
+                    gone.iter().for_each(|f| { db.remove(f); });
+                    db.insert(random_fact(&mut rng, r));
+                }
+
+                let subst = |t: &Term| match t {
+                    Term::Var(v) => order[..k]
+                        .iter()
+                        .position(|w| w == v)
+                        .map_or_else(|| t.clone(), |i| Term::Const(params[i])),
+                    Term::Const(_) => t.clone(),
+                };
+                let atom = |a: &Atom| Atom::new(a.rel, a.terms.iter().map(subst).collect());
+                let bound = |t: &Term| matches!(t, Term::Var(v) if order[..k].contains(v));
+                let mut decided = true;
+                let mut inequalities = Vec::new();
+                for (s, t) in &q.inequalities {
+                    let (s2, t2) = (subst(s), subst(t));
+                    match (s2.as_const(), t2.as_const()) {
+                        (Some(a), Some(b)) if bound(s) || bound(t) => decided &= a != b,
+                        _ => inequalities.push((s2, t2)),
+                    }
+                }
+                let substituted = ConjunctiveQuery {
+                    head: q.head.clone(),
+                    body: q.body.iter().map(atom).collect(),
+                    negated: q.negated.iter().map(atom).collect(),
+                    inequalities,
+                };
+                let want = counted(|| {
+                    let mut rows = Vec::new();
+                    if decided {
+                        leapfrog(&substituted, &db, &order[k..], &mut |vals| rows.push(vals.to_vec()));
+                    }
+                    rows
+                });
+                let plan = LeapfrogPlan::new(&q, &order, k);
+                let got = counted(|| {
+                    let mut rows = Vec::new();
+                    plan.run(&[&db], &params, &mut |vals| {
+                        assert_eq!(&vals[..k], &params[..]);
+                        rows.push(vals[k..].to_vec());
+                    });
+                    rows
+                });
+                proptest::prop_assert_eq!(got, want, "{} with {} parameters", q, k);
             }
         }
     }

@@ -227,6 +227,28 @@ mod tests {
         assert_eq!(after.runs().iter().map(|r| r.rows()).sum::<usize>(), 4);
     }
 
+    /// Publication refreshes the writer's tries and leaves it unsealed,
+    /// so a compaction cycle right after a publish finds current stacks
+    /// and installs every merge.
+    #[test]
+    fn cycle_right_after_publish_installs_and_discards_nothing() {
+        let store = SnapshotStore::new(Instance::from_facts([fact("E", &[0, 1])]));
+        store.warm(rel("E"), &[0, 1]);
+        for k in 10..16u64 {
+            store.mutate(|w| {
+                w.insert(fact("E", &[k, k + 1]));
+            });
+            store.publish();
+            let mut c = VirtualCompactor::new();
+            c.cycle(&store);
+            let s = c.stats();
+            assert!(s.installed >= 1, "after publish {k}: {s:?}");
+            assert_eq!(s.discarded, 0);
+            let layers = store.with_writer(|w| w.trie_layers(rel("E"), &[0, 1]));
+            assert_eq!(layers.run_count(), 1);
+        }
+    }
+
     #[test]
     fn raced_merge_is_discarded_not_installed() {
         let store = store_with_stack();

@@ -134,8 +134,14 @@ fn two_thread_publish_pin_stress() {
     let base_len = 4;
     let publications = 200u64;
     let checks = AtomicU64::new(0);
+    // The readers pin generation 0 before the writer starts, so each one
+    // checks at least once however the threads are scheduled: 200
+    // publications take ≈ 3 ms in a debug build, less than a late
+    // reader's first time slice on a busy two-core host.
+    let start = std::sync::Barrier::new(3);
     std::thread::scope(|scope| {
         scope.spawn(|| {
+            start.wait();
             for k in 0..publications {
                 store.mutate(|w| {
                     w.insert(fact("W", &[k, k]));
@@ -147,6 +153,7 @@ fn two_thread_publish_pin_stress() {
             scope.spawn(|| {
                 let mut last_gen = 0u64;
                 let mut pinned = store.pin();
+                start.wait();
                 while pinned.generation() < publications {
                     check_pin(&store, base_len);
                     store.pin_if_newer(&mut pinned);

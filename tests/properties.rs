@@ -402,17 +402,20 @@ proptest! {
 
     /// Differential test of incremental view maintenance: a maintained
     /// fixpoint (counting for recursion-free strata, delete–rederive for
-    /// recursive ones), refreshed from the delta log after every random
-    /// insert/delete, is identical to from-scratch evaluation — for every
-    /// local-join strategy, on programs covering recursion, mutual
-    /// recursion, stratified negation over `ADom` complements, and
-    /// nonrecursive negation with inequalities. The views must stay
+    /// recursive ones), refreshed from the delta log after random
+    /// batches of inserts and deletes, is identical to from-scratch
+    /// evaluation — for every local-join strategy, on programs covering
+    /// recursion, mutual recursion, stratified negation over `ADom`
+    /// complements, and nonrecursive negation with inequalities. A
+    /// refresh settles its whole batch at once, so batches mix several
+    /// mutations, including a fact inserted then deleted and one deleted
+    /// then reinserted before the view sees either. The views must stay
     /// incremental: zero full rebuilds across the whole mutation run.
     #[test]
     fn maintained_views_match_scratch_eval(
         prog_idx in 0usize..5,
         init in prop::collection::vec((0..2u8, 0..4u64, 0..4u64), 0..10),
-        ops in prop::collection::vec((0..2u8, 0..2u8, 0..4u64, 0..4u64), 1..16),
+        ops in prop::collection::vec((0..2u8, 0..4u8, 0..4u64, 0..4u64, 0..3u8), 1..16),
     ) {
         use parlog::datalog::{eval_program_with, materialize, view_stats};
         use parlog::relal::eval::EvalStrategy;
@@ -443,12 +446,28 @@ proptest! {
         for s in strategies {
             materialize(&p, &db, s).unwrap();
         }
-        for (r, op, a, b) in ops {
+        let last = ops.len() - 1;
+        for (i, (r, op, a, b, cut)) in ops.into_iter().enumerate() {
             let f = fact(if r == 0 { "E" } else { "R" }, &[a, b]);
-            if op == 0 {
-                db.insert(f);
-            } else {
-                db.remove(&f);
+            match op {
+                0 => {
+                    db.insert(f);
+                }
+                1 => {
+                    db.remove(&f);
+                }
+                2 => {
+                    db.insert(f.clone());
+                    db.remove(&f);
+                }
+                _ => {
+                    db.remove(&f);
+                    db.insert(f);
+                }
+            }
+            // One op in three closes the batch; the last one always does.
+            if cut != 0 && i != last {
+                continue;
             }
             // A clone drops the views, so this is the from-scratch path.
             let scratch = eval_program_with(&p, &db.clone(), EvalStrategy::Indexed).unwrap();
@@ -588,5 +607,48 @@ proptest! {
             prop_assert_eq!(&rel_out, &expected);
             prop_assert!(rel_stats.coordination_messages() > 0);
         }
+    }
+}
+
+/// DRed's hard case for a one-pass rederive: a chord `E(6,8)` around the
+/// deleted edge `E(6,7)` on a 12-chain keeps every `TC(x,y)` with
+/// `x ≤ 6 < 8 ≤ y` derivable, but for `x < 6` the only alternative runs
+/// through `TC(x+1,y)`, itself overdeleted — up to six rederivation steps
+/// deep. One existence probe per overdeleted fact rederives `TC(6,·)`;
+/// the insertion rounds it seeds must bring back the rest. The batch also
+/// carries a spur inserted then deleted and a chain edge deleted then
+/// reinserted. All four strategies, no full rebuild.
+#[test]
+fn dred_rederives_alternatives_several_steps_deep() {
+    use parlog::datalog::{eval_program_with, materialize, view_stats};
+    use parlog::relal::eval::EvalStrategy;
+    use parlog::relal::fact::fact;
+    let p =
+        parlog::datalog::program::parse_program("TC(x,y) <- E(x,y)\nTC(x,y) <- E(x,z), TC(z,y)")
+            .unwrap();
+    let mut db = Instance::from_facts((0..12u64).map(|i| fact("E", &[i, i + 1])));
+    db.insert(fact("E", &[6, 8]));
+    let strategies = [
+        EvalStrategy::Naive,
+        EvalStrategy::Indexed,
+        EvalStrategy::Wcoj,
+        EvalStrategy::Auto,
+    ];
+    for s in strategies {
+        materialize(&p, &db, s).unwrap();
+    }
+    db.insert(fact("E", &[3, 100]));
+    db.remove(&fact("E", &[6, 7]));
+    db.remove(&fact("E", &[3, 100]));
+    db.remove(&fact("E", &[9, 10]));
+    db.insert(fact("E", &[9, 10]));
+    let scratch = eval_program_with(&p, &db.clone(), EvalStrategy::Indexed).unwrap();
+    assert!(scratch.contains(&fact("TC", &[0, 12])));
+    assert!(!scratch.contains(&fact("TC", &[0, 7])));
+    for s in strategies {
+        assert_eq!(eval_program_with(&p, &db, s).unwrap(), scratch, "{s:?}");
+        let stats = view_stats(&p, &db, s).unwrap();
+        assert_eq!(stats.full_rebuilds, 0, "{s:?}");
+        assert_eq!(stats.incremental_applied, 5, "{s:?}");
     }
 }
