@@ -24,7 +24,7 @@ fn bench_join_strategies(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("hypercube", p), &p, |b, &p| {
             let alg = HypercubeAlgorithm::new(&q, p).unwrap();
-            b.iter(|| alg.run(&db, 0));
+            b.iter(|| alg.run(&db));
         });
     }
     group.finish();

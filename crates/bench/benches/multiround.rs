@@ -19,7 +19,7 @@ fn bench_multiround(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("hypercube_triangle", |b| {
         let alg = HypercubeAlgorithm::new(&tri, p).unwrap();
-        b.iter(|| alg.run(&tdb, 0));
+        b.iter(|| alg.run(&tdb));
     });
     group.bench_function("cascade_triangle", |b| {
         let alg = CascadeJoin::new(&tri, p, 3);

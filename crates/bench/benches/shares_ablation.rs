@@ -34,11 +34,11 @@ fn bench_shares(c: &mut Criterion) {
     db.extend_from(&datagen::uniform_relation("S", 1000, 400, 2));
     group.bench_function("optimal_shares_run", |b| {
         let hc = HypercubeAlgorithm::with_shares(&q, Shares::optimal(&q, 64).unwrap(), 9);
-        b.iter(|| hc.run(&db, 0));
+        b.iter(|| hc.run(&db));
     });
     group.bench_function("uniform_shares_run", |b| {
         let hc = HypercubeAlgorithm::with_shares(&q, Shares::uniform(&q, 64), 9);
-        b.iter(|| hc.run(&db, 0));
+        b.iter(|| hc.run(&db));
     });
     group.finish();
 }

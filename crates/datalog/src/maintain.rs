@@ -205,20 +205,18 @@ struct RulePlans {
 }
 
 impl RulePlans {
-    /// `None` for a rule with a false constant inequality: it never fires.
-    fn new(r: &ConjunctiveQuery) -> Option<RulePlans> {
-        let r = decide_ground_inequalities(r)?;
-        Some(RulePlans {
-            head: Occurrence::new(&r, &r.head, None),
+    fn new(r: &ConjunctiveQuery) -> RulePlans {
+        RulePlans {
+            head: Occurrence::new(r, &r.head, None),
             pos: (0..r.body.len())
-                .map(|j| Occurrence::new(&r, &r.body[j], Some(j)))
+                .map(|j| Occurrence::new(r, &r.body[j], Some(j)))
                 .collect(),
             neg: r
                 .negated
                 .iter()
-                .map(|a| Occurrence::new(&r, a, None))
+                .map(|a| Occurrence::new(r, a, None))
                 .collect(),
-        })
+        }
     }
 
     /// The heads derived through positive (`via_neg = false`) or negated
@@ -243,22 +241,6 @@ impl RulePlans {
         self.head.heads(true, h, &[db], &mut |_| n += 1);
         n
     }
-}
-
-/// `r` with its constant–constant inequalities decided (the leapfrog
-/// only re-checks those once a variable binds): `None` if one is false.
-fn decide_ground_inequalities(r: &ConjunctiveQuery) -> Option<ConjunctiveQuery> {
-    let mut r = r.clone();
-    let mut ok = true;
-    r.inequalities
-        .retain(|(s, t)| match (s.as_const(), t.as_const()) {
-            (Some(a), Some(b)) => {
-                ok &= a != b;
-                false
-            }
-            _ => true,
-        });
-    ok.then_some(r)
 }
 
 /// Mutable per-refresh state: the counting cascade queue, the ordered
@@ -311,8 +293,8 @@ pub struct MaterializedView {
     adom_refs: FxMap<Val, i64>,
     counting_rules: Vec<usize>,
     dred: Vec<DredStratum>,
-    /// Per rule, its prepared occurrences (`None`: the rule never fires).
-    plans: Vec<Option<RulePlans>>,
+    /// Per rule, its prepared occurrences.
+    plans: Vec<RulePlans>,
     idb_rels: FxSet<RelId>,
     /// The base overlapped IDB/`ADom` relations at build time; every
     /// refresh degrades to a full rebuild (still correct, never fast).
@@ -380,10 +362,8 @@ impl MaterializedView {
             .expect("program stratified at materialize time");
         self.counts.clear();
         for &ri in &self.counting_rules {
-            let Some(r) = decide_ground_inequalities(&self.program.rules[ri]) else {
-                continue;
-            };
-            wcoj_heads(&r, &self.db, &wcoj_variable_order(&r, &[]), |h| {
+            let r = &self.program.rules[ri];
+            wcoj_heads(r, &self.db, &wcoj_variable_order(r, &[]), |h| {
                 *self.counts.entry(h).or_insert(0) += 1;
             });
         }
@@ -511,10 +491,8 @@ impl MaterializedView {
             let mut cands: Vec<Fact> = Vec::new();
             let union = [&self.db, &ctx.graveyard];
             for &ri in &self.counting_rules {
-                if let Some(plans) = &self.plans[ri] {
-                    plans.heads_through(&f, false, false, &union, &mut cands);
-                    plans.heads_through(&f, true, false, &union, &mut cands);
-                }
+                self.plans[ri].heads_through(&f, false, false, &union, &mut cands);
+                self.plans[ri].heads_through(&f, true, false, &union, &mut cands);
             }
             cands.sort_unstable();
             cands.dedup();
@@ -545,8 +523,7 @@ impl MaterializedView {
     fn recount(&self, h: &Fact) -> i64 {
         self.counting_rules
             .iter()
-            .filter_map(|&ri| self.plans[ri].as_ref())
-            .map(|plans| plans.derivations(h, &self.db))
+            .map(|&ri| self.plans[ri].derivations(h, &self.db))
             .sum()
     }
 
@@ -561,9 +538,7 @@ impl MaterializedView {
     ) -> Vec<Fact> {
         let mut out = Vec::new();
         for &ri in &stratum.rules {
-            if let Some(plans) = &self.plans[ri] {
-                plans.heads_through(x, via_neg, full, &[&self.db], &mut out);
-            }
+            self.plans[ri].heads_through(x, via_neg, full, &[&self.db], &mut out);
         }
         out
     }
@@ -716,11 +691,10 @@ impl MaterializedView {
     fn derivable(&self, stratum: &DredStratum, h: &Fact) -> bool {
         #[cfg(test)]
         tests::REDERIVE_PROBES.with(|c| c.set(c.get() + 1));
-        stratum.rules.iter().any(|&ri| {
-            self.plans[ri]
-                .as_ref()
-                .is_some_and(|plans| plans.derivations(h, &self.db) > 0)
-        })
+        stratum
+            .rules
+            .iter()
+            .any(|&ri| self.plans[ri].derivations(h, &self.db) > 0)
     }
 
     fn stats(&self) -> ViewStats {
@@ -1182,11 +1156,11 @@ mod tests {
         assert_eq!(take(&DRAIN_WRITES), 2);
     }
 
-    /// A constant inequality is decided once per rule, when the plans are
-    /// built: the leapfrog only re-checks one once a variable binds, and
-    /// an occurrence whose every variable is a parameter binds none.
+    /// A constant inequality is decided on entry to every probe, even
+    /// through an occurrence whose every variable is a parameter (one
+    /// that binds no variable).
     #[test]
-    fn constant_inequalities_are_decided_at_build() {
+    fn constant_inequalities_are_decided_on_entry() {
         let p = parse_program("H(x) <- R(x), 1 != 1\nG(x) <- R(x), 1 != 2").unwrap();
         let mut db = Instance::from_facts([fact("R", &[1])]);
         materialize(&p, &db, EvalStrategy::Indexed).unwrap();
@@ -1292,7 +1266,7 @@ mod tests {
         db.remove(&fact("T", &[1, 1]));
         let probes: Vec<Fact> = db.iter().cloned().collect();
         for r in &p.rules {
-            let plans = RulePlans::new(r).unwrap();
+            let plans = RulePlans::new(r);
             let occurrences = std::iter::once((&plans.head, &r.head, None))
                 .chain(
                     plans

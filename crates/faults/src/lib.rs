@@ -757,15 +757,6 @@ impl FaultInjector {
         Some(self.rng.gen_range(0..=len))
     }
 
-    /// The crash event (if any) scheduled for `node` at exactly `step`.
-    pub fn crash_at(&self, node: usize, step: usize) -> Option<CrashEvent> {
-        self.plan
-            .crashes
-            .iter()
-            .copied()
-            .find(|c| c.node == node && c.at_step == step)
-    }
-
     /// The underlying plan.
     pub fn plan(&self) -> &FaultPlan {
         &self.plan

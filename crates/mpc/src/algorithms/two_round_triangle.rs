@@ -272,7 +272,7 @@ mod tests {
         let db = datagen::triangle_heavy_db(600, 100, 7);
         let q = triangle_query();
         let two = TwoRoundTriangle::new(64, 7).run(&db);
-        let one = HypercubeAlgorithm::new(&q, 64).unwrap().run(&db, 0);
+        let one = HypercubeAlgorithm::new(&q, 64).unwrap().run(&db);
         assert_eq!(one.output, two.output);
         // m/p^{1/2} with m = 1800, p = 64 is 225; the two-round algorithm
         // must stay in that regime (generous 2× allowance for hashing

@@ -42,8 +42,9 @@
 //!
 //! ## Network partitions (hold-and-flush)
 //!
-//! With a [`PartitionPlan`] installed (via [`MpcFaultPlan::partitioned`]),
-//! epoch clocks are read as **committed-round indices**: while an epoch is
+//! With a [`PartitionPlan`](parlog_faults::PartitionPlan) installed (via
+//! [`MpcFaultPlan::partitioned`]), epoch clocks are read as
+//! **committed-round indices**: while an epoch is
 //! open, a fact routed across a severed server link is *held at the
 //! source* instead of delivered — a new delivery fate distinct from loss.
 //! Held copies flush in the first communication round at or after the

@@ -21,7 +21,6 @@ use parlog_relal::fact::Fact;
 use parlog_relal::instance::Instance;
 use parlog_relal::query::ConjunctiveQuery;
 use parlog_relal::simplex::LpError;
-use parlog_trace::TraceHandle;
 
 /// The one-round HyperCube algorithm for a conjunctive query.
 #[derive(Debug, Clone)]
@@ -132,38 +131,23 @@ impl HypercubeAlgorithm {
         out
     }
 
-    /// Run the one-round algorithm on `db`, starting from a round-robin
-    /// initial partition. Returns the output and the load report.
-    pub fn run(&self, db: &Instance, seed: u64) -> RunReport {
-        self.run_with_parallelism(db, seed, 1)
+    /// Run the one-round algorithm on `db` on a fresh cluster, starting
+    /// from a round-robin initial partition. Returns the output and the
+    /// load report.
+    pub fn run(&self, db: &Instance) -> RunReport {
+        self.run_on(&mut Cluster::new(self.servers()), db)
     }
 
-    /// [`HypercubeAlgorithm::run`] on a cluster with `threads` worker
-    /// threads per phase ([`Cluster::with_parallelism`]). The report is
-    /// byte-identical to the sequential one for every `threads` value.
-    pub fn run_with_parallelism(&self, db: &Instance, _seed: u64, threads: usize) -> RunReport {
-        self.run_traced(db, _seed, threads, &TraceHandle::off())
-    }
-
-    /// [`HypercubeAlgorithm::run_with_parallelism`] with an attached
-    /// trace: phase spans, the per-round load histogram and comm
-    /// counters are delivered to the handle's sink
-    /// ([`Cluster::with_trace`]). `TraceHandle::off()` reproduces the
-    /// untraced run exactly.
-    pub fn run_traced(
-        &self,
-        db: &Instance,
-        _seed: u64,
-        threads: usize,
-        trace: &TraceHandle,
-    ) -> RunReport {
-        let mut cluster = Cluster::new(self.servers())
-            .with_parallelism(threads)
-            .with_trace(trace.clone());
-        seed_cluster(&mut cluster, db, InitialPartition::RoundRobin);
+    /// [`HypercubeAlgorithm::run`] on a caller-prepared fresh cluster of
+    /// [`HypercubeAlgorithm::servers`] servers (parallelism, trace and
+    /// fault plans pre-installed). The report is byte-identical for every
+    /// worker-thread count.
+    pub fn run_on(&self, cluster: &mut Cluster, db: &Instance) -> RunReport {
+        assert_eq!(cluster.p(), self.servers(), "cluster sized for the shares");
+        seed_cluster(cluster, db, InitialPartition::RoundRobin);
         cluster.communicate(|f| self.destinations(f));
         cluster.compute_query(&self.query, self.strategy);
-        RunReport::from_cluster("hypercube", &cluster, db.len())
+        RunReport::from_cluster("hypercube", cluster, db.len())
     }
 }
 
@@ -192,7 +176,7 @@ mod tests {
         let q = triangle();
         let db = datagen::triangle_db(200, 40, 7);
         let hc = HypercubeAlgorithm::new(&q, 27).unwrap();
-        let report = hc.run(&db, 0);
+        let report = hc.run(&db);
         assert_eq!(report.output, parlog_relal::eval::eval_query(&q, &db));
     }
 
@@ -204,7 +188,7 @@ mod tests {
         db.extend_from(&datagen::matching_relation("S", 600, 2000));
         db.extend_from(&datagen::matching_relation("T", 600, 4000));
         let hc = HypercubeAlgorithm::new(&q, 64).unwrap();
-        let report = hc.run(&db, 0);
+        let report = hc.run(&db);
         let m = db.len();
         // Theory: per-relation load ≈ m_R/p^{2/3} · 3 relations; allow slack.
         let bound = 3 * (600.0 / 16.0_f64).ceil() as usize * 3;
@@ -234,7 +218,7 @@ mod tests {
             parlog_relal::fact::fact("R", &[2, 3]),
             parlog_relal::fact::fact("R", &[3, 4]),
         ]);
-        let out = hc.run(&db, 0).output;
+        let out = hc.run(&db).output;
         assert_eq!(out, parlog_relal::eval::eval_query(&q, &db));
     }
 
@@ -282,9 +266,9 @@ mod tests {
         let q = triangle();
         let db = datagen::triangle_db(300, 50, 11);
         let hc = HypercubeAlgorithm::new(&q, 27).unwrap();
-        let seq = hc.run(&db, 0);
+        let seq = hc.run(&db);
         for threads in [2, 4, 16] {
-            let par = hc.run_with_parallelism(&db, 0, threads);
+            let par = hc.run_on(&mut Cluster::new(27).with_parallelism(threads), &db);
             assert_eq!(par.output, seq.output);
             assert_eq!(
                 serde_json::to_string(&par.stats).unwrap(),

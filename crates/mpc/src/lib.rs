@@ -37,7 +37,7 @@
 //!
 //! let q = parse_query("H(x,y,z) <- R(x,y), S(y,z), T(z,x)").unwrap();
 //! let db = parlog_mpc::datagen::triangle_heavy_db(300, 40, 7);
-//! let report = HypercubeAlgorithm::new(&q, 64).unwrap().run(&db, 1);
+//! let report = HypercubeAlgorithm::new(&q, 64).unwrap().run(&db);
 //! assert_eq!(report.output, eval_query(&q, &db));
 //! // Skew-free triangle: max load ≈ m / p^{2/3}.
 //! assert!(report.stats.max_load < db.len());

@@ -28,7 +28,6 @@ use parlog_relal::eval::EvalStrategy;
 use parlog_relal::fact::{Fact, Val};
 use parlog_relal::instance::Instance;
 use parlog_relal::query::ConjunctiveQuery;
-use parlog_trace::TraceHandle;
 
 /// A heavy pattern: an assignment of heavy values to a subset of the
 /// query's variables.
@@ -154,29 +153,28 @@ impl SharesSkewAlgorithm {
         out
     }
 
-    /// Run the one-round algorithm.
+    /// Number of servers addressed: one block per pattern.
+    pub fn servers(&self) -> usize {
+        self.patterns.len() * self.block
+    }
+
+    /// Run the one-round algorithm on a fresh cluster.
     pub fn run(&self, db: &Instance) -> RunReport {
-        self.run_with_parallelism(db, 1)
+        self.run_on(&mut Cluster::new(self.servers()), db)
     }
 
-    /// [`SharesSkewAlgorithm::run`] with `threads` workers per phase —
-    /// the report is byte-identical to the sequential one.
-    pub fn run_with_parallelism(&self, db: &Instance, threads: usize) -> RunReport {
-        self.run_traced(db, threads, &TraceHandle::off())
-    }
-
-    /// [`SharesSkewAlgorithm::run_with_parallelism`] with an attached
-    /// trace, honoring the configured [`EvalStrategy`] in the
-    /// computation phase like every other algorithm.
-    pub fn run_traced(&self, db: &Instance, threads: usize, trace: &TraceHandle) -> RunReport {
-        let p = self.patterns.len() * self.block;
-        let mut cluster = Cluster::new(p)
-            .with_parallelism(threads)
-            .with_trace(trace.clone());
-        seed_cluster(&mut cluster, db, InitialPartition::RoundRobin);
+    /// [`SharesSkewAlgorithm::run`] on a caller-prepared fresh cluster of
+    /// [`SharesSkewAlgorithm::servers`] servers (parallelism, trace and
+    /// fault plans pre-installed), honoring the configured
+    /// [`EvalStrategy`] in the computation phase like every other
+    /// algorithm. The report is byte-identical for every worker-thread
+    /// count.
+    pub fn run_on(&self, cluster: &mut Cluster, db: &Instance) -> RunReport {
+        assert_eq!(cluster.p(), self.servers(), "cluster sized for the blocks");
+        seed_cluster(cluster, db, InitialPartition::RoundRobin);
         cluster.communicate(|f| self.destinations(f));
         cluster.compute_query(&self.query, self.strategy);
-        RunReport::from_cluster("shares-skew", &cluster, db.len())
+        RunReport::from_cluster("shares-skew", cluster, db.len())
     }
 }
 
@@ -224,7 +222,7 @@ mod tests {
         let skew_aware = SharesSkewAlgorithm::from_stats(&q, &db, 64, 100, 4, 3);
         let plain = crate::hypercube::HypercubeAlgorithm::new(&q, 64).unwrap();
         let rs = skew_aware.run(&db);
-        let rp = plain.run(&db, 0);
+        let rp = plain.run(&db);
         assert_eq!(rs.output, rp.output);
         assert!(
             rs.stats.max_load < rp.stats.max_load,

@@ -57,7 +57,7 @@ use parlog_relal::fact::{Fact, Val};
 use parlog_relal::instance::Instance;
 use parlog_relal::packing::fractional_edge_packing;
 use parlog_relal::query::ConjunctiveQuery;
-use parlog_trace::{LoadBound, LoadBoundPart, TraceHandle};
+use parlog_trace::{LoadBound, LoadBoundPart};
 
 /// Tuning knobs for [`SkewAdaptiveJoin::from_stats`].
 #[derive(Debug, Clone)]
@@ -473,25 +473,12 @@ impl SkewAdaptiveJoin {
 
     /// Run on a fresh cluster.
     pub fn run(&self, db: &Instance) -> RunReport {
-        self.run_with_parallelism(db, 1)
-    }
-
-    /// [`SkewAdaptiveJoin::run`] with `threads` workers per phase — the
-    /// report is byte-identical to the sequential one.
-    pub fn run_with_parallelism(&self, db: &Instance, threads: usize) -> RunReport {
-        self.run_traced(db, threads, &TraceHandle::off())
-    }
-
-    /// [`SkewAdaptiveJoin::run_with_parallelism`] with an attached trace.
-    pub fn run_traced(&self, db: &Instance, threads: usize, trace: &TraceHandle) -> RunReport {
-        let mut cluster = Cluster::new(self.p)
-            .with_parallelism(threads)
-            .with_trace(trace.clone());
-        self.run_on(&mut cluster, db)
+        self.run_on(&mut Cluster::new(self.p), db)
     }
 
     /// Run on a caller-prepared cluster (fault plans, speculation,
-    /// parallelism and traces pre-installed). The cluster must be fresh:
+    /// parallelism and traces pre-installed); the report is byte-identical
+    /// for every worker-thread count. The cluster must be fresh:
     /// the engine keeps the input on per-server storage shards (the
     /// model's "disk") and re-sends each wave's cohort from there.
     pub fn run_on(&self, cluster: &mut Cluster, db: &Instance) -> RunReport {
@@ -712,7 +699,7 @@ mod tests {
         let alg = SkewAdaptiveJoin::from_stats(&q, &db, p, SkewConfig::default());
         let plain = HypercubeAlgorithm::new(&q, p).unwrap();
         let rs = alg.run(&db);
-        let rp = plain.run(&db, 0);
+        let rp = plain.run(&db);
         assert_eq!(rs.output, rp.output);
         assert!(
             rs.stats.max_load < rp.stats.max_load,
@@ -757,7 +744,7 @@ mod tests {
         let alg = SkewAdaptiveJoin::from_stats(&q, &db, 16, SkewConfig::default());
         let seq = alg.run(&db);
         for threads in [2, 4, 8] {
-            let par = alg.run_with_parallelism(&db, threads);
+            let par = alg.run_on(&mut Cluster::new(16).with_parallelism(threads), &db);
             assert_eq!(par.output, seq.output);
             assert_eq!(
                 serde_json::to_string(&par.stats).unwrap(),

@@ -31,7 +31,10 @@ fn traced_hypercube_json(db: &Instance, threads: usize) -> String {
     let q = triangle();
     let hc = HypercubeAlgorithm::new(&q, 27).unwrap();
     let sink = Arc::new(MemSink::new());
-    hc.run_traced(db, 0, threads, &TraceHandle::to(sink.clone()));
+    let mut cluster = Cluster::new(hc.servers())
+        .with_parallelism(threads)
+        .with_trace(TraceHandle::to(sink.clone()));
+    hc.run_on(&mut cluster, db);
     serde_json::to_string(&sink.report()).unwrap()
 }
 

@@ -135,7 +135,7 @@ proptest! {
         let one_round = SharesSkewAlgorithm::from_stats(&q, &db, 8, threshold, 3, seed).run(&db);
         prop_assert_eq!(&one_round.output, &expected, "shares-skew diverged");
 
-        let plain = HypercubeAlgorithm::new(&q, 8).unwrap().run(&db, seed);
+        let plain = HypercubeAlgorithm::new(&q, 8).unwrap().run(&db);
         prop_assert_eq!(&plain.output, &expected, "plain hypercube diverged");
     }
 

@@ -50,14 +50,14 @@ fn hypercube_strategies_agree_at_every_thread_count() {
     let baseline = HypercubeAlgorithm::new(&q, 27)
         .unwrap()
         .with_strategy(EvalStrategy::Indexed)
-        .run(&db, 0);
+        .run(&db);
     assert_eq!(baseline.output, reference);
     for strategy in STRATEGIES {
         let hc = HypercubeAlgorithm::new(&q, 27)
             .unwrap()
             .with_strategy(strategy);
         for threads in [1, 2, 4] {
-            let report = hc.run_with_parallelism(&db, 0, threads);
+            let report = hc.run_on(&mut Cluster::new(27).with_parallelism(threads), &db);
             assert_eq!(
                 report.output, baseline.output,
                 "output diverged: {strategy:?} threads={threads}"
@@ -124,8 +124,8 @@ fn grouped_and_repartition_strategies_agree() {
 #[test]
 fn shares_skew_strategies_agree_at_every_thread_count() {
     // Regression witness for the PR 9 bugfix: `SharesSkewAlgorithm::run`
-    // used to bypass the EvalStrategy / with_parallelism / trace plumbing
-    // with a hand-rolled indexed join.
+    // used to bypass the EvalStrategy / parallelism / trace plumbing with
+    // a hand-rolled indexed join.
     let q = path_skewed();
     let db = skewed_db();
     let reference = eval_query(&q, &db);
@@ -133,9 +133,10 @@ fn shares_skew_strategies_agree_at_every_thread_count() {
     assert_eq!(baseline.output, reference);
     for strategy in STRATEGIES {
         for threads in [1, 2, 4] {
-            let report = SharesSkewAlgorithm::from_stats(&q, &db, 16, 40, 4, 2)
-                .with_strategy(strategy)
-                .run_with_parallelism(&db, threads);
+            let alg =
+                SharesSkewAlgorithm::from_stats(&q, &db, 16, 40, 4, 2).with_strategy(strategy);
+            let mut cluster = Cluster::new(alg.servers()).with_parallelism(threads);
+            let report = alg.run_on(&mut cluster, &db);
             assert_eq!(
                 report.output, baseline.output,
                 "output diverged: {strategy:?} threads={threads}"
@@ -160,7 +161,7 @@ fn skew_adaptive_strategies_agree_at_every_thread_count() {
         for threads in [1, 2, 4] {
             let report = SkewAdaptiveJoin::from_stats(&q, &db, 16, SkewConfig::default())
                 .with_strategy(strategy)
-                .run_with_parallelism(&db, threads);
+                .run_on(&mut Cluster::new(16).with_parallelism(threads), &db);
             assert_eq!(
                 report.output, baseline.output,
                 "output diverged: {strategy:?} threads={threads}"

@@ -174,30 +174,6 @@ impl RaExpr {
         }
     }
 
-    /// The base relations mentioned (with arities).
-    pub fn base_relations(&self) -> Vec<(RelId, usize)> {
-        let mut out = Vec::new();
-        fn walk(e: &RaExpr, out: &mut Vec<(RelId, usize)>) {
-            match e {
-                RaExpr::Rel(r, k) => out.push((*r, *k)),
-                RaExpr::Select(e, _) | RaExpr::Project(e, _) => walk(e, out),
-                RaExpr::Product(l, r)
-                | RaExpr::Join(l, r, _)
-                | RaExpr::Semijoin(l, r, _)
-                | RaExpr::Antijoin(l, r, _)
-                | RaExpr::Union(l, r)
-                | RaExpr::Difference(l, r) => {
-                    walk(l, out);
-                    walk(r, out);
-                }
-            }
-        }
-        walk(self, &mut out);
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     /// Is the expression in the **semijoin algebra** (no join, product or
     /// difference — the fragment the survey’s reference \[47\] shows
     /// expressible with constant-memory reducers)?

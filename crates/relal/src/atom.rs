@@ -48,14 +48,6 @@ impl Term {
         Term::Const(v.into())
     }
 
-    /// The variable inside, if any.
-    pub fn as_var(&self) -> Option<&Var> {
-        match self {
-            Term::Var(v) => Some(v),
-            Term::Const(_) => None,
-        }
-    }
-
     /// The constant inside, if any.
     pub fn as_const(&self) -> Option<Val> {
         match self {

@@ -15,24 +15,6 @@ use std::collections::BTreeMap;
 /// source query to terms (variables or constants) of the target query.
 pub type Homomorphism = BTreeMap<Var, Term>;
 
-/// Apply a homomorphism to a term (constants map to themselves). `None`
-/// when the term is a variable outside the homomorphism's domain.
-pub fn apply_hom(h: &Homomorphism, t: &Term) -> Option<Term> {
-    match t {
-        Term::Const(_) => Some(t.clone()),
-        Term::Var(v) => h.get(v).cloned(),
-    }
-}
-
-/// Apply a homomorphism to an atom.
-pub fn atom_image(h: &Homomorphism, a: &Atom) -> Option<Atom> {
-    let mut terms = Vec::with_capacity(a.terms.len());
-    for t in &a.terms {
-        terms.push(apply_hom(h, t)?);
-    }
-    Some(Atom::new(a.rel, terms))
-}
-
 /// Find a homomorphism from `from` to `to`: a variable mapping `h` such
 /// that `h(body_from) ⊆ body_to` (as atom sets) and `h(head_from) =
 /// head_to`. Constants map to themselves.

@@ -100,13 +100,6 @@ impl JoinTree {
         order.reverse();
         order
     }
-
-    /// Nodes in a top-down (parents before children) order.
-    pub fn top_down(&self) -> Vec<usize> {
-        let mut o = self.bottom_up();
-        o.reverse();
-        o
-    }
 }
 
 /// GYO reduction: repeatedly remove *ears*. An edge `e` is an ear if there

@@ -39,7 +39,7 @@ pub struct CompactionJob {
     pub rel: RelId,
     /// The trie's column permutation.
     pub perm: Vec<usize>,
-    /// The (merged, after [`merge`](VirtualCompactor::merge)) stack.
+    /// The (merged, after [`tick_merge`](VirtualCompactor::tick_merge)) stack.
     pub layers: TrieLayers,
 }
 

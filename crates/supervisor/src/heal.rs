@@ -128,7 +128,7 @@ pub fn heal_hypercube_crash(
         return Err(HealError::DeadOutOfRange { dead, p_eff });
     }
     // The fault-free baseline: output and loads.
-    let clean = algo.run(db, 0);
+    let clean = algo.run(db);
     // The crashed run: same distribution, then the dead server's cell is
     // re-replicated to the least-loaded survivor before computation.
     let mut cluster = Cluster::new(p_eff);

@@ -13,7 +13,7 @@
 //!   truncated past the replica's epoch (the replica fell too far
 //!   behind, or is brand new): adopt the primary's full durable state,
 //!   the same move `SimRun::adopt_shard` performs when a survivor
-//!   adopts a dead node's shard ([`crate::supervise`] uses it as the
+//!   adopts a dead node's shard ([`crate::supervise()`] uses it as the
 //!   heal action; here it is the bootstrap/resync action).
 //!
 //! Equality of replica and primary after catch-up is checkable for free

@@ -2,8 +2,8 @@
 //!
 //! [`TraceReport`] is the **deterministic** section — virtual clocks,
 //! load histograms, counters, timeline. For a deterministic workload it
-//! is byte-identical across reruns *and across thread counts*, so CI
-//! double-run diff jobs can compare it verbatim. [`WallReport`] is the
+//! is byte-identical across reruns *and across thread counts*, so a
+//! committed record can be compared with it verbatim. [`WallReport`] is the
 //! **wall-clock** section — machine-dependent span timings, segregated
 //! here so they never leak into the deterministic bytes.
 

@@ -63,7 +63,7 @@ fn main() {
     ));
     let plain = parlog::mpc::HypercubeAlgorithm::new(&join, 64)
         .unwrap()
-        .run(&skew, 0);
+        .run(&skew);
     let aware = SharesSkewAlgorithm::from_stats(&join, &skew, 64, 100, 4, 3);
     let ra = aware.run(&skew);
     println!("  heavy patterns detected: {}", aware.pattern_count());

@@ -61,7 +61,7 @@ fn main() {
     let db = datagen::triangle_db(3000, 300, 5);
     print_report(
         "hypercube",
-        &HypercubeAlgorithm::new(&tri, p).unwrap().run(&db, 0),
+        &HypercubeAlgorithm::new(&tri, p).unwrap().run(&db),
     );
     print_report(
         "cascade (Ex 3.1(2))",
@@ -73,7 +73,7 @@ fn main() {
     let heavy = datagen::triangle_heavy_db(3000, 500, 9);
     print_report(
         "hypercube (1 round)",
-        &HypercubeAlgorithm::new(&tri, p).unwrap().run(&heavy, 0),
+        &HypercubeAlgorithm::new(&tri, p).unwrap().run(&heavy),
     );
     let mut cas = CascadeJoin::new(&tri, p, 9);
     cas.order = vec![0, 1, 2];

@@ -22,7 +22,7 @@ fn main() {
     let db = datagen::triangle_db(3000, 200, 42);
     let m = db.len();
     let hc = HypercubeAlgorithm::new(&triangle, 64).unwrap();
-    let report = hc.run(&db, 0);
+    let report = hc.run(&db);
     assert_eq!(report.output, eval_query(&triangle, &db));
     println!("HyperCube, p = {}:", report.stats.p);
     println!("  shares            = {:?}", hc.shares().shares);

@@ -43,7 +43,7 @@ fn two_atom_algorithms_agree_everywhere() {
             let runs = vec![
                 RepartitionJoin::new(&q, p, 3).run(&db),
                 GroupedJoin::new(&q, p, 3).run(&db),
-                HypercubeAlgorithm::new(&q, p).unwrap().run(&db, 0),
+                HypercubeAlgorithm::new(&q, p).unwrap().run(&db),
                 CascadeJoin::new(&q, p, 3).run(&db),
                 BalancedCascade::new(&q, p, 3).run(&db),
             ];
@@ -69,7 +69,7 @@ fn triangle_algorithms_agree_everywhere() {
         let expected = eval_query(&q, &db);
         for p in [2usize, 9, 16] {
             let runs = vec![
-                HypercubeAlgorithm::new(&q, p).unwrap().run(&db, 0),
+                HypercubeAlgorithm::new(&q, p).unwrap().run(&db),
                 CascadeJoin::new(&q, p, 5).run(&db),
                 BalancedCascade::new(&q, p, 5).run(&db),
                 TwoRoundTriangle::new(p, 5).run(&db),
@@ -106,7 +106,7 @@ fn acyclic_algorithms_agree_everywhere() {
                     DistributedYannakakis::new(&q, p, 1).run(&db),
                     Gym::new(&q, p, 1).run(&db),
                     CascadeJoin::new(&q, p, 1).run(&db),
-                    HypercubeAlgorithm::new(&q, p).unwrap().run(&db, 0),
+                    HypercubeAlgorithm::new(&q, p).unwrap().run(&db),
                 ];
                 for r in runs {
                     assert_eq!(
@@ -137,7 +137,7 @@ fn self_join_queries_agree() {
         let expected = eval_query(&q, &db);
         for p in [3usize, 8] {
             let runs = vec![
-                HypercubeAlgorithm::new(&q, p).unwrap().run(&db, 0),
+                HypercubeAlgorithm::new(&q, p).unwrap().run(&db),
                 CascadeJoin::new(&q, p, 9).run(&db),
                 DistributedYannakakis::new(&q, p, 9).run(&db),
             ];
@@ -158,7 +158,7 @@ fn loads_respect_model_bounds() {
     let m = db.len();
     for p in [4usize, 16] {
         for r in [
-            HypercubeAlgorithm::new(&q, p).unwrap().run(&db, 0),
+            HypercubeAlgorithm::new(&q, p).unwrap().run(&db),
             Gym::new(&q, p, 2).run(&db),
             TwoRoundTriangle::new(p, 2).run(&db),
         ] {

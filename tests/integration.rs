@@ -102,7 +102,7 @@ fn all_triangle_algorithms_agree() {
         datagen::triangle_heavy_db(300, 100, 2),
     ] {
         let expected = eval_query(&q, &db);
-        let hc = HypercubeAlgorithm::new(&q, 16).unwrap().run(&db, 0);
+        let hc = HypercubeAlgorithm::new(&q, 16).unwrap().run(&db);
         let cas = CascadeJoin::new(&q, 16, 4).run(&db);
         let two = TwoRoundTriangle::new(16, 4).run(&db);
         let gym = Gym::new(&q, 16, 4).run(&db);

@@ -73,7 +73,7 @@ fn example_3_2() {
     assert_eq!(hc.shares().shares, vec![3, 3, 3]);
     assert_eq!(hc.destinations(&fact("R", &[5, 6])).len(), 3);
     let db = datagen::triangle_db(120, 25, 2);
-    assert_eq!(hc.run(&db, 0).output, eval_query(&q, &db));
+    assert_eq!(hc.run(&db).output, eval_query(&q, &db));
 }
 
 /// **Example 4.1** — `[Qe,P1](Ie)` correct, `[Qe,P2](Ie) = ∅` (modulo

@@ -55,7 +55,7 @@ proptest! {
     fn hypercube_is_correct(db in small_instance(20, 6), p in 2usize..20) {
         let q = parse_query("H(x,y,z) <- R(x,y), S(y,z)").unwrap();
         let hc = HypercubeAlgorithm::new(&q, p).unwrap();
-        prop_assert_eq!(hc.run(&db, 0).output, eval_query(&q, &db));
+        prop_assert_eq!(hc.run(&db).output, eval_query(&q, &db));
     }
 
     /// The grouped join is correct and its load never exceeds what a
@@ -306,57 +306,102 @@ proptest! {
 
 /// Strategy: a random conjunctive query over binary atoms of R, S, E —
 /// cyclic and acyclic shapes, self-joins, repeated variables and
-/// constants all arise. The first term is forced to be a variable so the
-/// head (all body variables) is never empty.
+/// constants all arise — with up to two inequalities, constant–constant
+/// pairs included. The head is every body variable; one body in three
+/// has none (a Boolean head), the shape on which the trie engine once
+/// dropped a false constant pair.
 fn random_cq() -> impl Strategy<Value = parlog::relal::query::ConjunctiveQuery> {
-    prop::collection::vec((0..3u8, 0..6u8, 0..6u8), 1..4).prop_map(|atoms| {
-        let term = |t: u8| -> String {
-            match t {
-                0 => "x".into(),
-                1 => "y".into(),
-                2 => "z".into(),
-                3 => "w".into(),
-                other => format!("{}", other - 4), // a constant: 0 or 1
+    (
+        prop::collection::vec((0..3u8, 0..6u8, 0..6u8), 1..4),
+        prop::collection::vec((0..6u8, 0..6u8), 0..3),
+        0..3u8,
+    )
+        .prop_map(|(mut atoms, inequalities, ground)| {
+            if ground == 0 {
+                for (_, a, b) in &mut atoms {
+                    (*a, *b) = (4 + *a % 2, 4 + *b % 2);
+                }
             }
-        };
-        let body: Vec<String> = atoms
-            .iter()
-            .enumerate()
-            .map(|(i, &(r, a, b))| {
-                let rel = ["R", "S", "E"][r as usize];
-                // Force the very first term to a variable: guarantees a
-                // non-empty, safe head.
-                let ta = if i == 0 { term(a % 4) } else { term(a) };
-                format!("{rel}({ta}, {})", term(b))
-            })
-            .collect();
-        let mut head: Vec<String> = atoms
-            .iter()
-            .enumerate()
-            .flat_map(|(i, &(_, a, b))| {
-                let ta = if i == 0 { a % 4 } else { a };
-                [ta, b]
-            })
-            .filter(|&t| t < 4)
-            .map(term)
-            .collect();
-        head.sort();
-        head.dedup();
-        let src = format!("H({}) <- {}", head.join(","), body.join(", "));
-        parse_query(&src).unwrap()
-    })
+            let term = |t: u8| -> String {
+                match t {
+                    0 => "x".into(),
+                    1 => "y".into(),
+                    2 => "z".into(),
+                    3 => "w".into(),
+                    other => format!("{}", other - 4), // a constant: 0 or 1
+                }
+            };
+            let mut literals: Vec<String> = atoms
+                .iter()
+                .map(|&(r, a, b)| {
+                    format!("{}({}, {})", ["R", "S", "E"][r as usize], term(a), term(b))
+                })
+                .collect();
+            let mut head: Vec<String> = atoms
+                .iter()
+                .flat_map(|&(_, a, b)| [a, b])
+                .filter(|&t| t < 4)
+                .map(term)
+                .collect();
+            head.sort();
+            head.dedup();
+            // An inequality's variable must occur in the body: else a
+            // constant stands in.
+            let side = |t: u8| match term(t) {
+                v if t < 4 && !head.contains(&v) => term(4 + t % 2),
+                v => v,
+            };
+            literals.extend(
+                inequalities
+                    .iter()
+                    .map(|&(s, t)| format!("{} != {}", side(s), side(t))),
+            );
+            let src = format!("H({}) <- {}", head.join(","), literals.join(", "));
+            parse_query(&src).unwrap()
+        })
+}
+
+/// `H() <- R(1,2), 3 != 3` on `{R(1,2)}`: a false constant–constant
+/// inequality empties the answer under every strategy — the trie engine
+/// included, though it enumerates no variable to check the pair at — and
+/// a true one is no constraint.
+#[test]
+fn ground_inequalities_decide_every_engine() {
+    use parlog::relal::eval::{eval_query_with, EvalStrategy};
+    let db = Instance::from_facts([parlog::relal::fact::fact("R", &[1, 2])]);
+    for (src, rows) in [
+        ("H() <- R(1,2), 3 != 3", 0),
+        ("H() <- R(1,2), 3 != 4", 1),
+        ("H(x) <- R(x,2), 3 != 3", 0),
+        ("H(x) <- R(x,2), 3 != 4", 1),
+    ] {
+        let q = parse_query(src).unwrap();
+        for strategy in [
+            EvalStrategy::Naive,
+            EvalStrategy::Indexed,
+            EvalStrategy::Wcoj,
+            EvalStrategy::Auto,
+        ] {
+            assert_eq!(
+                eval_query_with(&q, &db, strategy).len(),
+                rows,
+                "{strategy:?} on {src}"
+            );
+        }
+    }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Differential test of the three evaluators: on random conjunctive
     /// queries (cyclic, acyclic, self-joins, repeated variables,
-    /// constants) × random instances, the naive, hash-indexed and
+    /// constants, variable-free bodies, inequalities) × random instances,
+    /// the naive, hash-indexed and
     /// worst-case-optimal (LeapFrog TrieJoin) strategies all produce the
     /// same output.
     #[test]
-    fn strategies_agree_on_random_cqs(q in random_cq(), db in small_instance(16, 4)) {
+    fn strategies_agree_on_random_cqs(q in random_cq(), db in small_instance(24, 3)) {
         use parlog::relal::eval::{eval_query_naive, eval_query_with, EvalStrategy};
         let reference = eval_query_naive(&q, &db);
         for strategy in [
