@@ -7,14 +7,12 @@
 //! `datalog_ablation` quantifies against the naive fixpoint.
 
 use crate::program::{Program, ProgramError, ADOM};
-use parlog_relal::atom::Var;
-use parlog_relal::eval::{satisfying_valuations_indexed, EvalStrategy, Indexed};
+use parlog_relal::eval::{EvalStrategy, Indexed, QueryPlan};
 use parlog_relal::fact::Fact;
 use parlog_relal::fastmap::{fxset, FxMap};
 use parlog_relal::instance::Instance;
 use parlog_relal::query::ConjunctiveQuery;
 use parlog_relal::symbols::{rel, RelId};
-use parlog_relal::trie::{wcoj_heads, wcoj_variable_order};
 
 /// Add the built-in `ADom` facts: one per active-domain value of the EDB
 /// plus every constant in the program.
@@ -40,20 +38,12 @@ pub(crate) fn strip_adom(db: &mut Instance) {
     }
 }
 
-/// A rule, the strategy it resolved to, and its Wcoj prefix hint.
-type Resolved<'r> = (&'r ConjunctiveQuery, EvalStrategy, &'r [Var]);
-
-/// The facts `rules` derive that `db` does not hold yet, each once, in
-/// derivation order, each rule under its *resolved* strategy (resolving
-/// `Auto` runs GYO on the body — once per stratum, not once per round).
-/// `prefix` is the delta-outermost hint for the Wcoj path: the variables
-/// of the rewritten delta atom become the outermost trie levels, so the
-/// leapfrog enumerates the (small) delta first and the rest of the body
-/// only under its bindings — the trie-side analogue of semi-naive's
-/// "start from the new facts" — and its head rows come straight from the
-/// bindings.
-fn new_facts<'r>(
-    rules: impl Iterator<Item = Resolved<'r>>,
+/// The facts `plans` derive that `db` does not hold yet, each once, in
+/// derivation order. Backtracker plans read `index`, which covers their
+/// [`QueryPlan::index_rels`] — the stratum's relations and its Δ
+/// relations.
+fn new_facts<'p>(
+    plans: impl IntoIterator<Item = &'p QueryPlan>,
     db: &Instance,
     index: Option<&Indexed>,
 ) -> Vec<Fact> {
@@ -64,19 +54,21 @@ fn new_facts<'r>(
             out.push(f);
         }
     };
-    for (r, resolved, prefix) in rules {
-        match resolved {
-            EvalStrategy::Wcoj => wcoj_heads(r, db, &wcoj_variable_order(r, prefix), &mut keep),
-            // `Naive` has no valuation-level entry point distinct from
-            // the backtracker, and the indexed backtracker is the same
-            // semantics (the differential property tests pin all three
-            // evaluators together).
-            _ => satisfying_valuations_indexed(r, db, index.expect("index built for this stratum"))
-                .iter()
-                .for_each(|v| keep(v.derived_fact(r))),
-        }
+    for plan in plans {
+        plan.run(db, index, &mut keep);
     }
     out
+}
+
+/// The strategy a fixpoint compiles its rules under. A round reads its
+/// Δ from an index or the tries, never by enumerating the active
+/// domain, so `Naive` rounds run the backtracker (the differential
+/// tests pin every strategy to one fixpoint).
+fn round_strategy(strategy: EvalStrategy) -> EvalStrategy {
+    match strategy {
+        EvalStrategy::Naive => EvalStrategy::Indexed,
+        s => s,
+    }
 }
 
 /// Evaluate `p` on `edb` with stratified semi-naive evaluation. The result
@@ -85,11 +77,11 @@ pub fn eval_program(p: &Program, edb: &Instance) -> Result<Instance, ProgramErro
     eval_program_with(p, edb, EvalStrategy::Indexed)
 }
 
-/// [`eval_program`] with an explicit local-join [`EvalStrategy`]: the
-/// strategy is resolved once per rule per stratum (a delta rewrite
-/// resolves like its rule); the Wcoj path evaluates each delta variant
-/// with the delta atom's variables as the outermost trie levels. All
-/// strategies produce the same fixpoint.
+/// [`eval_program`] with an explicit local-join [`EvalStrategy`]: every
+/// rule and every delta rewrite is compiled into a [`QueryPlan`] once per
+/// stratum; the Wcoj path evaluates each delta variant with the delta
+/// atom's variables as the outermost trie levels. All strategies produce
+/// the same fixpoint.
 ///
 /// When a maintained view for `(p, strategy)` is installed on `edb` (see
 /// [`crate::maintain::materialize`]), the fixpoint is refreshed from the
@@ -144,9 +136,9 @@ pub fn eval_program_snapshot(
 
 /// The stratified semi-naive fixpoint, `ADom` helper facts included when
 /// `with_adom` (always, for the state [`crate::maintain`] tracks). A round
-/// costs its delta: the positional index is built once per stratum and
-/// every accepted fact is appended to it, so nothing inside the `while`
-/// is proportional to `db`.
+/// costs its delta: the rule plans are compiled and the positional index
+/// is built once per stratum, every accepted fact is appended to it, so
+/// nothing inside the `while` is proportional to `db`.
 pub(crate) fn fixpoint(
     p: &Program,
     edb: &Instance,
@@ -154,6 +146,10 @@ pub(crate) fn fixpoint(
     with_adom: bool,
 ) -> Result<Instance, ProgramError> {
     let strat = p.stratify()?;
+    let compile = |q: &ConjunctiveQuery, prefix: &[_]| {
+        QueryPlan::new(std::slice::from_ref(q), round_strategy(strategy), prefix)
+            .map_err(ProgramError::UnsafeRule)
+    };
     let mut db = edb.clone();
     if with_adom {
         add_adom(&mut db, p);
@@ -161,7 +157,10 @@ pub(crate) fn fixpoint(
 
     for stratum in &strat.rule_strata {
         let rules: Vec<&ConjunctiveQuery> = stratum.iter().map(|&i| &p.rules[i]).collect();
-        let resolved: Vec<EvalStrategy> = rules.iter().map(|r| strategy.resolve(r)).collect();
+        let initial: Vec<QueryPlan> = rules
+            .iter()
+            .map(|r| compile(r, &[]))
+            .collect::<Result<_, _>>()?;
         let recursive: Vec<RelId> = {
             let mut v: Vec<RelId> = rules.iter().map(|r| r.head.rel).collect();
             v.sort_unstable();
@@ -177,43 +176,31 @@ pub(crate) fn fixpoint(
             .collect();
         let delta_of = |r: RelId| delta_ids[&r];
 
-        // Body relations of every rule plus their delta variants: one
-        // shared index per stratum covers all rules and all delta rewrites.
-        let body_rels: Vec<RelId> = {
-            let mut v: Vec<RelId> = rules
-                .iter()
-                .flat_map(|r| r.body.iter().map(|a| a.rel))
-                .collect();
-            v.extend(recursive.iter().map(|&r| delta_of(r)));
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
-
-        // The delta variants of each rule, precomputed once per stratum
-        // (one rewrite per recursive body atom), each with its delta
-        // atom's variables — the Wcoj outermost-level hint. The rewrite
-        // only renames a body relation, so a variant resolves (acyclicity,
+        // The delta variants of each rule, compiled once per stratum (one
+        // rewrite per recursive body atom), each with its delta atom's
+        // variables as the Wcoj outermost levels. The rewrite only
+        // renames a body relation, so a variant resolves (acyclicity,
         // `Auto`) exactly like its source rule.
-        let mut variants: Vec<(ConjunctiveQuery, EvalStrategy, Vec<Var>)> = Vec::new();
-        for (r, &s) in rules.iter().zip(&resolved) {
+        let mut variants: Vec<QueryPlan> = Vec::new();
+        for r in &rules {
             for (j, atom) in r.body.iter().enumerate() {
                 if recursive.contains(&atom.rel) {
                     let mut variant = (*r).clone();
                     variant.body[j].rel = delta_of(atom.rel);
-                    let prefix = variant.body[j].variables();
-                    variants.push((variant, s, prefix));
+                    variants.push(compile(&variant, &variant.body[j].variables())?);
                 }
             }
         }
 
-        // Where the stratum's deltas live: backtracker rules read them
-        // from the index, which also covers the delta relations; LFTJ
-        // rules read them through `db`'s tries, so only a stratum with
-        // such a rule publishes them into `db`.
-        let wcoj = |s: &EvalStrategy| *s == EvalStrategy::Wcoj;
-        let publishes = resolved.iter().any(wcoj);
-        let mut index = (!resolved.iter().all(wcoj)).then(|| Indexed::build(&db, &body_rels));
+        // Where the stratum's deltas live: backtracker plans read them
+        // from one shared index, which covers every relation those plans
+        // read, delta relations included; LFTJ plans read them through
+        // `db`'s tries, so only a stratum with such a plan publishes them
+        // into `db`.
+        let plans = || initial.iter().chain(&variants);
+        let publishes = plans().any(QueryPlan::reads_instance);
+        let index_rels: Vec<RelId> = plans().flat_map(|p| p.index_rels()).copied().collect();
+        let mut index = (!index_rels.is_empty()).then(|| Indexed::build(&db, &index_rels));
         // Accepted facts join `db` and the index only after their pass,
         // which is fixpoint-safe: a derivation that would have used a
         // same-pass fact fires in the next round via that fact's delta,
@@ -226,8 +213,7 @@ pub(crate) fn fixpoint(
         };
 
         // Initial round: full evaluation of every rule.
-        let initial = rules.iter().zip(&resolved).map(|(r, &s)| (*r, s, &[][..]));
-        let mut delta = new_facts(initial, &db, index.as_ref());
+        let mut delta = new_facts(&initial, &db, index.as_ref());
         accept(&mut db, &mut index, &delta);
 
         // Semi-naive iterations.
@@ -242,10 +228,7 @@ pub(crate) fn fixpoint(
             if publishes {
                 db.insert_all(&published, |_| {});
             }
-            let rewrites = variants
-                .iter()
-                .map(|(v, s, prefix)| (v, *s, prefix.as_slice()));
-            let next = new_facts(rewrites, &db, index.as_ref());
+            let next = new_facts(&variants, &db, index.as_ref());
             accept(&mut db, &mut index, &next);
             // Retract the round's deltas before the next one: no helper
             // fact outlives its round, in `db` or in the index.
@@ -274,26 +257,12 @@ pub fn eval_program_naive(p: &Program, edb: &Instance) -> Result<Instance, Progr
     let mut db = edb.clone();
     add_adom(&mut db, p);
     for stratum in &strat.rule_strata {
-        let rules: Vec<&ConjunctiveQuery> = stratum.iter().map(|&i| &p.rules[i]).collect();
-        let body_rels: Vec<RelId> = {
-            let mut v: Vec<RelId> = rules
-                .iter()
-                .flat_map(|r| r.body.iter().map(|a| a.rel))
-                .collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
+        let rules: Vec<ConjunctiveQuery> = stratum.iter().map(|&i| p.rules[i].clone()).collect();
+        let plan =
+            QueryPlan::new(&rules, EvalStrategy::Indexed, &[]).map_err(ProgramError::UnsafeRule)?;
         loop {
             let mut derived: Vec<Fact> = Vec::new();
-            {
-                let index = Indexed::build(&db, &body_rels);
-                for r in &rules {
-                    for v in satisfying_valuations_indexed(r, &db, &index) {
-                        derived.push(v.derived_fact(r));
-                    }
-                }
-            }
+            plan.run(&db, None, &mut |f| derived.push(f));
             let mut changed = false;
             for f in derived {
                 if db.insert(f) {
@@ -322,6 +291,7 @@ pub fn eval_predicate(p: &Program, edb: &Instance, pred: &str) -> Result<Instanc
 mod tests {
     use super::*;
     use crate::program::parse_program;
+    use parlog_relal::atom::Var;
     use parlog_relal::fact::fact;
 
     use parlog_relal::opcount;
@@ -375,6 +345,10 @@ mod tests {
             let needs_index = rules
                 .iter()
                 .any(|r| strategy.resolve(r) != EvalStrategy::Wcoj);
+            let strategy = round_strategy(strategy);
+            let compile = |q: &ConjunctiveQuery, prefix: &[Var]| {
+                QueryPlan::new(std::slice::from_ref(q), strategy, prefix).unwrap()
+            };
             let rebuild = |db: &Instance| {
                 needs_index.then(|| {
                     let index = Indexed::build(db, &body_rels);
@@ -384,8 +358,8 @@ mod tests {
             };
 
             let index = rebuild(&db);
-            let initial = rules.iter().map(|r| (*r, strategy.resolve(r), &[][..]));
-            let mut delta = new_facts(initial, &db, index.as_ref());
+            let initial: Vec<QueryPlan> = rules.iter().map(|r| compile(r, &[])).collect();
+            let mut delta = new_facts(&initial, &db, index.as_ref());
             db.insert_all(&delta, |_| {});
             while !delta.is_empty() {
                 let published: Vec<Fact> = delta
@@ -394,10 +368,11 @@ mod tests {
                     .collect();
                 db.insert_all(&published, |_| {});
                 let index = rebuild(&db);
-                let rewrites = variants
+                let rewrites: Vec<QueryPlan> = variants
                     .iter()
-                    .map(|(v, prefix)| (v, strategy.resolve(v), prefix.as_slice()));
-                let next = new_facts(rewrites, &db, index.as_ref());
+                    .map(|(v, prefix)| compile(v, prefix))
+                    .collect();
+                let next = new_facts(&rewrites, &db, index.as_ref());
                 db.insert_all(&next, |_| {});
                 for f in &published {
                     db.remove(f);

@@ -44,13 +44,13 @@ use crate::eval::{fixpoint, strip_adom};
 use crate::program::{Program, ProgramError, ADOM};
 use parlog_relal::atom::{Atom, Term};
 use parlog_relal::delta::{DeltaEntry, DeltaOp};
-use parlog_relal::eval::EvalStrategy;
+use parlog_relal::eval::{EvalStrategy, QueryPlan};
 use parlog_relal::fact::{Fact, Val};
 use parlog_relal::fastmap::{fxmap, fxset, FxHasher, FxMap, FxSet};
 use parlog_relal::instance::Instance;
 use parlog_relal::query::ConjunctiveQuery;
 use parlog_relal::symbols::{rel, RelId};
-use parlog_relal::trie::{wcoj_heads, wcoj_variable_order, LeapfrogPlan, Slot};
+use parlog_relal::trie::{wcoj_variable_order, LeapfrogPlan, Slot};
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 
@@ -363,9 +363,11 @@ impl MaterializedView {
         self.counts.clear();
         for &ri in &self.counting_rules {
             let r = &self.program.rules[ri];
-            wcoj_heads(r, &self.db, &wcoj_variable_order(r, &[]), |h| {
-                *self.counts.entry(h).or_insert(0) += 1;
-            });
+            QueryPlan::new(std::slice::from_ref(r), EvalStrategy::Wcoj, &[])
+                .expect("a stratified program's rules are safe")
+                .run(&self.db, None, &mut |h| {
+                    *self.counts.entry(h).or_insert(0) += 1;
+                });
         }
         self.adom_refs.clear();
         for f in base.iter() {
@@ -1290,18 +1292,16 @@ mod tests {
                             .and_then(|sig| substituted(r, skip, sig, full).map(|q| (q, sig)))
                             .map_or_else(Vec::new, |(q, sig)| {
                                 let order = wcoj_variable_order(&q, &[]);
-                                let vs = parlog_relal::trie::satisfying_valuations_wcoj_ordered(
-                                    &q, &db, &order,
-                                );
-                                vs.iter()
-                                    .map(|v| {
-                                        let mut all = sig.clone();
-                                        v.iter().for_each(|(x, val)| {
-                                            all.bind(x.clone(), val);
-                                        });
-                                        all.derived_fact(r)
-                                    })
-                                    .collect()
+                                let mut heads = Vec::new();
+                                let plan = LeapfrogPlan::new(&q, &order, 0);
+                                plan.run(&[&db], &[], &mut |vals| {
+                                    let mut all = sig.clone();
+                                    order.iter().zip(vals).for_each(|(x, &val)| {
+                                        all.bind(x.clone(), val);
+                                    });
+                                    heads.push(all.derived_fact(r));
+                                });
+                                heads
                             });
                         let want_ops = opcount::reset();
                         assert_eq!(got, want, "{r} via {at} from {f} full={full}");

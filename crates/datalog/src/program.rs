@@ -12,7 +12,7 @@
 
 use parlog_relal::fastmap::{fxmap, FxMap};
 use parlog_relal::parser::{parse_query, ParseError};
-use parlog_relal::query::ConjunctiveQuery;
+use parlog_relal::query::{ConjunctiveQuery, QueryError};
 use parlog_relal::symbols::{rel, RelId};
 use std::fmt;
 
@@ -29,6 +29,9 @@ pub enum ProgramError {
     NotStratifiable(String),
     /// A rule defines the built-in `ADom` predicate.
     RedefinesBuiltin,
+    /// A rule assembled field by field is unsafe (the parser never
+    /// produces one).
+    UnsafeRule(QueryError),
 }
 
 impl fmt::Display for ProgramError {
@@ -39,6 +42,7 @@ impl fmt::Display for ProgramError {
                 write!(f, "program is not stratifiable: negative cycle through {p}")
             }
             ProgramError::RedefinesBuiltin => write!(f, "the ADom predicate is built in"),
+            ProgramError::UnsafeRule(e) => write!(f, "unsafe rule: {e}"),
         }
     }
 }

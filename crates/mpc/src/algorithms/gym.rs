@@ -23,7 +23,7 @@ use crate::partition::{seed_cluster, InitialPartition};
 use crate::report::RunReport;
 use crate::shares::Shares;
 use parlog_relal::atom::Atom;
-use parlog_relal::eval::{eval_query_with, EvalStrategy};
+use parlog_relal::eval::{EvalStrategy, QueryPlan};
 use parlog_relal::hypergraph::{tree_decomposition, TreeDecomposition};
 use parlog_relal::instance::Instance;
 use parlog_relal::query::ConjunctiveQuery;
@@ -139,13 +139,18 @@ impl Gym {
             dests
         });
 
-        // Local bag evaluation: a server in block b evaluates bag b's query.
-        let bq = bag_queries.clone();
-        let strategy = self.strategy;
+        // Local bag evaluation: a server in block b evaluates bag b's
+        // query, compiled once for the phase.
+        let plans: Vec<QueryPlan> = bag_queries
+            .iter()
+            .map(|bq| {
+                QueryPlan::new(std::slice::from_ref(bq), self.strategy, &[])
+                    .expect("bag query is safe by construction")
+            })
+            .collect();
         cluster.compute_per_server(|s, local| {
-            let b = (s / block).min(nbags - 1);
             // Servers beyond the addressed sub-grid may hold nothing.
-            eval_query_with(&bq[b], local, strategy)
+            plans[(s / block).min(nbags - 1)].eval(local)
         });
 
         // Yannakakis over the bag tree.

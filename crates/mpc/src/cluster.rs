@@ -70,7 +70,7 @@
 
 use crate::partition::{seed_cluster, InitialPartition};
 use parlog_faults::{MpcFaultPlan, SpeculationPolicy};
-use parlog_relal::eval::{eval_query_wcoj_ordered, eval_query_with, EvalStrategy};
+use parlog_relal::eval::{EvalStrategy, QueryPlan};
 use parlog_relal::fact::Fact;
 use parlog_relal::fastmap::fxset;
 use parlog_relal::instance::Instance;
@@ -706,7 +706,7 @@ impl Cluster {
         self.comm_round(None, true, move |_, f| Routing::Send(route(f)))
     }
 
-    /// The shared communication-phase driver all four public phases
+    /// The shared communication-phase driver all three public phases
     /// reduce to: build the `(source, fact)` item stream (optionally
     /// including per-server `storage` shards), route it on the worker
     /// pool, and commit the deliveries with checkpoint/replay.
@@ -821,18 +821,6 @@ impl Cluster {
             .is_some_and(|p| p.severed(round, from, to).is_some())
     }
 
-    /// Like [`Cluster::communicate`], but destinations may depend on which
-    /// server currently holds the fact (needed e.g. for the grouped join,
-    /// where routing is by *tuple position*, not value). A fact held by
-    /// several servers is routed from each holder; deliveries are
-    /// deduplicated per destination.
-    pub fn communicate_from<F>(&mut self, route: F) -> &RoundStats
-    where
-        F: Fn(ServerId, &Fact) -> Vec<ServerId> + Sync,
-    {
-        self.comm_round(None, false, move |src, f| Routing::Send(route(src, f)))
-    }
-
     /// Communication phase with per-fact keep/send/drop decisions — the
     /// workhorse of the multi-round algorithms, which carry intermediate
     /// relations across rounds (`Keep`, free) while rehashing the
@@ -852,23 +840,15 @@ impl Cluster {
         self.comm_round(None, false, route)
     }
 
-    /// Computation phase applied per server with access to the server id.
+    /// Computation phase applied per server with access to the server id:
+    /// replace every server's local instance with `f(server, local)`.
+    /// With parallelism `n > 1` the servers are split into contiguous
+    /// chunks, one scoped worker each; results come back in server order,
+    /// so the outcome is identical to the sequential sweep. Workers only
+    /// read the old state: it is replaced — and freed — on the calling
+    /// thread, because freeing another thread's allocations contends on
+    /// its allocator arena.
     pub fn compute_per_server<F>(&mut self, f: F)
-    where
-        F: Fn(ServerId, &Instance) -> Instance + Sync,
-    {
-        self.run_compute(f, false);
-    }
-
-    /// The shared computation-phase driver: apply `f` to every server's
-    /// local instance, replacing (`extend = false`) or extending
-    /// (`extend = true`) it with the result. With parallelism `n > 1` the
-    /// servers are split into contiguous chunks, one scoped worker each;
-    /// results come back in server order, so the outcome is identical to
-    /// the sequential sweep. Workers only read the old state: it is
-    /// replaced — and freed — on the calling thread, because freeing
-    /// another thread's allocations contends on its allocator arena.
-    fn run_compute<F>(&mut self, f: F, extend: bool)
     where
         F: Fn(ServerId, &Instance) -> Instance + Sync,
     {
@@ -879,11 +859,7 @@ impl Cluster {
             outs.collect::<Vec<Instance>>()
         });
         for (inst, out) in self.local.iter_mut().zip(outs.into_iter().flatten()) {
-            if extend {
-                inst.extend_from(&out);
-            } else {
-                *inst = out;
-            }
+            *inst = out;
         }
         if let Some(t0) = wall {
             // Computation is free in the model's accounting, so the
@@ -898,24 +874,6 @@ impl Cluster {
                 wall_ns: Some(t0.elapsed().as_nanos() as u64),
             }));
         }
-    }
-
-    /// Communication phase that also draws on per-server *storage* shards:
-    /// multi-round algorithms keep their input partition on disk and
-    /// reshuffle (parts of) it in later rounds together with intermediate
-    /// results. Facts from `storage[s]` are routed exactly like local
-    /// facts; reading one's own storage is free — only *received* facts
-    /// count as load, as in the model.
-    ///
-    /// `route` must be value-deterministic (same fact ⇒ same destinations
-    /// regardless of holder), which lets the simulator route each distinct
-    /// fact once.
-    pub fn communicate_with<F>(&mut self, storage: &[Instance], route: F) -> &RoundStats
-    where
-        F: Fn(&Fact) -> Vec<ServerId> + Sync,
-    {
-        assert_eq!(storage.len(), self.p(), "one storage shard per server");
-        self.comm_round(Some(storage), true, move |_, f| Routing::Send(route(f)))
     }
 
     /// [`Cluster::reshuffle`] that *also* drains the per-server storage
@@ -939,16 +897,7 @@ impl Cluster {
     where
         F: Fn(&Instance) -> Instance + Sync,
     {
-        self.run_compute(|_, inst| f(inst), false);
-    }
-
-    /// Computation phase that *adds* facts instead of replacing (useful
-    /// when servers must retain their inputs for a later round).
-    pub fn compute_extend<F>(&mut self, f: F)
-    where
-        F: Fn(&Instance) -> Instance + Sync,
-    {
-        self.run_compute(|_, inst| f(inst), true);
+        self.compute_per_server(|_, inst| f(inst));
     }
 
     /// Seed a `p`-server cluster from a pinned MVCC snapshot: the
@@ -968,22 +917,21 @@ impl Cluster {
     /// Computation phase evaluating one conjunctive query on every
     /// server's local instance with the chosen local-join strategy —
     /// the standard "local evaluation after routing" step of HyperCube
-    /// and the repartition joins. The query is planned once for the
-    /// phase (`Auto` resolved, the WCOJ variable order computed), not once
-    /// per server. All strategies produce byte-identical results at every
-    /// `with_parallelism` thread count.
+    /// and the repartition joins. The query's [`QueryPlan`] is compiled
+    /// once for the phase, not once per server. All strategies produce
+    /// byte-identical results at every `with_parallelism` thread count.
+    ///
+    /// # Panics
+    /// Panics if `q` is unsafe (see
+    /// [`ConjunctiveQuery::validate`](parlog_relal::query::ConjunctiveQuery::validate)).
     pub fn compute_query(
         &mut self,
         q: &parlog_relal::query::ConjunctiveQuery,
         strategy: EvalStrategy,
     ) {
-        match strategy.resolve(q) {
-            EvalStrategy::Wcoj => {
-                let order = parlog_relal::trie::wcoj_variable_order(q, &[]);
-                self.compute(|local| eval_query_wcoj_ordered(q, local, &order));
-            }
-            resolved => self.compute(|local| eval_query_with(q, local, resolved)),
-        }
+        let plan = QueryPlan::new(std::slice::from_ref(q), strategy, &[])
+            .expect("compute_query needs a safe query");
+        self.compute(|local| plan.eval(local));
     }
 }
 
@@ -1038,7 +986,7 @@ mod tests {
         let mut c = Cluster::new(2);
         c.local_mut(0).insert(fact("R", &[9, 9]));
         c.local_mut(1).insert(fact("R", &[9, 9]));
-        c.communicate_from(|_, _| vec![0]);
+        c.reshuffle(|_, _| Routing::Send(vec![0]));
         assert_eq!(c.local(0).len(), 1);
         assert_eq!(c.rounds()[0].received[0], 1);
     }
@@ -1112,8 +1060,8 @@ mod tests {
         let run = |plan: MpcFaultPlan| {
             let mut c = seeded(3, &facts).with_faults(plan);
             c.communicate(|f| vec![(f.args[0].0 % 3) as usize]);
-            c.compute_extend(|inst| {
-                let mut out = Instance::new();
+            c.compute_per_server(|_, inst| {
+                let mut out = inst.clone();
                 for f in inst.iter() {
                     out.insert(fact("S", &[f.args[1].0]));
                 }
@@ -1256,16 +1204,17 @@ mod tests {
         assert_eq!(c.speculation().backups, 0);
     }
 
-    /// Drive every phase kind once: communicate, compute_extend,
-    /// reshuffle (Keep/Send/Drop), communicate_from, compute_per_server.
+    /// Drive every phase kind once: communicate, a computation that
+    /// keeps its input, reshuffle (Keep/Send/Drop), holder-dependent
+    /// routing, compute_per_server.
     fn mixed_phase_run(mut c: Cluster, facts: &[Fact]) -> Cluster {
         for (i, f) in facts.iter().enumerate() {
             c.local_mut(i % c.p()).insert(f.clone());
         }
         let p = c.p();
         c.communicate(|f| vec![(f.args[0].0 as usize) % p]);
-        c.compute_extend(|inst| {
-            let mut out = Instance::new();
+        c.compute_per_server(|_, inst| {
+            let mut out = inst.clone();
             for f in inst.iter() {
                 out.insert(fact("S", &[f.args[1].0, f.args[0].0]));
             }
@@ -1280,7 +1229,7 @@ mod tests {
                 Routing::Keep
             }
         });
-        c.communicate_from(|src, f| vec![(f.args[1].0 as usize + src) % p]);
+        c.reshuffle(|src, f| Routing::Send(vec![(f.args[1].0 as usize + src) % p]));
         c.compute_per_server(|s, inst| {
             let mut out = Instance::new();
             for f in inst.iter() {
@@ -1656,12 +1605,11 @@ mod tests {
         }
     }
 
-    /// A collapsed round routes each distinct fact once, by reference:
-    /// it commits what the old construction — union every holder and
-    /// every storage shard into a scratch instance, route its facts —
-    /// committed, as sets and as loads.
+    /// A round that drains storage shards routes every holder's copy:
+    /// it commits what routing the union of every holder and every
+    /// storage shard once commits, as sets and as loads.
     #[test]
-    fn collapsed_round_matches_the_unioned_item_stream() {
+    fn storage_round_matches_the_unioned_item_stream() {
         let facts: Vec<Fact> = (0..90u64).map(|i| fact("R", &[i % 30, i % 7])).collect();
         let p = 4;
         let mut c = seeded(p, &facts);
@@ -1679,7 +1627,7 @@ mod tests {
         let items: Vec<(ServerId, &Fact)> = all.iter().map(|f| (0, f)).collect();
         let want = deliver_per_fact(p, &items, &[], &|_, f| Routing::Send(route(f)), None);
 
-        c.communicate_with(&storage, route);
+        c.reshuffle_with(&storage, |_, f| Routing::Send(route(f)));
         for s in 0..p {
             assert_eq!(c.local(s), &want.next[s], "server {s}");
         }
@@ -1707,7 +1655,7 @@ mod tests {
                 .with_faults(plan);
             c.reshuffle_with(&storage, mixed_fate(p, 5));
             let held_open = c.held.clone();
-            c.communicate_from(|src, f| vec![(f.args[0].0 as usize + src) % p]);
+            c.reshuffle(|src, f| Routing::Send(vec![(f.args[0].0 as usize + src) % p]));
             c.reshuffle(mixed_fate(p, 6));
             c.communicate(|f| vec![(f.args[0].0 % 4) as usize]);
             (c, held_open)

@@ -52,7 +52,7 @@ use crate::shares::Shares;
 use crate::shares_skew::HeavyPattern;
 use parlog_faults::PartitionPlan;
 use parlog_relal::atom::{Atom, Term, Var};
-use parlog_relal::eval::{eval_query_with, EvalStrategy};
+use parlog_relal::eval::{EvalStrategy, QueryPlan};
 use parlog_relal::fact::{Fact, Val};
 use parlog_relal::instance::Instance;
 use parlog_relal::packing::fractional_edge_packing;
@@ -520,6 +520,8 @@ impl SkewAdaptiveJoin {
     /// heads found so far.
     fn wave_pass(&self, cluster: &mut Cluster, storage: &[Instance]) {
         let head_rel = self.query.head.rel;
+        let plan = QueryPlan::new(std::slice::from_ref(&self.query), self.strategy, &[])
+            .expect("the skew join's query is safe");
         for w in 0..self.waves.len() {
             cluster.reshuffle_with(storage, |_, f| {
                 if f.rel == head_rel {
@@ -532,14 +534,12 @@ impl SkewAdaptiveJoin {
                     Routing::Send(d)
                 }
             });
-            let q = self.query.clone();
-            let strategy = self.strategy;
-            cluster.compute(move |local| {
+            cluster.compute(|local| {
                 let mut out = Instance::new();
                 for f in local.relation(head_rel) {
                     out.insert(f.clone());
                 }
-                out.extend_from(&eval_query_with(&q, local, strategy));
+                out.extend_from(&plan.eval(local));
                 out
             });
         }

@@ -1,23 +1,33 @@
-//! Evaluation of conjunctive queries on instances.
+//! Evaluation of conjunctive queries and their unions on instances.
 //!
 //! The semantics is the valuation semantics of Section 2: the result of
-//! `Q` on `I` is the set of facts derived by satisfying valuations. The
-//! implementation is a backtracking join over the positive atoms with
-//! per-(relation, position) hash indices, i.e. a simple generic-join-style
-//! evaluator; negated atoms and inequalities are checked as soon as their
-//! variables are bound.
+//! `Q` on `I` is the set of facts derived by satisfying valuations. Three
+//! local engines compute it, chosen by an [`EvalStrategy`]:
 //!
-//! This evaluator is also the *local computation phase* of every MPC server
-//! in `parlog-mpc` and of every transducer node in `parlog-transducer`.
+//! * the LeapFrog TrieJoin of [`crate::trie`], worst-case optimal;
+//! * a backtracking join over the positive atoms with per-(relation,
+//!   position) row chains ([`Indexed`]), checking negated atoms and
+//!   inequalities as soon as their variables are bound;
+//! * the naive enumeration of every valuation over the active domain,
+//!   the reference the other two are tested against.
+//!
+//! Every evaluation goes through one [`QueryPlan`]: compiled once from the
+//! disjuncts, the strategy and an optional variable-order prefix, it
+//! resolves `Auto` per disjunct and holds each trie disjunct's compiled
+//! [`LeapfrogPlan`]. Nothing in it depends on the data, so a caller that
+//! evaluates one query on many instances — a serving session across
+//! snapshot generations, an MPC computation phase across servers, a
+//! Datalog stratum across rounds — compiles it once. [`eval_query_with`]
+//! and [`eval_union_with`] are one-shot plans.
 
-use crate::atom::{Atom, Term};
+use crate::atom::{Atom, Term, Var};
 use crate::fact::{Fact, Val};
 use crate::fastmap::{fxmap, FxMap};
 use crate::hypergraph::is_acyclic;
 use crate::instance::Instance;
-use crate::query::{ConjunctiveQuery, UnionQuery};
+use crate::query::{ConjunctiveQuery, QueryError, UnionQuery};
 use crate::symbols::RelId;
-use crate::trie::{wcoj_heads, wcoj_variable_order};
+use crate::trie::{wcoj_variable_order, LeapfrogPlan, Slot};
 use crate::valuation::Valuation;
 use std::collections::hash_map::Entry;
 
@@ -76,9 +86,8 @@ impl EvalStrategy {
 /// Owning the rows is what lets a caller that grows the instance keep its
 /// index — a Datalog stratum builds it once and [`Indexed::push`]es each
 /// accepted fact, so a semi-naive round costs its delta, not the
-/// database. One-shot callers ([`eval_query`], [`eval_union_with`], an MPC
-/// server's local join) build with [`Indexed::build`] /
-/// [`Indexed::for_query`] and drop it.
+/// database. A [`QueryPlan`] run without one builds its own over
+/// [`QueryPlan::index_rels`] and drops it.
 ///
 /// An [`Instance`] is schema-less, so a relation may hold facts of several
 /// arities; like the tries, the index keeps one block per arity and an atom
@@ -127,12 +136,6 @@ impl Indexed {
             }
         }
         index
-    }
-
-    /// Index every relation appearing in the body of `q`.
-    pub fn for_query(q: &ConjunctiveQuery, instance: &Instance) -> Indexed {
-        let rels: Vec<RelId> = q.body.iter().map(|a| a.rel).collect();
-        Indexed::build(instance, &rels)
     }
 
     /// Is `rel` covered by this index? Evaluating a query whose body
@@ -404,7 +407,7 @@ fn atom_order(q: &ConjunctiveQuery, index: &Indexed) -> Vec<usize> {
 /// contained in the instance; for `CQ¬`/`CQ≠` the negated atoms and
 /// inequalities are enforced as well.
 pub fn satisfying_valuations(q: &ConjunctiveQuery, instance: &Instance) -> Vec<Valuation> {
-    satisfying_valuations_indexed(q, instance, &Indexed::for_query(q, instance))
+    satisfying_valuations_indexed(q, instance, &Indexed::build(instance, &q.body_relations()))
 }
 
 /// [`satisfying_valuations`] against a prebuilt [`Indexed`] — the reusable
@@ -461,100 +464,162 @@ pub fn satisfying_valuations_indexed(
     out
 }
 
-/// Evaluate `q` on `instance`, returning the set of derived head facts
-/// (`Q(I)` in the survey).
+/// The local evaluation of a union of conjunctive queries, compiled once
+/// and run on any number of instances.
+///
+/// Compiling checks every disjunct's safety and resolves `Auto` once per
+/// disjunct. A trie disjunct keeps its compiled [`LeapfrogPlan`] and its
+/// head as slots of the order; the backtracker disjuncts' body relations
+/// become [`QueryPlan::index_rels`], the one index they share. No linear
+/// program runs here: one-shot callers compile a plan per call.
+#[derive(Debug)]
+pub struct QueryPlan {
+    disjuncts: Vec<(ConjunctiveQuery, Engine)>,
+    index_rels: Vec<RelId>,
+}
+
+#[derive(Debug)]
+enum Engine {
+    Naive,
+    Indexed,
+    Wcoj { plan: LeapfrogPlan, head: Vec<Slot> },
+}
+
+impl QueryPlan {
+    /// Compile `disjuncts` under `strategy`. A trie disjunct's variable
+    /// order starts with the body variables of `prefix`: a semi-naive
+    /// round puts its Δ atom's there, so the (small) delta is enumerated
+    /// first.
+    pub fn new(
+        disjuncts: &[ConjunctiveQuery],
+        strategy: EvalStrategy,
+        prefix: &[Var],
+    ) -> Result<QueryPlan, QueryError> {
+        let mut index_rels = Vec::new();
+        let mut compiled = Vec::with_capacity(disjuncts.len());
+        for q in disjuncts {
+            q.validate()?;
+            let engine = match strategy.resolve(q) {
+                EvalStrategy::Naive => Engine::Naive,
+                EvalStrategy::Indexed => {
+                    index_rels.extend(q.body.iter().map(|a| a.rel));
+                    Engine::Indexed
+                }
+                EvalStrategy::Wcoj => {
+                    let order = wcoj_variable_order(q, prefix);
+                    Engine::Wcoj {
+                        plan: LeapfrogPlan::new(q, &order, 0),
+                        head: q.head.terms.iter().map(|t| Slot::of(t, &order)).collect(),
+                    }
+                }
+                EvalStrategy::Auto => unreachable!("resolve() eliminates Auto"),
+            };
+            compiled.push((q.clone(), engine));
+        }
+        index_rels.sort_unstable();
+        index_rels.dedup();
+        Ok(QueryPlan {
+            disjuncts: compiled,
+            index_rels,
+        })
+    }
+
+    /// The strategy each disjunct resolved to, in order (never `Auto`).
+    pub fn resolved(&self) -> impl Iterator<Item = EvalStrategy> + '_ {
+        self.disjuncts.iter().map(|(_, engine)| match engine {
+            Engine::Naive => EvalStrategy::Naive,
+            Engine::Indexed => EvalStrategy::Indexed,
+            Engine::Wcoj { .. } => EvalStrategy::Wcoj,
+        })
+    }
+
+    /// The relations an index handed to [`QueryPlan::run`] must cover,
+    /// sorted; empty when no disjunct reads one.
+    pub fn index_rels(&self) -> &[RelId] {
+        &self.index_rels
+    }
+
+    /// Does a disjunct read its positive body from the instance itself
+    /// (its tries, or its domain) rather than from an index? Relations a
+    /// caller keeps only in its index (a fixpoint's Δ) must then be in
+    /// the instance too.
+    pub fn reads_instance(&self) -> bool {
+        self.resolved().any(|s| s != EvalStrategy::Indexed)
+    }
+
+    /// Hand `sink` the head fact of every satisfying valuation of every
+    /// disjunct on `instance`, in enumeration order (duplicates are the
+    /// caller's to merge). Backtracker disjuncts read `index`, which must
+    /// cover [`QueryPlan::index_rels`], or else one built for this run.
+    /// The sink is `dyn` so that the engines are compiled once, not once
+    /// per caller's closure.
+    pub fn run(&self, instance: &Instance, index: Option<&Indexed>, sink: &mut dyn FnMut(Fact)) {
+        let built;
+        let index = match index {
+            None if !self.index_rels.is_empty() => {
+                built = Indexed::build(instance, &self.index_rels);
+                Some(&built)
+            }
+            index => index,
+        };
+        for (q, engine) in &self.disjuncts {
+            match engine {
+                Engine::Naive => eval_query_naive(q, instance)
+                    .iter()
+                    .for_each(|f| sink(f.clone())),
+                Engine::Indexed => {
+                    let index = index.expect("built whenever a disjunct reads one");
+                    for v in satisfying_valuations_indexed(q, instance, index) {
+                        sink(v.derived_fact(q));
+                    }
+                }
+                Engine::Wcoj { plan, head } => plan.run(&[instance], &[], &mut |vals| {
+                    sink(Fact::new(
+                        q.head.rel,
+                        head.iter().map(|s| s.value(vals)).collect(),
+                    ))
+                }),
+            }
+        }
+    }
+
+    /// [`QueryPlan::run`] collected into the answer instance.
+    pub fn eval(&self, instance: &Instance) -> Instance {
+        let mut heads = Vec::new();
+        self.run(instance, None, &mut |f| heads.push(f));
+        Instance::from_facts(heads)
+    }
+}
+
+/// Evaluate `q` on `instance` with the backtracker: `Q(I)` in the survey.
 pub fn eval_query(q: &ConjunctiveQuery, instance: &Instance) -> Instance {
-    eval_query_indexed(q, instance, &Indexed::for_query(q, instance))
+    eval_query_with(q, instance, EvalStrategy::Indexed)
 }
 
-/// [`eval_query`] against a prebuilt [`Indexed`] (see [`Indexed::build`]).
-pub fn eval_query_indexed(q: &ConjunctiveQuery, instance: &Instance, index: &Indexed) -> Instance {
-    Instance::from_facts(
-        satisfying_valuations_indexed(q, instance, index)
-            .iter()
-            .map(|v| v.derived_fact(q)),
-    )
-}
-
-/// [`eval_query`] with the worst-case-optimal LeapFrog TrieJoin
-/// evaluator (see [`crate::trie`]): `Õ(m^{ρ*})` local time, matching the
-/// AGM bound, versus `Ω(m²)` for the binary-join backtracker on cyclic
-/// queries' hard instances.
-pub fn eval_query_wcoj(q: &ConjunctiveQuery, instance: &Instance) -> Instance {
-    eval_query_wcoj_ordered(q, instance, &wcoj_variable_order(q, &[]))
-}
-
-/// [`eval_query_wcoj`] under a caller-supplied variable order (see
-/// [`wcoj_variable_order`]) — for callers that plan once and evaluate on
-/// many instances, like an MPC computation phase.
-pub fn eval_query_wcoj_ordered(
-    q: &ConjunctiveQuery,
-    instance: &Instance,
-    order: &[crate::atom::Var],
-) -> Instance {
-    let mut heads = Vec::new();
-    wcoj_heads(q, instance, order, |f| heads.push(f));
-    Instance::from_facts(heads)
-}
-
-/// Evaluate `q` with an explicit [`EvalStrategy`]. All strategies return
-/// the same instance; `Auto` resolves per query (Wcoj iff cyclic).
+/// Evaluate a safe `q` with an explicit [`EvalStrategy`] (a one-shot
+/// [`QueryPlan`]); every strategy returns the same instance.
 pub fn eval_query_with(
     q: &ConjunctiveQuery,
     instance: &Instance,
     strategy: EvalStrategy,
 ) -> Instance {
-    match strategy.resolve(q) {
-        EvalStrategy::Naive => eval_query_naive(q, instance),
-        EvalStrategy::Indexed => eval_query(q, instance),
-        EvalStrategy::Wcoj => eval_query_wcoj(q, instance),
-        EvalStrategy::Auto => unreachable!("resolve() eliminates Auto"),
-    }
+    QueryPlan::new(std::slice::from_ref(q), strategy, &[])
+        .expect("a safe query")
+        .eval(instance)
 }
 
-/// Evaluate a union of conjunctive queries: the union of the disjuncts'
-/// results. One positional index is built over the union of the body
-/// relations and shared by every disjunct.
+/// Evaluate a union of conjunctive queries with the backtracker: the
+/// union of the disjuncts' results.
 pub fn eval_union(u: &UnionQuery, instance: &Instance) -> Instance {
     eval_union_with(u, instance, EvalStrategy::Indexed)
 }
 
-/// [`eval_union`] with an explicit [`EvalStrategy`], resolved per
-/// disjunct for `Auto`. The `Indexed` path shares one positional index
-/// across disjuncts; the `Wcoj` path shares the instance's trie cache
-/// the same way (tries persist across disjuncts until the next insert).
+/// [`eval_union`] of safe disjuncts with an explicit [`EvalStrategy`]
+/// (a one-shot [`QueryPlan`]).
 pub fn eval_union_with(u: &UnionQuery, instance: &Instance, strategy: EvalStrategy) -> Instance {
-    let resolved: Vec<EvalStrategy> = u.disjuncts.iter().map(|d| strategy.resolve(d)).collect();
-    let index = resolved.contains(&EvalStrategy::Indexed).then(|| {
-        let rels: Vec<RelId> = u
-            .disjuncts
-            .iter()
-            .flat_map(|d| d.body.iter().map(|a| a.rel))
-            .collect();
-        Indexed::build(instance, &rels)
-    });
-    // Head facts go straight into `out`: the answer is materialised once.
-    let mut out = Instance::new();
-    for (d, resolved) in u.disjuncts.iter().zip(resolved) {
-        match resolved {
-            EvalStrategy::Naive => {
-                out.extend_from(&eval_query_naive(d, instance));
-            }
-            EvalStrategy::Indexed => {
-                let index = index.as_ref().expect("index built");
-                for v in satisfying_valuations_indexed(d, instance, index) {
-                    out.insert(v.derived_fact(d));
-                }
-            }
-            EvalStrategy::Wcoj => {
-                wcoj_heads(d, instance, &wcoj_variable_order(d, &[]), |f| {
-                    out.insert(f);
-                });
-            }
-            EvalStrategy::Auto => unreachable!("resolve() eliminates Auto"),
-        }
-    }
-    out
+    QueryPlan::new(&u.disjuncts, strategy, &[])
+        .expect("safe disjuncts")
+        .eval(instance)
 }
 
 /// Reference evaluator: enumerate *all* total valuations over the active
@@ -607,6 +672,11 @@ mod tests {
     use crate::parser::parse_query;
 
     impl Indexed {
+        /// Index every relation appearing in the body of `q`.
+        fn for_query(q: &ConjunctiveQuery, instance: &Instance) -> Indexed {
+            Indexed::build(instance, &q.body_relations())
+        }
+
         /// [`Indexed::candidate_iter`], collected.
         fn candidates(&self, atom: &Atom, val: &Valuation) -> Vec<&[Val]> {
             self.candidate_iter(atom, val).collect()
@@ -973,7 +1043,68 @@ mod tests {
             .collect();
         let shared = Indexed::build(&i, &rels);
         for q in &qs {
-            assert_eq!(eval_query_indexed(q, &i, &shared), eval_query(q, &i));
+            let plan = QueryPlan::new(std::slice::from_ref(q), EvalStrategy::Indexed, &[]).unwrap();
+            let mut heads = Vec::new();
+            plan.run(&i, Some(&shared), &mut |f| heads.push(f));
+            assert_eq!(Instance::from_facts(heads), eval_query(q, &i));
         }
+    }
+
+    /// An unsafe query assembled field by field is refused when its plan
+    /// is compiled, under every strategy, before any engine sees it.
+    #[test]
+    fn plans_refuse_unsafe_queries_under_every_strategy() {
+        let q = ConjunctiveQuery {
+            head: Atom::vars("H", &["x", "w"]),
+            body: vec![Atom::vars("R", &["x", "y"])],
+            negated: Vec::new(),
+            inequalities: Vec::new(),
+        };
+        for s in [
+            EvalStrategy::Naive,
+            EvalStrategy::Indexed,
+            EvalStrategy::Wcoj,
+            EvalStrategy::Auto,
+        ] {
+            assert_eq!(
+                QueryPlan::new(std::slice::from_ref(&q), s, &[]).unwrap_err(),
+                QueryError::UnsafeHeadVar(Var::new("w")),
+                "{s:?}"
+            );
+        }
+    }
+
+    /// A union plan resolves per disjunct, covers exactly the backtracker
+    /// disjuncts' relations with its index, and answers like the
+    /// disjuncts evaluated one by one.
+    #[test]
+    fn union_plan_resolves_per_disjunct() {
+        use crate::parser::parse_union;
+        let u = parse_union("H(x) <- R(x,y), S(y,z), T(z,x); H(x) <- R(x,y), U(y)").unwrap();
+        let plan = QueryPlan::new(&u.disjuncts, EvalStrategy::Auto, &[]).unwrap();
+        assert_eq!(
+            plan.resolved().collect::<Vec<_>>(),
+            vec![EvalStrategy::Wcoj, EvalStrategy::Indexed]
+        );
+        assert_eq!(plan.index_rels(), {
+            let mut rels = vec![crate::symbols::rel("R"), crate::symbols::rel("U")];
+            rels.sort_unstable();
+            rels
+        });
+        assert!(plan.reads_instance());
+        let i = Instance::from_facts([
+            fact("R", &[1, 2]),
+            fact("S", &[2, 3]),
+            fact("T", &[3, 1]),
+            fact("R", &[4, 5]),
+            fact("U", &[5]),
+        ]);
+        let mut want = eval_query(&u.disjuncts[0], &i);
+        want.extend_from(&eval_query(&u.disjuncts[1], &i));
+        assert_eq!(plan.eval(&i), want);
+        assert_eq!(
+            plan.eval(&i).sorted_facts(),
+            vec![fact("H", &[1]), fact("H", &[4])]
+        );
     }
 }

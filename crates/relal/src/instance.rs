@@ -71,7 +71,7 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Alongside the hash-set storage, the instance lazily builds and caches
 /// sorted columnar tries ([`TrieRel`], as [`TrieLayers`] LSM stacks, one
 /// per `(relation, column permutation)`) for the worst-case-optimal
-/// evaluator ([`crate::eval::eval_query_wcoj`]). Mutations never evict
+/// evaluator ([`crate::trie::LeapfrogPlan`]). Mutations never evict
 /// cache entries: each entry remembers the epoch it is current as of, and
 /// a read of a stale entry replays the delta log (`TrieLayers::advance`)
 /// — appending a small run / tombstones — instead of rebuilding. Entries

@@ -11,9 +11,10 @@
 //! * **Conjunctive queries** ([`ConjunctiveQuery`]) with optional
 //!   inequalities and negated atoms, unions thereof ([`UnionQuery`]), and a
 //!   small text [`parser`].
-//! * **Valuations and evaluation** ([`Valuation`], [`eval`]) — the
-//!   valuation-based semantics of Section 2, implemented with per-relation
-//!   hash indices.
+//! * **Valuations and evaluation** ([`Valuation`], [`eval`], [`trie`]) —
+//!   the valuation-based semantics of Section 2, computed through one
+//!   compiled [`eval::QueryPlan`] by a worst-case-optimal trie join, a
+//!   hash-indexed backtracker, or the naive reference enumeration.
 //! * **Minimal valuations** ([`minimal`]) — Definition 4.4 of the survey,
 //!   the key notion behind parallel-correctness (Proposition 4.6).
 //! * **Homomorphisms, containment and cores** ([`containment`]) — the

@@ -8,7 +8,7 @@
 //! insertions become a small new run appended to the stack, deletions
 //! become tombstones — and the LeapFrog TrieJoin descends all runs of an
 //! atom simultaneously (a k-way merge cursor, see
-//! [`crate::trie::leapfrog`]). Tombstoned tuples may linger inside old
+//! [`crate::trie::LeapfrogPlan`]). Tombstoned tuples may linger inside old
 //! runs; they are filtered at the leaves, where the atom is fully ground
 //! and membership is authoritative.
 //!

@@ -85,29 +85,38 @@ impl ConjunctiveQuery {
         negated: Vec<Atom>,
         inequalities: Vec<(Term, Term)>,
     ) -> Result<ConjunctiveQuery, QueryError> {
-        if body.is_empty() {
-            return Err(QueryError::EmptyBody);
-        }
         let q = ConjunctiveQuery {
             head,
             body,
             negated,
             inequalities,
         };
-        let positive: BTreeSet<Var> = q.body.iter().flat_map(|a| a.variables()).collect();
-        for v in q.head.variables() {
+        q.validate()?;
+        Ok(q)
+    }
+
+    /// The safety checks of the constructors, for a query that may have
+    /// been assembled field by field: a nonempty positive body that
+    /// binds every variable of the head, of the negated atoms and of the
+    /// inequalities. Every evaluator relies on them.
+    pub fn validate(&self) -> Result<(), QueryError> {
+        if self.body.is_empty() {
+            return Err(QueryError::EmptyBody);
+        }
+        let positive: BTreeSet<Var> = self.body.iter().flat_map(|a| a.variables()).collect();
+        for v in self.head.variables() {
             if !positive.contains(&v) {
                 return Err(QueryError::UnsafeHeadVar(v));
             }
         }
-        for a in &q.negated {
+        for a in &self.negated {
             for v in a.variables() {
                 if !positive.contains(&v) {
                     return Err(QueryError::UnsafeNegatedVar(v));
                 }
             }
         }
-        for (s, t) in &q.inequalities {
+        for (s, t) in &self.inequalities {
             for term in [s, t] {
                 if let Term::Var(v) = term {
                     if !positive.contains(v) {
@@ -116,7 +125,7 @@ impl ConjunctiveQuery {
                 }
             }
         }
-        Ok(q)
+        Ok(())
     }
 
     /// All variables of the query (`vars(Q)`), in order of first occurrence
@@ -344,6 +353,17 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, QueryError::UnsafeNegatedVar(Var::new("z")));
+    }
+
+    #[test]
+    fn validate_checks_a_query_built_field_by_field() {
+        let mut q = triangle();
+        assert_eq!(q.validate(), Ok(()));
+        q.inequalities.push((Term::var("w"), Term::var("x")));
+        assert_eq!(
+            q.validate(),
+            Err(QueryError::UnsafeInequalityVar(Var::new("w")))
+        );
     }
 
     #[test]

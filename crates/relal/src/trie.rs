@@ -23,16 +23,15 @@
 //!   query hypergraph (highest atom-degree first, connectivity-greedy),
 //!   optionally forced to start with a caller-supplied prefix (the
 //!   Datalog semi-naive loop puts the delta atom's variables outermost).
-//! * [`leapfrog`] — the LeapFrog TrieJoin itself: per-variable leapfrog
-//!   intersection across all atoms containing the variable, descending
-//!   **every run** of each atom's trie stack one level per variable (a
-//!   k-way merge cursor: the candidate value at a level is the
-//!   leapfrogged minimum over live runs, so the LSM layering is
+//! * [`LeapfrogPlan`] — the LeapFrog TrieJoin itself, compiled once per
+//!   query and order: per-variable leapfrog intersection across all atoms containing the variable,
+//!   descending **every run** of each atom's trie stack one level per
+//!   variable (a k-way merge cursor: the candidate value at a level is
+//!   the leapfrogged minimum over live runs, so the LSM layering is
 //!   invisible to the join). Variables are bound to **slots** — their
 //!   positions in the order — and every satisfying binding vector is
-//!   handed to a sink; head rows ([`wcoj_heads`]) and valuations
-//!   ([`satisfying_valuations_wcoj`]) are projections of it. Tombstoned
-//!   tuples lingering in old runs are filtered at the leaves, where atoms
+//!   handed to a sink; a [`crate::eval::QueryPlan`] projects it onto the
+//!   head. Tombstoned tuples lingering in old runs are filtered at the leaves, where atoms
 //!   are fully ground and instance membership is authoritative. Negated
 //!   atoms are checked at the leaves, inequalities as soon as both
 //!   endpoints are bound — exactly the contract of the backtracking
@@ -43,7 +42,6 @@ use crate::fact::{Fact, Val};
 use crate::instance::Instance;
 use crate::query::ConjunctiveQuery;
 use crate::symbols::RelId;
-use crate::valuation::Valuation;
 use std::sync::Arc;
 
 /// A relation stored as a sorted columnar trie for one column permutation.
@@ -270,6 +268,7 @@ impl Slot {
 /// position, then variables by their place in the order, a repeated
 /// variable's columns adjacent — and the fixed columns' values, descended
 /// on entry.
+#[derive(Debug)]
 struct AtomPlan {
     rel: RelId,
     terms: Vec<Slot>,
@@ -281,7 +280,9 @@ struct AtomPlan {
 /// variable → slot, each atom's trie permutation and variable segments,
 /// the inequalities decidable at each level, the negated atoms' leaf
 /// probes. Only the instance-dependent part — which runs each atom's trie
-/// stack has — is resolved per run.
+/// stack has — is resolved per run. Its valuations are exactly those of
+/// [`crate::eval::satisfying_valuations`]; on a single-run, tombstone-free
+/// stack its seeks are the classic single-trie LFTJ's.
 ///
 /// The first `params` variables of the order are **parameters**: bound by
 /// the caller on every run and descended like constants, never
@@ -292,6 +293,7 @@ struct AtomPlan {
 /// for. A run with parameter values `p` makes exactly the seeks of the
 /// parameter-free plan of the query with `p` substituted for them, once
 /// the inequalities that makes ground are decided (here: on entry).
+#[derive(Debug)]
 pub struct LeapfrogPlan {
     params: usize,
     width: usize,
@@ -554,30 +556,6 @@ struct Cursors<'a> {
     probes: Vec<Probe<'a>>,
 }
 
-/// Enumerate the satisfying valuations of `q` on `instance` with LeapFrog
-/// TrieJoin, visiting variables in `order` (see [`wcoj_variable_order`]),
-/// and hand each to `sink` as its **binding vector**: `bindings[i]` is the
-/// value of `order[i]`. `order` must contain every positive-body variable
-/// exactly once.
-///
-/// The valuations are exactly those of
-/// [`crate::eval::satisfying_valuations`] — same semantics, different
-/// asymptotics. The plan is compiled once per call ([`LeapfrogPlan`]) and
-/// all cursor state is allocated up front, so the enumeration itself
-/// allocates nothing: a seek costs a seek. With a single-run,
-/// tombstone-free trie stack (the state of any freshly built cache entry)
-/// the seek sequence is identical to the classic single-trie LFTJ. The
-/// sink is `dyn` — one call per *output* row — so the engine is compiled
-/// once, not once per caller's closure.
-pub fn leapfrog(
-    q: &ConjunctiveQuery,
-    instance: &Instance,
-    order: &[Var],
-    sink: &mut dyn FnMut(&[Val]),
-) {
-    LeapfrogPlan::new(q, order, 0).run(&[instance], &[], sink);
-}
-
 /// Minimum depth-`d` value over the live runs of one participant (a run
 /// is live while its slot has `pos < hi`). Must only be called with at
 /// least one live slot.
@@ -712,53 +690,55 @@ fn intersect(plan: &Plan, cur: &mut Cursors, oi: usize, sink: &mut dyn FnMut(&[V
     }
 }
 
-/// [`leapfrog`] projected onto the head: `sink` receives the derived fact
-/// of every satisfying valuation, in enumeration order (one per
-/// valuation — duplicates are the caller's to merge).
-pub fn wcoj_heads(
-    q: &ConjunctiveQuery,
-    instance: &Instance,
-    order: &[Var],
-    mut sink: impl FnMut(Fact),
-) {
-    let head: Vec<Slot> = q.head.terms.iter().map(|t| Slot::of(t, order)).collect();
-    leapfrog(q, instance, order, &mut |vals| {
-        sink(Fact::new(
-            q.head.rel,
-            head.iter().map(|s| s.value(vals)).collect(),
-        ))
-    });
-}
-
-/// [`leapfrog`] collected as [`Valuation`]s, for the callers where a
-/// valuation is the point (certificates, view maintenance).
-pub fn satisfying_valuations_wcoj_ordered(
-    q: &ConjunctiveQuery,
-    instance: &Instance,
-    order: &[Var],
-) -> Vec<Valuation> {
-    let mut out = Vec::new();
-    leapfrog(q, instance, order, &mut |vals| {
-        out.push(order.iter().cloned().zip(vals.iter().copied()).collect());
-    });
-    out
-}
-
-/// [`satisfying_valuations_wcoj_ordered`] with the default hypergraph
-/// order ([`wcoj_variable_order`] with an empty prefix).
-pub fn satisfying_valuations_wcoj(q: &ConjunctiveQuery, instance: &Instance) -> Vec<Valuation> {
-    let order = wcoj_variable_order(q, &[]);
-    satisfying_valuations_wcoj_ordered(q, instance, &order)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::atom::Atom;
-    use crate::eval::{eval_query, eval_query_naive, eval_query_wcoj};
+    use crate::eval::{eval_query, eval_query_naive, eval_query_with, EvalStrategy};
     use crate::fact::fact;
     use crate::parser::parse_query;
     use crate::symbols::rel;
+    use crate::valuation::Valuation;
+
+    fn eval_query_wcoj(q: &ConjunctiveQuery, instance: &Instance) -> Instance {
+        eval_query_with(q, instance, EvalStrategy::Wcoj)
+    }
+
+    /// Compile `q` for `order` and run it on `instance`.
+    fn leapfrog(
+        q: &ConjunctiveQuery,
+        instance: &Instance,
+        order: &[Var],
+        sink: &mut dyn FnMut(&[Val]),
+    ) {
+        LeapfrogPlan::new(q, order, 0).run(&[instance], &[], sink);
+    }
+
+    /// [`leapfrog`] projected onto the head, one fact per valuation.
+    fn wcoj_heads(q: &ConjunctiveQuery, instance: &Instance, order: &[Var]) -> Vec<Fact> {
+        let head: Vec<Slot> = q.head.terms.iter().map(|t| Slot::of(t, order)).collect();
+        let mut out = Vec::new();
+        leapfrog(q, instance, order, &mut |vals| {
+            out.push(Fact::new(
+                q.head.rel,
+                head.iter().map(|s| s.value(vals)).collect(),
+            ))
+        });
+        out
+    }
+
+    /// [`leapfrog`] collected as [`Valuation`]s.
+    fn satisfying_valuations_wcoj_ordered(
+        q: &ConjunctiveQuery,
+        instance: &Instance,
+        order: &[Var],
+    ) -> Vec<Valuation> {
+        let mut out = Vec::new();
+        leapfrog(q, instance, order, &mut |vals| {
+            out.push(order.iter().cloned().zip(vals.iter().copied()).collect());
+        });
+        out
+    }
 
     impl TrieRel {
         /// The stored (permuted) tuples in sorted row order.
@@ -1086,6 +1066,7 @@ mod tests {
     mod model {
         use super::super::*;
         use crate::eval::inequalities_ok_so_far;
+        use crate::valuation::Valuation;
 
         /// One immutable run of an atom's LSM trie stack, with the stack of row
         /// ranges descended so far (one entry per trie level; empty ranges are
@@ -1549,8 +1530,7 @@ mod tests {
                         // new run, at most four tombstones on nine rows.
                         proptest::prop_assert!(!db.compaction_candidates().is_empty());
                     }
-                    let mut heads = Vec::new();
-                    wcoj_heads(&q, &db, &order, |f| heads.push(f));
+                    let heads = wcoj_heads(&q, &db, &order);
                     let valuations = satisfying_valuations_wcoj_ordered(&q, &db, &order);
                     proptest::prop_assert_eq!(&valuations, &model::valuations(&q, &db, &order));
                     let derived: Vec<Fact> = valuations.iter().map(|v| v.derived_fact(&q)).collect();

@@ -14,7 +14,7 @@ use parlog_relal::eval::Indexed;
 use parlog_relal::fact::fact;
 use parlog_relal::instance::Instance;
 use parlog_relal::parser::parse_query;
-use parlog_relal::trie::{leapfrog, wcoj_variable_order};
+use parlog_relal::trie::{wcoj_variable_order, LeapfrogPlan};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -86,11 +86,14 @@ fn leapfrog_allocates_per_query_not_per_seek() {
     let order = wcoj_variable_order(&q, &[]);
     let measure = |n: u64| {
         let db = hub_triangle(n);
+        let leapfrog = |sink: &mut dyn FnMut(&[_])| {
+            LeapfrogPlan::new(&q, &order, 0).run(&[&db], &[], sink);
+        };
         // Warm the tries: the measured enumeration builds nothing.
-        leapfrog(&q, &db, &order, &mut |_| {});
+        leapfrog(&mut |_| {});
         parlog_relal::opcount::reset();
         let mut rows = 0;
-        let ((), blocks) = blocks_during(|| leapfrog(&q, &db, &order, &mut |_| rows += 1));
+        let ((), blocks) = blocks_during(|| leapfrog(&mut |_| rows += 1));
         assert_eq!(rows, 1, "the planted triangle");
         (blocks, parlog_relal::opcount::read())
     };
@@ -112,7 +115,7 @@ fn positional_index_allocates_no_block_per_value() {
     let m = 4096u64;
     // Every value distinct: 2m `(position, value)` keys.
     let db = Instance::from_facts((0..m).map(|i| fact("R", &[i, m + i])));
-    let (index, blocks) = blocks_during(|| Indexed::for_query(&q, &db));
+    let (index, blocks) = blocks_during(|| Indexed::build(&db, &q.body_relations()));
     assert_eq!(index.len(q.body[0].rel), m as usize);
     assert!(
         blocks < m / 8,

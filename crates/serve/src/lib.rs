@@ -17,16 +17,17 @@
 //!   gate that refuses with a typed [`Overload`] instead of queueing
 //!   unboundedly, consistent with the degradation contract of
 //!   `parlog_supervisor::degrade` (refusal over silent wrongness).
-//! * [`plan`] — the plan cache: query analysis (GYO acyclicity, ρ*/τ*
-//!   LPs, HyperCube share exponents, WCOJ variable order) is memoized
-//!   per query text, and prepared plans are keyed on
+//! * [`plan`] — the plan cache: the compiled `QueryPlan` and the query
+//!   analysis (GYO acyclicity, ρ*/τ* LPs, HyperCube share exponents) are
+//!   memoized per query text, and prepared plans are keyed on
 //!   `(query, strategy, snapshot generation)` so a cached plan is never
 //!   replayed against a database version it was not prepared for.
 //! * [`server`] — the request loop: a [`Server`] wraps a store and a
 //!   gate; each serving thread opens a [`Session`] (thread-per-core: no
 //!   shared mutable state between sessions) that pins a snapshot,
 //!   executes CQ / UCQ / Datalog / point-lookup requests lock-free
-//!   against the pin, and re-pins on an explicit cadence via the
+//!   against the pin, refuses an unsafe query with a typed
+//!   [`ServeError`], and re-pins on an explicit cadence via the
 //!   one-atomic-load staleness probe.
 //! * [`compact`] — background LSM compaction: merges a sealed entry's
 //!   run stack off-thread from immutable `Arc`'d runs, and installs the

@@ -1,12 +1,13 @@
 //! The plan cache: memoized query analysis + generation-keyed plans.
 //!
-//! Planning a query here means running the expensive, *data-independent*
-//! analyses the rest of the workspace provides — GYO acyclicity, the
-//! fractional edge cover ρ* and packing τ* LPs, the HyperCube share
-//! exponents, the WCOJ variable order — and resolving `Auto` to a
-//! concrete strategy. None of that depends on the database contents, so
-//! it is memoized **per query text** and reused across every snapshot
-//! generation. The *prepared plan* layer on top is keyed on
+//! Planning a query here means compiling its [`QueryPlan`] — the safety
+//! check, `Auto` resolved per disjunct, the WCOJ variable order and the
+//! compiled leapfrog — and running the *data-independent* analyses the
+//! rest of the workspace provides: GYO acyclicity, the fractional edge
+//! cover ρ* and packing τ* LPs, the HyperCube share exponents. None of
+//! that depends on the database contents, so it is memoized **per query
+//! text** and reused across every snapshot generation — an unsafe
+//! query's refusal included. The *prepared plan* layer on top is keyed on
 //! `(query, strategy, snapshot generation)`: a plan is only ever served
 //! against the exact database version it was prepared for, which is what
 //! lets the executor skip revalidation entirely — a new generation
@@ -25,13 +26,12 @@
 use parlog_datalog::program::Program;
 use parlog_datalog::view_key_for;
 use parlog_relal::atom::Var;
-use parlog_relal::eval::EvalStrategy;
+use parlog_relal::eval::{EvalStrategy, QueryPlan};
 use parlog_relal::fastmap::{fxmap, FxHasher, FxMap};
 use parlog_relal::hypergraph::is_acyclic;
 use parlog_relal::packing::{fractional_edge_cover, fractional_edge_packing, share_exponents};
-use parlog_relal::query::ConjunctiveQuery;
+use parlog_relal::query::{ConjunctiveQuery, QueryError};
 use parlog_relal::snapshot::Snapshot;
-use parlog_relal::trie::wcoj_variable_order;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -41,18 +41,13 @@ fn text_key(src: &str) -> u64 {
     h.finish()
 }
 
-/// The per-disjunct analysis: everything about evaluating one CQ that
-/// does not depend on the data.
+/// The per-disjunct analysis: the data-independent quantities the
+/// theory attaches to one CQ (how it is evaluated lives in the
+/// [`QueryPlan`]).
 #[derive(Debug, Clone)]
 pub struct DisjunctPlan {
-    /// The strategy after resolving `Auto` (never `Auto` itself).
-    pub resolved: EvalStrategy,
     /// GYO verdict: does the query hypergraph have a join tree?
     pub acyclic: bool,
-    /// The memoized WCOJ variable order (meaningful when `resolved`
-    /// is `Wcoj`; computed for every disjunct — it is cheap and the
-    /// executor may be asked to force WCOJ).
-    pub order: Vec<Var>,
     /// Fractional edge cover number ρ* — the AGM output-size exponent
     /// (`None` when the LP is degenerate, e.g. a nullary body).
     pub rho_star: Option<f64>,
@@ -65,26 +60,27 @@ pub struct DisjunctPlan {
     pub share_vars: Vec<Var>,
 }
 
-/// The full data-independent analysis of a relational request: one
-/// [`DisjunctPlan`] per disjunct (a plain CQ is a one-disjunct UCQ).
+/// The full data-independent analysis of a relational request: the
+/// compiled plan that evaluates it and one [`DisjunctPlan`] per disjunct
+/// (a plain CQ is a one-disjunct UCQ).
 #[derive(Debug, Clone)]
 pub struct QueryAnalysis {
-    /// Per-disjunct plans, in request order.
+    /// The compiled evaluation, shared by every generation's prepared
+    /// plan; [`QueryPlan::resolved`] says what `Auto` became.
+    pub plan: Arc<QueryPlan>,
+    /// Per-disjunct analyses, in request order.
     pub disjuncts: Vec<DisjunctPlan>,
 }
 
-/// Analyze one CQ under a requested strategy.
-pub fn analyze_cq(q: &ConjunctiveQuery, strategy: EvalStrategy) -> DisjunctPlan {
-    let resolved = strategy.resolve(q);
+/// Analyze one CQ.
+pub fn analyze_cq(q: &ConjunctiveQuery) -> DisjunctPlan {
     let shares = share_exponents(q).ok();
     let (share_vars, shares) = match shares {
         Some(s) => (s.vars, Some(s.exponents)),
         None => (Vec::new(), None),
     };
     DisjunctPlan {
-        resolved,
         acyclic: is_acyclic(q),
-        order: wcoj_variable_order(q, &[]),
         rho_star: fractional_edge_cover(q).ok().map(|r| r.value),
         tau_star: fractional_edge_packing(q).ok().map(|r| r.value),
         shares,
@@ -92,18 +88,26 @@ pub fn analyze_cq(q: &ConjunctiveQuery, strategy: EvalStrategy) -> DisjunctPlan 
     }
 }
 
-/// Analyze a disjunct list (UCQ body, or a singleton for a CQ).
+/// Analyze a disjunct list (UCQ body, or a singleton for a CQ) under a
+/// requested strategy: compile its plan, then run the LPs.
+///
+/// # Panics
+/// Panics if a disjunct is unsafe; [`PlanCache::prepare_relational`]
+/// refuses those before analyzing.
 pub fn analyze(disjuncts: &[ConjunctiveQuery], strategy: EvalStrategy) -> QueryAnalysis {
     QueryAnalysis {
-        disjuncts: disjuncts.iter().map(|q| analyze_cq(q, strategy)).collect(),
+        plan: Arc::new(QueryPlan::new(disjuncts, strategy, &[]).expect("safe disjuncts")),
+        disjuncts: disjuncts.iter().map(analyze_cq).collect(),
     }
 }
 
 /// What a prepared plan tells the executor to do.
 #[derive(Debug, Clone)]
 pub enum PlanKind {
-    /// Evaluate disjuncts with their resolved strategies / orders.
+    /// Run the analysis's compiled plan.
     Relational(Arc<QueryAnalysis>),
+    /// Refuse: a disjunct of the request is unsafe.
+    Refused(QueryError),
     /// A Datalog program request.
     Program {
         /// The registry key of the `(program, strategy)` view.
@@ -155,8 +159,9 @@ impl PlanCacheStats {
 /// The per-session plan cache.
 #[derive(Debug, Default)]
 pub struct PlanCache {
-    /// query-text key → (stored text, analysis). Generation-independent.
-    analyses: FxMap<u64, (String, Arc<QueryAnalysis>)>,
+    /// query-text key → (stored text, analysis or refusal).
+    /// Generation-independent.
+    analyses: FxMap<u64, (String, Result<Arc<QueryAnalysis>, QueryError>)>,
     /// program-text key → (stored text, registry view key).
     program_keys: FxMap<u64, (String, u64)>,
     /// (query-text key, generation) → prepared plan.
@@ -231,18 +236,24 @@ impl PlanCache {
         let analysis = match self.analyses.get(&key) {
             Some((stored, a)) if *stored == src => {
                 self.stats.analysis_hits += 1;
-                Arc::clone(a)
+                a.clone()
             }
             _ => {
                 self.stats.analysis_misses += 1;
-                let a = Arc::new(analyze(disjuncts, strategy));
-                self.analyses.insert(key, (src, Arc::clone(&a)));
+                let a = disjuncts
+                    .iter()
+                    .try_for_each(ConjunctiveQuery::validate)
+                    .map(|()| Arc::new(analyze(disjuncts, strategy)));
+                self.analyses.insert(key, (src, a.clone()));
                 a
             }
         };
         let plan = Arc::new(PreparedPlan {
             generation,
-            kind: PlanKind::Relational(analysis),
+            kind: match analysis {
+                Ok(a) => PlanKind::Relational(a),
+                Err(e) => PlanKind::Refused(e),
+            },
         });
         self.plans.insert((key, generation), Arc::clone(&plan));
         (plan, false)
@@ -311,15 +322,39 @@ mod tests {
 
     #[test]
     fn analysis_matches_the_theory() {
-        let t = analyze_cq(&triangle(), EvalStrategy::Auto);
+        let a = analyze(&[triangle(), path()], EvalStrategy::Auto);
+        let (t, p) = (&a.disjuncts[0], &a.disjuncts[1]);
         assert!(!t.acyclic);
-        assert_eq!(t.resolved, EvalStrategy::Wcoj);
         assert!((t.rho_star.unwrap() - 1.5).abs() < 1e-9);
         assert!((t.tau_star.unwrap() - 1.5).abs() < 1e-9);
-        assert_eq!(t.order.len(), 3);
-        let p = analyze_cq(&path(), EvalStrategy::Auto);
         assert!(p.acyclic);
-        assert_eq!(p.resolved, EvalStrategy::Indexed);
+        assert_eq!(
+            a.plan.resolved().collect::<Vec<_>>(),
+            vec![EvalStrategy::Wcoj, EvalStrategy::Indexed]
+        );
+    }
+
+    #[test]
+    fn an_unsafe_query_is_refused_once_per_text() {
+        let unsafe_q = ConjunctiveQuery {
+            head: parlog_relal::atom::Atom::vars("H", &["w"]),
+            ..path()
+        };
+        let mut cache = PlanCache::new();
+        for generation in [0, 0, 1] {
+            let (plan, _) = cache.prepare_relational(
+                std::slice::from_ref(&unsafe_q),
+                EvalStrategy::Auto,
+                generation,
+            );
+            match &plan.kind {
+                PlanKind::Refused(e) => assert_eq!(*e, QueryError::UnsafeHeadVar(Var::new("w"))),
+                other => panic!("expected a refusal, got {other:?}"),
+            }
+        }
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (1, 2));
+        assert_eq!((s.analysis_hits, s.analysis_misses), (1, 1));
     }
 
     #[test]

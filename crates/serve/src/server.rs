@@ -14,24 +14,23 @@
 //!
 //! Request execution is entirely lock-free against the pin: sealed
 //! instances serve warm tries without a mutex, CQ/UCQ evaluation runs
-//! the strategy resolved by the plan (WCOJ with the memoized variable
-//! order), Datalog requests are answered from the snapshot's frozen
-//! view outputs when resident (an `Arc` clone — O(1)) and from a
-//! registry-free scratch evaluation otherwise, and point lookups batch
-//! hash probes.
+//! the `QueryPlan` the plan cache compiled once per query text (an
+//! unsafe query is refused there, once), Datalog requests are answered
+//! from the snapshot's frozen view outputs when resident (an `Arc`
+//! clone — O(1)) and from a registry-free scratch evaluation otherwise,
+//! and point lookups batch hash probes.
 
 use crate::admission::{AdmissionGate, Overload, Permit};
 use crate::plan::{PlanCache, PlanCacheStats, PlanKind};
 use parlog_datalog::eval::eval_program_scratch;
 use parlog_datalog::maintain::publish_views;
 use parlog_datalog::program::{Program, ProgramError};
-use parlog_relal::eval::{eval_query_naive, satisfying_valuations_indexed, EvalStrategy, Indexed};
+use parlog_relal::eval::EvalStrategy;
 use parlog_relal::fact::Fact;
 use parlog_relal::instance::Instance;
 use parlog_relal::opcount;
-use parlog_relal::query::{ConjunctiveQuery, UnionQuery};
+use parlog_relal::query::{ConjunctiveQuery, QueryError, UnionQuery};
 use parlog_relal::snapshot::{Snapshot, SnapshotStore};
-use parlog_relal::trie::wcoj_heads;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -93,6 +92,8 @@ pub enum ServeError {
     Overload(Overload),
     /// The submitted Datalog program was rejected (e.g. unstratifiable).
     Program(ProgramError),
+    /// The submitted query was rejected: a disjunct is unsafe.
+    Query(QueryError),
 }
 
 impl fmt::Display for ServeError {
@@ -100,6 +101,7 @@ impl fmt::Display for ServeError {
         match self {
             ServeError::Overload(o) => write!(f, "{o}"),
             ServeError::Program(e) => write!(f, "program rejected: {e:?}"),
+            ServeError::Query(e) => write!(f, "query rejected: {e}"),
         }
     }
 }
@@ -237,25 +239,9 @@ impl Session<'_> {
                 (Answer::Bits(bits), None)
             }
             Request::Query(q, strategy) => {
-                let (plan, hit) =
-                    self.plans
-                        .prepare_relational(std::slice::from_ref(q), *strategy, generation);
-                let PlanKind::Relational(analysis) = &plan.kind else {
-                    unreachable!("relational prepare returned a program plan");
-                };
-                let out = execute_disjuncts(std::slice::from_ref(q), analysis, inst);
-                (Answer::Relation(Arc::new(out)), Some(hit))
+                self.relational(std::slice::from_ref(q), *strategy, generation)?
             }
-            Request::Union(u, strategy) => {
-                let (plan, hit) =
-                    self.plans
-                        .prepare_relational(&u.disjuncts, *strategy, generation);
-                let PlanKind::Relational(analysis) = &plan.kind else {
-                    unreachable!("relational prepare returned a program plan");
-                };
-                let out = execute_disjuncts(&u.disjuncts, analysis, inst);
-                (Answer::Relation(Arc::new(out)), Some(hit))
-            }
+            Request::Union(u, strategy) => self.relational(&u.disjuncts, *strategy, generation)?,
             Request::Program(p, strategy) => {
                 let (plan, hit) = self.plans.prepare_program(p, *strategy, &self.pinned);
                 let PlanKind::Program { view_key, resident } = plan.kind else {
@@ -278,39 +264,27 @@ impl Session<'_> {
             ops: opcount::read(),
         })
     }
-}
 
-/// Evaluate `disjuncts` against `inst` with each disjunct's resolved
-/// strategy and memoized WCOJ order, deriving every head fact straight
-/// into the one answer instance.
-fn execute_disjuncts(
-    disjuncts: &[ConjunctiveQuery],
-    analysis: &crate::plan::QueryAnalysis,
-    inst: &Instance,
-) -> Instance {
-    debug_assert_eq!(disjuncts.len(), analysis.disjuncts.len());
-    let mut out = Instance::new();
-    for (q, d) in disjuncts.iter().zip(&analysis.disjuncts) {
-        match d.resolved {
-            EvalStrategy::Naive => {
-                out.extend_from(&eval_query_naive(q, inst));
+    /// Prepare (or fetch) the plan of a CQ or a UCQ's disjunct list and
+    /// run it against the pin — or refuse, if the plan cache refused it.
+    fn relational(
+        &mut self,
+        disjuncts: &[ConjunctiveQuery],
+        strategy: EvalStrategy,
+        generation: u64,
+    ) -> Result<(Answer, Option<bool>), ServeError> {
+        let (plan, hit) = self
+            .plans
+            .prepare_relational(disjuncts, strategy, generation);
+        match &plan.kind {
+            PlanKind::Relational(analysis) => {
+                let out = analysis.plan.eval(self.pinned.instance());
+                Ok((Answer::Relation(Arc::new(out)), Some(hit)))
             }
-            EvalStrategy::Indexed => {
-                let index = Indexed::for_query(q, inst);
-                for v in satisfying_valuations_indexed(q, inst, &index) {
-                    out.insert(v.derived_fact(q));
-                }
-            }
-            EvalStrategy::Wcoj | EvalStrategy::Auto => {
-                // `Auto` cannot survive `resolve`, but WCOJ is a safe
-                // executor for anything, so fold it in rather than panic.
-                wcoj_heads(q, inst, &d.order, |f| {
-                    out.insert(f);
-                });
-            }
+            PlanKind::Refused(e) => Err(ServeError::Query(e.clone())),
+            PlanKind::Program { .. } => unreachable!("relational prepare returned a program plan"),
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -416,6 +390,91 @@ mod tests {
                 capacity: 1
             })
         );
+    }
+
+    /// A query built in code whose head variable is missing from the
+    /// positive body is refused with a typed error under every strategy,
+    /// alone or as a disjunct — never evaluated — and the refusal is
+    /// cached like a plan.
+    #[test]
+    fn unsafe_query_is_a_typed_refusal_under_every_strategy() {
+        use parlog_relal::atom::{Atom, Var};
+        let server = Server::new(base(), 8);
+        let mut session = server.session();
+        let unsafe_q = ConjunctiveQuery {
+            head: Atom::vars("H", &["x", "w"]),
+            body: vec![Atom::vars("R", &["x", "y"])],
+            negated: Vec::new(),
+            inequalities: Vec::new(),
+        };
+        let safe = parse_query("H(x,y) <- R(x,y)").unwrap();
+        let refusal = ServeError::Query(QueryError::UnsafeHeadVar(Var::new("w")));
+        for strategy in [
+            EvalStrategy::Naive,
+            EvalStrategy::Indexed,
+            EvalStrategy::Wcoj,
+            EvalStrategy::Auto,
+        ] {
+            let query = Request::Query(unsafe_q.clone(), strategy);
+            let union = Request::Union(
+                UnionQuery::new(vec![safe.clone(), unsafe_q.clone()]),
+                strategy,
+            );
+            for req in [&query, &union, &query] {
+                assert_eq!(session.execute(req).unwrap_err(), refusal, "{strategy:?}");
+            }
+        }
+        let stats = session.plan_stats();
+        assert_eq!((stats.hits, stats.misses), (4, 8));
+        assert_eq!(stats.analysis_misses, 8);
+    }
+
+    /// A publication invalidates the prepared plan, not the compiled one:
+    /// the re-prepared plan holds the very same `QueryPlan` and answers
+    /// the new generation.
+    #[test]
+    fn republished_generation_reuses_the_compiled_plan() {
+        let server = Server::new(base(), 4);
+        let mut session = server.session();
+        let q = parse_query("H(x,y,z) <- R(x,y), S(y,z), T(z,x)").unwrap();
+        let req = Request::Query(q.clone(), EvalStrategy::Wcoj);
+        let compiled = |session: &mut Session<'_>| {
+            let generation = session.pinned().generation();
+            let (plan, hit) = session.plans.prepare_relational(
+                std::slice::from_ref(&q),
+                EvalStrategy::Wcoj,
+                generation,
+            );
+            assert!(hit, "the request just prepared it");
+            match &plan.kind {
+                PlanKind::Relational(analysis) => Arc::clone(&analysis.plan),
+                other => panic!("expected a relational plan, got {other:?}"),
+            }
+        };
+        let before = session.execute(&req).unwrap();
+        let first = compiled(&mut session);
+        server.store().mutate(|w| {
+            w.insert(fact("R", &[3, 4]));
+            w.insert(fact("S", &[4, 2]));
+            w.insert(fact("T", &[2, 3]));
+        });
+        server.publish().unwrap();
+        let after = session.execute(&req).unwrap();
+        assert!(after.generation > before.generation);
+        assert_eq!(after.plan_hit, Some(false));
+        assert!(Arc::ptr_eq(&first, &compiled(&mut session)));
+        assert_eq!(session.plan_stats().analysis_misses, 1);
+        let answer = after.answer.relation().unwrap();
+        assert_eq!(
+            answer.sorted_facts(),
+            eval_query_with(&q, session.pinned().instance(), EvalStrategy::Naive).sorted_facts()
+        );
+        assert!(answer.contains(&fact("H", &[3, 4, 2])));
+        assert!(!before
+            .answer
+            .relation()
+            .unwrap()
+            .contains(&fact("H", &[3, 4, 2])));
     }
 
     #[test]

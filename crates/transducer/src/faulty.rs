@@ -24,6 +24,7 @@
 //! code path (regression-tested): there is one router, not two.
 
 use parlog_faults::{CrashKind, FaultPlan, MessageFate};
+use parlog_relal::fact::Fact;
 use serde::Serialize;
 
 /// Liveness of one node.
@@ -106,6 +107,20 @@ impl FaultStats {
             ..parlog_trace::CommCounters::default()
         }
     }
+}
+
+/// Byzantine tampering in transit, tallied in `stats`: one argument of
+/// `fact`, chosen by the fate's entropy `e`, is flipped by a nonzero
+/// entropy-derived delta, so the destination receives a well-formed but
+/// *wrong* fact. A zero-arity fact has nothing to flip and passes
+/// unchanged.
+pub(crate) fn corrupt_in_transit(mut fact: Fact, e: u64, stats: &mut FaultStats) -> Fact {
+    stats.corrupted += 1;
+    if !fact.args.is_empty() {
+        let idx = e as usize % fact.args.len();
+        fact.args[idx].0 ^= (e | 1) & 0xFFFF;
+    }
+    fact
 }
 
 /// A message copy parked until the clock reaches `release`: either a

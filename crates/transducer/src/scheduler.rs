@@ -13,7 +13,7 @@
 //! (receivers are idempotent — their states are sets), which keeps runs
 //! finite without changing any program's semantics.
 
-use crate::faulty::{FaultState, FaultStats, Health};
+use crate::faulty::{corrupt_in_transit, FaultState, FaultStats, Health};
 use crate::network::NodeState;
 use crate::program::{Ctx, TransducerProgram};
 use parlog_faults::{FaultPlan, MessageFate};
@@ -361,16 +361,7 @@ impl SimRun {
                 });
             }
             MessageFate::Corrupt(e) => {
-                // Byzantine tampering in transit: one argument is flipped
-                // by an entropy-derived nonzero delta, so the destination
-                // receives a well-formed but *wrong* fact. A zero-arity
-                // fact has nothing to flip and passes unchanged.
-                self.faults.stats.corrupted += 1;
-                let mut tampered = fact;
-                if !tampered.args.is_empty() {
-                    let idx = e as usize % tampered.args.len();
-                    tampered.args[idx].0 ^= (e | 1) & 0xFFFF;
-                }
+                let tampered = corrupt_in_transit(fact, e, &mut self.faults.stats);
                 self.trace.emit(|| {
                     TraceEvent::Fault(FaultEvent {
                         vclock: self.faults.clock as f64,

@@ -12,6 +12,7 @@
 //! counter is zero and a node's channel is empty, no further message can
 //! ever arrive for it (nodes only send while processing), so it may stop.
 
+use crate::faulty::corrupt_in_transit;
 use crate::network::NodeState;
 use crate::program::{Ctx, TransducerProgram};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -130,15 +131,9 @@ where
                                         1
                                     }
                                     parlog_faults::MessageFate::Corrupt(e) => {
-                                        // Byzantine tampering: deliver one
-                                        // copy with an entropy-flipped
-                                        // argument instead of the original.
-                                        stats.lock().corrupted += 1;
-                                        let mut t = f.clone();
-                                        if !t.args.is_empty() {
-                                            let idx = e as usize % t.args.len();
-                                            t.args[idx].0 ^= (e | 1) & 0xFFFF;
-                                        }
+                                        // Deliver one tampered copy instead
+                                        // of the original.
+                                        let t = corrupt_in_transit(f.clone(), e, &mut stats.lock());
                                         in_flight.fetch_add(1, Ordering::SeqCst);
                                         s.send((id, t)).expect("receiver alive");
                                         0

@@ -6,9 +6,9 @@
 //!   tuple ([`Witness`]): the valuation whose required body facts lie in
 //!   the snapshot-bound shard and whose head instantiation is the tuple.
 //!   Witnesses are extracted *uniformly* from all three local evaluators
-//!   (Naive / Indexed / Wcoj) — they all enumerate satisfying valuations,
-//!   so [`prove_cq`]/[`prove_ucq`] only canonicalize what the engine
-//!   already produced.
+//!   (Naive / Indexed / Wcoj) — each runs the disjunct's `QueryPlan` with
+//!   every body variable in the head, so [`prove_cq`]/[`prove_ucq`] only
+//!   read back and canonicalize what the engine already produced.
 //! * For stratified Datalog the evidence is a **derivation sequence**
 //!   ([`DerivationStep`]): a well-founded list of rule applications, each
 //!   supported by the facts established before it. Together with a single
@@ -23,12 +23,12 @@
 use crate::snapshot::{snapshot, SnapshotId};
 use parlog_datalog::eval::eval_program_with;
 use parlog_datalog::program::{Program, ProgramError, ADOM};
-use parlog_relal::eval::{satisfying_valuations, EvalStrategy};
+use parlog_relal::atom::{Atom, Term};
+use parlog_relal::eval::{satisfying_valuations, EvalStrategy, QueryPlan};
 use parlog_relal::fact::Fact;
 use parlog_relal::instance::Instance;
 use parlog_relal::query::{ConjunctiveQuery, UnionQuery};
 use parlog_relal::symbols::{rel, val_name};
-use parlog_relal::trie::satisfying_valuations_wcoj;
 use parlog_relal::valuation::Valuation;
 use std::collections::BTreeMap;
 
@@ -122,19 +122,26 @@ impl ServerCertificate {
     }
 }
 
-/// The satisfying valuations of `q` under an explicit strategy. `Naive`
-/// shares the backtracker entry point (it has no separate
-/// valuation-level API; the differential tests pin the evaluators to one
-/// semantics), `Wcoj` uses the trie enumerator.
+/// The satisfying valuations of `q` under `strategy`: the head rows of
+/// `q`'s plan with every body variable in the head. The body — and so
+/// what `Auto` resolves to, and the enumeration — is `q`'s.
 fn valuations_with(
     q: &ConjunctiveQuery,
     shard: &Instance,
     strategy: EvalStrategy,
 ) -> Vec<Valuation> {
-    match strategy.resolve(q) {
-        EvalStrategy::Wcoj => satisfying_valuations_wcoj(q, shard),
-        _ => satisfying_valuations(q, shard),
-    }
+    let vars = q.body_variables();
+    let witness = ConjunctiveQuery {
+        head: Atom::new(q.head.rel, vars.iter().cloned().map(Term::Var).collect()),
+        ..q.clone()
+    };
+    let mut out = Vec::new();
+    QueryPlan::new(&[witness], strategy, &[])
+        .expect("a certificate needs a safe query")
+        .run(shard, None, &mut |row| {
+            out.push(vars.iter().cloned().zip(row.args).collect());
+        });
+    out
 }
 
 /// Prove a UCQ answer: evaluate every disjunct on `shard` with
