@@ -22,7 +22,7 @@
 //! in the survey.
 
 use parlog_relal::eval::eval_query;
-use parlog_relal::fact::{Fact, Val};
+use parlog_relal::fact::{Args, Fact, Val};
 use parlog_relal::instance::Instance;
 use parlog_relal::minimal::{for_each_valuation, minimal_valuations_over};
 use parlog_relal::policy::{DistributionPolicy, ExplicitPolicy};
@@ -167,7 +167,10 @@ pub fn candidate_facts(schema: &[(RelId, usize)], universe: &[Val]) -> Vec<Fact>
             continue;
         }
         loop {
-            out.push(Fact::new(rel, idx.iter().map(|&i| universe[i]).collect()));
+            out.push(Fact::new(
+                rel,
+                idx.iter().map(|&i| universe[i]).collect::<Args>(),
+            ));
             let mut k = 0;
             loop {
                 if k == arity {

@@ -25,7 +25,7 @@ fn add_adom(db: &mut Instance, p: &Program) {
     values.sort_unstable();
     values.dedup();
     for v in values {
-        db.insert(Fact::new(adom_rel, vec![v]));
+        db.insert(Fact::new(adom_rel, [v]));
     }
 }
 

@@ -158,7 +158,7 @@ impl InventionProgram {
         // ones; this matches the "weak" in wILOG).
         let adom_rel = rel(ADOM);
         for v in db.adom_sorted() {
-            db.insert(Fact::new(adom_rel, vec![v]));
+            db.insert(Fact::new(adom_rel, [v]));
         }
         let mut memo: FxMap<(usize, Vec<Val>), Vec<Val>> = fxmap();
         let mut next_val = INVENTION_BASE;

@@ -45,7 +45,7 @@ use crate::program::{Program, ProgramError, ADOM};
 use parlog_relal::atom::{Atom, Term};
 use parlog_relal::delta::{DeltaEntry, DeltaOp};
 use parlog_relal::eval::{EvalStrategy, QueryPlan};
-use parlog_relal::fact::{Fact, Val};
+use parlog_relal::fact::{Args, Fact, Val};
 use parlog_relal::fastmap::{fxmap, fxset, FxHasher, FxMap, FxSet};
 use parlog_relal::instance::Instance;
 use parlog_relal::query::ConjunctiveQuery;
@@ -192,7 +192,7 @@ impl Occurrence {
     fn ground(&self, vals: &[Val]) -> Fact {
         Fact::new(
             self.head_rel,
-            self.head.iter().map(|s| s.value(vals)).collect(),
+            self.head.iter().map(|s| s.value(vals)).collect::<Args>(),
         )
     }
 }
@@ -425,7 +425,7 @@ impl MaterializedView {
                         let c = self.adom_refs.entry(v).or_insert(0);
                         *c += 1;
                         if *c == 1 {
-                            self.push(&mut ctx, DeltaOp::Insert, Fact::new(adom_rel, vec![v]));
+                            self.push(&mut ctx, DeltaOp::Insert, Fact::new(adom_rel, [v]));
                         }
                     }
                     self.push(&mut ctx, DeltaOp::Insert, e.fact.clone());
@@ -437,7 +437,7 @@ impl MaterializedView {
                         *c -= 1;
                         if *c <= 0 {
                             self.adom_refs.remove(&v);
-                            self.push(&mut ctx, DeltaOp::Delete, Fact::new(adom_rel, vec![v]));
+                            self.push(&mut ctx, DeltaOp::Delete, Fact::new(adom_rel, [v]));
                         }
                     }
                 }

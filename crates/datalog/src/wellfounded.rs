@@ -106,7 +106,7 @@ pub fn well_founded(p: &Program, edb: &Instance) -> Result<WellFoundedModel, Pro
     values.sort_unstable();
     values.dedup();
     for v in values {
-        base.insert(Fact::new(adom_rel, vec![v]));
+        base.insert(Fact::new(adom_rel, [v]));
     }
 
     // A-side starts at the base (no IDB facts assumed true); B-side starts

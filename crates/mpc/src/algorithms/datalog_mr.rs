@@ -135,7 +135,7 @@ impl DistributedTc {
                 for d in local.relation(delta_rel) {
                     if let Some(nexts) = by_src.get(&d.args[1]) {
                         for e in nexts {
-                            out.insert(Fact::new(pending_rel, vec![d.args[0], e.args[1]]));
+                            out.insert(Fact::new(pending_rel, [d.args[0], e.args[1]]));
                         }
                     }
                 }
@@ -207,7 +207,7 @@ mod tests {
             for a in tc.relation(t) {
                 for b in tc.relation(t) {
                     if a.args[1] == b.args[0] {
-                        let f = Fact::new(t, vec![a.args[0], b.args[1]]);
+                        let f = Fact::new(t, [a.args[0], b.args[1]]);
                         if !tc.contains(&f) {
                             new.push(f);
                         }

@@ -9,7 +9,7 @@
 use crate::cluster::{Cluster, Routing};
 use crate::partition::HashPartitioner;
 use parlog_relal::atom::{Atom, Term, Var};
-use parlog_relal::fact::{Fact, Val};
+use parlog_relal::fact::{Args, Fact, Val};
 use parlog_relal::instance::Instance;
 use parlog_relal::symbols::{rel, RelId};
 
@@ -43,7 +43,7 @@ impl VarRel {
 
     /// The values a fact takes on `on` (which must be a subset of the
     /// schema).
-    pub fn key_of(&self, f: &Fact, on: &[Var]) -> Vec<Val> {
+    pub fn key_of(&self, f: &Fact, on: &[Var]) -> Args {
         on.iter()
             .map(|v| {
                 let i = self
@@ -90,14 +90,19 @@ pub fn binding_of(atom: &Atom, f: &Fact) -> Option<Vec<(Var, Val)>> {
 /// tree algorithms.
 pub fn normalize_atom(shard: &Instance, atom: &Atom, target: &VarRel) -> Instance {
     debug_assert_eq!(target.vars, atom.variables());
+    // Each schema variable's first position in the atom.
+    let firsts: Vec<usize> = target
+        .vars
+        .iter()
+        .map(|v| {
+            let var = |t: &Term| matches!(t, Term::Var(w) if w == v);
+            atom.terms.iter().position(var).expect("schema var")
+        })
+        .collect();
     let mut out = Instance::new();
     for f in shard.relation(atom.rel) {
-        if let Some(b) = binding_of(atom, f) {
-            let args = target
-                .vars
-                .iter()
-                .map(|v| b.iter().find(|(w, _)| w == v).expect("schema var").1)
-                .collect();
+        if atom.matches(f) {
+            let args = firsts.iter().map(|&i| f.args[i]).collect::<Args>();
             out.insert(Fact::new(target.rel, args));
         }
     }
@@ -108,7 +113,7 @@ pub fn normalize_atom(shard: &Instance, atom: &Atom, target: &VarRel) -> Instanc
 /// fact on the shared variables.
 pub fn semijoin_local(a: &VarRel, b: &VarRel, inst: &Instance) -> Instance {
     let on = a.shared_with(b);
-    let keys: parlog_relal::fastmap::FxSet<Vec<Val>> =
+    let keys: parlog_relal::fastmap::FxSet<Args> =
         inst.relation(b.rel).map(|f| b.key_of(f, &on)).collect();
     Instance::from_facts(
         inst.relation(a.rel)
@@ -121,8 +126,7 @@ pub fn semijoin_local(a: &VarRel, b: &VarRel, inst: &Instance) -> Instance {
 /// `b`'s private variables).
 pub fn join_local(a: &VarRel, b: &VarRel, out: &VarRel, inst: &Instance) -> Instance {
     let on = a.shared_with(b);
-    let mut index: parlog_relal::fastmap::FxMap<Vec<Val>, Vec<&Fact>> =
-        parlog_relal::fastmap::fxmap();
+    let mut index: parlog_relal::fastmap::FxMap<Args, Vec<&Fact>> = parlog_relal::fastmap::fxmap();
     for f in inst.relation(b.rel) {
         index.entry(b.key_of(f, &on)).or_default().push(f);
     }
@@ -130,7 +134,7 @@ pub fn join_local(a: &VarRel, b: &VarRel, out: &VarRel, inst: &Instance) -> Inst
     for fa in inst.relation(a.rel) {
         if let Some(bs) = index.get(&a.key_of(fa, &on)) {
             for fb in bs {
-                let args: Vec<Val> = out
+                let args: Args = out
                     .vars
                     .iter()
                     .map(|v| {
@@ -356,7 +360,7 @@ pub fn project_to_head(cluster: &mut Cluster, source: &VarRel, head: &Atom) {
     cluster.compute(|local| {
         let mut out = Instance::new();
         for f in local.relation(src.rel) {
-            let args: Vec<Val> = head
+            let args: Args = head
                 .terms
                 .iter()
                 .map(|t| match t {

@@ -195,7 +195,7 @@ pub fn repartition_join_program() -> MapReduceProgram {
             for rf in group.relation(r_rel) {
                 for sf in group.relation(s_rel) {
                     if rf.args[1] == sf.args[0] {
-                        out.push(Fact::new(h_rel, vec![rf.args[0], rf.args[1], sf.args[1]]));
+                        out.push(Fact::new(h_rel, [rf.args[0], rf.args[1], sf.args[1]]));
                     }
                 }
             }
@@ -244,7 +244,7 @@ pub fn triangle_cascade_program() -> MapReduceProgram {
                 for rf in group.relation(r_rel) {
                     for sf in group.relation(s_rel) {
                         if rf.args[1] == sf.args[0] {
-                            out.push(Fact::new(k_rel, vec![rf.args[0], rf.args[1], sf.args[1]]));
+                            out.push(Fact::new(k_rel, [rf.args[0], rf.args[1], sf.args[1]]));
                         }
                     }
                 }
@@ -358,7 +358,7 @@ mod tests {
                     Vec::new()
                 }
             },
-            move |k, group| vec![Fact::new(cnt_rel, vec![Val(k), Val(group.len() as u64)])],
+            move |k, group| vec![Fact::new(cnt_rel, [Val(k), Val(group.len() as u64)])],
         ));
         let db = Instance::from_facts([
             parlog_relal::fact::fact("E", &[1, 2]),

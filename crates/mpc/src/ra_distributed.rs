@@ -23,7 +23,7 @@ use crate::cluster::{Cluster, Routing};
 use crate::partition::{seed_cluster, HashPartitioner, InitialPartition};
 use crate::report::RunReport;
 use parlog_relal::algebra::{ArityError, RaExpr};
-use parlog_relal::fact::{Fact, Val};
+use parlog_relal::fact::{Args, Fact, Val};
 use parlog_relal::fastmap::{fxmap, fxset};
 use parlog_relal::instance::Instance;
 use parlog_relal::symbols::{rel, RelId};
@@ -123,7 +123,7 @@ impl DistributedRa {
                     let mut next = local.clone();
                     let projected: Vec<Fact> = local
                         .relation(input)
-                        .map(|f| Fact::new(out, cols.iter().map(|&c| f.args[c]).collect()))
+                        .map(|f| Fact::new(out, cols.iter().map(|&c| f.args[c]).collect::<Args>()))
                         .collect();
                     for f in projected {
                         next.insert(f);
@@ -174,7 +174,7 @@ impl DistributedRa {
                     let mut index: parlog_relal::fastmap::FxMap<Vec<Val>, Vec<Vec<Val>>> = fxmap();
                     for f in local.relation(ri) {
                         let key: Vec<Val> = on.iter().map(|&(_, j)| f.args[j]).collect();
-                        index.entry(key).or_default().push(f.args.clone());
+                        index.entry(key).or_default().push(f.args.to_vec());
                     }
                     let drop_right: Vec<usize> = on.iter().map(|&(_, j)| j).collect();
                     let mut results: Vec<Fact> = Vec::new();
@@ -184,7 +184,7 @@ impl DistributedRa {
                             0 => {
                                 if let Some(bs) = index.get(&key) {
                                     for b in bs {
-                                        let mut t = f.args.clone();
+                                        let mut t = f.args.to_vec();
                                         for (j, v) in b.iter().enumerate() {
                                             if !drop_right.contains(&j) {
                                                 t.push(*v);
@@ -225,11 +225,11 @@ impl DistributedRa {
                 });
                 cluster.compute(move |local| {
                     let mut next = local.clone();
-                    let right: parlog_relal::fastmap::FxSet<Vec<Val>> =
-                        local.relation(ri).map(|f| f.args.clone()).collect();
+                    let right: parlog_relal::fastmap::FxSet<&[Val]> =
+                        local.relation(ri).map(|f| &f.args[..]).collect();
                     let kept: Vec<Fact> = local
                         .relation(li)
-                        .filter(|f| !right.contains(&f.args))
+                        .filter(|f| !right.contains(&f.args[..]))
                         .map(|f| Fact::new(out, f.args.clone()))
                         .collect();
                     for f in kept {
@@ -259,7 +259,7 @@ impl DistributedRa {
                     let mut results = fxset();
                     for a in local.relation(li) {
                         for b in local.relation(ri) {
-                            let mut t = a.args.clone();
+                            let mut t = a.args.to_vec();
                             t.extend_from_slice(&b.args);
                             results.insert(t);
                         }
@@ -288,7 +288,7 @@ mod tests {
         let got: parlog_relal::fastmap::FxSet<Vec<Val>> = report
             .output
             .relation(rel("Out"))
-            .map(|f| f.args.clone())
+            .map(|f| f.args.to_vec())
             .collect();
         assert_eq!(got, expected);
         report

@@ -240,13 +240,13 @@ impl StreamingReducer for JoinReducer {
 
     fn consume(&mut self, fact: &Fact) -> Vec<Fact> {
         if fact.rel == self.right {
-            self.buffered_right.push(fact.args.clone());
+            self.buffered_right.push(fact.args.to_vec());
             self.buffered_left
                 .iter()
                 .map(|l| self.combine(l, &fact.args))
                 .collect()
         } else if fact.rel == self.left {
-            self.buffered_left.push(fact.args.clone());
+            self.buffered_left.push(fact.args.to_vec());
             self.buffered_right
                 .iter()
                 .map(|r| self.combine(&fact.args, r))

@@ -215,7 +215,7 @@ fn eval_inner(expr: &RaExpr, db: &Instance) -> Tuples {
         RaExpr::Rel(r, k) => db
             .relation(*r)
             .filter(|f| f.arity() == *k)
-            .map(|f| f.args.clone())
+            .map(|f| f.args.to_vec())
             .collect(),
         RaExpr::Select(e, conds) => eval_inner(e, db)
             .into_iter()
@@ -406,7 +406,7 @@ mod tests {
             &db(),
         )
         .unwrap();
-        let cq_tuples: Tuples = cq_out.iter().map(|f| f.args.clone()).collect();
+        let cq_tuples: Tuples = cq_out.iter().map(|f| f.args.to_vec()).collect();
         assert_eq!(cq_tuples, ra_out);
     }
 

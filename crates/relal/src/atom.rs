@@ -1,6 +1,6 @@
 //! Variables, terms and atoms.
 
-use crate::fact::{Fact, Val};
+use crate::fact::{Args, Fact, Val};
 use crate::symbols::{rel, RelId};
 use std::fmt;
 
@@ -120,11 +120,8 @@ impl Atom {
 
     /// Is the atom ground (variable-free)? If so it denotes a fact.
     pub fn as_fact(&self) -> Option<Fact> {
-        let mut args = Vec::with_capacity(self.terms.len());
-        for t in &self.terms {
-            args.push(t.as_const()?);
-        }
-        Some(Fact::new(self.rel, args))
+        let args = self.terms.iter().map(Term::as_const);
+        Some(Fact::new(self.rel, args.collect::<Option<Args>>()?))
     }
 
     /// Could `f` be an instantiation of this atom? (Same relation, same

@@ -192,7 +192,9 @@ pub fn contains_neg_bounded(
         loop {
             facts.push(crate::fact::Fact::new(
                 rel,
-                idx.iter().map(|&i| universe[i]).collect(),
+                idx.iter()
+                    .map(|&i| universe[i])
+                    .collect::<crate::fact::Args>(),
             ));
             let mut k = 0;
             while k < arity {

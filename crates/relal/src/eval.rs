@@ -21,7 +21,7 @@
 //! and [`eval_union_with`] are one-shot plans.
 
 use crate::atom::{Atom, Term, Var};
-use crate::fact::{Fact, Val};
+use crate::fact::{Args, Fact, Val};
 use crate::fastmap::{fxmap, FxMap};
 use crate::hypergraph::is_acyclic;
 use crate::instance::Instance;
@@ -576,7 +576,7 @@ impl QueryPlan {
                 Engine::Wcoj { plan, head } => plan.run(&[instance], &[], &mut |vals| {
                     sink(Fact::new(
                         q.head.rel,
-                        head.iter().map(|s| s.value(vals)).collect(),
+                        head.iter().map(|s| s.value(vals)).collect::<Args>(),
                     ))
                 }),
             }

@@ -38,7 +38,7 @@
 //!   evaluator in [`crate::eval`], so the two agree fact-for-fact.
 
 use crate::atom::{Term, Var};
-use crate::fact::{Fact, Val};
+use crate::fact::{Args, Fact, Val};
 use crate::instance::Instance;
 use crate::query::ConjunctiveQuery;
 use crate::symbols::RelId;
@@ -525,7 +525,7 @@ impl<'a> Probe<'a> {
     fn new(rel: RelId, terms: &'a [Slot], present: bool) -> Probe<'a> {
         Probe {
             terms,
-            fact: Fact::new(rel, vec![Val(0); terms.len()]),
+            fact: Fact::new(rel, terms.iter().map(|_| Val(0)).collect::<Args>()),
             present,
         }
     }
@@ -721,7 +721,7 @@ mod tests {
         leapfrog(q, instance, order, &mut |vals| {
             out.push(Fact::new(
                 q.head.rel,
-                head.iter().map(|s| s.value(vals)).collect(),
+                head.iter().map(|s| s.value(vals)).collect::<Args>(),
             ))
         });
         out

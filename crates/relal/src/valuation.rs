@@ -4,7 +4,7 @@
 //! required by V are in I. In that case, V derives the fact V(head_Q)."
 
 use crate::atom::{Atom, Term, Var};
-use crate::fact::{Fact, Val};
+use crate::fact::{Args, Fact, Val};
 use crate::instance::Instance;
 use crate::query::ConjunctiveQuery;
 use std::collections::BTreeMap;
@@ -84,11 +84,8 @@ impl Valuation {
     /// Apply to an atom, producing a fact; `None` if some variable is
     /// unbound.
     pub fn apply(&self, a: &Atom) -> Option<Fact> {
-        let mut args = Vec::with_capacity(a.terms.len());
-        for t in &a.terms {
-            args.push(self.apply_term(t)?);
-        }
-        Some(Fact::new(a.rel, args))
+        let args = a.terms.iter().map(|t| self.apply_term(t));
+        Some(Fact::new(a.rel, args.collect::<Option<Args>>()?))
     }
 
     /// The facts required by this valuation for `q`: `V(body_Q)`.

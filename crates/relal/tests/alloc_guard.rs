@@ -5,9 +5,10 @@
 //! heap blocks one enumeration takes depends on the query, not on the
 //! data. Likewise the positional index threads its rows through flat
 //! arrays, so building it allocates for the maps' and arrays' growth —
-//! logarithmically many blocks — not once per distinct value.
+//! logarithmically many blocks — not once per distinct value. And a fact
+//! is a fixed-size value, so storing one allocates nothing of its own.
 //!
-//! Counted with a per-thread counting allocator, so the two tests (and the
+//! Counted with a per-thread counting allocator, so the tests (and the
 //! harness's own threads) do not see each other.
 
 use parlog_relal::eval::Indexed;
@@ -106,6 +107,28 @@ fn leapfrog_allocates_per_query_not_per_seek() {
     assert_eq!(
         small, large,
         "blocks allocated by one enumeration, n = 64 vs n = 512"
+    );
+}
+
+/// Storing a fact copies it into the relation's hash set and the delta
+/// log. Both copies are inline values, so ingesting `m` routed facts
+/// allocates only for the set's and the log's growth — logarithmically
+/// many blocks — never one per fact.
+#[test]
+fn ingest_allocates_no_block_per_fact() {
+    assert!(std::mem::size_of::<parlog_relal::Fact>() <= 48);
+    let measure = |m: u64| {
+        let routed: Vec<_> = (0..m).map(|i| fact("R", &[i, i % 97])).collect();
+        let mut inst = Instance::new();
+        let ((), blocks) = blocks_during(|| inst.insert_all(&routed, |_| {}));
+        assert_eq!(inst.len(), m as usize);
+        blocks
+    };
+    let (small, large) = (measure(4096), measure(32_768));
+    assert!(small < 64, "{small} blocks for 4096 facts");
+    assert!(
+        large < 2 * small,
+        "blocks grow with the fact count: {small} at m = 4096, {large} at m = 32768"
     );
 }
 

@@ -142,9 +142,9 @@ impl CoordinatedBroadcast {
     fn bump_count(node: &mut NodeState, from: usize) {
         let old = Self::received_count(node, from);
         node.aux
-            .remove(&Fact::new(cnt_rel(), vec![Val(from as u64), Val(old)]));
+            .remove(&Fact::new(cnt_rel(), [Val(from as u64), Val(old)]));
         node.aux
-            .insert(Fact::new(cnt_rel(), vec![Val(from as u64), Val(old + 1)]));
+            .insert(Fact::new(cnt_rel(), [Val(from as u64), Val(old + 1)]));
     }
 
     fn expected_count(node: &NodeState, from: usize) -> Option<u64> {
@@ -174,7 +174,7 @@ impl CoordinatedBroadcast {
             return Vec::new();
         }
         let n = ctx.all.expect("program requires All");
-        let own = Fact::new(ack_rel(), vec![Val(node.id as u64)]);
+        let own = Fact::new(ack_rel(), [Val(node.id as u64)]);
         let fresh = node.aux.insert(own.clone());
         if 2 * Self::ack_count(node) > n {
             let result = self.query.eval(&node.local);
@@ -201,7 +201,7 @@ impl TransducerProgram for CoordinatedBroadcast {
         let mut out: Vec<Fact> = node.local.iter().cloned().collect();
         out.push(Fact::new(
             eod_rel(),
-            vec![Val(node.id as u64), Val(out.len() as u64)],
+            [Val(node.id as u64), Val(out.len() as u64)],
         ));
         // A single-node network is already complete (and is its own
         // majority), so the barrier may open right here.
@@ -217,7 +217,7 @@ impl TransducerProgram for CoordinatedBroadcast {
             let fresh = !self.idempotent
                 || node.aux.insert(Fact::new(
                     seen_rel(),
-                    vec![Val(from as u64), Val(fact_tag(fact))],
+                    [Val(from as u64), Val(fact_tag(fact))],
                 ));
             if fresh {
                 Self::bump_count(node, from);

@@ -54,7 +54,7 @@ impl DisjointComponent {
     }
 
     fn in_alpha(node: &NodeState, ctx: &Ctx, v: Val) -> bool {
-        ctx.responsible(node, &Fact::new(probe_rel(), vec![v]))
+        ctx.responsible(node, &Fact::new(probe_rel(), [v]))
     }
 
     fn certified_count(node: &NodeState, v: Val) -> Option<u64> {
@@ -100,7 +100,7 @@ impl DisjointComponent {
             .adom()
             .into_iter()
             .filter(|&v| Self::in_alpha(node, ctx, v))
-            .map(|v| Fact::new(cert_rel(), vec![v, Val(Self::known_count(node, v))]))
+            .map(|v| Fact::new(cert_rel(), [v, Val(Self::known_count(node, v))]))
             .collect()
     }
 }

@@ -21,7 +21,7 @@
 
 use crate::network::{NodeState, QueryFunction};
 use crate::program::{Broadcast, Ctx, TransducerProgram};
-use parlog_relal::fact::{Fact, Val};
+use parlog_relal::fact::{Args, Fact, Val};
 use parlog_relal::fastmap::fxset;
 use parlog_relal::instance::Instance;
 use parlog_relal::symbols::RelId;
@@ -65,7 +65,7 @@ impl DistinctCompleteSets {
             }
             let mut idx = vec![0usize; arity];
             loop {
-                out.push(Fact::new(rel, idx.iter().map(|&i| c[i]).collect()));
+                out.push(Fact::new(rel, idx.iter().map(|&i| c[i]).collect::<Args>()));
                 let mut k = 0;
                 while k < arity {
                     idx[k] += 1;

@@ -40,8 +40,7 @@ fn mutate_fact(f: &Fact, entropy: u64) -> Fact {
     } else {
         // Zero-arity facts carry no arguments to flip; corrupt by
         // "deriving" a sibling relation instead — still a wrong answer.
-        t.args
-            .push(parlog_relal::fact::Val(mix64(entropy) & 0xFFFF));
+        t.args = [parlog_relal::fact::Val(mix64(entropy) & 0xFFFF)][..].into();
     }
     t
 }

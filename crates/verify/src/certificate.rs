@@ -139,7 +139,7 @@ fn valuations_with(
     QueryPlan::new(&[witness], strategy, &[])
         .expect("a certificate needs a safe query")
         .run(shard, None, &mut |row| {
-            out.push(vars.iter().cloned().zip(row.args).collect());
+            out.push(vars.iter().cloned().zip(row.args.iter().copied()).collect());
         });
     out
 }
@@ -265,7 +265,7 @@ pub fn adom_facts(p: &Program, edb: &Instance) -> Vec<Fact> {
     values.dedup();
     values
         .into_iter()
-        .map(|v| Fact::new(adom_rel, vec![v]))
+        .map(|v| Fact::new(adom_rel, [v]))
         .collect()
 }
 

@@ -40,6 +40,7 @@ use crate::certificate::{adom_facts, ProgramCertificate, ServerCertificate};
 use crate::snapshot::{cluster_root, snapshot, SnapshotId};
 use parlog_datalog::program::Program;
 use parlog_relal::fact::Fact;
+use parlog_relal::fastmap::FxSet;
 use parlog_relal::instance::Instance;
 use parlog_relal::query::{ConjunctiveQuery, UnionQuery};
 use parlog_relal::valuation::Valuation;
@@ -146,8 +147,7 @@ fn reference_valuations(q: &ConjunctiveQuery, db: &Instance) -> Vec<Valuation> {
             return;
         }
         let atom = &q.body[depth];
-        let facts: Vec<Fact> = db.relation(atom.rel).cloned().collect();
-        for f in facts {
+        for f in db.relation(atom.rel) {
             if f.args.len() != atom.terms.len() {
                 continue;
             }
@@ -197,7 +197,18 @@ pub fn check_sound(
     answer: &Instance,
     cert: &ServerCertificate,
 ) -> Result<(), Rejection> {
-    let shard_actual = snapshot(shard);
+    check_sound_at(u, snapshot(shard), shard, answer, cert)
+}
+
+/// [`check_sound`] with the shard's root, `shard_actual`, already
+/// computed by the caller from `shard` itself.
+fn check_sound_at(
+    u: &UnionQuery,
+    shard_actual: SnapshotId,
+    shard: &Instance,
+    answer: &Instance,
+    cert: &ServerCertificate,
+) -> Result<(), Rejection> {
     if shard_actual != cert.shard_root {
         return Err(Rejection::ShardRootMismatch {
             claimed: cert.shard_root,
@@ -226,12 +237,12 @@ pub fn check_sound(
             return Err(Rejection::StrayWitness(w.fact.clone()));
         }
     }
-    for t in answer.sorted_facts() {
-        if !cert.witnesses.iter().any(|w| w.fact == t) {
-            return Err(Rejection::UnwitnessedAnswer(t));
-        }
+    // The least unwitnessed tuple, whatever order the witnesses come in.
+    let witnessed: FxSet<&Fact> = cert.witnesses.iter().map(|w| &w.fact).collect();
+    match answer.iter().filter(|t| !witnessed.contains(t)).min() {
+        Some(t) => Err(Rejection::UnwitnessedAnswer(t.clone())),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// Completeness check: the checker's own enumerator derives nothing the
@@ -269,7 +280,8 @@ pub fn check_answer(
 /// Check every server of a cluster round. Returns the cluster-level
 /// snapshot id on success, or `(server, rejection)` for the *first*
 /// failing server — exactly what the verify-then-commit round mode needs
-/// to quarantine.
+/// to quarantine. Each shard is hashed once: the root its binding is
+/// checked against is the one the cluster root is built from.
 pub fn check_cluster(
     u: &UnionQuery,
     shards: &[Instance],
@@ -278,12 +290,15 @@ pub fn check_cluster(
 ) -> Result<SnapshotId, (usize, Rejection)> {
     assert_eq!(shards.len(), answers.len());
     assert_eq!(shards.len(), certs.len());
+    let mut roots = Vec::with_capacity(shards.len());
     for (s, ((shard, answer), cert)) in shards.iter().zip(answers).zip(certs).enumerate() {
-        check_answer(u, shard, answer, cert).map_err(|r| (s, r))?;
+        let root = snapshot(shard);
+        check_sound_at(u, root, shard, answer, cert)
+            .and_then(|()| check_complete(u, shard, answer))
+            .map_err(|r| (s, r))?;
+        roots.push(root);
     }
-    Ok(cluster_root(
-        &shards.iter().map(snapshot).collect::<Vec<_>>(),
-    ))
+    Ok(cluster_root(&roots))
 }
 
 /// Check a stratified Datalog model against its derivation certificate.
@@ -439,6 +454,23 @@ mod tests {
             check_answer(&u, &shard, &answer, &cert),
             Err(Rejection::UnwitnessedAnswer(_))
         ));
+    }
+
+    #[test]
+    fn least_unwitnessed_tuple_named_whatever_the_witness_order() {
+        let u = tri();
+        let shard = db();
+        let (mut answer, mut cert) = prove_ucq(0, &u, &shard, EvalStrategy::Indexed);
+        answer.insert(fact("H", &[9, 9, 9]));
+        answer.insert(fact("H", &[8, 9, 9]));
+        cert.witnesses.reverse();
+        let first = cert.witnesses[0].clone();
+        cert.witnesses.push(first);
+        cert.answer_root = snapshot(&answer);
+        assert_eq!(
+            check_sound(&u, &shard, &answer, &cert),
+            Err(Rejection::UnwitnessedAnswer(fact("H", &[8, 9, 9])))
+        );
     }
 
     #[test]

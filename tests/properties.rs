@@ -165,7 +165,7 @@ proptest! {
             let got: std::collections::BTreeSet<Vec<parlog::relal::fact::Val>> = report
                 .output
                 .iter()
-                .map(|f| f.args.clone())
+                .map(|f| f.args.to_vec())
                 .collect();
             let want: std::collections::BTreeSet<Vec<parlog::relal::fact::Val>> =
                 central.into_iter().collect();
