@@ -719,7 +719,8 @@ impl FaultPlan {
 
 /// The stateful dice-roller for a [`FaultPlan`]. One injector per run;
 /// decisions are consumed in run order, so a fixed (plan, run) pair is
-/// fully reproducible.
+/// fully reproducible. A clone rolls the same dice from where it stands.
+#[derive(Clone)]
 pub struct FaultInjector {
     rng: StdRng,
     plan: FaultPlan,

@@ -21,7 +21,6 @@ use crate::fact::{Fact, Val};
 use crate::fastmap::{fxmap, fxset, FxMap, FxSet};
 use crate::lsm::TrieLayers;
 use crate::symbols::RelId;
-use crate::trie::TrieRel;
 use std::any::Any;
 use std::borrow::Cow;
 use std::fmt;
@@ -69,8 +68,8 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// A finite set of facts, indexed by relation for efficient evaluation.
 ///
 /// Alongside the hash-set storage, the instance lazily builds and caches
-/// sorted columnar tries ([`TrieRel`], as [`TrieLayers`] LSM stacks, one
-/// per `(relation, column permutation)`) for the worst-case-optimal
+/// sorted columnar tries ([`crate::trie::TrieRel`], as [`TrieLayers`] LSM
+/// stacks, one per `(relation, column permutation)`) for the worst-case-optimal
 /// evaluator ([`crate::trie::LeapfrogPlan`]). Mutations never evict
 /// cache entries: each entry remembers the epoch it is current as of, and
 /// a read of a stale entry replays the delta log (`TrieLayers::advance`)
@@ -304,37 +303,6 @@ impl Instance {
         }
         self.refresh_entry(Arc::make_mut(&mut cache), rel, perm)
             .clone()
-    }
-
-    /// The sorted columnar trie of `rel` under `perm` as a **single run**
-    /// (compacting the layers if needed) — the pre-LSM API, kept for
-    /// callers that want one flat trie.
-    pub fn trie(&self, rel: RelId, perm: &[usize]) -> Arc<TrieRel> {
-        if let Some(frozen) = &self.frozen_tries {
-            if let Some(layers) = cached(frozen, rel, perm) {
-                if layers.run_count() == 1 && !layers.has_tombstones() {
-                    return Arc::clone(&layers.runs()[0]);
-                }
-            }
-        }
-        let mut cache = lock_recover(&self.tries);
-        // Same read-only fast path as `trie_layers`.
-        if let Some(layers) = cached(&cache, rel, perm) {
-            if layers.built_epoch >= self.rel_epoch(rel)
-                && layers.run_count() == 1
-                && !layers.has_tombstones()
-            {
-                return Arc::clone(&layers.runs()[0]);
-            }
-        }
-        let cache = Arc::make_mut(&mut cache);
-        let layers = self.refresh_entry(cache, rel, perm);
-        if layers.run_count() == 1 && !layers.has_tombstones() {
-            return Arc::clone(&layers.runs()[0]);
-        }
-        self.builds.fetch_add(1, Ordering::Relaxed);
-        *layers = TrieLayers::build_full(self, rel, perm, self.epoch);
-        Arc::clone(&layers.runs()[0])
     }
 
     /// Bring every cached trie entry up to the current epoch, in place:
@@ -767,19 +735,28 @@ mod tests {
         assert_eq!(i.components().len(), 1);
     }
 
+    /// The single run of `name`'s `[0, 1]` trie, which must not be
+    /// layered: the runs a read shares with the cache.
+    fn only_run(i: &Instance, name: &str) -> Arc<crate::trie::TrieRel> {
+        let layers = i.trie_layers(rel(name), &[0, 1]);
+        assert_eq!(layers.run_count(), 1);
+        assert!(!layers.has_tombstones());
+        Arc::clone(&layers.runs()[0])
+    }
+
     /// Regression (over-broad invalidation): mutating relation `R` must
     /// not evict the cached trie of untouched relation `S`.
     #[test]
     fn foreign_insert_leaves_other_relations_tries_cached() {
         let mut i = abc();
-        let s_trie = i.trie(rel("S"), &[0, 1]);
+        let s_trie = only_run(&i, "S");
         assert_eq!(i.cached_tries(), 1);
         let builds_before = i.trie_builds();
         i.insert(fact("R", &[9, 9]));
         // The cache entry survives the foreign mutation...
         assert_eq!(i.cached_tries(), 1);
         // ...and re-reading S costs no rebuild and yields the same run.
-        let s_again = i.trie(rel("S"), &[0, 1]);
+        let s_again = only_run(&i, "S");
         assert!(Arc::ptr_eq(&s_trie, &s_again));
         assert_eq!(i.trie_builds(), builds_before);
     }
@@ -789,7 +766,7 @@ mod tests {
     #[test]
     fn own_relation_refreshes_incrementally() {
         let mut i = abc();
-        let _ = i.trie(rel("R"), &[0, 1]);
+        let _ = i.trie_layers(rel("R"), &[0, 1]);
         let builds_before = i.trie_builds();
         i.insert(fact("R", &[3, 4]));
         let layers = i.trie_layers(rel("R"), &[0, 1]);
@@ -805,7 +782,7 @@ mod tests {
     #[test]
     fn poisoned_trie_cache_recovers() {
         let i = abc();
-        let _ = i.trie(rel("R"), &[0, 1]);
+        let _ = i.trie_layers(rel("R"), &[0, 1]);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _guard = i.tries.lock().unwrap();
             panic!("simulated panic mid-build");
@@ -813,9 +790,8 @@ mod tests {
         assert!(r.is_err());
         // Every cache entry is still readable and refreshable.
         assert_eq!(i.cached_tries(), 1);
-        let t = i.trie(rel("R"), &[0, 1]);
-        assert_eq!(t.rows(), 2);
-        let _ = i.trie(rel("S"), &[0, 1]);
+        assert_eq!(only_run(&i, "R").rows(), 2);
+        let _ = i.trie_layers(rel("S"), &[0, 1]);
         assert_eq!(i.cached_tries(), 2);
     }
 
@@ -839,15 +815,15 @@ mod tests {
     #[test]
     fn clone_shares_cached_tries() {
         let mut i = abc();
-        let orig = i.trie(rel("R"), &[0, 1]);
+        let orig = only_run(&i, "R");
         let c = i.clone();
         assert!(c.cached_tries() > 0);
-        let cloned = c.trie(rel("R"), &[0, 1]);
+        let cloned = only_run(&c, "R");
         assert!(Arc::ptr_eq(&orig, &cloned));
         assert_eq!(c.trie_builds(), 0);
         // Divergence after the clone stays independent.
         i.insert(fact("R", &[8, 8]));
-        assert_eq!(c.trie(rel("R"), &[0, 1]).rows(), 2);
+        assert_eq!(only_run(&c, "R").rows(), 2);
         assert_eq!(i.trie_layers(rel("R"), &[0, 1]).run_count(), 2);
     }
 
@@ -858,13 +834,13 @@ mod tests {
     #[test]
     fn clone_shares_trie_storage_o1() {
         let mut i = abc();
-        let r_run = i.trie(rel("R"), &[0, 1]);
-        let _ = i.trie(rel("S"), &[0, 1]);
+        let r_run = only_run(&i, "R");
+        let _ = i.trie_layers(rel("S"), &[0, 1]);
         let c = i.clone();
         // O(1) share: both instances point at the same cache map...
         assert!(i.shares_trie_storage(&c));
         // ...and the entries inside are the very same runs.
-        let r_again = c.trie(rel("R"), &[0, 1]);
+        let r_again = only_run(&c, "R");
         assert!(Arc::ptr_eq(&r_run, &r_again));
         assert_eq!(c.trie_builds(), 0);
         // Mutating the original leaves the cache shared (refreshes are
@@ -875,7 +851,7 @@ mod tests {
         let _ = i.trie_layers(rel("R"), &[0, 1]);
         assert!(!i.shares_trie_storage(&c));
         // The clone still serves the pre-divergence run untouched.
-        assert!(Arc::ptr_eq(&r_run, &c.trie(rel("R"), &[0, 1])));
+        assert!(Arc::ptr_eq(&r_run, &only_run(&c, "R")));
     }
 
     /// A log-less clone is the same instance with its history already
@@ -885,7 +861,7 @@ mod tests {
     #[test]
     fn clone_without_log_forgets_history_only() {
         let mut i = abc();
-        let _ = i.trie(rel("R"), &[0, 1]);
+        let _ = i.trie_layers(rel("R"), &[0, 1]);
         i.insert(fact("R", &[9, 9])); // the cached R trie is now stale
         let c = i.clone_without_log();
         assert_eq!(c, i);
@@ -910,7 +886,7 @@ mod tests {
     #[test]
     fn seal_freezes_and_mutation_unseals() {
         let mut i = abc();
-        let _ = i.trie(rel("R"), &[0, 1]);
+        let _ = i.trie_layers(rel("R"), &[0, 1]);
         i.insert(fact("R", &[5, 6]));
         i.seal();
         assert!(i.is_sealed());
@@ -932,7 +908,7 @@ mod tests {
     #[test]
     fn compaction_candidates_and_install() {
         let mut i = abc();
-        let _ = i.trie(rel("R"), &[0, 1]);
+        let _ = i.trie_layers(rel("R"), &[0, 1]);
         i.insert(fact("R", &[3, 4]));
         let cands = i.compaction_candidates();
         assert_eq!(cands.len(), 1);

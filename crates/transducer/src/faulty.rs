@@ -137,6 +137,7 @@ pub(crate) struct ParkedMsg<M> {
 
 /// The fault-side state of a run: injector, clocks, queues, health.
 /// Embedded in the simulator's `SimRun`; `None`-plan runs keep it inert.
+#[derive(Clone)]
 pub(crate) struct FaultState<M> {
     pub injector: Option<parlog_faults::FaultInjector>,
     /// Virtual time: delivered messages, plus jumps at drain boundaries.

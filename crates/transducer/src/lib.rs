@@ -20,6 +20,9 @@
 //! * [`scheduler`] — fair asynchronous runs under seeded-random, FIFO,
 //!   LIFO and adversarial schedules, plus the heartbeat-only mode used by
 //!   the coordination-freeness test;
+//! * [`exhaustive`] — a small-case model checker that walks the
+//!   [`SimRun`] runtime itself through every delivery order and every
+//!   placement of a few adversarial drops and duplicates;
 //! * [`distribution`] — horizontal distributions (including the ideal
 //!   replicate-all one);
 //! * [`programs`] — the survey's algorithms: monotone broadcast (F0,
@@ -79,7 +82,7 @@ pub mod prelude {
         hash_distribution, ideal_distribution, random_distribution, single_node_distribution,
     };
     pub use crate::economical::EconomicalBroadcast;
-    pub use crate::exhaustive::{explore_all_schedules, explore_fault_schedules};
+    pub use crate::exhaustive::{explore_schedules, ExplorationReport};
     pub use crate::faulty::{FaultStats, Health};
     pub use crate::network::{NodeState, QueryFunction};
     pub use crate::program::{Ctx, TransducerProgram};

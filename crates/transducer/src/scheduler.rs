@@ -23,6 +23,7 @@ use parlog_relal::instance::Instance;
 use parlog_trace::{CommCounters, FaultEvent, FaultEventKind, TraceEvent, TraceHandle};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Estimated wire size of one fact: 8 bytes per value plus an 8-byte
 /// relation tag (the trace layer's bytes metric, matching the MPC
@@ -46,7 +47,10 @@ pub enum Schedule {
     RoundRobin,
 }
 
-/// A simulated run of a transducer network.
+/// A simulated run of a transducer network. A clone is an independent
+/// run from the same state on: the exhaustive explorer
+/// ([`crate::exhaustive`]) branches by cloning.
+#[derive(Clone)]
 pub struct SimRun {
     /// Node states.
     pub nodes: Vec<NodeState>,
@@ -55,8 +59,9 @@ pub struct SimRun {
     /// Per-node set of facts already broadcast (runtime-level dedup).
     sent: Vec<FxSet<Fact>>,
     /// Durable snapshots: the initial shard of every node, from which a
-    /// crash-recover node restarts.
-    shards: Vec<Instance>,
+    /// crash-recover node restarts. Shared by clones until one adopts a
+    /// shard.
+    shards: Arc<Vec<Instance>>,
     /// Fault-injection state; inert (a pure pass-through) unless a
     /// [`FaultPlan`] is installed.
     faults: FaultState<Fact>,
@@ -97,7 +102,7 @@ impl SimRun {
                 .collect(),
             buffers: vec![Vec::new(); n],
             sent: vec![fxset(); n],
-            shards: shards.to_vec(),
+            shards: Arc::new(shards.to_vec()),
             faults: FaultState::inert(n),
             partition_open: Vec::new(),
             trace: TraceHandle::off(),
@@ -182,6 +187,26 @@ impl SimRun {
         self.buffers[i].len()
     }
 
+    /// The copies buffered at node `dest`, as `(from, fact)`.
+    pub(crate) fn buffer(&self, dest: usize) -> &[(usize, Fact)] {
+        &self.buffers[dest]
+    }
+
+    /// Adversary edit: lose copy `idx` of node `dest`'s buffer in
+    /// transit.
+    pub(crate) fn drop_copy(&mut self, dest: usize, idx: usize) {
+        self.buffers[dest].remove(idx);
+        self.faults.stats.dropped += 1;
+    }
+
+    /// Adversary edit: put a second copy of `idx` at the back of node
+    /// `dest`'s buffer.
+    pub(crate) fn duplicate_copy(&mut self, dest: usize, idx: usize) {
+        let copy = self.buffers[dest][idx].clone();
+        self.buffers[dest].push(copy);
+        self.faults.stats.duplicated += 1;
+    }
+
     /// **Shard re-replication** — the supervisor's heal action for a
     /// crash-stopped node: survivor `to` adopts the durable shard of
     /// `dead`, replays it through its own transition function (as a
@@ -212,7 +237,7 @@ impl SimRun {
             adopted.push(f.clone());
         }
         self.broadcast(to, adopted);
-        self.shards[to].extend_from(&shard);
+        Arc::make_mut(&mut self.shards)[to].extend_from(&shard);
         self.trace.emit(|| {
             TraceEvent::Fault(FaultEvent {
                 vclock: self.faults.clock as f64,
@@ -254,24 +279,30 @@ impl SimRun {
         }
     }
 
+    /// Book `sent` wire copies of `fact` on the trace, with the fate's
+    /// counters `c`.
+    fn book_wire(&self, fact: &Fact, sent: u64, c: CommCounters) {
+        self.trace.emit(|| {
+            TraceEvent::Comm(CommCounters {
+                sent,
+                bytes: sent * fact_bytes(fact),
+                ..c
+            })
+        });
+    }
+
     /// The single routing function: every copy of every message — normal,
     /// lossy, duplicated, delayed, retransmitted — passes through here.
     /// `attempts` is 0 for first sends and counts retransmissions.
     fn send_copy(&mut self, from: usize, dest: usize, fact: Fact, attempts: u32) {
+        let none = CommCounters::default();
         if let Some(until) = self.faults.severed(from, dest) {
             // An open partition epoch severs this link: the copy is held
             // *at the source* — never lost — and flushed back through
             // this router when the epoch heals (where the destination's
             // health and any later epoch are re-checked). Distinct from
             // `Drop`: the model's no-loss assumption is preserved.
-            self.trace.emit(|| {
-                TraceEvent::Comm(CommCounters {
-                    sent: 1,
-                    delayed: 1,
-                    bytes: fact_bytes(&fact),
-                    ..CommCounters::default()
-                })
-            });
+            self.book_wire(&fact, 1, CommCounters { delayed: 1, ..none });
             self.faults.hold_partitioned(from, dest, fact, until);
             return;
         }
@@ -281,75 +312,35 @@ impl SimRun {
             // retries — which is exactly how a crash-recover node gets
             // its mail back.
             self.faults.stats.lost_in_crash += 1;
-            self.trace.emit(|| {
-                TraceEvent::Comm(CommCounters {
-                    sent: 1,
-                    wasted: 1,
-                    bytes: fact_bytes(&fact),
-                    ..CommCounters::default()
-                })
-            });
+            self.book_wire(&fact, 1, CommCounters { wasted: 1, ..none });
             self.faults.schedule_retrans(from, dest, fact, attempts);
             return;
         }
-        let fate = self.faults.fate();
-        self.trace.emit(|| {
-            let bytes = fact_bytes(&fact);
-            TraceEvent::Comm(match fate {
-                MessageFate::Deliver => CommCounters {
-                    sent: 1,
-                    bytes,
-                    ..CommCounters::default()
-                },
-                MessageFate::Drop => CommCounters {
-                    sent: 1,
-                    dropped: 1,
-                    bytes,
-                    ..CommCounters::default()
-                },
-                MessageFate::Duplicate => CommCounters {
-                    sent: 2,
-                    duplicated: 1,
-                    bytes: 2 * bytes,
-                    ..CommCounters::default()
-                },
-                MessageFate::Delay(_) => CommCounters {
-                    sent: 1,
-                    delayed: 1,
-                    bytes,
-                    ..CommCounters::default()
-                },
-                // A corrupted copy still travels the wire once; the
-                // tampering itself is reported on the fault timeline, not
-                // in the comm counters.
-                MessageFate::Corrupt(_) => CommCounters {
-                    sent: 1,
-                    bytes,
-                    ..CommCounters::default()
-                },
-                // Unreachable from the injector's dice (partitions are
-                // decided by the topology-aware severed check above),
-                // but a hold is a delay on the wire.
-                MessageFate::Partitioned { .. } => CommCounters {
-                    sent: 1,
-                    delayed: 1,
-                    bytes,
-                    ..CommCounters::default()
-                },
-            })
-        });
-        match fate {
-            MessageFate::Deliver => self.enqueue(dest, from, fact),
+        match self.faults.fate() {
+            MessageFate::Deliver => {
+                self.book_wire(&fact, 1, none);
+                self.enqueue(dest, from, fact);
+            }
             MessageFate::Drop => {
+                self.book_wire(&fact, 1, CommCounters { dropped: 1, ..none });
                 self.faults.stats.dropped += 1;
                 self.faults.schedule_retrans(from, dest, fact, attempts);
             }
             MessageFate::Duplicate => {
+                self.book_wire(
+                    &fact,
+                    2,
+                    CommCounters {
+                        duplicated: 1,
+                        ..none
+                    },
+                );
                 self.faults.stats.duplicated += 1;
                 self.enqueue(dest, from, fact.clone());
                 self.enqueue(dest, from, fact);
             }
             MessageFate::Delay(d) => {
+                self.book_wire(&fact, 1, CommCounters { delayed: 1, ..none });
                 self.faults.stats.delayed += 1;
                 let release = self.faults.clock + d as usize;
                 self.faults.delayed.push(crate::faulty::ParkedMsg {
@@ -361,6 +352,10 @@ impl SimRun {
                 });
             }
             MessageFate::Corrupt(e) => {
+                // A corrupted copy still travels the wire once; the
+                // tampering itself is reported on the fault timeline, not
+                // in the comm counters.
+                self.book_wire(&fact, 1, none);
                 let tampered = corrupt_in_transit(fact, e, &mut self.faults.stats);
                 self.trace.emit(|| {
                     TraceEvent::Fault(FaultEvent {
@@ -373,6 +368,10 @@ impl SimRun {
                 self.enqueue(dest, from, tampered);
             }
             MessageFate::Partitioned { until } => {
+                // Unreachable from the injector's dice (partitions are
+                // decided by the topology-aware severed check above),
+                // but a hold is a delay on the wire.
+                self.book_wire(&fact, 1, CommCounters { delayed: 1, ..none });
                 self.faults.hold_partitioned(from, dest, fact, until);
             }
         }
@@ -564,20 +563,13 @@ impl SimRun {
         if nonempty.is_empty() {
             return false;
         }
-        let (node, msg_idx) = match schedule {
+        let (node, idx) = match schedule {
             Schedule::Random(_) => {
                 let node = nonempty[rng.gen_range(0..nonempty.len())];
-                let idx = rng.gen_range(0..self.buffers[node].len());
-                (node, idx)
+                (node, rng.gen_range(0..self.buffers[node].len()))
             }
-            Schedule::Fifo => {
-                let node = nonempty[0];
-                (node, 0)
-            }
-            Schedule::Lifo => {
-                let node = nonempty[0];
-                (node, self.buffers[node].len() - 1)
-            }
+            Schedule::Fifo => (nonempty[0], 0),
+            Schedule::Lifo => (nonempty[0], self.buffers[nonempty[0]].len() - 1),
             Schedule::RoundRobin => {
                 let node = *nonempty
                     .iter()
@@ -587,7 +579,22 @@ impl SimRun {
                 (node, 0)
             }
         };
-        let (from, fact) = self.buffers[node].remove(msg_idx);
+        self.deliver(program, node, idx);
+        true
+    }
+
+    /// The delivery transition: node `node` consumes copy `idx` of its
+    /// buffer — clock, ack and trace bookkeeping, `on_fact`, and the
+    /// broadcast of what it returns. [`SimRun::step`] is a choice of
+    /// `(node, idx)` followed by this; the exhaustive explorer makes
+    /// every choice.
+    pub(crate) fn deliver<P: TransducerProgram + ?Sized>(
+        &mut self,
+        program: &P,
+        node: usize,
+        idx: usize,
+    ) {
+        let (from, fact) = self.buffers[node].remove(idx);
         self.delivered += 1;
         self.faults.clock += 1;
         let acked = self.faults.reliable().is_some();
@@ -601,10 +608,8 @@ impl SimRun {
                 ..CommCounters::default()
             })
         });
-        let ctx = self.ctx.clone();
-        let out = program.on_fact(&mut self.nodes[node], from, &fact, &ctx);
+        let out = program.on_fact(&mut self.nodes[node], from, &fact, &self.ctx);
         self.broadcast(node, out);
-        true
     }
 
     /// One heartbeat per node; returns whether any state or broadcast
@@ -686,22 +691,6 @@ impl SimRun {
                 return;
             }
         }
-    }
-
-    /// Lossy network: drop each message copy independently with
-    /// probability `drop_prob`. A thin wrapper over [`SimRun::run_faulty`]
-    /// with [`FaultPlan::lossy`].
-    pub fn run_lossy<P: TransducerProgram + ?Sized>(
-        &mut self,
-        program: &P,
-        drop_prob: f64,
-        seed: u64,
-    ) {
-        self.run_faulty(
-            program,
-            Schedule::Random(seed),
-            Some(&FaultPlan::lossy(seed, drop_prob)),
-        );
     }
 
     /// The union of all outputs — the result of the run.
@@ -897,7 +886,7 @@ mod tests {
         // Heavy loss: strictly incomplete (but still sound — outputs are
         // never wrong, only missing).
         let mut lossy = SimRun::new(&p, &shards, Ctx::oblivious());
-        lossy.run_lossy(&p, 0.9, 5);
+        lossy.run_faulty(&p, Schedule::Random(5), Some(&FaultPlan::lossy(5, 0.9)));
         let out = lossy.outputs();
         assert!(out.is_subset_of(&expected));
         assert_ne!(out, expected, "90% loss must lose derivations");
@@ -910,7 +899,7 @@ mod tests {
             Instance::from_facts([fact("R", &[2])]),
         ];
         let mut a = SimRun::new(&Echo, &shards, Ctx::oblivious());
-        a.run_lossy(&Echo, 0.0, 7);
+        a.run_faulty(&Echo, Schedule::Random(7), Some(&FaultPlan::lossy(7, 0.0)));
         let mut b = SimRun::new(&Echo, &shards, Ctx::oblivious());
         b.run(&Echo, Schedule::Random(7));
         assert_eq!(a.outputs(), b.outputs());

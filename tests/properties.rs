@@ -600,10 +600,12 @@ proptest! {
             let rel = ["R", "S", "E"][r as usize];
             let f = fact(rel, &[a, b]);
             // Touch the trie cache so refresh-on-read is observable: the
-            // (possibly delta-refreshed) trie always matches the model.
-            let trie = inst.trie(f.rel, &[0, 1]);
+            // (possibly delta-refreshed) layers' live rows always match the
+            // model.
+            let live_rows =
+                |inst: &Instance| inst.trie_layers(f.rel, &[0, 1]).merged().runs()[0].rows();
             let rel_count = model.iter().filter(|g| g.rel == f.rel).count();
-            prop_assert_eq!(trie.rows(), rel_count);
+            prop_assert_eq!(live_rows(&inst), rel_count);
             prop_assert!(inst.cached_tries() > 0);
             let epoch_before = inst.epoch();
             let log_before = inst.delta_log_len();
@@ -632,7 +634,7 @@ proptest! {
             prop_assert_eq!(inst.cached_tries(), tries_before);
             // The refreshed layers track the model immediately.
             let rel_count = model.iter().filter(|g| g.rel == f.rel).count();
-            prop_assert_eq!(inst.trie(f.rel, &[0, 1]).rows(), rel_count);
+            prop_assert_eq!(live_rows(&inst), rel_count);
             prop_assert_eq!(inst.len(), model.len());
             prop_assert_eq!(inst.contains(&f), model.contains(&f));
         }
