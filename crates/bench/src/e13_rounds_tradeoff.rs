@@ -6,8 +6,11 @@
 //! * Recursive Datalog in MapReduce (Afrati–Ullman): linear transitive
 //!   closure (diameter-many iterations, lean rounds) vs recursive
 //!   doubling (log-many iterations, heavier rounds).
+//!
+//! Output: the tables, then `JSON e13_rounds_tradeoff {...}`
+//! (deterministic, last line; committed as `BENCH_e13.json`).
 
-use crate::{section, Table};
+use crate::{json_record, section, Table};
 use parlog::mpc::algorithms::balanced_cascade::BalancedCascade;
 use parlog::mpc::algorithms::datalog_mr::{DistributedTc, TcStrategy};
 use parlog::mpc::prelude::*;
@@ -31,11 +34,41 @@ fn path_db(k: usize, m: usize) -> Instance {
     db
 }
 
-pub fn run() {
+/// One left-deep or balanced cascade over a `k`-atom path.
+#[derive(serde::Serialize)]
+pub struct CascadeRow {
+    atoms: usize,
+    algorithm: String,
+    rounds: usize,
+    max_load: usize,
+    total_comm: usize,
+}
+
+/// One transitive-closure strategy over a chain.
+#[derive(serde::Serialize)]
+pub struct ClosureRow {
+    chain_length: u64,
+    strategy: String,
+    rounds: usize,
+    total_comm: usize,
+    tc_facts: usize,
+}
+
+/// The deterministic record, committed as `BENCH_e13.json`.
+#[derive(serde::Serialize)]
+pub struct E13 {
+    servers: usize,
+    path_cascades: Vec<CascadeRow>,
+    transitive_closure: Vec<ClosureRow>,
+}
+
+/// Compute the record, printing its tables.
+pub fn record() -> E13 {
     let p = 16usize;
 
     section("E13a path queries — left-deep vs balanced cascade");
     let mut t = Table::new(&["atoms", "algorithm", "rounds", "max_load", "total_comm"]);
+    let mut path_cascades = Vec::new();
     for k in [4usize, 8, 12] {
         let q = path_query(k);
         let db = path_db(k, 1000);
@@ -43,13 +76,21 @@ pub fn run() {
         let bal = BalancedCascade::new(&q, p, 3).run(&db);
         assert_eq!(deep.output, bal.output);
         for r in [deep, bal] {
+            let row = CascadeRow {
+                atoms: k,
+                algorithm: r.algorithm.to_string(),
+                rounds: r.stats.rounds,
+                max_load: r.stats.max_load,
+                total_comm: r.stats.total_comm,
+            };
             t.row(&[
                 &k,
-                &r.algorithm,
-                &r.stats.rounds,
-                &r.stats.max_load,
-                &r.stats.total_comm,
+                &row.algorithm,
+                &row.rounds,
+                &row.max_load,
+                &row.total_comm,
             ]);
+            path_cascades.push(row);
         }
     }
     t.print();
@@ -63,19 +104,28 @@ pub fn run() {
         "total_comm",
         "TC facts",
     ]);
+    let mut transitive_closure = Vec::new();
     for n in [16u64, 32, 64] {
         let db = Instance::from_facts((0..n).map(|i| parlog::relal::fact::fact("E", &[i, i + 1])));
         let lin = DistributedTc::new("E", "TC", TcStrategy::Linear, p, 1).run(&db);
         let dbl = DistributedTc::new("E", "TC", TcStrategy::NonLinear, p, 1).run(&db);
         assert_eq!(lin.output, dbl.output);
         for r in [lin, dbl] {
+            let row = ClosureRow {
+                chain_length: n,
+                strategy: r.algorithm.to_string(),
+                rounds: r.stats.rounds,
+                total_comm: r.stats.total_comm,
+                tc_facts: r.output.len(),
+            };
             t.row(&[
                 &n,
-                &r.algorithm,
-                &r.stats.rounds,
-                &r.stats.total_comm,
-                &r.output.len(),
+                &row.strategy,
+                &row.rounds,
+                &row.total_comm,
+                &row.tc_facts,
             ]);
+            transitive_closure.push(row);
         }
     }
     t.print();
@@ -83,4 +133,14 @@ pub fn run() {
         "  shape check: doubling uses O(log n) iterations where linear uses O(n),\n\
          and pays for it in per-round communication (Afrati–Ullman)."
     );
+
+    E13 {
+        servers: p,
+        path_cascades,
+        transitive_closure,
+    }
+}
+
+pub fn run() {
+    json_record("e13_rounds_tradeoff", &record());
 }

@@ -80,6 +80,8 @@ macro_rules! records {
 }
 
 records! {
+    e12_gym: "e12",
+    e13_rounds_tradeoff: "e13",
     e18_fault_matrix: "e18",
     e19_supervisor: "e19",
     e20_parallel_engine: "e20",

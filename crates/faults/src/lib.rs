@@ -126,16 +126,6 @@ pub enum MessageFate {
     /// mutate (which argument, which bit flip) — the injector has no view
     /// of message payloads, so the substrate applies the mutation.
     Corrupt(u64),
-    /// The link is severed by an open partition epoch: the message is
-    /// **held at the source** and flushed when the epoch heals (at the
-    /// carried clock) — distinct from [`MessageFate::Drop`]: nothing is
-    /// lost. Decided by the topology-aware [`PartitionPlan`], not by the
-    /// injector's dice (the injector has no view of clock or endpoints).
-    Partitioned {
-        /// Virtual clock (transducer) or round (MPC) at which the
-        /// severing epoch heals and the held message is released.
-        until: usize,
-    },
 }
 
 /// How a crashed node comes back (or doesn't).
@@ -230,8 +220,8 @@ impl PartitionEpoch {
 /// — the partition fault class for both substrates. Enforced at the
 /// single routing choke points (`send_copy` in the transducer runtimes,
 /// the communication phase in the MPC cluster): a message crossing a
-/// severed link gets [`MessageFate::Partitioned`], is parked at the
-/// source, and flushes when the severing epoch heals.
+/// severed link is parked at the source, before any of the injector's
+/// [`MessageFate`]s applies, and flushes when the severing epoch heals.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
 pub struct PartitionPlan {
     /// The scheduled epochs (may overlap; a link is severed while *any*

@@ -8,15 +8,12 @@
 //! tree decompositions (in particular, their depth) delineate trade-offs
 //! between the number of rounds and the total amount of communication").
 //!
-//! Implementation: a balanced binary tree over the (connectivity-ordered)
-//! atoms, executed with the batched [`crate::algorithms::treejoin`]
-//! machinery — pairs at the same tree level share a round.
+//! The rounds are [`join_pass`] over a balanced [`RelTree`] built level
+//! by level: neighbouring relations pair up (the right one a child of the
+//! left), an odd trailing relation passes through, and the schedule runs
+//! one batch per level — pairs at the same level share a round.
 
-use crate::algorithms::treejoin::{
-    join_local, joined_schema, normalize_atom, project_to_head, VarRel,
-};
-use crate::cluster::{Cluster, Routing};
-use crate::partition::{seed_cluster, HashPartitioner, InitialPartition};
+use crate::algorithms::treejoin::{join_pass, load_atoms, project_to_head, RelTree};
 use crate::report::RunReport;
 use parlog_relal::instance::Instance;
 use parlog_relal::query::ConjunctiveQuery;
@@ -43,111 +40,30 @@ impl BalancedCascade {
     /// Run on `db` from a round-robin initial partition.
     pub fn run(&self, db: &Instance) -> RunReport {
         let q = &self.query;
-        let p = self.p;
-        // Normalize atoms in body order (for path-shaped queries this is
+        // Atoms pair up in body order (for path-shaped queries this is
         // already adjacency order; for others correctness is unaffected —
         // disconnected pairs degrade to single-server products).
-        let mut level: Vec<VarRel> = q
-            .body
-            .iter()
-            .enumerate()
-            .map(|(i, a)| VarRel::new(&format!("bc{i}_{}", self.seed), a.variables()))
-            .collect();
-
-        let mut cluster = Cluster::new(p);
-        seed_cluster(&mut cluster, db, InitialPartition::RoundRobin);
-        let body = q.body.clone();
-        let nodes = level.clone();
-        cluster.compute(move |shard| {
-            let mut out = Instance::new();
-            for (a, node) in body.iter().zip(&nodes) {
-                out.extend_from(&normalize_atom(shard, a, node));
-            }
-            out
-        });
-
-        let mut round_no = 0usize;
+        let (mut cluster, nodes) = load_atoms(self.p, db, &q.body, "bc", self.seed);
+        let mut parent: Vec<usize> = (0..nodes.len()).collect();
+        // The nodes holding the current level's intermediates.
+        let mut level: Vec<usize> = (0..nodes.len()).collect();
+        let mut schedule: Vec<Vec<(usize, usize)>> = Vec::new();
         while level.len() > 1 {
-            // Pair up neighbours; an odd trailing relation passes through.
-            let pairs: Vec<(VarRel, VarRel)> = level
-                .chunks(2)
-                .filter(|c| c.len() == 2)
-                .map(|c| (c[0].clone(), c[1].clone()))
-                .collect();
-            let passthrough: Option<VarRel> = if level.len() % 2 == 1 {
-                level.last().cloned()
-            } else {
-                None
-            };
-            // One round: each pair hashes on its shared variables with its
-            // own hash function.
-            let plan: Vec<(
-                VarRel,
-                VarRel,
-                Vec<parlog_relal::atom::Var>,
-                HashPartitioner,
-            )> = pairs
-                .iter()
-                .enumerate()
-                .map(|(k, (a, b))| {
-                    (
-                        a.clone(),
-                        b.clone(),
-                        a.shared_with(b),
-                        HashPartitioner::new(
-                            self.seed ^ ((round_no as u64) << 24) ^ ((k as u64) << 4),
-                            p,
-                        ),
-                    )
-                })
-                .collect();
-            let route_plan = plan.clone();
-            cluster.reshuffle(move |_, f| {
-                for (a, b, on, h) in &route_plan {
-                    if f.rel == a.rel {
-                        return Routing::Send(vec![h.bucket_of(&a.key_of(f, on))]);
-                    }
-                    if f.rel == b.rel {
-                        return Routing::Send(vec![h.bucket_of(&b.key_of(f, on))]);
-                    }
-                }
-                Routing::Keep
-            });
-            // Local pairwise joins.
-            let outputs: Vec<VarRel> = pairs
-                .iter()
-                .enumerate()
-                .map(|(k, (a, b))| joined_schema(a, b, &format!("bcj{round_no}_{k}_{}", self.seed)))
-                .collect();
-            let compute_plan: Vec<(VarRel, VarRel, VarRel)> = pairs
-                .iter()
-                .zip(&outputs)
-                .map(|((a, b), o)| (a.clone(), b.clone(), o.clone()))
-                .collect();
-            cluster.compute(move |local| {
-                let mut out = local.clone();
-                for (a, b, o) in &compute_plan {
-                    let joined = join_local(a, b, o, &out);
-                    let gone: Vec<_> = out
-                        .relation(a.rel)
-                        .chain(out.relation(b.rel))
-                        .cloned()
-                        .collect();
-                    for f in gone {
-                        out.remove(&f);
-                    }
-                    out.extend_from(&joined);
-                }
-                out
-            });
-            level = outputs;
-            if let Some(pt) = passthrough {
-                level.push(pt);
+            let batch: Vec<(usize, usize)> = level.chunks_exact(2).map(|c| (c[1], c[0])).collect();
+            for &(c, pa) in &batch {
+                parent[c] = pa;
             }
-            round_no += 1;
+            level = level.into_iter().step_by(2).collect();
+            schedule.push(batch);
         }
-
-        project_to_head(&mut cluster, &level[0], &q.head);
+        let tree = RelTree {
+            nodes,
+            parent,
+            root: 0,
+        };
+        let prefix = format!("bcj_{}", self.seed);
+        let root = join_pass(&mut cluster, &tree, &schedule, self.seed, &prefix);
+        project_to_head(&mut cluster, &root, &q.head);
         RunReport::from_cluster("balanced-cascade", &cluster, db.len())
     }
 }

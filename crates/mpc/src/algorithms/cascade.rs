@@ -9,12 +9,11 @@
 //! materializes (and communicates) intermediate results, which is exactly
 //! the trade-off Chu–Balazinska–Suciu measured: HyperCube wins when
 //! intermediates are large, cascades win when they are small.
+//!
+//! The rounds are [`join_pass`] over a left-deep [`RelTree`]: a chain up
+//! the join order, whose bottom-up schedule joins one atom per round.
 
-use crate::algorithms::treejoin::{
-    join_local, joined_schema, normalize_atom, project_to_head, VarRel,
-};
-use crate::cluster::{Cluster, Routing};
-use crate::partition::{seed_cluster, HashPartitioner, InitialPartition};
+use crate::algorithms::treejoin::{batch_edges, join_pass, load_atoms, project_to_head, RelTree};
 use crate::report::RunReport;
 use parlog_relal::instance::Instance;
 use parlog_relal::query::ConjunctiveQuery;
@@ -73,62 +72,22 @@ impl CascadeJoin {
     /// Run on `db` from a round-robin initial partition.
     pub fn run(&self, db: &Instance) -> RunReport {
         let q = &self.query;
-        let p = self.p;
-        let nodes: Vec<VarRel> = q
-            .body
-            .iter()
-            .enumerate()
-            .map(|(i, a)| VarRel::new(&format!("cas{i}_{}", self.seed), a.variables()))
-            .collect();
-
-        let mut cluster = Cluster::new(p);
-        seed_cluster(&mut cluster, db, InitialPartition::RoundRobin);
-        let body = q.body.clone();
-        let nodes_for_norm = nodes.clone();
-        cluster.compute(move |shard| {
-            let mut out = Instance::new();
-            for (a, node) in body.iter().zip(&nodes_for_norm) {
-                out.extend_from(&normalize_atom(shard, a, node));
-            }
-            out
-        });
-
-        // Left-deep cascade.
-        let mut acc = nodes[self.order[0]].clone();
-        for (step, &next_idx) in self.order.iter().enumerate().skip(1) {
-            let next = nodes[next_idx].clone();
-            let on = acc.shared_with(&next);
-            let h = HashPartitioner::new(self.seed ^ ((step as u64) << 13), p);
-            let acc_r = acc.clone();
-            let next_r = next.clone();
-            cluster.reshuffle(move |_, f| {
-                if f.rel == acc_r.rel {
-                    Routing::Send(vec![h.bucket_of(&acc_r.key_of(f, &on))])
-                } else if f.rel == next_r.rel {
-                    Routing::Send(vec![h.bucket_of(&next_r.key_of(f, &on))])
-                } else {
-                    Routing::Keep
-                }
-            });
-            let out_schema = joined_schema(&acc, &next, &format!("casK{step}_{}", self.seed));
-            let (a, b, o) = (acc.clone(), next.clone(), out_schema.clone());
-            cluster.compute(move |local| {
-                let joined = join_local(&a, &b, &o, local);
-                let mut out = local.clone();
-                let gone: Vec<_> = out
-                    .relation(a.rel)
-                    .chain(out.relation(b.rel))
-                    .cloned()
-                    .collect();
-                for f in gone {
-                    out.remove(&f);
-                }
-                out.extend_from(&joined);
-                out
-            });
-            acc = out_schema;
+        let (mut cluster, nodes) = load_atoms(self.p, db, &q.body, "cas", self.seed);
+        // A chain up the order: each atom is the parent of the
+        // intermediate below it, so the bottom-up schedule joins one atom
+        // per round.
+        let mut parent: Vec<usize> = (0..nodes.len()).collect();
+        for w in self.order.windows(2) {
+            parent[w[0]] = w[1];
         }
-
+        let tree = RelTree {
+            nodes,
+            parent,
+            root: *self.order.last().expect("nonempty body"),
+        };
+        let schedule = batch_edges(&tree.edges_bottom_up());
+        let prefix = format!("casK_{}", self.seed);
+        let acc = join_pass(&mut cluster, &tree, &schedule, self.seed, &prefix);
         project_to_head(&mut cluster, &acc, &q.head);
         RunReport::from_cluster("cascade", &cluster, db.len())
     }

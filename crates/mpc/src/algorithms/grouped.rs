@@ -24,8 +24,6 @@ pub struct GroupedJoin {
     /// Number of groups per relation (`g`); `g²` servers are used.
     pub groups: usize,
     hasher: HashPartitioner,
-    /// Local-join strategy for the computation phase (default `Auto`).
-    strategy: EvalStrategy,
 }
 
 impl GroupedJoin {
@@ -37,14 +35,7 @@ impl GroupedJoin {
             query: q.clone(),
             groups,
             hasher: HashPartitioner::new(seed, groups),
-            strategy: EvalStrategy::Auto,
         }
-    }
-
-    /// Override the computation-phase [`EvalStrategy`] (default `Auto`).
-    pub fn with_strategy(mut self, strategy: EvalStrategy) -> GroupedJoin {
-        self.strategy = strategy;
-        self
     }
 
     /// The group of a fact: a hash of its entire tuple.
@@ -78,7 +69,7 @@ impl GroupedJoin {
         let mut cluster = Cluster::new(self.groups * self.groups);
         seed_cluster(&mut cluster, db, InitialPartition::RoundRobin);
         cluster.communicate(|f| self.destinations(f));
-        cluster.compute_query(&self.query, self.strategy);
+        cluster.compute_query(&self.query, EvalStrategy::Auto);
         RunReport::from_cluster("grouped-join", &cluster, db.len())
     }
 }

@@ -16,7 +16,9 @@
 //! tree — acyclic by construction — is then evaluated with the Yannakakis
 //! passes of [`crate::algorithms::treejoin`].
 
-use crate::algorithms::treejoin::{join_pass, project_to_head, semijoin_pass, RelTree, VarRel};
+use crate::algorithms::treejoin::{
+    batch_edges, join_pass, project_to_head, semijoin_pass, RelTree, VarRel,
+};
 use crate::cluster::Cluster;
 use crate::hypercube::HypercubeAlgorithm;
 use crate::partition::{seed_cluster, InitialPartition};
@@ -36,8 +38,6 @@ pub struct Gym {
     td: TreeDecomposition,
     p: usize,
     seed: u64,
-    /// Local-join strategy for the per-bag computation (default `Auto`).
-    strategy: EvalStrategy,
 }
 
 impl Gym {
@@ -51,14 +51,7 @@ impl Gym {
             td,
             p,
             seed,
-            strategy: EvalStrategy::Auto,
         }
-    }
-
-    /// Override the per-bag computation [`EvalStrategy`] (default `Auto`).
-    pub fn with_strategy(mut self, strategy: EvalStrategy) -> Gym {
-        self.strategy = strategy;
-        self
     }
 
     /// The decomposition in use (its width and depth drive the trade-offs
@@ -144,7 +137,7 @@ impl Gym {
         let plans: Vec<QueryPlan> = bag_queries
             .iter()
             .map(|bq| {
-                QueryPlan::new(std::slice::from_ref(bq), self.strategy, &[])
+                QueryPlan::new(std::slice::from_ref(bq), EvalStrategy::Auto, &[])
                     .expect("bag query is safe by construction")
             })
             .collect();
@@ -171,7 +164,8 @@ impl Gym {
         semijoin_pass(&mut cluster, &tree.nodes, &up, true, self.seed ^ 0xa1);
         let down: Vec<(usize, usize)> = up.iter().rev().copied().collect();
         semijoin_pass(&mut cluster, &tree.nodes, &down, false, self.seed ^ 0xa2);
-        let root_rel = join_pass(&mut cluster, &tree, self.seed ^ 0xa3, "gym");
+        let schedule = batch_edges(&up);
+        let root_rel = join_pass(&mut cluster, &tree, &schedule, self.seed ^ 0xa3, "gym");
         project_to_head(&mut cluster, &root_rel, &q.head);
         RunReport::from_cluster("gym", &cluster, db.len())
     }

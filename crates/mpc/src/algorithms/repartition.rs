@@ -24,8 +24,6 @@ pub struct RepartitionJoin {
     query: ConjunctiveQuery,
     join_vars: Vec<Var>,
     hasher: HashPartitioner,
-    /// Local-join strategy for the computation phase (default `Auto`).
-    strategy: EvalStrategy,
 }
 
 impl RepartitionJoin {
@@ -51,14 +49,7 @@ impl RepartitionJoin {
             query: q.clone(),
             join_vars,
             hasher: HashPartitioner::new(seed, p),
-            strategy: EvalStrategy::Auto,
         }
-    }
-
-    /// Override the computation-phase [`EvalStrategy`] (default `Auto`).
-    pub fn with_strategy(mut self, strategy: EvalStrategy) -> RepartitionJoin {
-        self.strategy = strategy;
-        self
     }
 
     /// The values a fact binds for the join variables via `atom`, if it
@@ -98,7 +89,7 @@ impl RepartitionJoin {
         let mut cluster = Cluster::new(self.hasher.buckets);
         seed_cluster(&mut cluster, db, InitialPartition::RoundRobin);
         cluster.communicate(|f| self.destinations(f));
-        cluster.compute_query(&self.query, self.strategy);
+        cluster.compute_query(&self.query, EvalStrategy::Auto);
         RunReport::from_cluster("repartition-join", &cluster, db.len())
     }
 }

@@ -1,13 +1,15 @@
-//! Shared machinery for the tree-structured multi-round algorithms
-//! (Yannakakis, GYM, cascaded joins): relations-with-schemas, local
-//! join/semijoin operators, and the batched edge scheduler that executes a
-//! semijoin or join pass over a relation tree in as few MPC rounds as the
-//! tree allows (edges touching disjoint relations share a round — "taking
-//! advantage of the structure of the tree to perform some joins and
-//! semi-joins in parallel", §3.2).
+//! The one executor behind every tree-structured multi-round algorithm
+//! (Yannakakis, GYM, the left-deep and balanced cascades):
+//! relations-with-schemas, local join/semijoin operators, and the semijoin
+//! and join passes that run a relation tree on the cluster, one round per
+//! batch of edges. Edges touching disjoint relations share a round —
+//! "taking advantage of the structure of the tree to perform some joins
+//! and semi-joins in parallel", §3.2 — and a caller picks the trade-off
+//! between rounds and communication by the tree's shape and the schedule
+//! it hands [`join_pass`].
 
 use crate::cluster::{Cluster, Routing};
-use crate::partition::HashPartitioner;
+use crate::partition::{seed_cluster, HashPartitioner, InitialPartition};
 use parlog_relal::atom::{Atom, Term, Var};
 use parlog_relal::fact::{Args, Fact, Val};
 use parlog_relal::instance::Instance;
@@ -86,8 +88,7 @@ pub fn binding_of(atom: &Atom, f: &Fact) -> Option<Vec<(Var, Val)>> {
 
 /// Convert the facts of `shard` matching `atom` into facts of the
 /// var-schema relation `target` (whose schema must equal
-/// `atom.variables()`). This is the free local "loading" step of the
-/// tree algorithms.
+/// `atom.variables()`).
 pub fn normalize_atom(shard: &Instance, atom: &Atom, target: &VarRel) -> Instance {
     debug_assert_eq!(target.vars, atom.variables());
     // Each schema variable's first position in the atom.
@@ -107,6 +108,35 @@ pub fn normalize_atom(shard: &Instance, atom: &Atom, target: &VarRel) -> Instanc
         }
     }
     out
+}
+
+/// The free local "loading" step of the tree algorithms: a fresh
+/// `p`-server cluster seeded round-robin with `db`, whose every shard is
+/// then rewritten into one var-schema relation per body atom, named
+/// `{prefix}{i}_{seed}`. Returns the cluster and the relations, in body
+/// order.
+pub fn load_atoms(
+    p: usize,
+    db: &Instance,
+    body: &[Atom],
+    prefix: &str,
+    seed: u64,
+) -> (Cluster, Vec<VarRel>) {
+    let nodes: Vec<VarRel> = body
+        .iter()
+        .enumerate()
+        .map(|(i, a)| VarRel::new(&format!("{prefix}{i}_{seed}"), a.variables()))
+        .collect();
+    let mut cluster = Cluster::new(p);
+    seed_cluster(&mut cluster, db, InitialPartition::RoundRobin);
+    cluster.compute(|shard| {
+        let mut out = Instance::new();
+        for (a, node) in body.iter().zip(&nodes) {
+            out.extend_from(&normalize_atom(shard, a, node));
+        }
+        out
+    });
+    (cluster, nodes)
 }
 
 /// Local semijoin: the facts of `a` (in `inst`) having a matching `b`
@@ -165,7 +195,8 @@ pub fn joined_schema(a: &VarRel, b: &VarRel, name: &str) -> VarRel {
 }
 
 /// A tree of var-schema relations: `parent[i]` points upward, the root
-/// points to itself. Used as a join tree (Yannakakis) or bag tree (GYM).
+/// points to itself. Used as a join tree (Yannakakis), a bag tree (GYM),
+/// or the shape of a cascade.
 #[derive(Debug, Clone)]
 pub struct RelTree {
     /// One materialized relation per node.
@@ -220,6 +251,35 @@ pub fn batch_edges(edges: &[(usize, usize)]) -> Vec<Vec<(usize, usize)>> {
     batches
 }
 
+/// The communication phase of one pair round: both relations of the
+/// batch's `k`-th edge are hashed on their shared variables with
+/// `hasher(k)`; facts of every other relation stay put.
+fn route_pairs(
+    cluster: &mut Cluster,
+    state: &[VarRel],
+    batch: &[(usize, usize)],
+    hasher: impl Fn(usize) -> HashPartitioner,
+) {
+    let plan: Vec<(&VarRel, &VarRel, Vec<Var>, HashPartitioner)> = batch
+        .iter()
+        .enumerate()
+        .map(|(k, &(c, pa))| {
+            let on = state[c].shared_with(&state[pa]);
+            (&state[c], &state[pa], on, hasher(k))
+        })
+        .collect();
+    cluster.reshuffle(|_, f| {
+        for (child, parent, on, h) in &plan {
+            for side in [child, parent] {
+                if f.rel == side.rel {
+                    return Routing::Send(vec![h.bucket_of(&side.key_of(f, on))]);
+                }
+            }
+        }
+        Routing::Keep
+    });
+}
+
 /// Execute a **semijoin pass** over the tree on the cluster: for every
 /// edge in `edges` (already ordered), replace `filtered ⟵ filtered ⋉
 /// other`. With `child_filters_parent = true` this is the bottom-up
@@ -236,27 +296,9 @@ pub fn semijoin_pass(
 ) {
     let p = cluster.p();
     for batch in batch_edges(edges) {
-        // Communication: hash both sides of each edge on the shared vars.
-        let plan: Vec<(usize, usize, Vec<Var>, HashPartitioner)> = batch
-            .iter()
-            .enumerate()
-            .map(|(k, &(c, pa))| {
-                let on = state[c].shared_with(&state[pa]);
-                (c, pa, on, HashPartitioner::new(seed ^ (k as u64) << 17, p))
-            })
-            .collect();
-        cluster.reshuffle(|_, f| {
-            for (c, pa, on, h) in &plan {
-                if f.rel == state[*c].rel {
-                    return Routing::Send(vec![h.bucket_of(&state[*c].key_of(f, on))]);
-                }
-                if f.rel == state[*pa].rel {
-                    return Routing::Send(vec![h.bucket_of(&state[*pa].key_of(f, on))]);
-                }
-            }
-            Routing::Keep
+        route_pairs(cluster, state, &batch, |k| {
+            HashPartitioner::new(seed ^ (k as u64) << 17, p)
         });
-        // Computation: apply the semijoins locally.
         cluster.compute(|local| {
             let mut out = local.clone();
             for &(c, pa) in &batch {
@@ -281,73 +323,53 @@ pub fn semijoin_pass(
     }
 }
 
-/// Execute the **join pass** bottom-up: each edge merges the child's
-/// accumulated state into the parent's (`parent ⟵ parent ⋈ child`),
-/// growing the parent's schema. Returns the root's final [`VarRel`],
+/// Execute a **join pass**: one round per batch of `schedule`, in which
+/// every edge `(child, parent)` merges the child's accumulated state into
+/// the parent's (`parent ⟵ parent ⋈ child`), growing the parent's schema.
+/// The batches must touch disjoint nodes and the last one must leave
+/// everything merged into the root. Returns the root's final [`VarRel`],
 /// whose facts (spread over the cluster) are the full join.
-pub fn join_pass(cluster: &mut Cluster, tree: &RelTree, seed: u64, name_prefix: &str) -> VarRel {
+pub fn join_pass(
+    cluster: &mut Cluster,
+    tree: &RelTree,
+    schedule: &[Vec<(usize, usize)>],
+    seed: u64,
+    name_prefix: &str,
+) -> VarRel {
     let p = cluster.p();
     let mut state: Vec<VarRel> = tree.nodes.clone();
-    let edges = tree.edges_bottom_up();
     let mut fresh = 0usize;
-    for batch in batch_edges(&edges) {
-        let plan: Vec<(usize, usize, Vec<Var>, HashPartitioner)> = batch
-            .iter()
-            .enumerate()
-            .map(|(k, &(c, pa))| {
-                let on = state[c].shared_with(&state[pa]);
-                (
-                    c,
-                    pa,
-                    on,
-                    HashPartitioner::new(seed ^ 0xbeef ^ ((k as u64) << 21), p),
-                )
-            })
-            .collect();
-        cluster.reshuffle(|_, f| {
-            for (c, pa, on, h) in &plan {
-                if f.rel == state[*c].rel {
-                    return Routing::Send(vec![h.bucket_of(&state[*c].key_of(f, on))]);
-                }
-                if f.rel == state[*pa].rel {
-                    return Routing::Send(vec![h.bucket_of(&state[*pa].key_of(f, on))]);
-                }
-            }
-            Routing::Keep
+    for batch in schedule {
+        route_pairs(cluster, &state, batch, |k| {
+            HashPartitioner::new(seed ^ 0xbeef ^ ((k as u64) << 21), p)
         });
         // Local joins; schema of each parent grows.
-        let mut new_state = state.clone();
-        let mut merged: Vec<(usize, usize, VarRel)> = Vec::new();
-        for &(c, pa) in &batch {
-            let out = joined_schema(
-                &new_state[pa],
-                &state[c],
-                &format!("{name_prefix}_j{fresh}"),
-            );
-            fresh += 1;
-            merged.push((c, pa, out.clone()));
-            new_state[pa] = out;
-        }
+        let merged: Vec<(VarRel, VarRel, VarRel)> = batch
+            .iter()
+            .map(|&(c, pa)| {
+                let out = joined_schema(&state[pa], &state[c], &format!("{name_prefix}_j{fresh}"));
+                fresh += 1;
+                let parent = std::mem::replace(&mut state[pa], out.clone());
+                (parent, state[c].clone(), out)
+            })
+            .collect();
         cluster.compute(|local| {
             let mut out = local.clone();
-            let mut st = state.clone();
-            for (c, pa, target) in &merged {
-                let joined = join_local(&st[*pa], &st[*c], target, &out);
+            for (parent, child, target) in &merged {
+                let joined = join_local(parent, child, target, &out);
                 // Remove the inputs, add the join.
                 let gone: Vec<Fact> = out
-                    .relation(st[*pa].rel)
-                    .chain(out.relation(st[*c].rel))
+                    .relation(parent.rel)
+                    .chain(out.relation(child.rel))
                     .cloned()
                     .collect();
                 for f in gone {
                     out.remove(&f);
                 }
                 out.extend_from(&joined);
-                st[*pa] = target.clone();
             }
             out
         });
-        state = new_state;
     }
     state[tree.root].clone()
 }
@@ -440,6 +462,64 @@ mod tests {
         assert_eq!(batches.len(), 2);
         assert_eq!(batches[0], vec![(0, 1), (3, 4)]);
         assert_eq!(batches[1], vec![(2, 1)]);
+    }
+
+    /// Every tree algorithm's exact rounds and communication on one
+    /// acyclic and one cyclic input. Yannakakis and GYM are pinned in
+    /// full; the cascades' max loads follow the executor's hash seeds, so
+    /// only their rounds and total communication are.
+    #[test]
+    fn tree_passes_are_pinned() {
+        use crate::algorithms::{
+            balanced_cascade::BalancedCascade, cascade::CascadeJoin, gym::Gym,
+            yannakakis::DistributedYannakakis,
+        };
+        use crate::datagen::{triangle_db, uniform_relation};
+        use crate::report::RunReport;
+        use parlog_relal::eval::eval_query;
+        use parlog_relal::parser::parse_query;
+
+        let path4 = parse_query("H(a,e) <- R(a,b), S(b,c), T(c,d), U(d,e)").unwrap();
+        let mut pdb = Instance::new();
+        for (name, seed) in [("R", 1), ("S", 2), ("T", 3), ("U", 4)] {
+            pdb.extend_from(&uniform_relation(name, 300, 60, seed));
+        }
+        let tri = parse_query("H(x,y,z) <- R(x,y), S(y,z), T(z,x)").unwrap();
+        let tdb = triangle_db(300, 50, 11);
+        let (pexp, texp) = (eval_query(&path4, &pdb), eval_query(&tri, &tdb));
+
+        let full = |r: RunReport, expected: &Instance| {
+            assert_eq!(&r.output, expected);
+            (r.stats.rounds, r.stats.max_load, r.stats.total_comm)
+        };
+        let comm = |r: RunReport, expected: &Instance| {
+            let (rounds, _, total) = full(r, expected);
+            (rounds, total)
+        };
+        assert_eq!(
+            full(DistributedYannakakis::new(&path4, 16, 7).run(&pdb), &pexp),
+            (9, 893, 13_711)
+        );
+        assert_eq!(
+            full(Gym::new(&path4, 16, 7).run(&pdb), &pexp),
+            (13, 4_084, 54_130)
+        );
+        assert_eq!(
+            full(Gym::new(&tri, 16, 1).run(&tdb), &texp),
+            (7, 418, 4_400)
+        );
+        assert_eq!(
+            comm(CascadeJoin::new(&path4, 16, 7).run(&pdb), &pexp),
+            (3, 10_130)
+        );
+        assert_eq!(
+            comm(BalancedCascade::new(&path4, 16, 7).run(&pdb), &pexp),
+            (2, 4_140)
+        );
+        assert_eq!(
+            comm(CascadeJoin::new(&tri, 16, 1).run(&tdb), &texp),
+            (2, 2_744)
+        );
     }
 
     #[test]

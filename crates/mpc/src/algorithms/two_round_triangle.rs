@@ -22,10 +22,10 @@
 //! hitters "and their frequencies are known" — the simulator computes them
 //! globally; a real system would piggyback a statistics round.
 
-use crate::algorithms::treejoin::{join_local, normalize_atom, VarRel};
-use crate::cluster::{Cluster, Routing};
+use crate::algorithms::treejoin::{join_local, load_atoms, VarRel};
+use crate::cluster::Routing;
 use crate::datagen::heavy_hitters;
-use crate::partition::{seed_cluster, HashPartitioner, InitialPartition};
+use crate::partition::HashPartitioner;
 use crate::report::RunReport;
 use parlog_relal::atom::Term;
 use parlog_relal::fact::{Fact, Val};
@@ -65,12 +65,10 @@ impl TwoRoundTriangle {
         let p = self.p;
         let g = ((p as f64).sqrt().floor() as usize).max(1);
 
-        let vnames = |s: &str| format!("t2{s}_{}", self.seed);
-        let r_node = VarRel::new(&vnames("R"), q.body[0].variables());
-        let s_node = VarRel::new(&vnames("S"), q.body[1].variables());
-        let t_node = VarRel::new(&vnames("T"), q.body[2].variables());
+        let (mut cluster, nodes) = load_atoms(p, db, &q.body, "t2", self.seed);
+        let [r_node, s_node, t_node] = <[VarRel; 3]>::try_from(nodes).expect("three atoms");
         let k_node = VarRel::new(
-            &vnames("K"),
+            &format!("t2K_{}", self.seed),
             ["x", "y", "z"]
                 .iter()
                 .map(|v| parlog_relal::atom::Var::new(*v))
@@ -84,21 +82,7 @@ impl TwoRoundTriangle {
         heavy.extend(heavy_hitters(db, rel("S"), 0, threshold));
         heavy.sort_unstable();
         heavy.dedup();
-        let is_heavy = move |v: Val| heavy.binary_search(&v).is_ok();
-
-        let mut cluster = Cluster::new(p);
-        seed_cluster(&mut cluster, db, InitialPartition::RoundRobin);
-        {
-            let (rn, sn, tn) = (r_node.clone(), s_node.clone(), t_node.clone());
-            let body = q.body.clone();
-            cluster.compute(move |shard| {
-                let mut out = Instance::new();
-                out.extend_from(&normalize_atom(shard, &body[0], &rn));
-                out.extend_from(&normalize_atom(shard, &body[1], &sn));
-                out.extend_from(&normalize_atom(shard, &body[2], &tn));
-                out
-            });
-        }
+        let is_heavy = |v: Val| heavy.binary_search(&v).is_ok();
 
         // Round 1. Heavy: residual grid over cells (h_x(x), h_z(z)); every
         // T fact lands in its cell; heavy R rows, heavy S columns. Light:
@@ -106,28 +90,26 @@ impl TwoRoundTriangle {
         let hx = HashPartitioner::new(self.seed ^ 0x11, g);
         let hz = HashPartitioner::new(self.seed ^ 0x22, g);
         let hy = HashPartitioner::new(self.seed ^ 0x33, p);
-        let (rn, sn, tn) = (r_node.clone(), s_node.clone(), t_node.clone());
-        let heavy_check = is_heavy.clone();
-        cluster.reshuffle(move |_, f| {
-            if f.rel == rn.rel {
+        cluster.reshuffle(|_, f| {
+            if f.rel == r_node.rel {
                 // Schema [x, y].
                 let (x, y) = (f.args[0], f.args[1]);
-                if heavy_check(y) {
+                if is_heavy(y) {
                     let row = hx.bucket(x);
                     Routing::Send((0..g).map(|col| row * g + col).collect())
                 } else {
                     Routing::Send(vec![hy.bucket(y)])
                 }
-            } else if f.rel == sn.rel {
+            } else if f.rel == s_node.rel {
                 // Schema [y, z].
                 let (y, z) = (f.args[0], f.args[1]);
-                if heavy_check(y) {
+                if is_heavy(y) {
                     let col = hz.bucket(z);
                     Routing::Send((0..g).map(|row| row * g + col).collect())
                 } else {
                     Routing::Send(vec![hy.bucket(y)])
                 }
-            } else if f.rel == tn.rel {
+            } else if f.rel == t_node.rel {
                 // Schema [z, x]: land in the residual cell; round 2 will
                 // reshuffle T again for the light side.
                 let (z, x) = (f.args[0], f.args[1]);
@@ -141,70 +123,55 @@ impl TwoRoundTriangle {
         // found on a server is genuine; the grid guarantees the heavy ones
         // all appear somewhere); join the light R ⋈ S into K. Keep T.
         let head_rel = q.head.rel;
-        {
-            let (rn, sn, tn, kn) = (
-                r_node.clone(),
-                s_node.clone(),
-                t_node.clone(),
-                k_node.clone(),
-            );
-            let heavy_check = is_heavy.clone();
-            cluster.compute(move |local| {
-                let mut out = Instance::new();
-                // Keep T.
-                for f in local.relation(tn.rel) {
-                    out.insert(f.clone());
+        cluster.compute(|local| {
+            let mut out = Instance::new();
+            // Keep T.
+            for f in local.relation(t_node.rel) {
+                out.insert(f.clone());
+            }
+            // Close triangles among co-located facts (heavy path).
+            let kk = VarRel::new("t2tmpK", k_node.vars.clone());
+            let all_k = join_local(&r_node, &s_node, &kk, local);
+            let mut probe = local.clone();
+            probe.extend_from(&all_k);
+            let outn = VarRel::new("t2tmpO", k_node.vars.clone());
+            for f in join_local(&kk, &t_node, &outn, &probe).iter() {
+                out.insert(Fact::new(head_rel, f.args.clone()));
+            }
+            // Light intermediate K for round 2.
+            for f in all_k.iter() {
+                if !is_heavy(f.args[1]) {
+                    out.insert(Fact::new(k_node.rel, f.args.clone()));
                 }
-                // Close triangles among co-located facts (heavy path).
-                let kk = VarRel::new("t2tmpK", kn.vars.clone());
-                let all_k = join_local(&rn, &sn, &kk, local);
-                let mut probe = local.clone();
-                probe.extend_from(&all_k);
-                let outn = VarRel::new("t2tmpO", kn.vars.clone());
-                for f in join_local(&kk, &tn, &outn, &probe).iter() {
-                    out.insert(Fact::new(head_rel, f.args.clone()));
-                }
-                // Light intermediate K for round 2.
-                for f in all_k.iter() {
-                    if !heavy_check(f.args[1]) {
-                        out.insert(Fact::new(kn.rel, f.args.clone()));
-                    }
-                }
-                out
-            });
-        }
+            }
+            out
+        });
 
         // Round 2: join light K(x,y,z) with T(z,x) on (x,z); finished H
         // facts ride along to wherever (cheap: they are output, keep them).
         let h2 = HashPartitioner::new(self.seed ^ 0x44, p);
-        {
-            let (kn, tn) = (k_node.clone(), t_node.clone());
-            cluster.reshuffle(move |_, f| {
-                if f.rel == kn.rel {
-                    Routing::Send(vec![h2.bucket_of(&[f.args[0], f.args[2]])])
-                } else if f.rel == tn.rel {
-                    Routing::Send(vec![h2.bucket_of(&[f.args[1], f.args[0]])])
-                } else if f.rel == head_rel {
-                    Routing::Keep
-                } else {
-                    Routing::Drop
-                }
-            });
-        }
-        {
-            let (kn, tn) = (k_node.clone(), t_node.clone());
-            cluster.compute(move |local| {
-                let mut out = Instance::new();
-                for f in local.relation(head_rel) {
-                    out.insert(f.clone());
-                }
-                let outn = VarRel::new("t2tmpO2", kn.vars.clone());
-                for f in join_local(&kn, &tn, &outn, local).iter() {
-                    out.insert(Fact::new(head_rel, f.args.clone()));
-                }
-                out
-            });
-        }
+        cluster.reshuffle(|_, f| {
+            if f.rel == k_node.rel {
+                Routing::Send(vec![h2.bucket_of(&[f.args[0], f.args[2]])])
+            } else if f.rel == t_node.rel {
+                Routing::Send(vec![h2.bucket_of(&[f.args[1], f.args[0]])])
+            } else if f.rel == head_rel {
+                Routing::Keep
+            } else {
+                Routing::Drop
+            }
+        });
+        cluster.compute(|local| {
+            let mut out = Instance::new();
+            for f in local.relation(head_rel) {
+                out.insert(f.clone());
+            }
+            let outn = VarRel::new("t2tmpO2", k_node.vars.clone());
+            for f in join_local(&k_node, &t_node, &outn, local).iter() {
+                out.insert(Fact::new(head_rel, f.args.clone()));
+            }
+            out
+        });
 
         RunReport::from_cluster("two-round-triangle", &cluster, db.len())
     }

@@ -11,10 +11,8 @@
 //! is governed by the join-tree depth rather than the atom count.
 
 use crate::algorithms::treejoin::{
-    join_pass, normalize_atom, project_to_head, semijoin_pass, RelTree, VarRel,
+    batch_edges, join_pass, load_atoms, project_to_head, semijoin_pass, RelTree,
 };
-use crate::cluster::Cluster;
-use crate::partition::{seed_cluster, InitialPartition};
 use crate::report::RunReport;
 use parlog_relal::hypergraph::gyo_join_tree;
 use parlog_relal::instance::Instance;
@@ -55,30 +53,13 @@ impl DistributedYannakakis {
         let q = &self.query;
         let jt = gyo_join_tree(q).expect("validated acyclic");
 
-        // Node schemas: one normalized relation per body atom.
-        let nodes: Vec<VarRel> = q
-            .body
-            .iter()
-            .enumerate()
-            .map(|(i, a)| VarRel::new(&format!("yk{i}_{}", self.seed), a.variables()))
-            .collect();
+        // One normalized relation per body atom, on the join tree.
+        let (mut cluster, nodes) = load_atoms(self.p, db, &q.body, "yk", self.seed);
         let tree = RelTree {
-            nodes: nodes.clone(),
-            parent: jt.parent.clone(),
+            nodes,
+            parent: jt.parent,
             root: jt.root,
         };
-
-        let mut cluster = Cluster::new(self.p);
-        seed_cluster(&mut cluster, db, InitialPartition::RoundRobin);
-        // Local, free normalization of each shard.
-        let body = q.body.clone();
-        cluster.compute(|shard| {
-            let mut out = Instance::new();
-            for (a, node) in body.iter().zip(&nodes) {
-                out.extend_from(&normalize_atom(shard, a, node));
-            }
-            out
-        });
 
         // Semi-join phase: bottom-up (children filter parents), then
         // top-down (parents filter children) for the full reducer.
@@ -90,7 +71,7 @@ impl DistributedYannakakis {
         }
 
         // Join phase bottom-up, then project onto the head.
-        let root_rel = join_pass(&mut cluster, &tree, self.seed, "yk");
+        let root_rel = join_pass(&mut cluster, &tree, &batch_edges(&up), self.seed, "yk");
         project_to_head(&mut cluster, &root_rel, &q.head);
         RunReport::from_cluster("yannakakis", &cluster, db.len())
     }

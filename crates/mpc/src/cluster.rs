@@ -68,7 +68,6 @@
 //! result); the effect is confined to `tail_time` and the
 //! [`SpeculationStats`] waste accounting.
 
-use crate::partition::{seed_cluster, InitialPartition};
 use parlog_faults::{MpcFaultPlan, SpeculationPolicy};
 use parlog_relal::eval::{EvalStrategy, QueryPlan};
 use parlog_relal::fact::Fact;
@@ -900,20 +899,6 @@ impl Cluster {
         self.compute_per_server(|_, inst| f(inst));
     }
 
-    /// Seed a `p`-server cluster from a pinned MVCC snapshot: the
-    /// snapshot's sorted fact list is dealt round-robin across the
-    /// servers (deterministic — independent of hash-map iteration and
-    /// of the snapshot's epoch history). This is the serving layer's
-    /// offload path: a heavy analytical query against a pinned snapshot
-    /// runs through the usual communicate/compute rounds while the
-    /// store keeps publishing new generations — the cluster's inputs
-    /// can never change underneath it.
-    pub fn from_snapshot(p: usize, snap: &parlog_relal::snapshot::Snapshot) -> Cluster {
-        let mut c = Cluster::new(p);
-        seed_cluster(&mut c, snap.instance(), InitialPartition::RoundRobin);
-        c
-    }
-
     /// Computation phase evaluating one conjunctive query on every
     /// server's local instance with the chosen local-join strategy —
     /// the standard "local evaluation after routing" step of HyperCube
@@ -1012,6 +997,7 @@ mod tests {
     /// pinned instance.
     #[test]
     fn from_snapshot_is_pinned_and_matches_centralized() {
+        use crate::partition::{seed_cluster, InitialPartition};
         use parlog_relal::eval::eval_query_with;
         use parlog_relal::parser::parse_query;
         use parlog_relal::snapshot::SnapshotStore;
@@ -1023,7 +1009,8 @@ mod tests {
             fact("S", &[3, 4]),
         ]));
         let snap = store.pin();
-        let mut c = Cluster::from_snapshot(3, &snap);
+        let mut c = Cluster::new(3);
+        seed_cluster(&mut c, snap.instance(), InitialPartition::RoundRobin);
         assert_eq!(c.union_all(), *snap.instance());
 
         // The writer races ahead; the seeded cluster must not notice.

@@ -29,11 +29,6 @@ pub struct HypercubeAlgorithm {
     shares: Shares,
     /// Per-variable hash functions `h_c` (independent via distinct seeds).
     hashers: Vec<HashPartitioner>,
-    /// Local-join strategy for the computation phase. `Auto` (default)
-    /// runs worst-case-optimal LeapFrog TrieJoin on cyclic queries and
-    /// the hash-indexed backtracker on acyclic ones; the output is
-    /// byte-identical either way.
-    strategy: EvalStrategy,
 }
 
 impl HypercubeAlgorithm {
@@ -55,19 +50,7 @@ impl HypercubeAlgorithm {
             query: q.clone(),
             shares,
             hashers,
-            strategy: EvalStrategy::Auto,
         }
-    }
-
-    /// Override the computation-phase [`EvalStrategy`] (default `Auto`).
-    pub fn with_strategy(mut self, strategy: EvalStrategy) -> HypercubeAlgorithm {
-        self.strategy = strategy;
-        self
-    }
-
-    /// The computation-phase strategy in use.
-    pub fn strategy(&self) -> EvalStrategy {
-        self.strategy
     }
 
     /// The shares in use.
@@ -146,7 +129,7 @@ impl HypercubeAlgorithm {
         assert_eq!(cluster.p(), self.servers(), "cluster sized for the shares");
         seed_cluster(cluster, db, InitialPartition::RoundRobin);
         cluster.communicate(|f| self.destinations(f));
-        cluster.compute_query(&self.query, self.strategy);
+        cluster.compute_query(&self.query, EvalStrategy::Auto);
         RunReport::from_cluster("hypercube", cluster, db.len())
     }
 }

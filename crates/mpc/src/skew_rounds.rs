@@ -22,15 +22,17 @@
 //!   cartesian product `R(x,h) × S(h,z)` whose residual `τ* = 2` gives
 //!   load `m_h/B^{1/2}` instead of the one-round `m_h` pile-up.
 //!
-//! Where the one-round `shares_skew` heuristic must squeeze every
-//! pattern into one round (each gets `p/#patterns` servers), this engine
-//! schedules patterns across **multiple rounds (waves)**: LPT-packed by
-//! residual input size into at most `max_rounds` waves, each wave
-//! splitting the full `p` servers proportionally among its patterns.
-//! The per-server load of the whole run is the max over waves, so every
-//! pattern gets a block close to all of `p` — this is what reaches the
-//! skew-aware bound (see [`SkewAdaptiveJoin::load_bound`], checked
-//! machine-side by E26).
+//! The engine schedules patterns across **waves** (communication
+//! rounds): LPT-packed by residual input size into at most `max_rounds`
+//! waves, each wave splitting the full `p` servers proportionally among
+//! its patterns. With `max_rounds: 1` this is SharesSkew (Afrati,
+//! Stasinopoulos, Ullman, Vasilakopoulos; §3.1: "a generalization of the
+//! Shares algorithm incorporating skew by distinguishing tuples that are
+//! heavy hitters"), every pattern squeezed into one round on a block of
+//! its own. With more waves the per-server load of the whole run is the
+//! max over waves, so every pattern gets a block close to all of `p` —
+//! this is what reaches the skew-aware bound (see
+//! [`SkewAdaptiveJoin::load_bound`], checked machine-side by E26).
 //!
 //! Execution is a fixed schedule of [`Cluster::reshuffle_with`] rounds
 //! drawing input cohorts from per-server storage shards; head facts
@@ -49,7 +51,6 @@ use crate::hypercube::HypercubeAlgorithm;
 use crate::partition::deal;
 use crate::report::RunReport;
 use crate::shares::Shares;
-use crate::shares_skew::HeavyPattern;
 use parlog_faults::PartitionPlan;
 use parlog_relal::atom::{Atom, Term, Var};
 use parlog_relal::eval::{EvalStrategy, QueryPlan};
@@ -58,6 +59,33 @@ use parlog_relal::instance::Instance;
 use parlog_relal::packing::fractional_edge_packing;
 use parlog_relal::query::ConjunctiveQuery;
 use parlog_trace::{LoadBound, LoadBoundPart};
+
+/// A heavy pattern: an assignment of heavy values to a subset of the
+/// query's variables.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct HeavyPattern {
+    /// `(variable, heavy value)` pairs, sorted by variable.
+    bound: Vec<(Var, Val)>,
+}
+
+impl HeavyPattern {
+    fn value_of(&self, v: &Var) -> Option<Val> {
+        self.bound.iter().find(|(w, _)| w == v).map(|(_, val)| *val)
+    }
+
+    /// Human-readable label: `"light"` for the all-light pattern,
+    /// otherwise the bound assignments, e.g. `"y=7"`.
+    fn label(&self) -> String {
+        if self.bound.is_empty() {
+            return "light".to_string();
+        }
+        self.bound
+            .iter()
+            .map(|(v, val)| format!("{v}={val}"))
+            .collect::<Vec<_>>()
+            .join(",")
+    }
+}
 
 /// Tuning knobs for [`SkewAdaptiveJoin::from_stats`].
 #[derive(Debug, Clone)]
@@ -70,6 +98,7 @@ pub struct SkewConfig {
     pub max_heavy_per_var: usize,
     /// Pack the patterns into at most this many waves (communication
     /// rounds); stretched when `p` can't seat every pattern of a wave.
+    /// `1` is SharesSkew's one-round plan.
     pub max_rounds: usize,
     /// Hash seed for the residual grids.
     pub seed: u64,
@@ -91,7 +120,7 @@ impl Default for SkewConfig {
 /// variable exceeds `threshold` (taking the max over positions), and the
 /// per-variable cap keeps the `cap` worst offenders. The returned value
 /// lists are sorted for binary search.
-pub(crate) fn heavy_values_per_var(
+fn heavy_values_per_var(
     q: &ConjunctiveQuery,
     db: &Instance,
     threshold: usize,
@@ -122,7 +151,7 @@ pub(crate) fn heavy_values_per_var(
 
 /// Enumerate the heavy patterns: the cross product over variables of
 /// `{light} ∪ heavy values`, the all-light pattern first.
-pub(crate) fn enumerate_patterns(heavy: &[(Var, Vec<Val>)]) -> Vec<HeavyPattern> {
+fn enumerate_patterns(heavy: &[(Var, Vec<Val>)]) -> Vec<HeavyPattern> {
     let mut patterns: Vec<HeavyPattern> = vec![HeavyPattern { bound: Vec::new() }];
     for (v, hs) in heavy {
         let mut next = Vec::with_capacity(patterns.len() * (hs.len() + 1));
@@ -144,7 +173,7 @@ pub(crate) fn enumerate_patterns(heavy: &[(Var, Vec<Val>)]) -> Vec<HeavyPattern>
 /// absorb in one hash bucket. With an uncapped heavy list this is at
 /// most the detection threshold; a capped list can leave heavier values
 /// light, and the ceiling reports them honestly.
-pub(crate) fn light_ceilings(
+fn light_ceilings(
     q: &ConjunctiveQuery,
     db: &Instance,
     heavy: &[(Var, Vec<Val>)],
@@ -173,7 +202,7 @@ pub(crate) fn light_ceilings(
 }
 
 /// Is `val` heavy for variable `v` in the per-variable lists?
-pub(crate) fn is_heavy(heavy: &[(Var, Vec<Val>)], v: &Var, val: Val) -> bool {
+fn is_heavy(heavy: &[(Var, Vec<Val>)], v: &Var, val: Val) -> bool {
     heavy
         .iter()
         .find(|(w, _)| w == v)
@@ -184,7 +213,7 @@ pub(crate) fn is_heavy(heavy: &[(Var, Vec<Val>)], v: &Var, val: Val) -> bool {
 /// signature `pat`? Every bound variable the pattern fixes must agree
 /// with the pattern's value, and every bound variable the pattern leaves
 /// light must not carry a heavy value.
-pub(crate) fn pattern_consistent(
+fn pattern_consistent(
     binding: &[(Var, Val)],
     pat: &HeavyPattern,
     heavy: &[(Var, Vec<Val>)],
@@ -199,7 +228,7 @@ pub(crate) fn pattern_consistent(
 /// their heavy constants (the head is untouched — local evaluation
 /// always runs the *original* query; residuals exist for the share LP
 /// and routing only).
-pub(crate) fn residual_query(q: &ConjunctiveQuery, pat: &HeavyPattern) -> ConjunctiveQuery {
+fn residual_query(q: &ConjunctiveQuery, pat: &HeavyPattern) -> ConjunctiveQuery {
     let subst = |a: &Atom| Atom {
         rel: a.rel,
         terms: a
@@ -259,7 +288,6 @@ pub struct SkewAdaptiveJoin {
     m: usize,
     heavy: Vec<(Var, Vec<Val>)>,
     waves: Vec<Vec<SubPlan>>,
-    strategy: EvalStrategy,
 }
 
 impl SkewAdaptiveJoin {
@@ -395,14 +423,7 @@ impl SkewAdaptiveJoin {
             m: db.len(),
             heavy,
             waves,
-            strategy: EvalStrategy::Auto,
         }
-    }
-
-    /// Override the computation-phase [`EvalStrategy`] (default `Auto`).
-    pub fn with_strategy(mut self, strategy: EvalStrategy) -> SkewAdaptiveJoin {
-        self.strategy = strategy;
-        self
     }
 
     /// Total servers addressed.
@@ -520,7 +541,7 @@ impl SkewAdaptiveJoin {
     /// heads found so far.
     fn wave_pass(&self, cluster: &mut Cluster, storage: &[Instance]) {
         let head_rel = self.query.head.rel;
-        let plan = QueryPlan::new(std::slice::from_ref(&self.query), self.strategy, &[])
+        let plan = QueryPlan::new(std::slice::from_ref(&self.query), EvalStrategy::Auto, &[])
             .expect("the skew join's query is safe");
         for w in 0..self.waves.len() {
             cluster.reshuffle_with(storage, |_, f| {
@@ -597,17 +618,30 @@ mod tests {
         db
     }
 
+    /// SharesSkew's one-wave plan with the given threshold, heavy-value
+    /// cap and seed.
+    fn one_wave(threshold: usize, max_heavy_per_var: usize, seed: u64) -> SkewConfig {
+        SkewConfig {
+            threshold: Some(threshold),
+            max_heavy_per_var,
+            max_rounds: 1,
+            seed,
+        }
+    }
+
     #[test]
     fn no_skew_degenerates_to_one_wave_plain_hypercube() {
         let q = join();
         let db = datagen::matching_relation("R", 100, 0)
             .union(&datagen::matching_relation("S", 100, 10_000));
-        let alg = SkewAdaptiveJoin::from_stats(&q, &db, 16, SkewConfig::default());
-        assert_eq!(alg.pattern_count(), 1);
-        assert_eq!(alg.wave_count(), 1);
-        let r = alg.run(&db);
-        assert_eq!(r.output, eval_query(&q, &db));
-        assert_eq!(r.stats.rounds, 1);
+        for cfg in [SkewConfig::default(), one_wave(10, 4, 1)] {
+            let alg = SkewAdaptiveJoin::from_stats(&q, &db, 16, cfg);
+            assert_eq!(alg.pattern_count(), 1);
+            assert_eq!(alg.wave_count(), 1);
+            let r = alg.run(&db);
+            assert_eq!(r.output, eval_query(&q, &db));
+            assert_eq!(r.stats.rounds, 1);
+        }
     }
 
     #[test]
@@ -625,18 +659,14 @@ mod tests {
     fn triangle_with_heavy_join_value_is_correct() {
         let q = parse_query("H(x,y,z) <- R(x,y), S(y,z), T(z,x)").unwrap();
         let db = datagen::triangle_heavy_db(400, 80, 3);
-        let alg = SkewAdaptiveJoin::from_stats(
-            &q,
-            &db,
-            27,
-            SkewConfig {
-                threshold: Some(40),
-                max_heavy_per_var: 3,
-                ..SkewConfig::default()
-            },
-        );
-        let r = alg.run(&db);
-        assert_eq!(r.output, eval_query(&q, &db));
+        for max_rounds in [1, 4] {
+            let cfg = SkewConfig {
+                max_rounds,
+                ..one_wave(40, 3, 9)
+            };
+            let r = SkewAdaptiveJoin::from_stats(&q, &db, 27, cfg).run(&db);
+            assert_eq!(r.output, eval_query(&q, &db), "max_rounds={max_rounds}");
+        }
     }
 
     #[test]
@@ -754,19 +784,31 @@ mod tests {
         }
     }
 
+    /// The one-wave plan is one communicate/compute round, so routing by
+    /// `wave_destinations(0, ·)` and evaluating under any strategy
+    /// reproduces the engine's run exactly.
     #[test]
     fn strategies_agree_on_skewed_input() {
         let q = join();
         let db = zipf_join_db(300, 80, 1.5, 17);
-        let base = SkewAdaptiveJoin::from_stats(&q, &db, 16, SkewConfig::default()).run(&db);
+        let alg = SkewAdaptiveJoin::from_stats(&q, &db, 16, one_wave(15, 4, 17));
+        assert!(alg.pattern_count() > 1);
+        let base = alg.run(&db);
         for strategy in [
             EvalStrategy::Naive,
             EvalStrategy::Indexed,
             EvalStrategy::Wcoj,
+            EvalStrategy::Auto,
         ] {
-            let r = SkewAdaptiveJoin::from_stats(&q, &db, 16, SkewConfig::default())
-                .with_strategy(strategy)
-                .run(&db);
+            let mut cluster = Cluster::new(alg.servers());
+            crate::partition::seed_cluster(
+                &mut cluster,
+                &db,
+                crate::partition::InitialPartition::RoundRobin,
+            );
+            cluster.communicate(|f| alg.wave_destinations(0, f));
+            cluster.compute_query(&q, strategy);
+            let r = RunReport::from_cluster("skew-adaptive", &cluster, db.len());
             assert_eq!(r.output, base.output, "{strategy:?}");
             assert_eq!(
                 serde_json::to_string(&r.stats).unwrap(),

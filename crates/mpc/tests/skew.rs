@@ -3,10 +3,10 @@
 //! (a) **routing completeness witnesses** — the seed's `destinations`
 //!     routing was audited sound; these differential tests pin it as a
 //!     regression witness. For every satisfying valuation the required
-//!     facts must meet at a common server (one-round SharesSkew) or in
-//!     a common wave (multi-round engine), and the outputs of the skew
-//!     engines, plain HyperCube and the sequential evaluator must agree
-//!     on arbitrary (naturally skewed) inputs;
+//!     facts must meet at a common server (the one-wave plan, i.e.
+//!     SharesSkew) or in a common wave (the multi-wave schedule), and the
+//!     outputs of both plans, plain HyperCube and the sequential
+//!     evaluator must agree on arbitrary (naturally skewed) inputs;
 //! (b) **fault composition** — the multi-round engine must compose with
 //!     the existing fault classes: crash checkpoint/replay and
 //!     straggler speculation are transparent (same output, same loads),
@@ -57,18 +57,30 @@ fn stats_json(r: &RunReport) -> String {
     serde_json::to_string(&r.stats).unwrap()
 }
 
+/// SharesSkew: the skew engine's one-wave plan.
+fn one_wave(threshold: usize, max_heavy_per_var: usize, seed: u64) -> SkewConfig {
+    SkewConfig {
+        threshold: Some(threshold),
+        max_heavy_per_var,
+        max_rounds: 1,
+        seed,
+    }
+}
+
 /// (a) One-round SharesSkew saturation: every satisfying valuation's
-/// required facts share at least one destination server.
+/// required facts share at least one destination server of the one-wave
+/// plan.
 #[test]
 fn shares_skew_valuations_meet_on_skewed_input() {
     let q = join();
     let db = zipf_join_db(120, 30, 1.5, 41);
-    let alg = SharesSkewAlgorithm::from_stats(&q, &db, 16, 15, 4, 41);
+    let alg = SkewAdaptiveJoin::from_stats(&q, &db, 16, one_wave(15, 4, 41));
     assert!(alg.pattern_count() > 1, "skew must be detected");
+    assert_eq!(alg.wave_count(), 1);
     for v in satisfying_valuations(&q, &db) {
         let mut meet: Option<Vec<usize>> = None;
         for f in v.required_facts(&q).iter() {
-            let d = alg.destinations(f);
+            let d = alg.wave_destinations(0, f);
             meet = Some(match meet {
                 None => d,
                 Some(prev) => prev.into_iter().filter(|s| d.contains(s)).collect(),
@@ -112,7 +124,7 @@ proptest! {
 
     /// (a) Differential routing witness: on arbitrary small inputs
     /// (tiny join domain — natural skew) and arbitrary thresholds, the
-    /// multi-round engine, the one-round SharesSkew heuristic and plain
+    /// multi-wave schedule, the one-wave plan (SharesSkew) and plain
     /// HyperCube all compute exactly the sequential evaluator's answer.
     #[test]
     fn skew_engines_agree_with_sequential_eval(
@@ -132,7 +144,7 @@ proptest! {
         }).run(&db);
         prop_assert_eq!(&multi.output, &expected, "multi-round diverged");
 
-        let one_round = SharesSkewAlgorithm::from_stats(&q, &db, 8, threshold, 3, seed).run(&db);
+        let one_round = SkewAdaptiveJoin::from_stats(&q, &db, 8, one_wave(threshold, 3, seed)).run(&db);
         prop_assert_eq!(&one_round.output, &expected, "shares-skew diverged");
 
         let plain = HypercubeAlgorithm::new(&q, 8).unwrap().run(&db);

@@ -261,19 +261,43 @@ pub fn parse_query(src: &str) -> Result<ConjunctiveQuery, ParseError> {
 }
 
 /// Parse a union of conjunctive queries, separated by `;` or newlines.
+/// Every disjunct must share the first one's head relation and arity;
+/// an error's position is a byte offset into `src`, inside the offending
+/// disjunct.
 ///
 /// ```
 /// use parlog_relal::parser::parse_union;
 /// let u = parse_union("H(x) <- R(x); H(x) <- S(x)").unwrap();
 /// assert_eq!(u.disjuncts.len(), 2);
+/// assert!(parse_union("H(x) <- R(x); G(x) <- S(x)").is_err());
 /// ```
 pub fn parse_union(src: &str) -> Result<UnionQuery, ParseError> {
-    let mut disjuncts = Vec::new();
+    let mut disjuncts: Vec<ConjunctiveQuery> = Vec::new();
+    let mut next = 0;
     for part in src.split([';', '\n']) {
+        let at = next;
+        // Both separators are one byte long.
+        next += part.len() + 1;
+        let start = at + part.len() - part.trim_start().len();
         if part.trim().is_empty() {
             continue;
         }
-        disjuncts.push(parse_query(part)?);
+        let q = parse_query(part).map_err(|e| ParseError {
+            position: (at + e.position).max(start),
+            ..e
+        })?;
+        if let Some(first) = disjuncts.first() {
+            if (q.head.rel, q.head.arity()) != (first.head.rel, first.head.arity()) {
+                return Err(ParseError {
+                    message: format!(
+                        "disjunct head `{}` does not match the first disjunct's `{}`",
+                        q.head, first.head
+                    ),
+                    position: start,
+                });
+            }
+        }
+        disjuncts.push(q);
     }
     if disjuncts.is_empty() {
         return Err(ParseError {
@@ -356,6 +380,20 @@ mod tests {
         let u = parse_union("H(x) <- R(x,y)\nH(x) <- S(x), T(x)").unwrap();
         assert_eq!(u.disjuncts.len(), 2);
         assert!(u.is_plain());
+    }
+
+    #[test]
+    fn union_with_mismatched_heads_is_a_parse_error() {
+        let e = parse_union("H(x) <- R(x); G(x) <- S(x)").unwrap_err();
+        assert_eq!(e.position, 14, "{e}");
+        assert!(e.message.contains("G(x)"), "{e}");
+        let e = parse_union("H(x) <- R(x)\n  H(x,y) <- S(x,y)").unwrap_err();
+        assert_eq!(e.position, 15, "{e}");
+        // Errors inside a later disjunct are offsets into the whole text.
+        let e = parse_union("H(x) <- R(x); H(x) <- S(x) junk").unwrap_err();
+        assert_eq!(e.position, 27, "{e}");
+        let e = parse_union("H(x) <- R(x); H(w) <- S(x)").unwrap_err();
+        assert_eq!(e.position, 14, "{e}");
     }
 
     #[test]

@@ -367,13 +367,6 @@ impl SimRun {
                 });
                 self.enqueue(dest, from, tampered);
             }
-            MessageFate::Partitioned { until } => {
-                // Unreachable from the injector's dice (partitions are
-                // decided by the topology-aware severed check above),
-                // but a hold is a delay on the wire.
-                self.book_wire(&fact, 1, CommCounters { delayed: 1, ..none });
-                self.faults.hold_partitioned(from, dest, fact, until);
-            }
         }
     }
 

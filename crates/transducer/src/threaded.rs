@@ -138,11 +138,6 @@ where
                                         s.send((id, t)).expect("receiver alive");
                                         0
                                     }
-                                    // Unreachable: partition fates come
-                                    // from the simulator's topology check,
-                                    // never from the injector's dice (and
-                                    // partition plans are rejected above).
-                                    parlog_faults::MessageFate::Partitioned { .. } => 1,
                                 },
                             };
                             for _ in 0..copies {

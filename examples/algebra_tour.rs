@@ -9,7 +9,7 @@
 use parlog::mpc::datagen;
 use parlog::mpc::mapreduce;
 use parlog::mpc::ra_distributed::DistributedRa;
-use parlog::mpc::shares_skew::SharesSkewAlgorithm;
+use parlog::mpc::{SkewAdaptiveJoin, SkewConfig};
 use parlog::prelude::*;
 use parlog::relal::algebra::{eval_ra, RaExpr};
 use parlog::scale::{bounded_plan, eval_bounded, AccessConstraint, AccessSchema};
@@ -64,14 +64,29 @@ fn main() {
     let plain = parlog::mpc::HypercubeAlgorithm::new(&join, 64)
         .unwrap()
         .run(&skew);
-    let aware = SharesSkewAlgorithm::from_stats(&join, &skew, 64, 100, 4, 3);
+    // SharesSkew is the skew engine's one-wave plan: every heavy pattern
+    // on its own block of servers in a single round.
+    let one_wave = SkewConfig {
+        threshold: Some(100),
+        max_heavy_per_var: 4,
+        max_rounds: 1,
+        seed: 3,
+    };
+    let aware = SkewAdaptiveJoin::from_stats(&join, &skew, 64, one_wave);
     let ra = aware.run(&skew);
+    let waves = SkewAdaptiveJoin::from_stats(&join, &skew, 64, SkewConfig::default()).run(&skew);
     println!("  heavy patterns detected: {}", aware.pattern_count());
     println!("  plain HyperCube max load : {}", plain.stats.max_load);
     println!(
         "  SharesSkew max load      : {} (outputs equal: {})",
         ra.stats.max_load,
         ra.output == plain.output
+    );
+    println!(
+        "  skew waves max load      : {} in {} rounds (outputs equal: {})",
+        waves.stats.max_load,
+        waves.stats.rounds,
+        waves.output == plain.output
     );
 
     // ── Coordination analysis ──────────────────────────────────────────

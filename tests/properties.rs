@@ -185,17 +185,22 @@ proptest! {
         prop_assert_eq!(&native.output, &expected);
     }
 
-    /// SharesSkew is correct for any threshold (including ones that make
-    /// everything heavy or everything light).
+    /// SharesSkew — the skew engine's one-wave plan — is correct for any
+    /// threshold (including ones that make everything heavy or
+    /// everything light).
     #[test]
     fn shares_skew_correct_for_any_threshold(
         db in small_instance(20, 4),
         threshold in 1usize..20,
     ) {
         let q = parse_query("H(x,y,z) <- R(x,y), S(y,z)").unwrap();
-        let alg = parlog::mpc::shares_skew::SharesSkewAlgorithm::from_stats(
-            &q, &db, 16, threshold, 3, 5,
-        );
+        let cfg = parlog::mpc::SkewConfig {
+            threshold: Some(threshold),
+            max_heavy_per_var: 3,
+            max_rounds: 1,
+            seed: 5,
+        };
+        let alg = parlog::mpc::SkewAdaptiveJoin::from_stats(&q, &db, 16, cfg);
         prop_assert_eq!(alg.run(&db).output, eval_query(&q, &db));
     }
 
@@ -747,5 +752,60 @@ fn dred_rederives_alternatives_several_steps_deep() {
         let stats = view_stats(&p, &db, s).unwrap();
         assert_eq!(stats.full_rebuilds, 0, "{s:?}");
         assert_eq!(stats.incremental_applied, 5, "{s:?}");
+    }
+}
+
+/// The parser's tokens, for building hostile query text.
+const QUERY_TOKENS: [&str; 26] = [
+    "H", "G", "R", "x", "y", "z_1", "TC", "ADom", "0", "42", "'", "(", ")", ",", "<-", ";", "not ",
+    "!", "!=", "¬", "≠", ".", "%", "\n", " ", "(x,y)",
+];
+
+/// Valid texts the fuzzer edits, so that mutations reach past the first
+/// token: a union, a program and a query with negation and inequalities.
+const QUERY_BASES: [&str; 3] = [
+    "H(x) <- R(x,y); H(x) <- S(x), not R(x,x)",
+    "TC(x,y) <- R(x,y). TC(x,z) <- TC(x,y), R(y,z), x != z\n% done",
+    "H(x,y) <- R(x,y), ¬S(y,'a'), y ≠ 42",
+];
+
+/// `QUERY_BASES[base]` (or the empty text when `base` is past the end)
+/// after `edits`: each inserts a token before, replaces, or deletes the
+/// character at a position.
+fn edited_text(base: usize, edits: Vec<(usize, usize, u8)>) -> String {
+    let mut text: Vec<char> = QUERY_BASES
+        .get(base)
+        .copied()
+        .unwrap_or("")
+        .chars()
+        .collect();
+    for (at, token, op) in edits {
+        let at = at % (text.len() + 1);
+        let token = QUERY_TOKENS[token].chars();
+        match op {
+            0 => drop(text.splice(at..at, token)),
+            1 if at < text.len() => drop(text.splice(at..=at, token)),
+            _ if at < text.len() => drop(text.remove(at)),
+            _ => {}
+        }
+    }
+    text.into_iter().collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3000))]
+
+    /// The front door never panics: edited queries, unions and programs,
+    /// and strings of bare tokens, are each parsed or refused with a
+    /// typed error.
+    #[test]
+    fn parsers_never_panic(
+        base in 0..QUERY_BASES.len() + 1,
+        edits in prop::collection::vec((0..64usize, 0..QUERY_TOKENS.len(), 0..3u8), 0..8),
+    ) {
+        let text = edited_text(base, edits);
+        let _ = parse_query(&text);
+        let _ = parlog::relal::parser::parse_union(&text);
+        let _ = parlog::datalog::program::parse_program(&text);
     }
 }
