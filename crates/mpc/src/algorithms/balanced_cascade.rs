@@ -13,7 +13,7 @@
 //! left), an odd trailing relation passes through, and the schedule runs
 //! one batch per level — pairs at the same level share a round.
 
-use crate::algorithms::treejoin::{join_pass, load_atoms, project_to_head, RelTree};
+use crate::algorithms::treejoin::{join_pass, load_atoms, RelTree};
 use crate::report::RunReport;
 use parlog_relal::instance::Instance;
 use parlog_relal::query::ConjunctiveQuery;
@@ -61,9 +61,7 @@ impl BalancedCascade {
             parent,
             root: 0,
         };
-        let prefix = format!("bcj_{}", self.seed);
-        let root = join_pass(&mut cluster, &tree, &schedule, self.seed, &prefix);
-        project_to_head(&mut cluster, &root, &q.head);
+        join_pass(&mut cluster, &tree, &schedule, self.seed, &q.head);
         RunReport::from_cluster("balanced-cascade", &cluster, db.len())
     }
 }

@@ -13,7 +13,7 @@
 //! The rounds are [`join_pass`] over a left-deep [`RelTree`]: a chain up
 //! the join order, whose bottom-up schedule joins one atom per round.
 
-use crate::algorithms::treejoin::{batch_edges, join_pass, load_atoms, project_to_head, RelTree};
+use crate::algorithms::treejoin::{batch_edges, join_pass, load_atoms, RelTree};
 use crate::report::RunReport;
 use parlog_relal::instance::Instance;
 use parlog_relal::query::ConjunctiveQuery;
@@ -86,9 +86,7 @@ impl CascadeJoin {
             root: *self.order.last().expect("nonempty body"),
         };
         let schedule = batch_edges(&tree.edges_bottom_up());
-        let prefix = format!("casK_{}", self.seed);
-        let acc = join_pass(&mut cluster, &tree, &schedule, self.seed, &prefix);
-        project_to_head(&mut cluster, &acc, &q.head);
+        join_pass(&mut cluster, &tree, &schedule, self.seed, &q.head);
         RunReport::from_cluster("cascade", &cluster, db.len())
     }
 }

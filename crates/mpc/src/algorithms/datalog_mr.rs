@@ -13,11 +13,10 @@
 //!   rounds = ⌈log₂ diameter⌉ — fewer synchronization barriers, more
 //!   communication per round. The rounds-vs-communication trade-off again.
 
-use crate::cluster::{Cluster, Routing};
-use crate::partition::{seed_cluster, HashPartitioner, InitialPartition};
+use crate::cluster::{layer, rule, rule_unless, Cluster};
+use crate::partition::{route_by_key, seed_cluster, HashPartitioner, InitialPartition};
 use crate::report::RunReport;
-use parlog_relal::fact::Fact;
-use parlog_relal::fastmap::{fxmap, FxMap};
+use parlog_relal::atom::{Atom, Term};
 use parlog_relal::instance::Instance;
 use parlog_relal::symbols::{rel, RelId};
 
@@ -62,124 +61,51 @@ impl DistributedTc {
     /// each iteration reshuffles only the delta (and, for the linear
     /// strategy, keeps the edges hashed by source once).
     pub fn run(&self, db: &Instance) -> RunReport {
-        let p = self.p;
         let delta_rel = rel(&format!("‡ΔTC_{}", self.seed));
-        let tc_rel = self.out_rel;
-        let edge = self.edge_rel;
-        let h = HashPartitioner::new(self.seed ^ 0xdc, p);
+        let pending_rel = rel(&format!("‡pend_{}", self.seed));
+        let (tc_rel, edge) = (self.out_rel, self.edge_rel);
+        let h = HashPartitioner::new(self.seed ^ 0xdc, self.p);
+        let pair = |r: RelId, a: &str, b: &str| Atom::new(r, vec![Term::var(a), Term::var(b)]);
 
-        let mut cluster = Cluster::new(p);
-        seed_cluster(&mut cluster, db, InitialPartition::RoundRobin);
+        // Round 0: hash the edges by source; they seed both E (kept
+        // hashed) and the first delta. Nothing but the edges is loaded.
+        let mut cluster = Cluster::new(self.p);
+        let edges = Instance::from_facts(db.relation(edge).cloned());
+        seed_cluster(&mut cluster, &edges, InitialPartition::RoundRobin);
+        route_by_key(&mut cluster, &[(edge, vec![0], h)]);
+        let seeds =
+            [tc_rel, delta_rel].map(|r| rule(pair(r, "x", "y"), vec![pair(edge, "x", "y")]));
+        cluster.compute_rules(&[layer(&seeds)], &[]);
 
-        // Round 0: hash edges by source; they seed both E (kept hashed)
-        // and the first delta.
-        cluster.communicate(|f| {
-            if f.rel == edge {
-                vec![h.bucket(f.args[0])]
-            } else {
-                Vec::new()
-            }
-        });
-        cluster.compute(move |local| {
-            let mut out = Instance::new();
-            for f in local.relation(edge) {
-                out.insert(f.clone());
-                out.insert(Fact::new(tc_rel, f.args.clone()));
-                out.insert(Fact::new(delta_rel, f.args.clone()));
-            }
-            out
-        });
-
-        let strategy = self.strategy;
-        loop {
-            // Do any delta facts exist anywhere?
-            let any_delta = (0..p).any(|s| cluster.local(s).relation_len(delta_rel) > 0);
-            if !any_delta {
-                break;
-            }
-            // Communication: route delta facts to meet their partners.
-            // Linear: Δ(x,z) must meet E(z,y) ⇒ hash Δ by target z
-            // (edges stay hashed by source). Non-linear: Δ(x,z) must meet
-            // TC(z,y) ⇒ hash Δ by target; TC stays hashed by source.
-            cluster.reshuffle(|_, f| {
-                if f.rel == delta_rel {
-                    Routing::Send(vec![h.bucket(f.args[1])])
-                } else {
-                    Routing::Keep
-                }
-            });
-            // Computation: join delta with the local partner relation,
-            // derive new TC facts (which belong at h(source) — they are
-            // produced here and re-routed as the next delta in the next
-            // round's communication; to keep each iteration at exactly
-            // one round we route new facts by source *immediately* in the
-            // next reshuffle, so here we just tag them as pending).
-            let pending_rel = rel(&format!("‡pend_{}", self.seed));
-            cluster.compute(move |local| {
-                let mut out = Instance::new();
-                // Keep everything except the consumed delta.
-                for f in local.iter() {
-                    if f.rel != delta_rel {
-                        out.insert(f.clone());
-                    }
-                }
-                // Partner index by source value.
-                let partner = match strategy {
-                    TcStrategy::Linear => edge,
-                    TcStrategy::NonLinear => tc_rel,
-                };
-                let mut by_src: FxMap<parlog_relal::fact::Val, Vec<&Fact>> = fxmap();
-                for f in local.relation(partner) {
-                    by_src.entry(f.args[0]).or_default().push(f);
-                }
-                for d in local.relation(delta_rel) {
-                    if let Some(nexts) = by_src.get(&d.args[1]) {
-                        for e in nexts {
-                            out.insert(Fact::new(pending_rel, [d.args[0], e.args[1]]));
-                        }
-                    }
-                }
-                out
-            });
-            // Route pending facts home (by source); locally promote the
-            // genuinely new ones to TC + next delta.
-            cluster.reshuffle(|_, f| {
-                if f.rel == pending_rel {
-                    Routing::Send(vec![h.bucket(f.args[0])])
-                } else {
-                    Routing::Keep
-                }
-            });
-            cluster.compute(move |local| {
-                let mut out = Instance::new();
-                for f in local.iter() {
-                    if f.rel != pending_rel {
-                        out.insert(f.clone());
-                    }
-                }
-                for f in local.relation(pending_rel) {
-                    let tc = Fact::new(tc_rel, f.args.clone());
-                    if !out.contains(&tc) {
-                        out.insert(tc);
-                        out.insert(Fact::new(delta_rel, f.args.clone()));
-                    }
-                }
-                out
-            });
+        // One iteration, as rules: Δ(x,z) meets its partner (E or TC,
+        // hashed by source) at h(z) — `P(x,y) <- Δ(x,z), E|TC(z,y)` —
+        // and the pending facts, rehashed home by source, become the next
+        // delta where they are new: `Δ <- P, not TC`, then `TC <- P`.
+        let (partner, name) = match self.strategy {
+            TcStrategy::Linear => (edge, "tc-linear"),
+            TcStrategy::NonLinear => (tc_rel, "tc-doubling"),
+        };
+        let step = [layer(&[rule(
+            pair(pending_rel, "x", "y"),
+            vec![pair(delta_rel, "x", "z"), pair(partner, "z", "y")],
+        )])];
+        let fresh = rule_unless(
+            pair(delta_rel, "x", "y"),
+            vec![pair(pending_rel, "x", "y")],
+            vec![pair(tc_rel, "x", "y")],
+        );
+        let promote = rule(pair(tc_rel, "x", "y"), vec![pair(pending_rel, "x", "y")]);
+        let settle = [layer(&[fresh]), layer(&[promote])];
+        while (0..self.p).any(|s| cluster.local(s).relation_len(delta_rel) > 0) {
+            route_by_key(&mut cluster, &[(delta_rel, vec![1], h)]);
+            cluster.compute_rules(&step, &[delta_rel]);
+            route_by_key(&mut cluster, &[(pending_rel, vec![0], h)]);
+            cluster.compute_rules(&settle, &[pending_rel]);
         }
 
-        // Strip everything but the output relation.
-        cluster.compute(move |local| {
-            Instance::from_facts(local.relation(tc_rel).cloned().collect::<Vec<_>>())
-        });
-        RunReport::from_cluster(
-            match self.strategy {
-                TcStrategy::Linear => "tc-linear",
-                TcStrategy::NonLinear => "tc-doubling",
-            },
-            &cluster,
-            db.len(),
-        )
+        // Only the closure is output.
+        cluster.compute_rules(&[], &[edge]);
+        RunReport::from_cluster(name, &cluster, db.len())
     }
 }
 
@@ -187,7 +113,7 @@ impl DistributedTc {
 mod tests {
     use super::*;
     use crate::datagen;
-    use parlog_relal::fact::fact;
+    use parlog_relal::fact::{fact, Fact};
 
     fn chain(n: u64) -> Instance {
         Instance::from_facts((0..n).map(|i| fact("E", &[i, i + 1])))

@@ -16,9 +16,7 @@
 //! tree — acyclic by construction — is then evaluated with the Yannakakis
 //! passes of [`crate::algorithms::treejoin`].
 
-use crate::algorithms::treejoin::{
-    batch_edges, join_pass, project_to_head, semijoin_pass, RelTree, VarRel,
-};
+use crate::algorithms::treejoin::{yannakakis_passes, RelTree, VarRel};
 use crate::cluster::Cluster;
 use crate::hypercube::HypercubeAlgorithm;
 use crate::partition::{seed_cluster, InitialPartition};
@@ -156,17 +154,12 @@ impl Gym {
             })
             .collect();
         let tree = RelTree {
-            nodes: nodes.clone(),
+            nodes,
             parent: self.td.parent.clone(),
             root: self.td.root,
         };
-        let up = tree.edges_bottom_up();
-        semijoin_pass(&mut cluster, &tree.nodes, &up, true, self.seed ^ 0xa1);
-        let down: Vec<(usize, usize)> = up.iter().rev().copied().collect();
-        semijoin_pass(&mut cluster, &tree.nodes, &down, false, self.seed ^ 0xa2);
-        let schedule = batch_edges(&up);
-        let root_rel = join_pass(&mut cluster, &tree, &schedule, self.seed ^ 0xa3, "gym");
-        project_to_head(&mut cluster, &root_rel, &q.head);
+        let seeds = [0xa1, 0xa2, 0xa3].map(|s| self.seed ^ s);
+        yannakakis_passes(&mut cluster, tree, true, seeds, &q.head);
         RunReport::from_cluster("gym", &cluster, db.len())
     }
 }

@@ -1,19 +1,21 @@
 //! The one executor behind every tree-structured multi-round algorithm
 //! (Yannakakis, GYM, the left-deep and balanced cascades):
-//! relations-with-schemas, local join/semijoin operators, and the semijoin
-//! and join passes that run a relation tree on the cluster, one round per
-//! batch of edges. Edges touching disjoint relations share a round —
-//! "taking advantage of the structure of the tree to perform some joins
-//! and semi-joins in parallel", §3.2 — and a caller picks the trade-off
-//! between rounds and communication by the tree's shape and the schedule
-//! it hands [`join_pass`].
+//! relations-with-schemas and the semijoin and join passes that run a
+//! relation tree on the cluster, one round per batch of edges. Edges
+//! touching disjoint relations share a round — "taking advantage of the
+//! structure of the tree to perform some joins and semi-joins in
+//! parallel", §3.2 — and a caller picks the trade-off between rounds and
+//! communication by the tree's shape and the schedule it hands
+//! [`join_pass`]. Every round is one [`route_by_key`] on the edges'
+//! shared variables and one [`Cluster::compute_rules`] phase; the local
+//! loads, semijoins, joins and projections are rules.
 
-use crate::cluster::{Cluster, Routing};
-use crate::partition::{seed_cluster, HashPartitioner, InitialPartition};
+use crate::cluster::{layer, rule, Cluster};
+use crate::partition::{route_by_key, seed_cluster, HashPartitioner, InitialPartition};
 use parlog_relal::atom::{Atom, Term, Var};
-use parlog_relal::fact::{Args, Fact, Val};
 use parlog_relal::instance::Instance;
-use parlog_relal::symbols::{rel, RelId};
+use parlog_relal::query::ConjunctiveQuery;
+use parlog_relal::symbols::{rel, rel_name, RelId};
 
 /// A materialized relation with a variable schema: facts of `rel` whose
 /// `i`-th argument is the value of `vars[i]`.
@@ -34,6 +36,11 @@ impl VarRel {
         }
     }
 
+    /// A relation named after this one with `suffix` appended.
+    fn derived(&self, suffix: &str, vars: Vec<Var>) -> VarRel {
+        VarRel::new(&format!("{}{suffix}", rel_name(self.rel)), vars)
+    }
+
     /// The shared variables with another schema, in this schema's order.
     pub fn shared_with(&self, other: &VarRel) -> Vec<Var> {
         self.vars
@@ -43,78 +50,18 @@ impl VarRel {
             .collect()
     }
 
-    /// The values a fact takes on `on` (which must be a subset of the
-    /// schema).
-    pub fn key_of(&self, f: &Fact, on: &[Var]) -> Args {
-        on.iter()
-            .map(|v| {
-                let i = self
-                    .vars
-                    .iter()
-                    .position(|w| w == v)
-                    .expect("key variable must be in the schema");
-                f.args[i]
-            })
-            .collect()
+    /// The atom `rel(vars)`.
+    pub fn atom(&self) -> Atom {
+        Atom::new(self.rel, self.vars.iter().cloned().map(Term::Var).collect())
     }
-}
-
-/// Extract the variable binding a fact induces through an atom, or `None`
-/// if the fact does not match (wrong constants / repeated-variable clash).
-pub fn binding_of(atom: &Atom, f: &Fact) -> Option<Vec<(Var, Val)>> {
-    if atom.rel != f.rel || atom.arity() != f.arity() {
-        return None;
-    }
-    let mut out: Vec<(Var, Val)> = Vec::new();
-    for (t, &a) in atom.terms.iter().zip(f.args.iter()) {
-        match t {
-            Term::Const(c) => {
-                if *c != a {
-                    return None;
-                }
-            }
-            Term::Var(v) => match out.iter().find(|(w, _)| w == v) {
-                Some((_, prev)) => {
-                    if *prev != a {
-                        return None;
-                    }
-                }
-                None => out.push((v.clone(), a)),
-            },
-        }
-    }
-    Some(out)
-}
-
-/// Convert the facts of `shard` matching `atom` into facts of the
-/// var-schema relation `target` (whose schema must equal
-/// `atom.variables()`).
-pub fn normalize_atom(shard: &Instance, atom: &Atom, target: &VarRel) -> Instance {
-    debug_assert_eq!(target.vars, atom.variables());
-    // Each schema variable's first position in the atom.
-    let firsts: Vec<usize> = target
-        .vars
-        .iter()
-        .map(|v| {
-            let var = |t: &Term| matches!(t, Term::Var(w) if w == v);
-            atom.terms.iter().position(var).expect("schema var")
-        })
-        .collect();
-    let mut out = Instance::new();
-    for f in shard.relation(atom.rel) {
-        if atom.matches(f) {
-            let args = firsts.iter().map(|&i| f.args[i]).collect::<Args>();
-            out.insert(Fact::new(target.rel, args));
-        }
-    }
-    out
 }
 
 /// The free local "loading" step of the tree algorithms: a fresh
 /// `p`-server cluster seeded round-robin with `db`, whose every shard is
-/// then rewritten into one var-schema relation per body atom, named
-/// `{prefix}{i}_{seed}`. Returns the cluster and the relations, in body
-/// order.
+/// then rewritten by one rule per body atom into a var-schema relation
+/// named `{prefix}{i}_{seed}` — the atom's facts (constants and repeated
+/// variables checked) on its variables. The base relations go. Returns
+/// the cluster and the relations, in body order.
 pub fn load_atoms(
     p: usize,
     db: &Instance,
@@ -129,69 +76,26 @@ pub fn load_atoms(
         .collect();
     let mut cluster = Cluster::new(p);
     seed_cluster(&mut cluster, db, InitialPartition::RoundRobin);
-    cluster.compute(|shard| {
-        let mut out = Instance::new();
-        for (a, node) in body.iter().zip(&nodes) {
-            out.extend_from(&normalize_atom(shard, a, node));
-        }
-        out
-    });
+    let loads: Vec<ConjunctiveQuery> = body
+        .iter()
+        .zip(&nodes)
+        .map(|(a, node)| rule(node.atom(), vec![a.clone()]))
+        .collect();
+    let base: Vec<RelId> = db.relations().collect();
+    cluster.compute_rules(&[layer(&loads)], &base);
     (cluster, nodes)
 }
 
-/// Local semijoin: the facts of `a` (in `inst`) having a matching `b`
-/// fact on the shared variables.
-pub fn semijoin_local(a: &VarRel, b: &VarRel, inst: &Instance) -> Instance {
-    let on = a.shared_with(b);
-    let keys: parlog_relal::fastmap::FxSet<Args> =
-        inst.relation(b.rel).map(|f| b.key_of(f, &on)).collect();
-    Instance::from_facts(
-        inst.relation(a.rel)
-            .filter(|f| keys.contains(&a.key_of(f, &on)))
-            .cloned(),
-    )
-}
-
-/// Local join of `a` and `b` into schema `out` (= `a.vars` followed by
-/// `b`'s private variables).
-pub fn join_local(a: &VarRel, b: &VarRel, out: &VarRel, inst: &Instance) -> Instance {
-    let on = a.shared_with(b);
-    let mut index: parlog_relal::fastmap::FxMap<Args, Vec<&Fact>> = parlog_relal::fastmap::fxmap();
-    for f in inst.relation(b.rel) {
-        index.entry(b.key_of(f, &on)).or_default().push(f);
-    }
-    let mut result = Instance::new();
-    for fa in inst.relation(a.rel) {
-        if let Some(bs) = index.get(&a.key_of(fa, &on)) {
-            for fb in bs {
-                let args: Args = out
-                    .vars
-                    .iter()
-                    .map(|v| {
-                        if let Some(i) = a.vars.iter().position(|w| w == v) {
-                            fa.args[i]
-                        } else {
-                            let i = b.vars.iter().position(|w| w == v).expect("var in b");
-                            fb.args[i]
-                        }
-                    })
-                    .collect();
-                result.insert(Fact::new(out.rel, args));
-            }
-        }
-    }
-    result
-}
-
-/// The joined schema of two [`VarRel`]s under a fresh relation name.
-pub fn joined_schema(a: &VarRel, b: &VarRel, name: &str) -> VarRel {
+/// The joined schema of two [`VarRel`]s: `a`'s variables, then `b`'s
+/// others, under `a`'s name with `suffix` appended.
+pub fn joined_schema(a: &VarRel, b: &VarRel, suffix: &str) -> VarRel {
     let mut vars = a.vars.clone();
     for v in &b.vars {
         if !vars.contains(v) {
             vars.push(v.clone());
         }
     }
-    VarRel::new(name, vars)
+    a.derived(suffix, vars)
 }
 
 /// A tree of var-schema relations: `parent[i]` points upward, the root
@@ -260,24 +164,15 @@ fn route_pairs(
     batch: &[(usize, usize)],
     hasher: impl Fn(usize) -> HashPartitioner,
 ) {
-    let plan: Vec<(&VarRel, &VarRel, Vec<Var>, HashPartitioner)> = batch
-        .iter()
-        .enumerate()
-        .map(|(k, &(c, pa))| {
-            let on = state[c].shared_with(&state[pa]);
-            (&state[c], &state[pa], on, hasher(k))
-        })
-        .collect();
-    cluster.reshuffle(|_, f| {
-        for (child, parent, on, h) in &plan {
-            for side in [child, parent] {
-                if f.rel == side.rel {
-                    return Routing::Send(vec![h.bucket_of(&side.key_of(f, on))]);
-                }
-            }
+    let mut routes = Vec::new();
+    for (k, &(c, pa)) in batch.iter().enumerate() {
+        let on = state[c].shared_with(&state[pa]);
+        for side in [&state[c], &state[pa]] {
+            let at = |v: &Var| side.vars.iter().position(|w| w == v).expect("shared");
+            routes.push((side.rel, on.iter().map(at).collect(), hasher(k)));
         }
-        Routing::Keep
-    });
+    }
+    route_by_key(cluster, &routes);
 }
 
 /// Execute a **semijoin pass** over the tree on the cluster: for every
@@ -285,11 +180,13 @@ fn route_pairs(
 /// other`. With `child_filters_parent = true` this is the bottom-up
 /// (full-reducer first half) pass; with `false` the top-down second half.
 ///
-/// `state` maps node index → its current [`VarRel`]; the pass filters in
-/// place (schemas do not change under semijoins).
+/// `state` maps node index → its current [`VarRel`]. A semijoin keeps the
+/// schema and moves the filtered node to a fresh relation: two layers,
+/// `key(on) <- other` and `filtered'(vars) <- filtered, key(on)`, so the
+/// local step costs `O(|filtered| + |other|)`, never their join.
 pub fn semijoin_pass(
     cluster: &mut Cluster,
-    state: &[VarRel],
+    state: &mut [VarRel],
     edges: &[(usize, usize)],
     child_filters_parent: bool,
     seed: u64,
@@ -299,27 +196,21 @@ pub fn semijoin_pass(
         route_pairs(cluster, state, &batch, |k| {
             HashPartitioner::new(seed ^ (k as u64) << 17, p)
         });
-        cluster.compute(|local| {
-            let mut out = local.clone();
-            for &(c, pa) in &batch {
-                let (filtered, other) = if child_filters_parent {
-                    (pa, c)
-                } else {
-                    (c, pa)
-                };
-                let kept = semijoin_local(&state[filtered], &state[other], &out);
-                // Replace the filtered relation's facts.
-                let dropped: Vec<Fact> = out
-                    .relation(state[filtered].rel)
-                    .filter(|f| !kept.contains(f))
-                    .cloned()
-                    .collect();
-                for f in dropped {
-                    out.remove(&f);
-                }
-            }
-            out
-        });
+        let (mut keys, mut kept, mut drop) = (Vec::new(), Vec::new(), Vec::new());
+        for &(c, pa) in &batch {
+            let (f, o) = if child_filters_parent {
+                (pa, c)
+            } else {
+                (c, pa)
+            };
+            let key = state[f].derived("⋉", state[f].shared_with(&state[o]));
+            let next = state[f].derived("'", state[f].vars.clone());
+            keys.push(rule(key.atom(), vec![state[o].atom()]));
+            kept.push(rule(next.atom(), vec![state[f].atom(), key.atom()]));
+            drop.extend([state[f].rel, key.rel]);
+            state[f] = next;
+        }
+        cluster.compute_rules(&[layer(&keys), layer(&kept)], &drop);
     }
 }
 
@@ -327,86 +218,59 @@ pub fn semijoin_pass(
 /// every edge `(child, parent)` merges the child's accumulated state into
 /// the parent's (`parent ⟵ parent ⋈ child`), growing the parent's schema.
 /// The batches must touch disjoint nodes and the last one must leave
-/// everything merged into the root. Returns the root's final [`VarRel`],
-/// whose facts (spread over the cluster) are the full join.
+/// everything merged into the root, whose facts — the full join — a last
+/// local step projects onto `head` (the rule `head <- root`).
 pub fn join_pass(
     cluster: &mut Cluster,
     tree: &RelTree,
     schedule: &[Vec<(usize, usize)>],
     seed: u64,
-    name_prefix: &str,
-) -> VarRel {
+    head: &Atom,
+) {
     let p = cluster.p();
     let mut state: Vec<VarRel> = tree.nodes.clone();
-    let mut fresh = 0usize;
     for batch in schedule {
         route_pairs(cluster, &state, batch, |k| {
             HashPartitioner::new(seed ^ 0xbeef ^ ((k as u64) << 21), p)
         });
-        // Local joins; schema of each parent grows.
-        let merged: Vec<(VarRel, VarRel, VarRel)> = batch
-            .iter()
-            .map(|&(c, pa)| {
-                let out = joined_schema(&state[pa], &state[c], &format!("{name_prefix}_j{fresh}"));
-                fresh += 1;
-                let parent = std::mem::replace(&mut state[pa], out.clone());
-                (parent, state[c].clone(), out)
-            })
-            .collect();
-        cluster.compute(|local| {
-            let mut out = local.clone();
-            for (parent, child, target) in &merged {
-                let joined = join_local(parent, child, target, &out);
-                // Remove the inputs, add the join.
-                let gone: Vec<Fact> = out
-                    .relation(parent.rel)
-                    .chain(out.relation(child.rel))
-                    .cloned()
-                    .collect();
-                for f in gone {
-                    out.remove(&f);
-                }
-                out.extend_from(&joined);
-            }
-            out
-        });
+        // Local joins into fresh relations; each parent's schema grows.
+        let (mut joins, mut drop) = (Vec::new(), Vec::new());
+        for &(c, pa) in batch {
+            let out = joined_schema(&state[pa], &state[c], "⋈");
+            joins.push(rule(out.atom(), vec![state[pa].atom(), state[c].atom()]));
+            drop.extend([state[pa].rel, state[c].rel]);
+            state[pa] = out;
+        }
+        cluster.compute_rules(&[layer(&joins)], &drop);
     }
-    state[tree.root].clone()
+    let root = &state[tree.root];
+    let project = rule(head.clone(), vec![root.atom()]);
+    cluster.compute_rules(&[layer(&[project])], &[root.rel]);
 }
 
-/// Project the facts of `source` onto the head atom `head` locally on
-/// every server, leaving only the projected facts.
-pub fn project_to_head(cluster: &mut Cluster, source: &VarRel, head: &Atom) {
-    let src = source.clone();
-    let head = head.clone();
-    cluster.compute(|local| {
-        let mut out = Instance::new();
-        for f in local.relation(src.rel) {
-            let args: Args = head
-                .terms
-                .iter()
-                .map(|t| match t {
-                    Term::Const(c) => *c,
-                    Term::Var(v) => {
-                        let i = src
-                            .vars
-                            .iter()
-                            .position(|w| w == v)
-                            .expect("head variable must be in the join result");
-                        f.args[i]
-                    }
-                })
-                .collect();
-            out.insert(Fact::new(head.rel, args));
-        }
-        out
-    });
+/// Yannakakis over `tree` (§3.2): the bottom-up semijoin pass, the
+/// top-down one when `full`, then the join pass on the bottom-up batches,
+/// projected onto `head`. `seeds` pick the three passes' hashes.
+pub(crate) fn yannakakis_passes(
+    cluster: &mut Cluster,
+    mut tree: RelTree,
+    full: bool,
+    seeds: [u64; 3],
+    head: &Atom,
+) {
+    let up = tree.edges_bottom_up();
+    semijoin_pass(cluster, &mut tree.nodes, &up, true, seeds[0]);
+    if full {
+        let down: Vec<(usize, usize)> = up.iter().rev().copied().collect();
+        semijoin_pass(cluster, &mut tree.nodes, &down, false, seeds[1]);
+    }
+    join_pass(cluster, &tree, &batch_edges(&up), seeds[2], head);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parlog_relal::fact::fact;
+    use parlog_relal::fact::{fact, Fact, Val};
     use parlog_relal::parser::parse_atom;
 
     fn vr(name: &str, vars: &[&str]) -> VarRel {
@@ -416,40 +280,54 @@ mod tests {
     #[test]
     fn binding_extraction() {
         let a = parse_atom("R(x, y, x)").unwrap();
+        let (x, y) = (Var::new("x"), Var::new("y"));
         assert_eq!(
-            binding_of(&a, &fact("R", &[1, 2, 1])),
-            Some(vec![(Var::new("x"), Val(1)), (Var::new("y"), Val(2))])
+            a.binding(&fact("R", &[1, 2, 1])),
+            Some(vec![(&x, Val(1)), (&y, Val(2))])
         );
-        assert_eq!(binding_of(&a, &fact("R", &[1, 2, 3])), None);
-        assert_eq!(binding_of(&a, &fact("S", &[1, 2, 1])), None);
+        assert_eq!(a.binding(&fact("R", &[1, 2, 3])), None);
+        assert_eq!(a.binding(&fact("S", &[1, 2, 1])), None);
+    }
+
+    /// A one-server cluster holding `facts`: every local step sees them
+    /// all.
+    fn one_server(facts: Vec<Fact>) -> Cluster {
+        let mut c = Cluster::new(1);
+        let db = Instance::from_facts(facts);
+        seed_cluster(&mut c, &db, InitialPartition::RoundRobin);
+        c
     }
 
     #[test]
     fn normalization() {
         let a = parse_atom("R(x, 7, y)").unwrap();
-        let target = vr("n0", &["x", "y"]);
         let shard = Instance::from_facts([fact("R", &[1, 7, 2]), fact("R", &[1, 8, 2])]);
-        let n = normalize_atom(&shard, &a, &target);
-        assert_eq!(n.sorted_facts(), vec![fact("n0", &[1, 2])]);
+        let (c, nodes) = load_atoms(1, &shard, &[a], "n", 0);
+        assert_eq!(nodes[0].vars, vec![Var::new("x"), Var::new("y")]);
+        assert_eq!(c.union_all().sorted_facts(), vec![fact("n0_0", &[1, 2])]);
     }
 
     #[test]
     fn local_semijoin_and_join() {
-        let a = vr("A", &["x", "y"]);
-        let b = vr("B", &["y", "z"]);
-        let inst = Instance::from_facts([
+        let mut c = one_server(vec![
             fact("A", &[1, 2]),
             fact("A", &[1, 9]),
             fact("B", &[2, 3]),
             fact("B", &[2, 4]),
         ]);
-        let semi = semijoin_local(&a, &b, &inst);
-        assert_eq!(semi.sorted_facts(), vec![fact("A", &[1, 2])]);
-        let out = joined_schema(&a, &b, "AB");
-        assert_eq!(out.vars.len(), 3);
-        let j = join_local(&a, &b, &out, &inst);
+        let mut state = vec![vr("A", &["x", "y"]), vr("B", &["y", "z"])];
+        semijoin_pass(&mut c, &mut state, &[(0, 1)], false, 0);
+        let semi: Vec<Fact> = c.union_all().relation(state[0].rel).cloned().collect();
+        assert_eq!(semi, vec![fact("A'", &[1, 2])]);
+        let tree = RelTree {
+            nodes: state,
+            parent: vec![1, 1],
+            root: 1,
+        };
+        let head = parse_atom("AB(x, y, z)").unwrap();
+        join_pass(&mut c, &tree, &[vec![(0, 1)]], 0, &head);
         assert_eq!(
-            j.sorted_facts(),
+            c.union_all().sorted_facts(),
             vec![fact("AB", &[1, 2, 3]), fact("AB", &[1, 2, 4])]
         );
     }
@@ -524,11 +402,14 @@ mod tests {
 
     #[test]
     fn empty_shared_vars_join_is_cartesian() {
-        let a = vr("Ax", &["x"]);
-        let b = vr("By", &["y"]);
-        let inst = Instance::from_facts([fact("Ax", &[1]), fact("Ax", &[2]), fact("By", &[7])]);
-        let out = joined_schema(&a, &b, "AxBy");
-        let j = join_local(&a, &b, &out, &inst);
-        assert_eq!(j.len(), 2);
+        let mut c = one_server(vec![fact("Ax", &[1]), fact("Ax", &[2]), fact("By", &[7])]);
+        let tree = RelTree {
+            nodes: vec![vr("Ax", &["x"]), vr("By", &["y"])],
+            parent: vec![1, 1],
+            root: 1,
+        };
+        let head = parse_atom("AxBy(x, y)").unwrap();
+        join_pass(&mut c, &tree, &[vec![(0, 1)]], 0, &head);
+        assert_eq!(c.union_all().relation_len(head.rel), 2);
     }
 }

@@ -22,12 +22,12 @@
 //! hitters "and their frequencies are known" — the simulator computes them
 //! globally; a real system would piggyback a statistics round.
 
-use crate::algorithms::treejoin::{join_local, load_atoms, VarRel};
-use crate::cluster::Routing;
+use crate::algorithms::treejoin::{joined_schema, load_atoms, VarRel};
+use crate::cluster::{layer, rule, rule_unless, Routing};
 use crate::datagen::heavy_hitters;
-use crate::partition::HashPartitioner;
+use crate::partition::{route_by_key, HashPartitioner};
 use crate::report::RunReport;
-use parlog_relal::atom::Term;
+use parlog_relal::atom::{Atom, Term};
 use parlog_relal::fact::{Fact, Val};
 use parlog_relal::instance::Instance;
 use parlog_relal::parser::parse_query;
@@ -67,13 +67,7 @@ impl TwoRoundTriangle {
 
         let (mut cluster, nodes) = load_atoms(p, db, &q.body, "t2", self.seed);
         let [r_node, s_node, t_node] = <[VarRel; 3]>::try_from(nodes).expect("three atoms");
-        let k_node = VarRel::new(
-            &format!("t2K_{}", self.seed),
-            ["x", "y", "z"]
-                .iter()
-                .map(|v| parlog_relal::atom::Var::new(*v))
-                .collect(),
-        );
+        let k_node = joined_schema(&r_node, &s_node, "⋈");
 
         // Heavy hitters of the join attribute y (R position 1, S position 0).
         let m = db.len();
@@ -84,108 +78,64 @@ impl TwoRoundTriangle {
         heavy.dedup();
         let is_heavy = |v: Val| heavy.binary_search(&v).is_ok();
 
-        // Round 1. Heavy: residual grid over cells (h_x(x), h_z(z)); every
-        // T fact lands in its cell; heavy R rows, heavy S columns. Light:
-        // hash on y. Grid cells and hash buckets share the p servers.
+        // Round 1. Heavy: residual grid over cells (h_x(x), h_z(z)); a
+        // heavy R(x,y) fills the row h_x(x), a heavy S(y,z) the column
+        // h_z(z), and every T(z,x) lands in its cell (round 2 reshuffles T
+        // again for the light side). Light: hash on y. Grid cells and
+        // hash buckets share the p servers; the cluster holds nothing but
+        // the three atoms' relations.
         let hx = HashPartitioner::new(self.seed ^ 0x11, g);
         let hz = HashPartitioner::new(self.seed ^ 0x22, g);
         let hy = HashPartitioner::new(self.seed ^ 0x33, p);
+        let cells = |rows: &[usize], cols: &[usize]| -> Vec<usize> {
+            rows.iter()
+                .flat_map(|r| cols.iter().map(move |c| r * g + c))
+                .collect()
+        };
+        let all: Vec<usize> = (0..g).collect();
         cluster.reshuffle(|_, f| {
-            if f.rel == r_node.rel {
-                // Schema [x, y].
-                let (x, y) = (f.args[0], f.args[1]);
-                if is_heavy(y) {
-                    let row = hx.bucket(x);
-                    Routing::Send((0..g).map(|col| row * g + col).collect())
-                } else {
-                    Routing::Send(vec![hy.bucket(y)])
-                }
-            } else if f.rel == s_node.rel {
-                // Schema [y, z].
-                let (y, z) = (f.args[0], f.args[1]);
-                if is_heavy(y) {
-                    let col = hz.bucket(z);
-                    Routing::Send((0..g).map(|row| row * g + col).collect())
-                } else {
-                    Routing::Send(vec![hy.bucket(y)])
-                }
-            } else if f.rel == t_node.rel {
-                // Schema [z, x]: land in the residual cell; round 2 will
-                // reshuffle T again for the light side.
-                let (z, x) = (f.args[0], f.args[1]);
-                Routing::Send(vec![hx.bucket(x) * g + hz.bucket(z)])
-            } else {
-                Routing::Drop
-            }
+            let (a, b) = (f.args[0], f.args[1]);
+            Routing::Send(match (f.rel == r_node.rel, f.rel == s_node.rel) {
+                (true, _) if is_heavy(b) => cells(&[hx.bucket(a)], &all),
+                (true, _) => vec![hy.bucket(b)],
+                (_, true) if is_heavy(a) => cells(&all, &[hz.bucket(b)]),
+                (_, true) => vec![hy.bucket(a)],
+                _ => vec![hx.bucket(b) * g + hz.bucket(a)],
+            })
         });
 
-        // Compute phase 1: close heavy triangles locally (any triangle
-        // found on a server is genuine; the grid guarantees the heavy ones
-        // all appear somewhere); join the light R ⋈ S into K. Keep T.
-        let head_rel = q.head.rel;
-        cluster.compute(|local| {
-            let mut out = Instance::new();
-            // Keep T.
-            for f in local.relation(t_node.rel) {
-                out.insert(f.clone());
-            }
-            // Close triangles among co-located facts (heavy path).
-            let kk = VarRel::new("t2tmpK", k_node.vars.clone());
-            let all_k = join_local(&r_node, &s_node, &kk, local);
-            let mut probe = local.clone();
-            probe.extend_from(&all_k);
-            let outn = VarRel::new("t2tmpO", k_node.vars.clone());
-            for f in join_local(&kk, &t_node, &outn, &probe).iter() {
-                out.insert(Fact::new(head_rel, f.args.clone()));
-            }
-            // Light intermediate K for round 2.
-            for f in all_k.iter() {
-                if !is_heavy(f.args[1]) {
-                    out.insert(Fact::new(k_node.rel, f.args.clone()));
-                }
-            }
-            out
-        });
+        // The heavy hitters "and their frequencies are known": a free
+        // local step puts them on every server.
+        let heavy_rel = rel(&format!("t2Heavy_{}", self.seed));
+        let known = Instance::from_facts(heavy.iter().map(|&v| Fact::new(heavy_rel, [v])));
+        for s in 0..p {
+            cluster.local_mut(s).extend_from(&known);
+        }
+
+        // Compute phase 1: close every triangle among co-located facts
+        // (any one found is genuine; the grid guarantees the heavy ones
+        // all appear somewhere) and join the light R ⋈ S into K. T stays.
+        let (r, s, t) = (r_node.atom(), s_node.atom(), t_node.atom());
+        let heavy_y = Atom::new(heavy_rel, vec![Term::var("y")]);
+        let light = rule_unless(k_node.atom(), vec![r.clone(), s.clone()], vec![heavy_y]);
+        let triangles = rule(q.head.clone(), vec![r, s, t.clone()]);
+        cluster.compute_rules(
+            &[layer(&[triangles, light])],
+            &[r_node.rel, s_node.rel, heavy_rel],
+        );
 
         // Round 2: join light K(x,y,z) with T(z,x) on (x,z); finished H
-        // facts ride along to wherever (cheap: they are output, keep them).
+        // facts stay where they are.
         let h2 = HashPartitioner::new(self.seed ^ 0x44, p);
-        cluster.reshuffle(|_, f| {
-            if f.rel == k_node.rel {
-                Routing::Send(vec![h2.bucket_of(&[f.args[0], f.args[2]])])
-            } else if f.rel == t_node.rel {
-                Routing::Send(vec![h2.bucket_of(&[f.args[1], f.args[0]])])
-            } else if f.rel == head_rel {
-                Routing::Keep
-            } else {
-                Routing::Drop
-            }
-        });
-        cluster.compute(|local| {
-            let mut out = Instance::new();
-            for f in local.relation(head_rel) {
-                out.insert(f.clone());
-            }
-            let outn = VarRel::new("t2tmpO2", k_node.vars.clone());
-            for f in join_local(&k_node, &t_node, &outn, local).iter() {
-                out.insert(Fact::new(head_rel, f.args.clone()));
-            }
-            out
-        });
+        route_by_key(
+            &mut cluster,
+            &[(k_node.rel, vec![0, 2], h2), (t_node.rel, vec![1, 0], h2)],
+        );
+        let closed = rule(q.head.clone(), vec![k_node.atom(), t]);
+        cluster.compute_rules(&[layer(&[closed])], &[k_node.rel, t_node.rel]);
 
         RunReport::from_cluster("two-round-triangle", &cluster, db.len())
     }
-}
-
-/// Sanity helper used by tests: are the head terms of the triangle query
-/// plain variables in x, y, z order? (They are — guards against query
-/// drift.)
-fn _head_shape_is_xyz(q: &ConjunctiveQuery) -> bool {
-    q.head
-        .terms
-        .iter()
-        .zip(["x", "y", "z"])
-        .all(|(t, n)| matches!(t, Term::Var(v) if v.0 == n))
 }
 
 #[cfg(test)]
@@ -195,9 +145,19 @@ mod tests {
     use crate::hypercube::HypercubeAlgorithm;
     use parlog_relal::eval::eval_query;
 
+    /// Are the head terms of the triangle query plain variables in x, y,
+    /// z order? (They are — guards against query drift.)
+    fn head_shape_is_xyz(q: &ConjunctiveQuery) -> bool {
+        q.head
+            .terms
+            .iter()
+            .zip(["x", "y", "z"])
+            .all(|(t, n)| matches!(t, Term::Var(v) if v.0 == n))
+    }
+
     #[test]
     fn head_shape_guard() {
-        assert!(_head_shape_is_xyz(&triangle_query()));
+        assert!(head_shape_is_xyz(&triangle_query()));
     }
 
     #[test]
@@ -251,6 +211,31 @@ mod tests {
             "two-round load {} above bound {bound}",
             two.stats.max_load
         );
+    }
+
+    /// The exact rounds, max load and total communication on the
+    /// skew-free, skewed, all-heavy and all-light inputs of the tests
+    /// above. A moved count is a routing change, not noise.
+    #[test]
+    fn two_round_loads_are_pinned() {
+        let stats = |alg: &TwoRoundTriangle, db: &Instance| {
+            let r = alg.run(db);
+            assert_eq!(r.output, eval_query(&triangle_query(), db));
+            (r.stats.rounds, r.stats.max_load, r.stats.total_comm)
+        };
+        let free = datagen::triangle_db(200, 40, 3);
+        assert_eq!(stats(&TwoRoundTriangle::new(16, 1), &free), (2, 85, 1780));
+        let skewed = datagen::triangle_heavy_db(200, 50, 5);
+        assert_eq!(stats(&TwoRoundTriangle::new(16, 2), &skewed), (2, 94, 1618));
+        let big = datagen::triangle_heavy_db(600, 100, 7);
+        assert_eq!(stats(&TwoRoundTriangle::new(64, 7), &big), (2, 134, 7520));
+        let small = datagen::triangle_db(120, 25, 4);
+        let mut heavy = TwoRoundTriangle::new(9, 3);
+        heavy.heavy_threshold = Some(0);
+        assert_eq!(stats(&heavy, &small), (2, 110, 952));
+        let mut light = TwoRoundTriangle::new(9, 3);
+        light.heavy_threshold = Some(usize::MAX);
+        assert_eq!(stats(&light, &small), (2, 101, 1033));
     }
 
     #[test]

@@ -10,9 +10,7 @@
 //! [`crate::algorithms::treejoin::batch_edges`]), so the number of rounds
 //! is governed by the join-tree depth rather than the atom count.
 
-use crate::algorithms::treejoin::{
-    batch_edges, join_pass, load_atoms, project_to_head, semijoin_pass, RelTree,
-};
+use crate::algorithms::treejoin::{load_atoms, yannakakis_passes, RelTree};
 use crate::report::RunReport;
 use parlog_relal::hypergraph::gyo_join_tree;
 use parlog_relal::instance::Instance;
@@ -60,19 +58,11 @@ impl DistributedYannakakis {
             parent: jt.parent,
             root: jt.root,
         };
-
         // Semi-join phase: bottom-up (children filter parents), then
-        // top-down (parents filter children) for the full reducer.
-        let up = tree.edges_bottom_up();
-        semijoin_pass(&mut cluster, &tree.nodes, &up, true, self.seed);
-        if self.full_reducer {
-            let down: Vec<(usize, usize)> = up.iter().rev().copied().collect();
-            semijoin_pass(&mut cluster, &tree.nodes, &down, false, self.seed ^ 0x55);
-        }
-
-        // Join phase bottom-up, then project onto the head.
-        let root_rel = join_pass(&mut cluster, &tree, &batch_edges(&up), self.seed, "yk");
-        project_to_head(&mut cluster, &root_rel, &q.head);
+        // top-down (parents filter children) for the full reducer; then
+        // the join phase bottom-up, and the projection onto the head.
+        let seeds = [self.seed, self.seed ^ 0x55, self.seed];
+        yannakakis_passes(&mut cluster, tree, self.full_reducer, seeds, &q.head);
         RunReport::from_cluster("yannakakis", &cluster, db.len())
     }
 }

@@ -69,10 +69,13 @@
 //! [`SpeculationStats`] waste accounting.
 
 use parlog_faults::{MpcFaultPlan, SpeculationPolicy};
+use parlog_relal::atom::Atom;
 use parlog_relal::eval::{EvalStrategy, QueryPlan};
 use parlog_relal::fact::Fact;
 use parlog_relal::fastmap::fxset;
 use parlog_relal::instance::Instance;
+use parlog_relal::query::ConjunctiveQuery;
+use parlog_relal::symbols::RelId;
 use parlog_trace::{
     CommCounters, FaultEvent, FaultEventKind, Phase, Span, TraceEvent, TraceHandle,
 };
@@ -918,6 +921,62 @@ impl Cluster {
             .expect("compute_query needs a safe query");
         self.compute(|local| plan.eval(local));
     }
+
+    /// **Computation phase** as rules — the one local step of every
+    /// multi-round algorithm: on each server, each layer's plan reads the
+    /// local instance as extended by the layers before it, and what it
+    /// derives is added; after the last layer the relations in `drop` go.
+    /// Rules derive into relations they do not read, so no layer
+    /// rewrites its own input. Plans are compiled once for the phase
+    /// ([`layer`]), not once per server.
+    pub fn compute_rules(&mut self, layers: &[QueryPlan], drop: &[RelId]) {
+        self.compute(|local| {
+            // The instance the next layer reads: `local` until a layer
+            // derives something, then a copy extended by it.
+            let mut read: Option<Instance> = None;
+            let mut heads: Vec<Fact> = Vec::new();
+            for plan in layers {
+                if !heads.is_empty() {
+                    let next = read.get_or_insert_with(|| local.without(&[]));
+                    next.insert_all(&heads, |_| {});
+                    heads.clear();
+                }
+                plan.run(read.as_ref().unwrap_or(local), None, &mut |f| heads.push(f));
+            }
+            let mut out = read.as_ref().unwrap_or(local).without(drop);
+            out.insert_all(heads.iter().filter(|f| !drop.contains(&f.rel)), |_| {});
+            out
+        });
+    }
+}
+
+/// The plain rule `head <- body`.
+///
+/// # Panics
+/// Panics if a head variable occurs in no body atom.
+pub(crate) fn rule(head: Atom, body: Vec<Atom>) -> ConjunctiveQuery {
+    rule_unless(head, body, Vec::new())
+}
+
+/// The rule `head <- body, not negated₁, …`.
+///
+/// # Panics
+/// Panics if a head or negated-atom variable occurs in no body atom.
+pub(crate) fn rule_unless(head: Atom, body: Vec<Atom>, negated: Vec<Atom>) -> ConjunctiveQuery {
+    ConjunctiveQuery::with_extras(head, body, negated, Vec::new()).expect("a safe rule")
+}
+
+/// One layer of a [`Cluster::compute_rules`] phase: `rules` — each
+/// deriving into its own head relation — compiled for the trie engine
+/// ([`EvalStrategy::Wcoj`]). A layer's rules are small and acyclic more
+/// often than not, where `Auto` would pick the backtracker; the trie
+/// engine enumerates them without binding a valuation per candidate, and
+/// is worst-case optimal on the cyclic ones.
+///
+/// # Panics
+/// Panics if a rule is unsafe.
+pub fn layer(rules: &[ConjunctiveQuery]) -> QueryPlan {
+    QueryPlan::new(rules, EvalStrategy::Wcoj, &[]).expect("layer rules are safe")
 }
 
 #[cfg(test)]

@@ -28,13 +28,21 @@
 //!   its one-wave plan is SharesSkew (§3.1);
 //! * [`algorithms`] — the survey's one- and multi-round algorithms:
 //!   repartition join (Ex. 3.1(1a)), the skew-resilient grouped join
-//!   (Ex. 3.1(1b)), the two-round skew-resilient triangle (§3.2), and
-//!   one tree-join executor ([`algorithms::treejoin`]) running cascaded
-//!   binary joins (Ex. 3.1(2)), distributed Yannakakis and GYM.
+//!   (Ex. 3.1(1b)), the two-round skew-resilient triangle (§3.2),
+//!   distributed transitive closure, and one tree-join executor
+//!   ([`algorithms::treejoin`]) running cascaded binary joins
+//!   (Ex. 3.1(2)), distributed Yannakakis and GYM;
+//! * [`ra_distributed`], [`mapreduce`], [`streaming`] — the relational
+//!   algebra, MapReduce jobs and bounded-memory reducers, on rounds;
+//! * [`quorum`], [`verified`], [`report`] — a quorum-gated barrier,
+//!   verify-then-commit computation phases, and run reports.
 //!
-//! Every algorithm computes its local joins under `EvalStrategy::Auto`;
-//! a strategy is an argument of the cluster's compute phase
-//! ([`cluster::Cluster::compute_query`]), not of an algorithm.
+//! One local step under MPC: a multi-round algorithm's computation phase
+//! is a layered set of rules run through `QueryPlan`
+//! ([`cluster::Cluster::compute_rules`]), and its hash-on-key reshuffles
+//! are [`partition::route_by_key`]. The one-round algorithms evaluate
+//! their query under `EvalStrategy::Auto`
+//! ([`cluster::Cluster::compute_query`]).
 //!
 //! ## Example
 //!

@@ -6,10 +6,11 @@
 //! here realize that assumption (round-robin, value-hash, adversarial
 //! single-server) so that algorithms can be shown independent of it.
 
-use crate::cluster::{Cluster, ServerId};
-use parlog_relal::fact::{Fact, Val};
+use crate::cluster::{Cluster, RoundStats, Routing, ServerId};
+use parlog_relal::fact::{Args, Fact, Val};
 use parlog_relal::fastmap::hash_u64;
 use parlog_relal::instance::Instance;
+use parlog_relal::symbols::RelId;
 
 /// A seeded hash partitioner over domain values: the hash functions
 /// `h : dom → [0, buckets)` of Examples 3.1 and 3.2.
@@ -34,7 +35,8 @@ impl HashPartitioner {
     }
 
     /// Hash a tuple of values to a bucket (used for composite keys such as
-    /// the pair `(e, g)` in the second round of Example 3.1(2)).
+    /// the pair `(e, g)` in the second round of Example 3.1(2)). A
+    /// one-value key lands where [`HashPartitioner::bucket`] puts it.
     pub fn bucket_of(&self, vs: &[Val]) -> usize {
         let mut h = self.seed;
         for v in vs {
@@ -42,6 +44,31 @@ impl HashPartitioner {
         }
         (h % self.buckets as u64) as usize
     }
+}
+
+/// One relation's route in a hash-on-key round: its facts go to the
+/// partitioner's bucket of their key, the values at the positions.
+pub type KeyRoute = (RelId, Vec<usize>, HashPartitioner);
+
+/// `f`'s key under `routes` — its values at its relation's positions —
+/// and the bucket the route sends it to; `None` for a relation without a
+/// route.
+pub(crate) fn key_bucket(routes: &[KeyRoute], f: &Fact) -> Option<(Args, ServerId)> {
+    let (_, positions, h) = routes.iter().find(|(r, ..)| *r == f.rel)?;
+    let key: Args = positions.iter().map(|&i| f.args[i]).collect();
+    let bucket = h.bucket_of(&key);
+    Some((key, bucket))
+}
+
+/// The communication phase of a hash-on-key round — the one reshuffle of
+/// every pairwise join, semijoin, fixpoint step and grouping: each fact
+/// of a routed relation goes to the bucket of its key; every other fact
+/// stays where it is, at no load.
+pub fn route_by_key<'c>(cluster: &'c mut Cluster, routes: &[KeyRoute]) -> &'c RoundStats {
+    cluster.reshuffle(|_, f| match key_bucket(routes, f) {
+        Some((_, s)) => Routing::Send(vec![s]),
+        None => Routing::Keep,
+    })
 }
 
 /// How to place the input database on the cluster before an algorithm

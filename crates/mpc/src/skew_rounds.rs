@@ -44,7 +44,6 @@
 //! partition hold-and-flush is handled by draining held copies after a
 //! dirtied pass and re-running the wave schedule once healed.
 
-use crate::algorithms::treejoin::binding_of;
 use crate::cluster::{Cluster, Routing};
 use crate::datagen::top_heavy_hitters;
 use crate::hypercube::HypercubeAlgorithm;
@@ -214,7 +213,7 @@ fn is_heavy(heavy: &[(Var, Vec<Val>)], v: &Var, val: Val) -> bool {
 /// with the pattern's value, and every bound variable the pattern leaves
 /// light must not carry a heavy value.
 fn pattern_consistent(
-    binding: &[(Var, Val)],
+    binding: &[(&Var, Val)],
     pat: &HeavyPattern,
     heavy: &[(Var, Vec<Val>)],
 ) -> bool {
@@ -319,7 +318,7 @@ impl SkewAdaptiveJoin {
                     .map(|atom| {
                         db.relation(atom.rel)
                             .filter(|f| {
-                                binding_of(atom, f)
+                                atom.binding(f)
                                     .is_some_and(|b| pattern_consistent(&b, &pat, &heavy))
                             })
                             .count()
@@ -475,7 +474,7 @@ impl SkewAdaptiveJoin {
     pub fn wave_destinations(&self, w: usize, f: &Fact) -> Vec<usize> {
         let mut out = Vec::new();
         for (ai, atom) in self.query.body.iter().enumerate() {
-            let Some(binding) = binding_of(atom, f) else {
+            let Some(binding) = atom.binding(f) else {
                 continue;
             };
             for plan in &self.waves[w] {

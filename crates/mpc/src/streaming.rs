@@ -20,12 +20,15 @@
 //! (hash-partition on the key, then stream each group); tests assert both
 //! the outputs and the measured memory profiles.
 
-use crate::cluster::{Cluster, Routing};
-use crate::partition::{seed_cluster, HashPartitioner, InitialPartition};
-use parlog_relal::fact::{Fact, Val};
+use crate::cluster::{Cluster, Routing, ServerId};
+use crate::partition::{
+    key_bucket, route_by_key, seed_cluster, HashPartitioner, InitialPartition, KeyRoute,
+};
+use parlog_relal::fact::{Args, Fact, Val};
 use parlog_relal::fastmap::{fxmap, FxSet};
 use parlog_relal::instance::Instance;
 use parlog_relal::symbols::RelId;
+use std::collections::BTreeMap;
 
 /// A reducer that streams the values of one group.
 pub trait StreamingReducer {
@@ -54,11 +57,11 @@ pub struct StreamReport {
 /// Stream `db`'s facts of the given relations through `reducer`, grouped
 /// by the key extracted per relation (positions), over `p` servers (one
 /// communication round; groups are streamed in sorted fact order for
-/// determinism).
+/// determinism): a [`DeltaStreamSession`] that is never pushed.
 pub fn run_streamed<R, F>(
     db: &Instance,
     rels: &[(RelId, Vec<usize>)],
-    mut make_reducer: F,
+    make_reducer: F,
     p: usize,
     seed: u64,
 ) -> StreamReport
@@ -66,57 +69,7 @@ where
     R: StreamingReducer,
     F: FnMut() -> R,
 {
-    let mut cluster = Cluster::new(p);
-    seed_cluster(&mut cluster, db, InitialPartition::RoundRobin);
-    let h = HashPartitioner::new(seed, p);
-    let rels_owned: Vec<(RelId, Vec<usize>)> = rels.to_vec();
-    let key_of = move |f: &Fact| -> Option<Vec<Val>> {
-        rels_owned
-            .iter()
-            .find(|(r, _)| *r == f.rel)
-            .map(|(_, ps)| ps.iter().map(|&i| f.args[i]).collect())
-    };
-    let key_route = key_of.clone();
-    cluster.communicate(move |f| match key_route(f) {
-        Some(k) => vec![h.bucket_of(&k)],
-        None => Vec::new(),
-    });
-
-    let mut output = Instance::new();
-    let mut peak_state = 0usize;
-    let mut max_group = 0usize;
-    for s in 0..p {
-        // Group local facts by key.
-        let mut groups: parlog_relal::fastmap::FxMap<Vec<Val>, Vec<Fact>> = fxmap();
-        for f in cluster.local(s).iter() {
-            if let Some(k) = key_of(f) {
-                groups.entry(k).or_default().push(f.clone());
-            }
-        }
-        let mut keys: Vec<Vec<Val>> = groups.keys().cloned().collect();
-        keys.sort();
-        for k in keys {
-            let mut facts = groups.remove(&k).expect("key present");
-            facts.sort();
-            max_group = max_group.max(facts.len());
-            let mut reducer = make_reducer();
-            reducer.begin_group(&k);
-            for f in &facts {
-                for o in reducer.consume(f) {
-                    output.insert(o);
-                }
-                peak_state = peak_state.max(reducer.state_size());
-            }
-            for o in reducer.end_group() {
-                output.insert(o);
-            }
-        }
-    }
-    StreamReport {
-        output,
-        peak_state,
-        max_group,
-    }
+    DeltaStreamSession::new(db, rels, make_reducer, p, seed).report()
 }
 
 /// A constant-memory semijoin reducer: emit every left fact once a right
@@ -272,7 +225,7 @@ impl StreamingReducer for JoinReducer {
 pub fn run_streamed_two_pass<R, F>(
     db: &Instance,
     rels: &[(RelId, Vec<usize>)],
-    mut make_reducer: F,
+    make_reducer: F,
     p: usize,
     seed: u64,
 ) -> StreamReport
@@ -280,58 +233,7 @@ where
     R: StreamingReducer,
     F: FnMut() -> R,
 {
-    let mut cluster = Cluster::new(p);
-    seed_cluster(&mut cluster, db, InitialPartition::RoundRobin);
-    let h = HashPartitioner::new(seed, p);
-    let rels_owned: Vec<(RelId, Vec<usize>)> = rels.to_vec();
-    let key_of = move |f: &Fact| -> Option<Vec<Val>> {
-        rels_owned
-            .iter()
-            .find(|(r, _)| *r == f.rel)
-            .map(|(_, ps)| ps.iter().map(|&i| f.args[i]).collect())
-    };
-    let key_route = key_of.clone();
-    cluster.communicate(move |f| match key_route(f) {
-        Some(k) => vec![h.bucket_of(&k)],
-        None => Vec::new(),
-    });
-
-    let mut output = Instance::new();
-    let mut peak_state = 0usize;
-    let mut max_group = 0usize;
-    for s in 0..p {
-        let mut groups: parlog_relal::fastmap::FxMap<Vec<Val>, Vec<Fact>> = fxmap();
-        for f in cluster.local(s).iter() {
-            if let Some(k) = key_of(f) {
-                groups.entry(k).or_default().push(f.clone());
-            }
-        }
-        let mut keys: Vec<Vec<Val>> = groups.keys().cloned().collect();
-        keys.sort();
-        for k in keys {
-            let mut facts = groups.remove(&k).expect("key present");
-            facts.sort();
-            max_group = max_group.max(facts.len());
-            let mut reducer = make_reducer();
-            for _pass in 0..2 {
-                reducer.begin_group(&k);
-                for f in &facts {
-                    for o in reducer.consume(f) {
-                        output.insert(o);
-                    }
-                    peak_state = peak_state.max(reducer.state_size());
-                }
-                for o in reducer.end_group() {
-                    output.insert(o);
-                }
-            }
-        }
-    }
-    StreamReport {
-        output,
-        peak_state,
-        max_group,
-    }
+    DeltaStreamSession::new_two_pass(db, rels, make_reducer, p, seed).report()
 }
 
 /// A live streamed computation maintained across delta rounds.
@@ -357,12 +259,13 @@ where
     F: FnMut() -> R,
 {
     cluster: Cluster,
-    rels: Vec<(RelId, Vec<usize>)>,
+    /// Each streamed relation's key positions, all under one partitioner:
+    /// equal keys of different relations meet in one group.
+    routes: Vec<KeyRoute>,
     make_reducer: F,
-    h: HashPartitioner,
     passes: u8,
     /// Deduplicated output of each live group, by group key.
-    group_out: parlog_relal::fastmap::FxMap<Vec<Val>, Vec<Fact>>,
+    group_out: parlog_relal::fastmap::FxMap<Args, Vec<Fact>>,
     /// How many groups currently emit each output fact.
     out_counts: parlog_relal::fastmap::FxMap<Fact, i64>,
     output: Instance,
@@ -411,14 +314,14 @@ where
         passes: u8,
     ) -> DeltaStreamSession<R, F> {
         assert!(passes == 1 || passes == 2, "reducers run one or two passes");
-        let p = cluster.p();
+        let h = HashPartitioner::new(seed, cluster.p());
+        let routes: Vec<KeyRoute> = rels.iter().map(|(r, at)| (*r, at.clone(), h)).collect();
         seed_cluster(&mut cluster, db, InitialPartition::RoundRobin);
-        let h = HashPartitioner::new(seed, p);
+        route_by_key(&mut cluster, &routes);
         let mut session = DeltaStreamSession {
             cluster,
-            rels: rels.to_vec(),
+            routes,
             make_reducer,
-            h,
             passes,
             group_out: fxmap(),
             out_counts: fxmap(),
@@ -427,31 +330,18 @@ where
             max_group: 0,
             rounds_pushed: 0,
         };
-        let route_h = session.h;
-        let rels_owned = session.rels.clone();
-        session
-            .cluster
-            .communicate(move |f| match key_for(&rels_owned, f) {
-                Some(k) => vec![route_h.bucket_of(&k)],
-                None => Vec::new(),
-            });
-        // Evaluate every group once to prime the maintained output.
-        let keys: Vec<Vec<Val>> = {
-            let mut ks: Vec<Vec<Val>> = (0..p)
-                .flat_map(|s| {
-                    session
-                        .cluster
-                        .local(s)
-                        .iter()
-                        .filter_map(|f| key_for(&session.rels, f))
-                })
-                .collect();
-            ks.sort();
-            ks.dedup();
-            ks
-        };
-        for k in keys {
-            session.reeval_group(&k);
+        // Stream every group once, in key order, to prime the maintained
+        // output.
+        let mut groups: BTreeMap<Args, Vec<Fact>> = BTreeMap::new();
+        for s in 0..session.cluster.p() {
+            for f in session.cluster.local(s).iter() {
+                if let Some((k, _)) = key_bucket(&session.routes, f) {
+                    groups.entry(k).or_default().push(f.clone());
+                }
+            }
+        }
+        for (k, facts) in groups {
+            session.restream(&k, facts);
         }
         session
     }
@@ -470,45 +360,35 @@ where
         for (i, f) in inserts.iter().enumerate() {
             self.cluster.local_mut(i % p).insert(f.clone());
         }
-        let route_h = self.h;
-        let rels_owned = self.rels.clone();
-        self.cluster.reshuffle(move |_, f| {
+        let routes = &self.routes;
+        self.cluster.reshuffle(|_, f| {
             if del.contains(f) {
-                return Routing::Drop;
+                Routing::Drop
+            } else if ins.contains(f) {
+                key_bucket(routes, f).map_or(Routing::Drop, |(_, s)| Routing::Send(vec![s]))
+            } else {
+                Routing::Keep
             }
-            if ins.contains(f) {
-                return match key_for(&rels_owned, f) {
-                    Some(k) => Routing::Send(vec![route_h.bucket_of(&k)]),
-                    None => Routing::Drop,
-                };
-            }
-            Routing::Keep
         });
         self.rounds_pushed += 1;
-        let mut touched: Vec<Vec<Val>> = inserts
+        // Each touched group, by key, with its owner.
+        let touched: BTreeMap<Args, ServerId> = inserts
             .iter()
-            .chain(deletes.iter())
-            .filter_map(|f| key_for(&self.rels, f))
+            .chain(deletes)
+            .filter_map(|f| key_bucket(routes, f))
             .collect();
-        touched.sort();
-        touched.dedup();
-        for k in touched {
-            self.reeval_group(&k);
+        for (k, owner) in touched {
+            let local = self.cluster.local(owner).iter();
+            let in_group = |f: &&Fact| key_bucket(&self.routes, f).is_some_and(|(fk, _)| fk == k);
+            let facts = local.filter(in_group).cloned().collect();
+            self.restream(&k, facts);
         }
         &self.output
     }
 
-    /// Re-stream one group on its owning server and fold the difference
-    /// into the maintained output.
-    fn reeval_group(&mut self, k: &[Val]) {
-        let owner = self.h.bucket_of(k);
-        let mut facts: Vec<Fact> = self
-            .cluster
-            .local(owner)
-            .iter()
-            .filter(|f| key_for(&self.rels, f).as_deref() == Some(k))
-            .cloned()
-            .collect();
+    /// Stream one group's facts (in sorted order) through a fresh reducer
+    /// and fold the difference into the maintained output.
+    fn restream(&mut self, k: &Args, mut facts: Vec<Fact>) {
         facts.sort();
         let mut fresh: Vec<Fact> = Vec::new();
         if !facts.is_empty() {
@@ -542,7 +422,7 @@ where
             }
         }
         if !fresh.is_empty() {
-            self.group_out.insert(k.to_vec(), fresh);
+            self.group_out.insert(k.clone(), fresh);
         }
     }
 
@@ -571,14 +451,6 @@ where
     pub fn cluster(&self) -> &Cluster {
         &self.cluster
     }
-}
-
-/// The group key of `f` under the per-relation key positions, `None` for
-/// relations outside the streamed set.
-fn key_for(rels: &[(RelId, Vec<usize>)], f: &Fact) -> Option<Vec<Val>> {
-    rels.iter()
-        .find(|(r, _)| *r == f.rel)
-        .map(|(_, ps)| ps.iter().map(|&i| f.args[i]).collect())
 }
 
 #[cfg(test)]

@@ -126,29 +126,41 @@ impl Atom {
 
     /// Could `f` be an instantiation of this atom? (Same relation, same
     /// arity, constants match, and repeated variables carry equal values.)
+    /// Allocation-free: a repeated variable is checked against its first
+    /// position.
     pub fn matches(&self, f: &Fact) -> bool {
-        if f.rel != self.rel || f.args.len() != self.terms.len() {
-            return false;
+        let first = |i: usize, v: &Var| {
+            let var = |t: &Term| matches!(t, Term::Var(w) if w == v);
+            self.terms[..i].iter().position(var).unwrap_or(i)
+        };
+        f.rel == self.rel
+            && f.args.len() == self.terms.len()
+            && self
+                .terms
+                .iter()
+                .zip(f.args.iter())
+                .enumerate()
+                .all(|(i, (t, &a))| match t {
+                    Term::Const(c) => *c == a,
+                    Term::Var(v) => f.args[first(i, v)] == a,
+                })
+    }
+
+    /// The values `f` gives this atom's variables, in order of first
+    /// occurrence — `None` unless [`Atom::matches`] holds.
+    pub fn binding(&self, f: &Fact) -> Option<Vec<(&Var, Val)>> {
+        if !self.matches(f) {
+            return None;
         }
         let mut bound: Vec<(&Var, Val)> = Vec::new();
         for (t, &a) in self.terms.iter().zip(f.args.iter()) {
-            match t {
-                Term::Const(c) => {
-                    if *c != a {
-                        return false;
-                    }
+            if let Term::Var(v) = t {
+                if bound.iter().all(|(w, _)| *w != v) {
+                    bound.push((v, a));
                 }
-                Term::Var(v) => match bound.iter().find(|(w, _)| *w == v) {
-                    Some((_, prev)) => {
-                        if *prev != a {
-                            return false;
-                        }
-                    }
-                    None => bound.push((v, a)),
-                },
             }
         }
-        true
+        Some(bound)
     }
 }
 

@@ -211,6 +211,28 @@ impl Instance {
         self.fork(DeltaLog::forgotten_to(self.epoch, self.log.capacity()))
     }
 
+    /// The facts of every relation outside `drop`, as a copy with no
+    /// mutation history (as [`Instance::clone_without_log`]) and no cached
+    /// tries: each kept relation's set is copied whole, never re-inserted
+    /// fact by fact. An MPC computation phase builds a server's next
+    /// instance this way.
+    pub fn without(&self, drop: &[RelId]) -> Instance {
+        let by_rel: FxMap<RelId, FxSet<Fact>> = self
+            .by_rel
+            .iter()
+            .filter(|(r, _)| !drop.contains(r))
+            .map(|(&r, set)| (r, set.clone()))
+            .collect();
+        Instance {
+            len: by_rel.values().map(FxSet::len).sum(),
+            by_rel,
+            epoch: self.epoch,
+            rel_epochs: self.rel_epochs.clone(),
+            log: DeltaLog::forgotten_to(self.epoch, self.log.capacity()),
+            ..Instance::default()
+        }
+    }
+
     /// The mutation epoch: bumped exactly when the fact set changes.
     pub fn epoch(&self) -> u64 {
         self.epoch
