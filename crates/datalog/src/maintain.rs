@@ -849,6 +849,24 @@ mod tests {
         assert_eq!(refreshed.delta_log_len(), 23);
     }
 
+    /// A view on a base built whole (no history) is materialized at the
+    /// base's epoch, so the base's later mutations replay from its log:
+    /// no refresh rebuilds.
+    #[test]
+    fn view_on_a_built_base_refreshes_incrementally() {
+        let p = parse_program("T(x,y) <- E(x,y)\nT(x,z) <- E(x,y), T(y,z)").unwrap();
+        let mut db = Instance::from_facts((0..20u64).map(|i| fact("E", &[i, i + 1])));
+        assert_eq!(db.delta_log_len(), 0);
+        materialize(&p, &db, EvalStrategy::Indexed).unwrap();
+        db.insert(fact("E", &[20, 21]));
+        assert_matches_scratch(&p, &db, EvalStrategy::Indexed);
+        db.remove(&fact("E", &[0, 1]));
+        assert_matches_scratch(&p, &db, EvalStrategy::Indexed);
+        let stats = view_stats(&p, &db, EvalStrategy::Indexed).unwrap();
+        assert_eq!(stats.full_rebuilds, 0);
+        assert_eq!(stats.incremental_applied, 2);
+    }
+
     #[test]
     fn counting_maintains_nonrecursive_strata() {
         let p = parse_program(

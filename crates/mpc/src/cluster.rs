@@ -331,10 +331,11 @@ fn scatter<'a, R, S>(
 /// engines share. Carried holds whose links have healed flush first,
 /// then `items` are routed and scattered in order (per-worker buckets
 /// concatenated in chunk order, so bucket and hold order are the
-/// sequential ones), and each destination's instance is bulk-built from
-/// its bucket. A delivery counts as load once per destination,
-/// deduplicated against whatever that destination already received, as in
-/// the model's accounting of repartitioning. The pass reads only its
+/// sequential ones), and each destination's instance is built whole from
+/// its bucket (no delta log: a server's state is what it received). A
+/// delivery counts as load once per destination, deduplicated against
+/// whatever that destination already received, as in the model's
+/// accounting of repartitioning. The pass reads only its
 /// arguments, so a crash-replayed attempt re-derives the same outcome.
 fn deliver<R, S>(
     p: usize,
@@ -370,21 +371,18 @@ where
     }
     let deliveries = buckets.iter().map(Vec::len).sum();
     let built = par_chunks(&buckets, threads, deliveries, |_, dests| {
-        let ingest = |bucket: &Vec<Delivery<'_>>| {
-            let mut inst = Instance::new();
+        let build = |bucket: &Vec<Delivery<'_>>| {
             let (mut got, mut bytes) = (0usize, 0u64);
-            for run in bucket.chunk_by(|a, b| a.1 == b.1) {
-                let counted = run[0].1;
-                inst.insert_all(run.iter().map(|d| d.0), |f| {
-                    if counted {
-                        got += 1;
-                        bytes += fact_bytes(f);
-                    }
-                });
-            }
+            let inst = Instance::from_borrowed(bucket.iter().map(|d| d.0), |i| {
+                let (f, counted) = bucket[i];
+                if counted {
+                    got += 1;
+                    bytes += fact_bytes(f);
+                }
+            });
             (inst, got, bytes)
         };
-        dests.iter().map(ingest).collect::<Vec<_>>()
+        dests.iter().map(build).collect::<Vec<_>>()
     });
     let mut out = Delivered {
         held,
@@ -685,11 +683,7 @@ impl Cluster {
     /// The union of all local instances — the algorithm's output lives
     /// here ("the output must be present in the union of the p servers").
     pub fn union_all(&self) -> Instance {
-        let mut out = Instance::new();
-        for inst in &self.local {
-            out.extend_from(inst);
-        }
-        out
+        Instance::from_borrowed(self.local.iter().flat_map(Instance::iter), |_| {})
     }
 
     /// **Communication phase**: every fact currently held anywhere is
@@ -747,7 +741,7 @@ impl Cluster {
             let held_facts = holders.flat_map(|(src, inst)| inst.iter().map(move |f| (src, f)));
             let items: Vec<(ServerId, &Fact)> = if collapse {
                 // Route each distinct fact exactly once, deduplicated by
-                // reference in first-holder order.
+                // value in first-holder order.
                 let mut seen = fxset();
                 held_facts
                     .filter(|&(_, f)| seen.insert(f))
@@ -932,20 +926,18 @@ impl Cluster {
     pub fn compute_rules(&mut self, layers: &[QueryPlan], drop: &[RelId]) {
         self.compute(|local| {
             // The instance the next layer reads: `local` until a layer
-            // derives something, then a copy extended by it.
+            // derives something, then a copy rebuilt with it.
             let mut read: Option<Instance> = None;
             let mut heads: Vec<Fact> = Vec::new();
             for plan in layers {
                 if !heads.is_empty() {
-                    let next = read.get_or_insert_with(|| local.without(&[]));
-                    next.insert_all(&heads, |_| {});
-                    heads.clear();
+                    let derived = std::mem::take(&mut heads);
+                    read = Some(read.as_ref().unwrap_or(local).rebuilt(&[], derived));
                 }
                 plan.run(read.as_ref().unwrap_or(local), None, &mut |f| heads.push(f));
             }
-            let mut out = read.as_ref().unwrap_or(local).without(drop);
-            out.insert_all(heads.iter().filter(|f| !drop.contains(&f.rel)), |_| {});
-            out
+            heads.retain(|f| !drop.contains(&f.rel));
+            read.as_ref().unwrap_or(local).rebuilt(drop, heads)
         });
     }
 }
@@ -1554,18 +1546,21 @@ mod tests {
         }
     }
 
-    /// Two states are the same down to each server's mutation history:
-    /// same facts, same epochs, same delta log.
-    fn assert_same_state(a: &[Instance], b: &[Instance], what: &str) {
-        assert_eq!(a.len(), b.len());
-        for (s, (x, y)) in a.iter().zip(b).enumerate() {
+    /// Two states are the same server by server — same facts, same
+    /// epochs — and `built` was built whole: every server's delta log is
+    /// empty and forgotten up to its epoch.
+    fn assert_same_state(built: &[Instance], other: &[Instance], what: &str) {
+        assert_eq!(built.len(), other.len());
+        for (s, (x, y)) in built.iter().zip(other).enumerate() {
             assert_eq!(x, y, "{what}: server {s} facts");
-            assert_eq!(x.epoch(), y.epoch(), "{what}: server {s} epoch");
-            assert_eq!(
-                x.delta_since(0),
-                y.delta_since(0),
-                "{what}: server {s} delta log"
+            let e = x.epoch();
+            assert_eq!(e, y.epoch(), "{what}: server {s} epoch");
+            assert_eq!(x.delta_log_len(), 0, "{what}: server {s} delta log");
+            assert!(
+                e == 0 || x.delta_since(e - 1).is_none(),
+                "{what}: server {s} keeps history"
             );
+            assert_eq!(x.delta_since(e), Some(&[][..]), "{what}: server {s}");
         }
     }
 
@@ -1599,8 +1594,9 @@ mod tests {
         /// stream: mixed `Keep`/`Send`/`Drop`, the same fact offered by
         /// several holders, carried holds, an open or healed partition
         /// epoch, rounds below and above the sequential cut-off, at
-        /// parallelism 1, 2 and 4 — next state (with delta logs), loads,
-        /// bytes and held copies identical.
+        /// parallelism 1, 2 and 4 — next state (same facts and epochs,
+        /// built whole with no delta log), loads, bytes and held copies
+        /// identical.
         #[test]
         fn bucketed_attempt_matches_per_fact_delivery(
             p in 1..6usize,
@@ -1683,7 +1679,7 @@ mod tests {
     /// Whole rounds through the public phases: storage shards, mixed
     /// fates, a partition epoch that holds copies and later flushes
     /// them, and a crashed attempt replayed from the checkpoint. State
-    /// (down to delta logs), `RoundStats`, held copies and recovery
+    /// (facts and epochs, no delta log), `RoundStats`, held copies and recovery
     /// tallies are identical at parallelism 1, 2 and 4, and the replayed
     /// run commits what the crash-free run commits.
     #[test]

@@ -17,10 +17,62 @@ use crate::report::RunReport;
 use crate::shares::Shares;
 use parlog_relal::atom::{Atom, Term};
 use parlog_relal::eval::EvalStrategy;
-use parlog_relal::fact::Fact;
+use parlog_relal::fact::{Fact, Val};
 use parlog_relal::instance::Instance;
 use parlog_relal::query::ConjunctiveQuery;
 use parlog_relal::simplex::LpError;
+use parlog_relal::symbols::RelId;
+
+/// How one body atom routes a fact, compiled once per algorithm: what a
+/// fact must satisfy to match the atom, and which of its positions binds
+/// each share axis.
+#[derive(Debug, Clone)]
+struct AtomRoute {
+    rel: RelId,
+    arity: usize,
+    /// Positions holding a constant, with the constant.
+    consts: Vec<(usize, Val)>,
+    /// Positions repeating a variable, with the variable's first position.
+    repeats: Vec<(usize, usize)>,
+    /// Per share axis, the first position of the axis's variable — `None`
+    /// for an axis the atom leaves free.
+    axes: Vec<Option<usize>>,
+}
+
+impl AtomRoute {
+    fn compile(atom: &Atom, vars: &[String]) -> AtomRoute {
+        let first = |name: &str| {
+            atom.terms
+                .iter()
+                .position(|t| matches!(t, Term::Var(v) if v.0 == name))
+        };
+        let (mut consts, mut repeats) = (Vec::new(), Vec::new());
+        for (i, t) in atom.terms.iter().enumerate() {
+            match t {
+                Term::Const(c) => consts.push((i, *c)),
+                Term::Var(v) => match first(&v.0) {
+                    Some(j) if j < i => repeats.push((i, j)),
+                    _ => {}
+                },
+            }
+        }
+        AtomRoute {
+            rel: atom.rel,
+            arity: atom.arity(),
+            consts,
+            repeats,
+            axes: vars.iter().map(|name| first(name)).collect(),
+        }
+    }
+
+    /// [`Atom::matches`], without comparing a variable name.
+    fn matches(&self, f: &Fact) -> bool {
+        f.rel == self.rel
+            && f.args.len() == self.arity
+            && self.consts.iter().all(|&(i, c)| f.args[i] == c)
+            && self.repeats.iter().all(|&(i, j)| f.args[i] == f.args[j])
+    }
+}
 
 /// The one-round HyperCube algorithm for a conjunctive query.
 #[derive(Debug, Clone)]
@@ -29,6 +81,11 @@ pub struct HypercubeAlgorithm {
     shares: Shares,
     /// Per-variable hash functions `h_c` (independent via distinct seeds).
     hashers: Vec<HashPartitioner>,
+    /// Per share axis, the weight of one coordinate in a flat server id
+    /// (the product of the later shares, as in `Shares::flatten`).
+    strides: Vec<usize>,
+    /// Per body atom, its compiled route.
+    routes: Vec<AtomRoute>,
 }
 
 impl HypercubeAlgorithm {
@@ -46,10 +103,21 @@ impl HypercubeAlgorithm {
             .enumerate()
             .map(|(i, &s)| HashPartitioner::new(seed.wrapping_add(i as u64 * 0x9e37), s))
             .collect();
+        let mut strides = vec![1; shares.shares.len()];
+        for i in (1..strides.len()).rev() {
+            strides[i - 1] = strides[i] * shares.shares[i];
+        }
+        let routes = q
+            .body
+            .iter()
+            .map(|a| AtomRoute::compile(a, &shares.vars))
+            .collect();
         HypercubeAlgorithm {
             query: q.clone(),
             shares,
             hashers,
+            strides,
+            routes,
         }
     }
 
@@ -63,54 +131,60 @@ impl HypercubeAlgorithm {
         self.shares.servers()
     }
 
-    /// The hash of value `v` on the axis of variable index `i`.
-    fn axis_hash(&self, i: usize, v: parlog_relal::fact::Val) -> usize {
-        self.hashers[i].bucket(v)
-    }
-
-    /// The destination servers of `f` *through one atom*: `None` if `f`
-    /// does not match the atom. The skew engine routes per-atom (a fact
-    /// may be pattern-consistent through one atom and not another).
-    pub(crate) fn destinations_via(&self, atom: &Atom, f: &Fact) -> Option<Vec<usize>> {
-        if atom.rel != f.rel || atom.arity() != f.arity() || !atom.matches(f) {
-            return None;
+    /// Append to `out` the destination servers of `f` *through body atom
+    /// `atom`*, each plus `offset`, in ascending order; `false` (nothing
+    /// appended) if `f` does not match the atom. The skew engine routes
+    /// per atom (a fact may be pattern-consistent through one atom and not
+    /// another), onto a block of servers starting at `offset`.
+    pub(crate) fn destinations_via(
+        &self,
+        atom: usize,
+        f: &Fact,
+        offset: usize,
+        out: &mut Vec<usize>,
+    ) -> bool {
+        let route = &self.routes[atom];
+        if !route.matches(f) {
+            return false;
         }
-        // Grow the flat server ids one axis at a time (mixed radix, as
-        // `Shares::flatten`): an axis whose variable the atom binds
-        // contributes the hash of the bound value, a free axis every
-        // coordinate.
-        let mut ids = vec![0usize];
-        for (i, &share) in self.shares.shares.iter().enumerate() {
-            let name = &self.shares.vars[i];
-            let bound = atom.terms.iter().zip(&f.args).find_map(|(t, &v)| match t {
-                Term::Var(var) if var.0 == *name => Some(self.axis_hash(i, v)),
-                _ => None,
-            });
-            match bound {
-                Some(c) => ids.iter_mut().for_each(|id| *id = *id * share + c),
-                None => {
-                    ids = ids
-                        .iter()
-                        .flat_map(|&id| (0..share).map(move |c| id * share + c))
-                        .collect()
+        // The bound axes fix one flat id (mixed radix, as
+        // `Shares::flatten`); each free axis then adds every multiple of
+        // its stride — least significant axis first, so the ids stay
+        // ascending.
+        let axes = || route.axes.iter().zip(&self.hashers).zip(&self.strides);
+        let (mut base, mut count) = (offset, 1);
+        for ((pos, h), stride) in axes() {
+            match pos {
+                Some(i) => base += h.bucket(f.args[*i]) * stride,
+                None => count *= h.buckets,
+            }
+        }
+        let start = out.len();
+        out.reserve(count);
+        out.push(base);
+        for ((_, h), &stride) in axes().rev().filter(|((pos, _), _)| pos.is_none()) {
+            let ids = out.len() - start;
+            for c in 1..h.buckets {
+                for k in start..start + ids {
+                    out.push(out[k] + c * stride);
                 }
             }
         }
-        Some(ids)
+        true
     }
 
     /// All destination servers of a fact (union over matching atoms —
     /// self-joins route through every atom of the relation).
     pub fn destinations(&self, f: &Fact) -> Vec<usize> {
-        let mut out: Vec<usize> = self
-            .query
-            .body
-            .iter()
-            .filter_map(|a| self.destinations_via(a, f))
-            .flatten()
-            .collect();
-        out.sort_unstable();
-        out.dedup();
+        let mut out = Vec::new();
+        let mut matched = 0;
+        for atom in 0..self.routes.len() {
+            matched += usize::from(self.destinations_via(atom, f, 0, &mut out));
+        }
+        if matched > 1 {
+            out.sort_unstable();
+            out.dedup();
+        }
         out
     }
 
@@ -258,6 +332,121 @@ mod tests {
                 serde_json::to_string(&seq.stats).unwrap(),
                 "threads={threads}"
             );
+        }
+    }
+
+    /// A routed fact is stored once: after a job — routing, then the
+    /// local evaluation — every server's instance was built whole and
+    /// carries no delta log, and neither does the unioned output.
+    #[test]
+    fn servers_keep_no_delta_log() {
+        let q = triangle();
+        let db = datagen::triangle_db(300, 50, 11);
+        let hc = HypercubeAlgorithm::new(&q, 27).unwrap();
+        let mut c = Cluster::new(27);
+        seed_cluster(&mut c, &db, InitialPartition::RoundRobin);
+        c.communicate(|f| hc.destinations(f));
+        assert_eq!(c.total_comm(), 3 * db.len());
+        for s in 0..c.p() {
+            assert_eq!(c.local(s).delta_log_len(), 0, "server {s} after routing");
+        }
+        c.compute_query(&q, EvalStrategy::Auto);
+        for s in 0..c.p() {
+            assert_eq!(c.local(s).delta_log_len(), 0, "server {s} after evaluation");
+        }
+        let output = c.union_all();
+        assert_eq!(output, parlog_relal::eval::eval_query(&q, &db));
+        assert_eq!(output.delta_log_len(), 0);
+    }
+
+    use proptest::prelude::*;
+
+    /// Terms a random atom draws from: four variables and three small
+    /// constants, so constants match and variables repeat often.
+    const TERMS: [&str; 7] = ["x", "y", "z", "w", "0", "1", "2"];
+
+    /// `H(vars) <- atoms` over `R` (binary) and `S` (ternary), atoms
+    /// given as term indices into [`TERMS`]; `None` when no atom binds a
+    /// variable.
+    fn random_query(atoms: &[(bool, [usize; 3])]) -> Option<ConjunctiveQuery> {
+        let body: Vec<String> = atoms
+            .iter()
+            .map(|&(binary, t)| {
+                let terms: Vec<&str> = t[..if binary { 2 } else { 3 }]
+                    .iter()
+                    .map(|&i| TERMS[i])
+                    .collect();
+                format!("{}({})", if binary { "R" } else { "S" }, terms.join(","))
+            })
+            .collect();
+        let vars: Vec<&str> = TERMS[..4]
+            .iter()
+            .copied()
+            .filter(|v| atoms.iter().any(|(_, t)| t.iter().any(|&i| TERMS[i] == *v)))
+            .collect();
+        let q = parse_query(&format!("H({}) <- {}", vars.join(","), body.join(", ")));
+        q.ok().filter(|q| !q.body_variables().is_empty())
+    }
+
+    /// Does server `s` receive `f` through `atom` by the definition: `f`
+    /// matches the atom, and every share axis whose variable the atom
+    /// binds has the hash of the bound value as `s`'s coordinate?
+    fn receives_via(hc: &HypercubeAlgorithm, atom: &Atom, f: &Fact, s: usize) -> bool {
+        let coords = hc.shares.unflatten(s);
+        atom.matches(f)
+            && atom.terms.iter().zip(f.args.iter()).all(|(t, &v)| match t {
+                Term::Var(x) => match hc.shares.vars.iter().position(|n| *n == x.0) {
+                    Some(i) => coords[i] == hc.hashers[i].bucket(v),
+                    None => true,
+                },
+                Term::Const(_) => true,
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// The compiled route against the definition, on every server:
+        /// `s ∈ destinations(f)` iff some atom matching `f` hashes its
+        /// bound values to `s`'s mixed-radix coordinates; and through
+        /// each atom alone, `destinations_via` appends exactly the
+        /// servers that atom sends `f` to, offset and ascending, or
+        /// nothing (returning `false`) when `f` does not match it.
+        /// Queries have self-joins, repeated variables and constants.
+        #[test]
+        fn compiled_route_matches_the_definition(
+            atoms in prop::collection::vec((0..2u8, (0..7usize, 0..7usize, 0..7usize)), 1..4),
+            raw_shares in prop::collection::vec(1..4usize, 4..5),
+            seed in 0..1000u64,
+            facts in prop::collection::vec((0..3u8, (0..3u64, 0..3u64, 0..3u64)), 1..12),
+        ) {
+            let atoms: Vec<(bool, [usize; 3])> =
+                atoms.into_iter().map(|(b, (i, j, k))| (b == 0, [i, j, k])).collect();
+            let Some(q) = random_query(&atoms) else { return };
+            let vars: Vec<String> = q.body_variables().into_iter().map(|v| v.0).collect();
+            let shares = raw_shares[..vars.len()].to_vec();
+            let hc = HypercubeAlgorithm::with_shares(&q, Shares::manual(vars, shares), seed);
+            let p = hc.servers();
+            for (r, (a, b, c)) in facts {
+                let f = match r {
+                    0 => parlog_relal::fact::fact("R", &[a, b]),
+                    1 => parlog_relal::fact::fact("S", &[a, b, c]),
+                    _ => parlog_relal::fact::fact("T", &[a, b]),
+                };
+                let want: Vec<usize> =
+                    (0..p).filter(|&s| q.body.iter().any(|a| receives_via(&hc, a, &f, s))).collect();
+                prop_assert_eq!(hc.destinations(&f), want, "{:?} for {}", &q, &f);
+                for (ai, atom) in q.body.iter().enumerate() {
+                    let offset = 100 * ai;
+                    let mut out = vec![usize::MAX];
+                    let matched = hc.destinations_via(ai, &f, offset, &mut out);
+                    prop_assert_eq!(matched, atom.matches(&f));
+                    let want: Vec<usize> = std::iter::once(usize::MAX)
+                        .chain((0..p).filter(|&s| receives_via(&hc, atom, &f, s)).map(|s| s + offset))
+                        .collect();
+                    prop_assert_eq!(out, want, "atom {} of {:?} for {}", ai, &q, &f);
+                }
+            }
         }
     }
 

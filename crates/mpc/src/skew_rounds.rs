@@ -481,9 +481,7 @@ impl SkewAdaptiveJoin {
                 if !pattern_consistent(&binding, &plan.pattern, &self.heavy) {
                     continue;
                 }
-                if let Some(d) = plan.hc.destinations_via(&plan.residual.body[ai], f) {
-                    out.extend(d.into_iter().map(|x| plan.offset + x));
-                }
+                plan.hc.destinations_via(ai, f, plan.offset, &mut out);
             }
         }
         out.sort_unstable();

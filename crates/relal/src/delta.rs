@@ -10,6 +10,10 @@
 //! gets `None` and must fall back to a full rebuild, which is always
 //! correct (the log is an optimization channel, never the source of
 //! truth).
+//!
+//! Only mutation is logged. An instance built whole — from a collection
+//! of facts, in one bulk build — has no history: its log starts empty and
+//! already truncated up to the epoch it was built at.
 
 use crate::fact::Fact;
 
@@ -35,6 +39,13 @@ pub struct DeltaEntry {
 }
 
 /// A bounded, ordered log of [`DeltaEntry`]s.
+///
+/// The rule an instance keeps it by: an instance built whole has no
+/// history, an instance that is mutated is logged. A bulk build writes
+/// no entry and leaves the log forgotten up to the build's epoch
+/// (`since(e)` is `None` for every earlier `e`, so a consumer behind it
+/// rebuilds, and empty at the epoch); every later insert or delete is
+/// pushed here.
 ///
 /// The **logical window** is the last `capacity` entries pushed; it is
 /// what [`DeltaLog::len`] and [`DeltaLog::since`] describe. Physically
@@ -97,7 +108,8 @@ impl DeltaLog {
 
     /// An empty log that has already forgotten everything up to `epoch`:
     /// `since(e)` is `None` for `e < epoch` (rebuild, always correct) and
-    /// empty at `epoch` — the log of a copy that keeps no history.
+    /// empty at `epoch` — the log of an instance built whole, or of a copy
+    /// that keeps no history.
     pub(crate) fn forgotten_to(epoch: u64, capacity: usize) -> DeltaLog {
         DeltaLog {
             truncated_to: epoch,

@@ -15,6 +15,18 @@
 //! MPC shards in `parlog-mpc`) catches up by replaying
 //! [`Instance::delta_since`] instead of rebuilding from scratch; a
 //! truncated log (`None`) is the signal to fall back to a full rebuild.
+//!
+//! **An instance built whole has no history; an instance that is mutated
+//! is logged.** Every instance built from a collection of facts —
+//! [`Instance::from_facts`], [`Instance::from_borrowed`],
+//! [`Instance::rebuilt`] — comes out of one bulk build that counts the
+//! facts per relation, allocates each relation's set once at that size,
+//! hashes each fact once and writes no log. It has the facts, epoch and
+//! per-relation epochs that inserting the facts one by one would give it,
+//! and a log already forgotten up to that epoch: `delta_since(e)` is
+//! `None` for `e < epoch` (a consumer behind it rebuilds) and empty at
+//! `epoch`. [`Instance::insert`], [`Instance::insert_all`] and
+//! [`Instance::remove`] on an existing instance log every mutation.
 
 use crate::delta::{DeltaEntry, DeltaLog, DeltaOp};
 use crate::fact::{Fact, Val};
@@ -110,12 +122,73 @@ impl Instance {
         Instance::default()
     }
 
-    /// Build an instance from an iterator of facts (one bulk ingest, see
-    /// [`Instance::insert_all`]).
+    /// Build an instance whole from `facts`. It has no history (see the
+    /// module docs): its facts, epoch and per-relation epochs are those of
+    /// inserting `facts` in order into an empty instance, but its delta log
+    /// is empty and forgotten up to that epoch — a consumer catching up
+    /// from an earlier epoch rebuilds, one at the epoch is current, and
+    /// mutations from here on are logged.
     pub fn from_facts<I: IntoIterator<Item = Fact>>(facts: I) -> Instance {
-        let mut inst = Instance::new();
-        inst.ingest(facts.into_iter().map(Cow::Owned), |_| {});
-        inst
+        let facts: Vec<Fact> = facts.into_iter().collect();
+        let sizes = sizes(&facts);
+        Instance::default().build(sizes, facts.into_iter().map(Cow::Owned), |_| {})
+    }
+
+    /// [`Instance::from_facts`] over borrowed facts, each new one cloned
+    /// once. `on_new` sees the position in `facts` of each fact that was
+    /// new, in order.
+    pub fn from_borrowed<'a, I, F>(facts: I, on_new: F) -> Instance
+    where
+        I: IntoIterator<Item = &'a Fact>,
+        I::IntoIter: Clone,
+        F: FnMut(usize),
+    {
+        let facts = facts.into_iter();
+        let sizes = sizes(facts.clone());
+        Instance::default().build(sizes, facts.map(Cow::Borrowed), on_new)
+    }
+
+    /// The one bulk build (see the module docs): add `facts`, in order, to
+    /// `self` — an instance under construction that no one else has seen.
+    /// Each relation's set is reserved once, at its count in `sizes`
+    /// (duplicates included), and each fact is hashed once; the epochs
+    /// move as the insert loop would move them, but no log is written —
+    /// it is forgotten up to the final epoch. `on_new` sees the position
+    /// of each fact that was new. A relation whose facts were mostly
+    /// duplicates is shrunk to fit, so a projection's answer does not keep
+    /// the footprint of its valuations.
+    fn build<'a, I, F>(mut self, sizes: FxMap<RelId, usize>, facts: I, mut on_new: F) -> Instance
+    where
+        I: Iterator<Item = Cow<'a, Fact>>,
+        F: FnMut(usize),
+    {
+        for (&rel, &n) in &sizes {
+            self.by_rel.entry(rel).or_default().reserve(n);
+        }
+        let mut facts = facts.enumerate().peekable();
+        while let Some((_, first)) = facts.peek() {
+            let rel = first.rel;
+            let set = self.by_rel.get_mut(&rel).expect("every relation is sized");
+            let before = self.epoch;
+            while let Some((i, f)) = facts.next_if(|(_, f)| f.rel == rel) {
+                if set.insert(f.into_owned()) {
+                    self.epoch += 1;
+                    on_new(i);
+                }
+            }
+            if self.epoch > before {
+                self.len += (self.epoch - before) as usize;
+                self.rel_epochs.insert(rel, self.epoch);
+            }
+        }
+        for (rel, n) in sizes {
+            let set = self.by_rel.get_mut(&rel).expect("sized above");
+            if 2 * set.len() < n {
+                set.shrink_to_fit();
+            }
+        }
+        self.log = DeltaLog::forgotten_to(self.epoch, self.log.capacity());
+        self
     }
 
     /// Insert a fact; returns `true` if it was not already present.
@@ -137,11 +210,11 @@ impl Instance {
         self.ingest(facts.into_iter().map(Cow::Borrowed), on_new);
     }
 
-    /// The one insertion path. Bookkeeping that is per relation rather
-    /// than per fact — the `by_rel` lookup, the relation-epoch stamp — is
-    /// done once per run of consecutive facts of one relation, and a new
-    /// fact is copied exactly once more than its caller already had to
-    /// (the set and the delta log each own one).
+    /// The one insertion path of an existing instance. Bookkeeping that
+    /// is per relation rather than per fact — the `by_rel` lookup, the
+    /// relation-epoch stamp — is done once per run of consecutive facts
+    /// of one relation, and a new fact is copied exactly once more than
+    /// its caller already had to (the set and the delta log each own one).
     fn ingest<'a, I, F>(&mut self, facts: I, mut on_new: F)
     where
         I: Iterator<Item = Cow<'a, Fact>>,
@@ -211,26 +284,29 @@ impl Instance {
         self.fork(DeltaLog::forgotten_to(self.epoch, self.log.capacity()))
     }
 
-    /// The facts of every relation outside `drop`, as a copy with no
-    /// mutation history (as [`Instance::clone_without_log`]) and no cached
-    /// tries: each kept relation's set is copied whole, never re-inserted
-    /// fact by fact. An MPC computation phase builds a server's next
-    /// instance this way.
-    pub fn without(&self, drop: &[RelId]) -> Instance {
+    /// This instance's relations outside `drop`, plus `facts` (whatever
+    /// their relation), as an instance built whole (no history, see the
+    /// module docs) and without cached tries: each kept relation's set is
+    /// copied as it is, never re-inserted fact by fact, and `facts` are
+    /// added in order as by [`Instance::from_facts`], the epochs moving on
+    /// from this instance's. An MPC computation phase builds a server's
+    /// next instance this way.
+    pub fn rebuilt(&self, drop: &[RelId], facts: Vec<Fact>) -> Instance {
         let by_rel: FxMap<RelId, FxSet<Fact>> = self
             .by_rel
             .iter()
             .filter(|(r, _)| !drop.contains(r))
             .map(|(&r, set)| (r, set.clone()))
             .collect();
-        Instance {
+        let kept = Instance {
             len: by_rel.values().map(FxSet::len).sum(),
             by_rel,
             epoch: self.epoch,
             rel_epochs: self.rel_epochs.clone(),
-            log: DeltaLog::forgotten_to(self.epoch, self.log.capacity()),
             ..Instance::default()
-        }
+        };
+        let sizes = sizes(&facts);
+        kept.build(sizes, facts.into_iter().map(Cow::Owned), |_| {})
     }
 
     /// The mutation epoch: bumped exactly when the fact set changes.
@@ -462,7 +538,7 @@ impl Instance {
     }
 
     /// Iterate over all facts.
-    pub fn iter(&self) -> impl Iterator<Item = &Fact> {
+    pub fn iter(&self) -> impl Iterator<Item = &Fact> + Clone {
         self.by_rel.values().flat_map(|s| s.iter())
     }
 
@@ -587,12 +663,12 @@ impl Instance {
                 }
             }
         }
-        let mut groups: FxMap<usize, Instance> = fxmap();
+        let mut groups: FxMap<usize, Vec<Fact>> = fxmap();
         for (i, f) in facts.iter().enumerate() {
             let r = find(&mut parent, i);
-            groups.entry(r).or_default().insert((*f).clone());
+            groups.entry(r).or_default().push((*f).clone());
         }
-        let mut out: Vec<Instance> = groups.into_values().collect();
+        let mut out: Vec<Instance> = groups.into_values().map(Instance::from_facts).collect();
         // Deterministic order: by smallest fact.
         out.sort_by_key(|inst| inst.iter().min().cloned());
         out
@@ -604,6 +680,16 @@ impl Instance {
         v.sort();
         v
     }
+}
+
+/// Each relation's fact count in `facts`, duplicates included: the sizes
+/// a bulk build allocates at.
+fn sizes<'a>(facts: impl IntoIterator<Item = &'a Fact>) -> FxMap<RelId, usize> {
+    let mut sizes = fxmap();
+    for f in facts {
+        *sizes.entry(f.rel).or_insert(0) += 1;
+    }
+    sizes
 }
 
 /// Clones carry the facts, the epochs, the delta log **and the trie
@@ -799,6 +885,23 @@ mod tests {
         assert!(layers.has_tombstones());
     }
 
+    /// A trie built on an instance built whole is current at the build's
+    /// epoch, so the mutations after it advance the trie from the log —
+    /// the history before the build is never needed.
+    #[test]
+    fn trie_on_a_built_instance_advances_from_the_log() {
+        let mut i = Instance::from_facts((0..50u64).map(|k| fact("R", &[k, k + 1])));
+        assert_eq!(i.delta_log_len(), 0);
+        let _ = i.trie_layers(rel("R"), &[0, 1]);
+        assert_eq!(i.trie_builds(), 1);
+        i.insert(fact("R", &[7, 7]));
+        i.remove(&fact("R", &[0, 1]));
+        let layers = i.trie_layers(rel("R"), &[0, 1]);
+        assert_eq!(i.trie_builds(), 1);
+        assert_eq!(layers.run_count(), 2);
+        assert!(layers.has_tombstones());
+    }
+
     /// Regression (poisoned trie cache aborted all callers): a caught
     /// panic while the cache lock is held must leave the instance usable.
     #[test]
@@ -977,16 +1080,30 @@ mod tests {
 
     /// What a loop of single inserts does to the observable bookkeeping,
     /// written without any of the instance's machinery: the reference
-    /// the bulk ingest is checked against.
+    /// the bulk builds and ingests are checked against.
     #[derive(Default)]
     struct InsertLoop {
         facts: std::collections::BTreeSet<Fact>,
         epoch: u64,
         rel_epochs: std::collections::BTreeMap<RelId, u64>,
         log: Vec<DeltaEntry>,
+        /// The epoch of the last whole build: history before it is gone.
+        forgotten: u64,
     }
 
     impl InsertLoop {
+        /// The loop over `facts`, then the whole build's contract: the
+        /// same facts and epochs, and no history.
+        fn built_whole<'a>(facts: impl IntoIterator<Item = &'a Fact>) -> InsertLoop {
+            let mut model = InsertLoop::default();
+            for f in facts {
+                model.insert(f);
+            }
+            model.log.clear();
+            model.forgotten = model.epoch;
+            model
+        }
+
         fn insert(&mut self, f: &Fact) -> bool {
             let fresh = self.facts.insert(f.clone());
             if fresh {
@@ -1012,9 +1129,11 @@ mod tests {
                 let want = self.rel_epochs.get(&rel(name)).copied().unwrap_or(0);
                 assert_eq!(inst.rel_epoch(rel(name)), want, "rel_epoch({name})");
             }
+            assert_eq!(inst.delta_log_len(), self.log.len());
             for e in 0..=self.epoch + 1 {
-                let want = &self.log[self.log.partition_point(|d| d.epoch <= e)..];
-                assert_eq!(inst.delta_since(e), Some(want), "delta_since({e})");
+                let want = (e >= self.forgotten)
+                    .then(|| &self.log[self.log.partition_point(|d| d.epoch <= e)..]);
+                assert_eq!(inst.delta_since(e), want, "delta_since({e})");
             }
         }
     }
@@ -1024,10 +1143,14 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// `from_facts`, `insert_all`, `extend_from` and `insert`, mixed
-        /// over one stream with duplicates, interleaved relations and
-        /// mixed arities, leave exactly the bookkeeping of the insert
-        /// loop — and `insert_all` reports exactly the new facts.
+        /// `from_facts` and `from_borrowed` build an instance whole: the
+        /// facts and epochs of the insert loop, and no history
+        /// (`delta_log_len() == 0`, `delta_since(e)` `None` below the
+        /// epoch and empty at it). `insert_all`, `extend_from` and
+        /// `insert`, mixed over the rest of one stream with duplicates,
+        /// interleaved relations and mixed arities, then log exactly what
+        /// the loop logs from that epoch on — and `insert_all` and
+        /// `from_borrowed` report exactly the new facts.
         #[test]
         fn bulk_ingest_matches_the_insert_loop(
             stream in prop::collection::vec((0..4usize, 0..4u64, 0..3u64, 0..4usize), 0..60),
@@ -1041,15 +1164,12 @@ mod tests {
                     (f, how)
                 })
                 .collect();
-            let mut model = InsertLoop::default();
             // The stream is cut wherever the ingest method changes.
             let mut chunks = facts.chunk_by(|a, b| a.1 == b.1);
             let first: Vec<Fact> = chunks
                 .next()
                 .map_or(Vec::new(), |c| c.iter().map(|(f, _)| f.clone()).collect());
-            for f in &first {
-                model.insert(f);
-            }
+            let mut model = InsertLoop::built_whole(&first);
             let mut inst = Instance::from_facts(first);
             model.assert_matches(&inst);
             for chunk in chunks {
@@ -1066,7 +1186,13 @@ mod tests {
                         prop_assert_eq!(seen, want);
                     }
                     2 => {
-                        let other = Instance::from_facts(chunk_facts.iter().map(|f| (*f).clone()));
+                        let mut new_at = Vec::new();
+                        let other = Instance::from_borrowed(chunk_facts.iter().copied(), |i| new_at.push(i));
+                        let mut fresh = InsertLoop::default();
+                        let want: Vec<usize> =
+                            (0..chunk_facts.len()).filter(|&i| fresh.insert(chunk_facts[i])).collect();
+                        prop_assert_eq!(new_at, want);
+                        InsertLoop::built_whole(chunk_facts.iter().copied()).assert_matches(&other);
                         // The model follows the iteration order the
                         // union actually sees.
                         let added = other.iter().filter(|f| model.insert(f)).count();
@@ -1083,27 +1209,65 @@ mod tests {
         }
     }
 
-    /// Past the log capacity the bulk ingest truncates like the loop:
-    /// same window, same cut-off.
+    /// Past the log capacity a bulk build still writes no log, where the
+    /// loop keeps its last `capacity` entries: same facts and epoch, the
+    /// history forgotten up to that epoch, and from there on both log
+    /// the same mutations.
     #[test]
     fn bulk_ingest_truncates_like_the_insert_loop() {
         let n = crate::delta::DEFAULT_LOG_CAPACITY as u64 + 10;
         let facts: Vec<Fact> = (0..n).map(|i| fact("R", &[i, i % 7])).collect();
-        let bulk = Instance::from_facts(facts.clone());
+        let mut bulk = Instance::from_facts(facts.clone());
         let mut looped = Instance::new();
         for f in facts {
             looped.insert(f);
         }
+        assert_eq!(bulk, looped);
         assert_eq!(bulk.epoch(), looped.epoch());
-        assert_eq!(bulk.delta_log_len(), looped.delta_log_len());
-        for e in [0, 9, 10, 11, n - 1, n] {
-            assert_eq!(
-                bulk.delta_since(e),
-                looped.delta_since(e),
-                "delta_since({e})"
-            );
+        assert_eq!(bulk.rel_epoch(rel("R")), n);
+        assert_eq!(bulk.delta_log_len(), 0);
+        assert_eq!(looped.delta_log_len(), crate::delta::DEFAULT_LOG_CAPACITY);
+        for e in [0, 9, 10, 11, n - 1] {
+            assert!(bulk.delta_since(e).is_none(), "delta_since({e})");
         }
-        assert!(bulk.delta_since(9).is_none() && bulk.delta_since(10).is_some());
+        assert_eq!(bulk.delta_since(n), Some(&[][..]));
+        bulk.insert(fact("S", &[1]));
+        looped.insert(fact("S", &[1]));
+        assert_eq!(bulk.delta_since(n), looped.delta_since(n));
+        assert_eq!(bulk.delta_log_len(), 1);
+    }
+
+    /// `rebuilt` is the kept relations and the added facts, built whole:
+    /// epochs moving on from the source's, no log and no cached tries.
+    #[test]
+    fn rebuilt_drops_adds_and_forgets() {
+        let mut i = abc();
+        i.insert(fact("T", &[4]));
+        let _ = i.trie_layers(rel("R"), &[0, 1]);
+        let added = vec![
+            fact("U", &[1]),
+            fact("R", &[1, 2]),
+            fact("U", &[2]),
+            fact("T", &[5]),
+        ];
+        let r = i.rebuilt(&[rel("S"), rel("T")], added);
+        let want = Instance::from_facts([
+            fact("R", &[1, 2]),
+            fact("R", &[2, 3]),
+            fact("T", &[5]),
+            fact("U", &[1]),
+            fact("U", &[2]),
+        ]);
+        assert_eq!(r, want);
+        // `drop` removes the source's relations only: `T(4)` goes, the
+        // added `T(5)` stays. `R(1,2)` was already there.
+        assert_eq!(r.epoch(), i.epoch() + 3);
+        assert_eq!(r.rel_epoch(rel("U")), i.epoch() + 2);
+        assert_eq!(r.rel_epoch(rel("T")), i.epoch() + 3);
+        assert_eq!(r.rel_epoch(rel("R")), i.rel_epoch(rel("R")));
+        assert_eq!(r.delta_log_len(), 0);
+        assert!(r.delta_since(r.epoch() - 1).is_none());
+        assert_eq!(r.cached_tries(), 0);
     }
 
     /// Absent removes are complete no-ops: epoch, delta log and views all

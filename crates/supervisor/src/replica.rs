@@ -201,6 +201,26 @@ mod tests {
         assert_eq!(replica.full_adoptions(), 2); // bootstrap + resync
     }
 
+    /// A primary built whole has no history to replay: an empty replica
+    /// catches up to it by one full adoption, and to its later mutations
+    /// by deltas.
+    #[test]
+    fn built_primary_is_adopted_once_then_replayed() {
+        let mut primary = Instance::from_facts((0..5u64).map(|k| fact("R", &[k, k + 1])));
+        let mut replica = ReadReplica::adopt(&Instance::new());
+        assert_eq!(replica.catch_up(&primary), CatchUp::FullAdopt { facts: 5 });
+        assert_eq!(replica.full_adoptions(), 2); // bootstrap + the adoption
+        for k in 5..8u64 {
+            primary.insert(fact("R", &[k, k + 1]));
+            assert_eq!(replica.catch_up(&primary), CatchUp::Delta { applied: 1 });
+        }
+        primary.remove(&fact("R", &[0, 1]));
+        assert_eq!(replica.catch_up(&primary), CatchUp::Delta { applied: 1 });
+        assert_eq!(replica.full_adoptions(), 2);
+        assert_eq!(replica.delta_catchups(), 4);
+        assert_eq!(*replica.instance(), primary);
+    }
+
     #[test]
     fn adopt_shards_unions_durable_state() {
         let shards = vec![
