@@ -102,6 +102,19 @@ pub enum Verdict {
     Deadlock,
 }
 
+impl Verdict {
+    /// The verdict over a cell's seeded runs: `Fails` if any run was
+    /// `unsound`, else `Consistent` if every run was `exact`, else
+    /// `SoundOnly`.
+    pub fn of(unsound: bool, exact: bool) -> Verdict {
+        match (unsound, exact) {
+            (true, _) => Verdict::Fails,
+            (false, true) => Verdict::Consistent,
+            (false, false) => Verdict::SoundOnly,
+        }
+    }
+}
+
 impl fmt::Display for Verdict {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
@@ -167,6 +180,18 @@ impl fmt::Display for FaultMatrix {
     }
 }
 
+/// The MPC rows' input cluster: `R(i, i+1)` and `S(i+1, i+2)` for
+/// `i < 12`, round-robin over `p` servers.
+fn seed_cluster(p: usize) -> Cluster {
+    let mut c = Cluster::new(p);
+    for i in 0..12u64 {
+        let s = (i % p as u64) as usize;
+        c.local_mut(s).insert(fact("R", &[i, i + 1]));
+        c.local_mut(s).insert(fact("S", &[i + 1, i + 2]));
+    }
+    c
+}
+
 /// Run one program under every fault class and aggregate per-seed
 /// outcomes into verdicts.
 fn verdicts_for<P: TransducerProgram + ?Sized>(
@@ -179,32 +204,25 @@ fn verdicts_for<P: TransducerProgram + ?Sized>(
     rows: &mut Vec<FaultMatrixRow>,
 ) {
     for class in FaultClass::ALL {
-        let mut all_exact = true;
-        let mut unsound = false;
-        for &seed in seeds {
+        let run = |&seed: &u64| {
             let plan = FaultPlan::for_class(class, seed);
-            let (out, _) =
-                run_with_faults(program, shards, ctx.clone(), Schedule::Random(seed), &plan);
-            if !out.is_subset_of(expected) {
-                unsound = true;
-            } else if out != *expected {
-                all_exact = false;
-            }
-        }
+            run_with_faults(program, shards, ctx.clone(), Schedule::Random(seed), &plan).0
+        };
         rows.push(FaultMatrixRow {
             program: program.name().to_string(),
             class: label,
             fault: class.name(),
             within_model: class.within_model(),
-            verdict: if unsound {
-                Verdict::Fails
-            } else if all_exact {
-                Verdict::Consistent
-            } else {
-                Verdict::SoundOnly
-            },
+            verdict: verdict_over(&seeds.iter().map(run).collect::<Vec<_>>(), expected),
         });
     }
+}
+
+/// The verdict over a cell's seeded outputs, each checked against
+/// `expected`.
+fn verdict_over(outs: &[Instance], expected: &Instance) -> Verdict {
+    let unsound = outs.iter().any(|out| !out.is_subset_of(expected));
+    Verdict::of(unsound, outs.iter().all(|out| out == expected))
 }
 
 /// Recompute the whole matrix over the survey's representative programs
@@ -328,69 +346,37 @@ pub fn fault_matrix_with_seeds(seeds: &[u64]) -> FaultMatrix {
     {
         let q = parse_query("H(x,z) <- R(x,y), S(y,z)").unwrap();
         let p = 3usize;
-        let seed_cluster = || {
-            let mut c = Cluster::new(p);
-            for i in 0..12u64 {
-                c.local_mut((i % p as u64) as usize)
-                    .insert(fact("R", &[i, i + 1]));
-                c.local_mut((i % p as u64) as usize)
-                    .insert(fact("S", &[i + 1, i + 2]));
-            }
-            c
-        };
         let expected = {
-            let mut c = seed_cluster();
+            let mut c = seed_cluster(p);
             c.compute_query(&q, EvalStrategy::Indexed);
             c.union_all()
         };
         let u = parlog_relal::query::UnionQuery::new(vec![q.clone()]);
-        let mut blind_exact = true;
-        let mut blind_unsound = false;
-        let mut verified_exact = true;
-        let mut verified_unsound = false;
+        let (mut blind, mut verified) = (Vec::new(), Vec::new());
         for (i, &seed) in seeds.iter().enumerate() {
             let kind = CorruptKind::ALL[i % CorruptKind::ALL.len()];
             let plan = CorruptionPlan::single(seed, 0, (seed as usize) % p, kind);
-            let mut c = seed_cluster();
+            let mut c = seed_cluster(p);
             c.compute_union_corrupted(&u, EvalStrategy::Indexed, &plan);
-            let out = c.union_all();
-            if !out.is_subset_of(&expected) {
-                blind_unsound = true;
-            } else if out != expected {
-                blind_exact = false;
-            }
-            let mut c = seed_cluster();
+            blind.push(c.union_all());
+            let mut c = seed_cluster(p);
             let round = c.compute_query_verified(&q, EvalStrategy::Indexed, &plan);
             debug_assert_eq!(round.detected.len(), round.corrupted.len());
-            let out = c.union_all();
-            if !out.is_subset_of(&expected) {
-                verified_unsound = true;
-            } else if out != expected {
-                verified_exact = false;
-            }
+            verified.push(c.union_all());
         }
-        let verdict = |unsound: bool, exact: bool| {
-            if unsound {
-                Verdict::Fails
-            } else if exact {
-                Verdict::Consistent
-            } else {
-                Verdict::SoundOnly
-            }
-        };
         rows.push(FaultMatrixRow {
             program: "blind-commit cluster compute".to_string(),
             class: "mpc-unverified",
             fault: FaultClass::Corrupt.name(),
             within_model: FaultClass::Corrupt.within_model(),
-            verdict: verdict(blind_unsound, blind_exact),
+            verdict: verdict_over(&blind, &expected),
         });
         rows.push(FaultMatrixRow {
             program: "verify-then-commit cluster compute".to_string(),
             class: "mpc-verified",
             fault: FaultClass::Corrupt.name(),
             within_model: FaultClass::Corrupt.within_model(),
-            verdict: verdict(verified_unsound, verified_exact),
+            verdict: verdict_over(&verified, &expected),
         });
     }
 
@@ -446,18 +432,8 @@ pub fn fault_matrix_with_seeds(seeds: &[u64]) -> FaultMatrix {
     {
         let q = parse_query("H(x,z) <- R(x,y), S(y,z)").unwrap();
         let p = 3usize;
-        let seed_cluster = || {
-            let mut c = Cluster::new(p);
-            for i in 0..12u64 {
-                c.local_mut((i % p as u64) as usize)
-                    .insert(fact("R", &[i, i + 1]));
-                c.local_mut((i % p as u64) as usize)
-                    .insert(fact("S", &[i + 1, i + 2]));
-            }
-            c
-        };
         let expected = {
-            let mut c = seed_cluster();
+            let mut c = seed_cluster(p);
             c.compute_query(&q, EvalStrategy::Indexed);
             c.union_all()
         };
@@ -469,7 +445,7 @@ pub fn fault_matrix_with_seeds(seeds: &[u64]) -> FaultMatrix {
             let perm = || MpcFaultPlan::partitioned(PartitionPlan::permanent_split(0, &[minority]));
             // The unguarded all-ack gate can never be met: the minority's
             // ack is held behind the severed link.
-            let mut c = seed_cluster().with_faults(perm());
+            let mut c = seed_cluster(p).with_faults(perm());
             if !matches!(
                 coordination_barrier(&mut c, coordinator, false, 6),
                 BarrierOutcome::Deadlocked { .. }
@@ -478,7 +454,7 @@ pub fn fault_matrix_with_seeds(seeds: &[u64]) -> FaultMatrix {
             }
             // Quorum gate, majority coordinator: commits, and the answer
             // computed under the open split stays a sound subset.
-            let mut c = seed_cluster().with_faults(perm());
+            let mut c = seed_cluster(p).with_faults(perm());
             if !coordination_barrier(&mut c, coordinator, true, 6).committed() {
                 quorum_consistent = false;
             }
@@ -488,7 +464,7 @@ pub fn fault_matrix_with_seeds(seeds: &[u64]) -> FaultMatrix {
             }
             // Quorum gate, minority coordinator: must block, not commit —
             // two sides can never both open the barrier.
-            let mut c = seed_cluster().with_faults(perm());
+            let mut c = seed_cluster(p).with_faults(perm());
             if !matches!(
                 coordination_barrier(&mut c, minority, true, 6),
                 BarrierOutcome::QuorumLost { .. }
@@ -497,7 +473,7 @@ pub fn fault_matrix_with_seeds(seeds: &[u64]) -> FaultMatrix {
             }
             // Healing split: the held traffic flushes, the barrier
             // commits after the heal, and the answer converges exactly.
-            let mut c = seed_cluster().with_faults(MpcFaultPlan::partitioned(
+            let mut c = seed_cluster(p).with_faults(MpcFaultPlan::partitioned(
                 PartitionPlan::split(0, 2, &[minority]),
             ));
             if !coordination_barrier(&mut c, minority, true, 8).committed() {

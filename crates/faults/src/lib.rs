@@ -163,6 +163,12 @@ pub struct Straggler {
     pub slowdown: f64,
 }
 
+/// The slowdown factor of `node` among `stragglers` (1.0 when healthy).
+fn slowdown_of(stragglers: &[Straggler], node: usize) -> f64 {
+    let slow = stragglers.iter().find(|s| s.node == node);
+    slow.map_or(1.0, |s| s.slowdown)
+}
+
 /// One partition epoch: between `start` (inclusive) and `heal`
 /// (exclusive) the node set is split into `blocks` that cannot exchange
 /// messages, plus optional asymmetric `one_way` severed links. Nodes
@@ -338,6 +344,25 @@ impl PartitionPlan {
         (0..self.epochs.len())
             .filter(|&i| self.epochs[i].open_at(clock))
             .collect()
+    }
+
+    /// The one partition edge detector: the epochs that opened or healed
+    /// at `clock` since the caller's flags `open` (one per epoch) were
+    /// last updated, in epoch order; the flags are updated in place. An
+    /// opening carries its `PartitionStart` info, the scheduled heal clock
+    /// (`u64::MAX` = permanent); a heal carries `None`, since the copies
+    /// it releases are counted by each substrate's own hold rule.
+    pub fn edges(&self, open: &mut [bool], clock: usize) -> Vec<(usize, Option<u64>)> {
+        let mut edges = Vec::new();
+        for (i, (epoch, was_open)) in self.epochs.iter().zip(open).enumerate() {
+            let open = epoch.open_at(clock);
+            if open != *was_open {
+                // `usize::MAX` (permanent) widens to `u64::MAX`.
+                edges.push((i, open.then_some(epoch.heal as u64)));
+                *was_open = open;
+            }
+        }
+        edges
     }
 
     /// The next clock strictly after `clock` at which an epoch starts
@@ -700,10 +725,7 @@ impl FaultPlan {
 
     /// Slowdown factor for `node` (1.0 when healthy).
     pub fn slowdown(&self, node: usize) -> f64 {
-        self.stragglers
-            .iter()
-            .find(|s| s.node == node)
-            .map_or(1.0, |s| s.slowdown)
+        slowdown_of(&self.stragglers, node)
     }
 }
 
@@ -832,10 +854,7 @@ impl MpcFaultPlan {
 
     /// Slowdown factor for `server` (1.0 when healthy).
     pub fn slowdown(&self, server: usize) -> f64 {
-        self.stragglers
-            .iter()
-            .find(|s| s.node == server)
-            .map_or(1.0, |s| s.slowdown)
+        slowdown_of(&self.stragglers, server)
     }
 }
 
@@ -1071,6 +1090,23 @@ mod tests {
         };
         assert_eq!(p.severed(2, 0, 1), Some(6));
         assert_eq!(p.severed(5, 0, 1), Some(12), "max heal among open epochs");
+    }
+
+    #[test]
+    fn edges_report_each_transition_once() {
+        // Epoch 0 is open over [2, 5), epoch 1 from 4 on, for good.
+        let mut p = PartitionPlan::split(2, 5, &[0]);
+        p.epochs
+            .extend(PartitionPlan::permanent_split(4, &[1]).epochs);
+        let mut open = vec![false; 2];
+        assert_eq!(p.edges(&mut open, 0), vec![]);
+        assert_eq!(p.edges(&mut open, 3), vec![(0, Some(5))]);
+        assert_eq!(p.edges(&mut open, 3), vec![], "no edge without a change");
+        assert_eq!(p.edges(&mut open, 4), vec![(1, Some(u64::MAX))]);
+        // A clock jump crosses the heal: one edge, not one per tick.
+        assert_eq!(p.edges(&mut open, 9), vec![(0, None)]);
+        assert_eq!(open, vec![false, true]);
+        assert_eq!(p.edges(&mut open, 100), vec![]);
     }
 
     #[test]

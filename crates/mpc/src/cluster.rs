@@ -52,10 +52,9 @@
 //! is preserved: a healing partition is just a long delay, and loads
 //! during the partition understate the fault-free loads by exactly the
 //! held traffic (the availability trajectory experiment E24 measures).
-//! Because partitioned traffic needs real sources, the value-
-//! deterministic phases switch from collapsed single-source routing to
-//! per-holder routing whenever a plan is installed; deliveries are
-//! deduplicated per destination, so committed loads are identical.
+//! Every phase routes each holder's copy of a fact, so a severed link
+//! knows which holder it starves; deliveries are deduplicated per
+//! destination, so a fact held by several servers costs no extra load.
 //!
 //! ## Speculative re-execution (backup tasks)
 //!
@@ -72,7 +71,6 @@ use parlog_faults::{MpcFaultPlan, SpeculationPolicy};
 use parlog_relal::atom::Atom;
 use parlog_relal::eval::{EvalStrategy, QueryPlan};
 use parlog_relal::fact::Fact;
-use parlog_relal::fastmap::fxset;
 use parlog_relal::instance::Instance;
 use parlog_relal::query::ConjunctiveQuery;
 use parlog_relal::symbols::RelId;
@@ -270,12 +268,6 @@ where
     })
 }
 
-/// Estimated wire size of one fact: 8 bytes per value plus an 8-byte
-/// relation tag (the trace layer's bytes metric).
-fn fact_bytes(f: &Fact) -> u64 {
-    8 * (f.args.len() as u64 + 1)
-}
-
 /// A message copy held at its source by an open partition epoch:
 /// `(source, destination, fact)`. Flushed — re-checked against the plan —
 /// in the first communication round at or after the severing epoch heals.
@@ -377,7 +369,7 @@ where
                 let (f, counted) = bucket[i];
                 if counted {
                     got += 1;
-                    bytes += fact_bytes(f);
+                    bytes += CommCounters::wire_bytes(f.args.len());
                 }
             });
             (inst, got, bytes)
@@ -526,7 +518,8 @@ impl Cluster {
 
     /// Barrier time summed over committed rounds: each round costs the
     /// scaled load of its slowest server. Equals the sum of per-round
-    /// `max_load` when no straggler is configured.
+    /// `max_load` when no straggler is configured. It is the virtual
+    /// clock: timeline events emitted between rounds land here.
     pub fn tail_time(&self) -> f64 {
         self.rounds.iter().map(|r| r.tail_time).sum()
     }
@@ -546,7 +539,7 @@ impl Cluster {
     {
         let mut replays_this_round = 0u32;
         let round = self.rounds.len();
-        let vstart: f64 = self.rounds.iter().map(|r| r.tail_time).sum();
+        let vstart = self.tail_time();
         loop {
             let attempt_idx = self.recovery.attempts;
             self.recovery.attempts += 1;
@@ -653,12 +646,6 @@ impl Cluster {
         self.quarantined.iter().filter(|&&q| q).count()
     }
 
-    /// The virtual-clock position after the rounds committed so far —
-    /// where timeline events emitted between rounds land.
-    pub(crate) fn vclock_now(&self) -> f64 {
-        self.rounds.iter().map(|r| r.tail_time).sum()
-    }
-
     /// Statistics of the communication rounds executed so far.
     pub fn rounds(&self) -> &[RoundStats] {
         &self.rounds
@@ -699,27 +686,16 @@ impl Cluster {
     where
         F: Fn(&Fact) -> Vec<ServerId> + Sync,
     {
-        self.comm_round(None, true, move |_, f| Routing::Send(route(f)))
+        self.reshuffle(move |_, f| Routing::Send(route(f)))
     }
 
     /// The shared communication-phase driver all three public phases
-    /// reduce to: build the `(source, fact)` item stream (optionally
-    /// including per-server `storage` shards), route it on the worker
-    /// pool, and commit the deliveries with checkpoint/replay.
-    ///
-    /// `collapse` marks a value-deterministic phase (destinations ignore
-    /// the holder), which routes each *distinct* fact once from a
-    /// pseudo-source — unless a partition plan is installed: partitioned
-    /// traffic needs real sources to know which holder a severed link
-    /// starves, so the driver switches to per-holder routing. Deliveries
-    /// are deduplicated per destination either way, so the committed
-    /// loads are identical.
-    fn comm_round<R>(
-        &mut self,
-        storage: Option<&[Instance]>,
-        collapse: bool,
-        route: R,
-    ) -> &RoundStats
+    /// reduce to: build the `(source, fact)` item stream — every holder's
+    /// copy, optionally including per-server `storage` shards — route it on
+    /// the worker pool, and commit the deliveries with checkpoint/replay.
+    /// Deliveries are deduplicated per destination, so a fact held by
+    /// several servers and routed alike by each counts once.
+    fn comm_round<R>(&mut self, storage: Option<&[Instance]>, route: R) -> &RoundStats
     where
         R: Fn(ServerId, &Fact) -> Routing + Sync,
     {
@@ -727,10 +703,9 @@ impl Cluster {
         let threads = self.parallelism;
         let round = self.rounds.len();
         self.pump_partition_events(round);
-        let plan = self.faults.partition.clone();
-        let collapse = collapse && plan.is_none();
         // Without a plan no link is ever severed: the plan-less round is
         // the partitioned round that holds nothing.
+        let plan = self.faults.partition.clone();
         let plan = plan.as_ref();
         let severed = |src, dest| plan.is_some_and(|pl| pl.severed(round, src, dest).is_some());
         self.commit_round(|local, carried| {
@@ -738,66 +713,38 @@ impl Cluster {
                 .iter()
                 .enumerate()
                 .chain(storage.into_iter().flatten().enumerate());
-            let held_facts = holders.flat_map(|(src, inst)| inst.iter().map(move |f| (src, f)));
-            let items: Vec<(ServerId, &Fact)> = if collapse {
-                // Route each distinct fact exactly once, deduplicated by
-                // value in first-holder order.
-                let mut seen = fxset();
-                held_facts
-                    .filter(|&(_, f)| seen.insert(f))
-                    .map(|(_, f)| (0, f))
-                    .collect()
-            } else {
-                held_facts.collect()
-            };
+            let items: Vec<(ServerId, &Fact)> = holders
+                .flat_map(|(src, inst)| inst.iter().map(move |f| (src, f)))
+                .collect();
             deliver(p, threads, &items, carried, &route, &severed)
         })
     }
 
     /// Emit `PartitionStart` / `PartitionHeal` timeline events for every
-    /// epoch transition crossed by entering communication round `round`,
-    /// and flip the per-epoch edge-detection flags. The heal event's
-    /// `info` is the number of held copies whose links are usable again
-    /// — the flush the round is about to perform.
+    /// epoch transition crossed by entering communication round `round`.
+    /// The heal event's `info` is the number of held copies whose links
+    /// are usable again — the flush the round is about to perform.
     fn pump_partition_events(&mut self, round: usize) {
-        if self.partition_open.is_empty() {
+        let Some(plan) = self.faults.partition.as_ref() else {
             return;
-        }
-        let vnow = self.vclock_now();
-        for i in 0..self.partition_open.len() {
-            let plan = self
-                .faults
-                .partition
-                .as_ref()
-                .expect("flags sized from plan");
-            let epoch = &plan.epochs[i];
-            let (open, heal) = (epoch.open_at(round), epoch.heal);
-            if open && !self.partition_open[i] {
-                self.partition_open[i] = true;
-                self.trace.record(TraceEvent::Fault(FaultEvent {
-                    vclock: vnow,
-                    kind: FaultEventKind::PartitionStart,
-                    node: i,
-                    info: if heal == usize::MAX {
-                        u64::MAX
-                    } else {
-                        heal as u64
-                    },
-                }));
-            } else if !open && self.partition_open[i] {
-                let released = self
-                    .held
-                    .iter()
-                    .filter(|(s, d, _)| plan.severed(round, *s, *d).is_none())
-                    .count();
-                self.partition_open[i] = false;
-                self.trace.record(TraceEvent::Fault(FaultEvent {
-                    vclock: vnow,
-                    kind: FaultEventKind::PartitionHeal,
-                    node: i,
-                    info: released as u64,
-                }));
-            }
+        };
+        let vclock = self.tail_time();
+        for (node, start) in plan.edges(&mut self.partition_open, round) {
+            let (kind, info) = match start {
+                Some(heal) => (FaultEventKind::PartitionStart, heal),
+                None => {
+                    let held = self.held.iter();
+                    let released = held.filter(|(s, d, _)| plan.severed(round, *s, *d).is_none());
+                    (FaultEventKind::PartitionHeal, released.count() as u64)
+                }
+            };
+            let event = FaultEvent {
+                vclock,
+                kind,
+                node,
+                info,
+            };
+            self.trace.record(TraceEvent::Fault(event));
         }
     }
 
@@ -833,7 +780,7 @@ impl Cluster {
     where
         F: Fn(ServerId, &Fact) -> Routing + Sync,
     {
-        self.comm_round(None, false, route)
+        self.comm_round(None, route)
     }
 
     /// Computation phase applied per server with access to the server id:
@@ -861,7 +808,7 @@ impl Cluster {
             // Computation is free in the model's accounting, so the
             // virtual span is empty; only the wall clock moves.
             let round = self.rounds.len().saturating_sub(1);
-            let vnow: f64 = self.rounds.iter().map(|r| r.tail_time).sum();
+            let vnow = self.tail_time();
             self.trace.record(TraceEvent::Phase(Span {
                 round,
                 phase: Phase::Computation,
@@ -884,7 +831,7 @@ impl Cluster {
         F: Fn(ServerId, &Fact) -> Routing + Sync,
     {
         assert_eq!(storage.len(), self.p(), "one storage shard per server");
-        self.comm_round(Some(storage), false, route)
+        self.comm_round(Some(storage), route)
     }
 
     /// **Computation phase**: replace every server's local instance with
@@ -1413,9 +1360,9 @@ mod tests {
     #[test]
     fn per_holder_routing_commits_identical_loads_to_collapsed() {
         use parlog_faults::PartitionPlan;
-        // An installed-but-never-open plan forces the per-holder item
-        // stream; the committed loads must match the collapsed path
-        // byte for byte (dedup makes the two accountings agree).
+        // An installed-but-never-open plan must commit the same state and
+        // loads as no plan at all, byte for byte: both route every
+        // holder's copy, and a plan that never opens severs nothing.
         let facts: Vec<Fact> = (0..24u64).map(|i| fact("R", &[i, i * 7 % 13])).collect();
         let route = |f: &Fact| vec![(f.args[1].0 % 4) as usize, (f.args[0].0 % 4) as usize];
         let mut collapsed = seeded(4, &facts);
@@ -1457,7 +1404,7 @@ mod tests {
                         assert!(dest < p, "destination {dest} out of range for p={p}");
                         if next[dest].insert(f.clone()) {
                             received[dest] += 1;
-                            bytes += fact_bytes(f);
+                            bytes += CommCounters::wire_bytes(f.args.len());
                         }
                     }
                 }
@@ -1490,7 +1437,7 @@ mod tests {
                 held.push((*src, *dest, f.clone()));
             } else if next[*dest].insert(f.clone()) {
                 received[*dest] += 1;
-                bytes += fact_bytes(f);
+                bytes += CommCounters::wire_bytes(f.args.len());
             }
         }
         for (&(src, f), routing) in items.iter().zip(routings) {
@@ -1505,7 +1452,7 @@ mod tests {
                             held.push((src, dest, f.clone()));
                         } else if next[dest].insert(f.clone()) {
                             received[dest] += 1;
-                            bytes += fact_bytes(f);
+                            bytes += CommCounters::wire_bytes(f.args.len());
                         }
                     }
                 }
@@ -1783,5 +1730,45 @@ mod tests {
     fn bad_destination_rejected() {
         let mut c = seeded(2, &[fact("R", &[1, 2])]);
         c.communicate(|_| vec![5]);
+    }
+
+    #[test]
+    fn partition_timeline_is_pinned() {
+        use parlog_faults::{PartitionEpoch, PartitionPlan};
+        use parlog_trace::MemSink;
+        use std::sync::Arc;
+        // Two overlapping epochs: server 2 is cut off for rounds [1, 3),
+        // server 0 from round 2 on, for good. Every round moves every fact
+        // one server further, so each open epoch holds traffic.
+        let epoch = |start, heal, minority| PartitionEpoch {
+            start,
+            heal,
+            blocks: vec![vec![minority]],
+            one_way: Vec::new(),
+        };
+        let plan = PartitionPlan {
+            epochs: vec![epoch(1, 3, 2), epoch(2, usize::MAX, 0)],
+        };
+        let facts: Vec<Fact> = (0..12u64).map(|i| fact("R", &[i, i + 1])).collect();
+        let sink = Arc::new(MemSink::new());
+        let mut c = seeded(3, &facts)
+            .with_faults(MpcFaultPlan::partitioned(plan))
+            .with_trace(TraceHandle::to(sink.clone()));
+        for r in 0..5u64 {
+            c.communicate(move |f| vec![((f.args[0].0 + r) % 3) as usize]);
+        }
+        let timeline: Vec<_> = sink
+            .timeline()
+            .iter()
+            .map(|e| (e.kind, e.node, e.info, e.vclock))
+            .collect();
+        assert_eq!(
+            timeline,
+            vec![
+                (FaultEventKind::PartitionStart, 0, 3, 4.0),
+                (FaultEventKind::PartitionStart, 1, u64::MAX, 8.0),
+                (FaultEventKind::PartitionHeal, 0, 8, 8.0),
+            ]
+        );
     }
 }

@@ -110,7 +110,7 @@ pub fn coordination_barrier(
         }
         if rounds >= max_rounds {
             if quorum {
-                let vclock = c.vclock_now();
+                let vclock = c.tail_time();
                 c.trace().record(TraceEvent::Fault(FaultEvent {
                     vclock,
                     kind: FaultEventKind::QuorumLost,

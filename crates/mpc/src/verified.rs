@@ -1,34 +1,128 @@
-//! Verify-then-commit computation rounds: the cluster's defense against
-//! Byzantine (wrong-answer) servers.
+//! Verified computation rounds: the cluster's defense against Byzantine
+//! (wrong-answer) servers.
 //!
 //! The omission-fault machinery elsewhere in this crate (checkpoint /
 //! replay, speculation, the supervisor's detector) assumes a crashed or
 //! slow server — never a *lying* one. A Byzantine server returns an
 //! answer that is simply wrong: extra tuples, missing tuples, mutated
 //! tuples. Nothing in the retry path notices, because the wrong answer
-//! arrives on time and parses fine. [`Cluster::compute_union_corrupted`]
-//! is that unprotected path, kept as the fault matrix's UNSOUND
-//! regression witness.
+//! arrives on time and parses fine.
 //!
-//! [`Cluster::compute_union_verified`] closes the hole. Each server
-//! produces its local answer *with a certificate* binding it to the
-//! content-addressed snapshot of its input shard
-//! ([`parlog_verify::prove_ucq`]); the trusted checker validates every
-//! certificate **before** the round commits. A failed check raises
-//! `Detect` and `Quarantine` on the fault timeline, the corrupted
-//! server's task is re-executed honestly on its shard alone (`Heal`),
-//! and only then does the round commit — so the committed union equals
-//! the fault-free answer even under active corruption.
+//! [`Verifier`] is the one prove-and-audit routine over a slice of input
+//! shards. Its **prove** step has each server produce its local answer
+//! *with a certificate* binding it to the content-addressed snapshot of
+//! its shard ([`parlog_verify::prove_ucq`]), while a [`CorruptionPlan`]
+//! tampers with the outputs of servers not quarantined (`Corrupt`). Its
+//! **audit** step runs the trusted checker over every certificate: a
+//! failure raises `Detect` and, the first time, `Quarantine`, and the
+//! server's task is re-proved honestly on its shard alone (`Heal`). Every
+//! verified driver is a schedule of these two steps:
+//!
+//! * [`Cluster::compute_union_verified`] — prove, audit at once, commit:
+//!   the committed union equals the fault-free answer even under active
+//!   corruption (verify-then-commit, zero detection latency);
+//! * [`Cluster::compute_union_corrupted`] — prove, commit blind: the
+//!   unprotected path, kept as the fault matrix's UNSOUND regression
+//!   witness;
+//! * the supervisor's cadenced driver (`parlog_supervisor::verify`) —
+//!   prove every round, audit every few rounds.
 
 use crate::cluster::Cluster;
 use parlog_faults::CorruptionPlan;
 use parlog_relal::eval::EvalStrategy;
 use parlog_relal::instance::Instance;
 use parlog_relal::query::{ConjunctiveQuery, UnionQuery};
-use parlog_trace::{FaultEvent, FaultEventKind, TraceEvent};
+use parlog_trace::{FaultEvent, FaultEventKind, TraceEvent, TraceHandle};
 use parlog_verify::checker::check_answer;
 use parlog_verify::snapshot::snapshot;
-use parlog_verify::{corrupt_answer, prove_ucq, Rejection, SnapshotId};
+use parlog_verify::{corrupt_answer, prove_ucq, Rejection, ServerCertificate, SnapshotId};
+
+/// One server's local answer and the certificate binding it to its shard.
+pub type Proof = (Instance, ServerCertificate);
+
+/// The prove-and-audit routine over fixed input shards, one per server.
+pub struct Verifier<'a> {
+    /// The servers' input shards.
+    pub shards: &'a [Instance],
+    /// The local evaluation strategy of every proof.
+    pub strategy: EvalStrategy,
+    /// Per-server quarantine flags. A quarantined server no longer runs
+    /// its own (untrusted) prover: a survivor re-executes its task
+    /// honestly, so the corruption plan has no purchase on it.
+    pub quarantined: &'a mut [bool],
+    /// Where `Corrupt`, `Detect`, `Quarantine` and `Heal` are recorded.
+    pub trace: &'a TraceHandle,
+}
+
+impl Verifier<'_> {
+    /// **Prove** `u` on every shard. `corruption`'s events for `round`
+    /// tamper with the outputs of servers not quarantined — post-proof,
+    /// pre-check: the Byzantine window — each recording `Corrupt` at
+    /// `vclock`. Returns every server's proof and the tampered servers.
+    pub fn prove(
+        &self,
+        round: usize,
+        u: &UnionQuery,
+        corruption: &CorruptionPlan,
+        vclock: f64,
+    ) -> (Vec<Proof>, Vec<usize>) {
+        let mut corrupted = Vec::new();
+        let mut proofs = Vec::with_capacity(self.shards.len());
+        for (s, shard) in self.shards.iter().enumerate() {
+            let (mut answer, mut cert) = prove_ucq(s, u, shard, self.strategy);
+            let event = corruption
+                .event_for(round, s)
+                .filter(|_| !self.quarantined[s]);
+            if let Some(kind) = event {
+                let e = corruption.entropy(round, s);
+                corrupt_answer(&mut answer, &mut cert, u, kind, e);
+                corrupted.push(s);
+                self.record(FaultEventKind::Corrupt, s, e, vclock);
+            }
+            proofs.push((answer, cert));
+        }
+        (proofs, corrupted)
+    }
+
+    /// **Audit** every server's proof of `u`. A rejected one records
+    /// `Detect` at `vclock`; a server not yet quarantined is quarantined,
+    /// recording `Quarantine` with `latency` — the rounds since the proof
+    /// — as its info; then its task is re-proved honestly on its shard
+    /// alone (`Heal`). Returns the rejected servers with the checker's
+    /// verdict.
+    pub fn audit(
+        &mut self,
+        u: &UnionQuery,
+        proofs: &mut [Proof],
+        latency: usize,
+        vclock: f64,
+    ) -> Vec<(usize, Rejection)> {
+        let mut detected = Vec::new();
+        for (s, (shard, proof)) in self.shards.iter().zip(proofs).enumerate() {
+            let Err(rejection) = check_answer(u, shard, &proof.0, &proof.1) else {
+                continue;
+            };
+            self.record(FaultEventKind::Detect, s, snapshot(shard).short(), vclock);
+            if !std::mem::replace(&mut self.quarantined[s], true) {
+                self.record(FaultEventKind::Quarantine, s, latency as u64, vclock);
+            }
+            *proof = prove_ucq(s, u, shard, self.strategy);
+            self.record(FaultEventKind::Heal, s, shard.len() as u64, vclock);
+            detected.push((s, rejection));
+        }
+        detected
+    }
+
+    fn record(&self, kind: FaultEventKind, node: usize, info: u64, vclock: f64) {
+        let event = FaultEvent {
+            vclock,
+            kind,
+            node,
+            info,
+        };
+        self.trace.record(TraceEvent::Fault(event));
+    }
+}
 
 /// What one verify-then-commit round did: which servers were tampered
 /// with, which were detected (with the checker's rejection), which tasks
@@ -59,106 +153,16 @@ impl VerifiedRound {
 }
 
 impl Cluster {
-    /// The number of verified computation rounds committed so far — the
-    /// length of the quarantine history, independent of communication
-    /// rounds.
-    fn next_verified_round(&self) -> usize {
-        self.verified_rounds
-    }
-
-    /// **Verify-then-commit computation phase.** Every live server
-    /// proves its local UCQ answer against the snapshot of its shard;
-    /// `corruption` tampers with the configured servers' outputs
-    /// (post-proof, pre-check — the Byzantine window); the trusted
-    /// checker validates every certificate; failures are detected,
-    /// quarantined and healed before anything commits. The committed
-    /// state is byte-identical to a fault-free `compute_query` run.
+    /// **Verify-then-commit computation phase**: prove, audit at once
+    /// (detection latency 0), commit. The committed state is
+    /// byte-identical to a fault-free `compute_query` run.
     pub fn compute_union_verified(
         &mut self,
         u: &UnionQuery,
         strategy: EvalStrategy,
         corruption: &CorruptionPlan,
     ) -> VerifiedRound {
-        let round = self.next_verified_round();
-        self.verified_rounds += 1;
-        let vclock = self.vclock_now();
-        let p = self.p();
-        let shards: Vec<Instance> = (0..p).map(|s| self.local(s).clone()).collect();
-
-        let mut answers = Vec::with_capacity(p);
-        let mut certs = Vec::with_capacity(p);
-        let mut corrupted = Vec::new();
-        for (s, shard) in shards.iter().enumerate() {
-            let (mut answer, mut cert) = prove_ucq(s, u, shard, strategy);
-            // A quarantined server no longer runs its own (untrusted)
-            // prover: a survivor re-executes the task honestly, so the
-            // corruption plan has no purchase on it.
-            if !self.quarantined[s] {
-                if let Some(kind) = corruption.event_for(round, s) {
-                    let e = corruption.entropy(round, s);
-                    corrupt_answer(&mut answer, &mut cert, u, kind, e);
-                    corrupted.push(s);
-                    self.trace().record(TraceEvent::Fault(FaultEvent {
-                        vclock,
-                        kind: FaultEventKind::Corrupt,
-                        node: s,
-                        info: e,
-                    }));
-                }
-            }
-            answers.push(answer);
-            certs.push(cert);
-        }
-
-        let cert_bytes = certs.iter().map(|c| c.size_bytes()).sum();
-        let mut detected = Vec::new();
-        let mut healed = Vec::new();
-        for s in 0..p {
-            if let Err(rej) = check_answer(u, &shards[s], &answers[s], &certs[s]) {
-                self.trace().record(TraceEvent::Fault(FaultEvent {
-                    vclock,
-                    kind: FaultEventKind::Detect,
-                    node: s,
-                    info: snapshot(&shards[s]).short(),
-                }));
-                self.quarantined[s] = true;
-                // Detection happens inside the round that was tampered
-                // with — verify-then-commit has zero-round latency.
-                self.trace().record(TraceEvent::Fault(FaultEvent {
-                    vclock,
-                    kind: FaultEventKind::Quarantine,
-                    node: s,
-                    info: 0,
-                }));
-                // Heal: a survivor re-executes the quarantined server's
-                // task on its input shard *alone* (preserving the union
-                // semantics of per-server local computation).
-                let (honest, _) = prove_ucq(s, u, &shards[s], strategy);
-                answers[s] = honest;
-                healed.push(s);
-                self.trace().record(TraceEvent::Fault(FaultEvent {
-                    vclock,
-                    kind: FaultEventKind::Heal,
-                    node: s,
-                    info: shards[s].len() as u64,
-                }));
-                detected.push((s, rej));
-            }
-        }
-
-        let input_root =
-            parlog_verify::cluster_root(&shards.iter().map(snapshot).collect::<Vec<_>>());
-        for (s, answer) in answers.into_iter().enumerate() {
-            *self.local_mut(s) = answer;
-        }
-        VerifiedRound {
-            round,
-            input_root,
-            corrupted,
-            detected,
-            healed,
-            cert_bytes,
-        }
+        self.verified_round(u, strategy, corruption, true)
     }
 
     /// [`Cluster::compute_union_verified`] for a single conjunctive
@@ -172,39 +176,59 @@ impl Cluster {
         self.compute_union_verified(&UnionQuery::new(vec![q.clone()]), strategy, corruption)
     }
 
-    /// The **unprotected** path: apply the corruption plan and commit
-    /// blindly, exactly as `compute_query` would. Kept as the fault
-    /// matrix's regression witness that corruption without verification
-    /// is UNSOUND — the committed union silently diverges from the
-    /// fault-free answer. Returns which servers were tampered with.
+    /// The **unprotected** path: prove and commit blindly, exactly as
+    /// `compute_query` would. Kept as the fault matrix's regression
+    /// witness that corruption without verification is UNSOUND — the
+    /// committed union silently diverges from the fault-free answer.
+    /// Returns which servers were tampered with.
     pub fn compute_union_corrupted(
         &mut self,
         u: &UnionQuery,
         strategy: EvalStrategy,
         corruption: &CorruptionPlan,
     ) -> Vec<usize> {
-        let round = self.next_verified_round();
+        self.verified_round(u, strategy, corruption, false)
+            .corrupted
+    }
+
+    /// The next verified computation round over the servers' current
+    /// states: prove, audit at once when `audit`, commit every answer.
+    fn verified_round(
+        &mut self,
+        u: &UnionQuery,
+        strategy: EvalStrategy,
+        corruption: &CorruptionPlan,
+        audit: bool,
+    ) -> VerifiedRound {
+        let round = self.verified_rounds;
         self.verified_rounds += 1;
-        let vclock = self.vclock_now();
-        let p = self.p();
-        let mut corrupted = Vec::new();
-        for s in 0..p {
-            let shard = self.local(s).clone();
-            let (mut answer, mut cert) = prove_ucq(s, u, &shard, strategy);
-            if let Some(kind) = corruption.event_for(round, s) {
-                let e = corruption.entropy(round, s);
-                corrupt_answer(&mut answer, &mut cert, u, kind, e);
-                corrupted.push(s);
-                self.trace().record(TraceEvent::Fault(FaultEvent {
-                    vclock,
-                    kind: FaultEventKind::Corrupt,
-                    node: s,
-                    info: e,
-                }));
-            }
+        let (vclock, trace) = (self.tail_time(), self.trace().clone());
+        let shards: Vec<Instance> = (0..self.p()).map(|s| self.local(s).clone()).collect();
+        let mut verifier = Verifier {
+            shards: &shards,
+            strategy,
+            quarantined: &mut self.quarantined,
+            trace: &trace,
+        };
+        let (mut proofs, corrupted) = verifier.prove(round, u, corruption, vclock);
+        let cert_bytes = proofs.iter().map(|(_, cert)| cert.size_bytes()).sum();
+        let detected = if audit {
+            verifier.audit(u, &mut proofs, 0, vclock)
+        } else {
+            Vec::new()
+        };
+        for (s, (answer, _)) in proofs.into_iter().enumerate() {
             *self.local_mut(s) = answer;
         }
-        corrupted
+        let snapshots: Vec<SnapshotId> = shards.iter().map(snapshot).collect();
+        VerifiedRound {
+            round,
+            input_root: parlog_verify::cluster_root(&snapshots),
+            corrupted,
+            healed: detected.iter().map(|&(s, _)| s).collect(),
+            detected,
+            cert_bytes,
+        }
     }
 }
 
@@ -324,5 +348,31 @@ mod tests {
         let r1 = c.compute_query_verified(&q, EvalStrategy::Indexed, &plan);
         assert!(r1.corrupted.is_empty(), "quarantine blocks the adversary");
         assert!(r1.clean());
+    }
+
+    #[test]
+    fn verified_round_timeline_is_pinned() {
+        // One reshuffle first, so the round's events carry the cluster's
+        // virtual clock, then a verified round in which server 1 lies.
+        let q = parse_query("H(x,z) <- R(x,y), S(y,z)").unwrap();
+        let sink = Arc::new(MemSink::new());
+        let mut c = seeded(3).with_trace(parlog_trace::TraceHandle::to(sink.clone()));
+        c.communicate(|f| vec![(f.args[0].0 % 3) as usize]);
+        let plan = CorruptionPlan::single(7, 0, 1, CorruptKind::Inject);
+        c.compute_query_verified(&q, EvalStrategy::Indexed, &plan);
+        let timeline: Vec<_> = sink
+            .timeline()
+            .iter()
+            .map(|e| (e.kind, e.node, e.info, e.vclock))
+            .collect();
+        assert_eq!(
+            timeline,
+            vec![
+                (FaultEventKind::Corrupt, 1, 8581286081765471666, 8.0),
+                (FaultEventKind::Detect, 1, 14933403456673746961, 8.0),
+                (FaultEventKind::Quarantine, 1, 0, 8.0),
+                (FaultEventKind::Heal, 1, 8, 8.0),
+            ]
+        );
     }
 }

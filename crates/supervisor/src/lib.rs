@@ -23,10 +23,10 @@
 //!   per-server bound — recovery costs one server-load, not a
 //!   recomputation.
 //! * [`mod@verify`] — the Byzantine control loop: rounds commit blind,
-//!   the trusted checker of `parlog-verify` audits committed answers on
-//!   a cadence, failed certificates quarantine the lying server with a
-//!   measured rounds-to-quarantine latency, and rollback + replay heals
-//!   the tainted rounds.
+//!   and `parlog_mpc::verified`'s prove-and-audit routine audits
+//!   committed answers on a cadence; failed certificates quarantine the
+//!   lying server with a measured rounds-to-quarantine latency, and
+//!   rollback + replay heals the tainted rounds.
 //! * [`partition`] — crash-vs-partition discrimination: φ suspicion is
 //!   cross-checked against an indirect-reachability probe matrix, so a
 //!   partitioned-but-alive node's shard is never re-replicated

@@ -1,9 +1,9 @@
 //! The supervision loop over the transducer substrate.
 //!
-//! [`supervise`] drives a [`SimRun`] exactly like
-//! `SimRun::run_faulty` — same scheduler, same quiescence condition, the
-//! fault-free case is the same code path — but interleaves a control
-//! plane:
+//! [`supervise`] runs a [`SimRun`] through the substrate's own loop to
+//! quiescence, [`SimRun::run_until_quiet`] — the loop
+//! `SimRun::run_faulty` runs with a no-op hook — and interleaves a control
+//! plane in the hook it calls before every delivery choice:
 //!
 //! 1. **Probing.** Every `probe_every` virtual-clock ticks the
 //!    supervisor pings every node; a live node's response is a heartbeat
@@ -41,7 +41,8 @@
 //! When the network quiesces while a crash is still undetected (or an
 //! alive node is still unreachable), the supervisor keeps probing on its
 //! own clock (`quiescent_probe_budget` extra rounds) — failure detection
-//! must not depend on data traffic.
+//! must not depend on data traffic — and a heal made there puts the run
+//! back into the loop, with the same delivery dice.
 
 use crate::degrade::{Certificate, Degraded, QueryMode, RefusalReason};
 use crate::detector::PhiDetector;
@@ -52,8 +53,6 @@ use parlog_trace::{FaultEvent, FaultEventKind, TraceEvent, TraceHandle};
 use parlog_transducer::faulty::FaultStats;
 use parlog_transducer::program::{Ctx, TransducerProgram};
 use parlog_transducer::scheduler::{Schedule, SimRun};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Tunables of the supervision loop.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
@@ -205,6 +204,18 @@ struct Monitor<'a> {
 }
 
 impl Monitor<'_> {
+    /// Record a control-plane decision about `node` at the monitor clock.
+    fn event(&self, kind: FaultEventKind, node: usize, info: u64) {
+        let vclock = self.now as f64;
+        let event = FaultEvent {
+            vclock,
+            kind,
+            node,
+            info,
+        };
+        self.trace.record(TraceEvent::Fault(event));
+    }
+
     /// One probe round at monitor clock `self.now`: record responses,
     /// then evaluate and act on suspicions. Returns whether a heal
     /// produced new in-flight work.
@@ -239,14 +250,11 @@ impl Monitor<'_> {
         let mut did_heal = false;
         for s in self.det.suspects(self.now) {
             self.report.suspicions += 1;
-            self.trace.emit(|| {
-                TraceEvent::Fault(FaultEvent {
-                    vclock: self.now as f64,
-                    kind: FaultEventKind::Suspect,
-                    node: s,
-                    info: (self.det.phi(s, self.now) * 1000.0) as u64,
-                })
-            });
+            self.event(
+                FaultEventKind::Suspect,
+                s,
+                (self.det.phi(s, self.now) * 1000.0) as u64,
+            );
             if !round_trip_open(pp, self.now, home, s, n) {
                 // The partition explains the silence: the suspect may be
                 // alive on the other side, and re-replicating its shard
@@ -255,14 +263,11 @@ impl Monitor<'_> {
                 // reopens.
                 if !self.fenced[s] && run.health(s).is_up() {
                     self.report.split_brain_averted += 1;
-                    self.trace.emit(|| {
-                        TraceEvent::Fault(FaultEvent {
-                            vclock: self.now as f64,
-                            kind: FaultEventKind::SplitBrainAverted,
-                            node: s,
-                            info: run.shard(s).len() as u64,
-                        })
-                    });
+                    self.event(
+                        FaultEventKind::SplitBrainAverted,
+                        s,
+                        run.shard(s).len() as u64,
+                    );
                 }
                 self.fenced[s] = true;
                 self.det.clear(s, self.now);
@@ -272,14 +277,7 @@ impl Monitor<'_> {
                 // Confirm probe answered: slow, not dead.
                 self.report.false_suspicions += 1;
                 self.det.clear(s, self.now);
-                self.trace.emit(|| {
-                    TraceEvent::Fault(FaultEvent {
-                        vclock: self.now as f64,
-                        kind: FaultEventKind::FalseSuspicion,
-                        node: s,
-                        info: 0,
-                    })
-                });
+                self.event(FaultEventKind::FalseSuspicion, s, 0);
                 continue;
             }
             self.det.mark_dead(s);
@@ -292,62 +290,76 @@ impl Monitor<'_> {
                 .min()
                 .unwrap_or(self.now);
             let latency = self.now.saturating_sub(crashed_at);
-            self.trace.emit(|| {
-                TraceEvent::Fault(FaultEvent {
-                    vclock: self.now as f64,
-                    kind: FaultEventKind::ConfirmDead,
-                    node: s,
-                    info: latency as u64,
-                })
-            });
-            let mut detection = Detection {
-                node: s,
-                crashed_at,
-                detected_at: self.now,
-                latency,
-                healed: false,
-                healed_to: None,
-                heal_load: 0,
-            };
+            self.event(FaultEventKind::ConfirmDead, s, latency as u64);
             let quorum_ok = has_quorum(pp, self.now, home, n);
             if !quorum_ok {
                 // The monitor's own side cannot account for a strict
                 // majority — it may be the minority of a split, so it
                 // blocks the heal instead of diverging.
                 self.report.quorum_losses += 1;
-                self.trace.emit(|| {
-                    TraceEvent::Fault(FaultEvent {
-                        vclock: self.now as f64,
-                        kind: FaultEventKind::QuorumLost,
-                        node: s,
-                        info: accounted_nodes(pp, self.now, home, n).len() as u64,
-                    })
-                });
+                let accounted = accounted_nodes(pp, self.now, home, n).len();
+                self.event(FaultEventKind::QuorumLost, s, accounted as u64);
             }
-            if quorum_ok
+            let may_heal = quorum_ok
                 && self.report.heals < self.config.max_heals
-                && latency <= self.config.heal_deadline
-            {
-                let survivor = run
-                    .live_nodes()
-                    .into_iter()
-                    .filter(|&i| i != s && round_trip_open(pp, self.now, home, i, n))
-                    .min_by_key(|&i| run.shard(i).len());
-                if let Some(to) = survivor {
-                    let load = run.adopt_shard(program, s, to);
-                    self.report.heals += 1;
-                    self.report.heal_load += load;
-                    self.healed[s] = true;
-                    self.report.owners[s] = to;
-                    detection.healed = true;
-                    detection.healed_to = Some(to);
-                    detection.heal_load = load;
-                    did_heal = true;
-                }
+                && latency <= self.config.heal_deadline;
+            let survivor = run
+                .live_nodes()
+                .into_iter()
+                .filter(|&i| i != s && round_trip_open(pp, self.now, home, i, n))
+                .min_by_key(|&i| run.shard(i).len())
+                .filter(|_| may_heal);
+            let heal = survivor.map(|to| (to, run.adopt_shard(program, s, to)));
+            if let Some((to, load)) = heal {
+                self.report.heals += 1;
+                self.report.heal_load += load;
+                self.healed[s] = true;
+                self.report.owners[s] = to;
+                did_heal = true;
             }
-            self.report.detections.push(detection);
+            self.report.detections.push(Detection {
+                node: s,
+                crashed_at,
+                detected_at: self.now,
+                latency,
+                healed: heal.is_some(),
+                healed_to: survivor,
+                heal_load: heal.map_or(0, |(_, load)| load),
+            });
         }
         did_heal
+    }
+
+    /// Probing on the monitor's own clock once the data plane is
+    /// quiescent, up to `quiescent_probe_budget` rounds, while down nodes
+    /// remain undetected — a crash that silences the network must still
+    /// be noticed — or alive nodes are still unreachable and not yet
+    /// fenced, so a split that opened late is still classified before
+    /// close-out. Returns whether a heal put new work in flight.
+    fn probe_quiescent<P: TransducerProgram + ?Sized>(
+        &mut self,
+        program: &P,
+        run: &mut SimRun,
+    ) -> bool {
+        let (n, pp) = (run.n(), self.plan.partition.as_ref());
+        for _ in 0..self.config.quiescent_probe_budget {
+            let unresolved = (0..n).any(|i| {
+                let up = run.health(i).is_up();
+                let undetected_down = !up && !self.det.is_dead(i);
+                let unreached = pp.is_some()
+                    && up
+                    && !round_trip_open(pp, self.now, self.config.monitor_home, i, n);
+                (undetected_down || unreached) && !self.fenced[i]
+            });
+            if !unresolved {
+                return false;
+            }
+            self.now += self.config.probe_every;
+            if self.probe_and_act(program, run) {
+                return true;
+            }
+        }
+        false
     }
 }
 
@@ -398,12 +410,7 @@ pub fn supervise_traced<P: TransducerProgram + ?Sized>(
     let mut run = SimRun::new(program, shards, ctx);
     run.set_trace(trace.clone());
     run.install_plan(plan);
-    let seed = match schedule {
-        Schedule::Random(s) => s,
-        _ => 0,
-    };
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut rr = 0usize;
+    let (mut rng, mut rr) = (schedule.rng(), 0);
     let n = run.n();
     let mut mon = Monitor {
         det: PhiDetector::new(n, config.phi_threshold, config.probe_every),
@@ -426,69 +433,18 @@ pub fn supervise_traced<P: TransducerProgram + ?Sized>(
         }
     }
     let mut next_probe = 0usize;
-    let budget = 10_000_000usize;
-    let mut steps = 0usize;
     loop {
-        loop {
+        run.run_until_quiet(program, schedule, &mut rng, &mut rr, |run| {
             if run.clock() >= next_probe {
                 mon.now = mon.now.max(run.clock());
-                mon.probe_and_act(program, &mut run);
+                mon.probe_and_act(program, run);
                 next_probe = run.clock() + config.probe_every;
             }
-            if !run.step(program, schedule, &mut rng, &mut rr) {
-                break;
-            }
-            steps += 1;
-            assert!(steps < budget, "supervised run diverged (no quiescence)");
+        });
+        if !mon.probe_quiescent(program, &mut run) {
+            break;
         }
-        if run.advance_clock(program) {
-            continue;
-        }
-        let mut hb_changed = false;
-        for _ in 0..n + 1 {
-            if run.heartbeat_round(program) {
-                hb_changed = true;
-            } else {
-                break;
-            }
-        }
-        if hb_changed || !run.quiet() || run.fault_work_pending() {
-            continue;
-        }
-        // Data plane quiescent. Keep the detector's clock running while
-        // down nodes remain undetected — a crash that silences the
-        // network must still be noticed — or while alive nodes are still
-        // unreachable and not yet fenced, so a split that opened late is
-        // still classified before close-out.
-        let mut healed_something = false;
-        for _ in 0..config.quiescent_probe_budget {
-            let unresolved = (0..n).any(|i| {
-                let undetected_down = !run.health(i).is_up() && !mon.det.is_dead(i);
-                let unreached = plan.partition.is_some()
-                    && run.health(i).is_up()
-                    && !round_trip_open(
-                        plan.partition.as_ref(),
-                        mon.now,
-                        config.monitor_home,
-                        i,
-                        n,
-                    );
-                (undetected_down || unreached) && !mon.fenced[i]
-            });
-            if !unresolved {
-                break;
-            }
-            mon.now += config.probe_every;
-            if mon.probe_and_act(program, &mut run) {
-                healed_something = true;
-                break;
-            }
-        }
-        if healed_something {
-            next_probe = run.clock() + config.probe_every;
-            continue;
-        }
-        break;
+        next_probe = run.clock() + config.probe_every;
     }
     mon.report.final_clock = mon.now.max(run.clock());
     mon.report.unhealed = (0..n)
@@ -1043,5 +999,50 @@ mod tests {
             )
         };
         assert_eq!(run_once(), run_once());
+    }
+
+    #[test]
+    fn supervised_timelines_are_pinned() {
+        use parlog_faults::PartitionPlan;
+        use parlog_trace::MemSink;
+        use std::sync::Arc;
+
+        // A crash-stop that is detected and healed, and a split that heals
+        // by itself: the exact event sequence of each supervised run.
+        let (p, shards, _) = setup();
+        let timeline = |plan: &FaultPlan, seed| {
+            let sink = Arc::new(MemSink::new());
+            supervise_traced(
+                &p,
+                &shards,
+                Ctx::oblivious(),
+                Schedule::Random(seed),
+                plan,
+                QueryMode::Monotone,
+                &SupervisorConfig::default(),
+                &TraceHandle::to(sink.clone()),
+            );
+            let tl = sink.timeline();
+            tl.iter()
+                .map(|e| (e.kind, e.node, e.info, e.vclock))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            timeline(&FaultPlan::crash_stop(2, 0, 6), 2),
+            vec![
+                (FaultEventKind::Crash, 0, 29, 6.0),
+                (FaultEventKind::Suspect, 0, 2171, 40.0),
+                (FaultEventKind::ConfirmDead, 0, 34, 40.0),
+                (FaultEventKind::Heal, 0, 5, 31.0),
+            ]
+        );
+        let split = FaultPlan::partitioned(5, PartitionPlan::split(0, 40, &[3]));
+        assert_eq!(
+            timeline(&split, 5),
+            vec![
+                (FaultEventKind::PartitionStart, 0, 40, 0.0),
+                (FaultEventKind::PartitionHeal, 0, 24, 40.0),
+            ]
+        );
     }
 }

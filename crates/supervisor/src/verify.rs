@@ -3,29 +3,26 @@
 //! rounds-to-quarantine latency.
 //!
 //! [`parlog_mpc::verified`] verifies *every* computation round before it
-//! commits — zero detection latency, full per-round certificate cost.
-//! A deployment may not want to pay the checker on every round. This
-//! driver explores the trade: rounds commit **blind** (the fast path,
-//! answers and certificates parked in the round store), and every
-//! [`VerifyPolicy::verify_every`] rounds an **audit** replays the trusted
-//! checker over everything committed since the last checkpoint. A failed
-//! certificate raises `Detect` and `Quarantine` on the timeline — with
-//! the quarantine's `info` field carrying the *detection latency in
-//! rounds* (audit round minus corruption round) — then heals by rolling
-//! the tainted round back and re-executing the quarantined server's task
-//! honestly on its shard alone. The final answer store is therefore
-//! byte-identical to a fault-free run, at a latency cost the e23
-//! experiment measures against the cadence.
+//! commits — zero detection latency, full per-round checker cost. A
+//! deployment may not want to pay the checker on every round. This
+//! driver explores the trade with that module's one prove-and-audit
+//! routine, [`Verifier`]: every round is proved and committed **blind**
+//! (the fast path, answers and certificates parked in the round store),
+//! and every [`VerifyPolicy::verify_every`] rounds an **audit** runs the
+//! trusted checker over everything committed since the last audit. The
+//! quarantine's `info` is the *detection latency in rounds* (audit round
+//! minus corruption round), and the heal rolls the tainted round back by
+//! re-proving the quarantined server's task honestly on its shard alone.
+//! The final answer store is therefore byte-identical to a fault-free
+//! run, at a latency cost the e23 experiment measures against the
+//! cadence.
 
-use crate::degrade::QueryMode;
 use parlog_faults::CorruptionPlan;
+use parlog_mpc::verified::{Proof, Verifier};
 use parlog_relal::eval::EvalStrategy;
 use parlog_relal::instance::Instance;
 use parlog_relal::query::UnionQuery;
-use parlog_trace::{FaultEvent, FaultEventKind, TraceEvent, TraceHandle};
-use parlog_verify::checker::check_answer;
-use parlog_verify::snapshot::snapshot;
-use parlog_verify::{corrupt_answer, prove_ucq, ServerCertificate};
+use parlog_trace::TraceHandle;
 
 /// How often the trusted checker audits the committed rounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,10 +86,11 @@ impl VerifiedRunReport {
 /// auditing on the policy's cadence. `corruption` tampers with the
 /// configured `(round, server)` outputs after the honest prover ran —
 /// the Byzantine window the audits must close. Monotonicity is not
-/// assumed: the checker's verdict is sound for any [`QueryMode`], since
-/// certificates bind answers to snapshots rather than relying on
-/// subset closure (this is what lets the verified path cover the
-/// non-monotone rows of the fault matrix).
+/// assumed: the checker's verdict is sound for any
+/// [`QueryMode`](crate::degrade::QueryMode), since certificates bind
+/// answers to snapshots rather than relying on subset closure (this is
+/// what lets the verified path cover the non-monotone rows of the fault
+/// matrix).
 pub fn run_verified_rounds(
     queries: &[UnionQuery],
     shards: &[Instance],
@@ -102,101 +100,45 @@ pub fn run_verified_rounds(
     trace: &TraceHandle,
 ) -> VerifiedRunReport {
     assert!(policy.verify_every >= 1, "audit cadence must be at least 1");
-    let p = shards.len();
-    let mut quarantined = vec![false; p];
-    let mut store: Vec<Vec<(Instance, ServerCertificate)>> = Vec::with_capacity(queries.len());
+    let mut quarantined = vec![false; shards.len()];
+    let mut verifier = Verifier {
+        shards,
+        strategy,
+        quarantined: &mut quarantined,
+        trace,
+    };
+    let mut store = Vec::with_capacity(queries.len());
     let mut detections = Vec::new();
-    let mut audits = 0usize;
-    let mut cert_bytes = 0usize;
-    let mut audited_through = 0usize;
-
+    let (mut audits, mut cert_bytes, mut audited_through) = (0, 0, 0);
     for (r, u) in queries.iter().enumerate() {
-        let mut row = Vec::with_capacity(p);
-        for (s, shard) in shards.iter().enumerate() {
-            let (mut answer, mut cert) = prove_ucq(s, u, shard, strategy);
-            // A quarantined server's task runs on trusted survivors; the
-            // adversary has lost its foothold there.
-            if !quarantined[s] {
-                if let Some(kind) = corruption.event_for(r, s) {
-                    let e = corruption.entropy(r, s);
-                    corrupt_answer(&mut answer, &mut cert, u, kind, e);
-                    trace.record(TraceEvent::Fault(FaultEvent {
-                        vclock: r as f64,
-                        kind: FaultEventKind::Corrupt,
-                        node: s,
-                        info: e,
-                    }));
-                }
-            }
-            cert_bytes += cert.size_bytes();
-            row.push((answer, cert));
-        }
-        store.push(row);
-
-        let last_round = r + 1 == queries.len();
-        if (r + 1) % policy.verify_every != 0 && !last_round {
+        let (proofs, _) = verifier.prove(r, u, corruption, r as f64);
+        cert_bytes += proofs.iter().map(|(_, c)| c.size_bytes()).sum::<usize>();
+        store.push(proofs);
+        if (r + 1) % policy.verify_every != 0 && r + 1 != queries.len() {
             continue; // blind commit: the fast path between audits
         }
         audits += 1;
         for rr in audited_through..=r {
-            let audited_query = &queries[rr];
-            for (s, shard) in shards.iter().enumerate() {
-                let (answer, cert) = &store[rr][s];
-                if check_answer(audited_query, shard, answer, cert).is_ok() {
-                    continue;
-                }
-                let latency = r - rr;
-                trace.record(TraceEvent::Fault(FaultEvent {
-                    vclock: r as f64,
-                    kind: FaultEventKind::Detect,
-                    node: s,
-                    info: snapshot(shard).short(),
-                }));
-                if !quarantined[s] {
-                    quarantined[s] = true;
-                    trace.record(TraceEvent::Fault(FaultEvent {
-                        vclock: r as f64,
-                        kind: FaultEventKind::Quarantine,
-                        node: s,
-                        info: latency as u64,
-                    }));
-                }
-                // Rollback + replay: the tainted round's task re-executed
-                // honestly on the server's shard alone.
-                store[rr][s] = prove_ucq(s, audited_query, shard, strategy);
-                trace.record(TraceEvent::Fault(FaultEvent {
-                    vclock: r as f64,
-                    kind: FaultEventKind::Heal,
-                    node: s,
-                    info: shard.len() as u64,
-                }));
-                detections.push(ByzantineDetection {
-                    server: s,
-                    corrupted_round: rr,
-                    detected_round: r,
-                    latency,
-                });
-            }
+            let latency = r - rr;
+            let detected = verifier.audit(&queries[rr], &mut store[rr], latency, r as f64);
+            detections.extend(detected.into_iter().map(|(server, _)| ByzantineDetection {
+                server,
+                corrupted_round: rr,
+                detected_round: r,
+                latency,
+            }));
         }
         audited_through = r + 1;
     }
 
-    let answers = store
-        .iter()
-        .map(|row| {
-            let mut union = Instance::new();
-            for (answer, _) in row {
-                union.extend_from(answer);
-            }
-            union
-        })
-        .collect();
+    let union =
+        |row: &Vec<Proof>| Instance::from_borrowed(row.iter().flat_map(|p| p.0.iter()), |_| {});
     VerifiedRunReport {
         rounds: queries.len(),
         audits,
         detections,
-        quarantined: (0..p).filter(|&s| quarantined[s]).collect(),
-        answers,
+        quarantined: (0..shards.len()).filter(|&s| quarantined[s]).collect(),
+        answers: store.iter().map(union).collect(),
         cert_bytes,
     }
 }
@@ -211,7 +153,6 @@ pub fn run_verified_rounds_cq(
     policy: VerifyPolicy,
     trace: &TraceHandle,
 ) -> VerifiedRunReport {
-    let _ = QueryMode::of(q); // any mode is fine — see run_verified_rounds
     let queries = vec![UnionQuery::new(vec![q.clone()]); rounds];
     run_verified_rounds(&queries, shards, strategy, corruption, policy, trace)
 }
@@ -222,7 +163,7 @@ mod tests {
     use parlog_faults::CorruptKind;
     use parlog_relal::fact::fact;
     use parlog_relal::parser::parse_query;
-    use parlog_trace::MemSink;
+    use parlog_trace::{FaultEventKind, MemSink};
     use std::sync::Arc;
 
     fn shards(p: usize) -> Vec<Instance> {
@@ -359,5 +300,56 @@ mod tests {
         // quarantined server and never fires.
         assert_eq!(rep.detections.len(), 1);
         assert_eq!(rep.quarantined, vec![0]);
+    }
+
+    #[test]
+    fn audited_timelines_are_pinned() {
+        // Server 2 lies in rounds 1 and 2. Audited every round, round 1's
+        // lie is caught at once and quarantine blocks round 2's; audited
+        // every 4 rounds, both lies are caught at round 3, and only the
+        // first detection quarantines.
+        let sh = shards(3);
+        let plan = CorruptionPlan::single(7, 1, 2, CorruptKind::Inject).with_event(
+            2,
+            2,
+            CorruptKind::Mutate,
+        );
+        let timeline = |verify_every| {
+            let sink = Arc::new(MemSink::new());
+            run_verified_rounds_cq(
+                &q(),
+                6,
+                &sh,
+                EvalStrategy::Indexed,
+                &plan,
+                VerifyPolicy { verify_every },
+                &TraceHandle::to(sink.clone()),
+            );
+            let tl = sink.timeline();
+            tl.iter()
+                .map(|e| (e.kind, e.node, e.info, e.vclock))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            timeline(1),
+            vec![
+                (FaultEventKind::Corrupt, 2, 10852044936925069029, 1.0),
+                (FaultEventKind::Detect, 2, 14186739794388038327, 1.0),
+                (FaultEventKind::Quarantine, 2, 0, 1.0),
+                (FaultEventKind::Heal, 2, 12, 1.0),
+            ]
+        );
+        assert_eq!(
+            timeline(4),
+            vec![
+                (FaultEventKind::Corrupt, 2, 10852044936925069029, 1.0),
+                (FaultEventKind::Corrupt, 2, 14752297649187954631, 2.0),
+                (FaultEventKind::Detect, 2, 14186739794388038327, 3.0),
+                (FaultEventKind::Quarantine, 2, 2, 3.0),
+                (FaultEventKind::Heal, 2, 12, 3.0),
+                (FaultEventKind::Detect, 2, 14186739794388038327, 3.0),
+                (FaultEventKind::Heal, 2, 12, 3.0),
+            ]
+        );
     }
 }

@@ -105,12 +105,18 @@ pub struct CommCounters {
     /// Copies whose work was thrown away: sent to a crashed endpoint,
     /// or part of a replayed (discarded) MPC round attempt.
     pub wasted: u64,
-    /// Estimated payload bytes across sent copies: 8 bytes per value
-    /// plus an 8-byte relation tag per fact.
+    /// Estimated payload bytes across sent copies, each fact's
+    /// [`CommCounters::wire_bytes`].
     pub bytes: u64,
 }
 
 impl CommCounters {
+    /// The estimated wire size of one fact of `arity` values: 8 bytes
+    /// per value plus an 8-byte relation tag.
+    pub fn wire_bytes(arity: usize) -> u64 {
+        8 * (arity as u64 + 1)
+    }
+
     /// Accumulate `delta` into `self`, field by field.
     pub fn add(&mut self, delta: &CommCounters) {
         self.sent += delta.sent;

@@ -25,13 +25,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
-/// Estimated wire size of one fact: 8 bytes per value plus an 8-byte
-/// relation tag (the trace layer's bytes metric, matching the MPC
-/// side's accounting).
-fn fact_bytes(f: &Fact) -> u64 {
-    8 * (f.args.len() as u64 + 1)
-}
-
 /// Message-delivery strategies. All are fair (no message is deferred
 /// forever) because delivery continues until the buffers drain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,6 +38,18 @@ pub enum Schedule {
     Lifo,
     /// One delivery per node in turn, oldest first.
     RoundRobin,
+}
+
+impl Schedule {
+    /// The delivery dice a run under this schedule starts from: seeded
+    /// by a `Random` schedule's seed, by 0 otherwise.
+    pub fn rng(self) -> StdRng {
+        let seed = match self {
+            Schedule::Random(s) => s,
+            _ => 0,
+        };
+        StdRng::seed_from_u64(seed)
+    }
 }
 
 /// A simulated run of a transducer network. A clone is an independent
@@ -238,14 +243,7 @@ impl SimRun {
         }
         self.broadcast(to, adopted);
         Arc::make_mut(&mut self.shards)[to].extend_from(&shard);
-        self.trace.emit(|| {
-            TraceEvent::Fault(FaultEvent {
-                vclock: self.faults.clock as f64,
-                kind: FaultEventKind::Heal,
-                node: dead,
-                info: shard.len() as u64,
-            })
-        });
+        self.fault_event(FaultEventKind::Heal, dead, shard.len() as u64);
         shard.len()
     }
 
@@ -285,7 +283,7 @@ impl SimRun {
         self.trace.emit(|| {
             TraceEvent::Comm(CommCounters {
                 sent,
-                bytes: sent * fact_bytes(fact),
+                bytes: sent * CommCounters::wire_bytes(fact.args.len()),
                 ..c
             })
         });
@@ -357,14 +355,7 @@ impl SimRun {
                 // in the comm counters.
                 self.book_wire(&fact, 1, none);
                 let tampered = corrupt_in_transit(fact, e, &mut self.faults.stats);
-                self.trace.emit(|| {
-                    TraceEvent::Fault(FaultEvent {
-                        vclock: self.faults.clock as f64,
-                        kind: FaultEventKind::Corrupt,
-                        node: dest,
-                        info: e,
-                    })
-                });
+                self.fault_event(FaultEventKind::Corrupt, dest, e);
                 self.enqueue(dest, from, tampered);
             }
         }
@@ -395,47 +386,33 @@ impl SimRun {
     /// (`u64::MAX` = permanent), a heal's `info` is the number of held
     /// copies released by that heal.
     fn pump_partition_events(&mut self) {
-        if self.partition_open.is_empty() {
+        let Some(plan) = self.faults.partition() else {
             return;
-        }
+        };
         let clock = self.faults.clock;
-        for e in 0..self.partition_open.len() {
-            let (open, heal) = match self.faults.partition() {
-                Some(p) => (p.epochs[e].open_at(clock), p.epochs[e].heal),
-                None => return,
+        for (node, start) in plan.edges(&mut self.partition_open, clock) {
+            let (kind, info) = match start {
+                Some(heal) => (FaultEventKind::PartitionStart, heal),
+                None => {
+                    let heal = plan.epochs[node].heal;
+                    let released = self.faults.delayed.iter().filter(|m| m.release == heal);
+                    (FaultEventKind::PartitionHeal, released.count() as u64)
+                }
             };
-            if open && !self.partition_open[e] {
-                self.partition_open[e] = true;
-                self.trace.emit(|| {
-                    TraceEvent::Fault(FaultEvent {
-                        vclock: clock as f64,
-                        kind: FaultEventKind::PartitionStart,
-                        node: e,
-                        info: if heal == usize::MAX {
-                            u64::MAX
-                        } else {
-                            heal as u64
-                        },
-                    })
-                });
-            } else if !open && self.partition_open[e] {
-                self.partition_open[e] = false;
-                let released = self
-                    .faults
-                    .delayed
-                    .iter()
-                    .filter(|m| m.release == heal)
-                    .count();
-                self.trace.emit(|| {
-                    TraceEvent::Fault(FaultEvent {
-                        vclock: clock as f64,
-                        kind: FaultEventKind::PartitionHeal,
-                        node: e,
-                        info: released as u64,
-                    })
-                });
-            }
+            self.fault_event(kind, node, info);
         }
+    }
+
+    /// Record a fault-timeline event about `node` at the current clock.
+    fn fault_event(&self, kind: FaultEventKind, node: usize, info: u64) {
+        let vclock = self.faults.clock as f64;
+        let event = FaultEvent {
+            vclock,
+            kind,
+            node,
+            info,
+        };
+        self.trace.record(TraceEvent::Fault(event));
     }
 
     /// Fire due crash events, restart due recoveries, release due parked
@@ -443,7 +420,6 @@ impl SimRun {
     /// boundaries.
     fn pump<P: TransducerProgram + ?Sized>(&mut self, program: &P) {
         self.pump_partition_events();
-        let clock = self.faults.clock as f64;
         for (idx, event) in self.faults.due_crashes() {
             self.faults.apply_crash(idx, event);
             // In-flight copies touching the crashed node are lost: its
@@ -467,14 +443,7 @@ impl SimRun {
                     })
                 });
             }
-            self.trace.emit(|| {
-                TraceEvent::Fault(FaultEvent {
-                    vclock: clock,
-                    kind: FaultEventKind::Crash,
-                    node,
-                    info: lost as u64,
-                })
-            });
+            self.fault_event(FaultEventKind::Crash, node, lost as u64);
         }
         let recoveries = self.faults.due_recoveries();
         for node in recoveries {
@@ -483,14 +452,7 @@ impl SimRun {
             // rebroadcasts the node's own data.
             self.faults.health[node] = Health::Up;
             self.faults.stats.recoveries += 1;
-            self.trace.emit(|| {
-                TraceEvent::Fault(FaultEvent {
-                    vclock: clock,
-                    kind: FaultEventKind::Recovery,
-                    node,
-                    info: 0,
-                })
-            });
+            self.fault_event(FaultEventKind::Recovery, node, 0);
             self.nodes[node] = NodeState::new(node, self.shards[node].clone());
             self.sent[node].clear();
             let ctx = self.ctx.clone();
@@ -513,18 +475,10 @@ impl SimRun {
         }
     }
 
-    /// Is any fault-side work (parked releases, retransmissions) still
-    /// pending? Part of the quiescence condition for external drivers.
-    pub fn fault_work_pending(&self) -> bool {
-        !self.faults.idle()
-    }
-
     /// At a drain boundary (nothing deliverable now), jump the clock to
     /// the next fault event — a parked release, a recovery, an unfired
     /// crash — and process it. Returns whether anything was ahead.
-    /// Public so external drivers (the supervisor) can reproduce the
-    /// [`SimRun::run_faulty`] loop with their own logic interleaved.
-    pub fn advance_clock<P: TransducerProgram + ?Sized>(&mut self, program: &P) -> bool {
+    fn advance_clock<P: TransducerProgram + ?Sized>(&mut self, program: &P) -> bool {
         match self.faults.next_event() {
             None => false,
             Some(t) => {
@@ -536,7 +490,7 @@ impl SimRun {
     }
 
     /// Are all message buffers empty?
-    pub fn quiet(&self) -> bool {
+    pub(crate) fn quiet(&self) -> bool {
         self.buffers.iter().all(|b| b.is_empty())
     }
 
@@ -607,7 +561,7 @@ impl SimRun {
 
     /// One heartbeat per node; returns whether any state or broadcast
     /// changed.
-    pub fn heartbeat_round<P: TransducerProgram + ?Sized>(&mut self, program: &P) -> bool {
+    fn heartbeat_round<P: TransducerProgram + ?Sized>(&mut self, program: &P) -> bool {
         let mut changed = false;
         for i in 0..self.n() {
             if !self.faults.health[i].is_up() {
@@ -653,21 +607,39 @@ impl SimRun {
         if let Some(plan) = plan {
             self.install_plan(plan);
         }
-        let seed = match schedule {
-            Schedule::Random(s) => s,
-            _ => 0,
-        };
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut rr = 0usize;
+        let (mut rng, mut rr) = (schedule.rng(), 0);
+        self.run_until_quiet(program, schedule, &mut rng, &mut rr, |_| {});
+    }
+
+    /// The one loop to quiescence: deliver by `schedule` (its `rng` and
+    /// round-robin cursor `rr` carry over between calls), fast-forward
+    /// the clock to parked releases, recoveries and unfired crashes when
+    /// nothing is deliverable, then run heartbeat rounds; return once the
+    /// buffers are empty, heartbeats change nothing and no fault work is
+    /// pending. `before_step` runs before every delivery choice — where a
+    /// supervisor's control plane probes; [`SimRun::run_faulty`] passes a
+    /// no-op. Panics after an absurd number of deliveries (divergence
+    /// guard).
+    pub fn run_until_quiet<P, F>(
+        &mut self,
+        program: &P,
+        schedule: Schedule,
+        rng: &mut StdRng,
+        rr: &mut usize,
+        mut before_step: F,
+    ) where
+        P: TransducerProgram + ?Sized,
+        F: FnMut(&mut SimRun),
+    {
         let budget = 10_000_000usize;
         let mut steps = 0usize;
         loop {
-            while self.step(program, schedule, &mut rng, &mut rr) {
+            before_step(self);
+            while self.step(program, schedule, rng, rr) {
                 steps += 1;
                 assert!(steps < budget, "transducer run diverged (no quiescence)");
+                before_step(self);
             }
-            // Nothing deliverable now; fast-forward to parked releases,
-            // pending recoveries or unfired crashes before concluding.
             if self.advance_clock(program) {
                 continue;
             }
@@ -976,5 +948,49 @@ mod tests {
         healed.run(&p, Schedule::Random(2));
         assert_eq!(healed.outputs(), expected);
         assert!(healed.clock() > 0);
+    }
+
+    #[test]
+    fn partition_timeline_is_pinned() {
+        // Two overlapping epochs: node 0 is cut off for clocks [0, 30),
+        // node 3 from clock 10 on, for good. The init broadcasts are sent
+        // at clock 0, so the first epoch holds them.
+        use crate::programs::monotone::MonotoneBroadcast;
+        use parlog_faults::{PartitionEpoch, PartitionPlan};
+        use parlog_trace::MemSink;
+        let q = parlog_relal::parser::parse_query("H(x,z) <- E(x,y), E(y,z)").unwrap();
+        let db = Instance::from_facts((0..20u64).map(|i| fact("E", &[i, i + 1])));
+        let p = MonotoneBroadcast::new(q);
+        let shards = crate::distribution::hash_distribution(&db, 4, 3);
+        let epoch = |start, heal, minority| PartitionEpoch {
+            start,
+            heal,
+            blocks: vec![vec![minority]],
+            one_way: Vec::new(),
+        };
+        let plan = PartitionPlan {
+            epochs: vec![epoch(0, 30, 0), epoch(10, usize::MAX, 3)],
+        };
+        let sink = Arc::new(MemSink::new());
+        let mut run = SimRun::new(&p, &shards, Ctx::oblivious());
+        run.set_trace(TraceHandle::to(sink.clone()));
+        run.run_faulty(
+            &p,
+            Schedule::Random(3),
+            Some(&FaultPlan::partitioned(3, plan)),
+        );
+        let timeline: Vec<_> = sink
+            .timeline()
+            .iter()
+            .map(|e| (e.kind, e.node, e.info, e.vclock))
+            .collect();
+        assert_eq!(
+            timeline,
+            vec![
+                (FaultEventKind::PartitionStart, 0, 30, 0.0),
+                (FaultEventKind::PartitionStart, 1, u64::MAX, 10.0),
+                (FaultEventKind::PartitionHeal, 0, 30, 30.0),
+            ]
+        );
     }
 }
