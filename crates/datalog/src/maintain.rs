@@ -28,9 +28,12 @@
 //!   algorithm, sound under stratified negation because negated
 //!   relations always sit in strictly lower strata.
 //!
-//! Every probe is an occurrence plan (`Occurrence`) prepared once per
-//! `(rule, occurrence)` when the view is built: the occurrence's
-//! variables are leapfrog parameters, the rest of the body the residual.
+//! Every probe is an occurrence plan (`Occurrence`), a [`LeapfrogPlan`]
+//! compiled once per `(rule, occurrence)` when the view is built (the
+//! occurrence's variables are its parameters, the rest of the body the
+//! residual), bound to the database once per phase in DRed's read-only
+//! overdelete and rederive passes but once per probe in the insert
+//! worklist and the counting drain, which write, and run once per fact.
 //!
 //! The built-in `ADom` relation is maintained by per-value reference
 //! counts over the base facts (program constants are pinned), so
@@ -50,7 +53,7 @@ use parlog_relal::fastmap::{fxmap, fxset, FxHasher, FxMap, FxSet};
 use parlog_relal::instance::Instance;
 use parlog_relal::query::ConjunctiveQuery;
 use parlog_relal::symbols::{rel, RelId};
-use parlog_relal::trie::{wcoj_variable_order, LeapfrogPlan, Slot};
+use parlog_relal::trie::{wcoj_variable_order, BoundPlan, LeapfrogPlan, Slot};
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 
@@ -168,24 +171,33 @@ impl Occurrence {
         }
     }
 
+    /// The parameters `f` binds (its values where the occurrence's
+    /// variables first occur), inline, or `None` if it does not match.
+    fn params(&self, f: &Fact) -> Option<Args> {
+        if f.rel != self.rel || f.args.len() != self.terms.len() {
+            return None;
+        }
+        let mut n = 0;
+        let params: Args = (self.terms.iter().zip(&f.args))
+            .filter_map(|(s, &v)| {
+                // A variable's first position binds the next parameter.
+                let first = *s == Slot::Var(n);
+                n += usize::from(first);
+                first.then_some(v)
+            })
+            .collect();
+        let matches = (self.terms.iter().zip(&f.args)).all(|(s, &v)| s.value(&params) == v);
+        matches.then_some(params)
+    }
+
     /// Run the occurrence from `f` over the union of `instances` (nothing
     /// if `f` does not match the occurrence atom), handing every derived
     /// head to `sink`; `full` checks negation.
     fn heads(&self, full: bool, f: &Fact, instances: &[&Instance], sink: &mut dyn FnMut(&[Val])) {
-        if f.rel != self.rel || f.args.len() != self.terms.len() {
-            return;
+        if let Some(params) = self.params(f) {
+            let plan = if full { &self.derive } else { &self.candidates };
+            plan.run(instances, &params, sink);
         }
-        let mut params = Vec::with_capacity(self.terms.len());
-        for (s, &v) in self.terms.iter().zip(&f.args) {
-            match *s {
-                Slot::Const(c) if c != v => return,
-                Slot::Var(i) if i < params.len() && params[i] != v => return,
-                Slot::Var(i) if i == params.len() => params.push(v),
-                _ => {}
-            }
-        }
-        let plan = if full { &self.derive } else { &self.candidates };
-        plan.run(instances, &params, sink);
     }
 
     /// The derived head of a binding vector.
@@ -194,6 +206,34 @@ impl Occurrence {
             self.head_rel,
             self.head.iter().map(|s| s.value(vals)).collect::<Args>(),
         )
+    }
+}
+
+/// An occurrence probed throughout a read-only DRed phase: bound to the
+/// database on its first matching probe, reused by every later one.
+struct PhaseProbe<'a> {
+    o: &'a Occurrence,
+    plan: &'a LeapfrogPlan,
+    bound: Option<BoundPlan<'a>>,
+}
+
+impl<'a> PhaseProbe<'a> {
+    fn new(o: &'a Occurrence, plan: &'a LeapfrogPlan) -> PhaseProbe<'a> {
+        let bound = None;
+        PhaseProbe { o, plan, bound }
+    }
+
+    /// [`Occurrence::heads`] from `f` over `db`, on the bound plan.
+    fn heads(&mut self, f: &Fact, db: &'a [&'a Instance], sink: &mut dyn FnMut(&[Val])) {
+        if let Some(params) = self.o.params(f) {
+            let plan = self.plan;
+            let bound = self.bound.get_or_insert_with(|| {
+                #[cfg(test)]
+                tests::BINDS.with(|c| c.set(c.get() + 1));
+                plan.bind(db)
+            });
+            bound.run(&params, sink);
+        }
     }
 }
 
@@ -489,8 +529,8 @@ impl MaterializedView {
     fn drain_counting(&mut self, ctx: &mut Ctx) {
         #[cfg(test)]
         let epoch = self.db.epoch();
+        let mut cands: Vec<Fact> = Vec::new();
         while let Some(f) = ctx.queue.pop_front() {
-            let mut cands: Vec<Fact> = Vec::new();
             let union = [&self.db, &ctx.graveyard];
             for &ri in &self.counting_rules {
                 self.plans[ri].heads_through(&f, false, false, &union, &mut cands);
@@ -498,7 +538,7 @@ impl MaterializedView {
             }
             cands.sort_unstable();
             cands.dedup();
-            for h in cands {
+            for h in cands.drain(..) {
                 let n = self.recount(&h);
                 let present = self.db.contains(&h);
                 if n > 0 {
@@ -527,22 +567,6 @@ impl MaterializedView {
             .iter()
             .map(|&ri| self.plans[ri].derivations(h, &self.db))
             .sum()
-    }
-
-    /// The heads the rules of `stratum` derive through an occurrence of
-    /// `x` — positive or negated (`via_neg`) — on the current database.
-    fn stratum_heads(
-        &self,
-        stratum: &DredStratum,
-        x: &Fact,
-        via_neg: bool,
-        full: bool,
-    ) -> Vec<Fact> {
-        let mut out = Vec::new();
-        for &ri in &stratum.rules {
-            self.plans[ri].heads_through(x, via_neg, full, &[&self.db], &mut out);
-        }
-        out
     }
 
     /// Delete–rederive for recursive stratum `s`, consuming the batch-log
@@ -608,10 +632,28 @@ impl MaterializedView {
                 work.push_back((i.clone(), true));
             }
         }
-        while let Some((x, via_neg)) = work.pop_front() {
-            for h in self.stratum_heads(&stratum, &x, via_neg, false) {
-                if self.db.contains(&h) && over.insert(h.clone()) {
-                    work.push_back((h, false));
+        let mut heads: Vec<Fact> = Vec::new();
+        {
+            // Read-only until the sweep ends: each occurrence binds once.
+            let db = [&self.db];
+            let mut probes = [false, true].map(|via_neg| {
+                (stratum.rules.iter())
+                    .flat_map(|&ri| match via_neg {
+                        true => &self.plans[ri].neg,
+                        false => &self.plans[ri].pos,
+                    })
+                    .map(|o| PhaseProbe::new(o, &o.candidates))
+                    .collect::<Vec<_>>()
+            });
+            while let Some((x, via_neg)) = work.pop_front() {
+                for p in &mut probes[usize::from(via_neg)] {
+                    let o = p.o;
+                    p.heads(&x, &db, &mut |vals| heads.push(o.ground(vals)));
+                }
+                for h in heads.drain(..) {
+                    if self.db.contains(&h) && over.insert(h.clone()) {
+                        work.push_back((h, false));
+                    }
                 }
             }
         }
@@ -631,13 +673,18 @@ impl MaterializedView {
         // semantics, lower strata now final). A fact whose only
         // alternative derivations run through other overdeleted facts is
         // left to phase 3, which the facts that pass here seed. They are
-        // inserted after the pass, so the probes read tries that stay
-        // current throughout.
-        let rederived: Vec<Fact> = over_sorted
-            .iter()
-            .filter(|h| self.derivable(&stratum, h))
-            .cloned()
-            .collect();
+        // inserted after the pass, so the probes run on plans bound once.
+        let rederived: Vec<Fact> = {
+            let db = [&self.db];
+            let mut probes: Vec<PhaseProbe> = (stratum.rules.iter())
+                .map(|&ri| &self.plans[ri].head)
+                .map(|o| PhaseProbe::new(o, &o.derive))
+                .collect();
+            (over_sorted.iter())
+                .filter(|h| derivable(&mut probes, &db, h))
+                .cloned()
+                .collect()
+        };
         self.db.insert_all(&rederived, |_| {});
 
         // Phase 3 — insert: the semi-naive worklist over inserted support
@@ -656,7 +703,10 @@ impl MaterializedView {
         }
         work.extend(rederived.into_iter().map(|h| (h, false)));
         while let Some((x, via_neg)) = work.pop_front() {
-            for h in self.stratum_heads(&stratum, &x, via_neg, true) {
+            for &ri in &stratum.rules {
+                self.plans[ri].heads_through(&x, via_neg, true, &[&self.db], &mut heads);
+            }
+            for h in heads.drain(..) {
                 if !self.db.contains(&h) {
                     self.db.insert(h.clone());
                     added.insert(h.clone());
@@ -688,17 +738,6 @@ impl MaterializedView {
         ctx.cursors[s] = ctx.batchlog.len();
     }
 
-    /// Does any rule of `stratum` derive exactly `h` on the current
-    /// database (full semantics)? One existence probe.
-    fn derivable(&self, stratum: &DredStratum, h: &Fact) -> bool {
-        #[cfg(test)]
-        tests::REDERIVE_PROBES.with(|c| c.set(c.get() + 1));
-        stratum
-            .rules
-            .iter()
-            .any(|&ri| self.plans[ri].derivations(h, &self.db) > 0)
-    }
-
     fn stats(&self) -> ViewStats {
         ViewStats {
             incremental_applied: self.incremental_applied,
@@ -707,6 +746,18 @@ impl MaterializedView {
             dred_strata: self.dred.len(),
         }
     }
+}
+
+/// Does any of the stratum's head occurrences `heads` derive exactly `h`
+/// on `db` (full semantics)? One existence probe.
+fn derivable<'a>(heads: &mut [PhaseProbe<'a>], db: &'a [&'a Instance], h: &Fact) -> bool {
+    #[cfg(test)]
+    tests::REDERIVE_PROBES.with(|c| c.set(c.get() + 1));
+    heads.iter_mut().any(|p| {
+        let mut n = 0u64;
+        p.heads(h, db, &mut |_| n += 1);
+        n > 0
+    })
 }
 
 /// Is the intra-stratum positive head-dependency graph acyclic? (Longest-
@@ -821,6 +872,8 @@ mod tests {
         pub(super) static OVERDELETED: Cell<u64> = const { Cell::new(0) };
         /// Database mutations made inside the counting drain.
         pub(super) static DRAIN_WRITES: Cell<u64> = const { Cell::new(0) };
+        /// Occurrence plans bound by DRed's read-only phases.
+        pub(super) static BINDS: Cell<u64> = const { Cell::new(0) };
     }
 
     fn take(counter: &'static std::thread::LocalKey<Cell<u64>>) -> u64 {
@@ -1146,11 +1199,17 @@ mod tests {
         take(&REDERIVE_PROBES);
         take(&OVERDELETED);
         take(&DRAIN_WRITES);
+        take(&BINDS);
         assert_matches_scratch(&p, &db, EvalStrategy::Auto);
         let (probes, over) = (take(&REDERIVE_PROBES), take(&OVERDELETED));
         // T(x,y) for x ≤ 25 < 41 ≤ y, and everything below a spur.
         assert_eq!(over, 25 * 24 + 27 + 30);
         assert!(probes <= over, "{probes} rederive probes for {over} facts");
+        // Each occurrence binds at most once per read-only phase: three
+        // positive body occurrences in the overdelete, two heads in the
+        // rederive.
+        let binds = take(&BINDS);
+        assert!(binds <= 3 + 2, "{binds} binds for {over} overdeleted facts");
         assert_eq!(take(&DRAIN_WRITES), 0);
         let stats = view_stats(&p, &db, EvalStrategy::Auto).unwrap();
         assert_eq!((stats.full_rebuilds, stats.incremental_applied), (0, 3));

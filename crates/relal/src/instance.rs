@@ -41,16 +41,16 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The trie cache: `relation → column permutation → LSM layers`. Nested
 /// so that a probe borrows the caller's `&[usize]` instead of allocating
-/// a `(RelId, Vec<usize>)` key.
+/// a `(RelId, Vec<usize>)` key. Entries are `Arc`s, handed out whole.
 ///
 /// Held behind `Arc` for copy-on-write sharing: a clone of the instance
 /// shares the whole map O(1) (not just the runs inside each entry), and
 /// a **sealed** instance exposes the same `Arc` lock-free to concurrent
 /// readers (see [`Instance::seal`]).
-type TrieCache = FxMap<RelId, FxMap<Vec<usize>, TrieLayers>>;
+type TrieCache = FxMap<RelId, FxMap<Vec<usize>, Arc<TrieLayers>>>;
 
 /// The cache entry of `(rel, perm)`, if any — allocation-free.
-fn cached<'c>(cache: &'c TrieCache, rel: RelId, perm: &[usize]) -> Option<&'c TrieLayers> {
+fn cached<'c>(cache: &'c TrieCache, rel: RelId, perm: &[usize]) -> Option<&'c Arc<TrieLayers>> {
     cache.get(&rel)?.get(perm)
 }
 
@@ -348,46 +348,46 @@ impl Instance {
         cache: &'c mut TrieCache,
         rel: RelId,
         perm: &[usize],
-    ) -> &'c mut TrieLayers {
+    ) -> &'c Arc<TrieLayers> {
         let perms = cache.entry(rel).or_default();
         if !perms.contains_key(perm) {
             self.builds.fetch_add(1, Ordering::Relaxed);
             let built = TrieLayers::build_full(self, rel, perm, self.epoch);
-            return perms.entry(perm.to_vec()).or_insert(built);
+            return perms.entry(perm.to_vec()).or_insert(Arc::new(built));
         }
         let layers = perms.get_mut(perm).expect("checked above");
         if layers.built_epoch < self.rel_epoch(rel) {
             match self.log.since(layers.built_epoch) {
                 Some(deltas) => {
-                    if layers.advance(deltas, self, rel, perm, self.epoch) {
+                    if Arc::make_mut(layers).advance(deltas, self, rel, perm, self.epoch) {
                         self.builds.fetch_add(1, Ordering::Relaxed);
                     }
                 }
                 None => {
-                    *layers = TrieLayers::build_full(self, rel, perm, self.epoch);
+                    *layers = Arc::new(TrieLayers::build_full(self, rel, perm, self.epoch));
                     self.builds.fetch_add(1, Ordering::Relaxed);
                 }
             }
-        } else {
+        } else if layers.built_epoch < self.epoch {
             // Entry is current for `rel`; stamp it forward so later
             // refreshes replay only genuinely new deltas.
-            layers.built_epoch = self.epoch;
+            Arc::make_mut(layers).built_epoch = self.epoch;
         }
         layers
     }
 
     /// The LSM trie layers of `rel` under the column permutation `perm`,
     /// built on first use and incrementally refreshed from the delta log
-    /// on later mutations. Cheap to clone (runs are `Arc`'d).
+    /// on later mutations, and handed out as the cache's own `Arc`.
     ///
     /// On a **sealed** instance a warm entry is served from the frozen
     /// alias without taking any lock — this is the hot path concurrent
     /// snapshot readers hit (see [`Instance::seal`]). Cold entries (and
     /// every read on an unsealed instance) go through the cache mutex.
-    pub fn trie_layers(&self, rel: RelId, perm: &[usize]) -> TrieLayers {
+    pub fn trie_layers(&self, rel: RelId, perm: &[usize]) -> Arc<TrieLayers> {
         if let Some(frozen) = &self.frozen_tries {
             if let Some(layers) = cached(frozen, rel, perm) {
-                return layers.clone();
+                return Arc::clone(layers);
             }
         }
         let mut cache = lock_recover(&self.tries);
@@ -396,11 +396,10 @@ impl Instance {
         // sharing the cache spine with its origin.
         if let Some(layers) = cached(&cache, rel, perm) {
             if layers.built_epoch >= self.rel_epoch(rel) {
-                return layers.clone();
+                return Arc::clone(layers);
             }
         }
-        self.refresh_entry(Arc::make_mut(&mut cache), rel, perm)
-            .clone()
+        Arc::clone(self.refresh_entry(Arc::make_mut(&mut cache), rel, perm))
     }
 
     /// Bring every cached trie entry up to the current epoch, in place:
@@ -472,7 +471,7 @@ impl Instance {
             .filter_map(|(rel, perm)| {
                 let layers = cached(&guard, rel, &perm).expect("key of this cache");
                 (layers.run_count() > 1 || layers.has_tombstones())
-                    .then(|| (rel, perm, layers.clone()))
+                    .then(|| (rel, perm, TrieLayers::clone(layers)))
             })
             .collect()
     }
@@ -490,7 +489,7 @@ impl Instance {
         layers.built_epoch = self.epoch;
         let mut guard = lock_recover(&self.tries);
         let perms = Arc::make_mut(&mut guard).entry(rel).or_default();
-        perms.insert(perm.to_vec(), layers);
+        perms.insert(perm.to_vec(), Arc::new(layers));
         true
     }
 

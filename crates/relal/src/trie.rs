@@ -24,7 +24,7 @@
 //!   optionally forced to start with a caller-supplied prefix (the
 //!   Datalog semi-naive loop puts the delta atom's variables outermost).
 //! * [`LeapfrogPlan`] — the LeapFrog TrieJoin itself, compiled once per
-//!   query and order: per-variable leapfrog intersection across all atoms containing the variable,
+//!   query and order, bound once per instance state: per-variable leapfrog intersection across all atoms containing the variable,
 //!   descending **every run** of each atom's trie stack one level per
 //!   variable (a k-way merge cursor: the candidate value at a level is
 //!   the leapfrogged minimum over live runs, so the LSM layering is
@@ -276,11 +276,12 @@ struct AtomPlan {
     fixed: Vec<Slot>,
 }
 
-/// A LeapFrog TrieJoin plan, compiled once and run any number of times:
+/// A LeapFrog TrieJoin plan, **compiled** once ([`LeapfrogPlan::new`]):
 /// variable → slot, each atom's trie permutation and variable segments,
 /// the inequalities decidable at each level, the negated atoms' leaf
-/// probes. Only the instance-dependent part — which runs each atom's trie
-/// stack has — is resolved per run. Its valuations are exactly those of
+/// probes. It is **bound** to an instance state ([`LeapfrogPlan::bind`]:
+/// each atom's runs and the cursors) and **run** once per parameter
+/// vector ([`BoundPlan::run`]). Its valuations are exactly those of
 /// [`crate::eval::satisfying_valuations`]; on a single-run, tombstone-free
 /// stack its seeks are the classic single-trie LFTJ's.
 ///
@@ -396,25 +397,31 @@ impl LeapfrogPlan {
 
     /// Enumerate the plan over the union of `instances` with the
     /// parameters bound to `params`, handing every satisfying binding
-    /// vector (indexed like the order, parameters first) to `sink`.
+    /// vector (indexed like the order, parameters first) to `sink`: a bind
+    /// and one run, unless an inequality decided on entry fails first.
+    pub fn run(&self, instances: &[&Instance], params: &[Val], sink: &mut dyn FnMut(&[Val])) {
+        if self.entry_holds(params) {
+            self.bind(instances).run(params, sink);
+        }
+    }
+
+    /// Do the inequalities decided on entry hold under `params`?
+    fn entry_holds(&self, params: &[Val]) -> bool {
+        debug_assert_eq!(params.len(), self.params, "one value per parameter");
+        let differ = |(s, t): &(Slot, Slot)| s.value(params) != t.value(params);
+        self.entry_ineqs.iter().all(differ)
+    }
+
+    /// Bind the plan to `instances` for any number of runs.
     ///
     /// The first instance is the database; any further one is an
     /// **overlay** read as extra LSM runs of the relations it holds — the
     /// k-way merge cursor already treats a tuple repeated across runs as
     /// one — and leaf membership (tombstones, negation) is decided against
-    /// the union. All cursor state is allocated before the enumeration
-    /// starts, so the enumeration itself allocates nothing.
-    pub fn run(&self, instances: &[&Instance], params: &[Val], sink: &mut dyn FnMut(&[Val])) {
-        debug_assert_eq!(params.len(), self.params, "one value per parameter");
-        let mut vals = vec![Val(0); self.width];
-        vals[..self.params].copy_from_slice(params);
-        if self
-            .entry_ineqs
-            .iter()
-            .any(|(s, t)| s.value(&vals) == t.value(&vals))
-        {
-            return;
-        }
+    /// the union. Every atom's trie runs, the per-level cursors and the
+    /// leaf probes are resolved and allocated here, once; the instances
+    /// stay borrowed, so no run of the bound plan can see them change.
+    pub fn bind<'a>(&'a self, instances: &'a [&'a Instance]) -> BoundPlan<'a> {
         // Sized for two runs per atom, the steady state under a compactor.
         let depths: usize = self.atoms.iter().map(|a| a.cols.len() + 1).sum();
         let mut plan = Plan {
@@ -426,7 +433,7 @@ impl LeapfrogPlan {
         let mut cur = Cursors {
             ranges: Vec::with_capacity(2 * depths),
             slots: Vec::with_capacity(2 * self.segments.len()),
-            vals,
+            vals: vec![Val(0); self.width],
             probes: Vec::new(),
         };
         let mut atom_runs = Vec::with_capacity(self.atoms.len());
@@ -468,13 +475,42 @@ impl LeapfrogPlan {
         for (rel, terms) in &self.negated {
             cur.probes.push(Probe::new(*rel, terms, false));
         }
+        BoundPlan {
+            plan: self,
+            atom_runs,
+            tries: plan,
+            cur,
+        }
+    }
+}
 
+/// A [`LeapfrogPlan`] bound to its instances ([`LeapfrogPlan::bind`]):
+/// each [`BoundPlan::run`] only binds the parameters, descends the fixed
+/// columns and enumerates, taking no lock and allocating nothing.
+pub struct BoundPlan<'a> {
+    plan: &'a LeapfrogPlan,
+    /// Per body atom, its runs in `tries.runs`.
+    atom_runs: Vec<std::ops::Range<usize>>,
+    tries: Plan<'a>,
+    cur: Cursors<'a>,
+}
+
+impl BoundPlan<'_> {
+    /// [`LeapfrogPlan::run`] on the bound instances: the same bindings,
+    /// in the same order, with the same seeks.
+    pub fn run(&mut self, params: &[Val], sink: &mut dyn FnMut(&[Val])) {
+        let plan = self.plan;
+        if !plan.entry_holds(params) {
+            return;
+        }
+        let cur = &mut self.cur;
+        cur.vals[..plan.params].copy_from_slice(params);
         // Descend every fixed column up front, in every run; an atom whose
         // runs are all empty proves the query unsatisfiable on this
         // instance (tombstones only ever shrink the answer further).
-        for (atom, runs) in self.atoms.iter().zip(atom_runs) {
+        for (atom, runs) in plan.atoms.iter().zip(&self.atom_runs) {
             let mut alive = false;
-            for run in &plan.runs[runs] {
+            for run in &self.tries.runs[runs.clone()] {
                 let mut range = cur.ranges[run.base];
                 for (d, s) in atom.fixed.iter().enumerate() {
                     range = run.trie.descend(d, range.0, range.1, s.value(&cur.vals));
@@ -486,7 +522,7 @@ impl LeapfrogPlan {
                 return;
             }
         }
-        intersect(&plan, &mut cur, self.params, sink);
+        intersect(&self.tries, cur, plan.params, sink);
     }
 }
 
@@ -538,7 +574,7 @@ impl<'a> Probe<'a> {
     }
 }
 
-/// The instance-bound side of one run: the trie runs of every atom and,
+/// The instance-bound side of a plan: the trie runs of every atom and,
 /// per variable level, the atoms containing the variable in body order.
 struct Plan<'a> {
     instances: &'a [&'a Instance],
@@ -547,7 +583,7 @@ struct Plan<'a> {
     ineqs: &'a [Vec<(Slot, Slot)>],
 }
 
-/// Everything the enumeration writes, allocated before it starts.
+/// Everything the enumeration writes, allocated at bind.
 struct Cursors<'a> {
     ranges: Vec<(usize, usize)>,
     slots: Vec<(usize, usize)>,
@@ -1624,6 +1660,59 @@ mod tests {
                     rows
                 });
                 proptest::prop_assert_eq!(got, want, "{} with {} parameters", q, k);
+            }
+
+            /// One plan bound once and run with fresh random parameters
+            /// against as many unbound runs, over tombstoned multi-run
+            /// stacks and an overlay instance: the same bindings, in the
+            /// same order, with the same seeks.
+            #[test]
+            fn a_bound_plan_runs_like_fresh_runs(seed in 0..u64::MAX) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let q = random_query(&mut rng);
+                let mut prefix = q.body_variables();
+                for i in (1..prefix.len()).rev() {
+                    prefix.swap(i, rng.gen_range(0..i + 1));
+                }
+                let order = wcoj_variable_order(&q, &prefix);
+                let k = rng.gen_range(0..order.len() + 1);
+                let mut db = Instance::new();
+                for r in RELS {
+                    for _ in 0..8 {
+                        db.insert(random_fact(&mut rng, r));
+                    }
+                }
+                // A second run and a tombstone under every relation.
+                let _ = eval_query_wcoj(&q, &db);
+                for r in RELS {
+                    let gone = db.relation(rel(r.0)).next().cloned();
+                    gone.iter().for_each(|f| { db.remove(f); });
+                    db.insert(random_fact(&mut rng, r));
+                }
+                let overlay: Vec<Fact> = (0..4)
+                    .map(|_| {
+                        let r = RELS[rng.gen_range(0..RELS.len())];
+                        random_fact(&mut rng, r)
+                    })
+                    .collect();
+                let overlay = Instance::from_facts(overlay);
+                let instances = [&db, &overlay];
+                let plan = LeapfrogPlan::new(&q, &order, k);
+                let mut bound = plan.bind(&instances);
+                for run in 0..4 {
+                    let params: Vec<Val> = (0..k).map(|_| Val(rng.gen_range(0..DOM))).collect();
+                    let fresh = counted(|| {
+                        let mut rows = Vec::new();
+                        plan.run(&instances, &params, &mut |vals| rows.push(vals.to_vec()));
+                        rows
+                    });
+                    let reused = counted(|| {
+                        let mut rows = Vec::new();
+                        bound.run(&params, &mut |vals| rows.push(vals.to_vec()));
+                        rows
+                    });
+                    proptest::prop_assert_eq!(reused, fresh, "run {} of {} with {:?}", run, q, params);
+                }
             }
         }
     }

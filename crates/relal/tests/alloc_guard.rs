@@ -11,10 +11,12 @@
 //! Counted with a per-thread counting allocator, so the tests (and the
 //! harness's own threads) do not see each other.
 
+use parlog_relal::atom::Var;
 use parlog_relal::eval::Indexed;
-use parlog_relal::fact::fact;
+use parlog_relal::fact::{fact, Val};
 use parlog_relal::instance::Instance;
 use parlog_relal::parser::parse_query;
+use parlog_relal::symbols::rel;
 use parlog_relal::trie::{wcoj_variable_order, LeapfrogPlan};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -108,6 +110,36 @@ fn leapfrog_allocates_per_query_not_per_seek() {
         small, large,
         "blocks allocated by one enumeration, n = 64 vs n = 512"
     );
+}
+
+/// Binding resolves the tries and allocates the cursors once, so a bound
+/// plan probes any number of times without allocating — here over a
+/// tombstoned two-run stack, whose leaves check membership — and a warm
+/// trie fetch hands out the cache's own entry.
+#[test]
+fn bound_probes_and_warm_trie_fetches_allocate_nothing() {
+    let q = parse_query("H(x,y,z) <- R(x,y), S(y,z), T(z,x)").unwrap();
+    let order = wcoj_variable_order(&q, &[Var::new("x")]);
+    let plan = LeapfrogPlan::new(&q, &order, 1);
+    let mut db = hub_triangle(64);
+    plan.run(&[&db], &[Val(0)], &mut |_| {});
+    db.remove(&fact("R", &[100, 2]));
+    db.insert(fact("R", &[292, 2]));
+    let instances = [&db];
+    let mut bound = plan.bind(&instances);
+    let mut rows = 0;
+    let ((), blocks) = blocks_during(|| {
+        for x in 0..1000 {
+            bound.run(&[Val(x)], &mut |_| rows += 1);
+        }
+    });
+    assert_eq!(rows, 1, "the planted triangle, x = 292");
+    assert_eq!(blocks, 0, "blocks allocated by 1000 bound probes");
+
+    let r = rel("R");
+    let (layers, blocks) = blocks_during(|| db.trie_layers(r, &[0, 1]));
+    assert!(layers.has_tombstones() && layers.run_count() == 2);
+    assert_eq!(blocks, 0, "blocks allocated by a warm trie fetch");
 }
 
 /// Storing a fact copies it into the relation's hash set and the delta
