@@ -23,17 +23,21 @@
 //! * **DRed** (delete–rederive) for recursive strata: overdelete
 //!   everything transitively supported by a deleted fact (or blocked by
 //!   an inserted fact through negation), rederive — one existence probe
-//!   per overdeleted fact — and run the insertion worklist seeded with
+//!   per overdeleted fact — and run semi-naive insert rounds seeded with
 //!   the rederived facts too (Gupta–Mumick–Subrahmanian): the classical
 //!   algorithm, sound under stratified negation because negated
-//!   relations always sit in strictly lower strata.
+//!   relations always sit in strictly lower strata. Every phase decides
+//!   against an unchanged database — an overdeleted fact stays stored,
+//!   and a derivation through one counts only once it is back — and the
+//!   stratum then commits its net change in one batch, so a retraction
+//!   writes only the facts it removes and adds.
 //!
 //! Every probe is an occurrence plan (`Occurrence`), a [`LeapfrogPlan`]
 //! compiled once per `(rule, occurrence)` when the view is built (the
 //! occurrence's variables are its parameters, the rest of the body the
-//! residual), bound to the database once per phase in DRed's read-only
-//! overdelete and rederive passes but once per probe in the insert
-//! worklist and the counting drain, which write, and run once per fact.
+//! residual), bound once per DRed phase or insert round — which write
+//! nothing — but once per probe in the counting drain, which writes,
+//! and run once per fact.
 //!
 //! The built-in `ADom` relation is maintained by per-value reference
 //! counts over the base facts (program constants are pinned), so
@@ -123,6 +127,10 @@ struct Occurrence {
     head_rel: RelId,
     /// The rule head's terms, resolved against the order.
     head: Vec<Slot>,
+    /// The residual's positive atoms over the relations in `rec` (a DRed
+    /// rule's own stratum heads), resolved against the order: the only
+    /// premises DRed may still retract or revive mid-refresh.
+    premises: Vec<(RelId, Vec<Slot>)>,
     derive: LeapfrogPlan,
     candidates: LeapfrogPlan,
 }
@@ -130,7 +138,7 @@ struct Occurrence {
 impl Occurrence {
     /// Prepare rule `r` for probes through `at`, with the positive body
     /// atom `skip` (the occurrence itself, if positive) left out.
-    fn new(r: &ConjunctiveQuery, at: &Atom, skip: Option<usize>) -> Occurrence {
+    fn new(r: &ConjunctiveQuery, at: &Atom, skip: Option<usize>, rec: &FxSet<RelId>) -> Occurrence {
         let params = at.variables();
         let body: Vec<Atom> = (0..r.body.len())
             .filter(|&k| Some(k) != skip)
@@ -166,6 +174,10 @@ impl Occurrence {
             terms: slots(at),
             head_rel: r.head.rel,
             head: slots(&r.head),
+            premises: (residual.body.iter())
+                .filter(|a| rec.contains(&a.rel))
+                .map(|a| (a.rel, slots(a)))
+                .collect(),
             derive,
             candidates: LeapfrogPlan::new(&residual, &order, params.len()),
         }
@@ -202,35 +214,41 @@ impl Occurrence {
 
     /// The derived head of a binding vector.
     fn ground(&self, vals: &[Val]) -> Fact {
-        Fact::new(
-            self.head_rel,
-            self.head.iter().map(|s| s.value(vals)).collect::<Args>(),
-        )
+        instantiate(self.head_rel, &self.head, vals)
+    }
+
+    /// Does the binding vector `vals` use no `dead` fact as a premise?
+    /// Lower-stratum premises and negated atoms are final, so only the
+    /// stratum's own heads are looked at.
+    fn avoids(&self, vals: &[Val], dead: &dyn Fn(&Fact) -> bool) -> bool {
+        (self.premises.iter()).all(|(rel, terms)| !dead(&instantiate(*rel, terms, vals)))
     }
 }
 
-/// An occurrence probed throughout a read-only DRed phase: bound to the
-/// database on its first matching probe, reused by every later one.
+/// The `rel` fact with `terms` under the binding vector `vals`.
+fn instantiate(rel: RelId, terms: &[Slot], vals: &[Val]) -> Fact {
+    Fact::new(rel, terms.iter().map(|s| s.value(vals)).collect::<Args>())
+}
+
+/// An occurrence probed throughout a DRed phase, which writes nothing:
+/// bound to its instances on its first matching probe, reused by every
+/// later one.
 struct PhaseProbe<'a> {
     o: &'a Occurrence,
     plan: &'a LeapfrogPlan,
+    instances: &'a [&'a Instance],
     bound: Option<BoundPlan<'a>>,
 }
 
-impl<'a> PhaseProbe<'a> {
-    fn new(o: &'a Occurrence, plan: &'a LeapfrogPlan) -> PhaseProbe<'a> {
-        let bound = None;
-        PhaseProbe { o, plan, bound }
-    }
-
-    /// [`Occurrence::heads`] from `f` over `db`, on the bound plan.
-    fn heads(&mut self, f: &Fact, db: &'a [&'a Instance], sink: &mut dyn FnMut(&[Val])) {
+impl PhaseProbe<'_> {
+    /// [`Occurrence::heads`] from `f`, on the bound plan.
+    fn heads(&mut self, f: &Fact, sink: &mut dyn FnMut(&[Val])) {
         if let Some(params) = self.o.params(f) {
-            let plan = self.plan;
+            let (plan, instances) = (self.plan, self.instances);
             let bound = self.bound.get_or_insert_with(|| {
                 #[cfg(test)]
                 tests::BINDS.with(|c| c.set(c.get() + 1));
-                plan.bind(db)
+                plan.bind(instances)
             });
             bound.run(&params, sink);
         }
@@ -245,33 +263,32 @@ struct RulePlans {
 }
 
 impl RulePlans {
-    fn new(r: &ConjunctiveQuery) -> RulePlans {
+    /// `rec` holds the heads of `r`'s stratum if DRed maintains it.
+    fn new(r: &ConjunctiveQuery, rec: &FxSet<RelId>) -> RulePlans {
         RulePlans {
-            head: Occurrence::new(r, &r.head, None),
+            head: Occurrence::new(r, &r.head, None, rec),
             pos: (0..r.body.len())
-                .map(|j| Occurrence::new(r, &r.body[j], Some(j)))
+                .map(|j| Occurrence::new(r, &r.body[j], Some(j), rec))
                 .collect(),
-            neg: r
-                .negated
-                .iter()
-                .map(|a| Occurrence::new(r, a, None))
+            neg: (r.negated.iter())
+                .map(|a| Occurrence::new(r, a, None, rec))
                 .collect(),
         }
     }
 
-    /// The heads derived through positive (`via_neg = false`) or negated
-    /// occurrences of `f`, over the union of `instances`.
-    fn heads_through(
+    /// The candidate heads (negation unchecked) derived through positive
+    /// (`via_neg = false`) or negated occurrences of `f`, over the union
+    /// of `instances`.
+    fn candidates_through(
         &self,
         f: &Fact,
         via_neg: bool,
-        full: bool,
         instances: &[&Instance],
         out: &mut Vec<Fact>,
     ) {
         let occurrences = if via_neg { &self.neg } else { &self.pos };
         for o in occurrences {
-            o.heads(full, f, instances, &mut |vals| out.push(o.ground(vals)));
+            o.heads(false, f, instances, &mut |vals| out.push(o.ground(vals)));
         }
     }
 
@@ -352,6 +369,7 @@ impl MaterializedView {
         let strat = p.stratify()?;
         let mut counting_rules: Vec<usize> = Vec::new();
         let mut dred: Vec<DredStratum> = Vec::new();
+        let mut rec: Vec<FxSet<RelId>> = vec![fxset(); p.rules.len()];
         for stratum in &strat.rule_strata {
             let heads: FxSet<RelId> = stratum.iter().map(|&i| p.rules[i].head.rel).collect();
             if stratum_is_acyclic(p, stratum, &heads) {
@@ -362,6 +380,7 @@ impl MaterializedView {
                 for &ri in stratum {
                     body_rels.extend(p.rules[ri].body.iter().map(|a| a.rel));
                     neg_rels.extend(p.rules[ri].negated.iter().map(|a| a.rel));
+                    rec[ri] = heads.clone();
                 }
                 dred.push(DredStratum {
                     rules: stratum.clone(),
@@ -380,7 +399,9 @@ impl MaterializedView {
             adom_refs: fxmap(),
             counting_rules,
             dred,
-            plans: p.rules.iter().map(RulePlans::new).collect(),
+            plans: (p.rules.iter().zip(&rec))
+                .map(|(r, rec)| RulePlans::new(r, rec))
+                .collect(),
             idb_rels: p.idb().into_iter().collect(),
             degraded: false,
             full_rebuilds: 0,
@@ -456,6 +477,8 @@ impl MaterializedView {
     /// expanded into its `ADom` reference-count consequences plus the
     /// fact change itself, then the cascade settles once.
     fn apply_entries(&mut self, entries: &[DeltaEntry]) {
+        #[cfg(test)]
+        let epoch = self.db.epoch();
         let adom_rel = rel(ADOM);
         let mut ctx = Ctx::new(self.dred.len());
         for e in entries {
@@ -484,6 +507,8 @@ impl MaterializedView {
             }
         }
         self.settle(&mut ctx);
+        #[cfg(test)]
+        tests::VIEW_WRITES.with(|c| c.set(c.get() + self.db.epoch() - epoch));
     }
 
     /// Apply one membership change to the database and record it for the
@@ -497,8 +522,8 @@ impl MaterializedView {
         self.emit(ctx, op, f);
     }
 
-    /// Record an already-applied membership change (DRed applies changes
-    /// itself during its phases).
+    /// Record an already-applied membership change (the counting drain
+    /// applies its recounts itself).
     fn emit(&self, ctx: &mut Ctx, op: DeltaOp, f: Fact) {
         if !self.counting_rules.is_empty() {
             if op == DeltaOp::Delete {
@@ -533,8 +558,8 @@ impl MaterializedView {
         while let Some(f) = ctx.queue.pop_front() {
             let union = [&self.db, &ctx.graveyard];
             for &ri in &self.counting_rules {
-                self.plans[ri].heads_through(&f, false, false, &union, &mut cands);
-                self.plans[ri].heads_through(&f, true, false, &union, &mut cands);
+                self.plans[ri].candidates_through(&f, false, &union, &mut cands);
+                self.plans[ri].candidates_through(&f, true, &union, &mut cands);
             }
             cands.sort_unstable();
             cands.dedup();
@@ -570,7 +595,9 @@ impl MaterializedView {
     }
 
     /// Delete–rederive for recursive stratum `s`, consuming the batch-log
-    /// entries accumulated since its last run.
+    /// entries accumulated since its last run: three phases decide what
+    /// changes against the unchanged database, then one commit writes
+    /// the net change.
     fn dred_stratum(&mut self, ctx: &mut Ctx, s: usize) {
         let start = ctx.cursors[s];
         ctx.cursors[s] = ctx.batchlog.len();
@@ -611,48 +638,36 @@ impl MaterializedView {
         ins.sort_unstable();
         del.sort_unstable();
 
-        // Phase 1 — overdelete. Re-add the deleted support so the
-        // database is a superset of its previous state, then close the
+        // Phase 1 — overdelete, against the unchanged database: close the
         // set of stratum facts reachable from a deletion (positive
         // occurrence) or an insertion (negated occurrence), skipping
-        // negation checks: a sound over-approximation of lost support.
-        let mut readded: Vec<Fact> = Vec::new();
-        for d in &del {
-            if self.db.insert(d.clone()) {
-                readded.push(d.clone());
-            }
-        }
+        // negation checks: a sound over-approximation of lost support. A
+        // probe from a changed fact reads the database beside `gone`, the
+        // deleted support, so a derivation that used two deleted facts is
+        // still found; one from an overdeleted fact reads the database,
+        // which still holds it, alone.
+        let gone = Instance::from_facts(del.iter().cloned());
+        let (db, with_gone) = ([&self.db], [&self.db, &gone]);
         let mut over: FxSet<Fact> = fxset();
-        let mut work: VecDeque<(Fact, bool)> = VecDeque::new();
-        for d in &del {
-            work.push_back((d.clone(), false));
-        }
-        for i in &ins {
-            if stratum.neg_rels.contains(&i.rel) {
-                work.push_back((i.clone(), true));
-            }
-        }
-        let mut heads: Vec<Fact> = Vec::new();
         {
-            // Read-only until the sweep ends: each occurrence binds once.
-            let db = [&self.db];
-            let mut probes = [false, true].map(|via_neg| {
-                (stratum.rules.iter())
-                    .flat_map(|&ri| match via_neg {
-                        true => &self.plans[ri].neg,
-                        false => &self.plans[ri].pos,
-                    })
-                    .map(|o| PhaseProbe::new(o, &o.candidates))
-                    .collect::<Vec<_>>()
-            });
-            while let Some((x, via_neg)) = work.pop_front() {
-                for p in &mut probes[usize::from(via_neg)] {
+            let mut probes = [
+                self.probes(&stratum, |p| &p.pos[..], false, &with_gone),
+                self.probes(&stratum, |p| &p.neg[..], false, &with_gone),
+                self.probes(&stratum, |p| &p.pos[..], false, &db),
+            ];
+            let blocked = ins.iter().filter(|i| stratum.neg_rels.contains(&i.rel));
+            let mut work: Vec<(Fact, usize)> = (del.iter().map(|d| (d.clone(), 0)))
+                .chain(blocked.map(|i| (i.clone(), 1)))
+                .collect();
+            let mut heads: Vec<Fact> = Vec::new();
+            while let Some((x, k)) = work.pop() {
+                for p in &mut probes[k] {
                     let o = p.o;
-                    p.heads(&x, &db, &mut |vals| heads.push(o.ground(vals)));
+                    p.heads(&x, &mut |vals| heads.push(o.ground(vals)));
                 }
                 for h in heads.drain(..) {
                     if self.db.contains(&h) && over.insert(h.clone()) {
-                        work.push_back((h, false));
+                        work.push((h, 2));
                     }
                 }
             }
@@ -661,81 +676,110 @@ impl MaterializedView {
         over_sorted.sort_unstable();
         #[cfg(test)]
         tests::OVERDELETED.with(|c| c.set(c.get() + over_sorted.len() as u64));
-        for h in &over_sorted {
-            self.db.remove(h);
-        }
-        for d in &readded {
-            self.db.remove(d);
-        }
 
-        // Phase 2 — rederive: one existence probe per overdeleted fact
-        // against the database without the overdeleted set (full
-        // semantics, lower strata now final). A fact whose only
-        // alternative derivations run through other overdeleted facts is
-        // left to phase 3, which the facts that pass here seed. They are
-        // inserted after the pass, so the probes run on plans bound once.
-        let rederived: Vec<Fact> = {
-            let db = [&self.db];
-            let mut probes: Vec<PhaseProbe> = (stratum.rules.iter())
-                .map(|&ri| &self.plans[ri].head)
-                .map(|o| PhaseProbe::new(o, &o.derive))
-                .collect();
+        // Phase 2 — rederive, against the unchanged database: one
+        // existence probe per overdeleted fact (full semantics, lower
+        // strata final). A derivation counts only when none of its
+        // premises is overdeleted; a fact whose only alternative
+        // derivations run through other overdeleted facts is left to
+        // phase 3, which the facts that pass here seed.
+        let mut alive: FxSet<Fact> = {
+            let mut heads = self.probes(&stratum, |p| std::slice::from_ref(&p.head), true, &db);
+            let dead = |f: &Fact| over.contains(f);
+            let mut derivable = |h: &Fact| {
+                #[cfg(test)]
+                tests::REDERIVE_PROBES.with(|c| c.set(c.get() + 1));
+                heads.iter_mut().any(|p| {
+                    let (o, mut found) = (p.o, false);
+                    p.heads(h, &mut |vals| found = found || o.avoids(vals, &dead));
+                    found
+                })
+            };
             (over_sorted.iter())
-                .filter(|h| derivable(&mut probes, &db, h))
+                .filter(|h| derivable(h))
                 .cloned()
                 .collect()
         };
-        self.db.insert_all(&rederived, |_| {});
 
-        // Phase 3 — insert: the semi-naive worklist over inserted support
-        // (positive occurrences), deleted support (negated occurrences)
-        // and the rederived facts, full semantics, cascading through new
-        // heads.
-        let mut added: FxSet<Fact> = fxset();
-        let mut work: VecDeque<(Fact, bool)> = VecDeque::new();
-        for i in &ins {
-            work.push_back((i.clone(), false));
-        }
-        for d in &del {
-            if stratum.neg_rels.contains(&d.rel) {
-                work.push_back((d.clone(), true));
-            }
-        }
-        work.extend(rederived.into_iter().map(|h| (h, false)));
-        while let Some((x, via_neg)) = work.pop_front() {
-            for &ri in &stratum.rules {
-                self.plans[ri].heads_through(&x, via_neg, true, &[&self.db], &mut heads);
-            }
-            for h in heads.drain(..) {
-                if !self.db.contains(&h) {
-                    self.db.insert(h.clone());
-                    added.insert(h.clone());
-                    work.push_back((h, false));
+        // Phase 3 — insert, against the unchanged database: semi-naive
+        // rounds over the database beside `fresh`, the facts new in
+        // earlier rounds, each round's occurrences bound once. The first
+        // round starts from the inserted support (positive occurrences),
+        // the deleted support (negated occurrences) and the rederived
+        // facts, each later one from the facts the round before found. A
+        // derivation counts when none of its premises is overdeleted and
+        // not yet back; an overdeleted head it finds is back (alive), any
+        // other head not yet stored is fresh.
+        let mut fresh = Instance::new();
+        let revived = (over_sorted.iter()).filter(|h| alive.contains(*h)).cloned();
+        let unblocked = (del.into_iter()).filter(|d| stratum.neg_rels.contains(&d.rel));
+        let mut seeds: Vec<(Fact, usize)> = (ins.into_iter().chain(revived).map(|f| (f, 0)))
+            .chain(unblocked.map(|d| (d, 1)))
+            .collect();
+        while !seeds.is_empty() {
+            #[cfg(test)]
+            tests::INSERT_ROUNDS.with(|c| c.set(c.get() + 1));
+            let mut found: Vec<Fact> = Vec::new();
+            {
+                let union = [&self.db, &fresh];
+                let mut probes = [
+                    self.probes(&stratum, |p| &p.pos[..], true, &union),
+                    self.probes(&stratum, |p| &p.neg[..], true, &union),
+                ];
+                let dead = |f: &Fact| over.contains(f) && !alive.contains(f);
+                for (x, k) in &seeds {
+                    for p in &mut probes[*k] {
+                        let o = p.o;
+                        p.heads(x, &mut |vals| {
+                            if o.avoids(vals, &dead) {
+                                found.push(o.ground(vals));
+                            }
+                        });
+                    }
                 }
             }
+            found.sort_unstable();
+            found.dedup();
+            found.retain(|h| match over.contains(h) {
+                true => alive.insert(h.clone()),
+                false => !self.db.contains(h) && !fresh.contains(h),
+            });
+            fresh.insert_all(found.iter().filter(|h| !over.contains(*h)), |_| {});
+            seeds = found.into_iter().map(|h| (h, 0)).collect();
         }
 
-        // Net effect of the stratum, in deterministic order: overdeleted
-        // facts that stayed out, then genuinely new facts.
-        let net_del: Vec<Fact> = over_sorted
-            .iter()
-            .filter(|h| !self.db.contains(h))
-            .cloned()
-            .collect();
-        let mut net_ins: Vec<Fact> = added
-            .iter()
-            .filter(|h| !over.contains(*h))
-            .cloned()
-            .collect();
+        // Commit the stratum's net change, in deterministic order:
+        // overdeleted facts that stayed out, then genuinely new facts.
+        let mut net_ins: Vec<Fact> = fresh.iter().cloned().collect();
         net_ins.sort_unstable();
-        for f in net_del {
-            self.emit(ctx, DeltaOp::Delete, f);
+        for f in over_sorted.into_iter().filter(|h| !alive.contains(h)) {
+            self.push(ctx, DeltaOp::Delete, f);
         }
         for f in net_ins {
-            self.emit(ctx, DeltaOp::Insert, f);
+            self.push(ctx, DeltaOp::Insert, f);
         }
         // Skip our own emissions when this stratum next consumes the log.
         ctx.cursors[s] = ctx.batchlog.len();
+    }
+
+    /// The occurrences `pick` takes from each of `stratum`'s rules, each
+    /// to be bound to `instances` on its first probe; `full` checks
+    /// negation.
+    fn probes<'a>(
+        &'a self,
+        stratum: &DredStratum,
+        pick: fn(&RulePlans) -> &[Occurrence],
+        full: bool,
+        instances: &'a [&'a Instance],
+    ) -> Vec<PhaseProbe<'a>> {
+        (stratum.rules.iter().flat_map(|&ri| pick(&self.plans[ri])))
+            .map(|o| PhaseProbe {
+                o,
+                plan: if full { &o.derive } else { &o.candidates },
+                instances,
+                bound: None,
+            })
+            .collect()
     }
 
     fn stats(&self) -> ViewStats {
@@ -746,18 +790,6 @@ impl MaterializedView {
             dred_strata: self.dred.len(),
         }
     }
-}
-
-/// Does any of the stratum's head occurrences `heads` derive exactly `h`
-/// on `db` (full semantics)? One existence probe.
-fn derivable<'a>(heads: &mut [PhaseProbe<'a>], db: &'a [&'a Instance], h: &Fact) -> bool {
-    #[cfg(test)]
-    tests::REDERIVE_PROBES.with(|c| c.set(c.get() + 1));
-    heads.iter_mut().any(|p| {
-        let mut n = 0u64;
-        p.heads(h, db, &mut |_| n += 1);
-        n > 0
-    })
 }
 
 /// Is the intra-stratum positive head-dependency graph acyclic? (Longest-
@@ -872,8 +904,12 @@ mod tests {
         pub(super) static OVERDELETED: Cell<u64> = const { Cell::new(0) };
         /// Database mutations made inside the counting drain.
         pub(super) static DRAIN_WRITES: Cell<u64> = const { Cell::new(0) };
-        /// Occurrence plans bound by DRed's read-only phases.
+        /// Occurrence plans bound by DRed's phases and insert rounds.
         pub(super) static BINDS: Cell<u64> = const { Cell::new(0) };
+        /// Semi-naive rounds run by DRed's insert phase.
+        pub(super) static INSERT_ROUNDS: Cell<u64> = const { Cell::new(0) };
+        /// Mutations of a view's database made by incremental refreshes.
+        pub(super) static VIEW_WRITES: Cell<u64> = const { Cell::new(0) };
     }
 
     fn take(counter: &'static std::thread::LocalKey<Cell<u64>>) -> u64 {
@@ -1179,7 +1215,8 @@ mod tests {
     /// the alternatives lay behind (1 774 probes for 178 facts on one
     /// such batch) — and the TC view, which has no counting rule, never
     /// touches its database in the counting drain (the per-pop re-add
-    /// made 11 605 mutations there).
+    /// made 11 605 mutations there). DRed writes the database only to
+    /// commit the net change.
     #[test]
     fn chord_retraction_probes_each_overdeleted_fact_once() {
         let p = parse_program("T(x,y) <- E(x,y)\nT(x,z) <- E(x,y), T(y,z)").unwrap();
@@ -1200,19 +1237,39 @@ mod tests {
         take(&OVERDELETED);
         take(&DRAIN_WRITES);
         take(&BINDS);
+        take(&VIEW_WRITES);
+        take(&INSERT_ROUNDS);
         assert_matches_scratch(&p, &db, EvalStrategy::Auto);
         let (probes, over) = (take(&REDERIVE_PROBES), take(&OVERDELETED));
         // T(x,y) for x ≤ 25 < 41 ≤ y, and everything below a spur.
         assert_eq!(over, 25 * 24 + 27 + 30);
         assert!(probes <= over, "{probes} rederive probes for {over} facts");
-        // Each occurrence binds at most once per read-only phase: three
-        // positive body occurrences in the overdelete, two heads in the
-        // rederive.
-        let binds = take(&BINDS);
-        assert!(binds <= 3 + 2, "{binds} binds for {over} overdeleted facts");
+        // Each occurrence binds at most once per phase and once per
+        // insert round: three positive body occurrences in the
+        // overdelete, two heads in the rederive, and per round the one
+        // occurrence a revived `T` fact matches. The revival walks down
+        // the chain from `T(25,·)`, one step a round, and a last round
+        // finds nothing.
+        let (binds, rounds) = (take(&BINDS), take(&INSERT_ROUNDS));
+        assert_eq!(rounds, 25);
+        assert!(
+            binds <= 3 + 2 + rounds,
+            "{binds} binds in {rounds} insert rounds"
+        );
         assert_eq!(take(&DRAIN_WRITES), 0);
+        // The view's database takes only the net change: three edges and
+        // two `ADom` values out, 57 paths to a spur out (1 268 writes
+        // when DRed removed the overdeleted set and put 600 back).
+        assert_eq!(take(&VIEW_WRITES), 3 + 2 + 27 + 30);
         let stats = view_stats(&p, &db, EvalStrategy::Auto).unwrap();
         assert_eq!((stats.full_rebuilds, stats.incremental_applied), (0, 3));
+        // An insert-only batch writes exactly its new facts: putting the
+        // edges back adds the same 62.
+        for f in &extra {
+            db.insert(f.clone());
+        }
+        assert_matches_scratch(&p, &db, EvalStrategy::Auto);
+        assert_eq!(take(&VIEW_WRITES), 3 + 2 + 27 + 30);
     }
 
     /// The counting drain reads the refresh's deleted facts beside the
@@ -1345,7 +1402,7 @@ mod tests {
         db.remove(&fact("T", &[1, 1]));
         let probes: Vec<Fact> = db.iter().cloned().collect();
         for r in &p.rules {
-            let plans = RulePlans::new(r);
+            let plans = RulePlans::new(r, &fxset());
             let occurrences = std::iter::once((&plans.head, &r.head, None))
                 .chain(
                     plans

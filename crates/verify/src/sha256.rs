@@ -75,15 +75,21 @@ impl Sha256 {
         }
     }
 
-    /// Finish: pad, absorb the length, return the 32-byte digest.
+    /// Finish: pad, absorb the length, return the 32-byte digest. The
+    /// `0x80`, the zero fill and the bit length are written into the
+    /// buffered block directly: one compression, or two when fewer than
+    /// nine bytes of the block are free.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        let mut block = self.buf;
+        block[self.buf_len] = 0x80;
+        block[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            self.compress(&block);
+            block = [0u8; 64];
         }
-        self.update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
+        block[56..].copy_from_slice(&bit_len.to_be_bytes());
+        self.compress(&block);
         let mut out = [0u8; 32];
         for (i, w) in self.state.iter().enumerate() {
             out[4 * i..4 * i + 4].copy_from_slice(&w.to_be_bytes());
@@ -188,6 +194,25 @@ mod tests {
             hex(&h.finalize()),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         );
+    }
+
+    /// The padding written into the block matches FIPS 180-4's padding
+    /// absorbed byte by byte, at every length of the last block (both
+    /// sides of the 56-byte boundary, and none).
+    #[test]
+    fn padding_matches_bytewise_padding_at_every_length() {
+        let data: Vec<u8> = (0..200u16).map(|i| (i * 13 % 251) as u8).collect();
+        for len in 0..=data.len() {
+            let mut h = Sha256::new();
+            h.update(&data[..len]);
+            h.update(&[0x80]);
+            while h.buf_len != 56 {
+                h.update(&[0]);
+            }
+            h.update(&(8 * len as u64).to_be_bytes());
+            let want = h.state.map(u32::to_be_bytes).concat();
+            assert_eq!(digest(&data[..len])[..], want[..], "length {len}");
+        }
     }
 
     #[test]

@@ -505,15 +505,18 @@ proptest! {
     /// recursive ones), refreshed from the delta log after random
     /// batches of inserts and deletes, is identical to from-scratch
     /// evaluation — for every local-join strategy, on programs covering
-    /// recursion, mutual recursion, stratified negation over `ADom`
-    /// complements, and nonrecursive negation with inequalities. A
+    /// recursion (linear, and quadratic: two premises from the recursive
+    /// stratum, both possibly retracted), mutual recursion, stratified
+    /// negation over `ADom` complements, recursion through negation of a
+    /// base relation (an insertion into `R` retracts through a negated
+    /// occurrence), and nonrecursive negation with inequalities. A
     /// refresh settles its whole batch at once, so batches mix several
     /// mutations, including a fact inserted then deleted and one deleted
     /// then reinserted before the view sees either. The views must stay
     /// incremental: zero full rebuilds across the whole mutation run.
     #[test]
     fn maintained_views_match_scratch_eval(
-        prog_idx in 0usize..5,
+        prog_idx in 0usize..7,
         init in prop::collection::vec((0..2u8, 0..4u64, 0..4u64), 0..10),
         ops in prop::collection::vec((0..2u8, 0..4u8, 0..4u64, 0..4u64, 0..3u8), 1..16),
     ) {
@@ -531,6 +534,10 @@ proptest! {
             "P(x,y) <- E(x,y)\nQ(x,y) <- P(x,z), E(z,y)\nP(x,y) <- Q(x,z), E(z,y)",
             // Nonrecursive join with negation and an inequality.
             "H(x,z) <- E(x,y), R(y,z), x != z, not E(z,x)",
+            // Quadratic transitive closure: both premises recursive.
+            "TC(x,y) <- E(x,y)\nTC(x,y) <- TC(x,z), TC(z,y)",
+            // Recursion with negation on a base relation.
+            "P(x,y) <- E(x,y), not R(x,y)\nP(x,z) <- P(x,y), E(y,z), not R(x,z)",
         ];
         let p = parlog::datalog::program::parse_program(programs[prog_idx]).unwrap();
         let mut db = Instance::new();
