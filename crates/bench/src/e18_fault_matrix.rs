@@ -91,9 +91,11 @@ fn reliability_costs() -> Vec<ReliabilityCost> {
 
 fn mpc_recovery() -> MpcRecovery {
     let seed_facts = |c: &mut Cluster| {
-        for i in 0..24u64 {
-            c.local_mut((i % 4) as usize)
-                .insert(fact("R", &[i, (i * 3) % 24]));
+        for s in 0..4u64 {
+            c.place(
+                s as usize,
+                (s..24).step_by(4).map(|i| fact("R", &[i, (i * 3) % 24])),
+            );
         }
     };
     let route = |f: &parlog::relal::fact::Fact| vec![(f.args[1].0 % 4) as usize];

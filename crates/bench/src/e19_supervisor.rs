@@ -250,8 +250,11 @@ fn speculation() -> Speculation {
         if let Some(s) = spec {
             c = c.with_speculation(s);
         }
-        for i in 0..160u64 {
-            c.local_mut((i % 8) as usize).insert(fact("R", &[i, i * 7]));
+        for s in 0..8u64 {
+            c.place(
+                s as usize,
+                (s..160).step_by(8).map(|i| fact("R", &[i, i * 7])),
+            );
         }
         c.communicate(|f| vec![(f.args[0].0 % 8) as usize]);
         c

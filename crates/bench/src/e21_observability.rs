@@ -87,7 +87,7 @@ fn traced_faulty_json(q: &ConjunctiveQuery, db: &Instance, p: usize, threads: us
         });
     seed_cluster(&mut cluster, db, InitialPartition::RoundRobin);
     cluster.communicate(|f| hc.destinations(f));
-    cluster.compute(|local| eval_query(q, local));
+    cluster.compute_query(q, EvalStrategy::Indexed);
     serde_json::to_string(&sink.report()).unwrap()
 }
 

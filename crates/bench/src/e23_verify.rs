@@ -213,7 +213,7 @@ pub fn record() -> E23 {
     let truth = {
         let mut c = Cluster::new(P);
         for (s, sh) in shard(&db, P).into_iter().enumerate() {
-            *c.local_mut(s) = sh;
+            c.place(s, sh.iter().cloned());
         }
         c.compute_union_verified(&u, EvalStrategy::Indexed, &CorruptionPlan::none(1));
         c.union_all()
@@ -227,7 +227,7 @@ pub fn record() -> E23 {
         let victim = seed as usize % P;
         let mut c = Cluster::new(P);
         for (s, sh) in shard(&db, P).into_iter().enumerate() {
-            *c.local_mut(s) = sh;
+            c.place(s, sh.iter().cloned());
         }
         let plan = CorruptionPlan::single(seed, 0, victim, kind);
         let round = c.compute_union_verified(&u, EvalStrategy::Indexed, &plan);

@@ -285,8 +285,8 @@ fn mpc_drain() -> Vec<DrainRow> {
             duration,
             &[1],
         )));
-        for (i, f) in db.iter().enumerate() {
-            c.local_mut(i % 3).insert(f.clone());
+        for s in 0..3 {
+            c.place(s, db.iter().skip(s).step_by(3).cloned());
         }
         c.communicate(|f| {
             let key = if f.rel == r_id {
@@ -303,7 +303,7 @@ fn mpc_drain() -> Vec<DrainRow> {
             drain_rounds += 1;
             assert!(drain_rounds <= 16, "drain must terminate");
         }
-        c.compute(|inst| eval_query(&q, inst));
+        c.compute_query(&q, EvalStrategy::Indexed);
         let exact = c.union_all() == expected;
         t.row(&[&duration, &held, &drain_rounds, &exact]);
         assert!(exact && held > 0);
@@ -322,8 +322,11 @@ fn mpc_drain() -> Vec<DrainRow> {
 fn barriers() -> Barriers {
     let fresh = |plan: PartitionPlan| {
         let mut c = Cluster::new(3).with_faults(MpcFaultPlan::partitioned(plan));
-        for i in 0..9u64 {
-            c.local_mut((i % 3) as usize).insert(fact("R", &[i, i * 3]));
+        for s in 0..3u64 {
+            c.place(
+                s as usize,
+                (s..9).step_by(3).map(|i| fact("R", &[i, i * 3])),
+            );
         }
         c
     };

@@ -184,10 +184,12 @@ impl fmt::Display for FaultMatrix {
 /// `i < 12`, round-robin over `p` servers.
 fn seed_cluster(p: usize) -> Cluster {
     let mut c = Cluster::new(p);
-    for i in 0..12u64 {
-        let s = (i % p as u64) as usize;
-        c.local_mut(s).insert(fact("R", &[i, i + 1]));
-        c.local_mut(s).insert(fact("S", &[i + 1, i + 2]));
+    for s in 0..p {
+        let held = (s as u64..12).step_by(p);
+        c.place(
+            s,
+            held.flat_map(|i| [fact("R", &[i, i + 1]), fact("S", &[i + 1, i + 2])]),
+        );
     }
     c
 }

@@ -18,6 +18,7 @@ use crate::partition::{route_by_key, seed_cluster, HashPartitioner, InitialParti
 use crate::report::RunReport;
 use parlog_relal::atom::{Atom, Term};
 use parlog_relal::instance::Instance;
+use parlog_relal::shard::Relations;
 use parlog_relal::symbols::{rel, RelId};
 
 /// Which TC strategy to run.
@@ -96,7 +97,7 @@ impl DistributedTc {
         );
         let promote = rule(pair(tc_rel, "x", "y"), vec![pair(pending_rel, "x", "y")]);
         let settle = [layer(&[fresh]), layer(&[promote])];
-        while (0..self.p).any(|s| cluster.local(s).relation_len(delta_rel) > 0) {
+        while (0..self.p).any(|s| cluster.shard(s).relation_len(delta_rel) > 0) {
             route_by_key(&mut cluster, &[(delta_rel, vec![1], h)]);
             cluster.compute_rules(&step, &[delta_rel]);
             route_by_key(&mut cluster, &[(pending_rel, vec![0], h)]);

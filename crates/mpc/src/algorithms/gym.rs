@@ -17,16 +17,17 @@
 //! passes of [`crate::algorithms::treejoin`].
 
 use crate::algorithms::treejoin::{yannakakis_passes, RelTree, VarRel};
-use crate::cluster::Cluster;
+use crate::cluster::{layer, Cluster};
 use crate::hypercube::HypercubeAlgorithm;
 use crate::partition::{seed_cluster, InitialPartition};
 use crate::report::RunReport;
 use crate::shares::Shares;
 use parlog_relal::atom::Atom;
-use parlog_relal::eval::{EvalStrategy, QueryPlan};
+use parlog_relal::eval::QueryPlan;
 use parlog_relal::hypergraph::{tree_decomposition, TreeDecomposition};
 use parlog_relal::instance::Instance;
 use parlog_relal::query::ConjunctiveQuery;
+use parlog_relal::symbols::RelId;
 
 /// GYM evaluation of a (possibly cyclic) plain CQ over a tree
 /// decomposition.
@@ -130,19 +131,18 @@ impl Gym {
             dests
         });
 
-        // Local bag evaluation: a server in block b evaluates bag b's
-        // query, compiled once for the phase.
+        // Local bag evaluation: a server in block b runs bag b's query as
+        // a rule, compiled once for the phase; the inputs go. Servers
+        // beyond the addressed sub-grid may hold nothing.
         let plans: Vec<QueryPlan> = bag_queries
             .iter()
-            .map(|bq| {
-                QueryPlan::new(std::slice::from_ref(bq), EvalStrategy::Auto, &[])
-                    .expect("bag query is safe by construction")
-            })
+            .map(|bq| layer(std::slice::from_ref(bq)))
             .collect();
-        cluster.compute_per_server(|s, local| {
-            // Servers beyond the addressed sub-grid may hold nothing.
-            plans[(s / block).min(nbags - 1)].eval(local)
-        });
+        let inputs: Vec<RelId> = db.relations().collect();
+        cluster.compute_rules_per_server(
+            |s| std::slice::from_ref(&plans[(s / block).min(nbags - 1)]),
+            &inputs,
+        );
 
         // Yannakakis over the bag tree.
         let nodes: Vec<VarRel> = (0..nbags)

@@ -107,9 +107,8 @@ impl TwoRoundTriangle {
         // The heavy hitters "and their frequencies are known": a free
         // local step puts them on every server.
         let heavy_rel = rel(&format!("t2Heavy_{}", self.seed));
-        let known = Instance::from_facts(heavy.iter().map(|&v| Fact::new(heavy_rel, [v])));
         for s in 0..p {
-            cluster.local_mut(s).extend_from(&known);
+            cluster.place(s, heavy.iter().map(|&v| Fact::new(heavy_rel, [v])));
         }
 
         // Compute phase 1: close every triangle among co-located facts

@@ -8,6 +8,11 @@
 //! model's key metrics, maximum load and total communication, are recorded
 //! per round in [`RoundStats`].
 //!
+//! A server's state is a [`Shard`]: what it received, as one sorted,
+//! deduplicated trie run per relation and arity, which the computation
+//! phase's leapfrog plans read; its next state shares every run it keeps
+//! (DESIGN §4, "MPC server state").
+//!
 //! ## Fault tolerance (checkpoint/replay)
 //!
 //! The MPC model's synchronized rounds assume no server fails. With an
@@ -34,7 +39,7 @@
 //! stream, and the computation phase runs each server's local function on
 //! its own worker. Determinism is preserved by construction — routing
 //! decisions are computed in parallel but **merged in server order**, and
-//! each server's computed instance lands in its own slot — so outputs,
+//! each server's computed shard lands in its own slot — so outputs,
 //! per-round [`RoundStats`], and the JSON reports are byte-identical to
 //! the sequential engine (`parallelism = 1`, the default). Checkpoint/
 //! replay, stragglers, and speculation all operate on the merged results
@@ -73,6 +78,7 @@ use parlog_relal::eval::{EvalStrategy, QueryPlan};
 use parlog_relal::fact::Fact;
 use parlog_relal::instance::Instance;
 use parlog_relal::query::ConjunctiveQuery;
+use parlog_relal::shard::{Arrivals, Shard};
 use parlog_relal::symbols::RelId;
 use parlog_trace::{
     CommCounters, FaultEvent, FaultEventKind, Phase, Span, TraceEvent, TraceHandle,
@@ -273,66 +279,62 @@ where
 /// in the first communication round at or after the severing epoch heals.
 type HeldCopy = (ServerId, ServerId, Fact);
 
-/// One fact bound for one server, and whether its arrival counts as load
-/// (a `Send`, a flushed hold) or is free (a `Keep`).
-type Delivery<'a> = (&'a Fact, bool);
-
 /// What one attempt at a communication round produced: the next cluster
 /// state, the load and payload bytes it cost, and the copies it left held.
-#[derive(Default)]
 struct Delivered {
-    next: Vec<Instance>,
+    next: Vec<Shard>,
     received: Vec<usize>,
     bytes: u64,
     held: Vec<HeldCopy>,
 }
 
-/// Route `items` in order, scattering each decision into per-destination
-/// `buckets` — or onto `held` when `severed(src, dest)` (held, not lost:
-/// no load, no bytes). Keep-retained facts are free.
-fn scatter<'a, R, S>(
-    buckets: &mut [Vec<Delivery<'a>>],
+/// Route every fact of `holders`, in order, scattering each decision into
+/// per-destination `inboxes` — or onto `held` when `severed(src, dest)`
+/// (held, not lost: no load, no bytes). Keep-retained facts are free.
+fn scatter<R, S>(
+    inboxes: &mut [Arrivals],
     held: &mut Vec<HeldCopy>,
-    items: &[(ServerId, &'a Fact)],
+    holders: &[(ServerId, &Shard)],
     route: &R,
     severed: &S,
 ) where
     R: Fn(ServerId, &Fact) -> Routing,
     S: Fn(ServerId, ServerId) -> bool,
 {
-    let p = buckets.len();
-    for &(src, f) in items {
-        match route(src, f) {
-            Routing::Keep => buckets[src].push((f, false)),
-            Routing::Send(dests) => {
-                for dest in dests {
-                    assert!(dest < p, "destination {dest} out of range for p={p}");
-                    if severed(src, dest) {
-                        held.push((src, dest, f.clone()));
-                    } else {
-                        buckets[dest].push((f, true));
+    let p = inboxes.len();
+    for &(src, shard) in holders {
+        for f in shard.iter() {
+            match route(src, &f) {
+                Routing::Keep => inboxes[src].push(f.rel, &f.args, false),
+                Routing::Send(dests) => {
+                    for dest in dests {
+                        assert!(dest < p, "destination {dest} out of range for p={p}");
+                        if severed(src, dest) {
+                            held.push((src, dest, f.clone()));
+                        } else {
+                            inboxes[dest].push(f.rel, &f.args, true);
+                        }
                     }
                 }
+                Routing::Drop => {}
             }
-            Routing::Drop => {}
         }
     }
 }
 
 /// One communication attempt, the merge point every phase and both
 /// engines share. Carried holds whose links have healed flush first,
-/// then `items` are routed and scattered in order (per-worker buckets
-/// concatenated in chunk order, so bucket and hold order are the
-/// sequential ones), and each destination's instance is built whole from
-/// its bucket (no delta log: a server's state is what it received). A
-/// delivery counts as load once per destination, deduplicated against
-/// whatever that destination already received, as in the model's
-/// accounting of repartitioning. The pass reads only its
+/// then the holders' facts are routed and scattered in order (per-worker
+/// inboxes appended in chunk order, so arrival and hold order are the
+/// sequential ones), and each destination's shard is built from its
+/// inbox: one sort and dedup per relation. A delivery counts as load once
+/// per destination — iff the fact's first arrival there counts — as in
+/// the model's accounting of repartitioning. The pass reads only its
 /// arguments, so a crash-replayed attempt re-derives the same outcome.
 fn deliver<R, S>(
     p: usize,
     threads: usize,
-    items: &[(ServerId, &Fact)],
+    holders: &[(ServerId, &Shard)],
     carried: &[HeldCopy],
     route: &R,
     severed: &S,
@@ -341,61 +343,54 @@ where
     R: Fn(ServerId, &Fact) -> Routing + Sync,
     S: Fn(ServerId, ServerId) -> bool + Sync,
 {
-    let mut buckets: Vec<Vec<Delivery<'_>>> = vec![Vec::new(); p];
-    let mut held = Vec::new();
+    let inboxes = || (0..p).map(|_| Arrivals::default()).collect::<Vec<_>>();
+    let (mut next, mut held) = (inboxes(), Vec::new());
     for (src, dest, f) in carried {
         if severed(*src, *dest) {
             held.push((*src, *dest, f.clone()));
         } else {
-            buckets[*dest].push((f, true));
+            next[*dest].push(f.rel, &f.args, true);
         }
     }
-    let routed = par_chunks(items, threads, items.len(), |_, chunk| {
-        let mut part = (vec![Vec::new(); p], Vec::new());
+    let facts = holders.iter().map(|(_, shard)| shard.len()).sum();
+    let routed = par_chunks(holders, threads, facts, |_, chunk| {
+        let mut part = (inboxes(), Vec::new());
         scatter(&mut part.0, &mut part.1, chunk, route, severed);
         part
     });
     for (part, part_held) in routed {
-        for (bucket, more) in buckets.iter_mut().zip(part) {
-            bucket.extend(more);
+        for (inbox, more) in next.iter_mut().zip(part) {
+            inbox.append(more);
         }
         held.extend(part_held);
     }
-    let deliveries = buckets.iter().map(Vec::len).sum();
-    let built = par_chunks(&buckets, threads, deliveries, |_, dests| {
-        let build = |bucket: &Vec<Delivery<'_>>| {
-            let (mut got, mut bytes) = (0usize, 0u64);
-            let inst = Instance::from_borrowed(bucket.iter().map(|d| d.0), |i| {
-                let (f, counted) = bucket[i];
-                if counted {
-                    got += 1;
-                    bytes += CommCounters::wire_bytes(f.args.len());
-                }
-            });
-            (inst, got, bytes)
-        };
+    let deliveries = next.iter().map(Arrivals::count).sum();
+    let built = par_chunks(&next, threads, deliveries, |_, dests| {
+        let build = |inbox: &Arrivals| inbox.build(CommCounters::wire_bytes);
         dests.iter().map(build).collect::<Vec<_>>()
     });
-    let mut out = Delivered {
-        held,
-        ..Delivered::default()
-    };
-    for (inst, got, bytes) in built.into_iter().flatten() {
-        out.next.push(inst);
-        out.received.push(got);
-        out.bytes += bytes;
+    let (mut next, mut received, mut bytes) = (Vec::new(), Vec::new(), 0);
+    for (shard, got, cost) in built.into_iter().flatten() {
+        next.push(shard);
+        received.push(got);
+        bytes += cost;
     }
-    out
+    Delivered {
+        next,
+        received,
+        bytes,
+        held,
+    }
 }
 
 /// A simulated shared-nothing cluster of `p` servers.
 ///
-/// The local state of each server is an [`Instance`]. Rounds are driven by
-/// [`Cluster::communicate`] and [`Cluster::compute`]; statistics accumulate
-/// in [`Cluster::rounds`].
+/// The local state of each server is a [`Shard`]. Rounds are driven by
+/// [`Cluster::communicate`] and [`Cluster::compute_per_server`];
+/// statistics accumulate in [`Cluster::rounds`].
 #[derive(Debug, Clone)]
 pub struct Cluster {
-    local: Vec<Instance>,
+    pub(crate) local: Vec<Shard>,
     rounds: Vec<RoundStats>,
     faults: MpcFaultPlan,
     recovery: RecoveryStats,
@@ -427,7 +422,7 @@ impl Cluster {
     pub fn new(p: usize) -> Cluster {
         assert!(p > 0, "a cluster needs at least one server");
         Cluster {
-            local: vec![Instance::new(); p],
+            local: vec![Shard::new(); p],
             rounds: Vec::new(),
             faults: MpcFaultPlan::none(),
             recovery: RecoveryStats::default(),
@@ -535,7 +530,7 @@ impl Cluster {
     /// Panics when a round exhausts the plan's retry budget.
     fn commit_round<G>(&mut self, mut attempt: G) -> &RoundStats
     where
-        G: FnMut(&[Instance], &[HeldCopy]) -> Delivered,
+        G: FnMut(&[Shard], &[HeldCopy]) -> Delivered,
     {
         let mut replays_this_round = 0u32;
         let round = self.rounds.len();
@@ -624,15 +619,22 @@ impl Cluster {
         self.local.len()
     }
 
-    /// The local instance of server `s`.
-    pub fn local(&self, s: ServerId) -> &Instance {
+    /// The state of server `s`, materialized as an [`Instance`] — what
+    /// the trusted checker and the oracles read.
+    pub fn local(&self, s: ServerId) -> Instance {
+        self.local[s].to_instance()
+    }
+
+    /// The state of server `s`.
+    pub fn shard(&self, s: ServerId) -> &Shard {
         &self.local[s]
     }
 
-    /// Mutable access to the local instance of server `s` — used to seed
-    /// the initial partition.
-    pub fn local_mut(&mut self, s: ServerId) -> &mut Instance {
-        &mut self.local[s]
+    /// The one writer entry point: add `facts` to server `s`, rebuilding
+    /// its shard once. Seeds data and stages what a step puts on a
+    /// server outside any round.
+    pub fn place(&mut self, s: ServerId, facts: impl IntoIterator<Item = Fact>) {
+        self.local[s] = self.local[s].with_facts(facts);
     }
 
     /// Which servers have been quarantined by the verify-then-commit
@@ -667,10 +669,10 @@ impl Cluster {
         self.rounds.len()
     }
 
-    /// The union of all local instances — the algorithm's output lives
+    /// The union of all servers' shards — the algorithm's output lives
     /// here ("the output must be present in the union of the p servers").
     pub fn union_all(&self) -> Instance {
-        Instance::from_borrowed(self.local.iter().flat_map(Instance::iter), |_| {})
+        Instance::from_facts(self.local.iter().flat_map(Shard::iter))
     }
 
     /// **Communication phase**: every fact currently held anywhere is
@@ -690,12 +692,12 @@ impl Cluster {
     }
 
     /// The shared communication-phase driver all three public phases
-    /// reduce to: build the `(source, fact)` item stream — every holder's
-    /// copy, optionally including per-server `storage` shards — route it on
-    /// the worker pool, and commit the deliveries with checkpoint/replay.
+    /// reduce to: route every holder's copy — each server's shard, then
+    /// the per-server `storage` shards if any — on the worker pool, and
+    /// commit the deliveries with checkpoint/replay.
     /// Deliveries are deduplicated per destination, so a fact held by
     /// several servers and routed alike by each counts once.
-    fn comm_round<R>(&mut self, storage: Option<&[Instance]>, route: R) -> &RoundStats
+    fn comm_round<R>(&mut self, storage: Option<&[Shard]>, route: R) -> &RoundStats
     where
         R: Fn(ServerId, &Fact) -> Routing + Sync,
     {
@@ -709,14 +711,10 @@ impl Cluster {
         let plan = plan.as_ref();
         let severed = |src, dest| plan.is_some_and(|pl| pl.severed(round, src, dest).is_some());
         self.commit_round(|local, carried| {
-            let holders = local
-                .iter()
-                .enumerate()
-                .chain(storage.into_iter().flatten().enumerate());
-            let items: Vec<(ServerId, &Fact)> = holders
-                .flat_map(|(src, inst)| inst.iter().map(move |f| (src, f)))
-                .collect();
-            deliver(p, threads, &items, carried, &route, &severed)
+            let storage = storage.into_iter().flatten().enumerate();
+            let holders: Vec<(ServerId, &Shard)> =
+                local.iter().enumerate().chain(storage).collect();
+            deliver(p, threads, &holders, carried, &route, &severed)
         })
     }
 
@@ -784,7 +782,7 @@ impl Cluster {
     }
 
     /// Computation phase applied per server with access to the server id:
-    /// replace every server's local instance with `f(server, local)`.
+    /// replace every server's shard with `f(server, local)`.
     /// With parallelism `n > 1` the servers are split into contiguous
     /// chunks, one scoped worker each; results come back in server order,
     /// so the outcome is identical to the sequential sweep. Workers only
@@ -793,13 +791,13 @@ impl Cluster {
     /// its allocator arena.
     pub fn compute_per_server<F>(&mut self, f: F)
     where
-        F: Fn(ServerId, &Instance) -> Instance + Sync,
+        F: Fn(ServerId, &Shard) -> Shard + Sync,
     {
         let wall = self.trace.is_on().then(std::time::Instant::now);
-        let work = self.local.iter().map(Instance::len).sum();
+        let work = self.local.iter().map(Shard::len).sum();
         let outs = par_chunks(&self.local, self.parallelism, work, |first, servers| {
-            let outs = (first..).zip(servers).map(|(s, inst)| f(s, inst));
-            outs.collect::<Vec<Instance>>()
+            let outs = (first..).zip(servers).map(|(s, shard)| f(s, shard));
+            outs.collect::<Vec<Shard>>()
         });
         for (inst, out) in self.local.iter_mut().zip(outs.into_iter().flatten()) {
             *inst = out;
@@ -826,7 +824,7 @@ impl Cluster {
     /// the multi-round skew engine, whose waves re-send input cohorts
     /// from storage while head facts accumulated so far stay put
     /// ([`Routing::Keep`] is load-free).
-    pub fn reshuffle_with<F>(&mut self, storage: &[Instance], route: F) -> &RoundStats
+    pub fn reshuffle_with<F>(&mut self, storage: &[Shard], route: F) -> &RoundStats
     where
         F: Fn(ServerId, &Fact) -> Routing + Sync,
     {
@@ -834,57 +832,58 @@ impl Cluster {
         self.comm_round(Some(storage), route)
     }
 
-    /// **Computation phase**: replace every server's local instance with
-    /// `f(local)`. Purely local — no communication, no load.
-    pub fn compute<F>(&mut self, f: F)
-    where
-        F: Fn(&Instance) -> Instance + Sync,
-    {
-        self.compute_per_server(|_, inst| f(inst));
-    }
-
     /// Computation phase evaluating one conjunctive query on every
-    /// server's local instance with the chosen local-join strategy —
-    /// the standard "local evaluation after routing" step of HyperCube
-    /// and the repartition joins. The query's [`QueryPlan`] is compiled
-    /// once for the phase, not once per server. All strategies produce
-    /// byte-identical results at every `with_parallelism` thread count.
+    /// server's shard with the chosen local-join strategy — the standard
+    /// "local evaluation after routing" step of HyperCube and the
+    /// repartition joins. The query's [`QueryPlan`] is compiled once for
+    /// the phase, not once per server, and the trie engine reads the
+    /// shard's runs. All strategies produce byte-identical results at
+    /// every `with_parallelism` thread count.
     ///
     /// # Panics
-    /// Panics if `q` is unsafe (see
-    /// [`ConjunctiveQuery::validate`](parlog_relal::query::ConjunctiveQuery::validate)).
-    pub fn compute_query(
-        &mut self,
-        q: &parlog_relal::query::ConjunctiveQuery,
-        strategy: EvalStrategy,
-    ) {
+    /// Panics if `q` is unsafe (see [`ConjunctiveQuery::validate`]).
+    pub fn compute_query(&mut self, q: &ConjunctiveQuery, strategy: EvalStrategy) {
         let plan = QueryPlan::new(std::slice::from_ref(q), strategy, &[])
             .expect("compute_query needs a safe query");
-        self.compute(|local| plan.eval(local));
+        self.compute_per_server(|_, local| {
+            let mut read = local.clone();
+            read.prepare(plan.trie_orders());
+            let mut heads = Vec::new();
+            plan.run(&read, None, &mut |f| heads.push(f));
+            Shard::from_facts(heads)
+        });
     }
 
     /// **Computation phase** as rules — the one local step of every
     /// multi-round algorithm: on each server, each layer's plan reads the
-    /// local instance as extended by the layers before it, and what it
-    /// derives is added; after the last layer the relations in `drop` go.
-    /// Rules derive into relations they do not read, so no layer
-    /// rewrites its own input. Plans are compiled once for the phase
-    /// ([`layer`]), not once per server.
+    /// shard as extended by the layers before it, and what it derives is
+    /// added; after the last layer the relations in `drop` go. Rules
+    /// derive into relations they do not read, so no layer rewrites its
+    /// own input. Plans are compiled once for the phase ([`layer`]), not
+    /// once per server. The next state shares every run it keeps; a
+    /// layer's heads are one new sorted run per relation.
     pub fn compute_rules(&mut self, layers: &[QueryPlan], drop: &[RelId]) {
-        self.compute(|local| {
-            // The instance the next layer reads: `local` until a layer
-            // derives something, then a copy rebuilt with it.
-            let mut read: Option<Instance> = None;
+        self.compute_rules_per_server(|_| layers, drop);
+    }
+
+    /// [`Cluster::compute_rules`] where server `s` runs `layers(s)` — a
+    /// block of servers per sub-query, as GYM's bag step.
+    pub fn compute_rules_per_server<'l, L>(&mut self, layers: L, drop: &[RelId])
+    where
+        L: Fn(ServerId) -> &'l [QueryPlan] + Sync,
+    {
+        self.compute_per_server(|s, local| {
+            let mut read = local.clone();
             let mut heads: Vec<Fact> = Vec::new();
-            for plan in layers {
+            for plan in layers(s) {
                 if !heads.is_empty() {
-                    let derived = std::mem::take(&mut heads);
-                    read = Some(read.as_ref().unwrap_or(local).rebuilt(&[], derived));
+                    read = read.with_facts(std::mem::take(&mut heads));
                 }
-                plan.run(read.as_ref().unwrap_or(local), None, &mut |f| heads.push(f));
+                read.prepare(plan.trie_orders());
+                plan.run(&read, None, &mut |f| heads.push(f));
             }
             heads.retain(|f| !drop.contains(&f.rel));
-            read.as_ref().unwrap_or(local).rebuilt(drop, heads)
+            read.without(drop).with_facts(heads)
         });
     }
 }
@@ -926,8 +925,8 @@ mod tests {
 
     fn seeded(p: usize, facts: &[Fact]) -> Cluster {
         let mut c = Cluster::new(p);
-        for (i, f) in facts.iter().enumerate() {
-            c.local_mut(i % p).insert(f.clone());
+        for s in 0..p {
+            c.place(s, facts.iter().skip(s).step_by(p).cloned());
         }
         c
     }
@@ -967,8 +966,8 @@ mod tests {
     fn duplicate_deliveries_are_counted_once() {
         // Both servers hold the same fact; both route it to server 0.
         let mut c = Cluster::new(2);
-        c.local_mut(0).insert(fact("R", &[9, 9]));
-        c.local_mut(1).insert(fact("R", &[9, 9]));
+        c.place(0, [fact("R", &[9, 9])]);
+        c.place(1, [fact("R", &[9, 9])]);
         c.reshuffle(|_, _| Routing::Send(vec![0]));
         assert_eq!(c.local(0).len(), 1);
         assert_eq!(c.rounds()[0].received[0], 1);
@@ -978,12 +977,12 @@ mod tests {
     fn compute_is_local() {
         let facts = vec![fact("R", &[1, 2])];
         let mut c = seeded(1, &facts);
-        c.compute(|inst| {
-            let mut out = Instance::new();
-            for f in inst.iter() {
-                out.insert(fact("Out", &[f.args[0].0, f.args[1].0]));
-            }
-            out
+        c.compute_per_server(|_, shard| {
+            Shard::from_facts(
+                shard
+                    .iter()
+                    .map(|f| fact("Out", &[f.args[0].0, f.args[1].0])),
+            )
         });
         assert_eq!(c.local(0).sorted_facts(), vec![fact("Out", &[1, 2])]);
         assert_eq!(c.round_count(), 0); // no communication happened
@@ -1045,12 +1044,8 @@ mod tests {
         let run = |plan: MpcFaultPlan| {
             let mut c = seeded(3, &facts).with_faults(plan);
             c.communicate(|f| vec![(f.args[0].0 % 3) as usize]);
-            c.compute_per_server(|_, inst| {
-                let mut out = inst.clone();
-                for f in inst.iter() {
-                    out.insert(fact("S", &[f.args[1].0]));
-                }
-                out
+            c.compute_per_server(|_, shard| {
+                shard.with_facts(shard.iter().map(|f| fact("S", &[f.args[1].0])))
             });
             c.communicate(|f| vec![(f.args[0].0 % 2) as usize]);
             c
@@ -1193,17 +1188,13 @@ mod tests {
     /// keeps its input, reshuffle (Keep/Send/Drop), holder-dependent
     /// routing, compute_per_server.
     fn mixed_phase_run(mut c: Cluster, facts: &[Fact]) -> Cluster {
-        for (i, f) in facts.iter().enumerate() {
-            c.local_mut(i % c.p()).insert(f.clone());
-        }
         let p = c.p();
+        for s in 0..p {
+            c.place(s, facts.iter().skip(s).step_by(p).cloned());
+        }
         c.communicate(|f| vec![(f.args[0].0 as usize) % p]);
-        c.compute_per_server(|_, inst| {
-            let mut out = inst.clone();
-            for f in inst.iter() {
-                out.insert(fact("S", &[f.args[1].0, f.args[0].0]));
-            }
-            out
+        c.compute_per_server(|_, shard| {
+            shard.with_facts(shard.iter().map(|f| fact("S", &[f.args[1].0, f.args[0].0])))
         });
         c.reshuffle(|src, f| {
             if f.rel == parlog_relal::symbols::rel("S") {
@@ -1215,12 +1206,8 @@ mod tests {
             }
         });
         c.reshuffle(|src, f| Routing::Send(vec![(f.args[1].0 as usize + src) % p]));
-        c.compute_per_server(|s, inst| {
-            let mut out = Instance::new();
-            for f in inst.iter() {
-                out.insert(fact("T", &[f.args[0].0 + s as u64]));
-            }
-            out
+        c.compute_per_server(|s, shard| {
+            Shard::from_facts(shard.iter().map(|f| fact("T", &[f.args[0].0 + s as u64])))
         });
         c
     }
@@ -1257,8 +1244,8 @@ mod tests {
             let mut c = c
                 .with_faults(plan())
                 .with_speculation(SpeculationPolicy::default());
-            for (i, f) in facts.iter().enumerate() {
-                c.local_mut(i % 3).insert(f.clone());
+            for s in 0..3 {
+                c.place(s, facts.iter().skip(s).step_by(3).cloned());
             }
             c.communicate(|f| vec![(f.args[0].0 % 3) as usize]);
             c.communicate(|f| vec![(f.args[1].0 % 3) as usize]);
@@ -1388,13 +1375,14 @@ mod tests {
 
     fn apply_deliveries(
         p: usize,
-        items: &[(ServerId, &Fact)],
+        items: &[(ServerId, Fact)],
         routings: Vec<Routing>,
     ) -> (Vec<Instance>, Vec<usize>, u64) {
         let mut next: Vec<Instance> = vec![Instance::new(); p];
         let mut received = vec![0usize; p];
         let mut bytes = 0u64;
-        for (&(src, f), routing) in items.iter().zip(routings) {
+        for ((src, f), routing) in items.iter().zip(routings) {
+            let src = *src;
             match routing {
                 Routing::Keep => {
                     next[src].insert(f.clone());
@@ -1423,7 +1411,7 @@ mod tests {
 
     fn apply_deliveries_partitioned(
         p: usize,
-        items: &[(ServerId, &Fact)],
+        items: &[(ServerId, Fact)],
         routings: Vec<Routing>,
         ctx: &PartitionCtx<'_>,
     ) -> (Vec<Instance>, Vec<usize>, u64) {
@@ -1440,7 +1428,8 @@ mod tests {
                 bytes += CommCounters::wire_bytes(f.args.len());
             }
         }
-        for (&(src, f), routing) in items.iter().zip(routings) {
+        for ((src, f), routing) in items.iter().zip(routings) {
+            let src = *src;
             match routing {
                 Routing::Keep => {
                     next[src].insert(f.clone());
@@ -1466,12 +1455,12 @@ mod tests {
     /// merge (partitioned iff a plan is given).
     fn deliver_per_fact(
         p: usize,
-        items: &[(ServerId, &Fact)],
+        items: &[(ServerId, Fact)],
         carried: &[HeldCopy],
         route: &(impl Fn(ServerId, &Fact) -> Routing + Sync),
         plan: Option<(&PartitionPlan, usize)>,
     ) -> Delivered {
-        let routings: Vec<Routing> = items.iter().map(|&(src, f)| route(src, f)).collect();
+        let routings: Vec<Routing> = items.iter().map(|(src, f)| route(*src, f)).collect();
         let held_out = std::cell::RefCell::new(Vec::new());
         let (next, received, bytes) = match plan {
             None => apply_deliveries(p, items, routings),
@@ -1486,28 +1475,18 @@ mod tests {
             }
         };
         Delivered {
-            next,
+            next: next.iter().map(|i| Shard::from_facts(i.iter())).collect(),
             received,
             bytes,
             held: held_out.into_inner(),
         }
     }
 
-    /// Two states are the same server by server — same facts, same
-    /// epochs — and `built` was built whole: every server's delta log is
-    /// empty and forgotten up to its epoch.
-    fn assert_same_state(built: &[Instance], other: &[Instance], what: &str) {
+    /// Two states hold the same facts, server by server.
+    fn assert_same_state(built: &[Shard], other: &[Shard], what: &str) {
         assert_eq!(built.len(), other.len());
         for (s, (x, y)) in built.iter().zip(other).enumerate() {
             assert_eq!(x, y, "{what}: server {s} facts");
-            let e = x.epoch();
-            assert_eq!(e, y.epoch(), "{what}: server {s} epoch");
-            assert_eq!(x.delta_log_len(), 0, "{what}: server {s} delta log");
-            assert!(
-                e == 0 || x.delta_since(e - 1).is_none(),
-                "{what}: server {s} keeps history"
-            );
-            assert_eq!(x.delta_since(e), Some(&[][..]), "{what}: server {s}");
         }
     }
 
@@ -1538,12 +1517,12 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(48))]
 
         /// The bucketed attempt equals the per-fact one on the same item
-        /// stream: mixed `Keep`/`Send`/`Drop`, the same fact offered by
-        /// several holders, carried holds, an open or healed partition
+        /// stream — the holders' shards in order: mixed
+        /// `Keep`/`Send`/`Drop`, the same fact offered by several holders
+        /// and several shards of one server, carried holds, an open or healed partition
         /// epoch, rounds below and above the sequential cut-off, at
-        /// parallelism 1, 2 and 4 — next state (same facts and epochs,
-        /// built whole with no delta log), loads, bytes and held copies
-        /// identical.
+        /// parallelism 1, 2 and 4 — next shards, loads, bytes and held
+        /// copies identical.
         #[test]
         fn bucketed_attempt_matches_per_fact_delivery(
             p in 1..6usize,
@@ -1562,8 +1541,18 @@ mod tests {
                 .map(|i| fact(["R", "S"][(i % 2) as usize], &[i / domain, i % domain]))
                 .collect();
             let pick = |i: usize, k: u64| hash_u64(salt + k, i as u64);
-            let items: Vec<(ServerId, &Fact)> = (0..n)
-                .map(|i| (pick(i, 1) as usize % p, &pool[pick(i, 2) as usize % pool.len()]))
+            // Consecutive draws from the pool, cut into holder shards.
+            let cut = 1 + salt as usize % 97;
+            let drawn: Vec<Fact> = (0..n).map(|i| pool[pick(i, 2) as usize % pool.len()].clone()).collect();
+            let shards: Vec<(ServerId, Shard)> = drawn
+                .chunks(cut)
+                .enumerate()
+                .map(|(h, facts)| (pick(h, 1) as usize % p, Shard::from_facts(facts)))
+                .collect();
+            let holders: Vec<(ServerId, &Shard)> = shards.iter().map(|(s, sh)| (*s, sh)).collect();
+            let items: Vec<(ServerId, Fact)> = holders
+                .iter()
+                .flat_map(|&(src, sh)| sh.iter().map(move |f| (src, f)))
                 .collect();
             let carried: Vec<HeldCopy> = (0..n_carried)
                 .map(|i| {
@@ -1585,7 +1574,7 @@ mod tests {
             };
             let want = deliver_per_fact(p, &items, carried, &route, plan);
             for threads in [1, 2, 4] {
-                let got = deliver(p, threads, &items, carried, &route, &severed);
+                let got = deliver(p, threads, &holders, carried, &route, &severed);
                 assert_same_state(&got.next, &want.next, "bucketed vs per-fact");
                 proptest::prop_assert_eq!(&got.received, &want.received);
                 proptest::prop_assert_eq!(got.bytes, want.bytes);
@@ -1602,31 +1591,28 @@ mod tests {
         let facts: Vec<Fact> = (0..90u64).map(|i| fact("R", &[i % 30, i % 7])).collect();
         let p = 4;
         let mut c = seeded(p, &facts);
-        let storage: Vec<Instance> = (0..p)
-            .map(|s| Instance::from_facts(facts.iter().skip(s).step_by(3).cloned()))
+        let storage: Vec<Shard> = (0..p)
+            .map(|s| Shard::from_facts(facts.iter().skip(s).step_by(3)))
             .collect();
         // Some facts on several servers and in several shards.
-        c.local_mut(2).extend_from(&storage[1]);
+        c.place(2, storage[1].iter());
         let route = |f: &Fact| vec![(f.args[0].0 % 4) as usize, (f.args[1].0 % 4) as usize];
 
-        let mut all = Instance::new();
-        for inst in c.local.iter().chain(&storage) {
-            all.extend_from(inst);
-        }
-        let items: Vec<(ServerId, &Fact)> = all.iter().map(|f| (0, f)).collect();
+        let all = Instance::from_facts(c.local.iter().chain(&storage).flat_map(Shard::iter));
+        let items: Vec<(ServerId, Fact)> = all.iter().map(|f| (0, f.clone())).collect();
         let want = deliver_per_fact(p, &items, &[], &|_, f| Routing::Send(route(f)), None);
 
         c.reshuffle_with(&storage, |_, f| Routing::Send(route(f)));
         for s in 0..p {
-            assert_eq!(c.local(s), &want.next[s], "server {s}");
+            assert_eq!(c.shard(s), &want.next[s], "server {s}");
         }
         assert_eq!(c.rounds()[0].received, want.received);
     }
 
     /// Whole rounds through the public phases: storage shards, mixed
     /// fates, a partition epoch that holds copies and later flushes
-    /// them, and a crashed attempt replayed from the checkpoint. State
-    /// (facts and epochs, no delta log), `RoundStats`, held copies and recovery
+    /// them, and a crashed attempt replayed from the checkpoint. Shards,
+    /// `RoundStats`, held copies and recovery
     /// tallies are identical at parallelism 1, 2 and 4, and the replayed
     /// run commits what the crash-free run commits.
     #[test]
@@ -1634,8 +1620,8 @@ mod tests {
         let n = PAR_MIN_ITEMS as u64 + 500;
         let facts: Vec<Fact> = (0..n).map(|i| fact("R", &[i, i * 7 % 13])).collect();
         let p = 4;
-        let storage: Vec<Instance> = (0..p)
-            .map(|s| Instance::from_facts((0..50u64).map(|i| fact("S", &[i % 20, s as u64]))))
+        let storage: Vec<Shard> = (0..p)
+            .map(|s| Shard::from_facts((0..50u64).map(|i| fact("S", &[i % 20, s as u64]))))
             .collect();
         let run = |threads: usize, crashes: MpcFaultPlan| {
             let plan = crashes.with_partition(PartitionPlan::split(0, 2, &[3]));

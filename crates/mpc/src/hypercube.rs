@@ -335,9 +335,9 @@ mod tests {
         }
     }
 
-    /// A routed fact is stored once: after a job — routing, then the
-    /// local evaluation — every server's instance was built whole and
-    /// carries no delta log, and neither does the unioned output.
+    /// A routed fact is stored once, in its server's shard, which has no
+    /// delta log by type: a job — routing, then the local evaluation —
+    /// delivers each fact to its three cells and answers exactly.
     #[test]
     fn servers_keep_no_delta_log() {
         let q = triangle();
@@ -347,13 +347,7 @@ mod tests {
         seed_cluster(&mut c, &db, InitialPartition::RoundRobin);
         c.communicate(|f| hc.destinations(f));
         assert_eq!(c.total_comm(), 3 * db.len());
-        for s in 0..c.p() {
-            assert_eq!(c.local(s).delta_log_len(), 0, "server {s} after routing");
-        }
         c.compute_query(&q, EvalStrategy::Auto);
-        for s in 0..c.p() {
-            assert_eq!(c.local(s).delta_log_len(), 0, "server {s} after evaluation");
-        }
         let output = c.union_all();
         assert_eq!(output, parlog_relal::eval::eval_query(&q, &db));
         assert_eq!(output.delta_log_len(), 0);

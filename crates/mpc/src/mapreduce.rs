@@ -19,6 +19,7 @@ use crate::cluster::{Cluster, RoundStats};
 use crate::partition::{seed_cluster, HashPartitioner, InitialPartition};
 use parlog_relal::fact::{Fact, Val};
 use parlog_relal::instance::Instance;
+use parlog_relal::shard::Shard;
 use parlog_relal::symbols::{rel, RelId};
 
 /// A key-value pair emitted by a mapper: the key routes, the value is a
@@ -94,14 +95,9 @@ impl MapReduceProgram {
             let h = HashPartitioner::new(seed ^ ((ji as u64) << 7), p);
             // Map locally: turn current facts into KV-wrapped facts.
             let mapper = &job.map;
-            cluster.compute(|local| {
-                let mut out = Instance::new();
-                for f in local.iter() {
-                    for kv in mapper(f) {
-                        out.insert(encode_kv(kv_rel, &kv));
-                    }
-                }
-                out
+            cluster.compute_per_server(|_, local| {
+                let kvs = local.iter().flat_map(|f| mapper(&f));
+                Shard::from_facts(kvs.map(|kv| encode_kv(kv_rel, &kv)))
             });
             // Shuffle: route each KV fact by its key.
             cluster.communicate(|f| {
@@ -110,22 +106,16 @@ impl MapReduceProgram {
             });
             // Reduce locally: group by key and apply ρ.
             let reducer = &job.reduce;
-            cluster.compute(|local| {
+            cluster.compute_per_server(|_, local| {
                 let mut groups: parlog_relal::fastmap::FxMap<u64, Instance> =
                     parlog_relal::fastmap::fxmap();
-                for f in local.relation(kv_rel) {
-                    let kv = decode_kv(f);
+                for f in local.iter().filter(|f| f.rel == kv_rel) {
+                    let kv = decode_kv(&f);
                     groups.entry(kv.key).or_default().insert(kv.value);
                 }
-                let mut out = Instance::new();
                 let mut keys: Vec<u64> = groups.keys().copied().collect();
                 keys.sort_unstable();
-                for k in keys {
-                    for f in reducer(k, &groups[&k]) {
-                        out.insert(f);
-                    }
-                }
-                out
+                Shard::from_facts(keys.into_iter().flat_map(|k| reducer(k, &groups[&k])))
             });
         }
         MapReduceReport {

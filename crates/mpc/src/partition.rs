@@ -10,6 +10,7 @@ use crate::cluster::{Cluster, RoundStats, Routing, ServerId};
 use parlog_relal::fact::{Args, Fact, Val};
 use parlog_relal::fastmap::hash_u64;
 use parlog_relal::instance::Instance;
+use parlog_relal::shard::{Arrivals, Shard};
 use parlog_relal::symbols::RelId;
 
 /// A seeded hash partitioner over domain values: the hash functions
@@ -86,17 +87,44 @@ pub enum InitialPartition {
     SingleServer,
 }
 
-/// Deal `facts`, in order, onto `p` fresh instances — fact `i` goes to
-/// `place(i, fact)` — each built by one bulk ingest of its share.
-pub fn deal<P>(p: usize, facts: Vec<Fact>, place: P) -> Vec<Instance>
+/// Deal `db`'s facts, in sorted order, onto `p` fresh shards: the `i`-th
+/// fact goes to `place(i, relation, args)`. A relation is read from `db`'s
+/// cached identity trie when that is one tombstone-free run holding the
+/// whole relation — its rows are the facts in sorted order, so nothing is
+/// cloned or sorted; otherwise (stacked runs, or several arities merged
+/// back into sorted order) its facts are sorted once. Every server's rows
+/// arrive in order, so each of its runs is built without a re-sort.
+pub fn deal<P>(p: usize, db: &Instance, place: P) -> Vec<Shard>
 where
-    P: Fn(usize, &Fact) -> ServerId,
+    P: Fn(usize, RelId, &[Val]) -> ServerId,
 {
-    let mut shares: Vec<Vec<Fact>> = vec![Vec::new(); p];
-    for (i, f) in facts.into_iter().enumerate() {
-        shares[place(i, &f)].push(f);
+    let mut rels: Vec<RelId> = db.relations().collect();
+    rels.sort_unstable();
+    let mut shares: Vec<Arrivals> = (0..p).map(|_| Arrivals::default()).collect();
+    let (mut i, mut row) = (0, Vec::new());
+    let mut deal_row = |rel: RelId, vals: &[Val]| {
+        shares[place(i, rel, vals)].push(rel, vals, false);
+        i += 1;
+    };
+    for rel in rels {
+        let k = db.relation(rel).next().map_or(0, |f| f.args.len());
+        let layers = db.trie_layers(rel, &(0..k).collect::<Vec<_>>());
+        match layers.runs() {
+            [t] if !layers.has_tombstones() && t.rows() == db.relation_len(rel) => {
+                for r in 0..t.rows() {
+                    row.clear();
+                    t.push_row(r, &mut row);
+                    deal_row(rel, &row);
+                }
+            }
+            _ => {
+                let mut facts: Vec<Fact> = db.relation(rel).cloned().collect();
+                facts.sort();
+                facts.iter().for_each(|f| deal_row(rel, &f.args));
+            }
+        }
     }
-    shares.into_iter().map(Instance::from_facts).collect()
+    shares.iter().map(|s| s.build(|_| 0).0).collect()
 }
 
 /// Place `db` on `cluster` according to `how`. Panics if the cluster
@@ -104,18 +132,18 @@ where
 pub fn seed_cluster(cluster: &mut Cluster, db: &Instance, how: InitialPartition) {
     for s in 0..cluster.p() {
         assert!(
-            cluster.local(s).is_empty(),
+            cluster.shard(s).is_empty(),
             "seed_cluster expects an empty cluster"
         );
     }
     let p = cluster.p();
-    let place = |i: usize, f: &Fact| -> ServerId {
+    let place = |i: usize, rel: RelId, args: &[Val]| -> ServerId {
         match how {
             InitialPartition::RoundRobin => i % p,
             InitialPartition::HashTuple { seed } => {
                 let mut h = seed;
-                h = hash_u64(h, f.rel.0 as u64);
-                for v in &f.args {
+                h = hash_u64(h, rel.0 as u64);
+                for v in args {
                     h = hash_u64(h, v.0);
                 }
                 (h % p as u64) as usize
@@ -123,9 +151,7 @@ pub fn seed_cluster(cluster: &mut Cluster, db: &Instance, how: InitialPartition)
             InitialPartition::SingleServer => 0,
         }
     };
-    for (s, inst) in deal(p, db.sorted_facts(), place).into_iter().enumerate() {
-        *cluster.local_mut(s) = inst;
-    }
+    cluster.local = deal(p, db, place);
 }
 
 #[cfg(test)]

@@ -27,6 +27,7 @@
 
 use crate::cluster::{Cluster, Routing, ServerId};
 use parlog_relal::fact::fact;
+use parlog_relal::shard::Relations;
 use parlog_relal::symbols::rel;
 use parlog_trace::{FaultEvent, FaultEventKind, TraceEvent};
 
@@ -99,11 +100,11 @@ pub fn coordination_barrier(
     let ack = rel(ACK_REL);
     for s in 0..p {
         let f = fact(ACK_REL, &[s as u64]);
-        c.local_mut(s).insert(f);
+        c.place(s, [f]);
     }
     let mut rounds = 0usize;
     loop {
-        let acks = c.local(coordinator).iter().filter(|f| f.rel == ack).count();
+        let acks = c.shard(coordinator).relation_len(ack);
         let open = if quorum { 2 * acks > p } else { acks == p };
         if open {
             return BarrierOutcome::Committed { acks, rounds };
@@ -139,9 +140,11 @@ mod tests {
 
     fn seeded(p: usize) -> Cluster {
         let mut c = Cluster::new(p);
-        for i in 0..9u64 {
-            c.local_mut((i % p as u64) as usize)
-                .insert(fact("R", &[i, i + 1]));
+        for s in 0..p as u64 {
+            c.place(
+                s as usize,
+                (s..9).step_by(p).map(|i| fact("R", &[i, i + 1])),
+            );
         }
         c
     }

@@ -114,8 +114,8 @@ mod tests {
     #[test]
     fn report_reflects_cluster_state() {
         let mut c = Cluster::new(4);
-        for i in 0..8u64 {
-            c.local_mut((i % 4) as usize).insert(fact("R", &[i, i]));
+        for s in 0..4u64 {
+            c.place(s as usize, (s..8).step_by(4).map(|i| fact("R", &[i, i])));
         }
         c.communicate(|_| vec![0, 1]); // replicate everything twice
         let r = RunReport::from_cluster("test", &c, 8);
@@ -141,8 +141,8 @@ mod tests {
     fn report_accounts_recovery_and_stragglers() {
         use parlog_faults::MpcFaultPlan;
         let mut c = Cluster::new(2).with_faults(MpcFaultPlan::crash(0, 1).with_straggler(0, 3.0));
-        for i in 0..6u64 {
-            c.local_mut((i % 2) as usize).insert(fact("R", &[i, i]));
+        for s in 0..2u64 {
+            c.place(s as usize, (s..6).step_by(2).map(|i| fact("R", &[i, i])));
         }
         c.communicate(|f| vec![(f.args[0].0 % 2) as usize]);
         let r = RunReport::from_cluster("t", &c, 6);
@@ -160,8 +160,8 @@ mod tests {
         let mut c = Cluster::new(4)
             .with_faults(MpcFaultPlan::none().with_straggler(1, 8.0))
             .with_speculation(SpeculationPolicy::default());
-        for i in 0..16u64 {
-            c.local_mut((i % 4) as usize).insert(fact("R", &[i, i]));
+        for s in 0..4u64 {
+            c.place(s as usize, (s..16).step_by(4).map(|i| fact("R", &[i, i])));
         }
         c.communicate(|f| vec![(f.args[0].0 % 4) as usize]);
         let r = RunReport::from_cluster("t", &c, 16);

@@ -44,19 +44,21 @@
 //! partition hold-and-flush is handled by draining held copies after a
 //! dirtied pass and re-running the wave schedule once healed.
 
-use crate::cluster::{Cluster, Routing};
-use crate::datagen::top_heavy_hitters;
+use crate::cluster::{layer, Cluster, Routing};
+use crate::datagen::value_frequencies;
 use crate::hypercube::HypercubeAlgorithm;
 use crate::partition::deal;
 use crate::report::RunReport;
 use crate::shares::Shares;
 use parlog_faults::PartitionPlan;
 use parlog_relal::atom::{Atom, Term, Var};
-use parlog_relal::eval::{EvalStrategy, QueryPlan};
 use parlog_relal::fact::{Fact, Val};
+use parlog_relal::fastmap::{fxmap, FxMap};
 use parlog_relal::instance::Instance;
 use parlog_relal::packing::fractional_edge_packing;
 use parlog_relal::query::ConjunctiveQuery;
+use parlog_relal::shard::Shard;
+use parlog_relal::symbols::RelId;
 use parlog_trace::{LoadBound, LoadBoundPart};
 
 /// A heavy pattern: an assignment of heavy values to a subset of the
@@ -114,6 +116,37 @@ impl Default for SkewConfig {
     }
 }
 
+/// The value frequencies of every `(relation, position)` a body variable
+/// occupies, each counted once: the one statistics pass the planner
+/// reads, however many patterns it weighs.
+type Frequencies = FxMap<(RelId, usize), FxMap<Val, usize>>;
+
+fn position_frequencies(q: &ConjunctiveQuery, db: &Instance) -> Frequencies {
+    let mut out: Frequencies = fxmap();
+    for a in &q.body {
+        for (pos, t) in a.terms.iter().enumerate() {
+            if matches!(t, Term::Var(_)) {
+                out.entry((a.rel, pos))
+                    .or_insert_with(|| value_frequencies(db, a.rel, pos));
+            }
+        }
+    }
+    out
+}
+
+/// The frequency tables of every position `v` occupies in the body.
+fn positions_of<'f>(
+    q: &'f ConjunctiveQuery,
+    freqs: &'f Frequencies,
+    v: &'f Var,
+) -> impl Iterator<Item = &'f FxMap<Val, usize>> {
+    q.body.iter().flat_map(move |a| {
+        let at = a.terms.iter().enumerate();
+        at.filter(move |(_, t)| matches!(t, Term::Var(w) if w == v))
+            .map(move |(pos, _)| &freqs[&(a.rel, pos)])
+    })
+}
+
 /// The heavy values of every body variable, ranked by frequency: a value
 /// qualifies if its frequency at *some* (atom, position) binding the
 /// variable exceeds `threshold` (taking the max over positions), and the
@@ -121,21 +154,17 @@ impl Default for SkewConfig {
 /// lists are sorted for binary search.
 fn heavy_values_per_var(
     q: &ConjunctiveQuery,
-    db: &Instance,
+    freqs: &Frequencies,
     threshold: usize,
     cap: usize,
 ) -> Vec<(Var, Vec<Val>)> {
     let mut out = Vec::new();
     for v in &q.body_variables() {
-        let mut best: parlog_relal::fastmap::FxMap<Val, usize> = parlog_relal::fastmap::fxmap();
-        for a in &q.body {
-            for (pos, t) in a.terms.iter().enumerate() {
-                if matches!(t, Term::Var(w) if w == v) {
-                    for (val, n) in top_heavy_hitters(db, a.rel, pos, threshold, usize::MAX) {
-                        let e = best.entry(val).or_insert(0);
-                        *e = (*e).max(n);
-                    }
-                }
+        let mut best: FxMap<Val, usize> = fxmap();
+        for freq in positions_of(q, freqs, v) {
+            for (&val, &n) in freq.iter().filter(|&(_, &n)| n > threshold) {
+                let e = best.entry(val).or_insert(0);
+                *e = (*e).max(n);
             }
         }
         let mut ranked: Vec<(Val, usize)> = best.into_iter().collect();
@@ -174,28 +203,42 @@ fn enumerate_patterns(heavy: &[(Var, Vec<Val>)]) -> Vec<HeavyPattern> {
 /// light, and the ceiling reports them honestly.
 fn light_ceilings(
     q: &ConjunctiveQuery,
-    db: &Instance,
+    freqs: &Frequencies,
     heavy: &[(Var, Vec<Val>)],
 ) -> Vec<(Var, usize)> {
     heavy
         .iter()
         .map(|(v, hs)| {
-            let mut ceiling = 0usize;
-            for a in &q.body {
-                for (pos, t) in a.terms.iter().enumerate() {
-                    if matches!(t, Term::Var(w) if w == v) {
-                        // Ranked descending: the first non-heavy value
-                        // is the position's heaviest light one.
-                        for (val, n) in top_heavy_hitters(db, a.rel, pos, 0, usize::MAX) {
-                            if hs.binary_search(&val).is_err() {
-                                ceiling = ceiling.max(n);
-                                break;
-                            }
-                        }
-                    }
-                }
+            let light = positions_of(q, freqs, v).flat_map(|freq| freq.iter());
+            let light = light.filter(|(val, _)| hs.binary_search(val).is_err());
+            (v.clone(), light.map(|(_, &n)| n).max().unwrap_or(0))
+        })
+        .collect()
+}
+
+/// An atom's facts counted by local pattern signature: the heavy value
+/// of each variable the atom binds (in binding order), or `None` where
+/// the fact's value is light. A pattern is consistent with a fact
+/// exactly when it agrees with the signature.
+type Signatures = FxMap<Vec<Option<Val>>, usize>;
+
+/// Per body atom, the variables it binds and its [`Signatures`].
+fn atom_signatures(
+    q: &ConjunctiveQuery,
+    db: &Instance,
+    heavy: &[(Var, Vec<Val>)],
+) -> Vec<(Vec<Var>, Signatures)> {
+    q.body
+        .iter()
+        .map(|atom| {
+            let mut counts: Signatures = fxmap();
+            for binding in db.relation(atom.rel).filter_map(|f| atom.binding(f)) {
+                let sig = binding
+                    .iter()
+                    .map(|&(v, val)| is_heavy(heavy, v, val).then_some(val));
+                *counts.entry(sig.collect()).or_insert(0) += 1;
             }
-            (v.clone(), ceiling)
+            (atom.variables(), counts)
         })
         .collect()
 }
@@ -301,28 +344,26 @@ impl SkewAdaptiveJoin {
         assert!(q.is_plain_cq(), "the skew engine handles plain CQs");
         assert!(p >= 1, "at least one server");
         let threshold = cfg.threshold.unwrap_or_else(|| (db.len() / p).max(1));
-        let heavy = heavy_values_per_var(q, db, threshold, cfg.max_heavy_per_var);
-        let ceilings = light_ceilings(q, db, &heavy);
+        let freqs = position_frequencies(q, db);
+        let heavy = heavy_values_per_var(q, &freqs, threshold, cfg.max_heavy_per_var);
+        let ceilings = light_ceilings(q, &freqs, &heavy);
+        let signatures = atom_signatures(q, db, &heavy);
 
-        // Enumerate patterns and weigh each by its residual input size.
-        // Patterns no fact is consistent with can produce no valuation
-        // (every valuation of that signature needs |body| consistent
-        // facts) — prune them, keeping the all-light pattern as the
-        // degenerate fallback.
+        // Enumerate patterns and weigh each by its residual input size,
+        // summed from the signature counts. Patterns no fact is
+        // consistent with can produce no valuation (every valuation of
+        // that signature needs |body| consistent facts) — prune them,
+        // keeping the all-light pattern as the degenerate fallback.
         let mut weighted: Vec<(HeavyPattern, usize)> = enumerate_patterns(&heavy)
             .into_iter()
             .map(|pat| {
-                let m_pat = q
-                    .body
+                let agrees = |vars: &[Var], sig: &[Option<Val>]| {
+                    vars.iter().zip(sig).all(|(v, s)| pat.value_of(v) == *s)
+                };
+                let m_pat = signatures
                     .iter()
-                    .map(|atom| {
-                        db.relation(atom.rel)
-                            .filter(|f| {
-                                atom.binding(f)
-                                    .is_some_and(|b| pattern_consistent(&b, &pat, &heavy))
-                            })
-                            .count()
-                    })
+                    .flat_map(|(vars, counts)| counts.iter().filter(|(sig, _)| agrees(vars, sig)))
+                    .map(|(_, n)| n)
                     .sum();
                 (pat, m_pat)
             })
@@ -503,7 +544,7 @@ impl SkewAdaptiveJoin {
         assert_eq!(cluster.p(), self.p, "cluster sized for this plan");
         // Round-robin storage shards, mirroring `seed_cluster`'s
         // placement of the sorted input.
-        let storage = deal(self.p, db.sorted_facts(), |i, _| i % self.p);
+        let storage = deal(self.p, db, |i, _, _| i % self.p);
 
         let mut passes = 0usize;
         loop {
@@ -533,13 +574,14 @@ impl SkewAdaptiveJoin {
 
     /// One full wave schedule: per wave, a storage-draining reshuffle
     /// routes the wave's cohort onto its pattern blocks (head facts
-    /// accumulated so far ride along load-free), then local evaluation
-    /// of the *original* query replaces each server's state with the
-    /// heads found so far.
-    fn wave_pass(&self, cluster: &mut Cluster, storage: &[Instance]) {
+    /// accumulated so far ride along load-free), then the rule `H <- body`
+    /// of the *original* query runs with the input relations dropped, so
+    /// each server keeps the heads found so far.
+    fn wave_pass(&self, cluster: &mut Cluster, storage: &[Shard]) {
         let head_rel = self.query.head.rel;
-        let plan = QueryPlan::new(std::slice::from_ref(&self.query), EvalStrategy::Auto, &[])
-            .expect("the skew join's query is safe");
+        let plan = [layer(std::slice::from_ref(&self.query))];
+        let mut inputs: Vec<RelId> = self.query.body_relations();
+        inputs.retain(|&r| r != head_rel);
         for w in 0..self.waves.len() {
             cluster.reshuffle_with(storage, |_, f| {
                 if f.rel == head_rel {
@@ -552,14 +594,7 @@ impl SkewAdaptiveJoin {
                     Routing::Send(d)
                 }
             });
-            cluster.compute(|local| {
-                let mut out = Instance::new();
-                for f in local.relation(head_rel) {
-                    out.insert(f.clone());
-                }
-                out.extend_from(&plan.eval(local));
-                out
-            });
+            cluster.compute_rules(&plan, &inputs);
         }
     }
 
@@ -594,6 +629,7 @@ mod tests {
     use crate::datagen;
     use parlog_faults::{MpcFaultPlan, SpeculationPolicy};
     use parlog_relal::eval::eval_query;
+    use parlog_relal::eval::EvalStrategy;
     use parlog_relal::parser::parse_query;
 
     fn join() -> ConjunctiveQuery {

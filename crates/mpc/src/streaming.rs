@@ -334,9 +334,9 @@ where
         // output.
         let mut groups: BTreeMap<Args, Vec<Fact>> = BTreeMap::new();
         for s in 0..session.cluster.p() {
-            for f in session.cluster.local(s).iter() {
-                if let Some((k, _)) = key_bucket(&session.routes, f) {
-                    groups.entry(k).or_default().push(f.clone());
+            for f in session.cluster.shard(s).iter() {
+                if let Some((k, _)) = key_bucket(&session.routes, &f) {
+                    groups.entry(k).or_default().push(f);
                 }
             }
         }
@@ -357,8 +357,9 @@ where
         // New facts enter at a deterministic staging server (their
         // owner routes them in the delta round like any holder would).
         let p = self.cluster.p();
-        for (i, f) in inserts.iter().enumerate() {
-            self.cluster.local_mut(i % p).insert(f.clone());
+        for s in 0..p {
+            self.cluster
+                .place(s, inserts.iter().skip(s).step_by(p).cloned());
         }
         let routes = &self.routes;
         self.cluster.reshuffle(|_, f| {
@@ -378,9 +379,9 @@ where
             .filter_map(|f| key_bucket(routes, f))
             .collect();
         for (k, owner) in touched {
-            let local = self.cluster.local(owner).iter();
-            let in_group = |f: &&Fact| key_bucket(&self.routes, f).is_some_and(|(fk, _)| fk == k);
-            let facts = local.filter(in_group).cloned().collect();
+            let local = self.cluster.shard(owner).iter();
+            let in_group = |f: &Fact| key_bucket(&self.routes, f).is_some_and(|(fk, _)| fk == k);
+            let facts = local.filter(in_group).collect();
             self.restream(&k, facts);
         }
         &self.output

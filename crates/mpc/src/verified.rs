@@ -32,6 +32,7 @@ use parlog_faults::CorruptionPlan;
 use parlog_relal::eval::EvalStrategy;
 use parlog_relal::instance::Instance;
 use parlog_relal::query::{ConjunctiveQuery, UnionQuery};
+use parlog_relal::shard::Shard;
 use parlog_trace::{FaultEvent, FaultEventKind, TraceEvent, TraceHandle};
 use parlog_verify::checker::check_answer;
 use parlog_verify::snapshot::snapshot;
@@ -203,7 +204,7 @@ impl Cluster {
         let round = self.verified_rounds;
         self.verified_rounds += 1;
         let (vclock, trace) = (self.tail_time(), self.trace().clone());
-        let shards: Vec<Instance> = (0..self.p()).map(|s| self.local(s).clone()).collect();
+        let shards: Vec<Instance> = (0..self.p()).map(|s| self.local(s)).collect();
         let mut verifier = Verifier {
             shards: &shards,
             strategy,
@@ -218,7 +219,7 @@ impl Cluster {
             Vec::new()
         };
         for (s, (answer, _)) in proofs.into_iter().enumerate() {
-            *self.local_mut(s) = answer;
+            self.local[s] = Shard::from_facts(answer.iter());
         }
         let snapshots: Vec<SnapshotId> = shards.iter().map(snapshot).collect();
         VerifiedRound {
@@ -244,11 +245,12 @@ mod tests {
 
     fn seeded(p: usize) -> Cluster {
         let mut c = Cluster::new(p);
-        for i in 0..12u64 {
-            c.local_mut((i % p as u64) as usize)
-                .insert(fact("R", &[i, i + 1]));
-            c.local_mut((i % p as u64) as usize)
-                .insert(fact("S", &[i + 1, i + 2]));
+        for s in 0..p as u64 {
+            let held = (s..12).step_by(p);
+            c.place(
+                s as usize,
+                held.flat_map(|i| [fact("R", &[i, i + 1]), fact("S", &[i + 1, i + 2])]),
+            );
         }
         c
     }
@@ -258,14 +260,14 @@ mod tests {
         let q = parse_query("H(x,z) <- R(x,y), S(y,z)").unwrap();
         let mut c = seeded(3);
         let expected: Vec<Instance> = (0..3)
-            .map(|s| eval_query_with(&q, c.local(s), EvalStrategy::Indexed))
+            .map(|s| eval_query_with(&q, &c.local(s), EvalStrategy::Indexed))
             .collect();
         let out = c.compute_query_verified(&q, EvalStrategy::Indexed, &CorruptionPlan::none(1));
         assert!(out.clean());
         assert!(out.corrupted.is_empty());
         assert!(out.cert_bytes > 0);
         for (s, want) in expected.iter().enumerate() {
-            assert_eq!(c.local(s), want);
+            assert_eq!(&c.local(s), want);
         }
         assert_eq!(c.quarantined_count(), 0);
     }

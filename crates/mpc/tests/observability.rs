@@ -15,7 +15,7 @@ use parlog_mpc::cluster::Cluster;
 use parlog_mpc::datagen;
 use parlog_mpc::hypercube::HypercubeAlgorithm;
 use parlog_mpc::partition::{seed_cluster, InitialPartition};
-use parlog_relal::eval::eval_query;
+use parlog_relal::eval::EvalStrategy;
 use parlog_relal::instance::Instance;
 use parlog_relal::parser::parse_query;
 use parlog_relal::query::ConjunctiveQuery;
@@ -73,7 +73,7 @@ fn traced_faulty_run(db: &Instance, threads: usize) -> (String, Arc<MemSink>) {
         });
     seed_cluster(&mut cluster, db, InitialPartition::RoundRobin);
     cluster.communicate(|f| hc.destinations(f));
-    cluster.compute(|local| eval_query(&q, local));
+    cluster.compute_query(&q, EvalStrategy::Indexed);
     (serde_json::to_string(&sink.report()).unwrap(), sink)
 }
 

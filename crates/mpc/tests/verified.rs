@@ -48,8 +48,8 @@ fn two_rel_db(max_facts: usize, domain: u64) -> impl Strategy<Value = Instance> 
 
 fn seeded_cluster(db: &Instance, p: usize, threads: usize) -> Cluster {
     let mut c = Cluster::new(p).with_parallelism(threads);
-    for (i, f) in db.iter().enumerate() {
-        c.local_mut(i % p).insert(f.clone());
+    for s in 0..p {
+        c.place(s, db.iter().skip(s).step_by(p).cloned());
     }
     c
 }
@@ -92,14 +92,14 @@ proptest! {
         let reference: Vec<String> = {
             let mut c = seeded_cluster(&db, 3, 1);
             c.compute_union_verified(&u, EvalStrategy::Naive, &CorruptionPlan::none(1));
-            (0..3).map(|s| to_json(&snapshot(c.local(s)))).collect()
+            (0..3).map(|s| to_json(&snapshot(&c.local(s)))).collect()
         };
         for strategy in STRATEGIES {
             let mut c = seeded_cluster(&db, 3, threads);
             let round = c.compute_union_verified(&u, strategy, &CorruptionPlan::none(1));
             prop_assert!(round.clean());
             for (s, want) in reference.iter().enumerate() {
-                prop_assert_eq!(&to_json(&snapshot(c.local(s))), want);
+                prop_assert_eq!(&to_json(&snapshot(&c.local(s))), want);
             }
         }
     }
@@ -170,7 +170,7 @@ fn detect_quarantine_heal_visible_on_the_timeline() {
     );
     let sink = Arc::new(MemSink::new());
     let mut c = seeded_cluster(&db, 3, 1).with_trace(TraceHandle::to(sink.clone()));
-    let shard1_root = snapshot(c.local(1));
+    let shard1_root = snapshot(&c.local(1));
     let plan = CorruptionPlan::single(13, 0, 1, CorruptKind::Mutate);
     let round = c.compute_union_verified(&join_query(), EvalStrategy::Indexed, &plan);
     assert_eq!(round.detected.len(), 1);

@@ -26,6 +26,7 @@ use crate::fastmap::{fxmap, FxMap};
 use crate::hypergraph::is_acyclic;
 use crate::instance::Instance;
 use crate::query::{ConjunctiveQuery, QueryError, UnionQuery};
+use crate::shard::Relations;
 use crate::symbols::RelId;
 use crate::trie::{wcoj_variable_order, LeapfrogPlan, Slot};
 use crate::valuation::Valuation;
@@ -124,7 +125,7 @@ impl Indexed {
     /// Index the given relations of `instance`. Duplicate entries in
     /// `rels` (self-joins list a relation once per atom) are indexed once;
     /// a relation with no facts is covered and empty.
-    pub fn build(instance: &Instance, rels: &[RelId]) -> Indexed {
+    pub fn build<S: Relations + ?Sized>(instance: &S, rels: &[RelId]) -> Indexed {
         let mut index = Indexed {
             rels: fxmap(),
             written: 0,
@@ -132,7 +133,7 @@ impl Indexed {
         for &r in rels {
             if !index.covers(r) {
                 index.rels.insert(r, Vec::new());
-                instance.relation(r).for_each(|f| index.push(f));
+                instance.for_each_fact(r, |f| index.push(f));
             }
         }
         index
@@ -414,9 +415,9 @@ pub fn satisfying_valuations(q: &ConjunctiveQuery, instance: &Instance) -> Vec<V
 /// path for callers evaluating many queries over one instance snapshot.
 /// Positive atoms read only `index`, which must cover every body
 /// relation; negated atoms are checked against `instance` directly.
-pub fn satisfying_valuations_indexed(
+pub fn satisfying_valuations_indexed<S: Relations + ?Sized>(
     q: &ConjunctiveQuery,
-    instance: &Instance,
+    instance: &S,
     index: &Indexed,
 ) -> Vec<Valuation> {
     debug_assert!(
@@ -427,12 +428,12 @@ pub fn satisfying_valuations_indexed(
     let mut out = Vec::new();
     let mut val = Valuation::new();
 
-    fn recurse(
+    fn recurse<S: Relations + ?Sized>(
         q: &ConjunctiveQuery,
         order: &[usize],
         depth: usize,
         index: &Indexed,
-        instance: &Instance,
+        instance: &S,
         val: &mut Valuation,
         out: &mut Vec<Valuation>,
     ) {
@@ -539,6 +540,18 @@ impl QueryPlan {
         &self.index_rels
     }
 
+    /// Every trie disjunct's atoms with the column order it reads them
+    /// in — the orders a [`crate::shard::Shard`] prepares for this plan.
+    pub fn trie_orders(&self) -> impl Iterator<Item = (RelId, &[usize])> {
+        self.disjuncts
+            .iter()
+            .flat_map(|(_, engine)| match engine {
+                Engine::Wcoj { plan, .. } => Some(plan.orders()),
+                _ => None,
+            })
+            .flatten()
+    }
+
     /// Does a disjunct read its positive body from the instance itself
     /// (its tries, or its domain) rather than from an index? Relations a
     /// caller keeps only in its index (a fixpoint's Δ) must then be in
@@ -553,7 +566,12 @@ impl QueryPlan {
     /// cover [`QueryPlan::index_rels`], or else one built for this run.
     /// The sink is `dyn` so that the engines are compiled once, not once
     /// per caller's closure.
-    pub fn run(&self, instance: &Instance, index: Option<&Indexed>, sink: &mut dyn FnMut(Fact)) {
+    pub fn run<S: Relations + ?Sized>(
+        &self,
+        instance: &S,
+        index: Option<&Indexed>,
+        sink: &mut dyn FnMut(Fact),
+    ) {
         let built;
         let index = match index {
             None if !self.index_rels.is_empty() => {
@@ -564,7 +582,7 @@ impl QueryPlan {
         };
         for (q, engine) in &self.disjuncts {
             match engine {
-                Engine::Naive => eval_query_naive(q, instance)
+                Engine::Naive => eval_query_naive(q, &instance.as_instance())
                     .iter()
                     .for_each(|f| sink(f.clone())),
                 Engine::Indexed => {

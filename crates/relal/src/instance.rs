@@ -11,15 +11,14 @@
 //! Every successful mutation bumps the global **epoch**, records the
 //! mutated relation's **per-relation epoch**, and appends an entry to the
 //! bounded [`DeltaLog`]. Derived state keyed by an epoch (the LSM trie
-//! cache here, maintained Datalog fixpoints in `parlog-datalog`, routed
-//! MPC shards in `parlog-mpc`) catches up by replaying
+//! cache here, maintained Datalog fixpoints in `parlog-datalog`) catches
+//! up by replaying
 //! [`Instance::delta_since`] instead of rebuilding from scratch; a
 //! truncated log (`None`) is the signal to fall back to a full rebuild.
 //!
 //! **An instance built whole has no history; an instance that is mutated
-//! is logged.** Every instance built from a collection of facts —
-//! [`Instance::from_facts`], [`Instance::from_borrowed`],
-//! [`Instance::rebuilt`] — comes out of one bulk build that counts the
+//! is logged.** An instance built from a collection of facts —
+//! [`Instance::from_facts`] — comes out of one bulk build that counts the
 //! facts per relation, allocates each relation's set once at that size,
 //! hashes each fact once and writes no log. It has the facts, epoch and
 //! per-relation epochs that inserting the facts one by one would give it,
@@ -131,21 +130,7 @@ impl Instance {
     pub fn from_facts<I: IntoIterator<Item = Fact>>(facts: I) -> Instance {
         let facts: Vec<Fact> = facts.into_iter().collect();
         let sizes = sizes(&facts);
-        Instance::default().build(sizes, facts.into_iter().map(Cow::Owned), |_| {})
-    }
-
-    /// [`Instance::from_facts`] over borrowed facts, each new one cloned
-    /// once. `on_new` sees the position in `facts` of each fact that was
-    /// new, in order.
-    pub fn from_borrowed<'a, I, F>(facts: I, on_new: F) -> Instance
-    where
-        I: IntoIterator<Item = &'a Fact>,
-        I::IntoIter: Clone,
-        F: FnMut(usize),
-    {
-        let facts = facts.into_iter();
-        let sizes = sizes(facts.clone());
-        Instance::default().build(sizes, facts.map(Cow::Borrowed), on_new)
+        Instance::default().build(sizes, facts)
     }
 
     /// The one bulk build (see the module docs): add `facts`, in order, to
@@ -153,27 +138,21 @@ impl Instance {
     /// Each relation's set is reserved once, at its count in `sizes`
     /// (duplicates included), and each fact is hashed once; the epochs
     /// move as the insert loop would move them, but no log is written —
-    /// it is forgotten up to the final epoch. `on_new` sees the position
-    /// of each fact that was new. A relation whose facts were mostly
-    /// duplicates is shrunk to fit, so a projection's answer does not keep
-    /// the footprint of its valuations.
-    fn build<'a, I, F>(mut self, sizes: FxMap<RelId, usize>, facts: I, mut on_new: F) -> Instance
-    where
-        I: Iterator<Item = Cow<'a, Fact>>,
-        F: FnMut(usize),
-    {
+    /// it is forgotten up to the final epoch. A relation whose facts were
+    /// mostly duplicates is shrunk to fit, so a projection's answer does
+    /// not keep the footprint of its valuations.
+    fn build(mut self, sizes: FxMap<RelId, usize>, facts: Vec<Fact>) -> Instance {
         for (&rel, &n) in &sizes {
             self.by_rel.entry(rel).or_default().reserve(n);
         }
-        let mut facts = facts.enumerate().peekable();
-        while let Some((_, first)) = facts.peek() {
+        let mut facts = facts.into_iter().peekable();
+        while let Some(first) = facts.peek() {
             let rel = first.rel;
             let set = self.by_rel.get_mut(&rel).expect("every relation is sized");
             let before = self.epoch;
-            while let Some((i, f)) = facts.next_if(|(_, f)| f.rel == rel) {
-                if set.insert(f.into_owned()) {
+            while let Some(f) = facts.next_if(|f| f.rel == rel) {
+                if set.insert(f) {
                     self.epoch += 1;
-                    on_new(i);
                 }
             }
             if self.epoch > before {
@@ -282,31 +261,6 @@ impl Instance {
     /// facts, and its log doubled that.
     pub fn clone_without_log(&self) -> Instance {
         self.fork(DeltaLog::forgotten_to(self.epoch, self.log.capacity()))
-    }
-
-    /// This instance's relations outside `drop`, plus `facts` (whatever
-    /// their relation), as an instance built whole (no history, see the
-    /// module docs) and without cached tries: each kept relation's set is
-    /// copied as it is, never re-inserted fact by fact, and `facts` are
-    /// added in order as by [`Instance::from_facts`], the epochs moving on
-    /// from this instance's. An MPC computation phase builds a server's
-    /// next instance this way.
-    pub fn rebuilt(&self, drop: &[RelId], facts: Vec<Fact>) -> Instance {
-        let by_rel: FxMap<RelId, FxSet<Fact>> = self
-            .by_rel
-            .iter()
-            .filter(|(r, _)| !drop.contains(r))
-            .map(|(&r, set)| (r, set.clone()))
-            .collect();
-        let kept = Instance {
-            len: by_rel.values().map(FxSet::len).sum(),
-            by_rel,
-            epoch: self.epoch,
-            rel_epochs: self.rel_epochs.clone(),
-            ..Instance::default()
-        };
-        let sizes = sizes(&facts);
-        kept.build(sizes, facts.into_iter().map(Cow::Owned), |_| {})
     }
 
     /// The mutation epoch: bumped exactly when the fact set changes.
@@ -1142,14 +1096,14 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// `from_facts` and `from_borrowed` build an instance whole: the
+        /// `from_facts` builds an instance whole: the
         /// facts and epochs of the insert loop, and no history
         /// (`delta_log_len() == 0`, `delta_since(e)` `None` below the
         /// epoch and empty at it). `insert_all`, `extend_from` and
         /// `insert`, mixed over the rest of one stream with duplicates,
         /// interleaved relations and mixed arities, then log exactly what
-        /// the loop logs from that epoch on — and `insert_all` and
-        /// `from_borrowed` report exactly the new facts.
+        /// the loop logs from that epoch on — and `insert_all` reports
+        /// exactly the new facts.
         #[test]
         fn bulk_ingest_matches_the_insert_loop(
             stream in prop::collection::vec((0..4usize, 0..4u64, 0..3u64, 0..4usize), 0..60),
@@ -1185,12 +1139,7 @@ mod tests {
                         prop_assert_eq!(seen, want);
                     }
                     2 => {
-                        let mut new_at = Vec::new();
-                        let other = Instance::from_borrowed(chunk_facts.iter().copied(), |i| new_at.push(i));
-                        let mut fresh = InsertLoop::default();
-                        let want: Vec<usize> =
-                            (0..chunk_facts.len()).filter(|&i| fresh.insert(chunk_facts[i])).collect();
-                        prop_assert_eq!(new_at, want);
+                        let other = Instance::from_facts(chunk_facts.iter().copied().cloned());
                         InsertLoop::built_whole(chunk_facts.iter().copied()).assert_matches(&other);
                         // The model follows the iteration order the
                         // union actually sees.
@@ -1234,39 +1183,6 @@ mod tests {
         looped.insert(fact("S", &[1]));
         assert_eq!(bulk.delta_since(n), looped.delta_since(n));
         assert_eq!(bulk.delta_log_len(), 1);
-    }
-
-    /// `rebuilt` is the kept relations and the added facts, built whole:
-    /// epochs moving on from the source's, no log and no cached tries.
-    #[test]
-    fn rebuilt_drops_adds_and_forgets() {
-        let mut i = abc();
-        i.insert(fact("T", &[4]));
-        let _ = i.trie_layers(rel("R"), &[0, 1]);
-        let added = vec![
-            fact("U", &[1]),
-            fact("R", &[1, 2]),
-            fact("U", &[2]),
-            fact("T", &[5]),
-        ];
-        let r = i.rebuilt(&[rel("S"), rel("T")], added);
-        let want = Instance::from_facts([
-            fact("R", &[1, 2]),
-            fact("R", &[2, 3]),
-            fact("T", &[5]),
-            fact("U", &[1]),
-            fact("U", &[2]),
-        ]);
-        assert_eq!(r, want);
-        // `drop` removes the source's relations only: `T(4)` goes, the
-        // added `T(5)` stays. `R(1,2)` was already there.
-        assert_eq!(r.epoch(), i.epoch() + 3);
-        assert_eq!(r.rel_epoch(rel("U")), i.epoch() + 2);
-        assert_eq!(r.rel_epoch(rel("T")), i.epoch() + 3);
-        assert_eq!(r.rel_epoch(rel("R")), i.rel_epoch(rel("R")));
-        assert_eq!(r.delta_log_len(), 0);
-        assert!(r.delta_since(r.epoch() - 1).is_none());
-        assert_eq!(r.cached_tries(), 0);
     }
 
     /// Absent removes are complete no-ops: epoch, delta log and views all

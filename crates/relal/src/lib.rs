@@ -71,6 +71,7 @@ pub mod packing;
 pub mod parser;
 pub mod policy;
 pub mod query;
+pub mod shard;
 pub mod simplex;
 pub mod snapshot;
 pub mod symbols;
@@ -82,6 +83,7 @@ pub use delta::{DeltaEntry, DeltaLog, DeltaOp};
 pub use fact::{Fact, Val};
 pub use instance::Instance;
 pub use query::{ConjunctiveQuery, QueryError, UnionQuery};
+pub use shard::{Relations, Shard};
 pub use snapshot::{Snapshot, SnapshotStore};
 pub use symbols::{RelId, Sym};
 pub use valuation::Valuation;

@@ -41,6 +41,7 @@ use crate::atom::{Term, Var};
 use crate::fact::{Args, Fact, Val};
 use crate::instance::Instance;
 use crate::query::ConjunctiveQuery;
+use crate::shard::Relations;
 use crate::symbols::RelId;
 use std::sync::Arc;
 
@@ -49,7 +50,7 @@ use std::sync::Arc;
 /// Column `d` holds the depth-`d` value of every tuple in sorted order;
 /// tuples are deduplicated, so for binary `R` under the identity
 /// permutation the rows are exactly the sorted distinct pairs of `R`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrieRel {
     /// `perm[d]` = the fact argument position stored at trie depth `d`.
     pub perm: Vec<usize>,
@@ -85,9 +86,36 @@ impl TrieRel {
         let (vals, rows) = match perm.len() {
             1 => sorted_columns::<1>(flat),
             2 => sorted_columns::<2>(flat),
-            k => sorted_columns_wide(flat, k, rows),
+            _ => return TrieRel::from_rows_first(perm, flat, rows, |_| {}),
         };
         TrieRel { perm, vals, rows }
+    }
+
+    /// Sort and deduplicate like [`TrieRel::from_rows`], at any width
+    /// (including 0, where every row is the one empty tuple), and hand
+    /// `first` the index in `flat` of each distinct row's first copy, in
+    /// sorted order — what a server that charges a delivery by its first
+    /// arrival needs.
+    pub(crate) fn from_rows_first(
+        perm: Vec<usize>,
+        flat: &[Val],
+        rows: usize,
+        mut first: impl FnMut(usize),
+    ) -> TrieRel {
+        let k = perm.len();
+        assert_eq!(flat.len(), rows * k, "row-major, one stride");
+        let row = |i: usize| &flat[i * k..(i + 1) * k];
+        let mut order: Vec<usize> = (0..rows).collect();
+        order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)).then(a.cmp(&b)));
+        order.dedup_by(|a, b| row(*a) == row(*b));
+        order.iter().for_each(|&i| first(i));
+        let mut vals = Vec::with_capacity(k * order.len());
+        (0..k).for_each(|d| vals.extend(order.iter().map(|&i| flat[i * k + d])));
+        TrieRel {
+            perm,
+            vals,
+            rows: order.len(),
+        }
     }
 
     /// Number of stored tuples.
@@ -156,18 +184,6 @@ fn sorted_columns<const N: usize>(flat: &[Val]) -> (Vec<Val>, usize) {
     let mut vals = Vec::with_capacity(N * rows.len());
     (0..N).for_each(|d| vals.extend(rows.iter().map(|r| r[d])));
     (vals, rows.len())
-}
-
-/// [`sorted_columns`] for any width `k` (including 0, where all `n` rows
-/// are the one empty tuple): sort and dedup row *indices* over `flat`.
-fn sorted_columns_wide(flat: &[Val], k: usize, n: usize) -> (Vec<Val>, usize) {
-    let row = |i: usize| &flat[i * k..(i + 1) * k];
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
-    order.dedup_by(|a, b| row(*a) == row(*b));
-    let mut vals = Vec::with_capacity(k * order.len());
-    (0..k).for_each(|d| vals.extend(order.iter().map(|&i| flat[i * k + d])));
-    (vals, order.len())
 }
 
 /// First index `i` in `[lo, hi)` with `pred(col[i])`, or `hi` — `pred`
@@ -399,7 +415,12 @@ impl LeapfrogPlan {
     /// parameters bound to `params`, handing every satisfying binding
     /// vector (indexed like the order, parameters first) to `sink`: a bind
     /// and one run, unless an inequality decided on entry fails first.
-    pub fn run(&self, instances: &[&Instance], params: &[Val], sink: &mut dyn FnMut(&[Val])) {
+    pub fn run<S: Relations + ?Sized>(
+        &self,
+        instances: &[&S],
+        params: &[Val],
+        sink: &mut dyn FnMut(&[Val]),
+    ) {
         if self.entry_holds(params) {
             self.bind(instances).run(params, sink);
         }
@@ -412,6 +433,12 @@ impl LeapfrogPlan {
         self.entry_ineqs.iter().all(differ)
     }
 
+    /// Every positive atom's relation and the column order its trie runs
+    /// must have — what a reader holding only some orders builds first.
+    pub fn orders(&self) -> impl Iterator<Item = (RelId, &[usize])> {
+        self.atoms.iter().map(|a| (a.rel, &a.cols[..]))
+    }
+
     /// Bind the plan to `instances` for any number of runs.
     ///
     /// The first instance is the database; any further one is an
@@ -421,7 +448,9 @@ impl LeapfrogPlan {
     /// the union. Every atom's trie runs, the per-level cursors and the
     /// leaf probes are resolved and allocated here, once; the instances
     /// stay borrowed, so no run of the bound plan can see them change.
-    pub fn bind<'a>(&'a self, instances: &'a [&'a Instance]) -> BoundPlan<'a> {
+    /// The readers are monomorphized: no seek and no leaf probe goes
+    /// through a virtual call.
+    pub fn bind<'a, S: Relations + ?Sized>(&'a self, instances: &'a [&'a S]) -> BoundPlan<'a, S> {
         // Sized for two runs per atom, the steady state under a compactor.
         let depths: usize = self.atoms.iter().map(|a| a.cols.len() + 1).sum();
         let mut plan = Plan {
@@ -444,8 +473,7 @@ impl LeapfrogPlan {
                 if k > 0 && instance.relation_len(atom.rel) == 0 {
                     continue;
                 }
-                let layers = instance.trie_layers(atom.rel, &atom.cols);
-                for trie in layers.runs() {
+                tombstoned |= instance.trie_runs(atom.rel, &atom.cols, |trie| {
                     let base = cur.ranges.len();
                     cur.ranges.resize(base + atom.cols.len() + 1, (0, 0));
                     cur.ranges[base] = (0, trie.rows());
@@ -453,8 +481,7 @@ impl LeapfrogPlan {
                         trie: Arc::clone(trie),
                         base,
                     });
-                }
-                tombstoned |= layers.has_tombstones();
+                });
             }
             if tombstoned {
                 cur.probes.push(Probe::new(atom.rel, &atom.terms, true));
@@ -487,15 +514,15 @@ impl LeapfrogPlan {
 /// A [`LeapfrogPlan`] bound to its instances ([`LeapfrogPlan::bind`]):
 /// each [`BoundPlan::run`] only binds the parameters, descends the fixed
 /// columns and enumerates, taking no lock and allocating nothing.
-pub struct BoundPlan<'a> {
+pub struct BoundPlan<'a, S: ?Sized = Instance> {
     plan: &'a LeapfrogPlan,
     /// Per body atom, its runs in `tries.runs`.
     atom_runs: Vec<std::ops::Range<usize>>,
-    tries: Plan<'a>,
+    tries: Plan<'a, S>,
     cur: Cursors<'a>,
 }
 
-impl BoundPlan<'_> {
+impl<S: Relations + ?Sized> BoundPlan<'_, S> {
     /// [`LeapfrogPlan::run`] on the bound instances: the same bindings,
     /// in the same order, with the same seeks.
     pub fn run(&mut self, params: &[Val], sink: &mut dyn FnMut(&[Val])) {
@@ -566,7 +593,7 @@ impl<'a> Probe<'a> {
         }
     }
 
-    fn holds(&mut self, vals: &[Val], instances: &[&Instance]) -> bool {
+    fn holds<S: Relations + ?Sized>(&mut self, vals: &[Val], instances: &[&S]) -> bool {
         for (arg, t) in self.fact.args.iter_mut().zip(self.terms) {
             *arg = t.value(vals);
         }
@@ -576,8 +603,8 @@ impl<'a> Probe<'a> {
 
 /// The instance-bound side of a plan: the trie runs of every atom and,
 /// per variable level, the atoms containing the variable in body order.
-struct Plan<'a> {
-    instances: &'a [&'a Instance],
+struct Plan<'a, S: ?Sized> {
+    instances: &'a [&'a S],
     runs: Vec<Run>,
     levels: Vec<Vec<Part>>,
     ineqs: &'a [Vec<(Slot, Slot)>],
@@ -607,7 +634,12 @@ fn min_live(runs: &[Run], slots: &[(usize, usize)], d: usize) -> Val {
 /// containing `order[oi]` — taking each atom's value as the minimum over
 /// its live runs — and for each common value descend all of its columns
 /// in every run of every participating atom, recursing to the next level.
-fn intersect(plan: &Plan, cur: &mut Cursors, oi: usize, sink: &mut dyn FnMut(&[Val])) {
+fn intersect<S: Relations + ?Sized>(
+    plan: &Plan<S>,
+    cur: &mut Cursors,
+    oi: usize,
+    sink: &mut dyn FnMut(&[Val]),
+) {
     let Some(parts) = plan.levels.get(oi) else {
         // Leaf: every positive atom fully descended and non-empty in some
         // run; inequalities were checked on the way down.

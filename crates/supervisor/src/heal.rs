@@ -134,15 +134,15 @@ pub fn heal_hypercube_crash(
     let mut cluster = Cluster::new(p_eff);
     seed_cluster(&mut cluster, db, InitialPartition::RoundRobin);
     cluster.communicate(|f| algo.destinations(f));
-    let shard = cluster.local(dead).clone();
+    let shard = cluster.shard(dead).clone();
     let survivor = (0..p_eff)
         .filter(|&s| s != dead)
         .min_by_key(|&s| cluster.rounds()[0].received[s])
         .ok_or(HealError::NoSurvivor { p_eff })?;
-    cluster.local_mut(survivor).extend_from(&shard);
+    cluster.place(survivor, shard.iter());
     let mut healed_output = Instance::new();
     for s in (0..p_eff).filter(|&s| s != dead) {
-        healed_output.extend_from(&eval_query(q, cluster.local(s)));
+        healed_output.extend_from(&eval_query(q, &cluster.local(s)));
     }
     let load_exponent = hypercube_load_exponent(q)?;
     let m = db.len();

@@ -132,7 +132,7 @@ pub fn run_verified_rounds(
     }
 
     let union =
-        |row: &Vec<Proof>| Instance::from_borrowed(row.iter().flat_map(|p| p.0.iter()), |_| {});
+        |row: &Vec<Proof>| Instance::from_facts(row.iter().flat_map(|p| p.0.iter()).cloned());
     VerifiedRunReport {
         rounds: queries.len(),
         audits,

@@ -18,7 +18,7 @@ use proptest::prelude::*;
 
 use parlog_faults::{FaultPlan, MpcFaultPlan, PartitionPlan};
 use parlog_mpc::cluster::{Cluster, Routing};
-use parlog_relal::eval::eval_query;
+use parlog_relal::eval::{eval_query, EvalStrategy};
 use parlog_relal::fact::fact;
 use parlog_relal::instance::Instance;
 use parlog_relal::parser::parse_query;
@@ -133,8 +133,8 @@ proptest! {
 
         let run = |threads: usize, faults: MpcFaultPlan| {
             let mut c = Cluster::new(p).with_parallelism(threads).with_faults(faults);
-            for (i, f) in db.iter().enumerate() {
-                c.local_mut(i % p).insert(f.clone());
+            for s in 0..p {
+                c.place(s, db.iter().skip(s).step_by(p).cloned());
             }
             // Repartition on the join key: R by its second column, S by
             // its first, so joining facts co-locate.
@@ -149,7 +149,7 @@ proptest! {
                 c.reshuffle(|_, _| Routing::Keep);
                 rounds += 1;
             }
-            c.compute(|inst| eval_query(&q, inst));
+            c.compute_query(&q, EvalStrategy::Indexed);
             c
         };
 

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 
 use parlog_faults::{FaultPlan, MpcFaultPlan, SpeculationPolicy};
 use parlog_mpc::cluster::Cluster;
-use parlog_relal::eval::eval_query;
+use parlog_relal::eval::{eval_query, EvalStrategy};
 use parlog_relal::fact::fact;
 use parlog_relal::instance::Instance;
 use parlog_relal::parser::parse_query;
@@ -46,14 +46,11 @@ proptest! {
             if let Some(s) = spec {
                 c = c.with_speculation(s);
             }
-            for (i, f) in db.iter().enumerate() {
-                c.local_mut(i % 4).insert(f.clone());
+            for s in 0..4 {
+                c.place(s, db.iter().skip(s).step_by(4).cloned());
             }
             c.communicate(|f| vec![(f.args[0].0 % 4) as usize]);
-            c.compute(|inst| {
-                let q = parse_query("H(x) <- E(x,y)").unwrap();
-                eval_query(&q, inst)
-            });
+            c.compute_query(&parse_query("H(x) <- E(x,y)").unwrap(), EvalStrategy::Indexed);
             c
         };
         let plain = run(None);

@@ -278,11 +278,11 @@ proptest! {
                     )
                     .with_speculation(SpeculationPolicy::default());
             }
-            for (i, f) in db.iter().enumerate() {
-                c.local_mut(i % p).insert(f.clone());
+            for s in 0..p {
+                c.place(s, db.iter().skip(s).step_by(p).cloned());
             }
             c.communicate(|f| vec![(f.args[0].0 as usize) % p]);
-            c.compute(|local| eval_query(&q, local));
+            c.compute_query(&q, EvalStrategy::Indexed);
             let stats = RunReport::from_cluster("prop", &c, db.len()).stats;
             (c.union_all(), serde_json::to_string(&stats).unwrap())
         };
