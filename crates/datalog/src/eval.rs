@@ -38,37 +38,27 @@ pub(crate) fn strip_adom(db: &mut Instance) {
     }
 }
 
-/// The facts `plans` derive that `db` does not hold yet, each once, in
+/// The facts `plans` derive from the union of `layers` that the
+/// database — the first layer — does not hold yet, each once, in
 /// derivation order. Backtracker plans read `index`, which covers their
 /// [`QueryPlan::index_rels`] — the stratum's relations and its Δ
 /// relations.
 fn new_facts<'p>(
     plans: impl IntoIterator<Item = &'p QueryPlan>,
-    db: &Instance,
+    layers: &[&Instance],
     index: Option<&Indexed>,
 ) -> Vec<Fact> {
     let mut pending = fxset();
     let mut out = Vec::new();
     let mut keep = |f: Fact| {
-        if !db.contains(&f) && pending.insert(f.clone()) {
+        if !layers[0].contains(&f) && pending.insert(f.clone()) {
             out.push(f);
         }
     };
     for plan in plans {
-        plan.run(db, index, &mut keep);
+        plan.run(layers, index, &mut keep);
     }
     out
-}
-
-/// The strategy a fixpoint compiles its rules under. A round reads its
-/// Δ from an index or the tries, never by enumerating the active
-/// domain, so `Naive` rounds run the backtracker (the differential
-/// tests pin every strategy to one fixpoint).
-fn round_strategy(strategy: EvalStrategy) -> EvalStrategy {
-    match strategy {
-        EvalStrategy::Naive => EvalStrategy::Indexed,
-        s => s,
-    }
 }
 
 /// Evaluate `p` on `edb` with stratified semi-naive evaluation. The result
@@ -138,7 +128,10 @@ pub fn eval_program_snapshot(
 /// `with_adom` (always, for the state [`crate::maintain`] tracks). A round
 /// costs its delta: the rule plans are compiled and the positional index
 /// is built once per stratum, every accepted fact is appended to it, so
-/// nothing inside the `while` is proportional to `db`.
+/// nothing inside the `while` is proportional to `db`. The only facts
+/// written to `db` are the ones the fixpoint accepts: a round's Δ lives
+/// in the index for the backtracker and in an overlay beside `db` for the
+/// trie and naive engines.
 pub(crate) fn fixpoint(
     p: &Program,
     edb: &Instance,
@@ -147,8 +140,7 @@ pub(crate) fn fixpoint(
 ) -> Result<Instance, ProgramError> {
     let strat = p.stratify()?;
     let compile = |q: &ConjunctiveQuery, prefix: &[_]| {
-        QueryPlan::new(std::slice::from_ref(q), round_strategy(strategy), prefix)
-            .map_err(ProgramError::UnsafeRule)
+        QueryPlan::new(std::slice::from_ref(q), strategy, prefix).map_err(ProgramError::UnsafeRule)
     };
     let mut db = edb.clone();
     if with_adom {
@@ -161,14 +153,11 @@ pub(crate) fn fixpoint(
             .iter()
             .map(|r| compile(r, &[]))
             .collect::<Result<_, _>>()?;
-        let recursive: Vec<RelId> = {
-            let mut v: Vec<RelId> = rules.iter().map(|r| r.head.rel).collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
+        let mut recursive: Vec<RelId> = rules.iter().map(|r| r.head.rel).collect();
+        recursive.sort_unstable();
+        recursive.dedup();
         // Interning goes through a global `RwLock` (plus a `format!` per
-        // call) — fine at stratum setup, poison in the per-fact publish
+        // call) — fine at stratum setup, poison in the per-fact renaming
         // loop below. Resolve each recursive relation's delta id once.
         let delta_ids: FxMap<RelId, RelId> = recursive
             .iter()
@@ -194,11 +183,10 @@ pub(crate) fn fixpoint(
 
         // Where the stratum's deltas live: backtracker plans read them
         // from one shared index, which covers every relation those plans
-        // read, delta relations included; LFTJ plans read them through
-        // `db`'s tries, so only a stratum with such a plan publishes them
-        // into `db`.
+        // read, delta relations included; trie and naive plans read them
+        // from an overlay beside `db`, built only when such a plan runs.
         let plans = || initial.iter().chain(&variants);
-        let publishes = plans().any(QueryPlan::reads_instance);
+        let overlays = plans().any(QueryPlan::reads_instance);
         let index_rels: Vec<RelId> = plans().flat_map(|p| p.index_rels()).copied().collect();
         let mut index = (!index_rels.is_empty()).then(|| Indexed::build(&db, &index_rels));
         // Accepted facts join `db` and the index only after their pass,
@@ -213,30 +201,24 @@ pub(crate) fn fixpoint(
         };
 
         // Initial round: full evaluation of every rule.
-        let mut delta = new_facts(&initial, &db, index.as_ref());
+        let mut delta = new_facts(&initial, &[&db], index.as_ref());
         accept(&mut db, &mut index, &delta);
 
         // Semi-naive iterations.
         while !delta.is_empty() {
-            let published: Vec<Fact> = delta
+            let renamed: Vec<Fact> = delta
                 .iter()
                 .map(|f| Fact::new(delta_of(f.rel), f.args.clone()))
                 .collect();
             if let Some(ix) = &mut index {
-                published.iter().for_each(|f| ix.push(f));
+                renamed.iter().for_each(|f| ix.push(f));
             }
-            if publishes {
-                db.insert_all(&published, |_| {});
-            }
-            let next = new_facts(&variants, &db, index.as_ref());
+            let next = match overlays.then(|| Instance::from_facts(renamed)) {
+                Some(overlay) => new_facts(&variants, &[&db, &overlay], index.as_ref()),
+                None => new_facts(&variants, &[&db], index.as_ref()),
+            };
             accept(&mut db, &mut index, &next);
-            // Retract the round's deltas before the next one: no helper
-            // fact outlives its round, in `db` or in the index.
-            if publishes {
-                for f in &published {
-                    db.remove(f);
-                }
-            }
+            // No delta outlives its round in the index.
             if let Some(ix) = &mut index {
                 recursive.iter().for_each(|&r| ix.clear(delta_of(r)));
             }
@@ -262,7 +244,7 @@ pub fn eval_program_naive(p: &Program, edb: &Instance) -> Result<Instance, Progr
             QueryPlan::new(&rules, EvalStrategy::Indexed, &[]).map_err(ProgramError::UnsafeRule)?;
         loop {
             let mut derived: Vec<Fact> = Vec::new();
-            plan.run(&db, None, &mut |f| derived.push(f));
+            plan.run(&[&db], None, &mut |f| derived.push(f));
             let mut changed = false;
             for f in derived {
                 if db.insert(f) {
@@ -311,8 +293,11 @@ mod tests {
     }
 
     /// The loop this module used to run, kept as the model: every round
-    /// publishes its deltas into `db` and re-indexes every body relation
-    /// of the stratum from scratch. `ADom` stays, as in
+    /// re-indexes every body relation of the stratum from scratch and
+    /// re-compiles the delta variants. It gets Δ the way the loop does —
+    /// pushed into its per-round index for the backtracker, an overlay
+    /// beside `db` for the trie and naive engines — so what it pins is
+    /// the per-round re-indexing and re-compiling. `ADom` stays, as in
     /// `fixpoint(.., true)`.
     fn rebuild_per_round_model(p: &Program, edb: &Instance, strategy: EvalStrategy) -> Instance {
         let strat = p.stratify().unwrap();
@@ -342,41 +327,40 @@ mod tests {
                     }
                 }
             }
-            let needs_index = rules
-                .iter()
-                .any(|r| strategy.resolve(r) != EvalStrategy::Wcoj);
-            let strategy = round_strategy(strategy);
+            let resolved = || rules.iter().map(|r| strategy.resolve(r));
+            let needs_index = resolved().any(|s| s == EvalStrategy::Indexed);
+            let overlays = resolved().any(|s| s != EvalStrategy::Indexed);
             let compile = |q: &ConjunctiveQuery, prefix: &[Var]| {
                 QueryPlan::new(std::slice::from_ref(q), strategy, prefix).unwrap()
             };
-            let rebuild = |db: &Instance| {
+            let rebuild = |db: &Instance, delta: &[Fact]| {
                 needs_index.then(|| {
-                    let index = Indexed::build(db, &body_rels);
+                    let mut index = Indexed::build(db, &body_rels);
+                    delta.iter().for_each(|f| index.push(f));
                     INDEX_WRITES.with(|c| c.set(c.get() + index.entries_written()));
                     index
                 })
             };
 
-            let index = rebuild(&db);
+            let index = rebuild(&db, &[]);
             let initial: Vec<QueryPlan> = rules.iter().map(|r| compile(r, &[])).collect();
-            let mut delta = new_facts(&initial, &db, index.as_ref());
+            let mut delta = new_facts(&initial, &[&db], index.as_ref());
             db.insert_all(&delta, |_| {});
             while !delta.is_empty() {
-                let published: Vec<Fact> = delta
+                let renamed: Vec<Fact> = delta
                     .iter()
                     .map(|f| Fact::new(delta_of(f.rel), f.args.clone()))
                     .collect();
-                db.insert_all(&published, |_| {});
-                let index = rebuild(&db);
+                let index = rebuild(&db, &renamed);
                 let rewrites: Vec<QueryPlan> = variants
                     .iter()
                     .map(|(v, prefix)| compile(v, prefix))
                     .collect();
-                let next = new_facts(&rewrites, &db, index.as_ref());
+                let next = match overlays.then(|| Instance::from_facts(renamed)) {
+                    Some(overlay) => new_facts(&rewrites, &[&db, &overlay], index.as_ref()),
+                    None => new_facts(&rewrites, &[&db], index.as_ref()),
+                };
                 db.insert_all(&next, |_| {});
-                for f in &published {
-                    db.remove(f);
-                }
                 delta = next;
             }
         }
@@ -566,8 +550,9 @@ mod tests {
     }
 
     /// A scratch fixpoint of a program that never reads `ADom` neither
-    /// inserts nor leaves an `ADom` fact: the working copy's delta log
-    /// grows by the derived facts only.
+    /// inserts nor leaves an `ADom` fact, and under every strategy the
+    /// working copy is written the derived facts only: its delta log and
+    /// its epoch grow by one per derived fact, none for a Δ helper.
     #[test]
     fn scratch_fixpoint_without_adom_never_materialises_it() {
         let p = parse_program("TC(x,y) <- E(x,y)\nTC(x,y) <- E(x,z), TC(z,y)").unwrap();
@@ -576,11 +561,8 @@ mod tests {
             let out = eval_program_scratch(&p, &edb, s).unwrap();
             assert_eq!(out.relation_len(rel(ADOM)), 0, "{s:?}");
             assert_eq!(out.relation_len(rel("TC")), 55, "{s:?}");
-            if s.resolve(&p.rules[1]) != EvalStrategy::Wcoj {
-                // Deltas live in the index only: one log entry per
-                // derived fact, none for helpers.
-                assert_eq!(out.delta_log_len() - edb.delta_log_len(), 55, "{s:?}");
-            }
+            assert_eq!(out.delta_log_len() - edb.delta_log_len(), 55, "{s:?}");
+            assert_eq!(out.epoch() - edb.epoch(), 55, "{s:?}");
         }
         // A program that reads `ADom` still gets it, and still strips it.
         let reads = parse_program("N(x,y) <- ADom(x), ADom(y), not E(x,y)").unwrap();
@@ -590,6 +572,22 @@ mod tests {
         // The maintained state keeps it.
         let kept = fixpoint(&p, &edb, EvalStrategy::Indexed, true).unwrap();
         assert_eq!(kept.relation_len(rel(ADOM)), 11);
+    }
+
+    /// `Naive` compiles every round for the naive engine, which counts
+    /// no evaluator step; `Indexed` reaches the same fixpoint through the
+    /// backtracker, which does.
+    #[test]
+    fn naive_fixpoints_run_the_naive_engine() {
+        let p = parse_program("TC(x,y) <- E(x,y)\nTC(x,y) <- TC(x,z), TC(z,y)").unwrap();
+        let mut db = chain(5);
+        db.insert(fact("E", &[5, 2]));
+        let (naive, naive_ops, _) = counted(|| eval_program_scratch(&p, &db, EvalStrategy::Naive));
+        let (indexed, indexed_ops, _) =
+            counted(|| eval_program_scratch(&p, &db, EvalStrategy::Indexed));
+        assert_eq!(naive.unwrap(), indexed.unwrap());
+        assert_eq!(naive_ops, 0);
+        assert!(indexed_ops > 0);
     }
 
     #[test]

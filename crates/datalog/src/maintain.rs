@@ -426,7 +426,7 @@ impl MaterializedView {
             let r = &self.program.rules[ri];
             QueryPlan::new(std::slice::from_ref(r), EvalStrategy::Wcoj, &[])
                 .expect("a stratified program's rules are safe")
-                .run(&self.db, None, &mut |h| {
+                .run(&[&self.db], None, &mut |h| {
                     *self.counts.entry(h).or_insert(0) += 1;
                 });
         }

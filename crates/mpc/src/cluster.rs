@@ -849,7 +849,7 @@ impl Cluster {
             let mut read = local.clone();
             read.prepare(plan.trie_orders());
             let mut heads = Vec::new();
-            plan.run(&read, None, &mut |f| heads.push(f));
+            plan.run(&[&read], None, &mut |f| heads.push(f));
             Shard::from_facts(heads)
         });
     }
@@ -880,7 +880,7 @@ impl Cluster {
                     read = read.with_facts(std::mem::take(&mut heads));
                 }
                 read.prepare(plan.trie_orders());
-                plan.run(&read, None, &mut |f| heads.push(f));
+                plan.run(&[&read], None, &mut |f| heads.push(f));
             }
             heads.retain(|f| !drop.contains(&f.rel));
             read.without(drop).with_facts(heads)

@@ -408,16 +408,17 @@ fn atom_order(q: &ConjunctiveQuery, index: &Indexed) -> Vec<usize> {
 /// contained in the instance; for `CQ¬`/`CQ≠` the negated atoms and
 /// inequalities are enforced as well.
 pub fn satisfying_valuations(q: &ConjunctiveQuery, instance: &Instance) -> Vec<Valuation> {
-    satisfying_valuations_indexed(q, instance, &Indexed::build(instance, &q.body_relations()))
+    let index = Indexed::build(instance, &q.body_relations());
+    satisfying_valuations_indexed(q, &[instance], &index)
 }
 
 /// [`satisfying_valuations`] against a prebuilt [`Indexed`] — the reusable
 /// path for callers evaluating many queries over one instance snapshot.
 /// Positive atoms read only `index`, which must cover every body
-/// relation; negated atoms are checked against `instance` directly.
+/// relation; negated atoms are decided against the union of `instances`.
 pub fn satisfying_valuations_indexed<S: Relations + ?Sized>(
     q: &ConjunctiveQuery,
-    instance: &S,
+    instances: &[&S],
     index: &Indexed,
 ) -> Vec<Valuation> {
     debug_assert!(
@@ -433,7 +434,7 @@ pub fn satisfying_valuations_indexed<S: Relations + ?Sized>(
         order: &[usize],
         depth: usize,
         index: &Indexed,
-        instance: &S,
+        instances: &[&S],
         val: &mut Valuation,
         out: &mut Vec<Valuation>,
     ) {
@@ -442,7 +443,7 @@ pub fn satisfying_valuations_indexed<S: Relations + ?Sized>(
             // been checked incrementally and are all bound by safety).
             for a in &q.negated {
                 match val.apply(a) {
-                    Some(f) if !instance.contains(&f) => {}
+                    Some(f) if !instances.iter().any(|i| i.contains(&f)) => {}
                     _ => return,
                 }
             }
@@ -454,14 +455,14 @@ pub fn satisfying_valuations_indexed<S: Relations + ?Sized>(
             crate::opcount::bump();
             if let Some(newly) = unify(atom, row, val) {
                 if inequalities_ok_so_far(q, val) {
-                    recurse(q, order, depth + 1, index, instance, val, out);
+                    recurse(q, order, depth + 1, index, instances, val, out);
                 }
                 undo(val, newly);
             }
         }
     }
 
-    recurse(q, &order, 0, index, instance, &mut val, &mut out);
+    recurse(q, &order, 0, index, instances, &mut val, &mut out);
     out
 }
 
@@ -552,46 +553,51 @@ impl QueryPlan {
             .flatten()
     }
 
-    /// Does a disjunct read its positive body from the instance itself
-    /// (its tries, or its domain) rather than from an index? Relations a
-    /// caller keeps only in its index (a fixpoint's Δ) must then be in
-    /// the instance too.
+    /// Does a disjunct read its positive body from the instances (their
+    /// tries, or their domain) rather than from an index? Relations a
+    /// caller keeps only in its index (a fixpoint's Δ) must then be
+    /// handed over as an overlay too.
     pub fn reads_instance(&self) -> bool {
         self.resolved().any(|s| s != EvalStrategy::Indexed)
     }
 
     /// Hand `sink` the head fact of every satisfying valuation of every
-    /// disjunct on `instance`, in enumeration order (duplicates are the
-    /// caller's to merge). Backtracker disjuncts read `index`, which must
+    /// disjunct on the union of `instances` — the database, then any
+    /// **overlay** layers ([`LeapfrogPlan::bind`]) — in enumeration order
+    /// (duplicates are the caller's to merge). Negated atoms are decided
+    /// against the union. Backtracker disjuncts read `index`, which must
     /// cover [`QueryPlan::index_rels`], or else one built for this run.
     /// The sink is `dyn` so that the engines are compiled once, not once
     /// per caller's closure.
     pub fn run<S: Relations + ?Sized>(
         &self,
-        instance: &S,
+        instances: &[&S],
         index: Option<&Indexed>,
         sink: &mut dyn FnMut(Fact),
     ) {
         let built;
         let index = match index {
             None if !self.index_rels.is_empty() => {
-                built = Indexed::build(instance, &self.index_rels);
+                built = match instances {
+                    &[one] => Indexed::build(one, &self.index_rels),
+                    layers => Indexed::build(&*union(layers), &self.index_rels),
+                };
                 Some(&built)
             }
             index => index,
         };
         for (q, engine) in &self.disjuncts {
             match engine {
-                Engine::Naive => eval_query_naive(q, &instance.as_instance())
+                Engine::Naive => eval_query_naive(q, &union(instances))
                     .iter()
                     .for_each(|f| sink(f.clone())),
                 Engine::Indexed => {
                     let index = index.expect("built whenever a disjunct reads one");
-                    for v in satisfying_valuations_indexed(q, instance, index) {
+                    for v in satisfying_valuations_indexed(q, instances, index) {
                         sink(v.derived_fact(q));
                     }
                 }
-                Engine::Wcoj { plan, head } => plan.run(&[instance], &[], &mut |vals| {
+                Engine::Wcoj { plan, head } => plan.run(instances, &[], &mut |vals| {
                     sink(Fact::new(
                         q.head.rel,
                         head.iter().map(|s| s.value(vals)).collect::<Args>(),
@@ -604,9 +610,20 @@ impl QueryPlan {
     /// [`QueryPlan::run`] collected into the answer instance.
     pub fn eval(&self, instance: &Instance) -> Instance {
         let mut heads = Vec::new();
-        self.run(instance, None, &mut |f| heads.push(f));
+        self.run(&[instance], None, &mut |f| heads.push(f));
         Instance::from_facts(heads)
     }
+}
+
+/// The union of `instances`, borrowed when there is one layer — what the
+/// naive engine enumerates.
+fn union<'a, S: Relations + ?Sized>(instances: &[&'a S]) -> std::borrow::Cow<'a, Instance> {
+    let mut layers = instances.iter().map(|layer| layer.as_instance());
+    let mut all = layers.next().unwrap_or_default();
+    for layer in layers {
+        all.to_mut().extend_from(&layer);
+    }
+    all
 }
 
 /// Evaluate `q` on `instance` with the backtracker: `Q(I)` in the survey.
@@ -1063,8 +1080,43 @@ mod tests {
         for q in &qs {
             let plan = QueryPlan::new(std::slice::from_ref(q), EvalStrategy::Indexed, &[]).unwrap();
             let mut heads = Vec::new();
-            plan.run(&i, Some(&shared), &mut |f| heads.push(f));
+            plan.run(&[&i], Some(&shared), &mut |f| heads.push(f));
             assert_eq!(Instance::from_facts(heads), eval_query(q, &i));
+        }
+    }
+
+    /// A plan run over an overlay answers like one over the union, under
+    /// every strategy: positive atoms read both layers (a fact held by
+    /// both is one fact), negated atoms are decided against the union,
+    /// and a self-join may take one row from each layer.
+    #[test]
+    fn overlay_runs_answer_like_the_union() {
+        let q = parse_query("H(x,z) <- R(x,y), R(y,z), not T(z,x), x != z").unwrap();
+        let db = Instance::from_facts([fact("R", &[1, 2]), fact("R", &[2, 3]), fact("R", &[5, 6])]);
+        let overlay = Instance::from_facts([
+            fact("R", &[2, 3]),
+            fact("R", &[3, 4]),
+            fact("R", &[6, 7]),
+            fact("T", &[7, 5]),
+        ]);
+        let mut union = db.clone();
+        union.extend_from(&overlay);
+        for s in [
+            EvalStrategy::Naive,
+            EvalStrategy::Indexed,
+            EvalStrategy::Wcoj,
+            EvalStrategy::Auto,
+        ] {
+            let plan = QueryPlan::new(std::slice::from_ref(&q), s, &[]).unwrap();
+            let mut heads = Vec::new();
+            plan.run(&[&db, &overlay], None, &mut |f| heads.push(f));
+            let got = Instance::from_facts(heads);
+            assert_eq!(got, plan.eval(&union), "{s:?}");
+            assert_eq!(
+                got.sorted_facts(),
+                vec![fact("H", &[1, 3]), fact("H", &[2, 4])],
+                "{s:?}"
+            );
         }
     }
 

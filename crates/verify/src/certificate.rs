@@ -138,7 +138,7 @@ fn valuations_with(
     let mut out = Vec::new();
     QueryPlan::new(&[witness], strategy, &[])
         .expect("a certificate needs a safe query")
-        .run(shard, None, &mut |row| {
+        .run(&[shard], None, &mut |row| {
             out.push(vars.iter().cloned().zip(row.args.iter().copied()).collect());
         });
     out
