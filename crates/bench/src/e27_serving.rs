@@ -3,7 +3,7 @@
 //! PR 10 turns the single-instance engine into a serving system:
 //! immutable sealed snapshots published by one release-store, lock-free
 //! pinned reads, a `(query, strategy, generation)` plan cache, bounded
-//! admission, background LSM compaction, and `try_refresh` hooked into
+//! admission, background LSM compaction, and view refresh hooked into
 //! publication so snapshots carry already-consistent view outputs.
 //! This experiment drives the whole stack with the seeded Zipf closed
 //! loop of `parlog_serve::harness` — a concurrent writer publishes a

@@ -67,32 +67,14 @@ pub fn eval_program(p: &Program, edb: &Instance) -> Result<Instance, ProgramErro
     eval_program_with(p, edb, EvalStrategy::Indexed)
 }
 
-/// [`eval_program`] with an explicit local-join [`EvalStrategy`]: every
-/// rule and every delta rewrite is compiled into a [`QueryPlan`] once per
-/// stratum; the Wcoj path evaluates each delta variant with the delta
-/// atom's variables as the outermost trie levels. All strategies produce
-/// the same fixpoint.
-///
-/// When a maintained view for `(p, strategy)` is installed on `edb` (see
-/// [`crate::maintain::materialize`]), the fixpoint is refreshed from the
-/// instance's delta log instead of recomputed.
+/// [`eval_program`] with an explicit local-join [`EvalStrategy`]: the
+/// from-scratch fixpoint. Every rule and every delta rewrite is compiled
+/// into a [`QueryPlan`] once per stratum; the Wcoj path evaluates each
+/// delta variant with the delta atom's variables as the outermost trie
+/// levels. All strategies produce the same fixpoint. It reads `edb` and
+/// nothing else: no lock, no view state — a fixpoint maintained across
+/// mutations is a [`crate::maintain::MaterializedView`] its owner holds.
 pub fn eval_program_with(
-    p: &Program,
-    edb: &Instance,
-    strategy: EvalStrategy,
-) -> Result<Instance, ProgramError> {
-    if let Some(out) = crate::maintain::try_refresh(p, edb, strategy) {
-        return Ok(out);
-    }
-    eval_program_scratch(p, edb, strategy)
-}
-
-/// The from-scratch fixpoint, **never** consulting the maintained-view
-/// registry: no registry lock is taken and no view state is touched.
-/// This is the path snapshot readers share — see
-/// [`eval_program_snapshot`] — where the registry's take-out locking
-/// would serialize (and starve) concurrent readers of the same view.
-pub fn eval_program_scratch(
     p: &Program,
     edb: &Instance,
     strategy: EvalStrategy,
@@ -104,25 +86,9 @@ pub fn eval_program_scratch(
     Ok(db)
 }
 
-/// Evaluate `p` against a pinned [`Snapshot`]: if the snapshot was
-/// published with the `(p, strategy)` view refreshed
-/// ([`crate::maintain::publish_views`]), the frozen output is returned
-/// as a shared `Arc` — an O(1), lock-free lookup; a cold reader never
-/// pays a refresh, because `try_refresh` already ran at publication,
-/// against the writer. Otherwise the fixpoint is computed from scratch
-/// against the sealed instance (still lock-free on warm tries).
-///
-/// [`Snapshot`]: parlog_relal::snapshot::Snapshot
-pub fn eval_program_snapshot(
-    p: &Program,
-    snap: &parlog_relal::snapshot::Snapshot,
-    strategy: EvalStrategy,
-) -> Result<std::sync::Arc<Instance>, ProgramError> {
-    if let Some(out) = snap.view_output(crate::maintain::view_key_for(p, strategy)) {
-        return Ok(out);
-    }
-    eval_program_scratch(p, snap.instance(), strategy).map(std::sync::Arc::new)
-}
+/// The from-scratch fixpoint under the name the benchmark harness calls
+/// it by: [`eval_program_with`].
+pub use self::eval_program_with as eval_program_scratch;
 
 /// The stratified semi-naive fixpoint, `ADom` helper facts included when
 /// `with_adom` (always, for the state [`crate::maintain`] tracks). A round

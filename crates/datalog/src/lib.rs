@@ -48,12 +48,10 @@ pub mod maintain;
 pub mod program;
 pub mod wellfounded;
 
-pub use eval::{
-    eval_program, eval_program_naive, eval_program_scratch, eval_program_snapshot,
-    eval_program_with,
-};
+pub use eval::{eval_program, eval_program_naive, eval_program_scratch, eval_program_with};
 pub use maintain::{
-    materialize, publish_views, try_refresh, view_key_for, view_stats, MaterializedView, ViewStats,
+    publish_views, view_key, view_key_for, view_key_source, view_stats, MaterializedView,
+    ViewStats, ViewWriter,
 };
 pub use program::{Program, ProgramError, Stratification};
 
@@ -62,7 +60,7 @@ pub mod prelude {
     pub use crate::analysis::{is_connected, is_semi_connected, is_semi_positive};
     pub use crate::eval::{eval_program, eval_program_naive, eval_program_with};
     pub use crate::invention::{InventionProgram, InventionRule};
-    pub use crate::maintain::{materialize, try_refresh, view_stats, ViewStats};
+    pub use crate::maintain::{MaterializedView, ViewStats, ViewWriter};
     pub use crate::program::{parse_program, Program, Stratification};
     pub use crate::wellfounded::{well_founded, TruthValue, WellFoundedModel};
 }

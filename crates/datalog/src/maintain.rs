@@ -1,13 +1,13 @@
 //! Incremental maintenance of materialized Datalog fixpoints.
 //!
-//! [`materialize`] evaluates a stratified program once and installs a
-//! [`MaterializedView`] in the base instance's view registry. From then on
-//! [`crate::eval::eval_program_with`] (via [`try_refresh`]) answers from
-//! the view: it replays the instance's delta log instead of recomputing
-//! the fixpoint from scratch, as **one batch** — every logged change is
-//! applied, then the cascade settles once.
+//! A [`MaterializedView`] is a value its owner holds, built once against
+//! a base instance. Each [`MaterializedView::refresh`] replays the
+//! base's delta log instead of recomputing the fixpoint, as **one
+//! batch**: every logged change is applied, then the cascade settles
+//! once. A serving writer, [`ViewWriter`], is an instance together with
+//! the views maintained on it.
 //!
-//! Two maintenance algorithms, chosen per stratum at materialize time:
+//! Two maintenance algorithms, chosen per stratum when the view is built:
 //!
 //! * **Counting** for strata whose intra-stratum positive head-dependency
 //!   graph is acyclic (no recursion). Every membership change cascades
@@ -56,52 +56,147 @@ use parlog_relal::fact::{Args, Fact, Val};
 use parlog_relal::fastmap::{fxmap, fxset, FxHasher, FxMap, FxSet};
 use parlog_relal::instance::Instance;
 use parlog_relal::query::ConjunctiveQuery;
+use parlog_relal::snapshot::ViewOutputs;
 use parlog_relal::symbols::{rel, RelId};
 use parlog_relal::trie::{wcoj_variable_order, BoundPlan, LeapfrogPlan, Slot};
+use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
+use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
 
-/// The registry key of a `(program, strategy)` view, and the exact string
-/// it hashes (stored in the view to rule out hash collisions).
-fn view_key_src(p: &Program, strategy: EvalStrategy) -> String {
+/// The exact key source of the `(program, strategy)` view: the text
+/// [`view_key`] hashes, kept beside each frozen output so that a lookup
+/// by a colliding hash is a miss.
+pub fn view_key_source(p: &Program, strategy: EvalStrategy) -> String {
     format!("{p:?}|{strategy:?}")
 }
 
-fn view_key(src: &str) -> u64 {
+/// The 64-bit key a view with key source `source` is filed under.
+pub fn view_key(source: &str) -> u64 {
     let mut h = FxHasher::default();
-    src.hash(&mut h);
+    source.hash(&mut h);
     h.finish()
 }
 
-/// The stable registry key of the `(program, strategy)` view — the same
-/// key [`materialize`]/[`try_refresh`] use internally, exposed so the
-/// MVCC publication path can file frozen view outputs under it (and
-/// `eval_program_snapshot` can look them up lock-free).
+/// The key of the `(program, strategy)` view: [`view_key`] of its
+/// [`view_key_source`].
 pub fn view_key_for(p: &Program, strategy: EvalStrategy) -> u64 {
-    view_key(&view_key_src(p, strategy))
+    view_key(&view_key_source(p, strategy))
 }
 
-/// The epoch-publication hook: refresh-or-build every listed view
-/// against the writer instance `base` and return the frozen outputs
-/// keyed by [`view_key_for`] — ready to hand to
-/// `SnapshotStore::publish_with`. Maintained state stays registered on
-/// the writer (so the *next* publication refreshes incrementally); the
-/// returned outputs are immutable and shared into the snapshot, which
-/// is why a published snapshot's views are already consistent and no
-/// reader ever pays a refresh or takes the registry lock.
-pub fn publish_views(
-    base: &Instance,
-    programs: &[(Program, EvalStrategy)],
-) -> Result<FxMap<u64, std::sync::Arc<Instance>>, ProgramError> {
-    let mut out = fxmap();
-    for (p, s) in programs {
-        let inst = match try_refresh(p, base, *s) {
-            Some(i) => i,
-            None => materialize(p, base, *s)?,
-        };
-        out.insert(view_key_for(p, *s), std::sync::Arc::new(inst));
+/// The serving writer: a base instance and the views maintained on it.
+/// It derefs to the instance, which is mutated as usual; the views catch
+/// up from its delta log at each [`ViewWriter::refresh_views`]. A view
+/// is built by the first refresh after its registration.
+#[derive(Debug)]
+pub struct ViewWriter {
+    base: Instance,
+    views: Vec<HeldView>,
+}
+
+/// One registered view: its program, key source and, once built, its
+/// state.
+#[derive(Debug)]
+struct HeldView {
+    program: Program,
+    strategy: EvalStrategy,
+    source: Arc<str>,
+    view: Option<MaterializedView>,
+}
+
+impl ViewWriter {
+    /// A writer over `base` holding no views.
+    pub fn new(base: Instance) -> ViewWriter {
+        ViewWriter {
+            base,
+            views: Vec::new(),
+        }
     }
-    Ok(out)
+
+    /// Register the `(p, strategy)` view, unless it is already held; it
+    /// is built at the next refresh.
+    pub fn register(&mut self, p: Program, strategy: EvalStrategy) {
+        let source = view_key_source(&p, strategy);
+        if self.views.iter().all(|v| *v.source != *source) {
+            self.views.push(HeldView {
+                program: p,
+                strategy,
+                source: source.into(),
+                view: None,
+            });
+        }
+    }
+
+    /// Bring every view up to date with the base — building those
+    /// registered since the last refresh — and return their outputs,
+    /// keyed by [`view_key_for`]. A view whose program does not stratify
+    /// is dropped from the writer; the first such error is returned
+    /// beside the outputs of the others.
+    pub fn refresh_views(&mut self) -> (ViewOutputs, Option<ProgramError>) {
+        let (base, mut first_err) = (&self.base, None);
+        let mut out = fxmap();
+        self.views.retain_mut(|held| {
+            // Taken out while it refreshes: a refresh that panics leaves
+            // no half-updated view on the writer (whose lock recovers from
+            // poisoning), and the next refresh builds it again.
+            let built = match held.view.take() {
+                Some(view) => Ok(view),
+                None => MaterializedView::new(&held.program, base, held.strategy),
+            };
+            let mut view = match built {
+                Ok(view) => view,
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                    return false;
+                }
+            };
+            let output = Arc::new(view.refresh(base));
+            held.view = Some(view);
+            let source = Arc::clone(&held.source);
+            out.insert(view_key(&source), (source, output));
+            true
+        });
+        (out, first_err)
+    }
+}
+
+impl Borrow<Instance> for ViewWriter {
+    fn borrow(&self) -> &Instance {
+        &self.base
+    }
+}
+
+impl Deref for ViewWriter {
+    type Target = Instance;
+
+    fn deref(&self) -> &Instance {
+        &self.base
+    }
+}
+
+impl DerefMut for ViewWriter {
+    fn deref_mut(&mut self) -> &mut Instance {
+        &mut self.base
+    }
+}
+
+/// The publication hook handed to `SnapshotStore::publish_with`:
+/// register every listed view on the writer, then refresh all its views
+/// ([`ViewWriter::refresh_views`]) and return their frozen outputs, or
+/// the error of a view that did not stratify. The maintained state stays
+/// on the writer, so the next publication refreshes incrementally.
+pub fn publish_views(
+    w: &mut ViewWriter,
+    programs: &[(Program, EvalStrategy)],
+) -> Result<ViewOutputs, ProgramError> {
+    for (p, s) in programs {
+        w.register(p.clone(), *s);
+    }
+    match w.refresh_views() {
+        (out, None) => Ok(out),
+        (_, Some(e)) => Err(e),
+    }
 }
 
 /// One recursive stratum maintained by DRed, with its relation footprint
@@ -120,6 +215,7 @@ struct DredStratum {
 /// [`wcoj_variable_order`] gives it with the parameters bound. Two plans:
 /// `derive` checks negation (real derivations), `candidates` skips it
 /// (an over-approximation; the caller decides membership exactly).
+#[derive(Debug)]
 struct Occurrence {
     rel: RelId,
     /// The occurrence atom's terms, resolved against the order.
@@ -256,6 +352,7 @@ impl PhaseProbe<'_> {
 }
 
 /// One rule's occurrences, prepared at build.
+#[derive(Debug)]
 struct RulePlans {
     head: Occurrence,
     pos: Vec<Occurrence>,
@@ -339,11 +436,12 @@ pub struct ViewStats {
 
 /// A maintained stratified fixpoint: the full database (EDB ∪ `ADom` ∪
 /// IDB), exact derivation counts for counting-maintained heads, and
-/// `ADom` reference counts.
+/// `ADom` reference counts. Its owner builds it against a base instance
+/// and refreshes it against the same instance as that instance mutates.
+#[derive(Debug)]
 pub struct MaterializedView {
     program: Program,
     strategy: EvalStrategy,
-    key_src: String,
     applied_epoch: u64,
     db: Instance,
     counts: FxMap<Fact, i64>,
@@ -361,7 +459,10 @@ pub struct MaterializedView {
 }
 
 impl MaterializedView {
-    fn build(
+    /// Evaluate `p` on `base` under `strategy` and keep the state that
+    /// later [`MaterializedView::refresh`] calls maintain. Fails when `p`
+    /// does not stratify.
+    pub fn new(
         p: &Program,
         base: &Instance,
         strategy: EvalStrategy,
@@ -392,7 +493,6 @@ impl MaterializedView {
         let mut view = MaterializedView {
             program: p.clone(),
             strategy,
-            key_src: view_key_src(p, strategy),
             applied_epoch: 0,
             db: Instance::new(),
             counts: fxmap(),
@@ -420,7 +520,7 @@ impl MaterializedView {
             .iter()
             .any(|f| self.idb_rels.contains(&f.rel) || f.rel == adom_rel);
         self.db = fixpoint(&self.program, base, self.strategy, true)
-            .expect("program stratified at materialize time");
+            .expect("program stratified when the view was built");
         self.counts.clear();
         for &ri in &self.counting_rules {
             let r = &self.program.rules[ri];
@@ -444,8 +544,10 @@ impl MaterializedView {
         self.full_rebuilds += 1;
     }
 
-    /// Bring the view up to date with `base` and return the query result
-    /// (the maintained database minus the `ADom` helper facts).
+    /// Bring the view up to date with `base` — the instance it was built
+    /// against, since mutated — and return the query result (the
+    /// maintained database minus the `ADom` helper facts). The same
+    /// fixpoint [`crate::eval::eval_program_with`] computes from scratch.
     pub fn refresh(&mut self, base: &Instance) -> Instance {
         if base.epoch() != self.applied_epoch {
             let adom_rel = rel(ADOM);
@@ -782,7 +884,8 @@ impl MaterializedView {
             .collect()
     }
 
-    fn stats(&self) -> ViewStats {
+    /// The view's maintenance counters.
+    pub fn stats(&self) -> ViewStats {
         ViewStats {
             incremental_applied: self.incremental_applied,
             full_rebuilds: self.full_rebuilds,
@@ -831,62 +934,14 @@ fn stratum_is_acyclic(p: &Program, stratum: &[usize], heads: &FxSet<RelId>) -> b
     seen == heads.len()
 }
 
-/// Evaluate `p` once and install a maintained view in `base`'s view
-/// registry; later [`crate::eval::eval_program_with`] calls with the same
-/// program and strategy refresh it from the delta log instead of
-/// recomputing. Returns the fixpoint (same result as
-/// [`crate::eval::eval_program_with`]).
-pub fn materialize(
-    p: &Program,
-    base: &Instance,
-    strategy: EvalStrategy,
-) -> Result<Instance, ProgramError> {
-    let view = MaterializedView::build(p, base, strategy)?;
-    let out = view.output();
-    base.view_put(view_key(&view.key_src), Box::new(view));
-    Ok(out)
-}
-
-/// Refresh the installed view for `(p, strategy)`, if any. `None` when no
-/// view is installed (the caller evaluates from scratch).
-pub fn try_refresh(p: &Program, base: &Instance, strategy: EvalStrategy) -> Option<Instance> {
-    let src = view_key_src(p, strategy);
-    let key = view_key(&src);
-    let boxed = base.view_take(key)?;
-    match boxed.downcast::<MaterializedView>() {
-        Ok(mut view) if view.key_src == src => {
-            let out = view.refresh(base);
-            base.view_put(key, view);
-            Some(out)
-        }
-        Ok(view) => {
-            base.view_put(key, view);
-            None
-        }
-        Err(other) => {
-            base.view_put(key, other);
-            None
-        }
-    }
-}
-
-/// Diagnostics of the installed view for `(p, strategy)`, without
+/// Diagnostics of the writer's built view for `(p, strategy)`, without
 /// refreshing it.
-pub fn view_stats(p: &Program, base: &Instance, strategy: EvalStrategy) -> Option<ViewStats> {
-    let src = view_key_src(p, strategy);
-    let key = view_key(&src);
-    let boxed = base.view_take(key)?;
-    match boxed.downcast::<MaterializedView>() {
-        Ok(view) => {
-            let stats = (view.key_src == src).then(|| view.stats());
-            base.view_put(key, view);
-            stats
-        }
-        Err(other) => {
-            base.view_put(key, other);
-            None
-        }
-    }
+pub fn view_stats(p: &Program, w: &ViewWriter, strategy: EvalStrategy) -> Option<ViewStats> {
+    let held = w
+        .views
+        .iter()
+        .find(|v| v.strategy == strategy && v.program == *p)?;
+    held.view.as_ref().map(MaterializedView::stats)
 }
 
 #[cfg(test)]
@@ -916,9 +971,11 @@ mod tests {
         counter.with(|c| c.replace(0))
     }
 
-    fn assert_matches_scratch(p: &Program, base: &Instance, strategy: EvalStrategy) {
-        let via_view = eval_program_with(p, base, strategy).unwrap();
-        let scratch = eval_program_with(p, &base.clone(), strategy).unwrap();
+    /// Refresh `view` against `base` and hold it to the from-scratch
+    /// fixpoint of its program under its strategy.
+    fn assert_matches_scratch(view: &mut MaterializedView, base: &Instance) {
+        let via_view = view.refresh(base);
+        let scratch = eval_program_with(&view.program, base, view.strategy).unwrap();
         assert_eq!(via_view.sorted_facts(), scratch.sorted_facts());
     }
 
@@ -928,12 +985,13 @@ mod tests {
     fn view_outputs_carry_no_derivation_log() {
         let p = parse_program("T(x,y) <- E(x,y)\nT(x,z) <- E(x,y), T(y,z)").unwrap();
         let mut db = Instance::from_facts((0..20u64).map(|i| fact("E", &[i, i + 1])));
-        let out = materialize(&p, &db, EvalStrategy::Indexed).unwrap();
+        let mut view = MaterializedView::new(&p, &db, EvalStrategy::Indexed).unwrap();
+        let out = view.refresh(&db);
         assert_eq!(out.relation_len(rel("T")), 210);
         // Only the stripping of the 21 `ADom` helpers is on its log.
         assert_eq!(out.delta_log_len(), 21);
         db.insert(fact("E", &[21, 22]));
-        let refreshed = eval_program_with(&p, &db, EvalStrategy::Indexed).unwrap();
+        let refreshed = view.refresh(&db);
         assert_eq!(refreshed.relation_len(rel("T")), 211);
         assert_eq!(refreshed.delta_log_len(), 23);
     }
@@ -946,12 +1004,12 @@ mod tests {
         let p = parse_program("T(x,y) <- E(x,y)\nT(x,z) <- E(x,y), T(y,z)").unwrap();
         let mut db = Instance::from_facts((0..20u64).map(|i| fact("E", &[i, i + 1])));
         assert_eq!(db.delta_log_len(), 0);
-        materialize(&p, &db, EvalStrategy::Indexed).unwrap();
+        let mut view = MaterializedView::new(&p, &db, EvalStrategy::Indexed).unwrap();
         db.insert(fact("E", &[20, 21]));
-        assert_matches_scratch(&p, &db, EvalStrategy::Indexed);
+        assert_matches_scratch(&mut view, &db);
         db.remove(&fact("E", &[0, 1]));
-        assert_matches_scratch(&p, &db, EvalStrategy::Indexed);
-        let stats = view_stats(&p, &db, EvalStrategy::Indexed).unwrap();
+        assert_matches_scratch(&mut view, &db);
+        let stats = view.stats();
         assert_eq!(stats.full_rebuilds, 0);
         assert_eq!(stats.incremental_applied, 2);
     }
@@ -964,32 +1022,31 @@ mod tests {
         )
         .unwrap();
         let mut db = Instance::from_facts([fact("R", &[1, 2]), fact("S", &[2, 1])]);
-        let out = materialize(&p, &db, EvalStrategy::Auto).unwrap();
-        assert!(out.contains(&fact("K", &[1])));
-        let stats = view_stats(&p, &db, EvalStrategy::Auto).unwrap();
+        let mut view = MaterializedView::new(&p, &db, EvalStrategy::Auto).unwrap();
+        assert!(view.refresh(&db).contains(&fact("K", &[1])));
+        let stats = view.stats();
         assert_eq!(stats.dred_strata, 0);
         assert_eq!(stats.counting_rules, 2);
 
         // Negation flip: inserting T(1) retracts K(1).
         db.insert(fact("T", &[1]));
-        assert_matches_scratch(&p, &db, EvalStrategy::Auto);
+        assert_matches_scratch(&mut view, &db);
         db.remove(&fact("T", &[1]));
-        assert_matches_scratch(&p, &db, EvalStrategy::Auto);
+        assert_matches_scratch(&mut view, &db);
         // Losing the join support retracts J and K.
         db.remove(&fact("S", &[2, 1]));
-        assert_matches_scratch(&p, &db, EvalStrategy::Auto);
-        let stats = view_stats(&p, &db, EvalStrategy::Auto).unwrap();
+        assert_matches_scratch(&mut view, &db);
+        let stats = view.stats();
         assert_eq!(stats.full_rebuilds, 0);
         assert!(stats.incremental_applied >= 3);
     }
 
-    /// Satellite: `try_refresh` runs at epoch publication — against the
+    /// The writer's views refresh at epoch publication — against the
     /// writer — so a published snapshot's views are already consistent
     /// and a cold reader pays neither the refresh nor any lock beyond
     /// the `Arc` clone.
     #[test]
     fn publish_views_makes_snapshot_reads_free() {
-        use crate::eval::eval_program_snapshot;
         use parlog_relal::snapshot::SnapshotStore;
 
         let p = parse_program(
@@ -998,27 +1055,22 @@ mod tests {
         )
         .unwrap();
         let programs = vec![(p.clone(), EvalStrategy::Auto)];
-        let store = SnapshotStore::new(Instance::from_facts([
+        let store = SnapshotStore::new(ViewWriter::new(Instance::from_facts([
             fact("E", &[1, 2]),
             fact("E", &[2, 3]),
-        ]));
+        ])));
         let snap = store.publish_with(|w| publish_views(w, &programs).unwrap());
         assert_eq!(snap.view_count(), 1);
 
         // The cold read is an O(1) frozen lookup: the returned Arc is
-        // the very object frozen at publication, the snapshot's own
-        // registry stays empty (no take/put), no trie was built and no
-        // evaluator op ran.
+        // the very object frozen at publication, no trie was built and
+        // no evaluator op ran.
+        let source = view_key_source(&p, EvalStrategy::Auto);
+        let key = view_key(&source);
         parlog_relal::opcount::reset();
-        let out = eval_program_snapshot(&p, &snap, EvalStrategy::Auto).unwrap();
+        let out = snap.view_output_exact(key, &source).unwrap();
         assert_eq!(parlog_relal::opcount::reset(), 0);
-        assert!(std::sync::Arc::ptr_eq(
-            &out,
-            &snap
-                .view_output(view_key_for(&p, EvalStrategy::Auto))
-                .unwrap()
-        ));
-        assert_eq!(snap.instance().views_len(), 0);
+        assert!(Arc::ptr_eq(&out, &snap.view_output(key).unwrap()));
         assert_eq!(snap.instance().trie_builds(), 0);
         assert!(out.contains(&fact("TC", &[1, 3])));
 
@@ -1034,10 +1086,10 @@ mod tests {
             .unwrap();
         assert_eq!(stats.full_rebuilds, 0);
         assert!(stats.incremental_applied >= 1);
-        let out2 = eval_program_snapshot(&p, &snap2, EvalStrategy::Auto).unwrap();
+        let out2 = snap2.view_output_exact(key, &source).unwrap();
         assert!(out2.contains(&fact("TC", &[1, 4])));
         // The old pinned snapshot still serves its frozen output.
-        let old = eval_program_snapshot(&p, &snap, EvalStrategy::Auto).unwrap();
+        let old = snap.view_output_exact(key, &source).unwrap();
         assert!(!old.contains(&fact("TC", &[1, 4])));
     }
 
@@ -1050,28 +1102,26 @@ mod tests {
         .unwrap();
         let mut db =
             Instance::from_facts([fact("E", &[1, 2]), fact("E", &[2, 3]), fact("E", &[3, 4])]);
-        materialize(&p, &db, EvalStrategy::Auto).unwrap();
-        let stats = view_stats(&p, &db, EvalStrategy::Auto).unwrap();
-        assert_eq!(stats.dred_strata, 1);
+        let mut view = MaterializedView::new(&p, &db, EvalStrategy::Auto).unwrap();
+        assert_eq!(view.stats().dred_strata, 1);
 
         // Cutting the middle edge splits the chain; DRed must retract
         // every path through it but keep 1→2 and 3→4.
         db.remove(&fact("E", &[2, 3]));
-        let out = eval_program_with(&p, &db, EvalStrategy::Auto).unwrap();
+        let out = view.refresh(&db);
         assert!(out.contains(&fact("TC", &[1, 2])));
         assert!(!out.contains(&fact("TC", &[1, 4])));
-        assert_matches_scratch(&p, &db, EvalStrategy::Auto);
+        assert_matches_scratch(&mut view, &db);
 
         // An alternative path keeps facts alive through a deletion.
         db.insert(fact("E", &[2, 3]));
         db.insert(fact("E", &[1, 3]));
-        assert_matches_scratch(&p, &db, EvalStrategy::Auto);
+        assert_matches_scratch(&mut view, &db);
         db.remove(&fact("E", &[1, 2]));
-        let out = eval_program_with(&p, &db, EvalStrategy::Auto).unwrap();
+        let out = view.refresh(&db);
         assert!(out.contains(&fact("TC", &[1, 4])));
-        assert_matches_scratch(&p, &db, EvalStrategy::Auto);
-        let stats = view_stats(&p, &db, EvalStrategy::Auto).unwrap();
-        assert_eq!(stats.full_rebuilds, 0);
+        assert_matches_scratch(&mut view, &db);
+        assert_eq!(view.stats().full_rebuilds, 0);
     }
 
     #[test]
@@ -1083,28 +1133,26 @@ mod tests {
         )
         .unwrap();
         let mut db = Instance::from_facts([fact("E", &[1, 2])]);
-        materialize(&p, &db, EvalStrategy::Auto).unwrap();
+        let mut view = MaterializedView::new(&p, &db, EvalStrategy::Auto).unwrap();
         // A brand-new value enters the active domain…
         db.insert(fact("E", &[3, 3]));
-        assert_matches_scratch(&p, &db, EvalStrategy::Auto);
+        assert_matches_scratch(&mut view, &db);
         // …and leaves it again when its last occurrence dies.
         db.remove(&fact("E", &[3, 3]));
-        assert_matches_scratch(&p, &db, EvalStrategy::Auto);
-        let stats = view_stats(&p, &db, EvalStrategy::Auto).unwrap();
-        assert_eq!(stats.full_rebuilds, 0);
+        assert_matches_scratch(&mut view, &db);
+        assert_eq!(view.stats().full_rebuilds, 0);
     }
 
     #[test]
     fn idb_mutation_on_base_forces_full_rebuild() {
         let p = parse_program("TC(x,y) <- E(x,y)").unwrap();
         let mut db = Instance::from_facts([fact("E", &[1, 2])]);
-        materialize(&p, &db, EvalStrategy::Auto).unwrap();
+        let mut view = MaterializedView::new(&p, &db, EvalStrategy::Auto).unwrap();
         // Poking an IDB relation into the base invalidates the
         // maintenance invariants; the view must notice and rebuild.
         db.insert(fact("TC", &[7, 7]));
-        assert_matches_scratch(&p, &db, EvalStrategy::Auto);
-        let stats = view_stats(&p, &db, EvalStrategy::Auto).unwrap();
-        assert_eq!(stats.full_rebuilds, 1);
+        assert_matches_scratch(&mut view, &db);
+        assert_eq!(view.stats().full_rebuilds, 1);
     }
 
     #[test]
@@ -1112,45 +1160,72 @@ mod tests {
         let p = parse_program("TC(x,y) <- E(x,y)").unwrap();
         let mut db = Instance::new();
         db.insert(fact("E", &[0, 0]));
-        materialize(&p, &db, EvalStrategy::Auto).unwrap();
+        let mut view = MaterializedView::new(&p, &db, EvalStrategy::Auto).unwrap();
         // Push far more mutations than the delta log retains.
         let cap = parlog_relal::delta::DEFAULT_LOG_CAPACITY as u64;
         for k in 1..=(cap + 10) {
             db.insert(fact("E", &[k, k]));
         }
-        assert_matches_scratch(&p, &db, EvalStrategy::Auto);
-        let stats = view_stats(&p, &db, EvalStrategy::Auto).unwrap();
-        assert_eq!(stats.full_rebuilds, 1);
+        assert_matches_scratch(&mut view, &db);
+        assert_eq!(view.stats().full_rebuilds, 1);
         // Post-rebuild the view is incremental again.
         db.insert(fact("E", &[0, 1]));
-        assert_matches_scratch(&p, &db, EvalStrategy::Auto);
-        let stats = view_stats(&p, &db, EvalStrategy::Auto).unwrap();
-        assert_eq!(stats.full_rebuilds, 1);
+        assert_matches_scratch(&mut view, &db);
+        assert_eq!(view.stats().full_rebuilds, 1);
     }
 
+    /// Views live on the writer, one per `(program, strategy)`: a second
+    /// registration is a no-op, and the instance the writer derefs to —
+    /// and every clone of it — carries no view state.
     #[test]
-    fn views_survive_on_the_instance_and_clones_start_without_them() {
+    fn views_live_on_the_writer_not_on_the_instance() {
         let p = parse_program("TC(x,y) <- E(x,y)").unwrap();
-        let db = Instance::from_facts([fact("E", &[1, 2])]);
-        assert_eq!(db.views_len(), 0);
-        materialize(&p, &db, EvalStrategy::Auto).unwrap();
-        assert_eq!(db.views_len(), 1);
-        let fork = db.clone();
-        assert_eq!(fork.views_len(), 0);
-        assert!(try_refresh(&p, &fork, EvalStrategy::Auto).is_none());
-        assert!(try_refresh(&p, &db, EvalStrategy::Auto).is_some());
+        let mut w = ViewWriter::new(Instance::from_facts([fact("E", &[1, 2])]));
+        w.register(p.clone(), EvalStrategy::Auto);
+        w.register(p.clone(), EvalStrategy::Auto);
+        // Registered, not yet built: nothing to report until a refresh.
+        assert!(view_stats(&p, &w, EvalStrategy::Auto).is_none());
+        let (out, err) = w.refresh_views();
+        assert!(err.is_none());
+        assert_eq!(out.len(), 1, "one view per (program, strategy)");
+        assert!(view_stats(&p, &w, EvalStrategy::Auto).is_some());
+        let fork: Instance = (*w).clone();
+        assert_eq!(fork, *w);
+        assert!(view_stats(&p, &ViewWriter::new(fork), EvalStrategy::Auto).is_none());
+    }
+
+    /// A view whose program does not stratify is reported by the refresh
+    /// that first builds it and dropped from the writer; the other views'
+    /// outputs are still returned, and the next refresh is clean.
+    #[test]
+    fn an_unstratifiable_view_is_reported_once_and_dropped() {
+        let good = parse_program("TC(x,y) <- E(x,y)").unwrap();
+        let bad = parse_program("P(x) <- E(x,y), not Q(x)\nQ(x) <- E(x,y), not P(x)").unwrap();
+        let mut w = ViewWriter::new(Instance::from_facts([fact("E", &[1, 2])]));
+        w.register(good.clone(), EvalStrategy::Auto);
+        w.register(bad.clone(), EvalStrategy::Auto);
+        let (out, err) = w.refresh_views();
+        assert!(err.is_some());
+        assert_eq!(out.len(), 1);
+        assert!(out.contains_key(&view_key_for(&good, EvalStrategy::Auto)));
+        let (out, err) = w.refresh_views();
+        assert!(err.is_none());
+        assert_eq!(out.len(), 1);
     }
 
     #[test]
     fn distinct_strategies_install_distinct_views() {
         let p = parse_program("TC(x,y) <- E(x,y)").unwrap();
-        let db = Instance::from_facts([fact("E", &[1, 2])]);
-        materialize(&p, &db, EvalStrategy::Indexed).unwrap();
-        materialize(&p, &db, EvalStrategy::Wcoj).unwrap();
-        assert_eq!(db.views_len(), 2);
-        assert!(view_stats(&p, &db, EvalStrategy::Indexed).is_some());
-        assert!(view_stats(&p, &db, EvalStrategy::Wcoj).is_some());
-        assert!(view_stats(&p, &db, EvalStrategy::Auto).is_none());
+        let mut w = ViewWriter::new(Instance::from_facts([fact("E", &[1, 2])]));
+        let programs = [
+            (p.clone(), EvalStrategy::Indexed),
+            (p.clone(), EvalStrategy::Wcoj),
+        ];
+        let out = publish_views(&mut w, &programs).unwrap();
+        assert_eq!(out.len(), 2);
+        assert!(view_stats(&p, &w, EvalStrategy::Indexed).is_some());
+        assert!(view_stats(&p, &w, EvalStrategy::Wcoj).is_some());
+        assert!(view_stats(&p, &w, EvalStrategy::Auto).is_none());
     }
 
     #[test]
@@ -1171,8 +1246,8 @@ mod tests {
             fact("S", &[1]),
             fact("S", &[2]),
         ]);
-        materialize(&p, &db, EvalStrategy::Auto).unwrap();
-        let stats = view_stats(&p, &db, EvalStrategy::Auto).unwrap();
+        let mut view = MaterializedView::new(&p, &db, EvalStrategy::Auto).unwrap();
+        let stats = view.stats();
         // Longest-path stratification pulls the (nonrecursive) J rule
         // into the recursive stratum, so DRed owns it too; the Iso rule
         // sits above the negation and is counting-maintained.
@@ -1180,11 +1255,10 @@ mod tests {
         assert_eq!(stats.counting_rules, 1);
         // Deleting S(2) kills J(1,2), the 1↔2 cycle, and resurrects Iso.
         db.remove(&fact("S", &[2]));
-        assert_matches_scratch(&p, &db, EvalStrategy::Auto);
+        assert_matches_scratch(&mut view, &db);
         db.insert(fact("S", &[2]));
-        assert_matches_scratch(&p, &db, EvalStrategy::Auto);
-        let stats = view_stats(&p, &db, EvalStrategy::Auto).unwrap();
-        assert_eq!(stats.full_rebuilds, 0);
+        assert_matches_scratch(&mut view, &db);
+        assert_eq!(view.stats().full_rebuilds, 0);
     }
 
     #[test]
@@ -1195,15 +1269,15 @@ mod tests {
         )
         .unwrap();
         let mut db = Instance::from_facts((0..5u64).map(|k| fact("E", &[k, k + 1])));
-        materialize(&p, &db, EvalStrategy::Auto).unwrap();
+        let mut view = MaterializedView::new(&p, &db, EvalStrategy::Auto).unwrap();
         // One refresh covering deletes of two chain edges plus inserts
         // that bridge one of the gaps — derivations lost through *pairs*
         // of deleted facts must still be found.
         db.remove(&fact("E", &[1, 2]));
         db.remove(&fact("E", &[3, 4]));
         db.insert(fact("E", &[1, 3]));
-        assert_matches_scratch(&p, &db, EvalStrategy::Auto);
-        let stats = view_stats(&p, &db, EvalStrategy::Auto).unwrap();
+        assert_matches_scratch(&mut view, &db);
+        let stats = view.stats();
         assert_eq!(stats.full_rebuilds, 0);
         assert_eq!(stats.incremental_applied, 3);
     }
@@ -1229,7 +1303,7 @@ mod tests {
         for f in &extra {
             db.insert(f.clone());
         }
-        materialize(&p, &db, EvalStrategy::Auto).unwrap();
+        let mut view = MaterializedView::new(&p, &db, EvalStrategy::Auto).unwrap();
         for f in &extra {
             db.remove(f);
         }
@@ -1239,7 +1313,7 @@ mod tests {
         take(&BINDS);
         take(&VIEW_WRITES);
         take(&INSERT_ROUNDS);
-        assert_matches_scratch(&p, &db, EvalStrategy::Auto);
+        assert_matches_scratch(&mut view, &db);
         let (probes, over) = (take(&REDERIVE_PROBES), take(&OVERDELETED));
         // T(x,y) for x ≤ 25 < 41 ≤ y, and everything below a spur.
         assert_eq!(over, 25 * 24 + 27 + 30);
@@ -1261,14 +1335,14 @@ mod tests {
         // two `ADom` values out, 57 paths to a spur out (1 268 writes
         // when DRed removed the overdeleted set and put 600 back).
         assert_eq!(take(&VIEW_WRITES), 3 + 2 + 27 + 30);
-        let stats = view_stats(&p, &db, EvalStrategy::Auto).unwrap();
+        let stats = view.stats();
         assert_eq!((stats.full_rebuilds, stats.incremental_applied), (0, 3));
         // An insert-only batch writes exactly its new facts: putting the
         // edges back adds the same 62.
         for f in &extra {
             db.insert(f.clone());
         }
-        assert_matches_scratch(&p, &db, EvalStrategy::Auto);
+        assert_matches_scratch(&mut view, &db);
         assert_eq!(take(&VIEW_WRITES), 3 + 2 + 27 + 30);
     }
 
@@ -1281,13 +1355,13 @@ mod tests {
         let p = parse_program("J(x,z) <- R(x,y), S(y,z)").unwrap();
         let mut db =
             Instance::from_facts([fact("R", &[1, 2]), fact("S", &[2, 3]), fact("R", &[4, 2])]);
-        materialize(&p, &db, EvalStrategy::Auto).unwrap();
+        let mut view = MaterializedView::new(&p, &db, EvalStrategy::Auto).unwrap();
         db.remove(&fact("R", &[1, 2]));
         db.remove(&fact("S", &[2, 3]));
         take(&DRAIN_WRITES);
-        let out = eval_program_with(&p, &db, EvalStrategy::Auto).unwrap();
+        let out = view.refresh(&db);
         assert!(!out.contains(&fact("J", &[1, 3])) && !out.contains(&fact("J", &[4, 3])));
-        assert_matches_scratch(&p, &db, EvalStrategy::Auto);
+        assert_matches_scratch(&mut view, &db);
         // J(1,3) and J(4,3) retracted: two writes, none to find them.
         assert_eq!(take(&DRAIN_WRITES), 2);
     }
@@ -1299,13 +1373,13 @@ mod tests {
     fn constant_inequalities_are_decided_on_entry() {
         let p = parse_program("H(x) <- R(x), 1 != 1\nG(x) <- R(x), 1 != 2").unwrap();
         let mut db = Instance::from_facts([fact("R", &[1])]);
-        materialize(&p, &db, EvalStrategy::Indexed).unwrap();
+        let mut view = MaterializedView::new(&p, &db, EvalStrategy::Indexed).unwrap();
         db.insert(fact("R", &[2]));
         db.remove(&fact("R", &[1]));
-        let out = eval_program_with(&p, &db, EvalStrategy::Indexed).unwrap();
+        let out = view.refresh(&db);
         assert!(out.contains(&fact("G", &[2])) && !out.contains(&fact("H", &[2])));
         assert_eq!(out.len(), 2);
-        assert_matches_scratch(&p, &db, EvalStrategy::Indexed);
+        assert_matches_scratch(&mut view, &db);
     }
 
     /// Occurrence plans agree with the residual evaluator they replaced

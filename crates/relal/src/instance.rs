@@ -32,7 +32,6 @@ use crate::fact::{Fact, Val};
 use crate::fastmap::{fxmap, fxset, FxMap, FxSet};
 use crate::lsm::TrieLayers;
 use crate::symbols::RelId;
-use std::any::Any;
 use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,11 +61,6 @@ fn cache_keys(cache: &TrieCache) -> Vec<(RelId, Vec<usize>)> {
     keys.sort();
     keys
 }
-
-/// Registry of maintained derived results (e.g. materialized Datalog
-/// fixpoints), keyed by an opaque consumer-chosen token. Stored as `Any`
-/// so this crate stays agnostic of what the consumers maintain.
-type ViewRegistry = FxMap<u64, Box<dyn Any + Send>>;
 
 /// Lock a cache mutex, recovering from poisoning: the caches hold only
 /// rebuildable derived state, so a panic mid-update at worst leaves a
@@ -108,8 +102,6 @@ pub struct Instance {
     /// that [`Instance::trie_layers`] reads **without locking**. Cleared
     /// by any mutation; `None` on every clone.
     frozen_tries: Option<Arc<TrieCache>>,
-    /// Maintained derived results (see [`Instance::view_take`]).
-    views: Mutex<ViewRegistry>,
     /// Number of full trie builds performed by this instance (diagnostic:
     /// incremental refreshes and warm clones keep this flat).
     builds: AtomicU64,
@@ -223,7 +215,7 @@ impl Instance {
     }
 
     /// Remove a fact; returns `true` if it was present. An absent remove
-    /// is a no-op: epoch, delta log and registered views are untouched.
+    /// is a no-op: epoch and delta log are untouched.
     pub fn remove(&mut self, f: &Fact) -> bool {
         let removed = self
             .by_rel
@@ -249,7 +241,6 @@ impl Instance {
             log,
             tries: Mutex::new(Arc::clone(&lock_recover(&self.tries))),
             frozen_tries: None,
-            views: Mutex::new(fxmap()),
             builds: AtomicU64::new(0),
         }
     }
@@ -458,23 +449,6 @@ impl Instance {
         self.builds.load(Ordering::Relaxed)
     }
 
-    /// Take a maintained view out of the registry (put it back with
-    /// [`Instance::view_put`] after refreshing). Take-out semantics keep
-    /// the registry lock short and make re-entrant evaluation safe.
-    pub fn view_take(&self, key: u64) -> Option<Box<dyn Any + Send>> {
-        lock_recover(&self.views).remove(&key)
-    }
-
-    /// Store a maintained view under `key` (see [`Instance::view_take`]).
-    pub fn view_put(&self, key: u64, view: Box<dyn Any + Send>) {
-        lock_recover(&self.views).insert(key, view);
-    }
-
-    /// Number of registered maintained views (test/diagnostic hook).
-    pub fn views_len(&self) -> usize {
-        lock_recover(&self.views).len()
-    }
-
     /// Does the instance contain the fact?
     pub fn contains(&self, f: &Fact) -> bool {
         self.by_rel.get(&f.rel).is_some_and(|s| s.contains(f))
@@ -650,9 +624,7 @@ fn sizes<'a>(facts: impl IntoIterator<Item = &'a Fact>) -> FxMap<RelId, usize> {
 /// clone is O(1) in the number of cached tries (no per-entry copy, no
 /// run duplication) and answers WCOJ queries warm. The first cache edit
 /// on either side copies just the map spine; the immutable runs inside
-/// stay shared forever. Registered views are not carried (they hold
-/// consumer-specific state behind `Any`, which is not clonable), and a
-/// clone is never sealed — it is a mutable fork.
+/// stay shared forever. A clone is never sealed — it is a mutable fork.
 impl Clone for Instance {
     fn clone(&self) -> Instance {
         self.fork(self.log.clone())
@@ -871,21 +843,6 @@ mod tests {
         assert_eq!(only_run(&i, "R").rows(), 2);
         let _ = i.trie_layers(rel("S"), &[0, 1]);
         assert_eq!(i.cached_tries(), 2);
-    }
-
-    /// Regression (poisoned view registry): same recovery contract.
-    #[test]
-    fn poisoned_view_registry_recovers() {
-        let i = abc();
-        i.view_put(7, Box::new(42u32));
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = i.views.lock().unwrap();
-            panic!("simulated panic mid-refresh");
-        }));
-        assert!(r.is_err());
-        assert_eq!(i.views_len(), 1);
-        let v = i.view_take(7).unwrap();
-        assert_eq!(*v.downcast::<u32>().unwrap(), 42);
     }
 
     /// Regression (cold clones): a clone shares the Arc'd runs and
@@ -1185,18 +1142,16 @@ mod tests {
         assert_eq!(bulk.delta_log_len(), 1);
     }
 
-    /// Absent removes are complete no-ops: epoch, delta log and views all
-    /// stay untouched.
+    /// Absent removes are complete no-ops: epoch and delta log stay
+    /// untouched.
     #[test]
     fn absent_remove_touches_nothing() {
         let mut i = abc();
-        i.view_put(1, Box::new(0u8));
-        let (e, n, v) = (i.epoch(), i.delta_log_len(), i.views_len());
+        let (e, n) = (i.epoch(), i.delta_log_len());
         assert!(!i.remove(&fact("R", &[99, 99])));
         assert!(!i.remove(&fact("Z", &[1])));
         assert_eq!(i.epoch(), e);
         assert_eq!(i.delta_log_len(), n);
-        assert_eq!(i.views_len(), v);
         // A present remove logs exactly one delete entry.
         assert!(i.remove(&fact("S", &[7, 7])));
         assert_eq!(i.epoch(), e + 1);

@@ -2,8 +2,8 @@
 //!
 //! A [`Shard`] is what an MPC server holds between rounds: per relation
 //! and arity, one sorted, deduplicated [`TrieRel`] run in identity column
-//! order, shared by `Arc`. It has no hash set, lock, delta log, view
-//! registry or epoch — it is built whole and never mutated, so a next
+//! order, shared by `Arc`. It has no hash set, lock, delta log or
+//! epoch — it is built whole and never mutated, so a next
 //! state that keeps a relation shares its run. Membership is a trie
 //! descent, and iteration yields facts in `(relation, arity, row)` order,
 //! which is sorted fact order whenever each relation has one arity.

@@ -11,15 +11,18 @@
 //! * a [`Snapshot`] is an immutable, `Arc`-shared, **sealed**
 //!   [`Instance`] ([`Instance::seal`]) — warm tries are served without a
 //!   lock — plus the frozen outputs of any materialized views that were
-//!   refreshed at publication (keyed by the consumer's opaque view key,
-//!   see `parlog-datalog`'s `view_key_for`);
-//! * a [`SnapshotStore`] owns the mutable **writer** instance and the
-//!   current snapshot. [`SnapshotStore::publish`] brings the writer's
-//!   cached tries up to date in place, forks a **log-less** copy of it
-//!   (facts and the copy-on-write trie cache, none of the writer's delta
-//!   history), seals the fork, swaps it in as the new current snapshot
-//!   and *then* bumps the generation counter with a single release-store
-//!   — the linearization point.
+//!   refreshed at publication ([`ViewOutputs`]: each filed under the
+//!   hash of its view's key source, kept beside it);
+//! * a [`SnapshotStore`] owns the mutable **writer** and the current
+//!   snapshot. The writer is any type that borrows as an [`Instance`]:
+//!   the instance itself by default, or a writer that also holds state
+//!   maintained on it (`parlog-datalog`'s `ViewWriter` holds the
+//!   materialized views). [`SnapshotStore::publish`] brings the
+//!   writer's cached tries up to date in place, forks a **log-less**
+//!   copy of its instance (facts and the copy-on-write trie cache, none
+//!   of the writer's delta history), seals the fork, swaps it in as the
+//!   new current snapshot and *then* bumps the generation counter with
+//!   a single release-store — the linearization point.
 //!
 //! A snapshot carries no delta log because nothing reads one: readers
 //! evaluate against facts and sealed tries, and a replica catches up by
@@ -38,6 +41,7 @@
 use crate::fastmap::{fxmap, FxMap};
 use crate::instance::Instance;
 use crate::symbols::RelId;
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -50,12 +54,19 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// The snapshot instance of `writer`: its cached tries refreshed in
 /// place, then a log-less fork of it, sealed.
-fn freeze(writer: &Instance) -> Instance {
+fn freeze<W: Borrow<Instance>>(writer: &W) -> Instance {
+    let writer = writer.borrow();
     writer.refresh_tries();
     let mut frozen = writer.clone_without_log();
     frozen.seal();
     frozen
 }
+
+/// The view outputs frozen into one snapshot: the hash of a view's key
+/// source → (that source, the output). The source is client text and
+/// its 64-bit hash may collide, so a reader holding the source compares
+/// it on a hit ([`Snapshot::view_output_exact`]).
+pub type ViewOutputs = FxMap<u64, (Arc<str>, Arc<Instance>)>;
 
 /// One immutable published version of the database: a sealed instance
 /// plus the view outputs frozen at publication.
@@ -63,7 +74,7 @@ fn freeze(writer: &Instance) -> Instance {
 pub struct Snapshot {
     generation: u64,
     instance: Instance,
-    view_outputs: FxMap<u64, Arc<Instance>>,
+    views: ViewOutputs,
 }
 
 impl Snapshot {
@@ -84,28 +95,32 @@ impl Snapshot {
         self.instance.epoch()
     }
 
-    /// The frozen output of the materialized view registered under
-    /// `key` at publication time, if any. Lock-free.
+    /// The frozen output filed under `key` at publication time, if any,
+    /// matched by the hash alone. Lock-free. A key computed from client
+    /// text is looked up with [`Snapshot::view_output_exact`] instead.
     pub fn view_output(&self, key: u64) -> Option<Arc<Instance>> {
-        self.view_outputs.get(&key).cloned()
+        self.views.get(&key).map(|(_, out)| Arc::clone(out))
+    }
+
+    /// The frozen output filed under `key` whose key source is exactly
+    /// `source`: a hash collision with another view is a miss. Lock-free.
+    pub fn view_output_exact(&self, key: u64, source: &str) -> Option<Arc<Instance>> {
+        let (stored, out) = self.views.get(&key)?;
+        (**stored == *source).then(|| Arc::clone(out))
     }
 
     /// Number of view outputs frozen into this snapshot.
     pub fn view_count(&self) -> usize {
-        self.view_outputs.len()
-    }
-
-    /// All frozen view outputs, cloned (cheap: `Arc` values). Used by
-    /// [`SnapshotStore::publish`] to carry views across a
-    /// content-preserving publication.
-    pub fn all_view_outputs(&self) -> FxMap<u64, Arc<Instance>> {
-        self.view_outputs.clone()
+        self.views.len()
     }
 }
 
-/// The MVCC store: one mutable writer instance, one current snapshot,
-/// and the generation counter whose release-store linearizes
-/// publication.
+/// The MVCC store: one mutable writer, one current snapshot, and the
+/// generation counter whose release-store linearizes publication.
+///
+/// The writer `W` is the [`Instance`] itself by default; a store whose
+/// writer also maintains derived state (views) names that type, which
+/// borrows as its instance.
 ///
 /// Writer-side calls ([`mutate`](SnapshotStore::mutate),
 /// [`publish`](SnapshotStore::publish)) serialize on the writer mutex;
@@ -114,21 +129,22 @@ impl Snapshot {
 /// [`pin_if_newer`](SnapshotStore::pin_if_newer)) touch at most the
 /// short `current` mutex, and only when the generation actually moved.
 #[derive(Debug)]
-pub struct SnapshotStore {
-    writer: Mutex<Instance>,
+pub struct SnapshotStore<W = Instance> {
+    writer: Mutex<W>,
     current: Mutex<Arc<Snapshot>>,
     generation: AtomicU64,
     publishes: AtomicU64,
 }
 
-impl SnapshotStore {
-    /// Open a store over `initial`, publishing it as generation 0.
-    pub fn new(initial: Instance) -> SnapshotStore {
+impl<W: Borrow<Instance>> SnapshotStore<W> {
+    /// Open a store over the writer `initial`, publishing its instance
+    /// as generation 0.
+    pub fn new(initial: W) -> SnapshotStore<W> {
         SnapshotStore {
             current: Mutex::new(Arc::new(Snapshot {
                 generation: 0,
                 instance: freeze(&initial),
-                view_outputs: fxmap(),
+                views: fxmap(),
             })),
             writer: Mutex::new(initial),
             generation: AtomicU64::new(0),
@@ -164,16 +180,16 @@ impl SnapshotStore {
         true
     }
 
-    /// Run `f` against the mutable writer instance (the copy-on-write
-    /// delta under construction). Nothing becomes visible to readers
-    /// until the next [`publish`](SnapshotStore::publish).
-    pub fn mutate<R>(&self, f: impl FnOnce(&mut Instance) -> R) -> R {
+    /// Run `f` against the mutable writer (the copy-on-write delta under
+    /// construction). Nothing becomes visible to readers until the next
+    /// [`publish`](SnapshotStore::publish).
+    pub fn mutate<R>(&self, f: impl FnOnce(&mut W) -> R) -> R {
         f(&mut lock_recover(&self.writer))
     }
 
-    /// Run `f` against the writer instance read-only (e.g. to scan for
-    /// compaction candidates or compute a content root).
-    pub fn with_writer<R>(&self, f: impl FnOnce(&Instance) -> R) -> R {
+    /// Run `f` against the writer read-only (e.g. to scan for compaction
+    /// candidates or compute a content root).
+    pub fn with_writer<R>(&self, f: impl FnOnce(&W) -> R) -> R {
         f(&lock_recover(&self.writer))
     }
 
@@ -181,7 +197,7 @@ impl SnapshotStore {
     /// sealed from it serve that permutation lock-free from the first
     /// read.
     pub fn warm(&self, rel: RelId, perm: &[usize]) {
-        let _ = lock_recover(&self.writer).trie_layers(rel, perm);
+        self.with_writer(|w| drop(w.borrow().trie_layers(rel, perm)));
     }
 
     /// Publish the writer's current state as a new snapshot.
@@ -196,8 +212,8 @@ impl SnapshotStore {
     pub fn publish(&self) -> Arc<Snapshot> {
         let prev = self.pin();
         self.publish_with(move |w| {
-            if w.epoch() == prev.epoch() {
-                prev.all_view_outputs()
+            if W::borrow(w).epoch() == prev.epoch() {
+                prev.views.clone()
             } else {
                 fxmap()
             }
@@ -205,34 +221,33 @@ impl SnapshotStore {
     }
 
     /// Publish, first deriving the frozen view outputs from the writer
-    /// instance (the hook `parlog-datalog`'s `publish_views` plugs into:
-    /// `try_refresh` runs here, against the writer, so a published
-    /// snapshot's views are already consistent and no reader ever pays
-    /// the refresh).
+    /// (the hook `parlog-datalog`'s `publish_views` plugs into: the
+    /// writer's views refresh here, so a published snapshot's views are
+    /// already consistent and no reader ever pays the refresh).
     ///
     /// The steps, in order: (1) refresh the writer's cached tries in
     /// place, replaying only the deltas since the last publication; (2)
-    /// fork the writer without its delta log and seal the fork — its
-    /// trie cache is the writer's, shared copy-on-write and already
-    /// current, so sealing only aliases it; (3) swap the `current`
-    /// pointer; (4) **release-store the new generation** — the single
-    /// store that makes the snapshot observable to the lock-free
+    /// fork the writer's instance without its delta log and seal the
+    /// fork — its trie cache is the writer's, shared copy-on-write and
+    /// already current, so sealing only aliases it; (3) swap the
+    /// `current` pointer; (4) **release-store the new generation** — the
+    /// single store that makes the snapshot observable to the lock-free
     /// staleness probe, and hence the publication's linearization
     /// point. Readers pinned to older generations are untouched. The
     /// writer itself stays unsealed: compactors install merged runs
     /// into it, which a sealed instance refuses.
     pub fn publish_with<F>(&self, views: F) -> Arc<Snapshot>
     where
-        F: FnOnce(&Instance) -> FxMap<u64, Arc<Instance>>,
+        F: FnOnce(&mut W) -> ViewOutputs,
     {
-        let writer = lock_recover(&self.writer);
-        let view_outputs = views(&writer);
-        let frozen = freeze(&writer);
+        let mut writer = lock_recover(&self.writer);
+        let views = views(&mut writer);
+        let frozen = freeze(&*writer);
         let generation = self.generation.load(Ordering::Relaxed) + 1;
         let snap = Arc::new(Snapshot {
             generation,
             instance: frozen,
-            view_outputs,
+            views,
         });
         *lock_recover(&self.current) = Arc::clone(&snap);
         self.generation.store(generation, Ordering::Release);
@@ -367,12 +382,16 @@ mod tests {
         let out = Arc::new(Instance::from_facts([fact("V", &[1])]));
         let snap = store.publish_with(|_| {
             let mut m = fxmap();
-            m.insert(42u64, Arc::clone(&out));
+            m.insert(42u64, (Arc::from("V"), Arc::clone(&out)));
             m
         });
         assert_eq!(snap.view_count(), 1);
         assert!(Arc::ptr_eq(&snap.view_output(42).unwrap(), &out));
         assert!(snap.view_output(7).is_none());
+        // The exact lookup compares the key source: another source
+        // filed under the same hash is a miss.
+        assert!(Arc::ptr_eq(&snap.view_output_exact(42, "V").unwrap(), &out));
+        assert!(snap.view_output_exact(42, "W").is_none());
         // A content-preserving publish (no mutation since the freeze)
         // carries the frozen views forward — they are still exact.
         let snap2 = store.publish();

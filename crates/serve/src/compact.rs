@@ -29,6 +29,7 @@ use parlog_relal::instance::Instance;
 use parlog_relal::lsm::TrieLayers;
 use parlog_relal::snapshot::SnapshotStore;
 use parlog_relal::symbols::RelId;
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -102,8 +103,8 @@ impl VirtualCompactor {
     /// and merge them. The writer lock is held only for the collect;
     /// the merge runs on cloned `Arc` stacks — a mutator in another
     /// interleaving slot is never blocked by it.
-    pub fn tick_merge(&mut self, store: &SnapshotStore) {
-        let jobs = store.with_writer(collect);
+    pub fn tick_merge<W: Borrow<Instance>>(&mut self, store: &SnapshotStore<W>) {
+        let jobs = store.with_writer(|w| collect(w.borrow()));
         self.stats.collected += jobs.len() as u64;
         for mut job in jobs {
             job.layers = job.layers.merged();
@@ -115,13 +116,13 @@ impl VirtualCompactor {
     /// Step 3 on the virtual clock: offer every pending merge back to
     /// the writer; stale ones (the entry moved since the merge) are
     /// discarded by install-time revalidation.
-    pub fn tick_install(&mut self, store: &SnapshotStore) {
+    pub fn tick_install<W: Borrow<Instance>>(&mut self, store: &SnapshotStore<W>) {
         let jobs = std::mem::take(&mut self.pending);
-        store.with_writer(|w| install(w, jobs, &mut self.stats));
+        store.with_writer(|w| install(w.borrow(), jobs, &mut self.stats));
     }
 
     /// A full cycle (merge then install) with nothing interleaved.
-    pub fn cycle(&mut self, store: &SnapshotStore) {
+    pub fn cycle<W: Borrow<Instance>>(&mut self, store: &SnapshotStore<W>) {
         self.tick_merge(store);
         self.tick_install(store);
     }
@@ -140,7 +141,10 @@ pub struct BackgroundCompactor {
 
 impl BackgroundCompactor {
     /// Spawn the compaction thread over `store`.
-    pub fn spawn(store: Arc<SnapshotStore>) -> BackgroundCompactor {
+    pub fn spawn<W>(store: Arc<SnapshotStore<W>>) -> BackgroundCompactor
+    where
+        W: Borrow<Instance> + Send + 'static,
+    {
         let stop = Arc::new(AtomicBool::new(false));
         let cycles = Arc::new(AtomicU64::new(0));
         let thread_stop = Arc::clone(&stop);
@@ -157,7 +161,7 @@ impl BackgroundCompactor {
                     // forward. If a mutation snuck in, skip — the
                     // writer's own publish surfaces the merged runs
                     // (and re-derives its views) anyway.
-                    if store.with_writer(|w| w.epoch()) == store.pin().epoch() {
+                    if store.with_writer(|w| w.borrow().epoch()) == store.pin().epoch() {
                         store.publish();
                     }
                 }

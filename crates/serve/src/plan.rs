@@ -14,9 +14,12 @@
 //! simply misses and re-prepares (the analysis hit makes that cheap).
 //!
 //! Keys are Fx hashes of the query's debug rendering with the rendered
-//! string stored alongside, so a (vanishingly unlikely) 64-bit collision
-//! degrades to a harmless re-analysis, never to serving the wrong plan —
-//! the same discipline as the view registry in `parlog-datalog`.
+//! string stored alongside and compared on every hit, so a 64-bit
+//! collision — query text comes from clients, and Fx is not
+//! collision-resistant — degrades to a miss, never to serving the wrong
+//! plan. A program's frozen view output is matched the same way: by the
+//! view key and then by the exact key source the snapshot keeps beside
+//! it.
 //!
 //! The cache is **per session** (thread-per-core): no locking on the
 //! request hot path, and eviction is trivially generation-local — when a
@@ -24,11 +27,12 @@
 //! dropped (the analyses survive).
 
 use parlog_datalog::program::Program;
-use parlog_datalog::view_key_for;
+use parlog_datalog::{view_key, view_key_source};
 use parlog_relal::atom::Var;
 use parlog_relal::eval::{EvalStrategy, QueryPlan};
-use parlog_relal::fastmap::{fxmap, FxHasher, FxMap};
+use parlog_relal::fastmap::{FxHasher, FxMap};
 use parlog_relal::hypergraph::is_acyclic;
+use parlog_relal::instance::Instance;
 use parlog_relal::packing::{fractional_edge_cover, fractional_edge_packing, share_exponents};
 use parlog_relal::query::{ConjunctiveQuery, QueryError};
 use parlog_relal::snapshot::Snapshot;
@@ -110,13 +114,14 @@ pub enum PlanKind {
     Refused(QueryError),
     /// A Datalog program request.
     Program {
-        /// The registry key of the `(program, strategy)` view.
+        /// The key the `(program, strategy)` view is filed under.
         view_key: u64,
-        /// Whether the pinned snapshot carries a frozen output for
-        /// `view_key` (checked once at prepare time; same generation ⇒
-        /// same snapshot contents, so the bit stays valid for the
-        /// plan's lifetime).
-        resident: bool,
+        /// The pinned snapshot's frozen output for this program, if it
+        /// carries one whose key source is the program's own (looked up
+        /// once at prepare time; same generation ⇒ same snapshot
+        /// contents, so it stays valid for the plan's lifetime). `None`:
+        /// evaluate from scratch.
+        frozen: Option<Arc<Instance>>,
     },
 }
 
@@ -162,10 +167,10 @@ pub struct PlanCache {
     /// query-text key → (stored text, analysis or refusal).
     /// Generation-independent.
     analyses: FxMap<u64, (String, Result<Arc<QueryAnalysis>, QueryError>)>,
-    /// program-text key → (stored text, registry view key).
-    program_keys: FxMap<u64, (String, u64)>,
-    /// (query-text key, generation) → prepared plan.
-    plans: FxMap<(u64, u64), Arc<PreparedPlan>>,
+    /// program-text key → (stored text, (view key, view key source)).
+    program_keys: FxMap<u64, (String, (u64, Arc<str>))>,
+    /// (query-text key, generation) → (stored text, prepared plan).
+    plans: FxMap<(u64, u64), (String, Arc<PreparedPlan>)>,
     newest_generation: u64,
     stats: PlanCacheStats,
 }
@@ -204,9 +209,9 @@ impl PlanCache {
         }
     }
 
-    fn lookup(&mut self, key: u64, generation: u64) -> Option<Arc<PreparedPlan>> {
+    fn lookup(&mut self, key: u64, src: &str, generation: u64) -> Option<Arc<PreparedPlan>> {
         self.roll(generation);
-        if let Some(p) = self.plans.get(&(key, generation)) {
+        if let Some((_, p)) = self.plans.get(&(key, generation)).filter(|(s, _)| s == src) {
             self.stats.hits += 1;
             return Some(Arc::clone(p));
         }
@@ -230,7 +235,7 @@ impl PlanCache {
         }
         let _ = write!(src, "|{strategy:?}");
         let key = text_key(&src);
-        if let Some(p) = self.lookup(key, generation) {
+        if let Some(p) = self.lookup(key, &src, generation) {
             return (p, true);
         }
         let analysis = match self.analyses.get(&key) {
@@ -244,7 +249,7 @@ impl PlanCache {
                     .iter()
                     .try_for_each(ConjunctiveQuery::validate)
                     .map(|()| Arc::new(analyze(disjuncts, strategy)));
-                self.analyses.insert(key, (src, a.clone()));
+                self.analyses.insert(key, (src.clone(), a.clone()));
                 a
             }
         };
@@ -255,15 +260,16 @@ impl PlanCache {
                 Err(e) => PlanKind::Refused(e),
             },
         });
-        self.plans.insert((key, generation), Arc::clone(&plan));
+        self.plans
+            .insert((key, generation), (src, Arc::clone(&plan)));
         (plan, false)
     }
 
     /// Prepare (or fetch) the plan for a Datalog program request against
-    /// the pinned snapshot. The expensive part memoized across
-    /// generations is the view-key derivation (a debug rendering + hash
-    /// of the whole program); the per-generation part is the frozen-view
-    /// residency probe.
+    /// the pinned snapshot. The part memoized across generations is the
+    /// view key and its source (a debug rendering + hash of the whole
+    /// program); the per-generation part is the frozen-view lookup,
+    /// which compares the source, not only the key.
     pub fn prepare_program(
         &mut self,
         p: &Program,
@@ -273,42 +279,39 @@ impl PlanCache {
         let src = format!("program:{p:?}|{strategy:?}");
         let key = text_key(&src);
         let generation = snap.generation();
-        if let Some(plan) = self.lookup(key, generation) {
+        if let Some(plan) = self.lookup(key, &src, generation) {
             return (plan, true);
         }
-        let view_key = match self.program_keys.get(&key) {
-            Some((stored, vk)) if *stored == src => {
+        let (view_key, source) = match self.program_keys.get(&key) {
+            Some((stored, view)) if *stored == src => {
                 self.stats.analysis_hits += 1;
-                *vk
+                view.clone()
             }
             _ => {
                 self.stats.analysis_misses += 1;
-                let vk = view_key_for(p, strategy);
-                self.program_keys.insert(key, (src, vk));
-                vk
+                let source = view_key_source(p, strategy);
+                let view = (view_key(&source), Arc::from(source));
+                self.program_keys.insert(key, (src.clone(), view.clone()));
+                view
             }
         };
         let plan = Arc::new(PreparedPlan {
             generation,
             kind: PlanKind::Program {
                 view_key,
-                resident: snap.view_output(view_key).is_some(),
+                frozen: snap.view_output_exact(view_key, &source),
             },
         });
-        self.plans.insert((key, generation), Arc::clone(&plan));
+        self.plans
+            .insert((key, generation), (src, Arc::clone(&plan)));
         (plan, false)
     }
-}
-
-/// An empty frozen-view map (convenience for tests).
-pub fn no_views() -> FxMap<u64, Arc<parlog_relal::instance::Instance>> {
-    fxmap()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parlog_relal::instance::Instance;
+    use parlog_datalog::view_key_for;
     use parlog_relal::parser::parse_query;
     use parlog_relal::snapshot::SnapshotStore;
 
@@ -377,6 +380,30 @@ mod tests {
         assert_eq!(cache.analysis_count(), 1);
     }
 
+    /// A prepared plan is served only for its own text: another query's
+    /// plan filed under the same key — what a 64-bit collision does — is
+    /// a miss, and the query gets its own plan.
+    #[test]
+    fn a_colliding_key_misses_the_prepared_plan() {
+        let mut cache = PlanCache::new();
+        let (tri, _) = cache.prepare_relational(&[triangle()], EvalStrategy::Auto, 0);
+        let (path_plan, _) = cache.prepare_relational(&[path()], EvalStrategy::Auto, 0);
+        let filed = |cache: &PlanCache, plan: &Arc<PreparedPlan>| {
+            let mut plans = cache.plans.iter();
+            let (key, entry) = plans.find(|(_, (_, p))| Arc::ptr_eq(p, plan)).unwrap();
+            (*key, entry.clone())
+        };
+        let (tri_key, _) = filed(&cache, &tri);
+        let (_, path_entry) = filed(&cache, &path_plan);
+        cache.plans.insert(tri_key, path_entry);
+        let (plan, hit) = cache.prepare_relational(&[triangle()], EvalStrategy::Auto, 0);
+        assert!(!hit);
+        match &plan.kind {
+            PlanKind::Relational(a) => assert!(!a.disjuncts[0].acyclic, "the triangle's plan"),
+            other => panic!("expected a relational plan, got {other:?}"),
+        }
+    }
+
     #[test]
     fn strategy_is_part_of_the_key() {
         let mut cache = PlanCache::new();
@@ -396,10 +423,10 @@ mod tests {
         let mut cache = PlanCache::new();
         let (plan, hit) = cache.prepare_program(&p, EvalStrategy::Auto, &snap);
         assert!(!hit);
-        match plan.kind {
-            PlanKind::Program { view_key, resident } => {
-                assert_eq!(view_key, view_key_for(&p, EvalStrategy::Auto));
-                assert!(!resident);
+        match &plan.kind {
+            PlanKind::Program { view_key, frozen } => {
+                assert_eq!(*view_key, view_key_for(&p, EvalStrategy::Auto));
+                assert!(frozen.is_none());
             }
             _ => panic!("expected a program plan"),
         }

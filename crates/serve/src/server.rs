@@ -1,11 +1,11 @@
 //! The request loop: [`Server`], per-thread [`Session`]s, typed
 //! requests and responses.
 //!
-//! A [`Server`] owns the [`SnapshotStore`], the shared
-//! [`AdmissionGate`], and the list of registered view programs it
-//! refreshes at every publication (the `try_refresh`-at-publish hook:
-//! a published snapshot's views are already consistent, so a reader
-//! never pays a refresh). Each serving thread opens its own
+//! A [`Server`] owns the [`SnapshotStore`] and the shared
+//! [`AdmissionGate`]. The store's writer is a [`ViewWriter`]: the
+//! instance together with the registered views, which refresh at every
+//! publication (a published snapshot's views are already consistent, so
+//! a reader never pays a refresh). Each serving thread opens its own
 //! [`Session`] — thread-per-core discipline: the session holds the
 //! pinned snapshot and the [`PlanCache`], so the request hot path
 //! touches **no shared mutable state** beyond two atomic operations
@@ -17,13 +17,13 @@
 //! the `QueryPlan` the plan cache compiled once per query text (an
 //! unsafe query is refused there, once), Datalog requests are answered
 //! from the snapshot's frozen view outputs when resident (an `Arc`
-//! clone — O(1)) and from a registry-free scratch evaluation otherwise,
-//! and point lookups batch hash probes.
+//! clone — O(1)) and from a scratch evaluation otherwise, and point
+//! lookups batch hash probes.
 
 use crate::admission::{AdmissionGate, Overload, Permit};
 use crate::plan::{PlanCache, PlanCacheStats, PlanKind};
-use parlog_datalog::eval::eval_program_scratch;
-use parlog_datalog::maintain::publish_views;
+use parlog_datalog::eval::eval_program_with;
+use parlog_datalog::maintain::ViewWriter;
 use parlog_datalog::program::{Program, ProgramError};
 use parlog_relal::eval::EvalStrategy;
 use parlog_relal::fact::Fact;
@@ -32,11 +32,7 @@ use parlog_relal::opcount;
 use parlog_relal::query::{ConjunctiveQuery, QueryError, UnionQuery};
 use parlog_relal::snapshot::{Snapshot, SnapshotStore};
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard};
-
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
+use std::sync::Arc;
 
 /// One client request.
 #[derive(Debug, Clone)]
@@ -112,32 +108,26 @@ impl From<Overload> for ServeError {
     }
 }
 
-/// The serving front end over one snapshot store.
+/// The serving front end over one snapshot store, whose writer holds
+/// the registered views.
 #[derive(Debug)]
 pub struct Server {
-    store: Arc<SnapshotStore>,
+    store: Arc<SnapshotStore<ViewWriter>>,
     gate: AdmissionGate,
-    views: Mutex<Vec<(Program, EvalStrategy)>>,
 }
 
 impl Server {
     /// Serve `initial`, admitting at most `capacity` concurrent
     /// requests.
     pub fn new(initial: Instance, capacity: usize) -> Server {
-        Server::over(Arc::new(SnapshotStore::new(initial)), capacity)
-    }
-
-    /// Serve an existing store (e.g. a replica's).
-    pub fn over(store: Arc<SnapshotStore>, capacity: usize) -> Server {
         Server {
-            store,
+            store: Arc::new(SnapshotStore::new(ViewWriter::new(initial))),
             gate: AdmissionGate::new(capacity),
-            views: Mutex::new(Vec::new()),
         }
     }
 
     /// The underlying store (writer access, replication, diagnostics).
-    pub fn store(&self) -> &Arc<SnapshotStore> {
+    pub fn store(&self) -> &Arc<SnapshotStore<ViewWriter>> {
         &self.store
     }
 
@@ -146,32 +136,28 @@ impl Server {
         &self.gate
     }
 
-    /// Register a view program to keep refreshed at every publication.
-    /// Published snapshots carry its frozen output under
+    /// Register a view program on the writer, to be built at the next
+    /// publication and refreshed at every one after it. Published
+    /// snapshots carry its frozen output under
     /// `parlog_datalog::view_key_for(&p, strategy)`, so `Program`
     /// requests for it are answered in O(1).
     pub fn register_view(&self, p: Program, strategy: EvalStrategy) {
-        lock_recover(&self.views).push((p, strategy));
+        self.store.mutate(|w| w.register(p, strategy));
     }
 
     /// Publish the writer's state as a new snapshot, first refreshing
-    /// every registered view against the writer (`try_refresh` runs
-    /// here — at publication — never on a reader).
+    /// every registered view against the writer (at publication, never
+    /// on a reader). A view whose program does not stratify is dropped
+    /// from the writer and reported as [`ServeError::Program`]; the
+    /// snapshot is published all the same, with every other view's
+    /// output.
     pub fn publish(&self) -> Result<Arc<Snapshot>, ServeError> {
-        let programs = lock_recover(&self.views).clone();
-        if programs.is_empty() {
-            return Ok(self.store.publish());
-        }
         let mut err = None;
-        let snap = self
-            .store
-            .publish_with(|w| match publish_views(w, &programs) {
-                Ok(outputs) => outputs,
-                Err(e) => {
-                    err = Some(e);
-                    crate::plan::no_views()
-                }
-            });
+        let snap = self.store.publish_with(|w| {
+            let (outputs, e) = w.refresh_views();
+            err = e;
+            outputs
+        });
         match err {
             Some(e) => Err(ServeError::Program(e)),
             None => Ok(snap),
@@ -244,15 +230,14 @@ impl Session<'_> {
             Request::Union(u, strategy) => self.relational(&u.disjuncts, *strategy, generation)?,
             Request::Program(p, strategy) => {
                 let (plan, hit) = self.plans.prepare_program(p, *strategy, &self.pinned);
-                let PlanKind::Program { view_key, resident } = plan.kind else {
+                let PlanKind::Program { frozen, .. } = &plan.kind else {
                     unreachable!("program prepare returned a relational plan");
                 };
-                let out = if resident {
-                    self.pinned
-                        .view_output(view_key)
-                        .expect("resident bit implies a frozen output at this generation")
-                } else {
-                    Arc::new(eval_program_scratch(p, inst, *strategy).map_err(ServeError::Program)?)
+                let out = match frozen {
+                    Some(out) => Arc::clone(out),
+                    None => Arc::new(
+                        eval_program_with(p, inst, *strategy).map_err(ServeError::Program)?,
+                    ),
                 };
                 (Answer::Relation(out), Some(hit))
             }
@@ -373,6 +358,64 @@ mod tests {
             .view_output(parlog_datalog::view_key_for(&p, EvalStrategy::Auto))
             .unwrap();
         assert!(Arc::ptr_eq(r1.answer.relation().unwrap(), &frozen));
+    }
+
+    /// A frozen output is matched by its key source, not by the 64-bit
+    /// key alone: program A's output filed under program B's key — what
+    /// a hash collision between the two would do — is not served for B.
+    #[test]
+    fn a_colliding_view_key_serves_the_programs_own_fixpoint() {
+        use parlog_datalog::{view_key_for, view_key_source};
+        let server = Server::new(base(), 8);
+        let a = parse_program("TC(x,y) <- E(x,y). TC(x,z) <- E(x,y), TC(y,z).").unwrap();
+        let b = parse_program("T2(x,z) <- E(x,y), E(y,z).").unwrap();
+        let s = EvalStrategy::Auto;
+        let a_out = Arc::new(eval_program_with(&a, &base(), s).unwrap());
+        let snap = server.store().publish_with(|_| {
+            let mut views = parlog_relal::fastmap::fxmap();
+            let a_source = view_key_source(&a, s).into();
+            views.insert(view_key_for(&b, s), (a_source, Arc::clone(&a_out)));
+            views
+        });
+        // The hash-only lookup finds A's output under B's key…
+        let under_b = snap.view_output(view_key_for(&b, s)).unwrap();
+        assert!(Arc::ptr_eq(&under_b, &a_out));
+        // …but B is answered with its own fixpoint.
+        let mut session = server.session();
+        let r = session.execute(&Request::Program(b.clone(), s)).unwrap();
+        assert_eq!(r.generation, snap.generation());
+        let answer = r.answer.relation().unwrap();
+        assert_eq!(**answer, eval_program_with(&b, &base(), s).unwrap());
+        assert!(answer.contains(&fact("T2", &[1, 3])));
+        assert!(!answer.contains(&fact("TC", &[1, 3])));
+    }
+
+    /// One unstratifiable view does not cost the others their frozen
+    /// outputs: the publication that first builds it reports it, still
+    /// carries every good view's output, and drops it from the writer,
+    /// so the next publication is clean.
+    #[test]
+    fn a_bad_view_is_reported_once_and_the_good_views_stay_frozen() {
+        let server = Server::new(base(), 8);
+        let good = parse_program("TC(x,y) <- E(x,y). TC(x,z) <- E(x,y), TC(y,z).").unwrap();
+        let bad = parse_program("P(x) <- E(x,y), not Q(x). Q(x) <- E(x,y), not P(x).").unwrap();
+        server.register_view(good.clone(), EvalStrategy::Auto);
+        server.register_view(bad, EvalStrategy::Auto);
+        assert!(matches!(server.publish(), Err(ServeError::Program(_))));
+        let served_frozen = |edge: [u64; 2]| {
+            let mut session = server.session();
+            let req = Request::Program(good.clone(), EvalStrategy::Auto);
+            let r = session.execute(&req).unwrap();
+            assert_eq!(r.ops, 0, "answered from the frozen output");
+            assert!(r.answer.relation().unwrap().contains(&fact("TC", &edge)));
+        };
+        assert_eq!(server.store().pin().view_count(), 1);
+        served_frozen([1, 3]);
+        server.store().mutate(|w| {
+            w.insert(fact("E", &[3, 4]));
+        });
+        assert_eq!(server.publish().unwrap().view_count(), 1);
+        served_frozen([1, 4]);
     }
 
     #[test]

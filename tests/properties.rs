@@ -520,7 +520,7 @@ proptest! {
         init in prop::collection::vec((0..2u8, 0..4u64, 0..4u64), 0..10),
         ops in prop::collection::vec((0..2u8, 0..4u8, 0..4u64, 0..4u64, 0..3u8), 1..16),
     ) {
-        use parlog::datalog::{eval_program_with, materialize, view_stats};
+        use parlog::datalog::{eval_program_with, MaterializedView};
         use parlog::relal::eval::EvalStrategy;
         let programs = [
             // Transitive closure: one recursive stratum (DRed).
@@ -550,9 +550,10 @@ proptest! {
             EvalStrategy::Wcoj,
             EvalStrategy::Auto,
         ];
-        for s in strategies {
-            materialize(&p, &db, s).unwrap();
-        }
+        let mut views: Vec<MaterializedView> = strategies
+            .iter()
+            .map(|&s| MaterializedView::new(&p, &db, s).unwrap())
+            .collect();
         let last = ops.len() - 1;
         for (i, (r, op, a, b, cut)) in ops.into_iter().enumerate() {
             let f = fact(if r == 0 { "E" } else { "R" }, &[a, b]);
@@ -576,11 +577,10 @@ proptest! {
             if cut != 0 && i != last {
                 continue;
             }
-            // A clone drops the views, so this is the from-scratch path.
-            let scratch = eval_program_with(&p, &db.clone(), EvalStrategy::Indexed).unwrap();
-            for s in strategies {
+            let scratch = eval_program_with(&p, &db, EvalStrategy::Indexed).unwrap();
+            for (view, s) in views.iter_mut().zip(strategies) {
                 prop_assert_eq!(
-                    eval_program_with(&p, &db, s).unwrap(),
+                    view.refresh(&db),
                     scratch.clone(),
                     "maintained view diverged: program {} strategy {:?}",
                     prog_idx,
@@ -588,8 +588,8 @@ proptest! {
                 );
             }
         }
-        for s in strategies {
-            let stats = view_stats(&p, &db, s).unwrap();
+        for (view, s) in views.iter().zip(strategies) {
+            let stats = view.stats();
             prop_assert_eq!(stats.full_rebuilds, 0, "view fell back to rebuilds: {:?}", s);
         }
     }
@@ -729,7 +729,7 @@ proptest! {
 /// reinserted. All four strategies, no full rebuild.
 #[test]
 fn dred_rederives_alternatives_several_steps_deep() {
-    use parlog::datalog::{eval_program_with, materialize, view_stats};
+    use parlog::datalog::{eval_program_with, MaterializedView};
     use parlog::relal::eval::EvalStrategy;
     use parlog::relal::fact::fact;
     let p =
@@ -743,20 +743,21 @@ fn dred_rederives_alternatives_several_steps_deep() {
         EvalStrategy::Wcoj,
         EvalStrategy::Auto,
     ];
-    for s in strategies {
-        materialize(&p, &db, s).unwrap();
-    }
+    let mut views: Vec<MaterializedView> = strategies
+        .iter()
+        .map(|&s| MaterializedView::new(&p, &db, s).unwrap())
+        .collect();
     db.insert(fact("E", &[3, 100]));
     db.remove(&fact("E", &[6, 7]));
     db.remove(&fact("E", &[3, 100]));
     db.remove(&fact("E", &[9, 10]));
     db.insert(fact("E", &[9, 10]));
-    let scratch = eval_program_with(&p, &db.clone(), EvalStrategy::Indexed).unwrap();
+    let scratch = eval_program_with(&p, &db, EvalStrategy::Indexed).unwrap();
     assert!(scratch.contains(&fact("TC", &[0, 12])));
     assert!(!scratch.contains(&fact("TC", &[0, 7])));
-    for s in strategies {
-        assert_eq!(eval_program_with(&p, &db, s).unwrap(), scratch, "{s:?}");
-        let stats = view_stats(&p, &db, s).unwrap();
+    for (view, s) in views.iter_mut().zip(strategies) {
+        assert_eq!(view.refresh(&db), scratch, "{s:?}");
+        let stats = view.stats();
         assert_eq!(stats.full_rebuilds, 0, "{s:?}");
         assert_eq!(stats.incremental_applied, 5, "{s:?}");
     }
