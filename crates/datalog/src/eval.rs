@@ -29,6 +29,13 @@ fn add_adom(db: &mut Instance, p: &Program) {
     }
 }
 
+/// Does `p` read the built-in `ADom` relation? Only such a program pays
+/// for it: a pass over the EDB and an insert per value from scratch, and
+/// reference counts in a maintained view.
+pub(crate) fn reads_adom(p: &Program) -> bool {
+    p.predicates().contains(&rel(ADOM))
+}
+
 /// Strip the `ADom` helper facts from a result by reading that one
 /// relation — never a scan of the whole database.
 pub(crate) fn strip_adom(db: &mut Instance) {
@@ -79,9 +86,7 @@ pub fn eval_program_with(
     edb: &Instance,
     strategy: EvalStrategy,
 ) -> Result<Instance, ProgramError> {
-    // `ADom` costs a pass over the EDB and an insert per value: a program
-    // that never reads it does not pay for it.
-    let mut db = fixpoint(p, edb, strategy, p.predicates().contains(&rel(ADOM)))?;
+    let mut db = fixpoint(p, edb, strategy, reads_adom(p))?;
     strip_adom(&mut db);
     Ok(db)
 }
@@ -91,7 +96,7 @@ pub fn eval_program_with(
 pub use self::eval_program_with as eval_program_scratch;
 
 /// The stratified semi-naive fixpoint, `ADom` helper facts included when
-/// `with_adom` (always, for the state [`crate::maintain`] tracks). A round
+/// `with_adom` (when the program [`reads_adom`]). A round
 /// costs its delta: the rule plans are compiled and the positional index
 /// is built once per stratum, every accepted fact is appended to it, so
 /// nothing inside the `while` is proportional to `db`. The only facts

@@ -39,15 +39,18 @@
 //! nothing — but once per probe in the counting drain, which writes,
 //! and run once per fact.
 //!
-//! The built-in `ADom` relation is maintained by per-value reference
-//! counts over the base facts (program constants are pinned), so
-//! complement-style rules stay correct under deletion.
+//! A program that reads the built-in `ADom` relation has it maintained
+//! by per-value reference counts over the base facts (program constants
+//! are pinned), so complement-style rules stay correct under deletion.
+//! A program that does not read it keeps no `ADom` state at all: no
+//! counts, no helper facts, no writes — the rule the from-scratch
+//! fixpoint applies.
 //!
 //! A refresh falls back to a full rebuild when the delta log was
 //! truncated past the view's epoch, or when the base instance mutates
 //! relations the maintenance state owns (IDB heads or `ADom`).
 
-use crate::eval::{fixpoint, strip_adom};
+use crate::eval::{fixpoint, reads_adom, strip_adom};
 use crate::program::{Program, ProgramError, ADOM};
 use parlog_relal::atom::{Atom, Term};
 use parlog_relal::delta::{DeltaEntry, DeltaOp};
@@ -434,10 +437,11 @@ pub struct ViewStats {
     pub dred_strata: usize,
 }
 
-/// A maintained stratified fixpoint: the full database (EDB ∪ `ADom` ∪
-/// IDB), exact derivation counts for counting-maintained heads, and
-/// `ADom` reference counts. Its owner builds it against a base instance
-/// and refreshes it against the same instance as that instance mutates.
+/// A maintained stratified fixpoint: the full database (EDB ∪ IDB, and
+/// `ADom` when the program reads it), exact derivation counts for
+/// counting-maintained heads, and `ADom` reference counts when the
+/// program reads `ADom`. Its owner builds it against a base instance and
+/// refreshes it against the same instance as that instance mutates.
 #[derive(Debug)]
 pub struct MaterializedView {
     program: Program,
@@ -445,6 +449,9 @@ pub struct MaterializedView {
     applied_epoch: u64,
     db: Instance,
     counts: FxMap<Fact, i64>,
+    /// Does the program read `ADom`? Only then is it materialized and
+    /// reference-counted.
+    reads_adom: bool,
     adom_refs: FxMap<Val, i64>,
     counting_rules: Vec<usize>,
     dred: Vec<DredStratum>,
@@ -496,6 +503,7 @@ impl MaterializedView {
             applied_epoch: 0,
             db: Instance::new(),
             counts: fxmap(),
+            reads_adom: reads_adom(p),
             adom_refs: fxmap(),
             counting_rules,
             dred,
@@ -512,15 +520,20 @@ impl MaterializedView {
         Ok(view)
     }
 
-    /// Recompute everything from scratch against the current base.
+    /// Recompute everything from scratch against the current base. The
+    /// database's cached tries are brought current at the fixpoint's
+    /// final epoch: a fixpoint that writes more facts than the delta log
+    /// keeps would otherwise leave them to be rebuilt whole by the first
+    /// refresh that reads them.
     fn rebuild(&mut self, base: &Instance) {
         self.applied_epoch = base.epoch();
         let adom_rel = rel(ADOM);
         self.degraded = base
             .iter()
             .any(|f| self.idb_rels.contains(&f.rel) || f.rel == adom_rel);
-        self.db = fixpoint(&self.program, base, self.strategy, true)
+        self.db = fixpoint(&self.program, base, self.strategy, self.reads_adom)
             .expect("program stratified when the view was built");
+        self.db.refresh_tries();
         self.counts.clear();
         for &ri in &self.counting_rules {
             let r = &self.program.rules[ri];
@@ -531,14 +544,16 @@ impl MaterializedView {
                 });
         }
         self.adom_refs.clear();
-        for f in base.iter() {
-            for &v in &f.args {
-                *self.adom_refs.entry(v).or_insert(0) += 1;
+        if self.reads_adom {
+            for f in base.iter() {
+                for &v in &f.args {
+                    *self.adom_refs.entry(v).or_insert(0) += 1;
+                }
             }
-        }
-        for r in &self.program.rules {
-            for c in r.constants() {
-                *self.adom_refs.entry(c).or_insert(0) += 1;
+            for r in &self.program.rules {
+                for c in r.constants() {
+                    *self.adom_refs.entry(c).or_insert(0) += 1;
+                }
             }
         }
         self.full_rebuilds += 1;
@@ -546,8 +561,9 @@ impl MaterializedView {
 
     /// Bring the view up to date with `base` — the instance it was built
     /// against, since mutated — and return the query result (the
-    /// maintained database minus the `ADom` helper facts). The same
-    /// fixpoint [`crate::eval::eval_program_with`] computes from scratch.
+    /// maintained database minus any `ADom` facts), a copy that shares
+    /// the database's relation sets. The same fixpoint
+    /// [`crate::eval::eval_program_with`] computes from scratch.
     pub fn refresh(&mut self, base: &Instance) -> Instance {
         if base.epoch() != self.applied_epoch {
             let adom_rel = rel(ADOM);
@@ -576,41 +592,51 @@ impl MaterializedView {
     }
 
     /// Replay base-instance delta-log entries as one batch: each entry is
-    /// expanded into its `ADom` reference-count consequences plus the
-    /// fact change itself, then the cascade settles once.
+    /// expanded into the fact change itself plus, for a program that
+    /// reads `ADom`, its reference-count consequences; then the cascade
+    /// settles once.
     fn apply_entries(&mut self, entries: &[DeltaEntry]) {
         #[cfg(test)]
         let epoch = self.db.epoch();
-        let adom_rel = rel(ADOM);
         let mut ctx = Ctx::new(self.dred.len());
         for e in entries {
             match e.op {
                 DeltaOp::Insert => {
-                    for &v in &e.fact.args {
-                        let c = self.adom_refs.entry(v).or_insert(0);
-                        *c += 1;
-                        if *c == 1 {
-                            self.push(&mut ctx, DeltaOp::Insert, Fact::new(adom_rel, [v]));
-                        }
-                    }
+                    self.count_adom(&mut ctx, &e.fact, 1);
                     self.push(&mut ctx, DeltaOp::Insert, e.fact.clone());
                 }
                 DeltaOp::Delete => {
                     self.push(&mut ctx, DeltaOp::Delete, e.fact.clone());
-                    for &v in &e.fact.args {
-                        let c = self.adom_refs.entry(v).or_insert(0);
-                        *c -= 1;
-                        if *c <= 0 {
-                            self.adom_refs.remove(&v);
-                            self.push(&mut ctx, DeltaOp::Delete, Fact::new(adom_rel, [v]));
-                        }
-                    }
+                    self.count_adom(&mut ctx, &e.fact, -1);
                 }
             }
         }
         self.settle(&mut ctx);
         #[cfg(test)]
         tests::VIEW_WRITES.with(|c| c.set(c.get() + self.db.epoch() - epoch));
+    }
+
+    /// Move the `ADom` reference counts of `f`'s values by `by`, pushing
+    /// the `ADom` fact of each value that enters or leaves the active
+    /// domain. Nothing for a program that does not read `ADom`.
+    fn count_adom(&mut self, ctx: &mut Ctx, f: &Fact, by: i64) {
+        if !self.reads_adom {
+            return;
+        }
+        let adom = rel(ADOM);
+        for &v in &f.args {
+            let c = self.adom_refs.entry(v).or_insert(0);
+            *c += by;
+            let op = if by > 0 && *c == 1 {
+                DeltaOp::Insert
+            } else if *c <= 0 {
+                self.adom_refs.remove(&v);
+                DeltaOp::Delete
+            } else {
+                continue;
+            };
+            self.push(ctx, op, Fact::new(adom, [v]));
+        }
     }
 
     /// Apply one membership change to the database and record it for the
@@ -981,6 +1007,8 @@ mod tests {
 
     /// A view output is a read-only copy: it carries the facts, not the
     /// derivation history of the maintained database (which doubled it).
+    /// A program that does not read `ADom` keeps no `ADom` facts to strip,
+    /// so nothing is written to the output at all.
     #[test]
     fn view_outputs_carry_no_derivation_log() {
         let p = parse_program("T(x,y) <- E(x,y)\nT(x,z) <- E(x,y), T(y,z)").unwrap();
@@ -988,12 +1016,12 @@ mod tests {
         let mut view = MaterializedView::new(&p, &db, EvalStrategy::Indexed).unwrap();
         let out = view.refresh(&db);
         assert_eq!(out.relation_len(rel("T")), 210);
-        // Only the stripping of the 21 `ADom` helpers is on its log.
-        assert_eq!(out.delta_log_len(), 21);
+        assert_eq!(out.relation_len(rel(ADOM)), 0);
+        assert_eq!(out.delta_log_len(), 0);
         db.insert(fact("E", &[21, 22]));
         let refreshed = view.refresh(&db);
         assert_eq!(refreshed.relation_len(rel("T")), 211);
-        assert_eq!(refreshed.delta_log_len(), 23);
+        assert_eq!(refreshed.delta_log_len(), 0);
     }
 
     /// A view on a base built whole (no history) is materialized at the
@@ -1332,18 +1360,19 @@ mod tests {
         );
         assert_eq!(take(&DRAIN_WRITES), 0);
         // The view's database takes only the net change: three edges and
-        // two `ADom` values out, 57 paths to a spur out (1 268 writes
-        // when DRed removed the overdeleted set and put 600 back).
-        assert_eq!(take(&VIEW_WRITES), 3 + 2 + 27 + 30);
+        // 57 paths to a spur out (1 268 writes when DRed removed the
+        // overdeleted set and put 600 back). The program does not read
+        // `ADom`, so no `ADom` value is written.
+        assert_eq!(take(&VIEW_WRITES), 3 + 27 + 30);
         let stats = view.stats();
         assert_eq!((stats.full_rebuilds, stats.incremental_applied), (0, 3));
         // An insert-only batch writes exactly its new facts: putting the
-        // edges back adds the same 62.
+        // edges back adds the same 60.
         for f in &extra {
             db.insert(f.clone());
         }
         assert_matches_scratch(&mut view, &db);
-        assert_eq!(take(&VIEW_WRITES), 3 + 2 + 27 + 30);
+        assert_eq!(take(&VIEW_WRITES), 3 + 27 + 30);
     }
 
     /// The counting drain reads the refresh's deleted facts beside the

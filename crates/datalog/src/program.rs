@@ -50,7 +50,7 @@ impl fmt::Display for ProgramError {
 impl std::error::Error for ProgramError {}
 
 /// A Datalog program: a list of rules.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Program {
     /// The rules, in source order.
     pub rules: Vec<ConjunctiveQuery>,

@@ -49,7 +49,7 @@ use std::collections::hash_map::Entry;
 /// * [`EvalStrategy::Auto`] — [`EvalStrategy::Wcoj`] for cyclic queries,
 ///   [`EvalStrategy::Indexed`] for acyclic ones (where binary joins are
 ///   already near-optimal and skip the trie build).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize)]
 pub enum EvalStrategy {
     /// Exhaustive valuation enumeration (tests/reference only).
     Naive,

@@ -26,6 +26,15 @@
 //! `None` for `e < epoch` (a consumer behind it rebuilds) and empty at
 //! `epoch`. [`Instance::insert`], [`Instance::insert_all`] and
 //! [`Instance::remove`] on an existing instance log every mutation.
+//!
+//! ## Shared relation sets
+//!
+//! Each relation's fact set sits behind an `Arc` and is copied only when
+//! it is first written: a clone — a snapshot's fork, a frozen view
+//! output, a scratch fixpoint's working copy — costs O(relations), and a
+//! writer pays for a copy of exactly the relations it then changes. A
+//! write that changes nothing (a duplicate insert, an absent remove)
+//! copies nothing.
 
 use crate::delta::{DeltaEntry, DeltaLog, DeltaOp};
 use crate::fact::{Fact, Val};
@@ -81,10 +90,12 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// — appending a small run / tombstones — instead of rebuilding. Entries
 /// of relations other than the mutated one stay valid verbatim. The
 /// cache is invisible to equality and serialization, and clones share the
-/// (immutable, `Arc`'d) runs.
+/// (immutable, `Arc`'d) runs, as they share each relation's fact set
+/// until one side writes it (see the module docs).
 #[derive(Default)]
 pub struct Instance {
-    by_rel: FxMap<RelId, FxSet<Fact>>,
+    /// Per relation its fact set, shared copy-on-write with clones.
+    by_rel: FxMap<RelId, Arc<FxSet<Fact>>>,
     len: usize,
     /// Bumped on every *successful* insert/remove (duplicate inserts and
     /// absent removes leave it unchanged, like `len`).
@@ -135,12 +146,12 @@ impl Instance {
     /// not keep the footprint of its valuations.
     fn build(mut self, sizes: FxMap<RelId, usize>, facts: Vec<Fact>) -> Instance {
         for (&rel, &n) in &sizes {
-            self.by_rel.entry(rel).or_default().reserve(n);
+            Arc::make_mut(self.by_rel.entry(rel).or_default()).reserve(n);
         }
         let mut facts = facts.into_iter().peekable();
         while let Some(first) = facts.peek() {
             let rel = first.rel;
-            let set = self.by_rel.get_mut(&rel).expect("every relation is sized");
+            let set = Arc::make_mut(self.by_rel.get_mut(&rel).expect("every relation is sized"));
             let before = self.epoch;
             while let Some(f) = facts.next_if(|f| f.rel == rel) {
                 if set.insert(f) {
@@ -155,7 +166,7 @@ impl Instance {
         for (rel, n) in sizes {
             let set = self.by_rel.get_mut(&rel).expect("sized above");
             if 2 * set.len() < n {
-                set.shrink_to_fit();
+                Arc::make_mut(set).shrink_to_fit();
             }
         }
         self.log = DeltaLog::forgotten_to(self.epoch, self.log.capacity());
@@ -183,9 +194,12 @@ impl Instance {
 
     /// The one insertion path of an existing instance. Bookkeeping that
     /// is per relation rather than per fact — the `by_rel` lookup, the
-    /// relation-epoch stamp — is done once per run of consecutive facts
-    /// of one relation, and a new fact is copied exactly once more than
-    /// its caller already had to (the set and the delta log each own one).
+    /// copy-on-write claim of the set, the relation-epoch stamp — is done
+    /// once per run of consecutive facts of one relation, and a new fact
+    /// is copied exactly once more than its caller already had to (the
+    /// set and the delta log each own one). A run's leading duplicates
+    /// are read through the shared set: a run with no new fact claims
+    /// nothing.
     fn ingest<'a, I, F>(&mut self, facts: I, mut on_new: F)
     where
         I: Iterator<Item = Cow<'a, Fact>>,
@@ -195,9 +209,17 @@ impl Instance {
         let mut facts = facts.peekable();
         while let Some(first) = facts.peek() {
             let rel = first.rel;
-            let set = self.by_rel.entry(rel).or_default();
+            let shared = self.by_rel.entry(rel).or_default();
+            let Some(new) = std::iter::from_fn(|| facts.next_if(|f| f.rel == rel))
+                .find(|f| !shared.contains(&**f))
+            else {
+                continue;
+            };
+            let set = Arc::make_mut(shared);
             let before = self.epoch;
-            while let Some(f) = facts.next_if(|f| f.rel == rel) {
+            let run =
+                std::iter::once(new).chain(std::iter::from_fn(|| facts.next_if(|f| f.rel == rel)));
+            for f in run {
                 if set.contains(&*f) {
                     continue;
                 }
@@ -217,11 +239,10 @@ impl Instance {
     /// Remove a fact; returns `true` if it was present. An absent remove
     /// is a no-op: epoch and delta log are untouched.
     pub fn remove(&mut self, f: &Fact) -> bool {
-        let removed = self
-            .by_rel
-            .get_mut(&f.rel)
-            .map(|s| s.remove(f))
-            .unwrap_or(false);
+        let removed = match self.by_rel.get_mut(&f.rel) {
+            Some(set) if set.contains(f) => Arc::make_mut(set).remove(f),
+            _ => false,
+        };
         if removed {
             self.len -= 1;
             self.epoch += 1;
@@ -348,11 +369,14 @@ impl Instance {
     }
 
     /// Bring every cached trie entry up to the current epoch, in place:
-    /// stale entries replay the delta log, current ones are stamped
-    /// forward. Touches the copy-on-write cache map only when some entry
-    /// is behind, so an instance whose cache is already current keeps
-    /// sharing it with the forks taken from it.
-    pub(crate) fn refresh_tries(&self) {
+    /// stale entries replay the delta log (or rebuild, if it was
+    /// truncated past them), current ones are stamped forward. Touches
+    /// the copy-on-write cache map only when some entry is behind, so an
+    /// instance whose cache is already current keeps sharing it with the
+    /// forks taken from it. Call it after a burst of writes longer than
+    /// the log window, so that the next reader advances from the log
+    /// instead of rebuilding.
+    pub fn refresh_tries(&self) {
         let mut guard = lock_recover(&self.tries);
         let keys: Vec<(RelId, Vec<usize>)> = cache_keys(&guard)
             .into_iter()
@@ -620,11 +644,14 @@ fn sizes<'a>(facts: impl IntoIterator<Item = &'a Fact>) -> FxMap<RelId, usize> {
 }
 
 /// Clones carry the facts, the epochs, the delta log **and the trie
-/// cache**: the whole cache map is shared `Arc`-copy-on-write, so the
-/// clone is O(1) in the number of cached tries (no per-entry copy, no
-/// run duplication) and answers WCOJ queries warm. The first cache edit
-/// on either side copies just the map spine; the immutable runs inside
-/// stay shared forever. A clone is never sealed — it is a mutable fork.
+/// cache**. Each relation's fact set is shared copy-on-write, so the
+/// facts cost O(relations) to clone and a relation is copied by the
+/// first write to it on either side. The whole cache map is shared the
+/// same way, so the clone is O(1) in the number of cached tries (no
+/// per-entry copy, no run duplication) and answers WCOJ queries warm.
+/// The first cache edit on either side copies just the map spine; the
+/// immutable runs inside stay shared forever. A clone is never sealed —
+/// it is a mutable fork.
 impl Clone for Instance {
     fn clone(&self) -> Instance {
         self.fork(self.log.clone())
@@ -1110,6 +1137,77 @@ mod tests {
                     }
                 }
                 model.assert_matches(&inst);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Forks share relation sets copy-on-write and never see each
+        /// other's writes: random interleavings of `insert`,
+        /// `insert_all`, `remove`, `clone` and `clone_without_log` on an
+        /// instance and its forks leave every side equal to its own set
+        /// model in contents, `len` and `relation_len`, and a side's
+        /// epoch moves exactly when its set changes — by one per fact.
+        #[test]
+        fn forks_match_their_own_set_models(
+            init in prop::collection::vec((0..3usize, 0..4u64, 0..3u64), 0..12),
+            ops in prop::collection::vec((0..5u8, 0..8usize, 0..3usize, 0..4u64, 0..3u64), 0..48),
+        ) {
+            use std::collections::BTreeSet;
+            const RELS: [&str; 3] = ["R", "S", "T"];
+            let f = |r: usize, a: u64, b: u64| fact(RELS[r], &[a, b]);
+            let first: Vec<Fact> = init.iter().map(|&(r, a, b)| f(r, a, b)).collect();
+            let mut sides = vec![(
+                Instance::from_facts(first.iter().cloned()),
+                first.into_iter().collect::<BTreeSet<Fact>>(),
+            )];
+            for (op, who, r, a, b) in ops {
+                let who = who % sides.len();
+                let (inst, model) = &mut sides[who];
+                let epoch = inst.epoch();
+                let changed = match op {
+                    0 => {
+                        let x = f(r, a, b);
+                        let new = inst.insert(x.clone());
+                        prop_assert_eq!(new, model.insert(x));
+                        u64::from(new)
+                    }
+                    1 => {
+                        // A run of one relation with a duplicate inside,
+                        // then a fact of the next relation.
+                        let batch = [f(r, a, b), f(r, b, a), f(r, a, b), f((r + 1) % 3, a, a)];
+                        let mut seen = 0u64;
+                        inst.insert_all(&batch, |_| seen += 1);
+                        let want = batch.iter().filter(|x| model.insert((*x).clone())).count();
+                        prop_assert_eq!(seen, want as u64);
+                        seen
+                    }
+                    2 => {
+                        let x = f(r, a, b);
+                        let gone = inst.remove(&x);
+                        prop_assert_eq!(gone, model.remove(&x));
+                        u64::from(gone)
+                    }
+                    3 | 4 => {
+                        let fork = if op == 3 { inst.clone() } else { inst.clone_without_log() };
+                        prop_assert_eq!(fork.epoch(), epoch);
+                        let model = model.clone();
+                        sides.push((fork, model));
+                        0
+                    }
+                    _ => unreachable!(),
+                };
+                prop_assert_eq!(sides[who].0.epoch(), epoch + changed);
+                for (inst, model) in &sides {
+                    prop_assert_eq!(inst.len(), model.len());
+                    prop_assert_eq!(inst.sorted_facts(), model.iter().cloned().collect::<Vec<_>>());
+                    for name in RELS {
+                        let n = model.iter().filter(|x| x.rel == rel(name)).count();
+                        prop_assert_eq!(inst.relation_len(rel(name)), n, "{}", name);
+                    }
+                }
             }
         }
     }

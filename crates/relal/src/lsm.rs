@@ -12,10 +12,11 @@
 //! runs; they are filtered at the leaves, where the atom is fully ground
 //! and membership is authoritative.
 //!
-//! Deterministic **size-tiered compaction** bounds read amplification:
-//! when the run stack exceeds [`MAX_RUNS`] or tombstones reach half the
-//! stored rows, the layers collapse back to a single freshly built run.
-//! The trigger depends only on run/tombstone counts, so identical
+//! A deterministic **full compaction** bounds read amplification: when
+//! the stack holds more than [`MAX_RUNS`] runs, or the tombstones reach
+//! half the stored rows, the whole stack collapses to one freshly built
+//! run (runs are never merged tier by tier). The trigger depends only on
+//! run/tombstone counts, so identical
 //! mutation sequences compact identically on every machine and thread
 //! count.
 

@@ -5,8 +5,11 @@
 //! heap blocks one enumeration takes depends on the query, not on the
 //! data. Likewise the positional index threads its rows through flat
 //! arrays, so building it allocates for the maps' and arrays' growth —
-//! logarithmically many blocks — not once per distinct value. And a fact
-//! is a fixed-size value, so storing one allocates nothing of its own.
+//! logarithmically many blocks — not once per distinct value. A fact is a
+//! fixed-size value, so storing one allocates nothing of its own. And an
+//! instance shares its relation sets with its forks, so a fork allocates
+//! per relation, not per fact, and a first write copies only the relation
+//! it writes.
 //!
 //! Counted with a per-thread counting allocator, so the tests (and the
 //! harness's own threads) do not see each other.
@@ -23,18 +26,26 @@ use std::cell::Cell;
 
 thread_local! {
     static BLOCKS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// The system allocator, counting the blocks each thread asks for.
+/// Count one block of `size` bytes against this thread.
+fn count(size: usize) {
+    let _ = BLOCKS.try_with(|b| b.set(b.get() + 1));
+    let _ = BYTES.try_with(|b| b.set(b.get() + size as u64));
+}
+
+/// The system allocator, counting the blocks (and their bytes) each
+/// thread asks for.
 struct Counting;
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the only addition is a bump of a
-// `const`-initialised, destructor-free thread-local `Cell`, which neither
+// upholds the `GlobalAlloc` contract; the only addition is a bump of two
+// `const`-initialised, destructor-free thread-local `Cell`s, which neither
 // allocates nor unwinds (`try_with` turns a torn-down slot into a no-op).
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = BLOCKS.try_with(|b| b.set(b.get() + 1));
+        count(layout.size());
         // SAFETY: `layout` is the caller's, passed through.
         unsafe { System.alloc(layout) }
     }
@@ -45,7 +56,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = BLOCKS.try_with(|b| b.set(b.get() + 1));
+        count(new_size);
         // SAFETY: the caller's arguments, passed through.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -59,6 +70,13 @@ fn blocks_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
     let before = BLOCKS.with(Cell::get);
     let out = f();
     (out, BLOCKS.with(Cell::get) - before)
+}
+
+/// Bytes this thread allocated (or grew to) while `f` ran.
+fn bytes_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    (out, BYTES.with(Cell::get) - before)
 }
 
 /// E22's adversarial triangle: three hub-and-spoke relations whose
@@ -175,5 +193,57 @@ fn positional_index_allocates_no_block_per_value() {
     assert!(
         blocks < m / 8,
         "{blocks} blocks for {m} rows of distinct values"
+    );
+}
+
+/// A fork shares every relation's fact set, so it allocates the same
+/// blocks — in number and in bytes — at any fact count. Its first write to a relation
+/// copies that relation alone — the same bytes whether or not a relation
+/// eight times larger sits beside it — and a second write copies nothing.
+#[test]
+fn a_fork_allocates_per_relation_and_a_write_copies_its_relation() {
+    let instance = |m: u64, beside: u64| {
+        let r = (0..m).map(|i| fact("R", &[i, i % 97]));
+        Instance::from_facts(r.chain((0..beside).map(|i| fact("S", &[i, i]))))
+    };
+    let fork = |m: u64| {
+        let db = instance(m, m);
+        let ((_, blocks), bytes) = bytes_during(|| blocks_during(|| db.clone()));
+        (blocks, bytes)
+    };
+    let (small, large) = (fork(1024), fork(16_384));
+    assert_eq!(
+        small, large,
+        "(blocks, bytes) per fork, m = 1024 vs m = 16384"
+    );
+
+    let m = 4096;
+    let first_write = |beside: u64| {
+        let db = instance(m, beside);
+        let mut fork = db.clone_without_log();
+        let (new, first) = bytes_during(|| fork.insert(fact("R", &[m, 0])));
+        let (again, second) = bytes_during(|| fork.insert(fact("R", &[m + 1, 0])));
+        assert!(new && again);
+        assert_eq!(
+            db.relation_len(rel("R")),
+            m as usize,
+            "the origin is untouched"
+        );
+        (first, second)
+    };
+    let (alone, second) = first_write(0);
+    let (beside, _) = first_write(8 * m);
+    let r_facts = m * std::mem::size_of::<parlog_relal::Fact>() as u64;
+    assert!(
+        alone >= r_facts,
+        "{alone} B: the first write copies R's {m} facts"
+    );
+    assert_eq!(
+        alone, beside,
+        "bytes of R's first write, with and without S beside it"
+    );
+    assert!(
+        second < r_facts / 8,
+        "{second} B: a second write copies nothing"
     );
 }

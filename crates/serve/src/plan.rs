@@ -13,9 +13,10 @@
 //! lets the executor skip revalidation entirely — a new generation
 //! simply misses and re-prepares (the analysis hit makes that cheap).
 //!
-//! Keys are Fx hashes of the query's debug rendering with the rendered
-//! string stored alongside and compared on every hit, so a 64-bit
-//! collision — query text comes from clients, and Fx is not
+//! Keys are Fx hashes of the request's structure — its disjuncts or
+//! program and the strategy, hashed as values, never rendered — with the
+//! request itself stored alongside and compared with `==` on every hit,
+//! so a 64-bit collision — queries come from clients, and Fx is not
 //! collision-resistant — degrades to a miss, never to serving the wrong
 //! plan. A program's frozen view output is matched the same way: by the
 //! view key and then by the exact key source the snapshot keeps beside
@@ -36,13 +37,37 @@ use parlog_relal::instance::Instance;
 use parlog_relal::packing::{fractional_edge_cover, fractional_edge_packing, share_exponents};
 use parlog_relal::query::{ConjunctiveQuery, QueryError};
 use parlog_relal::snapshot::Snapshot;
+use std::borrow::Cow;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-fn text_key(src: &str) -> u64 {
-    let mut h = FxHasher::default();
-    src.hash(&mut h);
-    h.finish()
+/// A request as the cache files it: what is asked, under which strategy.
+/// A lookup borrows the caller's request; an entry owns a copy, made once
+/// on an analysis miss and shared by every plan prepared from it.
+#[derive(Debug, PartialEq, Eq, Hash)]
+enum Asked<'a> {
+    Relational(Cow<'a, [ConjunctiveQuery]>, EvalStrategy),
+    Program(Cow<'a, Program>, EvalStrategy),
+}
+
+/// A request an entry owns.
+type Filed = Arc<Asked<'static>>;
+
+impl Asked<'_> {
+    /// The structural hash the request is filed under.
+    fn key(&self) -> u64 {
+        let mut h = FxHasher::default();
+        self.hash(&mut h);
+        h.finish()
+    }
+
+    /// The copy an entry keeps.
+    fn filed(&self) -> Filed {
+        Arc::new(match self {
+            Asked::Relational(d, s) => Asked::Relational(Cow::Owned(d.to_vec()), *s),
+            Asked::Program(p, s) => Asked::Program(Cow::Owned(Program::clone(p)), *s),
+        })
+    }
 }
 
 /// The per-disjunct analysis: the data-independent quantities the
@@ -164,13 +189,13 @@ impl PlanCacheStats {
 /// The per-session plan cache.
 #[derive(Debug, Default)]
 pub struct PlanCache {
-    /// query-text key → (stored text, analysis or refusal).
+    /// request key → (stored request, analysis or refusal).
     /// Generation-independent.
-    analyses: FxMap<u64, (String, Result<Arc<QueryAnalysis>, QueryError>)>,
-    /// program-text key → (stored text, (view key, view key source)).
-    program_keys: FxMap<u64, (String, (u64, Arc<str>))>,
-    /// (query-text key, generation) → (stored text, prepared plan).
-    plans: FxMap<(u64, u64), (String, Arc<PreparedPlan>)>,
+    analyses: FxMap<u64, (Filed, Result<Arc<QueryAnalysis>, QueryError>)>,
+    /// request key → (stored request, (view key, view key source)).
+    program_keys: FxMap<u64, (Filed, (u64, Arc<str>))>,
+    /// (request key, generation) → (stored request, prepared plan).
+    plans: FxMap<(u64, u64), (Filed, Arc<PreparedPlan>)>,
     newest_generation: u64,
     stats: PlanCacheStats,
 }
@@ -209,9 +234,13 @@ impl PlanCache {
         }
     }
 
-    fn lookup(&mut self, key: u64, src: &str, generation: u64) -> Option<Arc<PreparedPlan>> {
+    fn lookup(&mut self, key: u64, asked: &Asked, generation: u64) -> Option<Arc<PreparedPlan>> {
         self.roll(generation);
-        if let Some((_, p)) = self.plans.get(&(key, generation)).filter(|(s, _)| s == src) {
+        let hit = self
+            .plans
+            .get(&(key, generation))
+            .filter(|(a, _)| **a == *asked);
+        if let Some((_, p)) = hit {
             self.stats.hits += 1;
             return Some(Arc::clone(p));
         }
@@ -228,20 +257,15 @@ impl PlanCache {
         strategy: EvalStrategy,
         generation: u64,
     ) -> (Arc<PreparedPlan>, bool) {
-        use std::fmt::Write;
-        let mut src = String::new();
-        for q in disjuncts {
-            let _ = write!(src, "{q:?};");
-        }
-        let _ = write!(src, "|{strategy:?}");
-        let key = text_key(&src);
-        if let Some(p) = self.lookup(key, &src, generation) {
+        let asked = Asked::Relational(Cow::Borrowed(disjuncts), strategy);
+        let key = asked.key();
+        if let Some(p) = self.lookup(key, &asked, generation) {
             return (p, true);
         }
-        let analysis = match self.analyses.get(&key) {
-            Some((stored, a)) if *stored == src => {
+        let (filed, analysis) = match self.analyses.get(&key) {
+            Some((stored, a)) if **stored == asked => {
                 self.stats.analysis_hits += 1;
-                a.clone()
+                (Arc::clone(stored), a.clone())
             }
             _ => {
                 self.stats.analysis_misses += 1;
@@ -249,8 +273,9 @@ impl PlanCache {
                     .iter()
                     .try_for_each(ConjunctiveQuery::validate)
                     .map(|()| Arc::new(analyze(disjuncts, strategy)));
-                self.analyses.insert(key, (src.clone(), a.clone()));
-                a
+                let filed = asked.filed();
+                self.analyses.insert(key, (Arc::clone(&filed), a.clone()));
+                (filed, a)
             }
         };
         let plan = Arc::new(PreparedPlan {
@@ -261,38 +286,40 @@ impl PlanCache {
             },
         });
         self.plans
-            .insert((key, generation), (src, Arc::clone(&plan)));
+            .insert((key, generation), (filed, Arc::clone(&plan)));
         (plan, false)
     }
 
     /// Prepare (or fetch) the plan for a Datalog program request against
     /// the pinned snapshot. The part memoized across generations is the
     /// view key and its source (a debug rendering + hash of the whole
-    /// program); the per-generation part is the frozen-view lookup,
-    /// which compares the source, not only the key.
+    /// program, made once per program); the per-generation part is the
+    /// frozen-view lookup, which compares the source, not only the key.
     pub fn prepare_program(
         &mut self,
         p: &Program,
         strategy: EvalStrategy,
         snap: &Snapshot,
     ) -> (Arc<PreparedPlan>, bool) {
-        let src = format!("program:{p:?}|{strategy:?}");
-        let key = text_key(&src);
+        let asked = Asked::Program(Cow::Borrowed(p), strategy);
+        let key = asked.key();
         let generation = snap.generation();
-        if let Some(plan) = self.lookup(key, &src, generation) {
+        if let Some(plan) = self.lookup(key, &asked, generation) {
             return (plan, true);
         }
-        let (view_key, source) = match self.program_keys.get(&key) {
-            Some((stored, view)) if *stored == src => {
+        let (filed, (view_key, source)) = match self.program_keys.get(&key) {
+            Some((stored, view)) if **stored == asked => {
                 self.stats.analysis_hits += 1;
-                view.clone()
+                (Arc::clone(stored), view.clone())
             }
             _ => {
                 self.stats.analysis_misses += 1;
                 let source = view_key_source(p, strategy);
                 let view = (view_key(&source), Arc::from(source));
-                self.program_keys.insert(key, (src.clone(), view.clone()));
-                view
+                let filed = asked.filed();
+                self.program_keys
+                    .insert(key, (Arc::clone(&filed), view.clone()));
+                (filed, view)
             }
         };
         let plan = Arc::new(PreparedPlan {
@@ -303,7 +330,7 @@ impl PlanCache {
             },
         });
         self.plans
-            .insert((key, generation), (src, Arc::clone(&plan)));
+            .insert((key, generation), (filed, Arc::clone(&plan)));
         (plan, false)
     }
 }

@@ -653,6 +653,70 @@ proptest! {
         let facts: BTreeSet<Fact> = inst.iter().cloned().collect();
         prop_assert_eq!(facts, model);
     }
+
+    /// Publications share the writer's relation sets, and each frozen
+    /// view output shares its view's: whatever the writer and the views
+    /// then write is copied first. Random `mutate`/`publish` sequences,
+    /// pinning the snapshot after every publication, never change a
+    /// pinned snapshot's facts or the facts of its frozen view outputs —
+    /// for a view that keeps no `ADom` facts and one that reads `ADom`
+    /// and has its helper facts stripped from its output.
+    #[test]
+    fn publications_never_change_pinned_snapshots(
+        init in prop::collection::vec((0..5u64, 0..5u64), 0..8),
+        ops in prop::collection::vec((0..3u8, 0..5u64, 0..5u64), 1..24),
+    ) {
+        use parlog::datalog::maintain::{publish_views, ViewWriter};
+        use parlog::relal::eval::EvalStrategy;
+        use parlog::relal::fact::{fact, Fact};
+        use parlog::relal::snapshot::{Snapshot, SnapshotStore};
+        use std::sync::Arc;
+        let parse = parlog::datalog::program::parse_program;
+        let views = [
+            (parse("TC(x,y) <- E(x,y)\nTC(x,y) <- TC(x,z), E(z,y)").unwrap(), EvalStrategy::Auto),
+            (
+                parse("TC(x,y) <- E(x,y)\nTC(x,y) <- TC(x,z), E(z,y)\n\
+                       NT(x,y) <- ADom(x), ADom(y), not TC(x,y)").unwrap(),
+                EvalStrategy::Wcoj,
+            ),
+        ];
+        let base = Instance::from_facts(init.into_iter().map(|(a, b)| fact("E", &[a, b])));
+        let store = SnapshotStore::new(ViewWriter::new(base));
+        // A pinned snapshot and what it held when it was pinned: its facts
+        // and each frozen output's facts, by key.
+        let seen = |snap: &Arc<Snapshot>| {
+            let outputs: Vec<Vec<Fact>> = (views.iter())
+                .map(|(p, s)| {
+                    let source = parlog::datalog::view_key_source(p, *s);
+                    let key = parlog::datalog::view_key(&source);
+                    (snap.view_output_exact(key, &source)).map_or_else(Vec::new, |out| out.sorted_facts())
+                })
+                .collect();
+            (snap.instance().sorted_facts(), outputs)
+        };
+        let mut pinned = vec![(store.pin(), seen(&store.pin()))];
+        for (op, a, b) in ops {
+            let f = fact("E", &[a, b]);
+            match op {
+                0 => {
+                    store.mutate(|w| w.insert(f));
+                }
+                1 => {
+                    store.mutate(|w| w.remove(&f));
+                }
+                _ => {
+                    let snap = store.publish_with(|w| publish_views(w, &views).unwrap());
+                    prop_assert_eq!(snap.view_count(), 2);
+                    let held = seen(&snap);
+                    prop_assert!(!held.1.iter().flatten().any(|f| f.rel == parlog::relal::symbols::rel("ADom")));
+                    pinned.push((snap, held));
+                }
+            }
+            for (snap, held) in &pinned {
+                prop_assert_eq!(&seen(snap), held, "generation {}", snap.generation());
+            }
+        }
+    }
 }
 
 proptest! {
