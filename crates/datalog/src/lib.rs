@@ -42,6 +42,7 @@
 
 pub mod analysis;
 pub mod coordination;
+mod delta_rule;
 pub mod eval;
 pub mod invention;
 pub mod maintain;

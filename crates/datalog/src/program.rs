@@ -15,9 +15,17 @@ use parlog_relal::parser::{parse_query, ParseError};
 use parlog_relal::query::{ConjunctiveQuery, QueryError};
 use parlog_relal::symbols::{rel, RelId};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// The built-in active-domain predicate name.
 pub const ADOM: &str = "ADom";
+
+/// The relation id of [`ADOM`], interned on first use and read without a
+/// lock after.
+pub fn adom_id() -> RelId {
+    static ID: OnceLock<RelId> = OnceLock::new();
+    *ID.get_or_init(|| rel(ADOM))
+}
 
 /// Errors from program construction or stratification.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,7 +67,7 @@ pub struct Program {
 impl Program {
     /// Build a program from rules.
     pub fn new(rules: Vec<ConjunctiveQuery>) -> Result<Program, ProgramError> {
-        let adom = rel(ADOM);
+        let adom = adom_id();
         if rules.iter().any(|r| r.head.rel == adom) {
             return Err(ProgramError::RedefinesBuiltin);
         }
@@ -82,7 +90,7 @@ impl Program {
     /// The EDB predicates (body predicates never defined by a rule),
     /// excluding the built-in `ADom`.
     pub fn edb(&self) -> Vec<RelId> {
-        let adom = rel(ADOM);
+        let adom = adom_id();
         let mut out: Vec<RelId> = self
             .rules
             .iter()

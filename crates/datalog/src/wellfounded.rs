@@ -14,12 +14,12 @@
 //! `A` are **true**, facts outside `B` are **false**, and facts in
 //! `B ∖ A` are **undefined** (e.g. drawn positions of the win–move game).
 
-use crate::program::{Program, ProgramError, ADOM};
+use crate::eval::add_adom;
+use crate::program::{adom_id, Program, ProgramError};
 use parlog_relal::eval::satisfying_valuations;
 use parlog_relal::fact::Fact;
 use parlog_relal::instance::Instance;
 use parlog_relal::query::ConjunctiveQuery;
-use parlog_relal::symbols::rel;
 
 /// Three-valued truth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,16 +98,7 @@ fn lfp_with_frozen_negation(p: &Program, base: &Instance, context: &Instance) ->
 pub fn well_founded(p: &Program, edb: &Instance) -> Result<WellFoundedModel, ProgramError> {
     let mut base = edb.clone();
     // Built-in ADom, as in the stratified evaluator.
-    let adom_rel = rel(ADOM);
-    let mut values = base.adom_sorted();
-    for r in &p.rules {
-        values.extend(r.constants());
-    }
-    values.sort_unstable();
-    values.dedup();
-    for v in values {
-        base.insert(Fact::new(adom_rel, [v]));
-    }
+    add_adom(&mut base, p);
 
     // A-side starts at the base (no IDB facts assumed true); B-side starts
     // from the most liberal context (negation against A).
@@ -118,10 +109,7 @@ pub fn well_founded(p: &Program, edb: &Instance) -> Result<WellFoundedModel, Pro
         if a_next == a {
             // Converged: strip helper ADom facts.
             let strip = |mut inst: Instance| {
-                let gone: Vec<Fact> = inst.iter().filter(|f| f.rel == adom_rel).cloned().collect();
-                for f in gone {
-                    inst.remove(&f);
-                }
+                inst.drop_relation(adom_id());
                 inst
             };
             return Ok(WellFoundedModel {

@@ -843,13 +843,13 @@ impl Cluster {
     /// # Panics
     /// Panics if `q` is unsafe (see [`ConjunctiveQuery::validate`]).
     pub fn compute_query(&mut self, q: &ConjunctiveQuery, strategy: EvalStrategy) {
-        let plan = QueryPlan::new(std::slice::from_ref(q), strategy, &[])
+        let plan = QueryPlan::new(std::slice::from_ref(q), strategy)
             .expect("compute_query needs a safe query");
         self.compute_per_server(|_, local| {
             let mut read = local.clone();
             read.prepare(plan.trie_orders());
             let mut heads = Vec::new();
-            plan.run(&[&read], None, &mut |f| heads.push(f));
+            plan.run(&read, &mut |f| heads.push(f));
             Shard::from_facts(heads)
         });
     }
@@ -880,7 +880,7 @@ impl Cluster {
                     read = read.with_facts(std::mem::take(&mut heads));
                 }
                 read.prepare(plan.trie_orders());
-                plan.run(&[&read], None, &mut |f| heads.push(f));
+                plan.run(&read, &mut |f| heads.push(f));
             }
             heads.retain(|f| !drop.contains(&f.rel));
             read.without(drop).with_facts(heads)
@@ -914,7 +914,7 @@ pub(crate) fn rule_unless(head: Atom, body: Vec<Atom>, negated: Vec<Atom>) -> Co
 /// # Panics
 /// Panics if a rule is unsafe.
 pub fn layer(rules: &[ConjunctiveQuery]) -> QueryPlan {
-    QueryPlan::new(rules, EvalStrategy::Wcoj, &[]).expect("layer rules are safe")
+    QueryPlan::new(rules, EvalStrategy::Wcoj).expect("layer rules are safe")
 }
 
 #[cfg(test)]

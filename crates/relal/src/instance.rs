@@ -252,6 +252,21 @@ impl Instance {
         removed
     }
 
+    /// Drop every fact of `rel` at once: its set goes whole, without a
+    /// log entry per fact. The epoch moves by one and the delta log is
+    /// forgotten up to it, so a consumer behind it — a cached trie of
+    /// `rel` among them — rebuilds instead of replaying. A relation
+    /// with no facts is left alone.
+    pub fn drop_relation(&mut self, rel: RelId) {
+        let Some(set) = self.by_rel.remove(&rel).filter(|s| !s.is_empty()) else {
+            return;
+        };
+        self.len -= set.len();
+        self.epoch += 1;
+        self.log = DeltaLog::forgotten_to(self.epoch, self.log.capacity());
+        self.note_mutation(rel);
+    }
+
     /// A clone (see `impl Clone`) with `log` as its delta log.
     fn fork(&self, log: DeltaLog) -> Instance {
         Instance {

@@ -125,7 +125,7 @@ pub fn analyze_cq(q: &ConjunctiveQuery) -> DisjunctPlan {
 /// refuses those before analyzing.
 pub fn analyze(disjuncts: &[ConjunctiveQuery], strategy: EvalStrategy) -> QueryAnalysis {
     QueryAnalysis {
-        plan: Arc::new(QueryPlan::new(disjuncts, strategy, &[]).expect("safe disjuncts")),
+        plan: Arc::new(QueryPlan::new(disjuncts, strategy).expect("safe disjuncts")),
         disjuncts: disjuncts.iter().map(analyze_cq).collect(),
     }
 }

@@ -136,9 +136,9 @@ fn valuations_with(
         ..q.clone()
     };
     let mut out = Vec::new();
-    QueryPlan::new(&[witness], strategy, &[])
+    QueryPlan::new(&[witness], strategy)
         .expect("a certificate needs a safe query")
-        .run(&[shard], None, &mut |row| {
+        .run(shard, &mut |row| {
             out.push(vars.iter().cloned().zip(row.args.iter().copied()).collect());
         });
     out

@@ -240,8 +240,9 @@ fn example_5_13() {
     );
     // And ¬TC evaluates correctly through the engine.
     let db = Instance::from_facts([fact("E", &[1, 2]), fact("E", &[2, 3])]);
+    let ntc = parlog::relal::symbols::rel("NTC");
     let out =
-        parlog::datalog::eval::eval_predicate(&parlog::queries::ntc_program(), &db, "NTC").unwrap();
+        parlog::datalog::eval::eval_predicate(&parlog::queries::ntc_program(), &db, ntc).unwrap();
     assert!(out.contains(&fact("NTC", &[3, 1])));
     assert!(!out.contains(&fact("NTC", &[1, 3])));
 }

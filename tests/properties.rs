@@ -444,7 +444,7 @@ proptest! {
             EvalStrategy::Wcoj,
             EvalStrategy::Auto,
         ] {
-            let plan = QueryPlan::new(&disjuncts, strategy, &[]).unwrap();
+            let plan = QueryPlan::new(&disjuncts, strategy).unwrap();
             let check = |inst: &Instance| {
                 let mut want = Instance::new();
                 for d in &disjuncts {
@@ -453,7 +453,7 @@ proptest! {
                 opcount::reset();
                 let got = plan.eval(inst);
                 let ops = opcount::reset();
-                let fresh = QueryPlan::new(&disjuncts, strategy, &[]).unwrap().eval(inst);
+                let fresh = QueryPlan::new(&disjuncts, strategy).unwrap().eval(inst);
                 prop_assert_eq!(opcount::reset(), ops, "{:?} on {:?}", strategy, disjuncts);
                 prop_assert_eq!(&got, &want, "{:?} on {:?}", strategy, disjuncts);
                 prop_assert_eq!(fresh, want);
