@@ -153,7 +153,7 @@ pub(crate) struct RulePlans {
 }
 
 impl RulePlans {
-    /// `rec` holds the heads of `r`'s stratum if DRed maintains it.
+    /// `rec` holds the heads of `r`'s stratum.
     pub(crate) fn new(r: &ConjunctiveQuery, rec: &FxSet<RelId>) -> RulePlans {
         RulePlans {
             head: Occurrence::new(r, &r.head, None, rec),
@@ -168,8 +168,8 @@ impl RulePlans {
 }
 
 /// Occurrences bound to one list of layers, which stay unchanged while
-/// the step lives — a round, a phase, or one probe: each occurrence is
-/// bound on the first fact that matches it and reused by every later one.
+/// the step lives — a round or a phase: each occurrence is bound on the
+/// first fact that matches it and reused by every later one.
 pub(crate) struct Step<'a> {
     probes: Vec<(&'a Occurrence, Option<BoundPlan<'a>>)>,
     full: bool,

@@ -7,38 +7,24 @@
 //! once. A serving writer, [`ViewWriter`], is an instance together with
 //! the views maintained on it.
 //!
-//! Two maintenance algorithms, chosen per stratum when the view is built:
-//!
-//! * **Counting** for strata whose intra-stratum positive head-dependency
-//!   graph is acyclic (no recursion). Every membership change cascades
-//!   through a FIFO queue; candidate heads are discovered by unifying the
-//!   changed fact with its body occurrences (an over-approximation that
-//!   skips negation checks and reads the database together with the
-//!   facts deleted earlier in the refresh, so derivations that died
-//!   mid-batch are still seen), then each candidate's derivation count is
-//!   **recomputed exactly** against the current database. The invariant
-//!   is `h ∈ db ⟺ count(h) > 0`; exact recounting makes the cascade
-//!   order-insensitive.
-//!
-//! * **DRed** (delete–rederive) for recursive strata: overdelete
-//!   everything transitively supported by a deleted fact (or blocked by
-//!   an inserted fact through negation), rederive — one existence probe
-//!   per overdeleted fact — and run semi-naive insert rounds seeded with
-//!   the rederived facts too (Gupta–Mumick–Subrahmanian): the classical
-//!   algorithm, sound under stratified negation because negated
-//!   relations always sit in strictly lower strata. Every phase decides
-//!   against an unchanged database — an overdeleted fact stays stored,
-//!   and a derivation through one counts only once it is back — and the
-//!   stratum then commits its net change in one batch, so a retraction
-//!   writes only the facts it removes and adds.
+//! One maintenance algorithm, **DRed** (delete–rederive,
+//! Gupta–Mumick–Subrahmanian), for every stratum, recursive or not:
+//! overdelete everything transitively supported by a deleted fact (or
+//! blocked by an inserted fact through negation), rederive — one
+//! existence probe per overdeleted fact — and run semi-naive insert
+//! rounds seeded with the rederived facts too. It is sound under
+//! stratified negation because negated relations always sit in strictly
+//! lower strata, which settle first. Every phase decides against an
+//! unchanged database — an overdeleted fact stays stored, and a
+//! derivation through one counts only once it is back — and the stratum
+//! then commits its net change in one batch, so a retraction writes only
+//! the facts it removes and adds.
 //!
 //! Every probe is an occurrence plan of the Δ-rule the from-scratch
 //! fixpoint runs (`crate::delta_rule`): a leapfrog plan compiled once
 //! per `(rule, occurrence)` when the view is built (the occurrence's
 //! variables are its parameters, the rest of the body the residual),
-//! bound once per DRed phase or insert round — which write nothing — but
-//! once per probe in the counting drain, which writes, and run once per
-//! fact.
+//! bound once per phase or insert round, and run once per fact.
 //!
 //! A program that reads the built-in `ADom` relation has it maintained
 //! by per-value reference counts over the base facts (program constants
@@ -55,14 +41,13 @@ use crate::delta_rule::{Occurrence, RulePlans, Step};
 use crate::eval::{fixpoint, reads_adom};
 use crate::program::{adom_id, Program, ProgramError};
 use parlog_relal::delta::{DeltaEntry, DeltaOp};
-use parlog_relal::eval::{EvalStrategy, QueryPlan};
+use parlog_relal::eval::EvalStrategy;
 use parlog_relal::fact::{Fact, Val};
 use parlog_relal::fastmap::{fxmap, fxset, FxHasher, FxMap, FxSet};
 use parlog_relal::instance::Instance;
 use parlog_relal::snapshot::ViewOutputs;
 use parlog_relal::symbols::RelId;
 use std::borrow::Borrow;
-use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
@@ -97,13 +82,14 @@ pub struct ViewWriter {
     views: Vec<HeldView>,
 }
 
-/// One registered view: its program, key source and, once built, its
-/// state.
+/// One registered view: its program, key source and key and, once
+/// built, its state.
 #[derive(Debug)]
 struct HeldView {
     program: Program,
     strategy: EvalStrategy,
     source: Arc<str>,
+    key: u64,
     view: Option<MaterializedView>,
 }
 
@@ -117,17 +103,24 @@ impl ViewWriter {
     }
 
     /// Register the `(p, strategy)` view, unless it is already held; it
-    /// is built at the next refresh.
-    pub fn register(&mut self, p: Program, strategy: EvalStrategy) {
-        let source = view_key_source(&p, strategy);
-        if self.views.iter().all(|v| *v.source != *source) {
+    /// is built at the next refresh. Only a new view clones `p` and
+    /// renders its key source.
+    pub fn register(&mut self, p: &Program, strategy: EvalStrategy) {
+        if self.held(p, strategy).is_none() {
+            let source: Arc<str> = view_key_source(p, strategy).into();
             self.views.push(HeldView {
-                program: p,
+                program: p.clone(),
                 strategy,
-                source: source.into(),
+                key: view_key(&source),
+                source,
                 view: None,
             });
         }
+    }
+
+    /// The held `(p, strategy)` view, matched exactly.
+    fn held(&self, p: &Program, strategy: EvalStrategy) -> Option<&HeldView> {
+        (self.views.iter()).find(|v| v.strategy == strategy && v.program == *p)
     }
 
     /// Bring every view up to date with the base — building those
@@ -155,8 +148,7 @@ impl ViewWriter {
             };
             let output = Arc::new(view.refresh(base));
             held.view = Some(view);
-            let source = Arc::clone(&held.source);
-            out.insert(view_key(&source), (source, output));
+            out.insert(held.key, (Arc::clone(&held.source), output));
             true
         });
         (out, first_err)
@@ -193,7 +185,7 @@ pub fn publish_views(
     programs: &[(Program, EvalStrategy)],
 ) -> Result<ViewOutputs, ProgramError> {
     for (p, s) in programs {
-        w.register(p.clone(), *s);
+        w.register(p, *s);
     }
     match w.refresh_views() {
         (out, None) => Ok(out),
@@ -201,38 +193,18 @@ pub fn publish_views(
     }
 }
 
-/// One recursive stratum maintained by DRed, with its relation footprint
-/// precomputed (which batch changes are relevant to it).
-#[derive(Debug, Clone)]
-struct DredStratum {
+/// One stratum, with its relation footprint precomputed (which batch
+/// changes are relevant to it).
+#[derive(Debug)]
+struct Stratum {
     rules: Vec<usize>,
     body_rels: FxSet<RelId>,
     neg_rels: FxSet<RelId>,
 }
 
-/// Mutable per-refresh state: the counting cascade queue, the ordered
-/// log of every membership change applied so far (consumed per DRed
-/// stratum through a cursor), and the facts deleted during this refresh
-/// — read beside the database, never put back into it, when counting
-/// looks for candidates. The queue and the graveyard stay empty for a
-/// view with no counting rule.
-struct Ctx {
-    queue: VecDeque<Fact>,
-    batchlog: Vec<(DeltaOp, Fact)>,
-    cursors: Vec<usize>,
-    graveyard: Instance,
-}
-
-impl Ctx {
-    fn new(strata: usize) -> Ctx {
-        Ctx {
-            queue: VecDeque::new(),
-            batchlog: Vec::new(),
-            cursors: vec![0; strata],
-            graveyard: Instance::new(),
-        }
-    }
-}
+/// The membership changes of one refresh, in the order they were
+/// applied: the batch's own, then each settled stratum's net change.
+type BatchLog = Vec<(DeltaOp, Fact)>;
 
 /// Diagnostics of an installed view, for tests and benches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -241,30 +213,26 @@ pub struct ViewStats {
     pub incremental_applied: u64,
     /// Full from-scratch rebuilds (the initial build not included).
     pub full_rebuilds: u64,
-    /// Rules maintained by counting (recursion-free strata).
-    pub counting_rules: usize,
-    /// Recursive strata maintained by delete–rederive.
-    pub dred_strata: usize,
+    /// Strata maintained, each by delete–rederive.
+    pub strata: usize,
 }
 
 /// A maintained stratified fixpoint: the full database (EDB ∪ IDB, and
-/// `ADom` when the program reads it), exact derivation counts for
-/// counting-maintained heads, and `ADom` reference counts when the
-/// program reads `ADom`. Its owner builds it against a base instance and
-/// refreshes it against the same instance as that instance mutates.
+/// `ADom` when the program reads it) and `ADom` reference counts when
+/// the program reads `ADom`. Its owner builds it against a base instance
+/// and refreshes it against the same instance as that instance mutates.
 #[derive(Debug)]
 pub struct MaterializedView {
     program: Program,
     strategy: EvalStrategy,
     applied_epoch: u64,
     db: Instance,
-    counts: FxMap<Fact, i64>,
     /// `ADom`'s id when the program reads it: only then is it
     /// materialized and reference-counted.
     adom: Option<RelId>,
     adom_refs: FxMap<Val, i64>,
-    counting_rules: Vec<usize>,
-    dred: Vec<DredStratum>,
+    /// The strata, bottom-up.
+    strata: Vec<Stratum>,
     /// Per rule, its prepared occurrences.
     plans: Vec<RulePlans>,
     /// The relations the maintenance state owns: the IDB heads and `ADom`.
@@ -286,27 +254,21 @@ impl MaterializedView {
         strategy: EvalStrategy,
     ) -> Result<MaterializedView, ProgramError> {
         let strat = p.stratify()?;
-        let mut counting_rules: Vec<usize> = Vec::new();
-        let mut dred: Vec<DredStratum> = Vec::new();
         let mut rec: Vec<FxSet<RelId>> = vec![fxset(); p.rules.len()];
+        let mut strata: Vec<Stratum> = Vec::new();
         for stratum in &strat.rule_strata {
             let heads: FxSet<RelId> = stratum.iter().map(|&i| p.rules[i].head.rel).collect();
-            if stratum_is_acyclic(p, stratum, &heads) {
-                counting_rules.extend(stratum.iter().copied());
-            } else {
-                let mut body_rels = fxset();
-                let mut neg_rels = fxset();
-                for &ri in stratum {
-                    body_rels.extend(p.rules[ri].body.iter().map(|a| a.rel));
-                    neg_rels.extend(p.rules[ri].negated.iter().map(|a| a.rel));
-                    rec[ri] = heads.clone();
-                }
-                dred.push(DredStratum {
-                    rules: stratum.clone(),
-                    body_rels,
-                    neg_rels,
-                });
+            let (mut body_rels, mut neg_rels) = (fxset(), fxset());
+            for &ri in stratum {
+                body_rels.extend(p.rules[ri].body.iter().map(|a| a.rel));
+                neg_rels.extend(p.rules[ri].negated.iter().map(|a| a.rel));
+                rec[ri] = heads.clone();
             }
+            strata.push(Stratum {
+                rules: stratum.clone(),
+                body_rels,
+                neg_rels,
+            });
         }
         let adom = adom_id();
         let mut view = MaterializedView {
@@ -314,11 +276,9 @@ impl MaterializedView {
             strategy,
             applied_epoch: 0,
             db: Instance::new(),
-            counts: fxmap(),
             adom: reads_adom(p).then_some(adom),
             adom_refs: fxmap(),
-            counting_rules,
-            dred,
+            strata,
             plans: (p.rules.iter().zip(&rec))
                 .map(|(r, rec)| RulePlans::new(r, rec))
                 .collect(),
@@ -343,15 +303,6 @@ impl MaterializedView {
         self.db = fixpoint(&self.program, base, self.strategy, self.adom.is_some())
             .expect("program stratified when the view was built");
         self.db.refresh_tries();
-        self.counts.clear();
-        for &ri in &self.counting_rules {
-            let r = &self.program.rules[ri];
-            QueryPlan::new(std::slice::from_ref(r), EvalStrategy::Wcoj)
-                .expect("a stratified program's rules are safe")
-                .run(&self.db, &mut |h| {
-                    *self.counts.entry(h).or_insert(0) += 1;
-                });
-        }
         self.adom_refs.clear();
         if self.adom.is_some() {
             for f in base.iter() {
@@ -405,20 +356,20 @@ impl MaterializedView {
     fn apply_entries(&mut self, entries: &[DeltaEntry]) {
         #[cfg(test)]
         let epoch = self.db.epoch();
-        let mut ctx = Ctx::new(self.dred.len());
+        let mut log = Vec::new();
         for e in entries {
             match e.op {
                 DeltaOp::Insert => {
-                    self.count_adom(&mut ctx, &e.fact, 1);
-                    self.push(&mut ctx, DeltaOp::Insert, e.fact.clone());
+                    self.count_adom(&mut log, &e.fact, 1);
+                    self.push(&mut log, DeltaOp::Insert, e.fact.clone());
                 }
                 DeltaOp::Delete => {
-                    self.push(&mut ctx, DeltaOp::Delete, e.fact.clone());
-                    self.count_adom(&mut ctx, &e.fact, -1);
+                    self.push(&mut log, DeltaOp::Delete, e.fact.clone());
+                    self.count_adom(&mut log, &e.fact, -1);
                 }
             }
         }
-        self.settle(&mut ctx);
+        self.settle(&mut log);
         #[cfg(test)]
         tests::VIEW_WRITES.with(|c| c.set(c.get() + self.db.epoch() - epoch));
     }
@@ -426,7 +377,7 @@ impl MaterializedView {
     /// Move the `ADom` reference counts of `f`'s values by `by`, pushing
     /// the `ADom` fact of each value that enters or leaves the active
     /// domain. Nothing for a program that does not read `ADom`.
-    fn count_adom(&mut self, ctx: &mut Ctx, f: &Fact, by: i64) {
+    fn count_adom(&mut self, log: &mut BatchLog, f: &Fact, by: i64) {
         let Some(adom) = self.adom else {
             return;
         };
@@ -441,112 +392,45 @@ impl MaterializedView {
             } else {
                 continue;
             };
-            self.push(ctx, op, Fact::new(adom, [v]));
+            self.push(log, op, Fact::new(adom, [v]));
         }
     }
 
-    /// Apply one membership change to the database and record it for the
-    /// cascade (counting queue) and for the DRed strata (batch log).
-    fn push(&mut self, ctx: &mut Ctx, op: DeltaOp, f: Fact) {
+    /// Apply one membership change to the database and record it in the
+    /// batch log.
+    fn push(&mut self, log: &mut BatchLog, op: DeltaOp, f: Fact) {
         let changed = match op {
             DeltaOp::Insert => self.db.insert(f.clone()),
             DeltaOp::Delete => self.db.remove(&f),
         };
         debug_assert!(changed, "delta entries are real membership changes");
-        self.emit(ctx, op, f);
+        log.push((op, f));
     }
 
-    /// Record an already-applied membership change (the counting drain
-    /// applies its recounts itself).
-    fn emit(&self, ctx: &mut Ctx, op: DeltaOp, f: Fact) {
-        if !self.counting_rules.is_empty() {
-            if op == DeltaOp::Delete {
-                ctx.graveyard.insert(f.clone());
-            }
-            ctx.queue.push_back(f.clone());
+    /// Run the cascade to quiescence: each stratum, bottom-up, settles
+    /// every change logged before it — the batch's own and the lower
+    /// strata's — and logs its net change for the strata above.
+    /// Dependencies only point upward, so one sweep settles.
+    fn settle(&mut self, log: &mut BatchLog) {
+        let strata = std::mem::take(&mut self.strata);
+        for stratum in &strata {
+            self.dred_stratum(log, stratum);
         }
-        ctx.batchlog.push((op, f));
+        self.strata = strata;
     }
 
-    /// Run the cascade to quiescence: drain the counting queue, then give
-    /// each recursive stratum (bottom-up) its slice of the batch log,
-    /// draining again after each so counting rules between strata see
-    /// fresh state. Dependencies only point upward, so one sweep settles.
-    fn settle(&mut self, ctx: &mut Ctx) {
-        self.drain_counting(ctx);
-        for s in 0..self.dred.len() {
-            self.dred_stratum(ctx, s);
-            self.drain_counting(ctx);
-        }
-        debug_assert!(ctx.queue.is_empty());
-    }
-
-    /// Pop applied changes, discover candidate heads of counting rules by
-    /// occurrence unification over the database and the refresh's
-    /// graveyard (over-approximate: negation checks skipped), and recount
-    /// each candidate exactly against the current database.
-    fn drain_counting(&mut self, ctx: &mut Ctx) {
-        #[cfg(test)]
-        let epoch = self.db.epoch();
-        let mut cands: Vec<Fact> = Vec::new();
-        while let Some(f) = ctx.queue.pop_front() {
-            let union = [&self.db, &ctx.graveyard];
-            let occurrences = (self.counting_rules.iter())
-                .flat_map(|&ri| self.plans[ri].pos.iter().chain(&self.plans[ri].neg));
-            Step::new(occurrences, false, &union)
-                .run(&f, &mut |o, vals| cands.push(o.ground(vals)));
-            cands.sort_unstable();
-            cands.dedup();
-            for h in cands.drain(..) {
-                let n = self.recount(&h);
-                let present = self.db.contains(&h);
-                if n > 0 {
-                    self.counts.insert(h.clone(), n);
-                    if !present {
-                        self.db.insert(h.clone());
-                        self.emit(ctx, DeltaOp::Insert, h);
-                    }
-                } else {
-                    self.counts.remove(&h);
-                    if present {
-                        self.db.remove(&h);
-                        self.emit(ctx, DeltaOp::Delete, h);
-                    }
-                }
-            }
-        }
-        #[cfg(test)]
-        tests::DRAIN_WRITES.with(|c| c.set(c.get() + self.db.epoch() - epoch));
-    }
-
-    /// The exact derivation count of `h` over all counting rules with its
-    /// head relation, against the current database (full semantics).
-    fn recount(&self, h: &Fact) -> i64 {
-        let mut n = 0;
-        let heads = self.counting_rules.iter().map(|&ri| &self.plans[ri].head);
-        Step::new(heads, true, &[&self.db]).run(h, &mut |_, _| n += 1);
-        n
-    }
-
-    /// Delete–rederive for recursive stratum `s`, consuming the batch-log
-    /// entries accumulated since its last run: three phases decide what
-    /// changes against the unchanged database, then one commit writes
-    /// the net change.
-    fn dred_stratum(&mut self, ctx: &mut Ctx, s: usize) {
-        let start = ctx.cursors[s];
-        ctx.cursors[s] = ctx.batchlog.len();
-        if start >= ctx.batchlog.len() {
-            return;
-        }
-        let stratum = self.dred[s].clone();
+    /// Delete–rederive for `stratum`, given the batch log so far: three
+    /// phases decide what changes against the unchanged database, then
+    /// one commit writes the net change.
+    fn dred_stratum(&mut self, log: &mut BatchLog, stratum: &Stratum) {
         let relevant =
             |f: &Fact| stratum.body_rels.contains(&f.rel) || stratum.neg_rels.contains(&f.rel);
-        // Net change per relevant fact across the slice: the first op
-        // tells presence at the slice start, the last op presence now;
-        // transients (insert+delete) cancel.
+        // Net change per relevant fact across the log: the first op tells
+        // presence before the batch, the last op presence now; transients
+        // (insert+delete) cancel.
         let mut first: FxMap<Fact, DeltaOp> = fxmap();
         let mut last: FxMap<Fact, DeltaOp> = fxmap();
-        for (op, f) in &ctx.batchlog[start..] {
+        for (op, f) in log.iter() {
             if relevant(f) {
                 first.entry(f.clone()).or_insert(*op);
                 last.insert(f.clone(), *op);
@@ -585,17 +469,9 @@ impl MaterializedView {
         let mut over: FxSet<Fact> = fxset();
         {
             let mut steps = [
-                Step::new(
-                    self.occurrences(&stratum, |p| &p.pos[..]),
-                    false,
-                    &with_gone,
-                ),
-                Step::new(
-                    self.occurrences(&stratum, |p| &p.neg[..]),
-                    false,
-                    &with_gone,
-                ),
-                Step::new(self.occurrences(&stratum, |p| &p.pos[..]), false, &db),
+                Step::new(self.occurrences(stratum, |p| &p.pos[..]), false, &with_gone),
+                Step::new(self.occurrences(stratum, |p| &p.neg[..]), false, &with_gone),
+                Step::new(self.occurrences(stratum, |p| &p.pos[..]), false, &db),
             ];
             let blocked = ins.iter().filter(|i| stratum.neg_rels.contains(&i.rel));
             let mut work: Vec<(Fact, usize)> = (del.iter().map(|d| (d.clone(), 0)))
@@ -624,7 +500,7 @@ impl MaterializedView {
         // phase 3, which the facts that pass here seed.
         let mut alive: FxSet<Fact> = {
             let mut heads = Step::new(
-                self.occurrences(&stratum, |p| std::slice::from_ref(&p.head)),
+                self.occurrences(stratum, |p| std::slice::from_ref(&p.head)),
                 true,
                 &db,
             );
@@ -662,8 +538,8 @@ impl MaterializedView {
             {
                 let union = [&self.db, &fresh];
                 let mut steps = [
-                    Step::new(self.occurrences(&stratum, |p| &p.pos[..]), true, &union),
-                    Step::new(self.occurrences(&stratum, |p| &p.neg[..]), true, &union),
+                    Step::new(self.occurrences(stratum, |p| &p.pos[..]), true, &union),
+                    Step::new(self.occurrences(stratum, |p| &p.neg[..]), true, &union),
                 ];
                 let dead = |f: &Fact| over.contains(f) && !alive.contains(f);
                 for (x, k) in &seeds {
@@ -689,19 +565,17 @@ impl MaterializedView {
         let mut net_ins: Vec<Fact> = fresh.iter().cloned().collect();
         net_ins.sort_unstable();
         for f in over_sorted.into_iter().filter(|h| !alive.contains(h)) {
-            self.push(ctx, DeltaOp::Delete, f);
+            self.push(log, DeltaOp::Delete, f);
         }
         for f in net_ins {
-            self.push(ctx, DeltaOp::Insert, f);
+            self.push(log, DeltaOp::Insert, f);
         }
-        // Skip our own emissions when this stratum next consumes the log.
-        ctx.cursors[s] = ctx.batchlog.len();
     }
 
     /// The occurrences `pick` takes from each of `stratum`'s rules.
     fn occurrences<'a>(
         &'a self,
-        stratum: &'a DredStratum,
+        stratum: &'a Stratum,
         pick: fn(&RulePlans) -> &[Occurrence],
     ) -> impl Iterator<Item = &'a Occurrence> {
         (stratum.rules.iter()).flat_map(move |&ri| pick(&self.plans[ri]))
@@ -712,59 +586,18 @@ impl MaterializedView {
         ViewStats {
             incremental_applied: self.incremental_applied,
             full_rebuilds: self.full_rebuilds,
-            counting_rules: self.counting_rules.len(),
-            dred_strata: self.dred.len(),
+            strata: self.strata.len(),
         }
     }
-}
-
-/// Is the intra-stratum positive head-dependency graph acyclic? (Longest-
-/// path stratification puts positive chains in one stratum; only cycles —
-/// recursion — force DRed.)
-fn stratum_is_acyclic(p: &Program, stratum: &[usize], heads: &FxSet<RelId>) -> bool {
-    let mut adj: FxMap<RelId, Vec<RelId>> = heads.iter().map(|&h| (h, Vec::new())).collect();
-    let mut indeg: FxMap<RelId, usize> = heads.iter().map(|&h| (h, 0)).collect();
-    let mut edges: FxSet<(RelId, RelId)> = fxset();
-    for &ri in stratum {
-        let r = &p.rules[ri];
-        for a in &r.body {
-            if heads.contains(&a.rel) && edges.insert((a.rel, r.head.rel)) {
-                adj.get_mut(&a.rel)
-                    .expect("body relation is a stratum head")
-                    .push(r.head.rel);
-                *indeg
-                    .get_mut(&r.head.rel)
-                    .expect("rule head is a stratum head") += 1;
-            }
-        }
-    }
-    let mut queue: Vec<RelId> = indeg
-        .iter()
-        .filter(|(_, &d)| d == 0)
-        .map(|(&n, _)| n)
-        .collect();
-    let mut seen = 0usize;
-    while let Some(n) = queue.pop() {
-        seen += 1;
-        for &m in &adj[&n] {
-            let d = indeg.get_mut(&m).expect("edge target is a stratum head");
-            *d -= 1;
-            if *d == 0 {
-                queue.push(m);
-            }
-        }
-    }
-    seen == heads.len()
 }
 
 /// Diagnostics of the writer's built view for `(p, strategy)`, without
 /// refreshing it.
 pub fn view_stats(p: &Program, w: &ViewWriter, strategy: EvalStrategy) -> Option<ViewStats> {
-    let held = w
-        .views
-        .iter()
-        .find(|v| v.strategy == strategy && v.program == *p)?;
-    held.view.as_ref().map(MaterializedView::stats)
+    w.held(p, strategy)?
+        .view
+        .as_ref()
+        .map(MaterializedView::stats)
 }
 
 #[cfg(test)]
@@ -785,8 +618,6 @@ mod tests {
         pub(super) static REDERIVE_PROBES: Cell<u64> = const { Cell::new(0) };
         /// Facts overdeleted by DRed on this thread.
         pub(super) static OVERDELETED: Cell<u64> = const { Cell::new(0) };
-        /// Database mutations made inside the counting drain.
-        pub(super) static DRAIN_WRITES: Cell<u64> = const { Cell::new(0) };
         /// Semi-naive rounds run by DRed's insert phase.
         pub(super) static INSERT_ROUNDS: Cell<u64> = const { Cell::new(0) };
         /// Mutations of a view's database made by incremental refreshes.
@@ -857,8 +688,10 @@ mod tests {
         assert_eq!(stats.incremental_applied, 2);
     }
 
+    /// A recursion-free program is maintained like any other: one DRed
+    /// pass per stratum, here a join below a negation.
     #[test]
-    fn counting_maintains_nonrecursive_strata() {
+    fn nonrecursive_strata_are_maintained_by_dred() {
         let p = parse_program(
             "J(x,z) <- R(x,y), S(y,z)
              K(x) <- J(x,x), not T(x)",
@@ -867,9 +700,7 @@ mod tests {
         let mut db = Instance::from_facts([fact("R", &[1, 2]), fact("S", &[2, 1])]);
         let mut view = MaterializedView::new(&p, &db, EvalStrategy::Auto).unwrap();
         assert!(view.refresh(&db).contains(&fact("K", &[1])));
-        let stats = view.stats();
-        assert_eq!(stats.dred_strata, 0);
-        assert_eq!(stats.counting_rules, 2);
+        assert_eq!(view.stats().strata, 2);
 
         // Negation flip: inserting T(1) retracts K(1).
         db.insert(fact("T", &[1]));
@@ -946,7 +777,7 @@ mod tests {
         let mut db =
             Instance::from_facts([fact("E", &[1, 2]), fact("E", &[2, 3]), fact("E", &[3, 4])]);
         let mut view = MaterializedView::new(&p, &db, EvalStrategy::Auto).unwrap();
-        assert_eq!(view.stats().dred_strata, 1);
+        assert_eq!(view.stats().strata, 1);
 
         // Cutting the middle edge splits the chain; DRed must retract
         // every path through it but keep 1→2 and 3→4.
@@ -1024,8 +855,8 @@ mod tests {
     fn views_live_on_the_writer_not_on_the_instance() {
         let p = parse_program("TC(x,y) <- E(x,y)").unwrap();
         let mut w = ViewWriter::new(Instance::from_facts([fact("E", &[1, 2])]));
-        w.register(p.clone(), EvalStrategy::Auto);
-        w.register(p.clone(), EvalStrategy::Auto);
+        w.register(&p, EvalStrategy::Auto);
+        w.register(&p, EvalStrategy::Auto);
         // Registered, not yet built: nothing to report until a refresh.
         assert!(view_stats(&p, &w, EvalStrategy::Auto).is_none());
         let (out, err) = w.refresh_views();
@@ -1045,8 +876,8 @@ mod tests {
         let good = parse_program("TC(x,y) <- E(x,y)").unwrap();
         let bad = parse_program("P(x) <- E(x,y), not Q(x)\nQ(x) <- E(x,y), not P(x)").unwrap();
         let mut w = ViewWriter::new(Instance::from_facts([fact("E", &[1, 2])]));
-        w.register(good.clone(), EvalStrategy::Auto);
-        w.register(bad.clone(), EvalStrategy::Auto);
+        w.register(&good, EvalStrategy::Auto);
+        w.register(&bad, EvalStrategy::Auto);
         let (out, err) = w.refresh_views();
         assert!(err.is_some());
         assert_eq!(out.len(), 1);
@@ -1072,10 +903,10 @@ mod tests {
     }
 
     #[test]
-    fn mixed_counting_and_dred_strata_interleave() {
-        // Stratum tower: counting (J) feeds recursion (TC) feeds
-        // counting-with-negation (Iso) — the settle loop must hand
-        // changes upward across algorithm boundaries.
+    fn strata_settle_bottom_up_across_negation() {
+        // Stratum tower: a join (J) feeds recursion (TC) feeds a
+        // complement through negation (Iso) — the settle loop must hand
+        // each stratum's net change to the strata above it.
         let p = parse_program(
             "J(x,y) <- R(x,y), S(y)
              TC(x,y) <- J(x,y)
@@ -1090,12 +921,10 @@ mod tests {
             fact("S", &[2]),
         ]);
         let mut view = MaterializedView::new(&p, &db, EvalStrategy::Auto).unwrap();
-        let stats = view.stats();
         // Longest-path stratification pulls the (nonrecursive) J rule
-        // into the recursive stratum, so DRed owns it too; the Iso rule
-        // sits above the negation and is counting-maintained.
-        assert_eq!(stats.dred_strata, 1);
-        assert_eq!(stats.counting_rules, 1);
+        // into the recursive stratum; the Iso rule sits above the
+        // negation, in a stratum of its own.
+        assert_eq!(view.stats().strata, 2);
         // Deleting S(2) kills J(1,2), the 1↔2 cycle, and resurrects Iso.
         db.remove(&fact("S", &[2]));
         assert_matches_scratch(&mut view, &db);
@@ -1130,10 +959,8 @@ mod tests {
     /// group's). Rederive is one probe per overdeleted fact — the
     /// iterate-to-fixpoint loop re-probed the set once per chain step
     /// the alternatives lay behind (1 774 probes for 178 facts on one
-    /// such batch) — and the TC view, which has no counting rule, never
-    /// touches its database in the counting drain (the per-pop re-add
-    /// made 11 605 mutations there). DRed writes the database only to
-    /// commit the net change.
+    /// such batch) — and DRed writes the database only to commit the net
+    /// change.
     #[test]
     fn chord_retraction_probes_each_overdeleted_fact_once() {
         let p = parse_program("T(x,y) <- E(x,y)\nT(x,z) <- E(x,y), T(y,z)").unwrap();
@@ -1152,7 +979,6 @@ mod tests {
         }
         take(&REDERIVE_PROBES);
         take(&OVERDELETED);
-        take(&DRAIN_WRITES);
         take(&BINDS);
         take(&VIEW_WRITES);
         take(&INSERT_ROUNDS);
@@ -1173,7 +999,6 @@ mod tests {
             binds <= 3 + 2 + rounds,
             "{binds} binds in {rounds} insert rounds"
         );
-        assert_eq!(take(&DRAIN_WRITES), 0);
         // The view's database takes only the net change: three edges and
         // 57 paths to a spur out (1 268 writes when DRed removed the
         // overdeleted set and put 600 back). The program does not read
@@ -1190,10 +1015,10 @@ mod tests {
         assert_eq!(take(&VIEW_WRITES), 3 + 27 + 30);
     }
 
-    /// The counting drain reads the refresh's deleted facts beside the
+    /// The overdelete reads the refresh's deleted facts beside the
     /// database instead of re-adding them: a batch that deletes both
-    /// supports of a join still retracts its head, and the drain's only
-    /// writes are the recounted heads themselves.
+    /// supports of a join still retracts its head, and the refresh's only
+    /// writes are the two base deletions and the retracted heads.
     #[test]
     fn counting_finds_heads_whose_supports_died_together() {
         let p = parse_program("J(x,z) <- R(x,y), S(y,z)").unwrap();
@@ -1202,12 +1027,49 @@ mod tests {
         let mut view = MaterializedView::new(&p, &db, EvalStrategy::Auto).unwrap();
         db.remove(&fact("R", &[1, 2]));
         db.remove(&fact("S", &[2, 3]));
-        take(&DRAIN_WRITES);
+        take(&VIEW_WRITES);
         let out = view.refresh(&db);
         assert!(!out.contains(&fact("J", &[1, 3])) && !out.contains(&fact("J", &[4, 3])));
         assert_matches_scratch(&mut view, &db);
-        // J(1,3) and J(4,3) retracted: two writes, none to find them.
-        assert_eq!(take(&DRAIN_WRITES), 2);
+        // R(1,2) and S(2,3) out, then J(1,3) and J(4,3): no other write.
+        assert_eq!(take(&VIEW_WRITES), 2 + 2);
+    }
+
+    /// Two rules in one recursion-free stratum, the second reading the
+    /// first's head: retracting one of `J(1,4)`'s two witnesses
+    /// overdeletes it and the `K` facts above it, rederives `J(1,4)` from
+    /// the other witness, and the insert phase brings the `K` facts back.
+    /// Only the base deletion is written.
+    #[test]
+    fn a_second_witness_keeps_a_nonrecursive_stratum() {
+        let p = parse_program(
+            "J(x,z) <- R(x,y), S(y,z)
+             K(x,w) <- J(x,y), S(y,w)",
+        )
+        .unwrap();
+        let mut db = Instance::from_facts([
+            fact("R", &[1, 2]),
+            fact("R", &[1, 3]),
+            fact("S", &[2, 4]),
+            fact("S", &[3, 4]),
+            fact("S", &[4, 5]),
+            fact("S", &[4, 6]),
+        ]);
+        let mut view = MaterializedView::new(&p, &db, EvalStrategy::Auto).unwrap();
+        assert_eq!(view.stats().strata, 1);
+        db.remove(&fact("R", &[1, 2]));
+        take(&OVERDELETED);
+        take(&REDERIVE_PROBES);
+        take(&VIEW_WRITES);
+        let out = view.refresh(&db);
+        for f in [fact("J", &[1, 4]), fact("K", &[1, 5]), fact("K", &[1, 6])] {
+            assert!(out.contains(&f), "{f} must survive");
+        }
+        assert_matches_scratch(&mut view, &db);
+        assert_eq!(take(&OVERDELETED), 3);
+        assert_eq!(take(&REDERIVE_PROBES), 3);
+        assert_eq!(take(&VIEW_WRITES), 1);
+        assert_eq!(view.stats().full_rebuilds, 0);
     }
 
     /// A constant inequality is decided on entry to every probe, even

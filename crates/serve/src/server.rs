@@ -142,7 +142,7 @@ impl Server {
     /// `parlog_datalog::view_key_for(&p, strategy)`, so `Program`
     /// requests for it are answered in O(1).
     pub fn register_view(&self, p: Program, strategy: EvalStrategy) {
-        self.store.mutate(|w| w.register(p, strategy));
+        self.store.mutate(|w| w.register(&p, strategy));
     }
 
     /// Publish the writer's state as a new snapshot, first refreshing

@@ -501,10 +501,10 @@ proptest! {
     }
 
     /// Differential test of incremental view maintenance: a maintained
-    /// fixpoint (counting for recursion-free strata, delete–rederive for
-    /// recursive ones), refreshed from the delta log after random
-    /// batches of inserts and deletes, is identical to from-scratch
-    /// evaluation — for every local-join strategy, on programs covering
+    /// fixpoint (delete–rederive for every stratum, recursive or not),
+    /// refreshed from the delta log after random batches of inserts and
+    /// deletes, is identical to from-scratch evaluation — for every
+    /// local-join strategy, on programs covering
     /// recursion (linear, and quadratic: two premises from the recursive
     /// stratum, both possibly retracted), mutual recursion, stratified
     /// negation over `ADom` complements, recursion through negation of a
@@ -528,7 +528,7 @@ proptest! {
             // Complement of TC: negation + ADom above the recursion.
             "TC(x,y) <- E(x,y)\nTC(x,y) <- TC(x,z), E(z,y)\n\
              NT(x,y) <- ADom(x), ADom(y), not TC(x,y)",
-            // Stratified negation chain, recursion-free (counting).
+            // Stratified negation chain, recursion-free.
             "A(x) <- E(x,y)\nB(x) <- R(x,y), not A(x)\nC(x) <- A(x), not B(x)",
             // Mutual recursion (one cyclic stratum).
             "P(x,y) <- E(x,y)\nQ(x,y) <- P(x,z), E(z,y)\nP(x,y) <- Q(x,z), E(z,y)",
