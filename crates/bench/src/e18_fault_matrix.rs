@@ -16,7 +16,7 @@
 
 use crate::{json_record, section, Table};
 use parlog::fault_matrix::{fault_matrix, FaultMatrix};
-use parlog::faults::{FaultPlan, MpcFaultPlan};
+use parlog::faults::{CrashKind, FaultPlan};
 use parlog::mpc::cluster::Cluster;
 use parlog::mpc::report::RunReport;
 use parlog::prelude::*;
@@ -99,16 +99,16 @@ fn mpc_recovery() -> MpcRecovery {
         }
     };
     let route = |f: &parlog::relal::fact::Fact| vec![(f.args[1].0 % 4) as usize];
-    let run = |plan: MpcFaultPlan| {
+    let run = |plan: FaultPlan| {
         let mut c = Cluster::new(4).with_faults(plan);
         seed_facts(&mut c);
         c.communicate(route);
         c.communicate(|f: &parlog::relal::fact::Fact| vec![(f.args[0].0 % 4) as usize]);
         c
     };
-    let clean = run(MpcFaultPlan::none());
-    let faulty = run(MpcFaultPlan::crash(0, 1)
-        .with_crash(2, 2)
+    let clean = run(FaultPlan::none(0));
+    let faulty = run(FaultPlan::crash_stop(0, 1, 0)
+        .with_crash(2, 2, CrashKind::Stop)
         .with_straggler(1, 3.0));
     let output_matches = clean.union_all() == faulty.union_all();
     let loads_match = clean

@@ -23,13 +23,14 @@
 
 use crate::{f3, json_record, section, Table};
 use parlog::fault_matrix::{fault_matrix, Verdict};
-use parlog::faults::{FaultPlan, MpcFaultPlan, SpeculationPolicy};
+use parlog::faults::{FaultPlan, SpeculationPolicy};
 use parlog::mpc::cluster::Cluster;
 use parlog::mpc::datagen;
 use parlog::mpc::report::RunReport;
 use parlog::prelude::*;
 use parlog::relal::fact::fact;
 use parlog::supervisor::prelude::*;
+use parlog::trace::TraceHandle;
 use parlog::transducer::prelude::*;
 
 /// The F0 workload shared by the supervised-run sections: the path
@@ -117,6 +118,7 @@ fn detect_and_heal() -> DetectHeal {
             &plan,
             QueryMode::Monotone,
             &config,
+            &TraceHandle::off(),
         );
         let exact = out.verdict.answer() == Some(&expected) && out.verdict.is_exact();
         all_exact &= exact;
@@ -172,6 +174,7 @@ fn degradation() -> Degradation {
         &plan,
         QueryMode::Monotone,
         &config,
+        &TraceHandle::off(),
     );
     let (answered, sound, coverage, missing_nodes, missing_facts) = match &mono.verdict {
         Degraded::Partial {
@@ -208,6 +211,7 @@ fn degradation() -> Degradation {
         &FaultPlan::crash_stop(seed, 0, 4),
         QueryMode::NonMonotone,
         &config,
+        &TraceHandle::off(),
     );
     let (refused, reason) = match &non.verdict {
         Degraded::Refused { reason, .. } => (true, reason.to_string()),
@@ -246,10 +250,11 @@ fn barrier_fix() -> BarrierFix {
 /// Claim 4a: speculative backups cut the tail, change nothing else.
 fn speculation() -> Speculation {
     let run = |spec: Option<SpeculationPolicy>| {
-        let mut c = Cluster::new(8).with_faults(MpcFaultPlan::none().with_straggler(3, 9.0));
-        if let Some(s) = spec {
-            c = c.with_speculation(s);
-        }
+        let plan = FaultPlan::none(0).with_straggler(3, 9.0);
+        let mut c = Cluster::new(8).with_faults(FaultPlan {
+            speculation: spec,
+            ..plan
+        });
         for s in 0..8u64 {
             c.place(
                 s as usize,

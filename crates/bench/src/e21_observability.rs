@@ -26,7 +26,7 @@
 use std::sync::Arc;
 
 use crate::{f3, json_record, section, Table};
-use parlog::faults::{FaultPlan, MpcFaultPlan, SpeculationPolicy};
+use parlog::faults::{FaultPlan, SpeculationPolicy};
 use parlog::mpc::cluster::Cluster;
 use parlog::mpc::datagen;
 use parlog::mpc::hypercube::HypercubeAlgorithm;
@@ -34,7 +34,7 @@ use parlog::mpc::partition::{seed_cluster, InitialPartition};
 use parlog::prelude::*;
 use parlog::relal::packing::hypercube_load_exponent;
 use parlog::supervisor::degrade::QueryMode;
-use parlog::supervisor::supervise::{supervise_traced, SupervisorConfig};
+use parlog::supervisor::supervise::{supervise, SupervisorConfig};
 use parlog::trace::{FaultEventKind, LoadBound, MemSink, TraceHandle};
 use parlog::transducer::distribution::hash_distribution;
 use parlog::transducer::prelude::MonotoneBroadcast;
@@ -80,11 +80,14 @@ fn traced_faulty_json(q: &ConjunctiveQuery, db: &Instance, p: usize, threads: us
     let mut cluster = Cluster::new(hc.servers())
         .with_parallelism(threads)
         .with_trace(TraceHandle::to(sink.clone()))
-        .with_faults(MpcFaultPlan::crash(0, 2).with_straggler(1, 4.0))
-        .with_speculation(SpeculationPolicy {
-            threshold: 1.5,
-            min_load: 2,
-        });
+        .with_faults(
+            FaultPlan::crash_stop(0, 2, 0)
+                .with_straggler(1, 4.0)
+                .with_speculation(SpeculationPolicy {
+                    threshold: 1.5,
+                    min_load: 2,
+                }),
+        );
     seed_cluster(&mut cluster, db, InitialPartition::RoundRobin);
     cluster.communicate(|f| hc.destinations(f));
     cluster.compute_query(q, EvalStrategy::Indexed);
@@ -142,7 +145,7 @@ fn supervised_section() -> SupervisedRecord {
     let plan = FaultPlan::crash_stop(2, 0, 6);
     let run_once = || {
         let sink = Arc::new(MemSink::new());
-        let out = supervise_traced(
+        let out = supervise(
             &program,
             &shards,
             Ctx::oblivious(),

@@ -28,7 +28,7 @@
 //! `BENCH_e23.json`).
 
 use crate::{best_ms, f3, json_record, section, Table};
-use parlog::faults::{CorruptKind, CorruptionPlan};
+use parlog::faults::{CorruptKind, FaultPlan};
 use parlog::mpc::cluster::Cluster;
 use parlog::prelude::*;
 use parlog::relal::eval::EvalStrategy;
@@ -215,7 +215,7 @@ pub fn record() -> E23 {
         for (s, sh) in shard(&db, P).into_iter().enumerate() {
             c.place(s, sh.iter().cloned());
         }
-        c.compute_union_verified(&u, EvalStrategy::Indexed, &CorruptionPlan::none(1));
+        c.compute_union_verified(&u, EvalStrategy::Indexed);
         c.union_all()
     };
     let mut detected = 0;
@@ -225,12 +225,12 @@ pub fn record() -> E23 {
     for seed in 0..SWEEPS as u64 {
         let kind = CorruptKind::ALL[seed as usize % CorruptKind::ALL.len()];
         let victim = seed as usize % P;
-        let mut c = Cluster::new(P);
+        let plan = FaultPlan::none(seed).with_corruption(0, victim, kind);
+        let mut c = Cluster::new(P).with_faults(plan);
         for (s, sh) in shard(&db, P).into_iter().enumerate() {
             c.place(s, sh.iter().cloned());
         }
-        let plan = CorruptionPlan::single(seed, 0, victim, kind);
-        let round = c.compute_union_verified(&u, EvalStrategy::Indexed, &plan);
+        let round = c.compute_union_verified(&u, EvalStrategy::Indexed);
         if round.detected.len() == 1 && round.detected[0].0 == victim {
             detected += 1;
             by_kind[seed as usize % CorruptKind::ALL.len()] += 1;
@@ -277,10 +277,9 @@ pub fn record() -> E23 {
     let mut latencies = Vec::new();
     const ROUNDS: usize = 8;
     for verify_every in [1usize, 2, 4, 8] {
-        let plan = CorruptionPlan::single(99, 1, 2, CorruptKind::Mutate);
-        let report = run_verified_rounds_cq(
-            &q,
-            ROUNDS,
+        let plan = FaultPlan::none(99).with_corruption(1, 2, CorruptKind::Mutate);
+        let report = run_verified_rounds(
+            &vec![UnionQuery::new(vec![q.clone()]); ROUNDS],
             &shards4,
             EvalStrategy::Indexed,
             &plan,

@@ -30,12 +30,13 @@
 //!    dictates.
 
 use crate::{f3, json_record, section, Table};
-use parlog::faults::{FaultPlan, MpcFaultPlan, PartitionPlan};
+use parlog::faults::{FaultPlan, PartitionPlan};
 use parlog::mpc::cluster::{Cluster, Routing};
 use parlog::mpc::quorum::{coordination_barrier, BarrierOutcome};
 use parlog::prelude::*;
 use parlog::relal::fact::fact;
 use parlog::supervisor::prelude::*;
+use parlog::trace::TraceHandle;
 use parlog::transducer::prelude::*;
 use parlog::transducer::scheduler::SimRun;
 
@@ -160,6 +161,7 @@ fn availability_under_permanent_split() -> Availability {
         &plan,
         QueryMode::Monotone,
         &SupervisorConfig::default(),
+        &TraceHandle::off(),
     );
     let (answered, coverage) = match &majority.verdict {
         Degraded::Partial { certificate, .. } => (true, certificate.coverage),
@@ -180,6 +182,7 @@ fn availability_under_permanent_split() -> Availability {
             monitor_home: 3,
             ..SupervisorConfig::default()
         },
+        &TraceHandle::off(),
     );
     let refusal = match &minority.verdict {
         Degraded::Refused { reason, .. } => match reason {
@@ -222,6 +225,7 @@ fn coverage_trajectory() -> Vec<CoverageRow> {
             &plan,
             QueryMode::Monotone,
             &config,
+            &TraceHandle::off(),
         );
         let (answered, coverage) = match &mono.verdict {
             Degraded::Partial { certificate, .. } => (true, certificate.coverage),
@@ -236,6 +240,7 @@ fn coverage_trajectory() -> Vec<CoverageRow> {
             &plan,
             QueryMode::NonMonotone,
             &config,
+            &TraceHandle::off(),
         );
         let reason = match &non.verdict {
             Degraded::Refused { reason, .. } => match reason {
@@ -280,11 +285,10 @@ fn mpc_drain() -> Vec<DrainRow> {
     let mut rows = Vec::new();
     let mut t = Table::new(&["duration", "held", "drain rounds", "exact"]);
     for duration in [1usize, 2, 4, 6] {
-        let mut c = Cluster::new(3).with_faults(MpcFaultPlan::partitioned(PartitionPlan::split(
+        let mut c = Cluster::new(3).with_faults(FaultPlan::partitioned(
             0,
-            duration,
-            &[1],
-        )));
+            PartitionPlan::split(0, duration, &[1]),
+        ));
         for s in 0..3 {
             c.place(s, db.iter().skip(s).step_by(3).cloned());
         }
@@ -321,7 +325,7 @@ fn mpc_drain() -> Vec<DrainRow> {
 /// Claim 4b: the coordination barrier under partition, four ways.
 fn barriers() -> Barriers {
     let fresh = |plan: PartitionPlan| {
-        let mut c = Cluster::new(3).with_faults(MpcFaultPlan::partitioned(plan));
+        let mut c = Cluster::new(3).with_faults(FaultPlan::partitioned(0, plan));
         for s in 0..3u64 {
             c.place(
                 s as usize,

@@ -61,9 +61,7 @@
 //! its failed snapshot-bound certificate, quarantines it and heals —
 //! [`Verdict::Consistent`] again).
 
-use parlog_faults::{
-    CorruptKind, CorruptionPlan, FaultClass, FaultPlan, MpcFaultPlan, PartitionPlan,
-};
+use parlog_faults::{CorruptKind, FaultClass, FaultPlan, PartitionPlan};
 use parlog_mpc::cluster::Cluster;
 use parlog_mpc::quorum::{coordination_barrier, BarrierOutcome};
 use parlog_relal::eval::eval_query;
@@ -357,12 +355,12 @@ pub fn fault_matrix_with_seeds(seeds: &[u64]) -> FaultMatrix {
         let (mut blind, mut verified) = (Vec::new(), Vec::new());
         for (i, &seed) in seeds.iter().enumerate() {
             let kind = CorruptKind::ALL[i % CorruptKind::ALL.len()];
-            let plan = CorruptionPlan::single(seed, 0, (seed as usize) % p, kind);
-            let mut c = seed_cluster(p);
-            c.compute_union_corrupted(&u, EvalStrategy::Indexed, &plan);
+            let plan = FaultPlan::none(seed).with_corruption(0, (seed as usize) % p, kind);
+            let mut c = seed_cluster(p).with_faults(plan.clone());
+            c.compute_union_corrupted(&u, EvalStrategy::Indexed);
             blind.push(c.union_all());
-            let mut c = seed_cluster(p);
-            let round = c.compute_query_verified(&q, EvalStrategy::Indexed, &plan);
+            let mut c = seed_cluster(p).with_faults(plan);
+            let round = c.compute_union_verified(&u, EvalStrategy::Indexed);
             debug_assert_eq!(round.detected.len(), round.corrupted.len());
             verified.push(c.union_all());
         }
@@ -444,7 +442,8 @@ pub fn fault_matrix_with_seeds(seeds: &[u64]) -> FaultMatrix {
         for &seed in seeds {
             let minority = (seed as usize) % p;
             let coordinator = (minority + 1) % p;
-            let perm = || MpcFaultPlan::partitioned(PartitionPlan::permanent_split(0, &[minority]));
+            let perm =
+                || FaultPlan::partitioned(seed, PartitionPlan::permanent_split(0, &[minority]));
             // The unguarded all-ack gate can never be met: the minority's
             // ack is held behind the severed link.
             let mut c = seed_cluster(p).with_faults(perm());
@@ -475,7 +474,8 @@ pub fn fault_matrix_with_seeds(seeds: &[u64]) -> FaultMatrix {
             }
             // Healing split: the held traffic flushes, the barrier
             // commits after the heal, and the answer converges exactly.
-            let mut c = seed_cluster(p).with_faults(MpcFaultPlan::partitioned(
+            let mut c = seed_cluster(p).with_faults(FaultPlan::partitioned(
+                seed,
                 PartitionPlan::split(0, 2, &[minority]),
             ));
             if !coordination_barrier(&mut c, minority, true, 8).committed() {

@@ -93,7 +93,7 @@ pub mod prelude {
     };
     pub use crate::queries;
     pub use crate::transfer::{covers, pc_transfers};
-    pub use parlog_faults::{FaultClass, FaultPlan, MessageFate, MpcFaultPlan, PartitionPlan};
+    pub use parlog_faults::{FaultClass, FaultPlan, MessageFate, PartitionPlan};
     pub use parlog_mpc::quorum::{coordination_barrier, BarrierOutcome};
     pub use parlog_relal::fact::Val;
     pub use parlog_relal::prelude::*;

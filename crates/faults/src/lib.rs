@@ -14,10 +14,13 @@
 //! * **Determinism.** Every probabilistic decision flows from one seeded
 //!   generator ([`FaultInjector`]); the same plan on the same run yields
 //!   the same faults. Experiments are replayable by seed.
-//! * **Substrate-agnostic.** Nodes/servers are plain `usize` ids; the
-//!   transducer scheduler consumes per-message [`MessageFate`]s and crash
-//!   events, the MPC cluster consumes per-round crash/straggler plans
-//!   ([`MpcFaultPlan`]).
+//! * **One plan, two substrates.** Nodes/servers are plain `usize` ids,
+//!   and one [`FaultPlan`] describes a run on either substrate. Each
+//!   substrate reads the parts it can enforce, on its own clock: the
+//!   transducer runtimes roll per-message [`MessageFate`]s and time
+//!   crashes by delivery step; the MPC cluster times crashes by round
+//!   attempt, partitions by committed round and corruptions by verified
+//!   round. A part a substrate cannot enforce is refused, not ignored.
 //! * **Faults compose.** A plan may combine classes; the canonical
 //!   single-class plans used by the fault-tolerance matrix come from
 //!   [`FaultPlan::for_class`].
@@ -147,13 +150,16 @@ pub enum CrashKind {
 pub struct CrashEvent {
     /// The node that crashes.
     pub node: usize,
-    /// Global delivery step at which the crash fires.
+    /// When the crash fires: the global delivery step in the transducer
+    /// runtimes, the communication-round attempt index on the MPC cluster.
     pub at_step: usize,
     /// Stop or recover.
     pub kind: CrashKind,
 }
 
-/// A deliberately slow server (MPC tail-latency accounting).
+/// A deliberately slow node: the MPC cluster scales its received load in
+/// the round's tail time; the threaded transducer runtime stalls it per
+/// message.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
 pub struct Straggler {
     /// The slow server.
@@ -163,20 +169,14 @@ pub struct Straggler {
     pub slowdown: f64,
 }
 
-/// The slowdown factor of `node` among `stragglers` (1.0 when healthy).
-fn slowdown_of(stragglers: &[Straggler], node: usize) -> f64 {
-    let slow = stragglers.iter().find(|s| s.node == node);
-    slow.map_or(1.0, |s| s.slowdown)
-}
-
 /// One partition epoch: between `start` (inclusive) and `heal`
 /// (exclusive) the node set is split into `blocks` that cannot exchange
 /// messages, plus optional asymmetric `one_way` severed links. Nodes
 /// not named in any block form one implicit residual block together.
 ///
 /// Clocks are substrate-relative: the transducer runtimes compare
-/// against the virtual clock, the MPC cluster against the (attempt-
-/// counted) round index.
+/// against the virtual clock, the MPC cluster against the committed-round
+/// index.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
 pub struct PartitionEpoch {
     /// First clock tick / round at which the links are severed.
@@ -465,7 +465,8 @@ impl RetransmitPolicy {
     /// deterministic jitter keyed by `(seed, from, dest, attempts)`.
     /// Always ≥ 1.
     pub fn backoff(&self, seed: u64, from: usize, dest: usize, attempts: u32) -> usize {
-        let exp = (self.backoff_base as u64).saturating_shl(attempts.min(32));
+        // A u32 shifted by at most 32 bits cannot overflow a u64.
+        let exp = u64::from(self.backoff_base) << attempts.min(32);
         let capped = exp.min(self.backoff_cap as u64).max(1);
         let span = capped * u64::from(self.jitter_pct.min(100)) / 100;
         if span == 0 {
@@ -475,25 +476,6 @@ impl RetransmitPolicy {
             seed ^ mix64((from as u64) << 32 | dest as u64).wrapping_add(u64::from(attempts)),
         );
         (capped - span + key % (span + 1)).max(1) as usize
-    }
-}
-
-/// `u64::checked_shl` that saturates instead of wrapping — backoff
-/// exponents can exceed 63 once retries pile up.
-trait SaturatingShl {
-    fn saturating_shl(self, rhs: u32) -> u64;
-}
-
-impl SaturatingShl for u64 {
-    fn saturating_shl(self, rhs: u32) -> u64 {
-        if self == 0 {
-            return 0;
-        }
-        if rhs >= self.leading_zeros() {
-            u64::MAX
-        } else {
-            self << rhs
-        }
     }
 }
 
@@ -523,7 +505,10 @@ impl Default for SpeculationPolicy {
     }
 }
 
-/// A complete, seeded description of the faults one run injects.
+/// A complete, seeded description of the faults one run injects, on
+/// either substrate. Each substrate reads the fields it can enforce and
+/// refuses a plan that sets one it cannot ([`FaultPlan::transducer_only`],
+/// [`FaultPlan::mpc_only`]).
 ///
 /// The all-zero plan (see [`FaultPlan::none`]) injects nothing: a
 /// scheduler driving a run through `FaultPlan::none` must behave exactly
@@ -547,13 +532,21 @@ pub struct FaultPlan {
     /// Per-message probability of the payload being corrupted in flight
     /// (Byzantine wrong-data faults; see [`FaultClass::Corrupt`]).
     pub corrupt_prob: f64,
-    /// Scheduled node crashes.
+    /// Scheduled node crashes, on the transducer runtimes' delivery step
+    /// or the MPC cluster's round attempt (replayed, whatever the kind).
     pub crashes: Vec<CrashEvent>,
-    /// Slow servers (consumed by the MPC cluster's load accounting).
+    /// Slow nodes: read by the MPC cluster's tail-time accounting and by
+    /// the threaded transducer runtime.
     pub stragglers: Vec<Straggler>,
-    /// When set, the runtime runs its reliable (ack/retransmit) mode.
+    /// Byzantine output corruptions of the MPC cluster's verified rounds;
+    /// [`FaultPlan::entropy`] derives how each one tampers from `seed`.
+    pub corruptions: Vec<CorruptEvent>,
+    /// When set, the transducer runtime runs its reliable mode.
     pub retransmit: Option<RetransmitPolicy>,
-    /// Scheduled network partitions (virtual-clock epochs).
+    /// When set, the MPC round barrier backs up straggler tasks.
+    pub speculation: Option<SpeculationPolicy>,
+    /// Scheduled network partitions: epochs on the transducer runtimes'
+    /// virtual clock, or on the MPC cluster's committed-round index.
     pub partition: Option<PartitionPlan>,
 }
 
@@ -570,7 +563,9 @@ impl FaultPlan {
             corrupt_prob: 0.0,
             crashes: Vec::new(),
             stragglers: Vec::new(),
+            corruptions: Vec::new(),
             retransmit: None,
+            speculation: None,
             partition: None,
         }
     }
@@ -631,27 +626,24 @@ impl FaultPlan {
 
     /// One crash-stop of `node` at delivery step `at_step`.
     pub fn crash_stop(seed: u64, node: usize, at_step: usize) -> FaultPlan {
-        FaultPlan {
-            crashes: vec![CrashEvent {
-                node,
-                at_step,
-                kind: CrashKind::Stop,
-            }],
-            ..FaultPlan::none(seed)
-        }
+        FaultPlan::none(seed).with_crash(node, at_step, CrashKind::Stop)
     }
 
     /// One crash-recover of `node` at `at_step`, down for `downtime`
     /// steps.
     pub fn crash_recover(seed: u64, node: usize, at_step: usize, downtime: usize) -> FaultPlan {
-        FaultPlan {
-            crashes: vec![CrashEvent {
-                node,
-                at_step,
-                kind: CrashKind::Recover { downtime },
-            }],
-            ..FaultPlan::none(seed)
-        }
+        FaultPlan::none(seed).with_crash(node, at_step, CrashKind::Recover { downtime })
+    }
+
+    /// Add a crash of `node` at `at_step` (see [`FaultPlan::crashes`] for
+    /// each substrate's clock).
+    pub fn with_crash(mut self, node: usize, at_step: usize, kind: CrashKind) -> FaultPlan {
+        self.crashes.push(CrashEvent {
+            node,
+            at_step,
+            kind,
+        });
+        self
     }
 
     /// The canonical single-class plan used by the fault-tolerance
@@ -704,6 +696,23 @@ impl FaultPlan {
         self
     }
 
+    /// Add a corruption: `server` lies in verified round `round`.
+    pub fn with_corruption(mut self, round: usize, server: usize, kind: CorruptKind) -> FaultPlan {
+        self.corruptions.push(CorruptEvent {
+            round,
+            server,
+            kind,
+        });
+        self
+    }
+
+    /// Add speculative re-execution of straggler tasks.
+    pub fn with_speculation(mut self, policy: SpeculationPolicy) -> FaultPlan {
+        assert!(policy.threshold >= 1.0, "cutoff below the median is absurd");
+        self.speculation = Some(policy);
+        self
+    }
+
     /// Does this plan inject nothing?
     pub fn is_benign(&self) -> bool {
         self.drop_prob == 0.0
@@ -712,6 +721,7 @@ impl FaultPlan {
             && self.delay_prob == 0.0
             && self.corrupt_prob == 0.0
             && self.crashes.is_empty()
+            && self.corruptions.is_empty()
             && self.partition.as_ref().is_none_or(PartitionPlan::is_benign)
     }
 
@@ -725,7 +735,54 @@ impl FaultPlan {
 
     /// Slowdown factor for `node` (1.0 when healthy).
     pub fn slowdown(&self, node: usize) -> f64 {
-        slowdown_of(&self.stragglers, node)
+        let slow = self.stragglers.iter().find(|s| s.node == node);
+        slow.map_or(1.0, |s| s.slowdown)
+    }
+
+    /// Does `node` crash at `step`?
+    pub fn crashes_at(&self, node: usize, step: usize) -> bool {
+        let mut crashes = self.crashes.iter();
+        crashes.any(|c| c.at_step == step && c.node == node)
+    }
+
+    /// The corruption (if any) scheduled for `server` in `round`.
+    pub fn event_for(&self, round: usize, server: usize) -> Option<CorruptKind> {
+        self.corruptions
+            .iter()
+            .find(|e| e.round == round && e.server == server)
+            .map(|e| e.kind)
+    }
+
+    /// Deterministic per-event entropy: how the tampering picks its
+    /// victim tuple and forged values.
+    pub fn entropy(&self, round: usize, server: usize) -> u64 {
+        mix64(self.seed ^ mix64(((round as u64) << 32) | server as u64))
+    }
+
+    /// The first field set here that only the transducer runtimes
+    /// enforce — the per-message fate table or `retransmit`. MPC rounds
+    /// are reliable by model, so a cluster refuses such a plan.
+    pub fn transducer_only(&self) -> Option<&'static str> {
+        let set = [
+            ("drop_prob", self.drop_prob > 0.0),
+            ("dup_prob", self.dup_prob > 0.0),
+            ("reorder_prob", self.reorder_prob > 0.0),
+            ("delay_prob", self.delay_prob > 0.0),
+            ("corrupt_prob", self.corrupt_prob > 0.0),
+            ("retransmit", self.retransmit.is_some()),
+        ];
+        set.into_iter().find_map(|(name, on)| on.then_some(name))
+    }
+
+    /// The first field set here that only the MPC cluster enforces —
+    /// `corruptions` or `speculation`; a transducer runtime refuses such
+    /// a plan.
+    pub fn mpc_only(&self) -> Option<&'static str> {
+        let set = [
+            ("corruptions", !self.corruptions.is_empty()),
+            ("speculation", self.speculation.is_some()),
+        ];
+        set.into_iter().find_map(|(name, on)| on.then_some(name))
     }
 }
 
@@ -776,94 +833,6 @@ impl FaultInjector {
     }
 }
 
-/// Per-round faults for the synchronous MPC substrate: server crashes by
-/// (round, server) plus stragglers, with a bounded retry budget for
-/// checkpoint/replay recovery.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
-pub struct MpcFaultPlan {
-    /// `(round, server)` pairs: the server crashes during that
-    /// communication round (0-based round index, counting every attempt
-    /// of every round in execution order — so a retried round can be hit
-    /// again).
-    pub crashes: Vec<(usize, usize)>,
-    /// Slow servers: their received load is scaled by `slowdown` in the
-    /// tail-time accounting.
-    pub stragglers: Vec<Straggler>,
-    /// Replay attempts allowed per round before the run panics (a real
-    /// system would escalate; the simulator treats budget exhaustion as
-    /// a test failure).
-    pub max_retries: u32,
-    /// Scheduled network partitions, with epoch clocks read as
-    /// **committed-round indices**: traffic whose source and
-    /// destination servers are in different blocks during an open epoch
-    /// is held at the source and flushed in the first round at or after
-    /// the heal.
-    pub partition: Option<PartitionPlan>,
-}
-
-impl MpcFaultPlan {
-    /// No faults.
-    pub fn none() -> MpcFaultPlan {
-        MpcFaultPlan {
-            crashes: Vec::new(),
-            stragglers: Vec::new(),
-            max_retries: 3,
-            partition: None,
-        }
-    }
-
-    /// Network partition per `plan` (round-indexed), nothing else.
-    pub fn partitioned(plan: PartitionPlan) -> MpcFaultPlan {
-        MpcFaultPlan {
-            partition: Some(plan),
-            ..MpcFaultPlan::none()
-        }
-    }
-
-    /// Add a partition schedule to this plan.
-    pub fn with_partition(mut self, plan: PartitionPlan) -> MpcFaultPlan {
-        self.partition = Some(plan);
-        self
-    }
-
-    /// Crash `server` during `round` (recovered by checkpoint/replay).
-    pub fn crash(round: usize, server: usize) -> MpcFaultPlan {
-        MpcFaultPlan {
-            crashes: vec![(round, server)],
-            ..MpcFaultPlan::none()
-        }
-    }
-
-    /// Add another crash.
-    pub fn with_crash(mut self, round: usize, server: usize) -> MpcFaultPlan {
-        self.crashes.push((round, server));
-        self
-    }
-
-    /// Add a straggler.
-    pub fn with_straggler(mut self, node: usize, slowdown: f64) -> MpcFaultPlan {
-        assert!(slowdown >= 1.0, "a straggler cannot be faster than healthy");
-        self.stragglers.push(Straggler { node, slowdown });
-        self
-    }
-
-    /// Does `server` crash during (attempt-counted) round `round`?
-    pub fn crashes_in(&self, round: usize, server: usize) -> bool {
-        self.crashes.contains(&(round, server))
-    }
-
-    /// Slowdown factor for `server` (1.0 when healthy).
-    pub fn slowdown(&self, server: usize) -> f64 {
-        slowdown_of(&self.stragglers, server)
-    }
-}
-
-impl Default for MpcFaultPlan {
-    fn default() -> MpcFaultPlan {
-        MpcFaultPlan::none()
-    }
-}
-
 /// How a Byzantine server tampers with its local computation output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
 pub enum CorruptKind {
@@ -892,77 +861,15 @@ impl CorruptKind {
     }
 }
 
-/// One scheduled output corruption.
+/// One scheduled output corruption of an MPC verified round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
 pub struct CorruptEvent {
-    /// The (attempt-counted) round in which the server lies.
+    /// The verified round in which the server lies.
     pub round: usize,
     /// The Byzantine server.
     pub server: usize,
     /// How it lies.
     pub kind: CorruptKind,
-}
-
-/// A seeded plan of Byzantine output corruptions for the MPC substrate —
-/// the wrong-*answer* counterpart of [`MpcFaultPlan`]'s omission faults.
-/// Kept separate so omission-only call sites are untouched.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
-pub struct CorruptionPlan {
-    /// Seed for the deterministic choice of victim tuple / forged values.
-    pub seed: u64,
-    /// The scheduled corruptions.
-    pub events: Vec<CorruptEvent>,
-}
-
-impl CorruptionPlan {
-    /// No corruption: every server is honest.
-    pub fn none(seed: u64) -> CorruptionPlan {
-        CorruptionPlan {
-            seed,
-            events: Vec::new(),
-        }
-    }
-
-    /// One corruption of `server` in `round`.
-    pub fn single(seed: u64, round: usize, server: usize, kind: CorruptKind) -> CorruptionPlan {
-        CorruptionPlan {
-            seed,
-            events: vec![CorruptEvent {
-                round,
-                server,
-                kind,
-            }],
-        }
-    }
-
-    /// Add another corruption.
-    pub fn with_event(mut self, round: usize, server: usize, kind: CorruptKind) -> CorruptionPlan {
-        self.events.push(CorruptEvent {
-            round,
-            server,
-            kind,
-        });
-        self
-    }
-
-    /// The corruption (if any) scheduled for `server` in `round`.
-    pub fn event_for(&self, round: usize, server: usize) -> Option<CorruptKind> {
-        self.events
-            .iter()
-            .find(|e| e.round == round && e.server == server)
-            .map(|e| e.kind)
-    }
-
-    /// Does this plan corrupt nothing?
-    pub fn is_benign(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Deterministic per-event entropy: how the tampering picks its
-    /// victim tuple and forged values.
-    pub fn entropy(&self, round: usize, server: usize) -> u64 {
-        mix64(self.seed ^ mix64(((round as u64) << 32) | server as u64))
-    }
 }
 
 #[cfg(test)]
@@ -1162,22 +1069,6 @@ mod tests {
     }
 
     #[test]
-    fn corruption_plan_lookup_and_entropy() {
-        let plan = CorruptionPlan::single(9, 2, 1, CorruptKind::Mutate).with_event(
-            3,
-            0,
-            CorruptKind::Drop,
-        );
-        assert_eq!(plan.event_for(2, 1), Some(CorruptKind::Mutate));
-        assert_eq!(plan.event_for(3, 0), Some(CorruptKind::Drop));
-        assert_eq!(plan.event_for(2, 0), None);
-        assert!(!plan.is_benign());
-        assert!(CorruptionPlan::none(9).is_benign());
-        assert_eq!(plan.entropy(2, 1), plan.entropy(2, 1));
-        assert_ne!(plan.entropy(2, 1), plan.entropy(2, 0));
-    }
-
-    #[test]
     fn delay_fates_bounded() {
         let plan = FaultPlan::delaying(5, 1.0, 4);
         let mut inj = plan.injector();
@@ -1189,13 +1080,63 @@ mod tests {
         }
     }
 
+    /// What the MPC cluster looks up in a plan: crashes by attempt and
+    /// slowdowns.
     #[test]
     fn mpc_plan_lookup() {
-        let plan = MpcFaultPlan::crash(1, 2).with_straggler(0, 3.0);
-        assert!(plan.crashes_in(1, 2));
-        assert!(!plan.crashes_in(0, 2));
+        let plan = FaultPlan::none(9)
+            .with_crash(2, 1, CrashKind::Stop)
+            .with_straggler(0, 3.0);
+        assert!(plan.crashes_at(2, 1));
+        assert!(!plan.crashes_at(2, 0));
         assert_eq!(plan.slowdown(0), 3.0);
         assert_eq!(plan.slowdown(1), 1.0);
+    }
+
+    /// Corruptions are looked up by (round, server), and their entropy is
+    /// a pinned function of the seed and the slot.
+    #[test]
+    fn corruption_plan_lookup_and_entropy() {
+        let plan = FaultPlan::none(9)
+            .with_corruption(2, 1, CorruptKind::Mutate)
+            .with_corruption(3, 0, CorruptKind::Drop);
+        assert_eq!(plan.event_for(2, 1), Some(CorruptKind::Mutate));
+        assert_eq!(plan.event_for(3, 0), Some(CorruptKind::Drop));
+        assert_eq!(plan.event_for(2, 0), None);
+        assert!(!plan.is_benign());
+        assert!(FaultPlan::none(9).is_benign());
+        assert_eq!(plan.entropy(2, 1), plan.entropy(2, 1));
+        assert_ne!(plan.entropy(2, 1), plan.entropy(2, 0));
+        assert_eq!(plan.entropy(2, 1), 658993071911236491);
+        assert_eq!(plan.entropy(2, 0), 15292187587221989345);
+    }
+
+    #[test]
+    fn each_field_names_the_substrate_that_enforces_it() {
+        assert_eq!(FaultPlan::none(1).transducer_only(), None);
+        assert_eq!(FaultPlan::none(1).mpc_only(), None);
+        let lossy = FaultPlan::lossy(1, 0.1);
+        assert_eq!(lossy.transducer_only(), Some("drop_prob"));
+        let reliable = FaultPlan::none(1).with_retransmit(RetransmitPolicy::default());
+        assert_eq!(reliable.transducer_only(), Some("retransmit"));
+        let lying = FaultPlan::none(1).with_corruption(0, 0, CorruptKind::Inject);
+        assert_eq!(lying.mpc_only(), Some("corruptions"));
+        let backed_up = FaultPlan::none(1).with_speculation(SpeculationPolicy::default());
+        assert_eq!(backed_up.mpc_only(), Some("speculation"));
+        // Both substrates read crashes, stragglers and partitions.
+        let shared = FaultPlan::crash_stop(1, 0, 3)
+            .with_straggler(1, 2.0)
+            .with_partition(PartitionPlan::split(0, 2, &[0]));
+        assert_eq!((shared.transducer_only(), shared.mpc_only()), (None, None));
+    }
+
+    #[test]
+    #[should_panic(expected = "cutoff below the median")]
+    fn speculation_below_the_median_is_refused() {
+        let _ = FaultPlan::none(1).with_speculation(SpeculationPolicy {
+            threshold: 0.5,
+            min_load: 2,
+        });
     }
 
     #[test]
@@ -1252,10 +1193,14 @@ mod tests {
     #[test]
     fn plans_serialize() {
         let plan = FaultPlan::for_class(FaultClass::CrashRecover, 2)
-            .with_retransmit(RetransmitPolicy::default());
+            .with_retransmit(RetransmitPolicy::default())
+            .with_corruption(1, 0, CorruptKind::Inject)
+            .with_speculation(SpeculationPolicy::default());
         let mut out = String::new();
         serde::Serialize::json(&plan, &mut out);
         assert!(out.contains("\"drop_prob\""));
         assert!(out.contains("Recover"));
+        assert!(out.contains("\"corruptions\"") && out.contains("Inject"));
+        assert!(out.contains("\"speculation\""));
     }
 }

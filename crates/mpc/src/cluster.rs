@@ -15,16 +15,17 @@
 //!
 //! ## Fault tolerance (checkpoint/replay)
 //!
-//! The MPC model's synchronized rounds assume no server fails. With an
-//! [`MpcFaultPlan`] installed ([`Cluster::with_faults`]), servers may
-//! crash during a communication round: the round's results are discarded
+//! The MPC model's synchronized rounds assume no server fails. With a
+//! [`FaultPlan`] installed ([`Cluster::with_faults`]), servers may crash
+//! during a communication round attempt (a crash's `at_step` is the
+//! attempt index): the round's results are discarded
 //! and the round **replays from the checkpoint** — the cluster state at
 //! the round's start, which every round implicitly snapshots. Because
 //! routing is deterministic, the replay reproduces the exact no-fault
 //! round: committed [`RoundStats`] and final outputs are *identical* to
 //! a fault-free run, and the price of recovery appears only in
 //! [`RecoveryStats`] (replayed attempts, wasted communication, retry
-//! budget consumed).
+//! budget consumed). A round may replay [`RETRY_BUDGET`] times.
 //!
 //! Stragglers don't change what is computed, only how long the barrier
 //! waits: each round's `tail_time` is the received load of the slowest
@@ -47,8 +48,8 @@
 //!
 //! ## Network partitions (hold-and-flush)
 //!
-//! With a [`PartitionPlan`](parlog_faults::PartitionPlan) installed (via
-//! [`MpcFaultPlan::partitioned`]), epoch clocks are read as
+//! With a [`PartitionPlan`](parlog_faults::PartitionPlan) in the plan
+//! (e.g. [`FaultPlan::partitioned`]), epoch clocks are read as
 //! **committed-round indices**: while an epoch is
 //! open, a fact routed across a severed server link is *held at the
 //! source* instead of delivered — a new delivery fate distinct from loss.
@@ -63,7 +64,7 @@
 //!
 //! ## Speculative re-execution (backup tasks)
 //!
-//! With a [`SpeculationPolicy`] installed ([`Cluster::with_speculation`]),
+//! With a [`SpeculationPolicy`](parlog_faults::SpeculationPolicy) in the plan ([`FaultPlan::with_speculation`]),
 //! straggler tasks are handled MapReduce-style: a task whose scaled
 //! finish time exceeds the policy cutoff gets a healthy-speed backup,
 //! the round barrier waits only for each task's *first* finisher, and
@@ -72,7 +73,7 @@
 //! result); the effect is confined to `tail_time` and the
 //! [`SpeculationStats`] waste accounting.
 
-use parlog_faults::{MpcFaultPlan, SpeculationPolicy};
+use parlog_faults::FaultPlan;
 use parlog_relal::atom::Atom;
 use parlog_relal::eval::{EvalStrategy, QueryPlan};
 use parlog_relal::fact::Fact;
@@ -130,7 +131,7 @@ pub struct RecoveryStats {
 }
 
 /// What speculative re-execution did over a cluster run. All zeros when
-/// no [`SpeculationPolicy`] is installed or no task was slow enough.
+/// no [`SpeculationPolicy`](parlog_faults::SpeculationPolicy) is installed or no task was slow enough.
 #[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize)]
 pub struct SpeculationStats {
     /// Backup tasks launched (one per flagged straggler task).
@@ -146,20 +147,22 @@ pub struct SpeculationStats {
 }
 
 impl RoundStats {
-    /// Re-time this round with speculative backups: any task whose
-    /// straggler-scaled finish time exceeds `threshold × median` gets a
-    /// healthy-speed backup launched at the detection cutoff; the round's
-    /// barrier waits only for each task's *first* finisher. Loads and
-    /// state are untouched — speculation is pure latency recovery, paid
-    /// for in discarded duplicate work.
+    /// Re-time this round with the plan's speculative backups, if any:
+    /// any task whose straggler-scaled finish time exceeds
+    /// `threshold × median` gets a healthy-speed backup launched at the
+    /// detection cutoff; the round's barrier waits only for each task's
+    /// *first* finisher. Loads and state are untouched — speculation is
+    /// pure latency recovery, paid for in discarded duplicate work.
     fn apply_speculation(
         &mut self,
-        plan: &MpcFaultPlan,
-        policy: &SpeculationPolicy,
+        plan: &FaultPlan,
         tally: &mut SpeculationStats,
         vstart: f64,
         trace: &TraceHandle,
     ) {
+        let Some(policy) = &plan.speculation else {
+            return;
+        };
         let times: Vec<f64> = self
             .received
             .iter()
@@ -208,7 +211,7 @@ impl RoundStats {
 }
 
 impl RoundStats {
-    fn from_received(received: Vec<usize>, plan: &MpcFaultPlan) -> RoundStats {
+    fn from_received(received: Vec<usize>, plan: &FaultPlan) -> RoundStats {
         let max_load = received.iter().copied().max().unwrap_or(0);
         let total_comm = received.iter().sum();
         let tail_time = received
@@ -235,6 +238,10 @@ impl RoundStats {
         (m as f64 / self.max_load as f64).ln() / (p as f64).ln()
     }
 }
+
+/// Replays a communication round may take before the run panics (a real
+/// system would escalate; the simulator treats exhaustion as a failure).
+pub const RETRY_BUDGET: u32 = 3;
 
 /// Below this many work items (facts to route, deliveries to ingest,
 /// facts to compute over) a phase runs on the calling thread. Spawning
@@ -392,9 +399,8 @@ where
 pub struct Cluster {
     pub(crate) local: Vec<Shard>,
     rounds: Vec<RoundStats>,
-    faults: MpcFaultPlan,
+    pub(crate) faults: FaultPlan,
     recovery: RecoveryStats,
-    speculation: Option<SpeculationPolicy>,
     spec_stats: SpeculationStats,
     parallelism: usize,
     trace: TraceHandle,
@@ -409,8 +415,8 @@ pub struct Cluster {
     /// local computation is no longer trusted — its task is re-executed
     /// honestly on its shard by a survivor.
     pub(crate) quarantined: Vec<bool>,
-    /// Count of verify-then-commit computation rounds executed — indexes
-    /// into the `CorruptionPlan`'s event schedule.
+    /// Count of verify-then-commit computation rounds executed — the
+    /// clock of the fault plan's `corruptions`.
     pub(crate) verified_rounds: usize,
 }
 
@@ -424,9 +430,8 @@ impl Cluster {
         Cluster {
             local: vec![Shard::new(); p],
             rounds: Vec::new(),
-            faults: MpcFaultPlan::none(),
+            faults: FaultPlan::none(0),
             recovery: RecoveryStats::default(),
-            speculation: None,
             spec_stats: SpeculationStats::default(),
             parallelism: 1,
             trace: TraceHandle::off(),
@@ -472,33 +477,31 @@ impl Cluster {
         self.parallelism
     }
 
-    /// Install a fault plan: per-attempt server crashes (recovered by
-    /// checkpoint/replay) and straggler slowdowns (reflected in
-    /// `tail_time`). Plan crashes are indexed by *attempt number* —
-    /// every communication-round attempt, failed or not, increments it —
-    /// so a replayed attempt can itself be crashed by listing the next
-    /// index.
-    pub fn with_faults(mut self, plan: MpcFaultPlan) -> Cluster {
+    /// Install the run's fault plan — the cluster's whole fault context:
+    /// server crashes by *attempt number* (every communication-round
+    /// attempt, failed or not, increments it, so a replayed attempt can
+    /// itself be crashed by listing the next index), recovered by
+    /// checkpoint/replay; straggler slowdowns (reflected in `tail_time`);
+    /// partition epochs by committed round; corruptions by verified round
+    /// ([`crate::verified`]); and speculative backups of straggler tasks,
+    /// whose losers are tallied as [`SpeculationStats::wasted_work`].
+    ///
+    /// # Panics
+    /// Panics if the plan sets a per-message fault or `retransmit`
+    /// ([`FaultPlan::transducer_only`]): MPC rounds are reliable by
+    /// model, so the cluster has nothing that could enforce them.
+    pub fn with_faults(mut self, plan: FaultPlan) -> Cluster {
+        if let Some(field) = plan.transducer_only() {
+            panic!("an MPC cluster cannot enforce `{field}`: its rounds are reliable by model");
+        }
         self.partition_open = vec![false; plan.partition.as_ref().map_or(0, |p| p.epochs.len())];
         self.faults = plan;
         self
     }
 
     /// The installed fault plan (the empty plan by default).
-    pub fn fault_plan(&self) -> &MpcFaultPlan {
+    pub fn fault_plan(&self) -> &FaultPlan {
         &self.faults
-    }
-
-    /// Enable MapReduce-style speculative re-execution: straggler tasks
-    /// flagged by `policy` get healthy-speed backups, the barrier waits
-    /// for each task's first finisher, and the loser's work is tallied
-    /// as [`SpeculationStats::wasted_work`]. Outputs and loads are
-    /// unchanged by construction — only `tail_time` and the waste
-    /// accounting move.
-    pub fn with_speculation(mut self, policy: SpeculationPolicy) -> Cluster {
-        assert!(policy.threshold >= 1.0, "cutoff below the median is absurd");
-        self.speculation = Some(policy);
-        self
     }
 
     /// What recovery cost so far.
@@ -527,7 +530,7 @@ impl Cluster {
     /// committed stats and state are exactly those of a fault-free run.
     ///
     /// # Panics
-    /// Panics when a round exhausts the plan's retry budget.
+    /// Panics when a round exhausts the [`RETRY_BUDGET`].
     fn commit_round<G>(&mut self, mut attempt: G) -> &RoundStats
     where
         G: FnMut(&[Shard], &[HeldCopy]) -> Delivered,
@@ -542,7 +545,7 @@ impl Cluster {
             let out = attempt(&self.local, &self.held);
             let (received, bytes) = (out.received, out.bytes);
             let wall_ns = wall.map(|t0| t0.elapsed().as_nanos() as u64);
-            let crashed = (0..self.p()).any(|s| self.faults.crashes_in(attempt_idx, s));
+            let crashed = (0..self.p()).any(|s| self.faults.crashes_at(s, attempt_idx));
             if !crashed {
                 (self.local, self.held) = (out.next, out.held);
                 self.trace.emit(|| TraceEvent::Loads {
@@ -550,15 +553,7 @@ impl Cluster {
                     received: &received,
                 });
                 let mut stats = RoundStats::from_received(received, &self.faults);
-                if let Some(policy) = &self.speculation {
-                    stats.apply_speculation(
-                        &self.faults,
-                        policy,
-                        &mut self.spec_stats,
-                        vstart,
-                        &self.trace,
-                    );
-                }
+                stats.apply_speculation(&self.faults, &mut self.spec_stats, vstart, &self.trace);
                 self.trace.record(TraceEvent::Comm(CommCounters {
                     sent: stats.total_comm as u64,
                     delivered: stats.total_comm as u64,
@@ -588,7 +583,7 @@ impl Cluster {
             self.recovery.replays += 1;
             self.recovery.wasted_comm += received.iter().sum::<usize>();
             if self.trace.is_on() {
-                for s in (0..self.p()).filter(|&s| self.faults.crashes_in(attempt_idx, s)) {
+                for s in (0..self.p()).filter(|&s| self.faults.crashes_at(s, attempt_idx)) {
                     self.trace.record(TraceEvent::Fault(FaultEvent {
                         vclock: vstart,
                         kind: FaultEventKind::RoundReplay,
@@ -607,9 +602,8 @@ impl Cluster {
             self.recovery.max_replays_in_round =
                 self.recovery.max_replays_in_round.max(replays_this_round);
             assert!(
-                replays_this_round <= self.faults.max_retries,
-                "round retry budget ({}) exhausted",
-                self.faults.max_retries
+                replays_this_round <= RETRY_BUDGET,
+                "round retry budget ({RETRY_BUDGET}) exhausted"
             );
         }
     }
@@ -920,7 +914,7 @@ pub fn layer(rules: &[ConjunctiveQuery]) -> QueryPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parlog_faults::PartitionPlan;
+    use parlog_faults::{CrashKind, PartitionPlan, SpeculationPolicy};
     use parlog_relal::fact::fact;
 
     fn seeded(p: usize, facts: &[Fact]) -> Cluster {
@@ -1026,7 +1020,7 @@ mod tests {
 
     #[test]
     fn load_exponent_sanity() {
-        let plan = MpcFaultPlan::none();
+        let plan = FaultPlan::none(0);
         let r = RoundStats::from_received(vec![25, 25, 25, 25], &plan);
         // m = 100, p = 4, load 25 = m/p → exponent 1.
         assert!((r.load_exponent(100, 4) - 1.0).abs() < 1e-9);
@@ -1041,7 +1035,7 @@ mod tests {
         // mid-round crashes commits byte-identical stats, loads and
         // outputs to the fault-free run; only RecoveryStats differ.
         let facts: Vec<Fact> = (0..12u64).map(|i| fact("R", &[i, i + 1])).collect();
-        let run = |plan: MpcFaultPlan| {
+        let run = |plan: FaultPlan| {
             let mut c = seeded(3, &facts).with_faults(plan);
             c.communicate(|f| vec![(f.args[0].0 % 3) as usize]);
             c.compute_per_server(|_, shard| {
@@ -1050,10 +1044,10 @@ mod tests {
             c.communicate(|f| vec![(f.args[0].0 % 2) as usize]);
             c
         };
-        let clean = run(MpcFaultPlan::none());
+        let clean = run(FaultPlan::none(0));
         // Crash server 1 during attempt 0 and server 2 during attempt 2
         // (= the second logical round's first attempt, after one replay).
-        let faulty = run(MpcFaultPlan::crash(0, 1).with_crash(2, 2));
+        let faulty = run(FaultPlan::crash_stop(0, 1, 0).with_crash(2, 2, CrashKind::Stop));
         assert_eq!(clean.union_all(), faulty.union_all());
         assert_eq!(clean.round_count(), faulty.round_count());
         for (a, b) in clean.rounds().iter().zip(faulty.rounds().iter()) {
@@ -1070,13 +1064,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "retry budget")]
     fn repeated_crashes_exhaust_retry_budget() {
-        // Crash every attempt of round 0: the budget (2) runs out.
-        let plan = MpcFaultPlan {
-            crashes: vec![(0, 0), (1, 0), (2, 0), (3, 0)],
-            stragglers: Vec::new(),
-            max_retries: 2,
-            partition: None,
-        };
+        // Crash every attempt of round 0: the budget (3) runs out.
+        let plan = (0..=RETRY_BUDGET as usize).fold(FaultPlan::none(0), |plan, attempt| {
+            plan.with_crash(0, attempt, CrashKind::Stop)
+        });
         let mut c = seeded(2, &[fact("R", &[1, 2])]).with_faults(plan);
         c.communicate(|_| vec![0]);
     }
@@ -1090,7 +1081,7 @@ mod tests {
             c
         };
         let slow = {
-            let mut c = seeded(2, &facts).with_faults(MpcFaultPlan::none().with_straggler(1, 4.0));
+            let mut c = seeded(2, &facts).with_faults(FaultPlan::none(0).with_straggler(1, 4.0));
             c.communicate(|f| vec![(f.args[0].0 % 2) as usize]);
             c
         };
@@ -1106,10 +1097,11 @@ mod tests {
     fn speculation_cuts_tail_time_without_touching_outputs() {
         let facts: Vec<Fact> = (0..16u64).map(|i| fact("R", &[i, i])).collect();
         let run = |spec: Option<SpeculationPolicy>| {
-            let mut c = seeded(4, &facts).with_faults(MpcFaultPlan::none().with_straggler(1, 8.0));
-            if let Some(s) = spec {
-                c = c.with_speculation(s);
-            }
+            let plan = FaultPlan::none(0).with_straggler(1, 8.0);
+            let mut c = seeded(4, &facts).with_faults(FaultPlan {
+                speculation: spec,
+                ..plan
+            });
             c.communicate(|f| vec![(f.args[0].0 % 4) as usize]);
             c
         };
@@ -1132,7 +1124,8 @@ mod tests {
     #[test]
     fn speculation_is_a_noop_on_a_healthy_cluster() {
         let facts: Vec<Fact> = (0..16u64).map(|i| fact("R", &[i, i])).collect();
-        let mut c = seeded(4, &facts).with_speculation(SpeculationPolicy::default());
+        let plan = FaultPlan::none(0).with_speculation(SpeculationPolicy::default());
+        let mut c = seeded(4, &facts).with_faults(plan);
         c.communicate(|f| vec![(f.args[0].0 % 4) as usize]);
         assert_eq!(c.speculation(), SpeculationStats::default());
         assert!((c.tail_time() - c.max_load() as f64).abs() < 1e-9);
@@ -1146,12 +1139,14 @@ mod tests {
         // (6 + 4 = 10 > 8). The backup loses, the tail is unchanged,
         // and tail_saved must stay exactly zero — never negative.
         let facts: Vec<Fact> = (0..16u64).map(|i| fact("R", &[i, i])).collect();
-        let mut c = seeded(4, &facts)
-            .with_faults(MpcFaultPlan::none().with_straggler(1, 2.0))
-            .with_speculation(SpeculationPolicy {
-                threshold: 1.5,
-                min_load: 2,
-            });
+        let mut c = seeded(4, &facts).with_faults(
+            FaultPlan::none(0)
+                .with_straggler(1, 2.0)
+                .with_speculation(SpeculationPolicy {
+                    threshold: 1.5,
+                    min_load: 2,
+                }),
+        );
         c.communicate(|f| vec![(f.args[0].0 % 4) as usize]);
         let tally = c.speculation();
         assert_eq!(tally.backups, 1, "the straggler was flagged");
@@ -1172,12 +1167,14 @@ mod tests {
             .iter()
             .map(|&i| fact("R", &[i, i]))
             .collect();
-        let mut c = seeded(4, &facts)
-            .with_faults(MpcFaultPlan::none().with_straggler(0, 8.0))
-            .with_speculation(SpeculationPolicy {
-                threshold: 1.5,
-                min_load: 2,
-            });
+        let mut c = seeded(4, &facts).with_faults(
+            FaultPlan::none(0)
+                .with_straggler(0, 8.0)
+                .with_speculation(SpeculationPolicy {
+                    threshold: 1.5,
+                    min_load: 2,
+                }),
+        );
         c.communicate(|f| vec![(f.args[0].0 % 4) as usize]);
         assert_eq!(c.rounds()[0].received[0], 1);
         assert!(c.rounds()[0].tail_time > 3.0, "the tiny task still lags");
@@ -1236,14 +1233,13 @@ mod tests {
         // sequential one: same committed stats, same RecoveryStats.
         let facts: Vec<Fact> = (0..24u64).map(|i| fact("R", &[i, i + 1])).collect();
         let plan = || {
-            MpcFaultPlan::crash(0, 1)
-                .with_crash(2, 0)
+            FaultPlan::crash_stop(0, 1, 0)
+                .with_crash(0, 2, CrashKind::Stop)
                 .with_straggler(1, 4.0)
+                .with_speculation(SpeculationPolicy::default())
         };
         let run = |c: Cluster| {
-            let mut c = c
-                .with_faults(plan())
-                .with_speculation(SpeculationPolicy::default());
+            let mut c = c.with_faults(plan());
             for s in 0..3 {
                 c.place(s, facts.iter().skip(s).step_by(3).cloned());
             }
@@ -1272,16 +1268,16 @@ mod tests {
         // Shifted hash: every fact's destination is one server over from
         // where `seeded` placed it, so round 0 is all cross traffic.
         let route = |f: &Fact| vec![((f.args[0].0 + 1) % 3) as usize];
-        let run = |plan: MpcFaultPlan, rounds: usize| {
+        let run = |plan: FaultPlan, rounds: usize| {
             let mut c = seeded(3, &facts).with_faults(plan);
             for _ in 0..rounds {
                 c.communicate(route);
             }
             c
         };
-        let clean = run(MpcFaultPlan::none(), 3);
+        let clean = run(FaultPlan::none(0), 3);
         let part = run(
-            MpcFaultPlan::partitioned(PartitionPlan::split(0, 2, &[2])),
+            FaultPlan::partitioned(0, PartitionPlan::split(0, 2, &[2])),
             3,
         );
         assert_eq!(clean.union_all(), part.union_all(), "healed state is exact");
@@ -1293,7 +1289,7 @@ mod tests {
         // sound subset of the fault-free state.
         let open = {
             let mut c = seeded(3, &facts)
-                .with_faults(MpcFaultPlan::partitioned(PartitionPlan::split(0, 2, &[2])));
+                .with_faults(FaultPlan::partitioned(0, PartitionPlan::split(0, 2, &[2])));
             c.communicate(route);
             c
         };
@@ -1305,7 +1301,8 @@ mod tests {
     fn permanent_split_holds_forever_without_loss() {
         use parlog_faults::PartitionPlan;
         let facts: Vec<Fact> = (0..9u64).map(|i| fact("R", &[i, i])).collect();
-        let mut c = seeded(3, &facts).with_faults(MpcFaultPlan::partitioned(
+        let mut c = seeded(3, &facts).with_faults(FaultPlan::partitioned(
+            0,
             PartitionPlan::permanent_split(0, &[0]),
         ));
         for _ in 0..4 {
@@ -1327,15 +1324,15 @@ mod tests {
         // re-derive the same holds and commit the same loads as the
         // crash-free partitioned run.
         let facts: Vec<Fact> = (0..12u64).map(|i| fact("R", &[i, i + 1])).collect();
-        let run = |crashes: MpcFaultPlan| {
+        let run = |crashes: FaultPlan| {
             let plan = crashes.with_partition(PartitionPlan::split(0, 1, &[2]));
             let mut c = seeded(3, &facts).with_faults(plan);
             c.communicate(|f| vec![((f.args[0].0 + 1) % 3) as usize]);
             c.communicate(|f| vec![((f.args[0].0 + 1) % 3) as usize]);
             c
         };
-        let plain = run(MpcFaultPlan::none());
-        let crashed = run(MpcFaultPlan::crash(0, 1));
+        let plain = run(FaultPlan::none(0));
+        let crashed = run(FaultPlan::crash_stop(0, 1, 0));
         assert_eq!(plain.union_all(), crashed.union_all());
         assert_eq!(plain.rounds()[0].received, crashed.rounds()[0].received);
         assert_eq!(plain.rounds()[1].received, crashed.rounds()[1].received);
@@ -1354,7 +1351,8 @@ mod tests {
         let route = |f: &Fact| vec![(f.args[1].0 % 4) as usize, (f.args[0].0 % 4) as usize];
         let mut collapsed = seeded(4, &facts);
         collapsed.communicate(route);
-        let mut perholder = seeded(4, &facts).with_faults(MpcFaultPlan::partitioned(
+        let mut perholder = seeded(4, &facts).with_faults(FaultPlan::partitioned(
+            0,
             PartitionPlan::split(100, 101, &[0]),
         ));
         perholder.communicate(route);
@@ -1623,7 +1621,7 @@ mod tests {
         let storage: Vec<Shard> = (0..p)
             .map(|s| Shard::from_facts((0..50u64).map(|i| fact("S", &[i % 20, s as u64]))))
             .collect();
-        let run = |threads: usize, crashes: MpcFaultPlan| {
+        let run = |threads: usize, crashes: FaultPlan| {
             let plan = crashes.with_partition(PartitionPlan::split(0, 2, &[3]));
             let mut c = seeded(p, &facts)
                 .with_parallelism(threads)
@@ -1635,12 +1633,12 @@ mod tests {
             c.communicate(|f| vec![(f.args[0].0 % 4) as usize]);
             (c, held_open)
         };
-        let (base, base_open) = run(1, MpcFaultPlan::none());
+        let (base, base_open) = run(1, FaultPlan::none(0));
         assert!(!base_open.is_empty(), "round 0 held cross-block copies");
         assert_eq!(base.held_by_partition(), 0, "every hold flushed");
         for threads in [1, 2, 4] {
             // Attempt 1 is round 1's first try: it crashes and replays.
-            let (c, open) = run(threads, MpcFaultPlan::crash(1, 2));
+            let (c, open) = run(threads, FaultPlan::crash_stop(0, 2, 1));
             assert_same_state(&c.local, &base.local, "replayed vs crash-free");
             assert_eq!(open, base_open, "threads={threads}: held copies");
             assert_eq!(c.held, base.held);
@@ -1712,6 +1710,19 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "cannot enforce `drop_prob`")]
+    fn a_cluster_refuses_message_faults() {
+        Cluster::new(2).with_faults(FaultPlan::lossy(1, 0.2));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot enforce `retransmit`")]
+    fn a_cluster_refuses_retransmit() {
+        let plan = FaultPlan::none(1).with_retransmit(parlog_faults::RetransmitPolicy::default());
+        Cluster::new(2).with_faults(plan);
+    }
+
+    #[test]
     #[should_panic(expected = "out of range")]
     fn bad_destination_rejected() {
         let mut c = seeded(2, &[fact("R", &[1, 2])]);
@@ -1738,7 +1749,7 @@ mod tests {
         let facts: Vec<Fact> = (0..12u64).map(|i| fact("R", &[i, i + 1])).collect();
         let sink = Arc::new(MemSink::new());
         let mut c = seeded(3, &facts)
-            .with_faults(MpcFaultPlan::partitioned(plan))
+            .with_faults(FaultPlan::partitioned(0, plan))
             .with_trace(TraceHandle::to(sink.clone()));
         for r in 0..5u64 {
             c.communicate(move |f| vec![((f.args[0].0 + r) % 3) as usize]);

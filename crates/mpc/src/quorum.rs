@@ -136,7 +136,7 @@ pub fn coordination_barrier(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parlog_faults::{MpcFaultPlan, PartitionPlan};
+    use parlog_faults::{FaultPlan, PartitionPlan};
 
     fn seeded(p: usize) -> Cluster {
         let mut c = Cluster::new(p);
@@ -175,7 +175,8 @@ mod tests {
 
     #[test]
     fn unguarded_barrier_deadlocks_under_permanent_split() {
-        let mut c = seeded(3).with_faults(MpcFaultPlan::partitioned(
+        let mut c = seeded(3).with_faults(FaultPlan::partitioned(
+            0,
             PartitionPlan::permanent_split(0, &[2]),
         ));
         match coordination_barrier(&mut c, 0, false, 6) {
@@ -193,7 +194,7 @@ mod tests {
 
     #[test]
     fn quorum_gate_commits_on_majority_and_blocks_on_minority() {
-        let plan = || MpcFaultPlan::partitioned(PartitionPlan::permanent_split(0, &[2]));
+        let plan = || FaultPlan::partitioned(0, PartitionPlan::permanent_split(0, &[2]));
         // Majority-side coordinator: commits with 2 of 3 acks.
         let mut c = seeded(3).with_faults(plan());
         match coordination_barrier(&mut c, 0, true, 6) {
@@ -213,7 +214,7 @@ mod tests {
         // Coordinator 2 is cut off for the first 2 rounds; its quorum
         // returns when the epoch heals and the held acks flush.
         let mut c =
-            seeded(3).with_faults(MpcFaultPlan::partitioned(PartitionPlan::split(0, 2, &[2])));
+            seeded(3).with_faults(FaultPlan::partitioned(0, PartitionPlan::split(0, 2, &[2])));
         match coordination_barrier(&mut c, 2, true, 8) {
             BarrierOutcome::Committed { acks, rounds } => {
                 assert!(2 * acks > 3);

@@ -32,7 +32,7 @@ pub struct RunStats {
     pub replays: usize,
     /// Communication performed by crashed attempts and thrown away.
     pub wasted_comm: usize,
-    /// Replay attempts allowed per round by the fault plan.
+    /// Replay attempts allowed per round (`cluster::RETRY_BUDGET`).
     pub retry_budget: u32,
     /// Most replays any single round actually consumed.
     pub max_replays_in_round: u32,
@@ -95,7 +95,7 @@ impl RunReport {
                 },
                 replays: recovery.replays,
                 wasted_comm: recovery.wasted_comm,
-                retry_budget: cluster.fault_plan().max_retries,
+                retry_budget: crate::cluster::RETRY_BUDGET,
                 max_replays_in_round: recovery.max_replays_in_round,
                 speculative_backups: speculation.backups,
                 speculative_wins: speculation.wins,
@@ -139,8 +139,9 @@ mod tests {
 
     #[test]
     fn report_accounts_recovery_and_stragglers() {
-        use parlog_faults::MpcFaultPlan;
-        let mut c = Cluster::new(2).with_faults(MpcFaultPlan::crash(0, 1).with_straggler(0, 3.0));
+        use parlog_faults::FaultPlan;
+        let mut c =
+            Cluster::new(2).with_faults(FaultPlan::crash_stop(0, 1, 0).with_straggler(0, 3.0));
         for s in 0..2u64 {
             c.place(s as usize, (s..6).step_by(2).map(|i| fact("R", &[i, i])));
         }
@@ -156,10 +157,12 @@ mod tests {
 
     #[test]
     fn report_accounts_speculation() {
-        use parlog_faults::{MpcFaultPlan, SpeculationPolicy};
-        let mut c = Cluster::new(4)
-            .with_faults(MpcFaultPlan::none().with_straggler(1, 8.0))
-            .with_speculation(SpeculationPolicy::default());
+        use parlog_faults::{FaultPlan, SpeculationPolicy};
+        let mut c = Cluster::new(4).with_faults(
+            FaultPlan::none(0)
+                .with_straggler(1, 8.0)
+                .with_speculation(SpeculationPolicy::default()),
+        );
         for s in 0..4u64 {
             c.place(s as usize, (s..16).step_by(4).map(|i| fact("R", &[i, i])));
         }

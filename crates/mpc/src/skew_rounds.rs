@@ -627,7 +627,7 @@ fn partition_overlaps(plan: Option<&PartitionPlan>, r0: usize, r1: usize) -> boo
 mod tests {
     use super::*;
     use crate::datagen;
-    use parlog_faults::{MpcFaultPlan, SpeculationPolicy};
+    use parlog_faults::{CrashKind, FaultPlan, SpeculationPolicy};
     use parlog_relal::eval::eval_query;
     use parlog_relal::eval::EvalStrategy;
     use parlog_relal::parser::parse_query;
@@ -857,7 +857,8 @@ mod tests {
         let db = zipf_join_db(300, 80, 1.5, 19);
         let alg = SkewAdaptiveJoin::from_stats(&q, &db, 8, SkewConfig::default());
         let clean = alg.run(&db);
-        let mut cluster = Cluster::new(8).with_faults(MpcFaultPlan::crash(1, 3).with_crash(0, 5));
+        let plan = FaultPlan::crash_stop(0, 3, 1).with_crash(5, 0, CrashKind::Stop);
+        let mut cluster = Cluster::new(8).with_faults(plan);
         let faulty = alg.run_on(&mut cluster, &db);
         assert_eq!(faulty.output, clean.output);
         assert_eq!(faulty.stats.max_load, clean.stats.max_load);
@@ -869,12 +870,14 @@ mod tests {
         let db = zipf_join_db(300, 80, 1.5, 23);
         let alg = SkewAdaptiveJoin::from_stats(&q, &db, 8, SkewConfig::default());
         let clean = alg.run(&db);
-        let mut cluster = Cluster::new(8)
-            .with_faults(MpcFaultPlan::none().with_straggler(2, 4.0))
-            .with_speculation(SpeculationPolicy {
-                threshold: 1.5,
-                min_load: 2,
-            });
+        let mut cluster = Cluster::new(8).with_faults(
+            FaultPlan::none(0)
+                .with_straggler(2, 4.0)
+                .with_speculation(SpeculationPolicy {
+                    threshold: 1.5,
+                    min_load: 2,
+                }),
+        );
         let spec = alg.run_on(&mut cluster, &db);
         assert_eq!(spec.output, clean.output);
         assert_eq!(spec.stats.max_load, clean.stats.max_load);
@@ -888,7 +891,7 @@ mod tests {
         let clean = alg.run(&db);
         // A split across the engine's first waves, healing later.
         let plan = PartitionPlan::split(0, 3, &[0, 1, 2]);
-        let mut cluster = Cluster::new(8).with_faults(MpcFaultPlan::partitioned(plan));
+        let mut cluster = Cluster::new(8).with_faults(FaultPlan::partitioned(0, plan));
         let healed = alg.run_on(&mut cluster, &db);
         assert_eq!(healed.output, clean.output);
         assert_eq!(cluster.held_by_partition(), 0, "every held copy flushed");
@@ -901,7 +904,7 @@ mod tests {
         let alg = SkewAdaptiveJoin::from_stats(&q, &db, 8, SkewConfig::default());
         let clean = alg.run(&db);
         let plan = PartitionPlan::permanent_split(0, &[6, 7]);
-        let mut cluster = Cluster::new(8).with_faults(MpcFaultPlan::partitioned(plan));
+        let mut cluster = Cluster::new(8).with_faults(FaultPlan::partitioned(0, plan));
         let partial = alg.run_on(&mut cluster, &db);
         // Monotone CQ: everything produced is a true answer.
         for f in partial.output.iter() {

@@ -639,7 +639,7 @@ mod tests {
     /// and slow the delta rounds but never change the maintained output.
     #[test]
     fn delta_session_two_pass_under_faults_matches_restream() {
-        use parlog_faults::MpcFaultPlan;
+        use parlog_faults::FaultPlan;
         let rels = [(rel("R"), vec![1]), (rel("S"), vec![0])];
         let mk = || SemijoinReducer::new(rel("R"), rel("S"), rel("Semi"));
         let mut db = Instance::new();
@@ -649,7 +649,7 @@ mod tests {
         db.insert(fact("S", &[1, 0]));
         db.insert(fact("S", &[4, 0]));
         let cluster = Cluster::new(4)
-            .with_faults(MpcFaultPlan::none().with_straggler(2, 4.0))
+            .with_faults(FaultPlan::none(0).with_straggler(2, 4.0))
             .with_parallelism(2);
         let mut session = DeltaStreamSession::with_cluster(cluster, &db, &rels, mk, 13, 2);
         let batches: Vec<(Vec<Fact>, Vec<Fact>)> = vec![

@@ -11,12 +11,15 @@
 //! [`Verifier`] is the one prove-and-audit routine over a slice of input
 //! shards. Its **prove** step has each server produce its local answer
 //! *with a certificate* binding it to the content-addressed snapshot of
-//! its shard ([`parlog_verify::prove_ucq`]), while a [`CorruptionPlan`]
-//! tampers with the outputs of servers not quarantined (`Corrupt`). Its
-//! **audit** step runs the trusted checker over every certificate: a
-//! failure raises `Detect` and, the first time, `Quarantine`, and the
-//! server's task is re-proved honestly on its shard alone (`Heal`). Every
-//! verified driver is a schedule of these two steps:
+//! its shard ([`parlog_verify::prove_ucq`]), while the fault plan's
+//! [`corruptions`](FaultPlan::corruptions) tamper with the outputs of
+//! servers not quarantined (`Corrupt`). Its **audit** step runs the
+//! trusted checker over every certificate: a failure raises `Detect` and,
+//! the first time, `Quarantine`, and the server's task is re-proved
+//! honestly on its shard alone (`Heal`). Every verified driver is a
+//! schedule of these two steps; the cluster's drivers read their
+//! corruptions from the plan installed with [`Cluster::with_faults`], on
+//! the verified-round clock:
 //!
 //! * [`Cluster::compute_union_verified`] — prove, audit at once, commit:
 //!   the committed union equals the fault-free answer even under active
@@ -28,10 +31,10 @@
 //!   prove every round, audit every few rounds.
 
 use crate::cluster::Cluster;
-use parlog_faults::CorruptionPlan;
+use parlog_faults::FaultPlan;
 use parlog_relal::eval::EvalStrategy;
 use parlog_relal::instance::Instance;
-use parlog_relal::query::{ConjunctiveQuery, UnionQuery};
+use parlog_relal::query::UnionQuery;
 use parlog_relal::shard::Shard;
 use parlog_trace::{FaultEvent, FaultEventKind, TraceEvent, TraceHandle};
 use parlog_verify::checker::check_answer;
@@ -49,33 +52,31 @@ pub struct Verifier<'a> {
     pub strategy: EvalStrategy,
     /// Per-server quarantine flags. A quarantined server no longer runs
     /// its own (untrusted) prover: a survivor re-executes its task
-    /// honestly, so the corruption plan has no purchase on it.
+    /// honestly, so the plan's corruptions have no purchase on it.
     pub quarantined: &'a mut [bool],
     /// Where `Corrupt`, `Detect`, `Quarantine` and `Heal` are recorded.
     pub trace: &'a TraceHandle,
 }
 
 impl Verifier<'_> {
-    /// **Prove** `u` on every shard. `corruption`'s events for `round`
-    /// tamper with the outputs of servers not quarantined — post-proof,
-    /// pre-check: the Byzantine window — each recording `Corrupt` at
-    /// `vclock`. Returns every server's proof and the tampered servers.
+    /// **Prove** `u` on every shard. `plan`'s corruptions for verified
+    /// round `round` tamper with the outputs of servers not quarantined
+    /// — post-proof, pre-check: the Byzantine window — each recording
+    /// `Corrupt` at `vclock`. Returns every server's proof and the tampered servers.
     pub fn prove(
         &self,
         round: usize,
         u: &UnionQuery,
-        corruption: &CorruptionPlan,
+        plan: &FaultPlan,
         vclock: f64,
     ) -> (Vec<Proof>, Vec<usize>) {
         let mut corrupted = Vec::new();
         let mut proofs = Vec::with_capacity(self.shards.len());
         for (s, shard) in self.shards.iter().enumerate() {
             let (mut answer, mut cert) = prove_ucq(s, u, shard, self.strategy);
-            let event = corruption
-                .event_for(round, s)
-                .filter(|_| !self.quarantined[s]);
+            let event = plan.event_for(round, s).filter(|_| !self.quarantined[s]);
             if let Some(kind) = event {
-                let e = corruption.entropy(round, s);
+                let e = plan.entropy(round, s);
                 corrupt_answer(&mut answer, &mut cert, u, kind, e);
                 corrupted.push(s);
                 self.record(FaultEventKind::Corrupt, s, e, vclock);
@@ -136,7 +137,7 @@ pub struct VerifiedRound {
     /// Cluster-level snapshot id of the input shards the round is bound
     /// to.
     pub input_root: SnapshotId,
-    /// Servers whose output the corruption plan tampered with.
+    /// Servers whose output the fault plan's corruptions tampered with.
     pub corrupted: Vec<usize>,
     /// Servers whose certificate failed, with the checker's verdict.
     pub detected: Vec<(usize, Rejection)>,
@@ -161,20 +162,8 @@ impl Cluster {
         &mut self,
         u: &UnionQuery,
         strategy: EvalStrategy,
-        corruption: &CorruptionPlan,
     ) -> VerifiedRound {
-        self.verified_round(u, strategy, corruption, true)
-    }
-
-    /// [`Cluster::compute_union_verified`] for a single conjunctive
-    /// query.
-    pub fn compute_query_verified(
-        &mut self,
-        q: &ConjunctiveQuery,
-        strategy: EvalStrategy,
-        corruption: &CorruptionPlan,
-    ) -> VerifiedRound {
-        self.compute_union_verified(&UnionQuery::new(vec![q.clone()]), strategy, corruption)
+        self.verified_round(u, strategy, true)
     }
 
     /// The **unprotected** path: prove and commit blindly, exactly as
@@ -186,19 +175,17 @@ impl Cluster {
         &mut self,
         u: &UnionQuery,
         strategy: EvalStrategy,
-        corruption: &CorruptionPlan,
     ) -> Vec<usize> {
-        self.verified_round(u, strategy, corruption, false)
-            .corrupted
+        self.verified_round(u, strategy, false).corrupted
     }
 
     /// The next verified computation round over the servers' current
-    /// states: prove, audit at once when `audit`, commit every answer.
+    /// states: prove under the installed plan's corruptions, audit at
+    /// once when `audit`, commit every answer.
     fn verified_round(
         &mut self,
         u: &UnionQuery,
         strategy: EvalStrategy,
-        corruption: &CorruptionPlan,
         audit: bool,
     ) -> VerifiedRound {
         let round = self.verified_rounds;
@@ -211,7 +198,7 @@ impl Cluster {
             quarantined: &mut self.quarantined,
             trace: &trace,
         };
-        let (mut proofs, corrupted) = verifier.prove(round, u, corruption, vclock);
+        let (mut proofs, corrupted) = verifier.prove(round, u, &self.faults, vclock);
         let cert_bytes = proofs.iter().map(|(_, cert)| cert.size_bytes()).sum();
         let detected = if audit {
             verifier.audit(u, &mut proofs, 0, vclock)
@@ -240,11 +227,17 @@ mod tests {
     use parlog_relal::eval::eval_query_with;
     use parlog_relal::fact::fact;
     use parlog_relal::parser::parse_query;
+    use parlog_relal::query::ConjunctiveQuery;
     use parlog_trace::MemSink;
     use std::sync::Arc;
 
     fn seeded(p: usize) -> Cluster {
-        let mut c = Cluster::new(p);
+        seeded_with(p, FaultPlan::none(1))
+    }
+
+    /// `p` servers holding the R/S chain, under `plan`.
+    fn seeded_with(p: usize, plan: FaultPlan) -> Cluster {
+        let mut c = Cluster::new(p).with_faults(plan);
         for s in 0..p as u64 {
             let held = (s..12).step_by(p);
             c.place(
@@ -255,6 +248,11 @@ mod tests {
         c
     }
 
+    /// One verified round of `q`.
+    fn verify(c: &mut Cluster, q: &ConjunctiveQuery) -> VerifiedRound {
+        c.compute_union_verified(&UnionQuery::new(vec![q.clone()]), EvalStrategy::Indexed)
+    }
+
     #[test]
     fn clean_round_commits_the_faultfree_answer() {
         let q = parse_query("H(x,z) <- R(x,y), S(y,z)").unwrap();
@@ -262,7 +260,7 @@ mod tests {
         let expected: Vec<Instance> = (0..3)
             .map(|s| eval_query_with(&q, &c.local(s), EvalStrategy::Indexed))
             .collect();
-        let out = c.compute_query_verified(&q, EvalStrategy::Indexed, &CorruptionPlan::none(1));
+        let out = verify(&mut c, &q);
         assert!(out.clean());
         assert!(out.corrupted.is_empty());
         assert!(out.cert_bytes > 0);
@@ -276,13 +274,12 @@ mod tests {
     fn corrupted_server_is_detected_quarantined_and_healed() {
         let q = parse_query("H(x,z) <- R(x,y), S(y,z)").unwrap();
         let mut honest = seeded(3);
-        honest.compute_query_verified(&q, EvalStrategy::Indexed, &CorruptionPlan::none(1));
+        verify(&mut honest, &q);
         let truth = honest.union_all();
 
         for kind in CorruptKind::ALL {
-            let mut c = seeded(3);
-            let plan = CorruptionPlan::single(7, 0, 1, kind);
-            let out = c.compute_query_verified(&q, EvalStrategy::Indexed, &plan);
+            let mut c = seeded_with(3, FaultPlan::none(7).with_corruption(0, 1, kind));
+            let out = verify(&mut c, &q);
             assert_eq!(out.corrupted, vec![1], "{kind:?}");
             assert_eq!(out.detected.len(), 1, "{kind:?} not detected");
             assert_eq!(out.detected[0].0, 1);
@@ -297,12 +294,12 @@ mod tests {
         let q = parse_query("H(x,z) <- R(x,y), S(y,z)").unwrap();
         let u = UnionQuery::new(vec![q.clone()]);
         let mut honest = seeded(3);
-        honest.compute_query_verified(&q, EvalStrategy::Indexed, &CorruptionPlan::none(1));
+        verify(&mut honest, &q);
         let truth = honest.union_all();
 
-        let mut c = seeded(3);
-        let plan = CorruptionPlan::single(7, 0, 1, CorruptKind::Inject);
-        let tampered = c.compute_union_corrupted(&u, EvalStrategy::Indexed, &plan);
+        let plan = FaultPlan::none(7).with_corruption(0, 1, CorruptKind::Inject);
+        let mut c = seeded_with(3, plan);
+        let tampered = c.compute_union_corrupted(&u, EvalStrategy::Indexed);
         assert_eq!(tampered, vec![1]);
         assert_ne!(
             c.union_all(),
@@ -316,9 +313,9 @@ mod tests {
     fn timeline_shows_corrupt_detect_quarantine_heal_in_order() {
         let q = parse_query("H(x,z) <- R(x,y), S(y,z)").unwrap();
         let sink = Arc::new(MemSink::new());
-        let mut c = seeded(3).with_trace(parlog_trace::TraceHandle::to(sink.clone()));
-        let plan = CorruptionPlan::single(7, 0, 2, CorruptKind::Mutate);
-        c.compute_query_verified(&q, EvalStrategy::Indexed, &plan);
+        let plan = FaultPlan::none(7).with_corruption(0, 2, CorruptKind::Mutate);
+        let mut c = seeded_with(3, plan).with_trace(parlog_trace::TraceHandle::to(sink.clone()));
+        verify(&mut c, &q);
         let timeline = sink.timeline();
         let pos = |k: FaultEventKind| timeline.iter().position(|e| e.kind == k);
         let (co, de, qu, he) = (
@@ -336,18 +333,16 @@ mod tests {
     #[test]
     fn quarantined_server_is_immune_to_further_corruption() {
         let q = parse_query("H(x,z) <- R(x,y), S(y,z)").unwrap();
-        let mut c = seeded(3);
         // Corrupt server 1 in rounds 0 and 1; after round 0 it is
         // quarantined, so round 1's event finds no untrusted prover to
         // subvert.
-        let plan = CorruptionPlan::single(7, 0, 1, CorruptKind::Inject).with_event(
-            1,
-            1,
-            CorruptKind::Inject,
-        );
-        let r0 = c.compute_query_verified(&q, EvalStrategy::Indexed, &plan);
+        let plan = FaultPlan::none(7)
+            .with_corruption(0, 1, CorruptKind::Inject)
+            .with_corruption(1, 1, CorruptKind::Inject);
+        let mut c = seeded_with(3, plan);
+        let r0 = verify(&mut c, &q);
         assert_eq!(r0.detected.len(), 1);
-        let r1 = c.compute_query_verified(&q, EvalStrategy::Indexed, &plan);
+        let r1 = verify(&mut c, &q);
         assert!(r1.corrupted.is_empty(), "quarantine blocks the adversary");
         assert!(r1.clean());
     }
@@ -358,10 +353,10 @@ mod tests {
         // virtual clock, then a verified round in which server 1 lies.
         let q = parse_query("H(x,z) <- R(x,y), S(y,z)").unwrap();
         let sink = Arc::new(MemSink::new());
-        let mut c = seeded(3).with_trace(parlog_trace::TraceHandle::to(sink.clone()));
+        let plan = FaultPlan::none(7).with_corruption(0, 1, CorruptKind::Inject);
+        let mut c = seeded_with(3, plan).with_trace(parlog_trace::TraceHandle::to(sink.clone()));
         c.communicate(|f| vec![(f.args[0].0 % 3) as usize]);
-        let plan = CorruptionPlan::single(7, 0, 1, CorruptKind::Inject);
-        c.compute_query_verified(&q, EvalStrategy::Indexed, &plan);
+        verify(&mut c, &q);
         let timeline: Vec<_> = sink
             .timeline()
             .iter()

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use parlog_faults::{MpcFaultPlan, SpeculationPolicy};
+use parlog_faults::{FaultPlan, SpeculationPolicy};
 use parlog_mpc::cluster::Cluster;
 use parlog_mpc::datagen;
 use parlog_mpc::hypercube::HypercubeAlgorithm;
@@ -66,11 +66,14 @@ fn traced_faulty_run(db: &Instance, threads: usize) -> (String, Arc<MemSink>) {
     let mut cluster = Cluster::new(hc.servers())
         .with_parallelism(threads)
         .with_trace(TraceHandle::to(sink.clone()))
-        .with_faults(MpcFaultPlan::crash(0, 2).with_straggler(1, 4.0))
-        .with_speculation(SpeculationPolicy {
-            threshold: 1.5,
-            min_load: 2,
-        });
+        .with_faults(
+            FaultPlan::crash_stop(0, 2, 0)
+                .with_straggler(1, 4.0)
+                .with_speculation(SpeculationPolicy {
+                    threshold: 1.5,
+                    min_load: 2,
+                }),
+        );
     seed_cluster(&mut cluster, db, InitialPartition::RoundRobin);
     cluster.communicate(|f| hc.destinations(f));
     cluster.compute_query(&q, EvalStrategy::Indexed);

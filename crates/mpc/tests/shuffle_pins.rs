@@ -10,7 +10,6 @@
 //! the input root are pinned exactly. A moved pin is a change of routing,
 //! delivery accounting or local evaluation, not noise.
 
-use parlog_faults::CorruptionPlan;
 use parlog_mpc::cluster::Cluster;
 use parlog_mpc::datagen;
 use parlog_mpc::partition::{seed_cluster, InitialPartition};
@@ -103,7 +102,7 @@ fn hc_triangle_verified_is_pinned() {
         let mut c = Cluster::new(hc.servers()).with_parallelism(threads);
         seed_cluster(&mut c, &db, InitialPartition::RoundRobin);
         c.communicate(|f| hc.destinations(f));
-        let round = c.compute_union_verified(&u, EvalStrategy::Auto, &CorruptionPlan::none(1));
+        let round = c.compute_union_verified(&u, EvalStrategy::Auto);
         assert!(round.clean());
         let out = c.union_all();
         assert_eq!(out, eval_query(&q, &db));

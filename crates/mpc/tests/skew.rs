@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 
-use parlog_faults::{MpcFaultPlan, PartitionPlan, SpeculationPolicy};
+use parlog_faults::{FaultPlan, PartitionPlan, SpeculationPolicy};
 use parlog_mpc::cluster::Cluster;
 use parlog_mpc::datagen;
 use parlog_mpc::prelude::*;
@@ -170,13 +170,13 @@ proptest! {
         let clean = alg.run(&db);
         prop_assert_eq!(&clean.output, &eval_query(&q, &db));
 
-        let plan = MpcFaultPlan::crash(crash_server, crash_round)
-            .with_straggler((crash_server + 1) % 8, 3.0);
+        let plan = FaultPlan::crash_stop(0, crash_server, crash_round)
+            .with_straggler((crash_server + 1) % 8, 3.0)
+            .with_speculation(SpeculationPolicy { threshold: 1.5, min_load: 2 });
         let faulty = |threads: usize| {
             let mut cluster = Cluster::new(8)
                 .with_parallelism(threads)
-                .with_faults(plan.clone())
-                .with_speculation(SpeculationPolicy { threshold: 1.5, min_load: 2 });
+                .with_faults(plan.clone());
             alg.run_on(&mut cluster, &db)
         };
         let f1 = faulty(1);
@@ -211,7 +211,7 @@ proptest! {
         let run = |threads: usize| {
             let mut cluster = Cluster::new(8)
                 .with_parallelism(threads)
-                .with_faults(MpcFaultPlan::partitioned(plan.clone()));
+                .with_faults(FaultPlan::partitioned(0, plan.clone()));
             let report = alg.run_on(&mut cluster, &db);
             (report, cluster.held_by_partition())
         };

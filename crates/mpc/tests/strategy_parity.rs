@@ -7,7 +7,7 @@
 //! Auto), and requires byte-identical outputs and statistics at every
 //! thread count, with and without injected faults (checkpoint/replay).
 
-use parlog_faults::MpcFaultPlan;
+use parlog_faults::{CrashKind, FaultPlan};
 use parlog_mpc::cluster::Cluster;
 use parlog_mpc::partition::{seed_cluster, InitialPartition};
 use parlog_mpc::prelude::*;
@@ -99,24 +99,24 @@ fn hypercube_strategies_agree_under_faults() {
     let db = parlog_mpc::datagen::triangle_db(120, 25, 5);
     let hc = HypercubeAlgorithm::new(&q, 8).unwrap();
 
-    let run = |strategy: EvalStrategy, plan: MpcFaultPlan| -> (Instance, String) {
+    let run = |strategy: EvalStrategy, plan: FaultPlan| -> (Instance, String) {
         let cluster = Cluster::new(hc.servers()).with_faults(plan);
         let report = one_round(cluster, &db, |f| hc.destinations(f), &q, strategy);
         let stats = stats_json(&report);
         (report.output, stats)
     };
 
-    let (clean_out, clean_stats) = run(EvalStrategy::Indexed, MpcFaultPlan::none());
+    let (clean_out, clean_stats) = run(EvalStrategy::Indexed, FaultPlan::none(0));
     assert_eq!(clean_out, eval_query(&q, &db));
     for strategy in STRATEGIES {
-        let (out, stats) = run(strategy, MpcFaultPlan::none());
+        let (out, stats) = run(strategy, FaultPlan::none(0));
         assert_eq!(out, clean_out, "fault-free output diverged: {strategy:?}");
         assert_eq!(
             stats, clean_stats,
             "fault-free stats diverged: {strategy:?}"
         );
 
-        let plan = MpcFaultPlan::crash(0, 1).with_crash(1, 2);
+        let plan = FaultPlan::crash_stop(0, 1, 0).with_crash(2, 1, CrashKind::Stop);
         let (fout, _fstats) = run(strategy, plan);
         assert_eq!(fout, clean_out, "faulty output diverged: {strategy:?}");
     }

@@ -14,7 +14,7 @@
 
 use proptest::prelude::*;
 
-use parlog_faults::{CorruptKind, CorruptionPlan};
+use parlog_faults::{CorruptKind, FaultPlan};
 use parlog_mpc::cluster::Cluster;
 use parlog_relal::eval::EvalStrategy;
 use parlog_relal::fact::fact;
@@ -91,12 +91,12 @@ proptest! {
         let u = join_query();
         let reference: Vec<String> = {
             let mut c = seeded_cluster(&db, 3, 1);
-            c.compute_union_verified(&u, EvalStrategy::Naive, &CorruptionPlan::none(1));
+            c.compute_union_verified(&u, EvalStrategy::Naive);
             (0..3).map(|s| to_json(&snapshot(&c.local(s)))).collect()
         };
         for strategy in STRATEGIES {
             let mut c = seeded_cluster(&db, 3, threads);
-            let round = c.compute_union_verified(&u, strategy, &CorruptionPlan::none(1));
+            let round = c.compute_union_verified(&u, strategy);
             prop_assert!(round.clean());
             for (s, want) in reference.iter().enumerate() {
                 prop_assert_eq!(&to_json(&snapshot(&c.local(s))), want);
@@ -148,12 +148,12 @@ proptest! {
         let kind = CorruptKind::ALL[kind_idx];
         let truth = {
             let mut c = seeded_cluster(&db, 3, 1);
-            c.compute_union_verified(&u, EvalStrategy::Indexed, &CorruptionPlan::none(seed));
+            c.compute_union_verified(&u, EvalStrategy::Indexed);
             c.union_all()
         };
-        let plan = CorruptionPlan::single(seed, 0, victim, kind);
-        let mut c = seeded_cluster(&db, 3, 1);
-        let round = c.compute_union_verified(&u, EvalStrategy::Indexed, &plan);
+        let plan = FaultPlan::none(seed).with_corruption(0, victim, kind);
+        let mut c = seeded_cluster(&db, 3, 1).with_faults(plan);
+        let round = c.compute_union_verified(&u, EvalStrategy::Indexed);
         prop_assert_eq!(&round.corrupted, &vec![victim]);
         prop_assert_eq!(round.detected.len(), 1, "corruption slipped past the checker");
         prop_assert_eq!(round.detected[0].0, victim);
@@ -169,10 +169,12 @@ fn detect_quarantine_heal_visible_on_the_timeline() {
         (0..10u64).flat_map(|i| [fact("R", &[i, i + 1]), fact("S", &[i + 1, i + 2])]),
     );
     let sink = Arc::new(MemSink::new());
-    let mut c = seeded_cluster(&db, 3, 1).with_trace(TraceHandle::to(sink.clone()));
+    let plan = FaultPlan::none(13).with_corruption(0, 1, CorruptKind::Mutate);
+    let mut c = seeded_cluster(&db, 3, 1)
+        .with_faults(plan)
+        .with_trace(TraceHandle::to(sink.clone()));
     let shard1_root = snapshot(&c.local(1));
-    let plan = CorruptionPlan::single(13, 0, 1, CorruptKind::Mutate);
-    let round = c.compute_union_verified(&join_query(), EvalStrategy::Indexed, &plan);
+    let round = c.compute_union_verified(&join_query(), EvalStrategy::Indexed);
     assert_eq!(round.detected.len(), 1);
 
     let tl = sink.timeline();
@@ -202,7 +204,7 @@ fn verified_round_matches_unverified_compute_when_honest() {
     let mut plain = seeded_cluster(&db, 4, 1);
     plain.compute_query(&q, EvalStrategy::Indexed);
     let mut verified = seeded_cluster(&db, 4, 1);
-    verified.compute_query_verified(&q, EvalStrategy::Indexed, &CorruptionPlan::none(5));
+    verified.compute_union_verified(&UnionQuery::new(vec![q.clone()]), EvalStrategy::Indexed);
     for s in 0..4 {
         assert_eq!(plain.local(s), verified.local(s));
     }

@@ -45,10 +45,10 @@
 //!   a failure-mode contract: monotone ⇒ degradable.
 //!
 //! Speculative re-execution of straggler tasks (MapReduce backup tasks,
-//! first-finisher-wins) lives with the round barrier it optimizes:
-//! `parlog_mpc::cluster::Cluster::with_speculation`, policy in
-//! `parlog_faults::SpeculationPolicy`. Experiment E19 exercises the
-//! whole stack end to end.
+//! first-finisher-wins) lives with the round barrier it optimizes, the
+//! MPC cluster's, which reads it from its fault plan
+//! (`parlog_faults::FaultPlan::with_speculation`). Experiment E19
+//! exercises the whole stack end to end.
 
 #![forbid(unsafe_code)]
 #![deny(warnings)]
@@ -71,13 +71,8 @@ pub use partition::{
 };
 pub use replica::{CatchUp, ReadReplica};
 pub use retry::DeadlineRetry;
-pub use supervise::{
-    supervise, supervise_traced, Detection, SupervisedRun, SupervisorConfig, SupervisorReport,
-};
-pub use verify::{
-    run_verified_rounds, run_verified_rounds_cq, ByzantineDetection, VerifiedRunReport,
-    VerifyPolicy,
-};
+pub use supervise::{supervise, Detection, SupervisedRun, SupervisorConfig, SupervisorReport};
+pub use verify::{run_verified_rounds, ByzantineDetection, VerifiedRunReport, VerifyPolicy};
 
 /// Commonly used items.
 pub mod prelude {
@@ -90,10 +85,9 @@ pub mod prelude {
     pub use crate::replica::{CatchUp, ReadReplica};
     pub use crate::retry::DeadlineRetry;
     pub use crate::supervise::{
-        supervise, supervise_traced, Detection, SupervisedRun, SupervisorConfig, SupervisorReport,
+        supervise, Detection, SupervisedRun, SupervisorConfig, SupervisorReport,
     };
     pub use crate::verify::{
-        run_verified_rounds, run_verified_rounds_cq, ByzantineDetection, VerifiedRunReport,
-        VerifyPolicy,
+        run_verified_rounds, ByzantineDetection, VerifiedRunReport, VerifyPolicy,
     };
 }

@@ -368,36 +368,15 @@ impl Monitor<'_> {
 ///
 /// `mode` states whether the query the program computes is monotone —
 /// it decides the degradation contract when a crash cannot be healed.
-pub fn supervise<P: TransducerProgram + ?Sized>(
-    program: &P,
-    shards: &[Instance],
-    ctx: Ctx,
-    schedule: Schedule,
-    plan: &FaultPlan,
-    mode: QueryMode,
-    config: &SupervisorConfig,
-) -> SupervisedRun {
-    supervise_traced(
-        program,
-        shards,
-        ctx,
-        schedule,
-        plan,
-        mode,
-        config,
-        &TraceHandle::off(),
-    )
-}
-
-/// [`supervise`] with an attached trace: the data plane's message-level
-/// counters and crash/recovery/heal events flow to the sink through the
-/// scheduler, and the control plane adds its own decision timeline —
-/// `Suspect` (info = φ·1000), `FalseSuspicion`, `ConfirmDead`
-/// (info = detection latency) and, at close-out, one `Degrade` or
-/// `Refuse` per unhealed node (info = lost shard size).
-/// `TraceHandle::off()` reproduces the untraced run exactly.
+///
+/// The data plane's message-level counters and crash/recovery/heal
+/// events flow to `trace` through the scheduler, and the control plane
+/// adds its own decision timeline — `Suspect` (info = φ·1000),
+/// `FalseSuspicion`, `ConfirmDead` (info = detection latency) and, at
+/// close-out, one `Degrade` or `Refuse` per unhealed node (info = lost
+/// shard size). `TraceHandle::off()` reproduces the untraced run exactly.
 #[allow(clippy::too_many_arguments)]
-pub fn supervise_traced<P: TransducerProgram + ?Sized>(
+pub fn supervise<P: TransducerProgram + ?Sized>(
     program: &P,
     shards: &[Instance],
     ctx: Ctx,
@@ -587,6 +566,7 @@ mod tests {
             &FaultPlan::none(7),
             QueryMode::Monotone,
             &SupervisorConfig::default(),
+            &TraceHandle::off(),
         );
         assert!(out.verdict.is_exact());
         assert_eq!(out.verdict.answer().unwrap(), &expected);
@@ -608,6 +588,7 @@ mod tests {
             &plan,
             QueryMode::Monotone,
             &SupervisorConfig::default(),
+            &TraceHandle::off(),
         );
         assert!(out.verdict.is_exact(), "heal must restore full coverage");
         assert_eq!(out.verdict.answer().unwrap(), &expected);
@@ -642,6 +623,7 @@ mod tests {
             &plan,
             QueryMode::Monotone,
             &config,
+            &TraceHandle::off(),
         );
         let Degraded::Partial {
             answer,
@@ -682,6 +664,7 @@ mod tests {
             &plan,
             QueryMode::of(&q),
             &config,
+            &TraceHandle::off(),
         );
         let Degraded::Refused {
             reason,
@@ -708,7 +691,7 @@ mod tests {
         let (p, shards, expected) = setup();
         let plan = FaultPlan::partitioned(5, PartitionPlan::permanent_split(0, &[3]));
         let sink = Arc::new(MemSink::new());
-        let out = supervise_traced(
+        let out = supervise(
             &p,
             &shards,
             Ctx::oblivious(),
@@ -782,6 +765,7 @@ mod tests {
             &plan,
             QueryMode::Monotone,
             &SupervisorConfig::default(),
+            &TraceHandle::off(),
         );
         assert!(
             out.verdict.is_exact(),
@@ -813,6 +797,7 @@ mod tests {
             &plan,
             QueryMode::Monotone,
             &SupervisorConfig::default(),
+            &TraceHandle::off(),
         );
         assert_eq!(out.report.heals, 1);
         let d = &out.report.detections[0];
@@ -858,6 +843,7 @@ mod tests {
             &plan,
             QueryMode::NonMonotone,
             &config,
+            &TraceHandle::off(),
         );
         assert!(out.report.quorum_losses > 0, "the gate must have fired");
         assert_eq!(out.report.heals, 0, "a minority must not act");
@@ -892,7 +878,7 @@ mod tests {
         let plan = FaultPlan::crash_stop(2, 0, 6);
         let run_traced = || {
             let sink = Arc::new(MemSink::new());
-            let out = supervise_traced(
+            let out = supervise(
                 &p,
                 &shards,
                 Ctx::oblivious(),
@@ -951,7 +937,7 @@ mod tests {
 
         let (p, shards, _) = setup();
         let sink = Arc::new(MemSink::new());
-        let out = supervise_traced(
+        let out = supervise(
             &p,
             &shards,
             Ctx::oblivious(),
@@ -990,6 +976,7 @@ mod tests {
                 &FaultPlan::lossy(3, 0.3).with_retransmit(Default::default()),
                 QueryMode::Monotone,
                 &SupervisorConfig::default(),
+                &TraceHandle::off(),
             );
             (
                 out.verdict.answer().cloned(),
@@ -1012,7 +999,7 @@ mod tests {
         let (p, shards, _) = setup();
         let timeline = |plan: &FaultPlan, seed| {
             let sink = Arc::new(MemSink::new());
-            supervise_traced(
+            supervise(
                 &p,
                 &shards,
                 Ctx::oblivious(),

@@ -17,7 +17,7 @@
 //! run, at a latency cost the e23 experiment measures against the
 //! cadence.
 
-use parlog_faults::CorruptionPlan;
+use parlog_faults::FaultPlan;
 use parlog_mpc::verified::{Proof, Verifier};
 use parlog_relal::eval::EvalStrategy;
 use parlog_relal::instance::Instance;
@@ -83,8 +83,8 @@ impl VerifiedRunReport {
 }
 
 /// Run one query per round over fixed input shards, committing blind and
-/// auditing on the policy's cadence. `corruption` tampers with the
-/// configured `(round, server)` outputs after the honest prover ran —
+/// auditing on the policy's cadence. `plan`'s corruptions tamper with
+/// their `(round, server)` outputs after the honest prover ran —
 /// the Byzantine window the audits must close. Monotonicity is not
 /// assumed: the checker's verdict is sound for any
 /// [`QueryMode`](crate::degrade::QueryMode), since certificates bind
@@ -95,7 +95,7 @@ pub fn run_verified_rounds(
     queries: &[UnionQuery],
     shards: &[Instance],
     strategy: EvalStrategy,
-    corruption: &CorruptionPlan,
+    plan: &FaultPlan,
     policy: VerifyPolicy,
     trace: &TraceHandle,
 ) -> VerifiedRunReport {
@@ -111,7 +111,7 @@ pub fn run_verified_rounds(
     let mut detections = Vec::new();
     let (mut audits, mut cert_bytes, mut audited_through) = (0, 0, 0);
     for (r, u) in queries.iter().enumerate() {
-        let (proofs, _) = verifier.prove(r, u, corruption, r as f64);
+        let (proofs, _) = verifier.prove(r, u, plan, r as f64);
         cert_bytes += proofs.iter().map(|(_, c)| c.size_bytes()).sum::<usize>();
         store.push(proofs);
         if (r + 1) % policy.verify_every != 0 && r + 1 != queries.len() {
@@ -143,20 +143,6 @@ pub fn run_verified_rounds(
     }
 }
 
-/// Convenience: the same conjunctive query every round.
-pub fn run_verified_rounds_cq(
-    q: &parlog_relal::query::ConjunctiveQuery,
-    rounds: usize,
-    shards: &[Instance],
-    strategy: EvalStrategy,
-    corruption: &CorruptionPlan,
-    policy: VerifyPolicy,
-    trace: &TraceHandle,
-) -> VerifiedRunReport {
-    let queries = vec![UnionQuery::new(vec![q.clone()]); rounds];
-    run_verified_rounds(&queries, shards, strategy, corruption, policy, trace)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,19 +161,20 @@ mod tests {
         out
     }
 
-    fn q() -> parlog_relal::query::ConjunctiveQuery {
-        parse_query("H(x,z) <- R(x,y), S(y,z)").unwrap()
+    /// The join `H(x,z) <- R(x,y), S(y,z)`, once per round.
+    fn joins(rounds: usize) -> Vec<UnionQuery> {
+        let q = parse_query("H(x,z) <- R(x,y), S(y,z)").unwrap();
+        vec![UnionQuery::new(vec![q]); rounds]
     }
 
     #[test]
     fn fault_free_run_detects_nothing() {
         let sh = shards(3);
-        let rep = run_verified_rounds_cq(
-            &q(),
-            4,
+        let rep = run_verified_rounds(
+            &joins(4),
             &sh,
             EvalStrategy::Indexed,
-            &CorruptionPlan::none(3),
+            &FaultPlan::none(3),
             VerifyPolicy { verify_every: 2 },
             &TraceHandle::off(),
         );
@@ -202,10 +189,9 @@ mod tests {
     fn latency_equals_distance_to_the_next_audit() {
         let sh = shards(3);
         for (cadence, expected_latency) in [(1usize, 0usize), (3, 1), (6, 4)] {
-            let plan = CorruptionPlan::single(7, 1, 2, CorruptKind::Inject);
-            let rep = run_verified_rounds_cq(
-                &q(),
-                6,
+            let plan = FaultPlan::none(7).with_corruption(1, 2, CorruptKind::Inject);
+            let rep = run_verified_rounds(
+                &joins(6),
                 &sh,
                 EvalStrategy::Indexed,
                 &plan,
@@ -226,20 +212,20 @@ mod tests {
     #[test]
     fn healed_answers_match_the_faultfree_run() {
         let sh = shards(3);
-        let clean = run_verified_rounds_cq(
-            &q(),
-            5,
+        let clean = run_verified_rounds(
+            &joins(5),
             &sh,
             EvalStrategy::Indexed,
-            &CorruptionPlan::none(9),
+            &FaultPlan::none(9),
             VerifyPolicy::every_round(),
             &TraceHandle::off(),
         );
         for kind in CorruptKind::ALL {
-            let plan = CorruptionPlan::single(9, 2, 0, kind).with_event(3, 1, kind);
-            let rep = run_verified_rounds_cq(
-                &q(),
-                5,
+            let plan = FaultPlan::none(9)
+                .with_corruption(2, 0, kind)
+                .with_corruption(3, 1, kind);
+            let rep = run_verified_rounds(
+                &joins(5),
                 &sh,
                 EvalStrategy::Indexed,
                 &plan,
@@ -255,10 +241,9 @@ mod tests {
     fn timeline_orders_corrupt_detect_quarantine_heal() {
         let sh = shards(3);
         let sink = Arc::new(MemSink::new());
-        let plan = CorruptionPlan::single(5, 0, 1, CorruptKind::Mutate);
-        run_verified_rounds_cq(
-            &q(),
-            3,
+        let plan = FaultPlan::none(5).with_corruption(0, 1, CorruptKind::Mutate);
+        run_verified_rounds(
+            &joins(3),
             &sh,
             EvalStrategy::Indexed,
             &plan,
@@ -282,14 +267,11 @@ mod tests {
     #[test]
     fn quarantine_blocks_later_corruption_without_reaudit_noise() {
         let sh = shards(2);
-        let plan = CorruptionPlan::single(11, 0, 0, CorruptKind::Drop).with_event(
-            2,
-            0,
-            CorruptKind::Inject,
-        );
-        let rep = run_verified_rounds_cq(
-            &q(),
-            4,
+        let plan = FaultPlan::none(11)
+            .with_corruption(0, 0, CorruptKind::Drop)
+            .with_corruption(2, 0, CorruptKind::Inject);
+        let rep = run_verified_rounds(
+            &joins(4),
             &sh,
             EvalStrategy::Indexed,
             &plan,
@@ -309,16 +291,13 @@ mod tests {
         // every 4 rounds, both lies are caught at round 3, and only the
         // first detection quarantines.
         let sh = shards(3);
-        let plan = CorruptionPlan::single(7, 1, 2, CorruptKind::Inject).with_event(
-            2,
-            2,
-            CorruptKind::Mutate,
-        );
+        let plan = FaultPlan::none(7)
+            .with_corruption(1, 2, CorruptKind::Inject)
+            .with_corruption(2, 2, CorruptKind::Mutate);
         let timeline = |verify_every| {
             let sink = Arc::new(MemSink::new());
-            run_verified_rounds_cq(
-                &q(),
-                6,
+            run_verified_rounds(
+                &joins(6),
                 &sh,
                 EvalStrategy::Indexed,
                 &plan,

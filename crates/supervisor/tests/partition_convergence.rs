@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 
-use parlog_faults::{FaultPlan, MpcFaultPlan, PartitionPlan};
+use parlog_faults::{FaultPlan, PartitionPlan};
 use parlog_mpc::cluster::{Cluster, Routing};
 use parlog_relal::eval::{eval_query, EvalStrategy};
 use parlog_relal::fact::fact;
@@ -131,7 +131,7 @@ proptest! {
         let expected = eval_query(&q, &db);
         let r_id = rel("R");
 
-        let run = |threads: usize, faults: MpcFaultPlan| {
+        let run = |threads: usize, faults: FaultPlan| {
             let mut c = Cluster::new(p).with_parallelism(threads).with_faults(faults);
             for s in 0..p {
                 c.place(s, db.iter().skip(s).step_by(p).cloned());
@@ -153,12 +153,12 @@ proptest! {
             c
         };
 
-        let fault_free = run(1, MpcFaultPlan::none());
+        let fault_free = run(1, FaultPlan::none(0));
         prop_assert_eq!(&fault_free.union_all(), &expected);
         let baseline = canon(&fault_free.union_all());
 
         for threads in [1usize, 2, 4] {
-            let plan = MpcFaultPlan::partitioned(PartitionPlan::seeded(pseed, p, 8));
+            let plan = FaultPlan::partitioned(0, PartitionPlan::seeded(pseed, p, 8));
             let c = run(threads, plan);
             prop_assert_eq!(
                 c.held_by_partition(), 0,

@@ -8,13 +8,14 @@
 
 use proptest::prelude::*;
 
-use parlog_faults::{FaultPlan, MpcFaultPlan, SpeculationPolicy};
+use parlog_faults::{FaultPlan, SpeculationPolicy};
 use parlog_mpc::cluster::Cluster;
 use parlog_relal::eval::{eval_query, EvalStrategy};
 use parlog_relal::fact::fact;
 use parlog_relal::instance::Instance;
 use parlog_relal::parser::parse_query;
 use parlog_supervisor::prelude::*;
+use parlog_trace::TraceHandle;
 use parlog_transducer::distribution::hash_distribution;
 use parlog_transducer::prelude::MonotoneBroadcast;
 use parlog_transducer::program::Ctx;
@@ -40,12 +41,8 @@ proptest! {
         threshold in 11u32..30,
     ) {
         let run = |spec: Option<SpeculationPolicy>| {
-            let mut c = Cluster::new(4).with_faults(
-                MpcFaultPlan::none().with_straggler(straggler, f64::from(slowdown)),
-            );
-            if let Some(s) = spec {
-                c = c.with_speculation(s);
-            }
+            let plan = FaultPlan::none(0).with_straggler(straggler, f64::from(slowdown));
+            let mut c = Cluster::new(4).with_faults(FaultPlan { speculation: spec, ..plan });
             for s in 0..4 {
                 c.place(s, db.iter().skip(s).step_by(4).cloned());
             }
@@ -91,6 +88,7 @@ proptest! {
             &FaultPlan::crash_stop(seed, node, at_step),
             QueryMode::Monotone,
             &config,
+            &TraceHandle::off(),
         );
         let answer = out.verdict.answer().expect("monotone runs always answer");
         prop_assert!(answer.is_subset_of(&expected));
@@ -155,6 +153,7 @@ proptest! {
             &plan,
             QueryMode::Monotone,
             &SupervisorConfig::default(),
+            &TraceHandle::off(),
         );
         prop_assert_eq!(out.report.false_suspicions, 0);
         if !crash {

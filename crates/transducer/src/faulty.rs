@@ -109,6 +109,15 @@ impl FaultStats {
     }
 }
 
+/// Refuse a plan that sets a fault only the MPC cluster enforces
+/// ([`FaultPlan::mpc_only`]): a transducer network has no verified rounds
+/// to corrupt and no round barrier to speculate on.
+pub(crate) fn refuse_mpc_only(plan: &FaultPlan) {
+    if let Some(field) = plan.mpc_only() {
+        panic!("a transducer runtime cannot enforce `{field}`: it is a fault of MPC rounds");
+    }
+}
+
 /// Byzantine tampering in transit, tallied in `stats`: one argument of
 /// `fact`, chosen by the fate's entropy `e`, is flipped by a nonzero
 /// entropy-derived delta, so the destination receives a well-formed but

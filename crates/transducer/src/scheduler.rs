@@ -251,7 +251,13 @@ impl SimRun {
     /// the injector, and the already-buffered init broadcasts are
     /// re-routed through it too, so init messages are as faulty as any
     /// others. With a benign plan this is the identity.
+    ///
+    /// # Panics
+    /// Panics if the plan sets `corruptions` or `speculation`
+    /// ([`FaultPlan::mpc_only`]): both are faults of the MPC cluster's
+    /// rounds, which a transducer network does not have.
     pub fn install_plan(&mut self, plan: &FaultPlan) {
+        crate::faulty::refuse_mpc_only(plan);
         self.faults.install(plan);
         self.partition_open = vec![false; plan.partition.as_ref().map_or(0, |p| p.epochs.len())];
         self.pump_partition_events();
@@ -811,6 +817,26 @@ mod tests {
         let mut run = SimRun::new(&Echo, &shards, Ctx::oblivious());
         run.run(&Echo, Schedule::Fifo);
         assert!(run.delivered > 0);
+    }
+
+    /// Install `plan` on a one-node echo network.
+    fn install(plan: &FaultPlan) {
+        let shards = [Instance::from_facts([fact("E", &[1, 2])])];
+        SimRun::new(&Echo, &shards, Ctx::oblivious()).install_plan(plan);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot enforce `corruptions`")]
+    fn a_sim_run_refuses_corruptions() {
+        use parlog_faults::CorruptKind;
+        install(&FaultPlan::none(1).with_corruption(0, 0, CorruptKind::Drop));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot enforce `speculation`")]
+    fn a_sim_run_refuses_speculation() {
+        use parlog_faults::SpeculationPolicy;
+        install(&FaultPlan::none(1).with_speculation(SpeculationPolicy::default()));
     }
 
     #[test]

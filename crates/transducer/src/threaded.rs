@@ -51,6 +51,11 @@ where
 /// changing what is computed — the scenario the supervisor's speculative
 /// re-execution targets. Returns the union of outputs plus the
 /// injector's tally.
+///
+/// # Panics
+/// Panics on a plan with crashes, `retransmit` or a partition (they
+/// need the simulator's clock), or with `corruptions` or `speculation`
+/// (faults of MPC rounds).
 pub fn run_threaded_faulty<P>(
     program: Arc<P>,
     shards: &[Instance],
@@ -65,6 +70,7 @@ where
         assert!(ctx.all.is_some(), "program requires the All relation");
     }
     if let Some(p) = plan {
+        crate::faulty::refuse_mpc_only(p);
         assert!(
             p.crashes.is_empty() && p.retransmit.is_none() && p.partition.is_none(),
             "the threaded runtime injects message faults only; crash, \
@@ -267,6 +273,16 @@ mod tests {
         let q = parse_query("H(x) <- E(x,y)").unwrap();
         let p = Arc::new(MonotoneBroadcast::new(q));
         let plan = FaultPlan::crash_stop(1, 0, 3);
+        run_threaded_faulty(p, &[db()], Ctx::oblivious(), Some(&plan));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot enforce `corruptions`")]
+    fn threaded_refuses_corruptions() {
+        use parlog_faults::{CorruptKind, FaultPlan};
+        let q = parse_query("H(x) <- E(x,y)").unwrap();
+        let p = Arc::new(MonotoneBroadcast::new(q));
+        let plan = FaultPlan::none(1).with_corruption(0, 0, CorruptKind::Inject);
         run_threaded_faulty(p, &[db()], Ctx::oblivious(), Some(&plan));
     }
 

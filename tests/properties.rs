@@ -264,19 +264,18 @@ proptest! {
         threads in 2usize..9,
         crash in 0usize..10,
     ) {
-        use parlog::faults::{MpcFaultPlan, SpeculationPolicy};
+        use parlog::faults::{FaultPlan, SpeculationPolicy};
         use parlog::mpc::cluster::Cluster;
         use parlog::mpc::report::RunReport;
         let q = parse_query("H(x,z) <- R(x,y), S(y,z)").unwrap();
         let run = |threads: usize, faulty: bool| {
             let mut c = Cluster::new(p).with_parallelism(threads);
             if faulty {
-                c = c
-                    .with_faults(
-                        MpcFaultPlan::crash(0, crash % p)
-                            .with_straggler((crash + 1) % p, 3.0),
-                    )
-                    .with_speculation(SpeculationPolicy::default());
+                c = c.with_faults(
+                    FaultPlan::crash_stop(0, crash % p, 0)
+                        .with_straggler((crash + 1) % p, 3.0)
+                        .with_speculation(SpeculationPolicy::default()),
+                );
             }
             for s in 0..p {
                 c.place(s, db.iter().skip(s).step_by(p).cloned());
