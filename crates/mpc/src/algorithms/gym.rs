@@ -17,7 +17,7 @@
 //! passes of [`crate::algorithms::treejoin`].
 
 use crate::algorithms::treejoin::{yannakakis_passes, RelTree, VarRel};
-use crate::cluster::{layer, Cluster};
+use crate::cluster::{layer, Cluster, Fate};
 use crate::hypercube::HypercubeAlgorithm;
 use crate::partition::{seed_cluster, InitialPartition};
 use crate::report::RunReport;
@@ -119,16 +119,13 @@ impl Gym {
         seed_cluster(&mut cluster, db, InitialPartition::RoundRobin);
 
         // One round: every fact goes to the HyperCube destinations of every
-        // bag whose atoms it matches, offset by the bag's server block.
-        cluster.communicate(|f| {
-            let mut dests = Vec::new();
+        // bag whose atoms it matches, offset by the bag's server block —
+        // blocks are disjoint, so no server is named twice.
+        cluster.route(&[], |_, f, out| {
             for (b, hc) in hcs.iter().enumerate() {
-                let offset = b * block;
-                dests.extend(hc.destinations(f).into_iter().map(|d| offset + d));
+                hc.destinations_into(f, b * block, out);
             }
-            dests.sort_unstable();
-            dests.dedup();
-            dests
+            Fate::Send
         });
 
         // Local bag evaluation: a server in block b runs bag b's query as

@@ -48,7 +48,7 @@
 //!
 //! ## Network partitions (hold-and-flush)
 //!
-//! With a [`PartitionPlan`](parlog_faults::PartitionPlan) in the plan
+//! With a [`PartitionPlan`] in the plan
 //! (e.g. [`FaultPlan::partitioned`]), epoch clocks are read as
 //! **committed-round indices**: while an epoch is
 //! open, a fact routed across a severed server link is *held at the
@@ -73,13 +73,13 @@
 //! result); the effect is confined to `tail_time` and the
 //! [`SpeculationStats`] waste accounting.
 
-use parlog_faults::FaultPlan;
+use parlog_faults::{FaultPlan, PartitionPlan};
 use parlog_relal::atom::Atom;
 use parlog_relal::eval::{EvalStrategy, QueryPlan};
 use parlog_relal::fact::Fact;
 use parlog_relal::instance::Instance;
 use parlog_relal::query::ConjunctiveQuery;
-use parlog_relal::shard::{Arrivals, Shard};
+use parlog_relal::shard::{Arrivals, Inbox, Shard};
 use parlog_relal::symbols::RelId;
 use parlog_trace::{
     CommCounters, FaultEvent, FaultEventKind, Phase, Span, TraceEvent, TraceHandle,
@@ -87,6 +87,18 @@ use parlog_trace::{
 
 /// A server id in `[0, p)`.
 pub type ServerId = usize;
+
+/// What a [`Cluster::route`] does with a fact: the destinations are the
+/// servers the route appended to its buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fate {
+    /// The fact stays at its current holder — no communication, no load;
+    /// the buffer is not read.
+    Keep,
+    /// The fact goes to every server appended, each delivery counted as
+    /// load; none appended drops it.
+    Send,
+}
 
 /// The fate of a fact in a [`Cluster::reshuffle`] round.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,6 +111,20 @@ pub enum Routing {
     Send(Vec<ServerId>),
     /// The fact is discarded.
     Drop,
+}
+
+impl Routing {
+    /// The [`Fate`] this routing gives, its destinations appended to `out`.
+    fn fate(self, out: &mut Vec<ServerId>) -> Fate {
+        match self {
+            Routing::Keep => Fate::Keep,
+            Routing::Send(dests) => {
+                out.extend(dests);
+                Fate::Send
+            }
+            Routing::Drop => Fate::Send,
+        }
+    }
 }
 
 /// Per-round communication statistics.
@@ -256,11 +282,11 @@ const PAR_MIN_ITEMS: usize = 2048;
 /// `threads` scoped workers, results in chunk order — what one sequential
 /// sweep over `items` would see, whatever the pool width. `work` is the
 /// phase's item count; small phases stay on the calling thread.
-fn par_chunks<T, U, F>(items: &[T], threads: usize, work: usize, f: F) -> Vec<U>
+fn par_chunks<T, U, F>(items: &mut [T], threads: usize, work: usize, f: F) -> Vec<U>
 where
-    T: Sync,
+    T: Send,
     U: Send,
-    F: Fn(usize, &[T]) -> U + Sync,
+    F: Fn(usize, &mut [T]) -> U + Sync,
 {
     let threads = if work < PAR_MIN_ITEMS { 1 } else { threads };
     let chunk = items.len().div_ceil(threads).max(1);
@@ -270,7 +296,7 @@ where
     std::thread::scope(|scope| {
         let f = &f;
         let workers: Vec<_> = items
-            .chunks(chunk)
+            .chunks_mut(chunk)
             .enumerate()
             .map(|(i, slice)| scope.spawn(move || f(i * chunk, slice)))
             .collect();
@@ -295,35 +321,39 @@ struct Delivered {
     held: Vec<HeldCopy>,
 }
 
-/// Route every fact of `holders`, in order, scattering each decision into
-/// per-destination `inboxes` — or onto `held` when `severed(src, dest)`
-/// (held, not lost: no load, no bytes). Keep-retained facts are free.
-fn scatter<R, S>(
-    inboxes: &mut [Arrivals],
+/// Route every fact of `holders`, in order, appending each row to its
+/// destinations' buffers in `inboxes` — or onto `held` when `cut` (a
+/// partition plan and the round) severs the link (held, not lost: no
+/// load, no bytes). A run's group is resolved once; `Keep`-retained facts
+/// are free.
+fn scatter<R>(
+    p: usize,
+    inboxes: &mut Arrivals,
     held: &mut Vec<HeldCopy>,
     holders: &[(ServerId, &Shard)],
     route: &R,
-    severed: &S,
+    cut: Option<(&PartitionPlan, usize)>,
 ) where
-    R: Fn(ServerId, &Fact) -> Routing,
-    S: Fn(ServerId, ServerId) -> bool,
+    R: Fn(ServerId, &Fact, &mut Vec<ServerId>) -> Fate,
 {
-    let p = inboxes.len();
+    let mut dests = Vec::new();
     for &(src, shard) in holders {
-        for f in shard.iter() {
-            match route(src, &f) {
-                Routing::Keep => inboxes[src].push(f.rel, &f.args, false),
-                Routing::Send(dests) => {
-                    for dest in dests {
-                        assert!(dest < p, "destination {dest} out of range for p={p}");
-                        if severed(src, dest) {
-                            held.push((src, dest, f.clone()));
-                        } else {
-                            inboxes[dest].push(f.rel, &f.args, true);
-                        }
+        for ((rel, k), facts) in shard.runs() {
+            let g = inboxes.group(rel, k);
+            for f in facts {
+                dests.clear();
+                if route(src, &f, &mut dests) == Fate::Keep {
+                    inboxes.push(src, g, &f.args, false);
+                    continue;
+                }
+                for &dest in &dests {
+                    assert!(dest < p, "destination {dest} out of range for p={p}");
+                    if cut.is_some_and(|(plan, round)| plan.severed(round, src, dest).is_some()) {
+                        held.push((src, dest, f.clone()));
+                    } else {
+                        inboxes.push(dest, g, &f.args, true);
                     }
                 }
-                Routing::Drop => {}
             }
         }
     }
@@ -332,49 +362,49 @@ fn scatter<R, S>(
 /// One communication attempt, the merge point every phase and both
 /// engines share. Carried holds whose links have healed flush first,
 /// then the holders' facts are routed and scattered in order (per-worker
-/// inboxes appended in chunk order, so arrival and hold order are the
+/// buffers appended in chunk order, so arrival and hold order are the
 /// sequential ones), and each destination's shard is built from its
-/// inbox: one sort and dedup per relation. A delivery counts as load once
-/// per destination — iff the fact's first arrival there counts — as in
-/// the model's accounting of repartitioning. The pass reads only its
-/// arguments, so a crash-replayed attempt re-derives the same outcome.
-fn deliver<R, S>(
+/// buffers: one in-place sort and dedup per relation and arity. A
+/// delivery counts as load once per destination — iff the fact's first
+/// arrival there counts — as in the model's accounting of repartitioning.
+/// The pass reads only its arguments, so a crash-replayed attempt
+/// re-derives the same outcome.
+fn deliver<R>(
     p: usize,
     threads: usize,
-    holders: &[(ServerId, &Shard)],
+    holders: &mut [(ServerId, &Shard)],
     carried: &[HeldCopy],
     route: &R,
-    severed: &S,
+    cut: Option<(&PartitionPlan, usize)>,
 ) -> Delivered
 where
-    R: Fn(ServerId, &Fact) -> Routing + Sync,
-    S: Fn(ServerId, ServerId) -> bool + Sync,
+    R: Fn(ServerId, &Fact, &mut Vec<ServerId>) -> Fate + Sync,
 {
-    let inboxes = || (0..p).map(|_| Arrivals::default()).collect::<Vec<_>>();
-    let (mut next, mut held) = (inboxes(), Vec::new());
+    let mut next = Arrivals::new(p);
+    let mut held = Vec::new();
     for (src, dest, f) in carried {
-        if severed(*src, *dest) {
+        if cut.is_some_and(|(plan, round)| plan.severed(round, *src, *dest).is_some()) {
             held.push((*src, *dest, f.clone()));
         } else {
-            next[*dest].push(f.rel, &f.args, true);
+            let g = next.group(f.rel, f.args.len());
+            next.push(*dest, g, &f.args, true);
         }
     }
     let facts = holders.iter().map(|(_, shard)| shard.len()).sum();
     let routed = par_chunks(holders, threads, facts, |_, chunk| {
-        let mut part = (inboxes(), Vec::new());
-        scatter(&mut part.0, &mut part.1, chunk, route, severed);
+        let mut part = (Arrivals::new(p), Vec::new());
+        scatter(p, &mut part.0, &mut part.1, chunk, route, cut);
         part
     });
     for (part, part_held) in routed {
-        for (inbox, more) in next.iter_mut().zip(part) {
-            inbox.append(more);
-        }
+        next.append(part);
         held.extend(part_held);
     }
-    let deliveries = next.iter().map(Arrivals::count).sum();
-    let built = par_chunks(&next, threads, deliveries, |_, dests| {
-        let build = |inbox: &Arrivals| inbox.build(CommCounters::wire_bytes);
-        dests.iter().map(build).collect::<Vec<_>>()
+    let deliveries = next.count();
+    let mut inboxes = next.inboxes();
+    let built = par_chunks(&mut inboxes, threads, deliveries, |_, dests| {
+        let build = |inbox: &mut Inbox| inbox.build(CommCounters::wire_bytes);
+        dests.iter_mut().map(build).collect::<Vec<_>>()
     });
     let (mut next, mut received, mut bytes) = (Vec::new(), Vec::new(), 0);
     for (shard, got, cost) in built.into_iter().flatten() {
@@ -524,7 +554,8 @@ impl Cluster {
 
     /// Commit one communication round with checkpoint/replay: `attempt`
     /// maps the checkpoint (the current local state and carried holds,
-    /// left untouched on failure) to what the round [`Delivered`]. If the
+    /// left untouched on failure) and the installed partition plan to
+    /// what the round [`Delivered`]. If the
     /// fault plan crashes a server during the attempt, the results are
     /// discarded and the attempt replays — deterministically, so the
     /// committed stats and state are exactly those of a fault-free run.
@@ -533,7 +564,7 @@ impl Cluster {
     /// Panics when a round exhausts the [`RETRY_BUDGET`].
     fn commit_round<G>(&mut self, mut attempt: G) -> &RoundStats
     where
-        G: FnMut(&[Shard], &[HeldCopy]) -> Delivered,
+        G: FnMut(&[Shard], &[HeldCopy], Option<&PartitionPlan>) -> Delivered,
     {
         let mut replays_this_round = 0u32;
         let round = self.rounds.len();
@@ -542,7 +573,7 @@ impl Cluster {
             let attempt_idx = self.recovery.attempts;
             self.recovery.attempts += 1;
             let wall = self.trace.is_on().then(std::time::Instant::now);
-            let out = attempt(&self.local, &self.held);
+            let out = attempt(&self.local, &self.held, self.faults.partition.as_ref());
             let (received, bytes) = (out.received, out.bytes);
             let wall_ns = wall.map(|t0| t0.elapsed().as_nanos() as u64);
             let crashed = (0..self.p()).any(|s| self.faults.crashes_at(s, attempt_idx));
@@ -678,37 +709,47 @@ impl Cluster {
     /// deduplicated as a real system would via its partitioning contract).
     ///
     /// Returns the stats of this round.
-    pub fn communicate<F>(&mut self, route: F) -> &RoundStats
+    pub fn communicate<F, D>(&mut self, route: F) -> &RoundStats
     where
-        F: Fn(&Fact) -> Vec<ServerId> + Sync,
+        F: Fn(&Fact) -> D + Sync,
+        D: IntoIterator<Item = ServerId>,
     {
-        self.reshuffle(move |_, f| Routing::Send(route(f)))
+        self.route(&[], |_, f, out| {
+            out.extend(route(f));
+            Fate::Send
+        })
     }
 
-    /// The shared communication-phase driver all three public phases
-    /// reduce to: route every holder's copy — each server's shard, then
-    /// the per-server `storage` shards if any — on the worker pool, and
-    /// commit the deliveries with checkpoint/replay.
-    /// Deliveries are deduplicated per destination, so a fact held by
-    /// several servers and routed alike by each counts once.
-    fn comm_round<R>(&mut self, storage: Option<&[Shard]>, route: R) -> &RoundStats
+    /// The communication phase every other phase adapts: route every
+    /// holder's copy — each server's shard, then the per-server `storage`
+    /// shards if any (the skew engine's waves re-send input cohorts from
+    /// storage while the heads found so far stay put) — on the worker
+    /// pool, and commit the deliveries with checkpoint/replay. `route(holder, fact, out)` appends the fact's
+    /// destinations to `out` (empty on entry) and says whether it
+    /// [`Fate::Keep`]s or [`Fate::Send`]s it. Deliveries are
+    /// deduplicated per destination, so a fact held by several servers
+    /// and routed alike by each counts once.
+    ///
+    /// # Panics
+    /// Panics if `storage` is neither empty nor one shard per server, or
+    /// a destination is not a server.
+    pub fn route<R>(&mut self, storage: &[Shard], route: R) -> &RoundStats
     where
-        R: Fn(ServerId, &Fact) -> Routing + Sync,
+        R: Fn(ServerId, &Fact, &mut Vec<ServerId>) -> Fate + Sync,
     {
-        let p = self.p();
-        let threads = self.parallelism;
+        let (p, threads) = (self.p(), self.parallelism);
+        assert!(
+            storage.is_empty() || storage.len() == p,
+            "one storage shard per server"
+        );
         let round = self.rounds.len();
         self.pump_partition_events(round);
-        // Without a plan no link is ever severed: the plan-less round is
-        // the partitioned round that holds nothing.
-        let plan = self.faults.partition.clone();
-        let plan = plan.as_ref();
-        let severed = |src, dest| plan.is_some_and(|pl| pl.severed(round, src, dest).is_some());
-        self.commit_round(|local, carried| {
-            let storage = storage.into_iter().flatten().enumerate();
-            let holders: Vec<(ServerId, &Shard)> =
+        self.commit_round(|local, carried, plan| {
+            let storage = storage.iter().enumerate();
+            let mut holders: Vec<(ServerId, &Shard)> =
                 local.iter().enumerate().chain(storage).collect();
-            deliver(p, threads, &holders, carried, &route, &severed)
+            let cut = plan.map(|plan| (plan, round));
+            deliver(p, threads, &mut holders, carried, &route, cut)
         })
     }
 
@@ -772,7 +813,7 @@ impl Cluster {
     where
         F: Fn(ServerId, &Fact) -> Routing + Sync,
     {
-        self.comm_round(None, route)
+        self.route(&[], |src, f, out| route(src, f).fate(out))
     }
 
     /// Computation phase applied per server with access to the server id:
@@ -789,8 +830,8 @@ impl Cluster {
     {
         let wall = self.trace.is_on().then(std::time::Instant::now);
         let work = self.local.iter().map(Shard::len).sum();
-        let outs = par_chunks(&self.local, self.parallelism, work, |first, servers| {
-            let outs = (first..).zip(servers).map(|(s, shard)| f(s, shard));
+        let outs = par_chunks(&mut self.local, self.parallelism, work, |first, servers| {
+            let outs = (first..).zip(servers.iter()).map(|(s, shard)| f(s, shard));
             outs.collect::<Vec<Shard>>()
         });
         for (inst, out) in self.local.iter_mut().zip(outs.into_iter().flatten()) {
@@ -809,21 +850,6 @@ impl Cluster {
                 wall_ns: Some(t0.elapsed().as_nanos() as u64),
             }));
         }
-    }
-
-    /// [`Cluster::reshuffle`] that *also* drains the per-server storage
-    /// shards: every storage fact is offered to `route` alongside the
-    /// carried local facts, with full keep/send/drop control and without
-    /// collapsing local state first. This is the communication phase of
-    /// the multi-round skew engine, whose waves re-send input cohorts
-    /// from storage while head facts accumulated so far stay put
-    /// ([`Routing::Keep`] is load-free).
-    pub fn reshuffle_with<F>(&mut self, storage: &[Shard], route: F) -> &RoundStats
-    where
-        F: Fn(ServerId, &Fact) -> Routing + Sync,
-    {
-        assert_eq!(storage.len(), self.p(), "one storage shard per server");
-        self.comm_round(Some(storage), route)
     }
 
     /// Computation phase evaluating one conjunctive query on every
@@ -1488,25 +1514,40 @@ mod tests {
         }
     }
 
-    /// A holder-dependent fate per `(source, fact)`: a fifth each of
-    /// `Keep` and `Drop`, the rest `Send` to one to three destinations
-    /// (repeats allowed) — deliberately *not* value-deterministic, so
-    /// the same fact is kept by one holder and sent by another.
-    fn mixed_fate(p: usize, salt: u64) -> impl Fn(ServerId, &Fact) -> Routing + Sync {
+    /// A holder-dependent fate per `(source, fact)`, written into the
+    /// caller's buffer: a fifth each kept and sent nowhere (dropped), the
+    /// rest sent to one to three destinations (repeats allowed) —
+    /// deliberately *not* value-deterministic, so the same fact is kept
+    /// by one holder and sent by another.
+    fn mixed_route(
+        p: usize,
+        salt: u64,
+    ) -> impl Fn(ServerId, &Fact, &mut Vec<ServerId>) -> Fate + Sync {
         use parlog_relal::fastmap::hash_u64;
-        move |src, f| {
+        move |src, f, out| {
             let mut h = hash_u64(salt, src as u64);
             for v in &f.args {
                 h = hash_u64(h, v.0);
             }
-            match h % 5 {
-                0 => Routing::Keep,
-                1 => Routing::Drop,
-                k => Routing::Send(
-                    (0..k - 1)
-                        .map(|i| (hash_u64(h, i) % p as u64) as usize)
-                        .collect(),
-                ),
+            if h % 5 == 0 {
+                return Fate::Keep;
+            }
+            out.extend(
+                (0..(h % 5).saturating_sub(1)).map(|i| (hash_u64(h, i) % p as u64) as usize),
+            );
+            Fate::Send
+        }
+    }
+
+    /// [`mixed_route`] as a per-fact [`Routing`].
+    fn mixed_fate(p: usize, salt: u64) -> impl Fn(ServerId, &Fact) -> Routing + Sync {
+        let route = mixed_route(p, salt);
+        move |src, f| {
+            let mut out = Vec::new();
+            match route(src, f, &mut out) {
+                Fate::Keep => Routing::Keep,
+                Fate::Send if out.is_empty() => Routing::Drop,
+                Fate::Send => Routing::Send(out),
             }
         }
     }
@@ -1517,9 +1558,11 @@ mod tests {
         /// The bucketed attempt equals the per-fact one on the same item
         /// stream — the holders' shards in order: mixed
         /// `Keep`/`Send`/`Drop`, the same fact offered by several holders
-        /// and several shards of one server, carried holds, an open or healed partition
+        /// and several shards of one server, one relation at two arities,
+        /// arities 0 and 3, carried holds, an open or healed partition
         /// epoch, rounds below and above the sequential cut-off, at
-        /// parallelism 1, 2 and 4 — next shards, loads, bytes and held
+        /// parallelism 1, 2 and 4, through the buffer route and through
+        /// the `Routing` adapter — next shards, loads, bytes and held
         /// copies identical.
         #[test]
         fn bucketed_attempt_matches_per_fact_delivery(
@@ -1536,7 +1579,15 @@ mod tests {
             let n = if large == 0 { PAR_MIN_ITEMS + 40 * n_small } else { n_small };
             let domain = if large == 0 { 40 } else { domain };
             let pool: Vec<Fact> = (0..domain * domain)
-                .map(|i| fact(["R", "S"][(i % 2) as usize], &[i / domain, i % domain]))
+                .map(|i| {
+                    let (a, b) = (i / domain, i % domain);
+                    match i % 5 {
+                        0 | 1 => fact(["R", "S"][(i % 2) as usize], &[a, b]),
+                        2 => fact("R", &[a]),
+                        3 => fact("U", &[a, b, a ^ b]),
+                        _ => fact("Z", &[]),
+                    }
+                })
                 .collect();
             let pick = |i: usize, k: u64| hash_u64(salt + k, i as u64);
             // Consecutive draws from the pool, cut into holder shards.
@@ -1566,17 +1617,20 @@ mod tests {
                 1 => (Some((&plan, 1)), &carried),
                 _ => (Some((&plan, 2)), &carried),
             };
-            let route = mixed_fate(p, salt);
-            let severed = |src: ServerId, dest: ServerId| {
-                plan.is_some_and(|(plan, round)| plan.severed(round, src, dest).is_some())
-            };
-            let want = deliver_per_fact(p, &items, carried, &route, plan);
+            let (route, fate) = (mixed_route(p, salt), mixed_fate(p, salt));
+            let adapted = |src, f: &Fact, out: &mut Vec<ServerId>| fate(src, f).fate(out);
+            let want = deliver_per_fact(p, &items, carried, &fate, plan);
             for threads in [1, 2, 4] {
-                let got = deliver(p, threads, &holders, carried, &route, &severed);
-                assert_same_state(&got.next, &want.next, "bucketed vs per-fact");
-                proptest::prop_assert_eq!(&got.received, &want.received);
-                proptest::prop_assert_eq!(got.bytes, want.bytes);
-                proptest::prop_assert_eq!(&got.held, &want.held);
+                let mut holders = holders.clone();
+                for got in [
+                    deliver(p, threads, &mut holders, carried, &route, plan),
+                    deliver(p, threads, &mut holders, carried, &adapted, plan),
+                ] {
+                    assert_same_state(&got.next, &want.next, "bucketed vs per-fact");
+                    proptest::prop_assert_eq!(&got.received, &want.received);
+                    proptest::prop_assert_eq!(got.bytes, want.bytes);
+                    proptest::prop_assert_eq!(&got.held, &want.held);
+                }
             }
         }
     }
@@ -1600,7 +1654,10 @@ mod tests {
         let items: Vec<(ServerId, Fact)> = all.iter().map(|f| (0, f.clone())).collect();
         let want = deliver_per_fact(p, &items, &[], &|_, f| Routing::Send(route(f)), None);
 
-        c.reshuffle_with(&storage, |_, f| Routing::Send(route(f)));
+        c.route(&storage, |_, f, out| {
+            out.extend(route(f));
+            Fate::Send
+        });
         for s in 0..p {
             assert_eq!(c.shard(s), &want.next[s], "server {s}");
         }
@@ -1626,7 +1683,7 @@ mod tests {
             let mut c = seeded(p, &facts)
                 .with_parallelism(threads)
                 .with_faults(plan);
-            c.reshuffle_with(&storage, mixed_fate(p, 5));
+            c.route(&storage, mixed_route(p, 5));
             let held_open = c.held.clone();
             c.reshuffle(|src, f| Routing::Send(vec![(f.args[0].0 as usize + src) % p]));
             c.reshuffle(mixed_fate(p, 6));
@@ -1659,8 +1716,8 @@ mod tests {
     fn small_phases_stay_on_the_calling_thread() {
         let me = std::thread::current().id();
         let on_caller = |n: usize, threads: usize| {
-            let items: Vec<usize> = (0..n).collect();
-            par_chunks(&items, threads, n, |_, _| std::thread::current().id())
+            let mut items: Vec<usize> = (0..n).collect();
+            par_chunks(&mut items, threads, n, |_, _| std::thread::current().id())
                 .iter()
                 .all(|&id| id == me)
         };
@@ -1669,8 +1726,9 @@ mod tests {
         assert!(on_caller(PAR_MIN_ITEMS, 1));
         assert!(!on_caller(PAR_MIN_ITEMS, 2));
         // Chunks come back in order and cover every item once.
-        let items: Vec<usize> = (0..PAR_MIN_ITEMS + 3).collect();
-        let spans = par_chunks(&items, 3, items.len(), |first, chunk| (first, chunk.len()));
+        let mut items: Vec<usize> = (0..PAR_MIN_ITEMS + 3).collect();
+        let n = items.len();
+        let spans = par_chunks(&mut items, 3, n, |first, chunk| (first, chunk.len()));
         let mut next = 0;
         for (first, len) in spans {
             assert_eq!(first, next);

@@ -11,7 +11,7 @@
 //! the HyperCube distribution **strongly saturates** every CQ
 //! (Section 4.1).
 
-use crate::cluster::Cluster;
+use crate::cluster::{Cluster, Fate};
 use crate::partition::{seed_cluster, HashPartitioner, InitialPartition};
 use crate::report::RunReport;
 use crate::shares::Shares;
@@ -174,18 +174,52 @@ impl HypercubeAlgorithm {
     }
 
     /// All destination servers of a fact (union over matching atoms —
-    /// self-joins route through every atom of the relation).
-    pub fn destinations(&self, f: &Fact) -> Vec<usize> {
+    /// self-joins route through every atom of the relation), ascending.
+    /// When one atom matches and at most one of its free axes has more
+    /// than one coordinate, they form a progression read without a heap
+    /// block.
+    pub fn destinations(&self, f: &Fact) -> Destinations {
+        let mut matching = self.routes.iter().filter(|r| r.matches(f));
+        if let (Some(route), None) = (matching.next(), matching.next()) {
+            if let Some(ids) = self.progression(route, f) {
+                return Destinations(ids);
+            }
+        }
         let mut out = Vec::new();
+        self.destinations_into(f, 0, &mut out);
+        Destinations(Ids::List(out.into_iter()))
+    }
+
+    /// `route`'s servers for `f` as a progression: the bound axes' flat
+    /// id, then one step per coordinate of the one free axis that has
+    /// more than one; `None` if two have.
+    fn progression(&self, route: &AtomRoute, f: &Fact) -> Option<Ids> {
+        let (mut next, mut step, mut left) = (0, 1, 1);
+        let axes = route.axes.iter().zip(&self.hashers).zip(&self.strides);
+        for ((pos, h), &stride) in axes {
+            match pos {
+                Some(i) => next += h.bucket(f.args[*i]) * stride,
+                None if h.buckets == 1 => {}
+                None if left == 1 => (step, left) = (stride, h.buckets),
+                None => return None,
+            }
+        }
+        Some(Ids::Step { next, step, left })
+    }
+
+    /// Append [`HypercubeAlgorithm::destinations`] of `f`, each plus
+    /// `offset`, to `out` in ascending order, dropping adjacent repeats —
+    /// the route of [`HypercubeAlgorithm::run_on`] and of GYM's bag round.
+    pub fn destinations_into(&self, f: &Fact, offset: usize, out: &mut Vec<usize>) {
+        let start = out.len();
         let mut matched = 0;
         for atom in 0..self.routes.len() {
-            matched += usize::from(self.destinations_via(atom, f, 0, &mut out));
+            matched += usize::from(self.destinations_via(atom, f, offset, out));
         }
         if matched > 1 {
-            out.sort_unstable();
+            out[start..].sort_unstable();
             out.dedup();
         }
-        out
     }
 
     /// Run the one-round algorithm on `db` on a fresh cluster, starting
@@ -202,11 +236,56 @@ impl HypercubeAlgorithm {
     pub fn run_on(&self, cluster: &mut Cluster, db: &Instance) -> RunReport {
         assert_eq!(cluster.p(), self.servers(), "cluster sized for the shares");
         seed_cluster(cluster, db, InitialPartition::RoundRobin);
-        cluster.communicate(|f| self.destinations(f));
+        cluster.route(&[], |_, f, out| {
+            self.destinations_into(f, 0, out);
+            Fate::Send
+        });
         cluster.compute_query(&self.query, EvalStrategy::Auto);
         RunReport::from_cluster("hypercube", cluster, db.len())
     }
 }
+
+/// The destination servers of one fact, ascending (see
+/// [`HypercubeAlgorithm::destinations`]).
+#[derive(Debug, Clone)]
+pub struct Destinations(Ids);
+
+#[derive(Debug, Clone)]
+enum Ids {
+    /// `left` servers from `next`, `step` apart.
+    Step {
+        next: usize,
+        step: usize,
+        left: usize,
+    },
+    List(std::vec::IntoIter<usize>),
+}
+
+impl Iterator for Destinations {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        match &mut self.0 {
+            Ids::Step { left: 0, .. } => None,
+            Ids::Step { next, step, left } => {
+                *left -= 1;
+                *next += *step;
+                Some(*next - *step)
+            }
+            Ids::List(ids) => ids.next(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = match &self.0 {
+            Ids::Step { left, .. } => *left,
+            Ids::List(ids) => ids.len(),
+        };
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Destinations {}
 
 #[cfg(test)]
 mod tests {
@@ -288,9 +367,11 @@ mod tests {
                 .len(),
             1
         );
-        assert!(hc
-            .destinations(&parlog_relal::fact::fact("R", &[1, 6]))
-            .is_empty());
+        assert_eq!(
+            hc.destinations(&parlog_relal::fact::fact("R", &[1, 6]))
+                .len(),
+            0
+        );
     }
 
     #[test]
@@ -305,7 +386,7 @@ mod tests {
             let req = v.required_facts(&q);
             let mut meet: Option<Vec<usize>> = None;
             for f in req.iter() {
-                let d = hc.destinations(f);
+                let d: Vec<usize> = hc.destinations(f).collect();
                 meet = Some(match meet {
                     None => d,
                     Some(prev) => prev.into_iter().filter(|s| d.contains(s)).collect(),
@@ -429,7 +510,12 @@ mod tests {
                 };
                 let want: Vec<usize> =
                     (0..p).filter(|&s| q.body.iter().any(|a| receives_via(&hc, a, &f, s))).collect();
-                prop_assert_eq!(hc.destinations(&f), want, "{:?} for {}", &q, &f);
+                let got: Vec<usize> = hc.destinations(&f).collect();
+                prop_assert_eq!(got, want.clone(), "{:?} for {}", &q, &f);
+                let mut out = vec![usize::MAX];
+                hc.destinations_into(&f, 7, &mut out);
+                let shifted = want.iter().map(|s| s + 7);
+                prop_assert_eq!(out, std::iter::once(usize::MAX).chain(shifted).collect::<Vec<_>>());
                 for (ai, atom) in q.body.iter().enumerate() {
                     let offset = 100 * ai;
                     let mut out = vec![usize::MAX];
@@ -448,8 +534,10 @@ mod tests {
     fn nonmatching_relation_goes_nowhere() {
         let q = triangle();
         let hc = HypercubeAlgorithm::new(&q, 8).unwrap();
-        assert!(hc
-            .destinations(&parlog_relal::fact::fact("Z", &[1, 2]))
-            .is_empty());
+        assert_eq!(
+            hc.destinations(&parlog_relal::fact::fact("Z", &[1, 2]))
+                .len(),
+            0
+        );
     }
 }

@@ -6,7 +6,7 @@
 //! here realize that assumption (round-robin, value-hash, adversarial
 //! single-server) so that algorithms can be shown independent of it.
 
-use crate::cluster::{Cluster, RoundStats, Routing, ServerId};
+use crate::cluster::{Cluster, Fate, RoundStats, ServerId};
 use parlog_relal::fact::{Args, Fact, Val};
 use parlog_relal::fastmap::hash_u64;
 use parlog_relal::instance::Instance;
@@ -39,10 +39,12 @@ impl HashPartitioner {
     /// the pair `(e, g)` in the second round of Example 3.1(2)). A
     /// one-value key lands where [`HashPartitioner::bucket`] puts it.
     pub fn bucket_of(&self, vs: &[Val]) -> usize {
-        let mut h = self.seed;
-        for v in vs {
-            h = hash_u64(h, v.0);
-        }
+        self.bucket_of_vals(vs.iter().copied())
+    }
+
+    /// [`HashPartitioner::bucket_of`] the values `vs` yields.
+    fn bucket_of_vals(&self, vs: impl IntoIterator<Item = Val>) -> usize {
+        let h = vs.into_iter().fold(self.seed, |h, v| hash_u64(h, v.0));
         (h % self.buckets as u64) as usize
     }
 }
@@ -61,14 +63,24 @@ pub(crate) fn key_bucket(routes: &[KeyRoute], f: &Fact) -> Option<(Args, ServerI
     Some((key, bucket))
 }
 
+/// The bucket [`key_bucket`] sends `f` to, hashed from `f`'s values at
+/// the positions without gathering them into a key.
+fn bucket(routes: &[KeyRoute], f: &Fact) -> Option<ServerId> {
+    let (_, positions, h) = routes.iter().find(|(r, ..)| *r == f.rel)?;
+    Some(h.bucket_of_vals(positions.iter().map(|&i| f.args[i])))
+}
+
 /// The communication phase of a hash-on-key round — the one reshuffle of
 /// every pairwise join, semijoin, fixpoint step and grouping: each fact
 /// of a routed relation goes to the bucket of its key; every other fact
 /// stays where it is, at no load.
 pub fn route_by_key<'c>(cluster: &'c mut Cluster, routes: &[KeyRoute]) -> &'c RoundStats {
-    cluster.reshuffle(|_, f| match key_bucket(routes, f) {
-        Some((_, s)) => Routing::Send(vec![s]),
-        None => Routing::Keep,
+    cluster.route(&[], |_, f, out| match bucket(routes, f) {
+        Some(s) => {
+            out.push(s);
+            Fate::Send
+        }
+        None => Fate::Keep,
     })
 }
 
@@ -100,10 +112,10 @@ where
 {
     let mut rels: Vec<RelId> = db.relations().collect();
     rels.sort_unstable();
-    let mut shares: Vec<Arrivals> = (0..p).map(|_| Arrivals::default()).collect();
+    let mut shares = Arrivals::new(p);
     let (mut i, mut row) = (0, Vec::new());
-    let mut deal_row = |rel: RelId, vals: &[Val]| {
-        shares[place(i, rel, vals)].push(rel, vals, false);
+    let mut deal_row = |shares: &mut Arrivals, g: usize, rel: RelId, vals: &[Val]| {
+        shares.push(place(i, rel, vals), g, vals, false);
         i += 1;
     };
     for rel in rels {
@@ -111,20 +123,25 @@ where
         let layers = db.trie_layers(rel, &(0..k).collect::<Vec<_>>());
         match layers.runs() {
             [t] if !layers.has_tombstones() && t.rows() == db.relation_len(rel) => {
+                let g = shares.group(rel, k);
                 for r in 0..t.rows() {
                     row.clear();
                     t.push_row(r, &mut row);
-                    deal_row(rel, &row);
+                    deal_row(&mut shares, g, rel, &row);
                 }
             }
             _ => {
                 let mut facts: Vec<Fact> = db.relation(rel).cloned().collect();
                 facts.sort();
-                facts.iter().for_each(|f| deal_row(rel, &f.args));
+                for f in &facts {
+                    let g = shares.group(rel, f.args.len());
+                    deal_row(&mut shares, g, rel, &f.args);
+                }
             }
         }
     }
-    shares.iter().map(|s| s.build(|_| 0).0).collect()
+    let mut inboxes = shares.inboxes();
+    inboxes.iter_mut().map(|s| s.build(|_| 0).0).collect()
 }
 
 /// Place `db` on `cluster` according to `how`. Panics if the cluster

@@ -34,9 +34,9 @@
 //! this is what reaches the skew-aware bound (see
 //! [`SkewAdaptiveJoin::load_bound`], checked machine-side by E26).
 //!
-//! Execution is a fixed schedule of [`Cluster::reshuffle_with`] rounds
+//! Execution is a fixed schedule of [`Cluster::route`] rounds
 //! drawing input cohorts from per-server storage shards; head facts
-//! accumulated so far ride along with load-free [`Routing::Keep`]. The
+//! accumulated so far ride along with load-free [`Fate::Keep`]. The
 //! output is the duplicate-eliminating union of every wave's local
 //! evaluation (set semantics make the union idempotent), byte-identical
 //! across thread counts, and the engine composes with the existing fault
@@ -44,7 +44,7 @@
 //! partition hold-and-flush is handled by draining held copies after a
 //! dirtied pass and re-running the wave schedule once healed.
 
-use crate::cluster::{layer, Cluster, Routing};
+use crate::cluster::{layer, Cluster, Fate, Routing};
 use crate::datagen::value_frequencies;
 use crate::hypercube::HypercubeAlgorithm;
 use crate::partition::deal;
@@ -251,18 +251,23 @@ fn is_heavy(heavy: &[(Var, Vec<Val>)], v: &Var, val: Val) -> bool {
         .is_some_and(|(_, hs)| hs.binary_search(&val).is_ok())
 }
 
-/// Can a fact with this atom `binding` take part in a valuation of
-/// signature `pat`? Every bound variable the pattern fixes must agree
-/// with the pattern's value, and every bound variable the pattern leaves
+/// Can the fact `f`, matching `atom`, take part in a valuation of
+/// signature `pat`? Every variable the atom binds that the pattern fixes
+/// must agree with the pattern's value, and every one the pattern leaves
 /// light must not carry a heavy value.
 fn pattern_consistent(
-    binding: &[(&Var, Val)],
+    atom: &Atom,
+    f: &Fact,
     pat: &HeavyPattern,
     heavy: &[(Var, Vec<Val>)],
 ) -> bool {
-    binding.iter().all(|(v, val)| match pat.value_of(v) {
-        Some(pval) => pval == *val,
-        None => !is_heavy(heavy, v, *val),
+    let mut bound = atom.terms.iter().zip(f.args.iter());
+    bound.all(|(t, &val)| match t {
+        Term::Var(v) => match pat.value_of(v) {
+            Some(pval) => pval == val,
+            None => !is_heavy(heavy, v, val),
+        },
+        Term::Const(_) => true,
     })
 }
 
@@ -514,20 +519,26 @@ impl SkewAdaptiveJoin {
     /// constants there — no axis), offset into the pattern's block.
     pub fn wave_destinations(&self, w: usize, f: &Fact) -> Vec<usize> {
         let mut out = Vec::new();
+        self.wave_destinations_into(w, f, &mut out);
+        out
+    }
+
+    /// Append [`SkewAdaptiveJoin::wave_destinations`] of `f` to `out` in
+    /// ascending order, dropping adjacent repeats — the route of wave `w`.
+    fn wave_destinations_into(&self, w: usize, f: &Fact, out: &mut Vec<usize>) {
+        let start = out.len();
         for (ai, atom) in self.query.body.iter().enumerate() {
-            let Some(binding) = atom.binding(f) else {
+            if !atom.matches(f) {
                 continue;
-            };
+            }
             for plan in &self.waves[w] {
-                if !pattern_consistent(&binding, &plan.pattern, &self.heavy) {
-                    continue;
+                if pattern_consistent(atom, f, &plan.pattern, &self.heavy) {
+                    plan.hc.destinations_via(ai, f, plan.offset, out);
                 }
-                plan.hc.destinations_via(ai, f, plan.offset, &mut out);
             }
         }
-        out.sort_unstable();
+        out[start..].sort_unstable();
         out.dedup();
-        out
     }
 
     /// Run on a fresh cluster.
@@ -583,16 +594,12 @@ impl SkewAdaptiveJoin {
         let mut inputs: Vec<RelId> = self.query.body_relations();
         inputs.retain(|&r| r != head_rel);
         for w in 0..self.waves.len() {
-            cluster.reshuffle_with(storage, |_, f| {
+            cluster.route(storage, |_, f, out| {
                 if f.rel == head_rel {
-                    return Routing::Keep;
+                    return Fate::Keep;
                 }
-                let d = self.wave_destinations(w, f);
-                if d.is_empty() {
-                    Routing::Drop
-                } else {
-                    Routing::Send(d)
-                }
+                self.wave_destinations_into(w, f, out);
+                Fate::Send
             });
             cluster.compute_rules(&plan, &inputs);
         }

@@ -52,10 +52,10 @@ fn stats_json(r: &RunReport) -> String {
 
 /// One round on `cluster`: `db` dealt round-robin, routed by `dests`,
 /// evaluated under `strategy`.
-fn one_round(
+fn one_round<D: IntoIterator<Item = usize>>(
     mut cluster: Cluster,
     db: &Instance,
-    dests: impl Fn(&Fact) -> Vec<usize> + Sync,
+    dests: impl Fn(&Fact) -> D + Sync,
     q: &ConjunctiveQuery,
     strategy: EvalStrategy,
 ) -> RunReport {

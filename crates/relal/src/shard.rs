@@ -79,65 +79,164 @@ pub struct Shard {
     orders: Vec<(RelId, Arc<TrieRel>)>,
 }
 
-/// Rows bound for one shard in arrival order, grouped by relation and
-/// arity: each group's row-major values, and whether each arrival is
-/// charged (a delivery counted as load) or free.
+/// Rows bound for one run of one shard, in arrival order: their
+/// row-major values, how many arrivals are charged (a delivery counted as
+/// load) and how many free, and — only once both kinds have arrived —
+/// which is which.
 #[derive(Debug, Default)]
-pub struct Arrivals(Vec<(RelId, usize, Vec<Val>, Vec<bool>)>);
+struct Bucket {
+    vals: Vec<Val>,
+    charged: usize,
+    free: usize,
+    /// Per-arrival charged flags; empty while every arrival is one kind.
+    flags: Vec<bool>,
+}
 
-impl Arrivals {
-    /// One arrival of the fact `rel(args)`.
-    pub fn push(&mut self, rel: RelId, args: &[Val], charged: bool) {
-        let key = (rel, args.len());
-        let at = match self.0.iter().position(|g| (g.0, g.1) == key) {
-            Some(at) => at,
-            None => {
-                self.0.push((rel, key.1, Vec::new(), Vec::new()));
-                self.0.len() - 1
+impl Bucket {
+    #[inline]
+    fn push(&mut self, row: &[Val], charged: bool) {
+        self.vals.extend(row.iter().copied());
+        let other = if charged { self.free } else { self.charged };
+        if other > 0 {
+            if self.flags.is_empty() {
+                self.flags.resize(other, !charged);
             }
-        };
-        self.0[at].2.extend_from_slice(args);
-        self.0[at].3.push(charged);
+            self.flags.push(charged);
+        }
+        *if charged {
+            &mut self.charged
+        } else {
+            &mut self.free
+        } += 1;
     }
 
-    /// Add `later`'s arrivals after these.
+    fn arrivals(&self) -> usize {
+        self.charged + self.free
+    }
+
+    /// Spell out the flags of a bucket whose arrivals are all one kind.
+    fn flag_each(&mut self) {
+        if self.flags.is_empty() {
+            self.flags = vec![self.charged > 0; self.arrivals()];
+        }
+    }
+
+    /// Add `later`'s arrivals after these: moved into an empty bucket.
+    fn append(&mut self, mut later: Bucket) {
+        if self.arrivals() == 0 {
+            *self = later;
+            return;
+        }
+        if self.charged + later.charged > 0 && self.free + later.free > 0 {
+            self.flag_each();
+            later.flag_each();
+            self.flags.append(&mut later.flags);
+        }
+        self.vals.append(&mut later.vals);
+        self.charged += later.charged;
+        self.free += later.free;
+    }
+
+    /// The run of the distinct rows, `k` values wide, sorted in place,
+    /// and how many of them first arrived charged.
+    fn into_run(mut self, k: usize) -> (TrieRel, usize) {
+        let (perm, n) = ((0..k).collect(), self.arrivals());
+        if self.flags.is_empty() {
+            let run = TrieRel::from_row_buffer(perm, &mut self.vals, n);
+            let got = if self.charged > 0 { run.rows() } else { 0 };
+            return (run, got);
+        }
+        let mut got = 0;
+        let run = TrieRel::from_rows_first(perm, &self.vals, n, |i| got += self.flags[i] as usize);
+        (run, got)
+    }
+}
+
+/// Rows bound for `p` shards, one buffer per shard and run key. The keys
+/// are one sorted `(relation, arity)` list every shard shares — the order
+/// a [`Shard`] lists its runs in — so a sender resolves a run's
+/// [`Arrivals::group`] once, and an arrival is a row append.
+#[derive(Debug)]
+pub struct Arrivals {
+    keys: Vec<(RelId, usize)>,
+    /// `buckets[s][g]`: what shard `s` receives under `keys[g]`.
+    buckets: Vec<Vec<Bucket>>,
+}
+
+impl Arrivals {
+    /// Empty buffers for `p` shards.
+    pub fn new(p: usize) -> Arrivals {
+        let buckets = (0..p).map(|_| Vec::new()).collect();
+        let keys = Vec::new();
+        Arrivals { keys, buckets }
+    }
+
+    /// The group of the run key `(rel, k)`, added if new.
+    pub fn group(&mut self, rel: RelId, k: usize) -> usize {
+        self.keys.binary_search(&(rel, k)).unwrap_or_else(|g| {
+            self.keys.insert(g, (rel, k));
+            self.buckets
+                .iter_mut()
+                .for_each(|b| b.insert(g, Bucket::default()));
+            g
+        })
+    }
+
+    /// One arrival at shard `s` of the row `row` of group `g`.
+    #[inline]
+    pub fn push(&mut self, s: usize, g: usize, row: &[Val], charged: bool) {
+        self.buckets[s][g].push(row, charged);
+    }
+
+    /// Add `later`'s arrivals after these, key by key: a buffer this
+    /// side lacks is moved, not copied.
     pub fn append(&mut self, later: Arrivals) {
-        for (rel, k, vals, charged) in later.0 {
-            match self.0.iter_mut().find(|g| (g.0, g.1) == (rel, k)) {
-                Some(g) => {
-                    g.2.extend(vals);
-                    g.3.extend(charged);
-                }
-                None => self.0.push((rel, k, vals, charged)),
-            }
+        let groups: Vec<usize> = later.keys.iter().map(|&(r, k)| self.group(r, k)).collect();
+        for (mine, theirs) in self.buckets.iter_mut().zip(later.buckets) {
+            groups
+                .iter()
+                .zip(theirs)
+                .for_each(|(&g, b)| mine[g].append(b));
         }
     }
 
     /// Number of arrivals.
     pub fn count(&self) -> usize {
-        self.0.iter().map(|g| g.3.len()).sum()
+        self.buckets.iter().flatten().map(Bucket::arrivals).sum()
     }
 
-    /// The shard of the distinct rows, each group sorted and deduplicated
-    /// once, with the number of distinct rows whose first arrival is
-    /// charged and their cost, `cost(arity)` each.
-    pub fn build(&self, cost: impl Fn(usize) -> u64) -> (Shard, usize, u64) {
+    /// One [`Inbox`] per shard, in shard order, to build apart.
+    pub fn inboxes(&mut self) -> Vec<Inbox<'_>> {
+        let keys = &self.keys;
+        let each = self.buckets.iter_mut();
+        each.map(|buckets| Inbox { keys, buckets }).collect()
+    }
+}
+
+/// What one shard of an [`Arrivals`] received.
+#[derive(Debug)]
+pub struct Inbox<'a> {
+    keys: &'a [(RelId, usize)],
+    buckets: &'a mut Vec<Bucket>,
+}
+
+impl Inbox<'_> {
+    /// The shard of the distinct rows, each run sorted and deduplicated
+    /// once in its own buffer, with the number of distinct rows whose
+    /// first arrival is charged and their cost, `cost(arity)` each. The
+    /// buffers are consumed.
+    pub fn build(&mut self, cost: impl Fn(usize) -> u64) -> (Shard, usize, u64) {
         let (mut got, mut bytes) = (0, 0);
-        let runs = self.0.iter().map(|(rel, k, vals, charged)| {
-            let (perm, n) = ((0..*k).collect(), charged.len());
-            let mut first_charged = 0;
-            let run = if charged.iter().all(|&c| c) || !charged.contains(&true) {
-                let run = TrieRel::from_rows(perm, vals, n);
-                first_charged = if charged[0] { run.rows() } else { 0 };
-                run
-            } else {
-                TrieRel::from_rows_first(perm, vals, n, |i| first_charged += charged[i] as usize)
-            };
-            got += first_charged;
-            bytes += first_charged as u64 * cost(*k);
-            (*rel, run)
-        });
-        (Shard::from_runs(runs.collect::<Vec<_>>()), got, bytes)
+        let mut runs = Vec::new();
+        for (&(rel, k), b) in self.keys.iter().zip(self.buckets.iter_mut()) {
+            if b.arrivals() > 0 {
+                let (run, first) = std::mem::take(b).into_run(k);
+                got += first;
+                bytes += first as u64 * cost(k);
+                runs.push((rel, run));
+            }
+        }
+        (Shard::from_runs(runs), got, bytes)
     }
 }
 
@@ -170,30 +269,33 @@ impl Shard {
     /// that gains facts is rebuilt once, its relation's other column
     /// orders dropped.
     pub fn with_facts<F: Borrow<Fact>>(&self, facts: impl IntoIterator<Item = F>) -> Shard {
-        let mut new = Arrivals::default();
+        let mut new = Arrivals::new(1);
         for f in facts {
-            new.push(f.borrow().rel, &f.borrow().args, false);
+            let f = f.borrow();
+            let g = new.group(f.rel, f.args.len());
+            new.push(0, g, &f.args, false);
         }
-        for (rel, k, vals, charged) in &mut new.0 {
-            if let Some(t) = self.run(*rel, *k) {
-                (0..t.rows()).for_each(|r| t.push_row(r, vals));
-                charged.resize(charged.len() + t.rows(), false);
+        for (&(rel, k), b) in new.keys.iter().zip(&mut new.buckets[0]) {
+            if let Some(t) = self.run(rel, k) {
+                (0..t.rows()).for_each(|r| t.push_row(r, &mut b.vals));
+                b.free += t.rows();
             }
         }
-        let mut out = new.build(|_| 0).0;
         let gains = |rel: RelId, k: Option<usize>| {
-            new.0
-                .iter()
-                .any(|g| g.0 == rel && k.is_none_or(|k| g.1 == k))
+            let mut keys = new.keys.iter();
+            keys.any(|&(r, kk)| r == rel && k.is_none_or(|k| kk == k))
         };
         let kept = self
             .runs
             .iter()
             .filter(|(rel, t)| !gains(*rel, Some(t.depth())));
-        out.runs.extend(kept.cloned());
-        out.runs.sort_unstable_by_key(run_key);
+        let kept: Vec<_> = kept.cloned().collect();
         let orders = self.orders.iter().filter(|(rel, _)| !gains(*rel, None));
-        out.orders = orders.cloned().collect();
+        let orders = orders.cloned().collect();
+        let mut out = new.inboxes().swap_remove(0).build(|_| 0).0;
+        out.runs.extend(kept);
+        out.runs.sort_unstable_by_key(run_key);
+        out.orders = orders;
         out
     }
 
@@ -247,8 +349,17 @@ impl Shard {
 
     /// Every fact, by relation, arity and row.
     pub fn iter(&self) -> impl Iterator<Item = Fact> + '_ {
+        self.runs().flat_map(|(_, facts)| facts)
+    }
+
+    /// Every run's key `(relation, arity)`, in key order, with its facts
+    /// in row order.
+    pub fn runs(&self) -> impl Iterator<Item = ((RelId, usize), impl Iterator<Item = Fact> + '_)> {
         let runs = self.runs.iter();
-        runs.flat_map(|(rel, t)| (0..t.rows()).map(move |r| row_fact(*rel, t, r)))
+        runs.map(|(rel, t)| {
+            let facts = (0..t.rows()).map(move |r| row_fact(*rel, t, r));
+            ((*rel, t.depth()), facts)
+        })
     }
 
     /// The facts as an [`Instance`] built whole.
@@ -323,5 +434,5 @@ fn permuted(t: &TrieRel, perm: &[usize]) -> TrieRel {
     for r in 0..t.rows() {
         flat.extend(perm.iter().map(|&p| t.value(p, r)));
     }
-    TrieRel::from_rows(perm.to_vec(), &flat, t.rows())
+    TrieRel::from_row_buffer(perm.to_vec(), &mut flat, t.rows())
 }

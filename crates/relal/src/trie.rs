@@ -79,16 +79,10 @@ impl TrieRel {
 
     /// Build a trie run from `rows` already-permuted tuples laid out
     /// row-major in `flat` (stride `perm.len()`), in any order and with
-    /// duplicates allowed: one sort and dedup of fixed-width rows, then a
-    /// scatter into the columns — no allocation per tuple.
+    /// duplicates allowed: [`TrieRel::from_row_buffer`] on a copy — no
+    /// allocation per tuple.
     pub fn from_rows(perm: Vec<usize>, flat: &[Val], rows: usize) -> TrieRel {
-        assert_eq!(flat.len(), rows * perm.len(), "row-major, one stride");
-        let (vals, rows) = match perm.len() {
-            1 => sorted_columns::<1>(flat),
-            2 => sorted_columns::<2>(flat),
-            _ => return TrieRel::from_rows_first(perm, flat, rows, |_| {}),
-        };
-        TrieRel { perm, vals, rows }
+        TrieRel::from_row_buffer(perm, &mut flat.to_vec(), rows)
     }
 
     /// Sort and deduplicate like [`TrieRel::from_rows`], at any width
@@ -116,6 +110,23 @@ impl TrieRel {
             vals,
             rows: order.len(),
         }
+    }
+
+    /// Build a trie run from a row-major buffer the caller gives up. When
+    /// a row's values fit one `u64` side by side (each column as wide as
+    /// its largest value), each row is packed into one word in place and
+    /// the words are sorted and deduplicated in place, so the scatter into
+    /// the columns is the only copy. Otherwise pairs are sorted as arrays
+    /// and other widths sort row indices over the buffer.
+    pub fn from_row_buffer(perm: Vec<usize>, flat: &mut Vec<Val>, rows: usize) -> TrieRel {
+        let k = perm.len();
+        assert_eq!(flat.len(), rows * k, "row-major, one stride");
+        let (vals, rows) = match (packing(flat, k), k) {
+            (Some(widths), _) => packed_columns(flat, rows, &widths[..k]),
+            (None, 2) => sorted_columns::<2>(flat),
+            _ => return TrieRel::from_rows_first(perm, flat, rows, |_| {}),
+        };
+        TrieRel { perm, vals, rows }
     }
 
     /// Number of stored tuples.
@@ -170,6 +181,46 @@ impl TrieRel {
         }
         (start, self.seek_gt(d, start, hi, v))
     }
+}
+
+/// The bit width of each of the `k` columns of `flat` when the widths
+/// add up to at most 64 — a row then packs into one word whose order is
+/// the row order; `None` when they do not, or `k` is 0 or above 8.
+fn packing(flat: &[Val], k: usize) -> Option<[u32; 8]> {
+    if !(1..=8).contains(&k) {
+        return None;
+    }
+    let mut any = [0u64; 8];
+    for row in flat.chunks_exact(k) {
+        any.iter_mut().zip(row).for_each(|(a, v)| *a |= v.0);
+    }
+    let widths = any.map(|a| u64::BITS - a.leading_zeros());
+    (widths.iter().sum::<u32>() <= u64::BITS).then_some(widths)
+}
+
+/// Pack each `widths.len()`-wide row of `flat` into one word, in place
+/// (row `i`'s word goes to slot `i`, which no unread row holds), sort and
+/// dedup the words, and unpack the distinct rows column-major.
+fn packed_columns(flat: &mut Vec<Val>, rows: usize, widths: &[u32]) -> (Vec<Val>, usize) {
+    let k = widths.len();
+    for i in 0..rows {
+        let row = widths.iter().zip(&flat[i * k..(i + 1) * k]);
+        flat[i] = Val(row.fold(0u128, |w, (&b, v)| w << b | v.0 as u128) as u64);
+    }
+    flat.truncate(rows);
+    flat.sort_unstable();
+    flat.dedup();
+    let mut vals = Vec::with_capacity(k * flat.len());
+    let mut shift: u32 = widths.iter().sum();
+    for &b in widths {
+        shift -= b;
+        let mask = (1u128 << b) - 1;
+        let column = flat
+            .iter()
+            .map(|w| Val((w.0 as u128 >> shift & mask) as u64));
+        vals.extend(column);
+    }
+    (vals, flat.len())
 }
 
 /// Sort and dedup the `N`-wide rows of `flat` as arrays (compared in
@@ -921,6 +972,25 @@ mod tests {
         // Arity 0: any number of empty tuples is the one empty tuple.
         assert_eq!(TrieRel::from_rows(vec![], &[], 3).rows(), 1);
         assert_eq!(TrieRel::from_rows(vec![], &[], 0).rows(), 0);
+    }
+
+    proptest::proptest! {
+        /// A buffer sorted in place holds the sorted distinct rows, at
+        /// widths 0 to 6, packed into words (small values) or not (values
+        /// of 23 or 43 bits make rows too wide for one word).
+        #[test]
+        fn row_buffers_hold_the_sorted_distinct_rows(
+            k in 0..7usize,
+            rows in proptest::prop::collection::vec(proptest::prop::collection::vec(0..6u64, 6..7), 0..40),
+            wide in 0..3u32,
+        ) {
+            let row = |r: &Vec<u64>| r[..k].iter().map(|&v| Val(v << (20 * wide))).collect::<Vec<_>>();
+            let want: std::collections::BTreeSet<Vec<Val>> = rows.iter().map(row).collect();
+            let mut flat: Vec<Val> = rows.iter().flat_map(row).collect();
+            let got = TrieRel::from_row_buffer((0..k).collect(), &mut flat, rows.len());
+            proptest::prop_assert_eq!(got.rows(), want.len());
+            proptest::prop_assert_eq!(got.tuples().collect::<Vec<_>>(), want.into_iter().collect::<Vec<_>>());
+        }
     }
 
     #[test]

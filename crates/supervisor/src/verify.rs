@@ -91,6 +91,12 @@ impl VerifiedRunReport {
 /// answers to snapshots rather than relying on subset closure (this is
 /// what lets the verified path cover the non-monotone rows of the fault
 /// matrix).
+///
+/// # Panics
+/// Panics if `plan` sets a field besides `corruptions` (and `seed`, their
+/// entropy): the rounds run over fixed shards with no communication, so
+/// nothing here could enforce a crash, straggler, speculation, partition
+/// or per-message fault.
 pub fn run_verified_rounds(
     queries: &[UnionQuery],
     shards: &[Instance],
@@ -100,6 +106,16 @@ pub fn run_verified_rounds(
     trace: &TraceHandle,
 ) -> VerifiedRunReport {
     assert!(policy.verify_every >= 1, "audit cadence must be at least 1");
+    let unread = [
+        ("crashes", !plan.crashes.is_empty()),
+        ("stragglers", !plan.stragglers.is_empty()),
+        ("speculation", plan.speculation.is_some()),
+        ("partition", plan.partition.is_some()),
+    ];
+    let unread = unread.into_iter().find_map(|(name, on)| on.then_some(name));
+    if let Some(field) = plan.transducer_only().or(unread) {
+        panic!("verified rounds cannot enforce `{field}`: they read only the plan's corruptions");
+    }
     let mut quarantined = vec![false; shards.len()];
     let mut verifier = Verifier {
         shards,
@@ -235,6 +251,20 @@ mod tests {
             assert_eq!(rep.detections.len(), 2, "{kind:?}");
             assert_eq!(rep.answers, clean.answers, "{kind:?}: heal restores truth");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot enforce `crashes`")]
+    fn verified_rounds_refuse_what_they_cannot_enforce() {
+        let plan = FaultPlan::crash_stop(0, 1, 0).with_corruption(0, 1, CorruptKind::Mutate);
+        run_verified_rounds(
+            &joins(2),
+            &shards(3),
+            EvalStrategy::Indexed,
+            &plan,
+            VerifyPolicy { verify_every: 1 },
+            &TraceHandle::off(),
+        );
     }
 
     #[test]

@@ -22,7 +22,7 @@ fn hypercube_strongly_saturates_every_cq() {
             self.hc.servers()
         }
         fn responsible(&self, node: usize, fact: &parlog::relal::Fact) -> bool {
-            self.hc.destinations(fact).contains(&node)
+            self.hc.destinations(fact).any(|s| s == node)
         }
     }
     let queries = [
