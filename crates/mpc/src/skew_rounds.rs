@@ -568,12 +568,14 @@ impl SkewAdaptiveJoin {
             // copies flushed mid-pass may have missed their wave: drain
             // to full heal and re-run the schedule (deliveries dedup,
             // set semantics make the re-evaluation idempotent).
-            let plan = cluster.fault_plan().partition.clone();
-            let dirty =
-                cluster.held_by_partition() > 0 || partition_overlaps(plan.as_ref(), r0, r1);
+            let dirty = cluster.held_by_partition() > 0
+                || partition_overlaps(cluster.fault_plan().partition.as_ref(), r0, r1);
             if !dirty || passes >= 8 {
                 break;
             }
+            // `drain_to_heal` steps the cluster beside the plan, so only
+            // a dirty pass copies it.
+            let plan = cluster.fault_plan().partition.clone();
             if !self.drain_to_heal(cluster, plan.as_ref()) {
                 // Permanent split: the held copies can never flush. The
                 // union below is still a *sound subset* (monotone CQ).

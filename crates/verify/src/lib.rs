@@ -29,9 +29,12 @@
 //! The dependency rule: this crate sits beside the engines (it may call
 //! them on the *prover* side) but the checker module's trusted base is
 //! only the `relal` data model, `Valuation::satisfies`, and the in-crate
-//! SHA-256/Merkle code.
+//! SHA-256/Merkle code, which includes one hardware compression: on a
+//! CPU with the x86-64 SHA extensions, [`sha256`] compresses on them (the
+//! crate's only `unsafe` item). Tests hold it to the portable scalar
+//! compression, the fallback and oracle, byte for byte.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![deny(warnings)]
 #![deny(missing_docs)]
 

@@ -1,11 +1,12 @@
 //! A minimal, dependency-free SHA-256 (FIPS 180-4).
 //!
-//! The workspace has no registry access, so content addressing cannot
-//! lean on an external digest crate. This implementation is the plain
-//! reference algorithm — no unsafe, no SIMD, ~90 lines — which is
-//! exactly the profile the verification layer wants for its *trusted*
-//! base: small enough to audit by eye, fast enough for simulator-scale
-//! instances (a few thousand facts per snapshot).
+//! Every digest in the workspace goes through one compression entry.
+//! It runs the x86-64 SHA extensions when the running CPU has them (the
+//! crate's one `unsafe` item) and the plain reference algorithm, small
+//! enough to audit by eye, everywhere else. The reference stays the
+//! oracle: the tests hold the hardware body to it on random blocks and
+//! on every message length of 0–3 blocks, so a root or certificate has
+//! the same bytes on every CPU.
 
 /// Round constants: the first 32 bits of the fractional parts of the
 /// cube roots of the first 64 primes.
@@ -97,44 +98,118 @@ impl Sha256 {
         out
     }
 
+    /// The one compression entry: the SHA-NI body when the CPU has it,
+    /// the scalar one otherwise. Both compute the same state.
     fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte word"));
+        #[cfg(target_arch = "x86_64")]
+        if compress_sha_ni(&mut self.state, block) {
+            return;
         }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        for (s, v) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
-            *s = s.wrapping_add(v);
-        }
+        compress_scalar(&mut self.state, block);
     }
+}
+
+/// The reference compression function (FIPS 180-4 §6.2.2): the fallback
+/// on CPUs without the SHA extensions, and the oracle the hardware body
+/// is tested against.
+fn compress_scalar(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte word"));
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
+    }
+}
+
+/// The compression function on the x86-64 SHA extensions, or `false`
+/// (with `state` untouched) on a CPU without them. The state travels as
+/// the pair `ABEF`/`CDGH`; each `sha256rnds2` runs two rounds.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+fn compress_sha_ni(state: &mut [u32; 8], block: &[u8; 64]) -> bool {
+    use std::arch::x86_64::*;
+
+    /// # Safety
+    /// The running CPU must have `sha`, `sse4.1` and `ssse3`.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    unsafe fn rounds(state: &mut [u32; 8], block: &[u8; 64]) {
+        // Byte order within each 32-bit lane: big-endian message words.
+        let be = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        let dcba = _mm_loadu_si128(state.as_ptr().cast());
+        let hgfe = _mm_loadu_si128(state.as_ptr().cast::<__m128i>().add(1));
+        let cdab = _mm_shuffle_epi32(dcba, 0xb1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+        let (abef_in, cdgh_in) = (abef, cdgh);
+        // `w0..w3`: the message words of the four groups before group `i`
+        // (the block's own while `i < 4`); later groups are scheduled.
+        let m = block.as_ptr().cast::<__m128i>();
+        let mut w0 = _mm_shuffle_epi8(_mm_loadu_si128(m), be);
+        let mut w1 = _mm_shuffle_epi8(_mm_loadu_si128(m.add(1)), be);
+        let mut w2 = _mm_shuffle_epi8(_mm_loadu_si128(m.add(2)), be);
+        let mut w3 = _mm_shuffle_epi8(_mm_loadu_si128(m.add(3)), be);
+        for i in 0..16 {
+            let w = if i < 4 {
+                w0
+            } else {
+                let t = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4));
+                _mm_sha256msg2_epu32(t, w3)
+            };
+            let kw = _mm_add_epi32(w, _mm_loadu_si128(K.as_ptr().add(4 * i).cast()));
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, kw);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(kw, 0x0e));
+            (w0, w1, w2, w3) = (w1, w2, w3, w);
+        }
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        let feba = _mm_shuffle_epi32(abef, 0x1b);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+        let out = state.as_mut_ptr().cast::<__m128i>();
+        _mm_storeu_si128(out, _mm_blend_epi16(feba, dchg, 0xf0));
+        _mm_storeu_si128(out.add(1), _mm_alignr_epi8(dchg, feba, 8));
+    }
+
+    let detected = is_x86_feature_detected!("sha")
+        && is_x86_feature_detected!("sse4.1")
+        && is_x86_feature_detected!("ssse3");
+    if detected {
+        // SAFETY: `sha`, `sse4.1` and `ssse3` were detected on the running
+        // CPU just above (`sse2` is x86-64 baseline); `rounds` reads and
+        // writes only inside `state` (two 16-byte halves), `block` and `K`.
+        unsafe { rounds(state, block) };
+    }
+    detected
 }
 
 /// One-shot digest.
@@ -146,9 +221,11 @@ pub fn digest(data: &[u8]) -> [u8; 32] {
 
 /// Lower-case hex rendering of a digest.
 pub fn hex(d: &[u8; 32]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(64);
-    for b in d {
-        s.push_str(&format!("{b:02x}"));
+    for &b in d {
+        s.push(char::from(DIGITS[usize::from(b >> 4)]));
+        s.push(char::from(DIGITS[usize::from(b & 0xf)]));
     }
     s
 }
@@ -156,6 +233,89 @@ pub fn hex(d: &[u8; 32]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The SHA-NI body's output, or `None` (said on stderr, so a CPU
+    /// without the SHA extensions skips the hardware half visibly).
+    fn sha_ni(state: &[u32; 8], block: &[u8; 64]) -> Option<[u32; 8]> {
+        #[cfg(target_arch = "x86_64")]
+        {
+            let mut s = *state;
+            if compress_sha_ni(&mut s, block) {
+                return Some(s);
+            }
+        }
+        eprintln!("SHA-NI half skipped: this CPU has no SHA extensions");
+        None
+    }
+
+    fn state_bytes(state: &[u32; 8]) -> [u8; 32] {
+        let mut out = [0u8; 32];
+        for (o, w) in out.chunks_exact_mut(4).zip(state) {
+            o.copy_from_slice(&w.to_be_bytes());
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The hardware compression equals the scalar oracle on random
+        /// chaining states and random blocks.
+        #[test]
+        fn sha_ni_compression_matches_the_scalar_oracle(
+            words in prop::collection::vec(0..u64::MAX, 12..13),
+        ) {
+            let state: [u32; 8] = std::array::from_fn(|i| (words[i / 2] >> (32 * (i % 2))) as u32);
+            let bytes: Vec<u8> = words[4..].iter().flat_map(|w| w.to_le_bytes()).collect();
+            let block: [u8; 64] = bytes.try_into().expect("64 bytes");
+            let mut scalar = state;
+            compress_scalar(&mut scalar, &block);
+            if let Some(ni) = sha_ni(&state, &block) {
+                prop_assert_eq!(ni, scalar);
+            }
+        }
+    }
+
+    /// `digest` (whichever body `compress` picks here) equals FIPS
+    /// padding run through the scalar oracle, and through the SHA-NI
+    /// body, at every length of 0–3 data blocks and past the 56-byte
+    /// boundary of each.
+    #[test]
+    fn digest_is_the_same_under_both_compressions() {
+        let data: Vec<u8> = (0..200u16).map(|i| (i * 29 % 256) as u8).collect();
+        let hardware = sha_ni(&[0; 8], &[0; 64]).is_some();
+        for len in 0..=data.len() {
+            let mut padded = data[..len].to_vec();
+            padded.push(0x80);
+            while padded.len() % 64 != 56 {
+                padded.push(0);
+            }
+            padded.extend_from_slice(&(8 * len as u64).to_be_bytes());
+            let blocks = || {
+                padded
+                    .chunks_exact(64)
+                    .map(|b| <&[u8; 64]>::try_from(b).unwrap())
+            };
+            let mut scalar = Sha256::new().state;
+            blocks().for_each(|b| compress_scalar(&mut scalar, b));
+            assert_eq!(digest(&data[..len]), state_bytes(&scalar), "length {len}");
+            if hardware {
+                let ni = blocks().fold(Sha256::new().state, |s, b| sha_ni(&s, b).unwrap());
+                assert_eq!(ni, scalar, "length {len}");
+            }
+        }
+    }
+
+    /// The nibble table renders every byte as `format!("{b:02x}")` does.
+    #[test]
+    fn hex_renders_every_byte_like_format() {
+        for chunk in 0..8u8 {
+            let d: [u8; 32] = std::array::from_fn(|i| 32 * chunk + i as u8);
+            let want: String = d.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex(&d), want);
+        }
+    }
 
     // FIPS 180-4 / NIST CAVP known-answer vectors.
     #[test]

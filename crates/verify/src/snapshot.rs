@@ -6,11 +6,11 @@
 //! it recomputes the root of the instance it was handed and compares.
 //! Two design rules make the id meaningful:
 //!
-//! * **Process-independence.** Interned ids ([`RelId`](parlog_relal::symbols::RelId),
-//!   `Sym`) depend on the order names were interned in this process, so
-//!   leaf hashes are computed over the *names* (via
-//!   [`rel_name`]/[`val_name`]), never the numeric ids. The same logical
-//!   instance hashes identically in any process, any interning order.
+//! * **Process-independence.** Interned ids ([`RelId`], `Sym`) depend
+//!   on the order names were interned in this process, so leaf hashes
+//!   are computed over the *names* (as [`rel_name`]/[`val_name`] render
+//!   them), never the numeric ids. The same logical instance hashes
+//!   identically in any process, any interning order.
 //! * **Order-independence.** Leaves are sorted by their hash bytes
 //!   before the tree is built, so insertion order, shard iteration
 //!   order and evaluation strategy cannot perturb the root. (This is
@@ -25,7 +25,7 @@
 use crate::sha256::{digest, hex, Sha256};
 use parlog_relal::fact::Fact;
 use parlog_relal::instance::Instance;
-use parlog_relal::symbols::{rel_name, val_name};
+use parlog_relal::symbols::{rel_name, val_name, RelId, SYM_BASE};
 use std::fmt;
 
 /// A 256-bit content address of an instance (or answer, or shard).
@@ -65,20 +65,57 @@ impl serde::Serialize for SnapshotId {
 
 /// Hash one fact into its leaf. Length-prefixed, name-based encoding:
 /// `0x00 ‖ len(rel) ‖ rel ‖ arity ‖ (len(arg) ‖ arg)*` where every
-/// component is rendered through the interner's *name* tables.
+/// component is rendered as the interner's *name* tables render it.
 pub fn leaf_hash(f: &Fact) -> [u8; 32] {
-    let mut h = Sha256::new();
-    h.update(&[0x00]);
-    let rel = rel_name(f.rel);
-    h.update(&(rel.len() as u32).to_le_bytes());
-    h.update(rel.as_bytes());
-    h.update(&(f.args.len() as u32).to_le_bytes());
-    for a in &f.args {
-        let name = val_name(a.0);
-        h.update(&(name.len() as u32).to_le_bytes());
-        h.update(name.as_bytes());
+    digest(Leaves::default().render(f))
+}
+
+/// The leaf renderer of one Merkle build, byte-equal to the name tables:
+/// each relation's name is looked up once, a plain integer's digits come
+/// from a stack buffer, and only symbols (`≥ SYM_BASE`) read the interner.
+#[derive(Default)]
+struct Leaves {
+    names: Vec<(RelId, String)>,
+    bytes: Vec<u8>,
+}
+
+impl Leaves {
+    fn render(&mut self, f: &Fact) -> &[u8] {
+        // Facts arrive grouped by relation: the newest entry is the likely one.
+        let at = self
+            .names
+            .iter()
+            .rposition(|(r, _)| *r == f.rel)
+            .unwrap_or_else(|| {
+                self.names.push((f.rel, rel_name(f.rel)));
+                self.names.len() - 1
+            });
+        let out = &mut self.bytes;
+        out.clear();
+        out.push(0x00);
+        put(out, self.names[at].1.as_bytes());
+        out.extend_from_slice(&(f.args.len() as u32).to_le_bytes());
+        for a in &f.args {
+            if a.0 < SYM_BASE {
+                let (mut digits, mut v) = ([0u8; 20], a.0);
+                let n = v.checked_ilog10().unwrap_or(0) as usize + 1;
+                for d in digits[..n].iter_mut().rev() {
+                    *d = b'0' + (v % 10) as u8;
+                    v /= 10;
+                }
+                put(out, &digits[..n]);
+            } else {
+                put(out, val_name(a.0).as_bytes());
+            }
+        }
+        out
     }
-    h.finalize()
+}
+
+/// Append `len(bytes) ‖ bytes`.
+fn put(out: &mut Vec<u8>, bytes: &[u8]) {
+    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+    out.extend_from_slice(bytes);
 }
 
 /// Merkle root over a set of leaves. Leaves are sorted by hash bytes
@@ -111,7 +148,10 @@ fn merkle_root(mut leaves: Vec<[u8; 32]>) -> [u8; 32] {
 /// The content address of an instance: the Merkle root over its facts'
 /// leaf hashes.
 pub fn snapshot(inst: &Instance) -> SnapshotId {
-    SnapshotId(merkle_root(inst.iter().map(leaf_hash).collect()))
+    let mut leaves = Leaves::default();
+    SnapshotId(merkle_root(
+        inst.iter().map(|f| digest(leaves.render(f))).collect(),
+    ))
 }
 
 /// The content address of a pinned MVCC snapshot — the serving layer's
@@ -145,6 +185,7 @@ pub fn cluster_root(roots: &[SnapshotId]) -> SnapshotId {
 mod tests {
     use super::*;
     use parlog_relal::fact::fact;
+    use parlog_relal::symbols::rel;
 
     #[test]
     fn root_is_insertion_order_independent() {
@@ -208,6 +249,43 @@ mod tests {
             leaf_hash(&f),
             leaf_hash(&fact_syms("Likes", &["bob", "alice"]))
         );
+    }
+
+    /// The per-build renderer writes the bytes the interner's name
+    /// tables give: plain integers at every digit count up to
+    /// `SYM_BASE - 1`, interned and never-interned symbols, multi-byte
+    /// UTF-8 names and arity 0, across relations in any order.
+    #[test]
+    fn leaf_rendering_matches_the_name_tables() {
+        use parlog_relal::fact::{fact_syms, Val};
+        use parlog_relal::symbols::sym;
+        let named = |f: &Fact| {
+            let mut out = vec![0x00];
+            put(&mut out, rel_name(f.rel).as_bytes());
+            out.extend_from_slice(&(f.args.len() as u32).to_le_bytes());
+            for a in &f.args {
+                put(&mut out, val_name(a.0).as_bytes());
+            }
+            out
+        };
+        let mut ints: Vec<u64> = vec![0, 7, 9, 10, 99, 100, 12_345, u32::MAX.into()];
+        ints.extend((1..=15).map(|k| 10u64.pow(k) - 1));
+        ints.extend([SYM_BASE / 2, SYM_BASE - 1]);
+        let spelled = sym("naïve 日本").0;
+        let mut facts: Vec<Fact> = ints.iter().map(|&v| fact("R", &[v, v / 3])).collect();
+        facts.extend([
+            fact("Z", &[]),
+            fact("R", &[0]),
+            fact_syms("Wörter", &["ä", "日本語"]),
+            fact_syms("R", &["alice", "bob"]),
+            Fact::new(rel("Mixed"), vec![Val(spelled), Val(42), Val(u64::MAX)]),
+            fact("Z", &[]),
+        ]);
+        let mut leaves = Leaves::default();
+        for f in &facts {
+            assert_eq!(leaves.render(f), &named(f)[..], "{f:?}");
+            assert_eq!(leaf_hash(f), digest(&named(f)), "{f:?}");
+        }
     }
 
     #[test]
