@@ -63,6 +63,7 @@ pub struct E12 {
     servers: usize,
     acyclic_path: Vec<RunRow>,
     cyclic_triangle: Vec<RunRow>,
+    cyclic_four_cycle: Vec<RunRow>,
     skew_resilience: Vec<SkewRow>,
     decompositions: Vec<ShapeRow>,
 }
@@ -118,7 +119,28 @@ pub fn record() -> E12 {
         assert_eq!(r.output, texp);
         cyclic_triangle.push(RunRow::new(r.algorithm, &r));
     }
+    println!("  triangle:");
     print_runs(&cyclic_triangle);
+    // The triangle's reduced decomposition is one bag, so GYM is one
+    // Shares round there; the 4-cycle keeps two bags and shows the
+    // trade-off.
+    let c4 = parse_query("H(x,y,z,w) <- R(x,y), S(y,z), T(z,w), U(w,x)").unwrap();
+    let mut c4db = Instance::new();
+    for (name, seed) in [("R", 21), ("S", 22), ("T", 23), ("U", 24)] {
+        c4db.extend_from(&datagen::uniform_relation(name, 1000, 250, seed));
+    }
+    let c4exp = eval_query(&c4, &c4db);
+    let mut cyclic_four_cycle = Vec::new();
+    for r in [
+        HypercubeAlgorithm::new(&c4, p).unwrap().run(&c4db),
+        Gym::new(&c4, p, 7).run(&c4db),
+        CascadeJoin::new(&c4, p, 7).run(&c4db),
+    ] {
+        assert_eq!(r.output, c4exp);
+        cyclic_four_cycle.push(RunRow::new(r.algorithm, &r));
+    }
+    println!("  4-cycle:");
+    print_runs(&cyclic_four_cycle);
     println!("  trade-off: HyperCube = 1 round but replicated input; GYM/cascade = more\n  rounds, intermediate-sized communication (Chu–Balazinska–Suciu's finding).");
 
     section("E12c GYM skew resilience (load ratio skewed/uniform)");
@@ -184,6 +206,7 @@ pub fn record() -> E12 {
         servers: p,
         acyclic_path,
         cyclic_triangle,
+        cyclic_four_cycle,
         skew_resilience,
         decompositions,
     }

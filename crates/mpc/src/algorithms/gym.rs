@@ -7,7 +7,8 @@
 //! joins and semi-joins in parallel. … Interestingly, the approach is
 //! resilient to skew."
 //!
-//! Implementation: the query's (min-fill) tree decomposition assigns every
+//! Implementation: the query's reduced min-fill tree decomposition (no
+//! bag inside a neighbour, so no round is spent on one) assigns every
 //! atom to a bag; bags whose variables are not fully covered by their
 //! assigned atoms borrow covering atoms (re-enforcing an atom in a second
 //! bag only adds implied constraints, so correctness is preserved). Each

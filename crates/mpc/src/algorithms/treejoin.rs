@@ -374,17 +374,21 @@ mod tests {
             let (rounds, _, total) = full(r, expected);
             (rounds, total)
         };
-        assert_eq!(
-            full(DistributedYannakakis::new(&path4, 16, 7).run(&pdb), &pexp),
-            (9, 893, 13_711)
-        );
-        assert_eq!(
-            full(Gym::new(&path4, 16, 7).run(&pdb), &pexp),
-            (13, 4_084, 54_130)
+        let yannakakis = full(DistributedYannakakis::new(&path4, 16, 7).run(&pdb), &pexp);
+        assert_eq!(yannakakis, (9, 893, 13_711));
+        // On the reduced decomposition GYM's bags are the path's atoms:
+        // one bag round ahead of Yannakakis' passes over the same tree.
+        let gym = full(Gym::new(&path4, 16, 7).run(&pdb), &pexp);
+        assert_eq!(gym, (10, 894, 14_902));
+        assert!(
+            gym.0 <= yannakakis.0 + 1,
+            "GYM rounds {} vs {}",
+            gym.0,
+            yannakakis.0
         );
         assert_eq!(
             full(Gym::new(&tri, 16, 1).run(&tdb), &texp),
-            (7, 418, 4_400)
+            (1, 185, 2_400)
         );
         assert_eq!(
             comm(CascadeJoin::new(&path4, 16, 7).run(&pdb), &pexp),

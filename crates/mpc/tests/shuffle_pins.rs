@@ -151,7 +151,7 @@ const HC_RECEIVED: &[&[usize]] = &[&[90, 94, 75, 97, 87, 91, 82, 104]];
 const HC_OUTPUT: (usize, u64) = (3, 8617827886343368998);
 const SKEW_RECEIVED: &[&[usize]] = &[&[15, 23, 10, 60, 24, 47, 12, 9]];
 const SKEW_OUTPUT: (usize, u64) = (914, 11830148522195722676);
-const GYM_STATS: (usize, usize, usize) = (10, 97, 1852);
+const GYM_STATS: (usize, usize, usize) = (7, 45, 1197);
 const GYM_OUTPUT: (usize, u64) = (291, 7919094634806933398);
 const VER_RECEIVED: &[&[usize]] = &[&[58, 48, 52, 60, 37, 27, 35, 43]];
 const VER_OUTPUT: (usize, u64) = (3, 8617827886343368998);

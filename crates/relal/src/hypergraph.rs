@@ -188,9 +188,10 @@ pub struct TreeDecomposition {
 }
 
 impl TreeDecomposition {
-    /// The width of the decomposition (max bag size − 1).
+    /// The width of the decomposition (max bag size − 1; 0 for the one
+    /// empty bag of a variable-free query).
     pub fn width(&self) -> usize {
-        self.bags.iter().map(|b| b.len()).max().unwrap_or(1) - 1
+        self.bags.iter().map(|b| b.len().max(1)).max().unwrap_or(1) - 1
     }
 
     /// Depth of the bag tree (root = depth 0).
@@ -250,10 +251,18 @@ impl TreeDecomposition {
     }
 }
 
-/// Build a tree decomposition greedily by vertex elimination with the
-/// min-fill heuristic. For acyclic queries this yields width equal to the
-/// maximum atom arity − 1; for cyclic queries it is a (not necessarily
-/// optimal) upper bound — exactly what GYM needs as input.
+/// Build a *reduced* tree decomposition greedily by vertex elimination
+/// with the min-fill heuristic. For acyclic queries this yields width
+/// equal to the maximum atom arity − 1; for cyclic queries it is a (not
+/// necessarily optimal) upper bound — exactly what GYM needs as input.
+///
+/// Reduced means no bag is a subset of its parent or of a child: such a
+/// bag is merged into that neighbour, which never raises the width. GYM
+/// pays for every bag — a HyperCube block, a bag query that may borrow
+/// an atom, and a semijoin-up, a semijoin-down and a join batch on the
+/// bag tree — so a redundant bag only costs rounds and load. For an
+/// α-acyclic query the bags are then exactly the maximal atom variable
+/// sets (the 4-path keeps three bags, the triangle one).
 pub fn tree_decomposition(q: &ConjunctiveQuery) -> TreeDecomposition {
     let hg = Hypergraph::of_query(q);
     // Build the primal graph.
@@ -338,14 +347,9 @@ pub fn tree_decomposition(q: &ConjunctiveQuery) -> TreeDecomposition {
             parent[i] = j;
         }
     }
-    // Make the structure a single tree rooted at the last bag.
-    let root = n - 1;
-    for p in parent.iter_mut().take(n - 1) {
-        if *p == usize::MAX {
-            *p = root;
-        }
-    }
-    // Any bag that remained its own parent (other than root) links to root.
+    // Make the structure a single tree rooted at the last bag: a bag that
+    // remained its own parent links to it.
+    let mut root = n - 1;
     for (i, p) in parent.iter_mut().enumerate().take(n - 1) {
         if *p == i {
             *p = root;
@@ -362,11 +366,44 @@ pub fn tree_decomposition(q: &ConjunctiveQuery) -> TreeDecomposition {
         atom_bag.push(b);
     }
 
+    // Reduce: while some bag is a subset of its parent or of a child, merge
+    // it into that neighbour, which takes over its other neighbours and, if
+    // it was the root, the root. That neighbour is an earlier bag (a later
+    // one lacks the vertex eliminated at this one), and each atom sits on
+    // the earliest bag holding it, so no atom sits on a merged bag.
+    let mut alive = vec![true; n];
+    while let Some((i, j)) = (0..n).filter(|&i| alive[i]).find_map(|i| {
+        // Its parent first, then its children.
+        std::iter::once(parent[i])
+            .chain(0..n)
+            .filter(|&j| j != i && alive[j] && (parent[i] == j || parent[j] == i))
+            .find(|&j| elim_bags[i].is_subset(&elim_bags[j]))
+            .map(|j| (i, j))
+    }) {
+        debug_assert!(j < i && !atom_bag.contains(&i));
+        alive[i] = false;
+        let up = if i == root { j } else { parent[i] };
+        for p in parent.iter_mut() {
+            if *p == i {
+                *p = j;
+            }
+        }
+        if parent[j] == j {
+            parent[j] = up; // j was i's child: it takes i's place
+        }
+        if root == i {
+            root = j;
+        }
+    }
+
+    // Renumber the surviving bags, keeping elimination order.
+    let kept: Vec<usize> = (0..n).filter(|&i| alive[i]).collect();
+    let index = |b: usize| kept.binary_search(&b).expect("a surviving bag");
     TreeDecomposition {
-        bags: elim_bags,
-        parent,
-        root,
-        atom_bag,
+        bags: kept.iter().map(|&i| elim_bags[i].clone()).collect(),
+        parent: kept.iter().map(|&i| index(parent[i])).collect(),
+        root: index(root),
+        atom_bag: atom_bag.iter().map(|&b| index(b)).collect(),
     }
 }
 
@@ -436,6 +473,9 @@ mod tests {
         let td = tree_decomposition(&q);
         td.validate(&q).unwrap();
         assert_eq!(td.width(), 2);
+        // Reduced: the min-fill bags {y,z} and {z} merge into {x,y,z}.
+        assert_eq!(td.bags.len(), 1);
+        assert_eq!(td.atom_bag, vec![0; 3]);
     }
 
     #[test]
@@ -444,6 +484,13 @@ mod tests {
         let td = tree_decomposition(&q);
         td.validate(&q).unwrap();
         assert_eq!(td.width(), 1);
+        // Reduced: each atom has its own variable set as its bag, and the
+        // elimination bag {z} is gone.
+        let atoms = Hypergraph::of_query(&q).edges;
+        assert_eq!(td.bags.len(), atoms.len());
+        for (atom, &b) in atoms.iter().zip(&td.atom_bag) {
+            assert_eq!(&td.bags[b], atom);
+        }
     }
 
     #[test]

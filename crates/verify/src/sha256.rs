@@ -264,7 +264,7 @@ mod tests {
         /// chaining states and random blocks.
         #[test]
         fn sha_ni_compression_matches_the_scalar_oracle(
-            words in prop::collection::vec(0..u64::MAX, 12..13),
+            words in prop::collection::vec(0..=u64::MAX, 12..13),
         ) {
             let state: [u32; 8] = std::array::from_fn(|i| (words[i / 2] >> (32 * (i % 2))) as u32);
             let bytes: Vec<u8> = words[4..].iter().flat_map(|w| w.to_le_bytes()).collect();

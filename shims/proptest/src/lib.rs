@@ -1,7 +1,8 @@
 //! Offline stand-in for `proptest`.
 //!
 //! Provides the subset the workspace's property tests use: the
-//! [`Strategy`] trait with `prop_map`, range and tuple strategies,
+//! [`Strategy`] trait with `prop_map`, range (`a..b` and `a..=b`) and
+//! tuple strategies,
 //! `prop::collection::vec`, the `proptest!` macro (with an optional
 //! `#![proptest_config(...)]` header) and `prop_assert!`/`prop_assert_eq!`.
 //!
@@ -16,7 +17,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::ops::Range;
+use std::ops::{Range, RangeInclusive};
 
 /// A generator of values for property tests.
 pub trait Strategy {
@@ -62,8 +63,8 @@ impl<T: Clone> Strategy for Just<T> {
 }
 
 macro_rules! impl_range_strategy {
-    ($($t:ty),*) => {$(
-        impl Strategy for Range<$t> {
+    ($range:ident: $($t:ty),*) => {$(
+        impl Strategy for $range<$t> {
             type Value = $t;
             fn sample(&self, rng: &mut StdRng) -> $t {
                 rng.gen_range(self.clone())
@@ -72,7 +73,10 @@ macro_rules! impl_range_strategy {
     )*};
 }
 
-impl_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f64);
+impl_range_strategy!(Range: u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f64);
+// Inclusive ranges reach the type's maximum (`0..=u64::MAX`, `250..=u8::MAX`).
+// `rand` samples them for the integer types only.
+impl_range_strategy!(RangeInclusive: u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 macro_rules! impl_tuple_strategy {
     ($(($($t:ident . $n:tt),+))+) => {$(
@@ -252,6 +256,16 @@ mod tests {
             v in prop::collection::vec((0..3u8, 0..4u8), 0..6).prop_map(|p| p.len())
         ) {
             prop_assert!(v < 6);
+        }
+    }
+
+    #[test]
+    fn inclusive_ranges_reach_their_end() {
+        let top = (0..64u64).find(|&seed| super::sample_with_seed(&(250..=u8::MAX), seed) == 255);
+        assert!(top.is_some(), "255 never drawn from 250..=255 in 64 draws");
+        for seed in 0..64 {
+            assert!(super::sample_with_seed(&(250..=u8::MAX), seed) >= 250);
+            assert_eq!(super::sample_with_seed(&(7..=7i32), seed), 7);
         }
     }
 

@@ -87,7 +87,11 @@ macro_rules! impl_int_range {
                 if s == <$t>::MIN && e == <$t>::MAX {
                     return rng.next_u64() as $t;
                 }
-                (s..e + 1).sample_from(rng)
+                // `e + 1` overflows when `e` is the type's maximum: take
+                // the span in u128, as `Range` does.
+                let span = (e as u128).wrapping_sub(s as u128).wrapping_add(1) as u64;
+                let hi = ((rng.next_u64() as u128 * span as u128) >> 64) as u64;
+                s.wrapping_add(hi as $t)
             }
         }
     )*};
@@ -218,6 +222,9 @@ mod tests {
             assert!((3..17).contains(&v));
             let w = rng.gen_range(0..=5u8);
             assert!(w <= 5);
+            // Inclusive ranges ending at the type's maximum.
+            assert!(rng.gen_range(250..=u8::MAX) >= 250);
+            assert!(rng.gen_range(i64::MAX - 3..=i64::MAX) >= i64::MAX - 3);
         }
     }
 

@@ -365,6 +365,120 @@ fn random_cq() -> impl Strategy<Value = parlog::relal::query::ConjunctiveQuery> 
         })
 }
 
+/// Strategy: a random plain conjunctive query (no inequalities) of one to
+/// six binary atoms of R, S, E over five variables and the constants 0
+/// and 1 — paths, stars, cycles, cliques, disconnected and ground bodies
+/// all arise — whose head keeps the body variables that `mask` selects.
+fn random_plain_cq() -> impl Strategy<Value = parlog::relal::query::ConjunctiveQuery> {
+    (
+        prop::collection::vec((0..3u8, 0..7u8, 0..7u8), 1..7),
+        0..32u8,
+    )
+        .prop_map(|(atoms, mask)| {
+            let term = |t: u8| match t {
+                0..=4 => ["x", "y", "z", "w", "v"][t as usize].to_string(),
+                other => format!("{}", other - 5),
+            };
+            let body: Vec<String> = atoms
+                .iter()
+                .map(|&(r, a, b)| {
+                    format!("{}({}, {})", ["R", "S", "E"][r as usize], term(a), term(b))
+                })
+                .collect();
+            let mut head: Vec<u8> = atoms
+                .iter()
+                .flat_map(|&(_, a, b)| [a, b])
+                .filter(|&t| t < 5 && mask & (1 << t) != 0)
+                .collect();
+            head.sort();
+            head.dedup();
+            let head: Vec<String> = head.into_iter().map(term).collect();
+            parse_query(&format!("H({}) <- {}", head.join(","), body.join(", "))).unwrap()
+        })
+}
+
+/// The width of the min-fill elimination that `tree_decomposition`
+/// starts from, before it merges any bag: the largest elimination bag
+/// − 1. Eliminates the least-fill, then least-degree, then smallest
+/// variable first, as the decomposition does.
+fn min_fill_width(q: &parlog::relal::query::ConjunctiveQuery) -> usize {
+    use parlog::relal::hypergraph::Hypergraph;
+    use std::collections::{BTreeMap, BTreeSet};
+    let hg = Hypergraph::of_query(q);
+    let mut adj: BTreeMap<Var, BTreeSet<Var>> = hg
+        .vertices
+        .iter()
+        .map(|v| (v.clone(), BTreeSet::new()))
+        .collect();
+    for e in &hg.edges {
+        for a in e {
+            adj.get_mut(a)
+                .unwrap()
+                .extend(e.iter().filter(|b| *b != a).cloned());
+        }
+    }
+    let mut width = 0;
+    while let Some(v) = adj
+        .keys()
+        .min_by_key(|v| {
+            let nb = &adj[*v];
+            let fill: usize = nb
+                .iter()
+                .map(|a| nb.iter().filter(|b| a < *b && !adj[a].contains(*b)).count())
+                .sum();
+            (fill, nb.len())
+        })
+        .cloned()
+    {
+        let nb = adj.remove(&v).unwrap();
+        width = width.max(nb.len());
+        for a in &nb {
+            let next = adj.get_mut(a).unwrap();
+            next.remove(&v);
+            next.extend(nb.iter().filter(|b| *b != a).cloned());
+        }
+    }
+    width
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `tree_decomposition` is a valid, reduced tree — no bag is a subset
+    /// of its parent or of a child — no wider than the min-fill
+    /// elimination it starts from, and GYM over it computes the query at
+    /// every cluster size.
+    #[test]
+    fn reduced_decompositions_drive_gym(
+        q in random_plain_cq(),
+        db in small_instance(24, 3),
+        seed in 0..1000u64,
+    ) {
+        let td = parlog::relal::hypergraph::tree_decomposition(&q);
+        prop_assert_eq!(td.validate(&q), Ok(()), "{}", q);
+        let n = td.bags.len();
+        prop_assert_eq!(td.parent[td.root], td.root);
+        for i in 0..n {
+            // Every bag reaches the root: the parents form one tree.
+            let mut j = i;
+            for _ in 0..n {
+                j = td.parent[j];
+            }
+            prop_assert_eq!(j, td.root, "{}", q);
+            let p = td.parent[i];
+            if p != i {
+                prop_assert!(!td.bags[i].is_subset(&td.bags[p]), "bag {} ⊆ its parent in {}", i, q);
+                prop_assert!(!td.bags[p].is_subset(&td.bags[i]), "bag {} ⊆ a child in {}", p, q);
+            }
+        }
+        prop_assert!(td.width() <= min_fill_width(&q), "{}", q);
+        let expected = eval_query(&q, &db);
+        for p in [1, 5, 16] {
+            prop_assert_eq!(Gym::new(&q, p, seed).run(&db).output, expected.clone(), "p = {} on {}", p, q);
+        }
+    }
+}
+
 /// `H() <- R(1,2), 3 != 3` on `{R(1,2)}`: a false constant–constant
 /// inequality empties the answer under every strategy — the trie engine
 /// included, though it enumerates no variable to check the pair at — and
