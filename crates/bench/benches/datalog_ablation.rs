@@ -5,6 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use parlog::datalog::program::parse_program;
 use parlog::mpc::datagen;
+use parlog_relal::eval::EvalStrategy;
 use parlog_relal::fact::fact;
 use parlog_relal::instance::Instance;
 
@@ -16,7 +17,7 @@ fn bench_datalog(c: &mut Criterion) {
     for n in [30usize, 60] {
         let chain = Instance::from_facts((0..n as u64).map(|i| fact("E", &[i, i + 1])));
         group.bench_with_input(BenchmarkId::new("semi_naive_chain", n), &n, |b, _| {
-            b.iter(|| parlog::datalog::eval_program(&tc, &chain).unwrap());
+            b.iter(|| parlog::datalog::eval_program(&tc, &chain, EvalStrategy::Indexed).unwrap());
         });
         group.bench_with_input(BenchmarkId::new("naive_chain", n), &n, |b, _| {
             b.iter(|| parlog::datalog::eval_program_naive(&tc, &chain).unwrap());
@@ -24,7 +25,7 @@ fn bench_datalog(c: &mut Criterion) {
     }
     let graph = datagen::random_graph("E", 40, 120, 5);
     group.bench_function("semi_naive_graph", |b| {
-        b.iter(|| parlog::datalog::eval_program(&tc, &graph).unwrap());
+        b.iter(|| parlog::datalog::eval_program(&tc, &graph, EvalStrategy::Indexed).unwrap());
     });
     group.bench_function("naive_graph", |b| {
         b.iter(|| parlog::datalog::eval_program_naive(&tc, &graph).unwrap());

@@ -4,7 +4,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use parlog::mpc::datagen;
 use parlog::transducer::prelude::*;
-use std::sync::Arc;
 
 fn bench_transducer(c: &mut Criterion) {
     let graph = datagen::random_graph("E", 25, 80, 3);
@@ -17,23 +16,35 @@ fn bench_transducer(c: &mut Criterion) {
         let shards = hash_distribution(&graph, n, 7);
         group.bench_with_input(BenchmarkId::new("monotone_sim", n), &n, |b, _| {
             let p = MonotoneBroadcast::new(q.clone());
-            b.iter(|| run_to_quiescence(&p, &shards, 1));
+            b.iter(|| {
+                run(
+                    &p,
+                    &shards,
+                    &RunCtx::simulated(Ctx::oblivious(), Schedule::Random(1)),
+                )
+                .output
+            });
         });
         group.bench_with_input(BenchmarkId::new("coordinated_sim", n), &n, |b, _| {
             let p = CoordinatedBroadcast::new(open.clone());
             b.iter(|| {
-                parlog::transducer::scheduler::run_with_ctx(
+                run(
                     &p,
                     &shards,
-                    Ctx::aware(n),
-                    Schedule::Random(1),
+                    &RunCtx::simulated(Ctx::aware(n), Schedule::Random(1)),
                 )
+                .output
             });
         });
         group.bench_with_input(BenchmarkId::new("monotone_threaded", n), &n, |b, _| {
-            let p = Arc::new(MonotoneBroadcast::new(q.clone()));
+            let p = MonotoneBroadcast::new(q.clone());
             b.iter(|| {
-                parlog::transducer::threaded::run_threaded(p.clone(), &shards, Ctx::oblivious())
+                run(
+                    &p,
+                    &shards,
+                    &RunCtx::new(Ctx::oblivious(), RunMode::Threaded),
+                )
+                .output
             });
         });
     }

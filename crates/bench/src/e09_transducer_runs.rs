@@ -6,8 +6,8 @@
 use crate::{section, Table};
 use parlog::mpc::datagen;
 use parlog::prelude::*;
+use parlog::transducer;
 use parlog::transducer::prelude::*;
-use std::sync::Arc;
 
 pub fn run() {
     let graph = datagen::random_graph("E", 25, 90, 5);
@@ -68,25 +68,28 @@ pub fn run() {
         Schedule::Lifo,
         Schedule::RoundRobin,
     ] {
-        let mut run = SimRun::new(&mono, &shards, Ctx::oblivious());
-        run.run(&mono, schedule);
+        let run = transducer::run(
+            &mono,
+            &shards,
+            &RunCtx::simulated(Ctx::oblivious(), schedule),
+        );
         t.row(&[
             &format!("{schedule:?}"),
             &run.delivered,
             &run.facts_broadcast,
-            &(run.outputs() == tri_expected),
+            &(run.output == tri_expected),
         ]);
     }
     t.print();
 
     section("E9c threaded runtime vs simulator");
-    let threaded = parlog::transducer::threaded::run_threaded(
-        Arc::new(MonotoneBroadcast::new(tri)),
+    let threaded = transducer::run(
+        &MonotoneBroadcast::new(tri),
         &shards,
-        Ctx::oblivious(),
+        &RunCtx::new(Ctx::oblivious(), RunMode::Threaded),
     );
     println!(
         "  threaded output == simulator output == Q(I): {}",
-        threaded == tri_expected
+        threaded.output == tri_expected
     );
 }

@@ -13,9 +13,9 @@ use parlog::figure2::datalog_query;
 use parlog::prelude::*;
 use parlog::relal::fact::fact;
 use parlog::relal::policy::{DomainGuidedPolicy, ReplicateAll};
+use parlog::transducer;
 use parlog::transducer::distribution::{ideal_distribution, policy_distribution};
 use parlog::transducer::prelude::*;
-use parlog::transducer::scheduler::{run_heartbeats_only, run_with_ctx};
 use std::sync::Arc;
 
 pub fn run() {
@@ -38,7 +38,7 @@ pub fn run() {
         let shards = policy_distribution(&graph, policy.as_ref());
         for schedule in [Schedule::Random(7), Schedule::Fifo, Schedule::Lifo] {
             let ctx = Ctx::oblivious().with_policy(policy.clone());
-            let out = run_with_ctx(&f1, &shards, ctx, schedule);
+            let out = transducer::run(&f1, &shards, &RunCtx::simulated(ctx, schedule)).output;
             t.row(&[&n, &format!("{schedule:?}"), &(out == expected)]);
         }
     }
@@ -46,7 +46,13 @@ pub fn run() {
     let ideal_ctx = Ctx::oblivious().with_policy(Arc::new(ReplicateAll { num_nodes: 3 }));
     println!(
         "  coordination-free (heartbeats only, ideal distribution): {}",
-        run_heartbeats_only(&f1, &ideal_distribution(&graph, 3), ideal_ctx) == expected
+        transducer::run(
+            &f1,
+            &ideal_distribution(&graph, 3),
+            &RunCtx::new(ideal_ctx, RunMode::HeartbeatsOnly)
+        )
+        .output
+            == expected
     );
 
     section("E10 F2 — ¬TC, domain-guided components (Example 5.13)");
@@ -59,7 +65,7 @@ pub fn run() {
         let shards = policy_distribution(&graph, policy.as_ref());
         for schedule in [Schedule::Random(3), Schedule::Lifo] {
             let ctx = Ctx::oblivious().with_policy(policy.clone());
-            let out = run_with_ctx(&f2, &shards, ctx, schedule);
+            let out = transducer::run(&f2, &shards, &RunCtx::simulated(ctx, schedule)).output;
             t.row(&[
                 &n,
                 &format!("{schedule:?}"),
@@ -99,7 +105,7 @@ pub fn run() {
     let shards = policy_distribution(&game, policy.as_ref());
     let prog = DisjointComponent::new(win_query);
     let ctx = Ctx::oblivious().with_policy(policy);
-    let out = run_with_ctx(&prog, &shards, ctx, Schedule::Random(9));
+    let out = transducer::run(&prog, &shards, &RunCtx::simulated(ctx, Schedule::Random(9))).output;
     println!("  domain-guided F2 output matches: {}", out == expected);
     println!(
         "  (win–move is semi-connected syntactically: {})",

@@ -8,6 +8,7 @@
 use crate::{f3, section, Table};
 use parlog::mpc::datagen;
 use parlog::prelude::*;
+use parlog::transducer;
 use parlog::transducer::prelude::*;
 
 pub fn run() {
@@ -31,20 +32,16 @@ pub fn run() {
         db.extend_from(&datagen::uniform_relation("Noise", noise, 300, 3));
         let shards = hash_distribution(&db, n, 9);
 
-        let eco = EconomicalBroadcast::new(q.clone());
-        let mut eco_run = SimRun::new(&eco, &shards, Ctx::oblivious());
-        eco_run.run(&eco, Schedule::Random(1));
-
-        let naive = MonotoneBroadcast::new(q.clone());
-        let mut naive_run = SimRun::new(&naive, &shards, Ctx::oblivious());
-        naive_run.run(&naive, Schedule::Random(1));
+        let rc = RunCtx::simulated(Ctx::oblivious(), Schedule::Random(1));
+        let eco_run = transducer::run(&EconomicalBroadcast::new(q.clone()), &shards, &rc);
+        let naive_run = transducer::run(&MonotoneBroadcast::new(q.clone()), &shards, &rc);
 
         t.row(&[
             &format!("{:.0}%", irrelevant_frac * 100.0),
             &naive_run.facts_broadcast,
             &eco_run.facts_broadcast,
             &f3(1.0 - eco_run.facts_broadcast as f64 / naive_run.facts_broadcast as f64),
-            &(eco_run.outputs() == naive_run.outputs()),
+            &(eco_run.output == naive_run.output),
         ]);
     }
     t.print();
@@ -57,16 +54,13 @@ pub fn run() {
         db.insert(parlog::relal::fact::fact("S", &[i, i + 1]));
     }
     let shards = hash_distribution(&db, n, 3);
-    let eco = EconomicalBroadcast::new(qc.clone());
-    let mut eco_run = SimRun::new(&eco, &shards, Ctx::oblivious());
-    eco_run.run(&eco, Schedule::Fifo);
-    let naive = MonotoneBroadcast::new(qc.clone());
-    let mut naive_run = SimRun::new(&naive, &shards, Ctx::oblivious());
-    naive_run.run(&naive, Schedule::Fifo);
+    let rc = RunCtx::simulated(Ctx::oblivious(), Schedule::Fifo);
+    let eco_run = transducer::run(&EconomicalBroadcast::new(qc.clone()), &shards, &rc);
+    let naive_run = transducer::run(&MonotoneBroadcast::new(qc.clone()), &shards, &rc);
     println!(
         "  query {qc}: naive broadcast {} facts, economical {} facts, outputs equal: {}",
         naive_run.facts_broadcast,
         eco_run.facts_broadcast,
-        eco_run.outputs() == naive_run.outputs()
+        eco_run.output == naive_run.output
     );
 }

@@ -16,11 +16,12 @@
 
 use crate::{json_record, section, Table};
 use parlog::fault_matrix::{fault_matrix, FaultMatrix};
-use parlog::faults::{CrashKind, FaultPlan};
+use parlog::faults::{CrashKind, FaultPlan, RetransmitPolicy};
 use parlog::mpc::cluster::Cluster;
 use parlog::mpc::report::RunReport;
 use parlog::prelude::*;
 use parlog::relal::fact::fact;
+use parlog::transducer;
 use parlog::transducer::prelude::*;
 
 #[derive(serde::Serialize)]
@@ -64,17 +65,15 @@ fn reliability_costs() -> Vec<ReliabilityCost> {
     for seed in [1u64, 2, 3] {
         let plan = FaultPlan::lossy(seed, drop_prob);
         let bare = MonotoneBroadcast::new(q.clone());
-        let (bare_out, _) = run_with_faults(
-            &bare,
-            &shards,
-            Ctx::oblivious(),
-            Schedule::Random(seed),
-            &plan,
-        );
+        let rc = RunCtx::simulated(Ctx::oblivious(), Schedule::Random(seed));
+        let bare_out = transducer::run(&bare, &shards, &rc.clone().with_faults(&plan)).output;
         assert!(bare_out.is_subset_of(&expected), "loss must stay sound");
-        let reliable = ReliableBroadcast::new(MonotoneBroadcast::new(q.clone()));
-        let (rel_out, stats) =
-            reliable.run(&shards, Ctx::oblivious(), Schedule::Random(seed), &plan);
+        let reliable = plan.clone().with_retransmit(RetransmitPolicy::default());
+        let RunOutcome {
+            output: rel_out,
+            stats,
+            ..
+        } = transducer::run(&bare, &shards, &rc.with_faults(&reliable));
         assert_eq!(rel_out, expected, "retransmit must restore completeness");
         out.push(ReliabilityCost {
             seed,

@@ -30,7 +30,6 @@ use parlog::mpc::report::RunReport;
 use parlog::prelude::*;
 use parlog::relal::fact::fact;
 use parlog::supervisor::prelude::*;
-use parlog::trace::TraceHandle;
 use parlog::transducer::prelude::*;
 
 /// The F0 workload shared by the supervised-run sections: the path
@@ -113,12 +112,9 @@ fn detect_and_heal() -> DetectHeal {
         let out = supervise(
             &p,
             &shards,
-            Ctx::oblivious(),
-            Schedule::Random(seed),
-            &plan,
+            &RunCtx::simulated(Ctx::oblivious(), Schedule::Random(seed)).with_faults(&plan),
             QueryMode::Monotone,
             &config,
-            &TraceHandle::off(),
         );
         let exact = out.verdict.answer() == Some(&expected) && out.verdict.is_exact();
         all_exact &= exact;
@@ -169,12 +165,9 @@ fn degradation() -> Degradation {
     let mono = supervise(
         &p,
         &shards,
-        Ctx::oblivious(),
-        Schedule::Random(seed),
-        &plan,
+        &RunCtx::simulated(Ctx::oblivious(), Schedule::Random(seed)).with_faults(&plan),
         QueryMode::Monotone,
         &config,
-        &TraceHandle::off(),
     );
     let (answered, sound, coverage, missing_nodes, missing_facts) = match &mono.verdict {
         Degraded::Partial {
@@ -206,12 +199,10 @@ fn degradation() -> Degradation {
     let non = supervise(
         &np,
         &nshards,
-        Ctx::aware(3),
-        Schedule::Random(seed),
-        &FaultPlan::crash_stop(seed, 0, 4),
+        &RunCtx::simulated(Ctx::aware(3), Schedule::Random(seed))
+            .with_faults(&FaultPlan::crash_stop(seed, 0, 4)),
         QueryMode::NonMonotone,
         &config,
-        &TraceHandle::off(),
     );
     let (refused, reason) = match &non.verdict {
         Degraded::Refused { reason, .. } => (true, reason.to_string()),

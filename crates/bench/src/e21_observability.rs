@@ -39,7 +39,7 @@ use parlog::trace::{FaultEventKind, LoadBound, MemSink, TraceHandle};
 use parlog::transducer::distribution::hash_distribution;
 use parlog::transducer::prelude::MonotoneBroadcast;
 use parlog::transducer::program::Ctx;
-use parlog::transducer::scheduler::Schedule;
+use parlog::transducer::scheduler::{RunCtx, Schedule};
 
 /// Per-relation tuple count and domain for the MPC workloads.
 const M: usize = 6_000;
@@ -148,12 +148,11 @@ fn supervised_section() -> SupervisedRecord {
         let out = supervise(
             &program,
             &shards,
-            Ctx::oblivious(),
-            Schedule::Random(2),
-            &plan,
+            &RunCtx::simulated(Ctx::oblivious(), Schedule::Random(2))
+                .with_faults(&plan)
+                .with_trace(TraceHandle::to(sink.clone())),
             QueryMode::Monotone,
             &SupervisorConfig::default(),
-            &TraceHandle::to(sink.clone()),
         );
         (out, sink)
     };

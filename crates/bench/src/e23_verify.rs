@@ -215,7 +215,7 @@ pub fn record() -> E23 {
         for (s, sh) in shard(&db, P).into_iter().enumerate() {
             c.place(s, sh.iter().cloned());
         }
-        c.compute_union_verified(&u, EvalStrategy::Indexed);
+        c.compute_union_verified(&u, EvalStrategy::Indexed, true);
         c.union_all()
     };
     let mut detected = 0;
@@ -230,7 +230,7 @@ pub fn record() -> E23 {
         for (s, sh) in shard(&db, P).into_iter().enumerate() {
             c.place(s, sh.iter().cloned());
         }
-        let round = c.compute_union_verified(&u, EvalStrategy::Indexed);
+        let round = c.compute_union_verified(&u, EvalStrategy::Indexed, true);
         if round.detected.len() == 1 && round.detected[0].0 == victim {
             detected += 1;
             by_kind[seed as usize % CorruptKind::ALL.len()] += 1;

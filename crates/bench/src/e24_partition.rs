@@ -36,9 +36,8 @@ use parlog::mpc::quorum::{coordination_barrier, BarrierOutcome};
 use parlog::prelude::*;
 use parlog::relal::fact::fact;
 use parlog::supervisor::prelude::*;
-use parlog::trace::TraceHandle;
+use parlog::transducer;
 use parlog::transducer::prelude::*;
-use parlog::transducer::scheduler::SimRun;
 
 /// The shared transducer workload: the path query over a 24-edge graph.
 fn path_workload(nodes: usize) -> (ConjunctiveQuery, Instance, Vec<Instance>) {
@@ -124,11 +123,11 @@ fn convergence_vs_duration() -> Vec<ConvergenceRow> {
         let heal = duration;
         let plan = FaultPlan::partitioned(11, PartitionPlan::split(0, heal, &[3]));
         let program = MonotoneBroadcast::new(q.clone());
-        let mut run = SimRun::new(&program, &shards, Ctx::oblivious());
-        run.run_faulty(&program, Schedule::Random(3), Some(&plan));
-        let quiesce = run.clock();
-        let held_copies = run.fault_stats().partitioned;
-        let exact = run.outputs() == expected;
+        let rc = RunCtx::simulated(Ctx::oblivious(), Schedule::Random(3)).with_faults(&plan);
+        let run = transducer::run(&program, &shards, &rc);
+        let quiesce = run.clock;
+        let held_copies = run.stats.partitioned;
+        let exact = run.output == expected;
         let latency = quiesce.saturating_sub(heal);
         t.row(&[&duration, &heal, &quiesce, &latency, &held_copies, &exact]);
         rows.push(ConvergenceRow {
@@ -156,12 +155,9 @@ fn availability_under_permanent_split() -> Availability {
     let majority = supervise(
         &program,
         &shards,
-        Ctx::oblivious(),
-        Schedule::Random(5),
-        &plan,
+        &RunCtx::simulated(Ctx::oblivious(), Schedule::Random(5)).with_faults(&plan),
         QueryMode::Monotone,
         &SupervisorConfig::default(),
-        &TraceHandle::off(),
     );
     let (answered, coverage) = match &majority.verdict {
         Degraded::Partial { certificate, .. } => (true, certificate.coverage),
@@ -174,15 +170,12 @@ fn availability_under_permanent_split() -> Availability {
     let minority = supervise(
         &program,
         &shards,
-        Ctx::oblivious(),
-        Schedule::Random(5),
-        &plan,
+        &RunCtx::simulated(Ctx::oblivious(), Schedule::Random(5)).with_faults(&plan),
         QueryMode::NonMonotone,
         &SupervisorConfig {
             monitor_home: 3,
             ..SupervisorConfig::default()
         },
-        &TraceHandle::off(),
     );
     let refusal = match &minority.verdict {
         Degraded::Refused { reason, .. } => match reason {
@@ -220,12 +213,9 @@ fn coverage_trajectory() -> Vec<CoverageRow> {
         let mono = supervise(
             &program,
             &shards,
-            Ctx::oblivious(),
-            Schedule::Random(7),
-            &plan,
+            &RunCtx::simulated(Ctx::oblivious(), Schedule::Random(7)).with_faults(&plan),
             QueryMode::Monotone,
             &config,
-            &TraceHandle::off(),
         );
         let (answered, coverage) = match &mono.verdict {
             Degraded::Partial { certificate, .. } => (true, certificate.coverage),
@@ -235,12 +225,9 @@ fn coverage_trajectory() -> Vec<CoverageRow> {
         let non = supervise(
             &program,
             &shards,
-            Ctx::oblivious(),
-            Schedule::Random(7),
-            &plan,
+            &RunCtx::simulated(Ctx::oblivious(), Schedule::Random(7)).with_faults(&plan),
             QueryMode::NonMonotone,
             &config,
-            &TraceHandle::off(),
         );
         let reason = match &non.verdict {
             Degraded::Refused { reason, .. } => match reason {

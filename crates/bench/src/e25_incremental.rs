@@ -111,7 +111,7 @@ fn step(view: &mut MaterializedView, p: &Program, db: &Instance) -> (u64, u64, b
     // pass finds `db`'s cache as the view's build left it.
     let cold = db.clone();
     opcount::reset();
-    let scratch = eval_program_with(p, &cold, EvalStrategy::Wcoj).expect("scratch");
+    let scratch = eval_program(p, &cold, EvalStrategy::Wcoj).expect("scratch");
     let scratch_ops = opcount::reset();
     let identical = maintained.sorted_facts() == scratch.sorted_facts();
     (refresh_ops, scratch_ops, identical)
@@ -267,7 +267,7 @@ fn timings() -> Vec<TimingRow> {
                 workload: w.name.to_string(),
                 n,
                 scratch_ms: best_ms(1, || {
-                    eval_program_with(&p, &cold, EvalStrategy::Wcoj).expect("scratch");
+                    eval_program(&p, &cold, EvalStrategy::Wcoj).expect("scratch");
                 }),
             });
         }

@@ -321,7 +321,7 @@ mod tests {
     pub fn datalog_query(p: parlog_datalog::program::Program, out: &str) -> impl QueryFunction {
         let out = rel(out);
         move |db: &Instance| {
-            parlog_datalog::eval::eval_program(&p, db)
+            parlog_datalog::eval::eval_program(&p, db, parlog_relal::eval::EvalStrategy::Indexed)
                 .map(|r| Instance::from_facts(r.relation(out).cloned().collect::<Vec<_>>()))
                 .unwrap_or_default()
         }

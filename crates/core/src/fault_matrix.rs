@@ -76,7 +76,7 @@ use parlog_transducer::prelude::{
     CoordinatedBroadcast, DisjointComponent, MonotoneBroadcast, PolicyAwareCq,
 };
 use parlog_transducer::program::{Ctx, TransducerProgram};
-use parlog_transducer::scheduler::{run_with_faults, Schedule};
+use parlog_transducer::scheduler::{run, RunCtx, RunOutcome, Schedule};
 use std::fmt;
 use std::sync::Arc;
 
@@ -204,16 +204,17 @@ fn verdicts_for<P: TransducerProgram + ?Sized>(
     rows: &mut Vec<FaultMatrixRow>,
 ) {
     for class in FaultClass::ALL {
-        let run = |&seed: &u64| {
+        let seeded = |&seed: &u64| {
             let plan = FaultPlan::for_class(class, seed);
-            run_with_faults(program, shards, ctx.clone(), Schedule::Random(seed), &plan).0
+            let rc = RunCtx::simulated(ctx.clone(), Schedule::Random(seed));
+            run(program, shards, &rc.with_faults(&plan)).output
         };
         rows.push(FaultMatrixRow {
             program: program.name().to_string(),
             class: label,
             fault: class.name(),
             within_model: class.within_model(),
-            verdict: verdict_over(&seeds.iter().map(run).collect::<Vec<_>>(), expected),
+            verdict: verdict_over(&seeds.iter().map(seeded).collect::<Vec<_>>(), expected),
         });
     }
 }
@@ -357,10 +358,10 @@ pub fn fault_matrix_with_seeds(seeds: &[u64]) -> FaultMatrix {
             let kind = CorruptKind::ALL[i % CorruptKind::ALL.len()];
             let plan = FaultPlan::none(seed).with_corruption(0, (seed as usize) % p, kind);
             let mut c = seed_cluster(p).with_faults(plan.clone());
-            c.compute_union_corrupted(&u, EvalStrategy::Indexed);
+            c.compute_union_verified(&u, EvalStrategy::Indexed, false);
             blind.push(c.union_all());
             let mut c = seed_cluster(p).with_faults(plan);
-            let round = c.compute_union_verified(&u, EvalStrategy::Indexed);
+            let round = c.compute_union_verified(&u, EvalStrategy::Indexed, true);
             debug_assert_eq!(round.detected.len(), round.corrupted.len());
             verified.push(c.union_all());
         }
@@ -411,8 +412,10 @@ pub fn fault_matrix_with_seeds(seeds: &[u64]) -> FaultMatrix {
                 seed,
                 PartitionPlan::permanent_split(0, &[(seed as usize) % 3]),
             );
-            let (out, stats) =
-                run_with_faults(&prog, &shards, Ctx::aware(3), Schedule::Random(seed), &plan);
+            let rc = RunCtx::simulated(Ctx::aware(3), Schedule::Random(seed));
+            let RunOutcome {
+                output: out, stats, ..
+            } = run(&prog, &shards, &rc.with_faults(&plan));
             if !(out.is_empty() && stats.partitioned > 0) {
                 all_deadlocked = false;
             }

@@ -15,6 +15,7 @@
 
 use crate::calm::{classify, MonotonicityClass, Schema};
 use parlog_datalog::analysis::{is_semi_connected, is_semi_positive};
+use parlog_relal::eval::EvalStrategy;
 use parlog_relal::instance::Instance;
 use parlog_relal::symbols::rel;
 use parlog_transducer::network::QueryFunction;
@@ -49,7 +50,7 @@ pub struct Figure2 {
 pub fn datalog_query(p: parlog_datalog::program::Program, out: &str) -> impl QueryFunction + Clone {
     let out = rel(out);
     move |db: &Instance| {
-        parlog_datalog::eval::eval_program(&p, db)
+        parlog_datalog::eval::eval_program(&p, db, EvalStrategy::Indexed)
             .map(|r| Instance::from_facts(r.relation(out).cloned().collect::<Vec<_>>()))
             .unwrap_or_default()
     }

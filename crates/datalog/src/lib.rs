@@ -36,7 +36,7 @@
 //! )
 //! .unwrap();
 //! let db = Instance::from_facts([fact("E", &[1, 2]), fact("E", &[2, 3])]);
-//! let out = eval_program(&p, &db).unwrap();
+//! let out = eval_program(&p, &db, EvalStrategy::Indexed).unwrap();
 //! assert!(out.contains(&fact("TC", &[1, 3])));
 //! ```
 
@@ -49,7 +49,7 @@ pub mod maintain;
 pub mod program;
 pub mod wellfounded;
 
-pub use eval::{eval_program, eval_program_naive, eval_program_scratch, eval_program_with};
+pub use eval::{eval_program, eval_program_naive, eval_program_scratch};
 pub use maintain::{
     publish_views, view_key, view_key_for, view_key_source, view_stats, MaterializedView,
     ViewStats, ViewWriter,
@@ -59,7 +59,7 @@ pub use program::{Program, ProgramError, Stratification};
 /// Commonly used items.
 pub mod prelude {
     pub use crate::analysis::{is_connected, is_semi_connected, is_semi_positive};
-    pub use crate::eval::{eval_program, eval_program_naive, eval_program_with};
+    pub use crate::eval::{eval_program, eval_program_naive};
     pub use crate::invention::{InventionProgram, InventionRule};
     pub use crate::maintain::{MaterializedView, ViewStats, ViewWriter};
     pub use crate::program::{parse_program, Program, Stratification};

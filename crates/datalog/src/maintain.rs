@@ -323,7 +323,7 @@ impl MaterializedView {
     /// against, since mutated — and return the query result (the
     /// maintained database minus any `ADom` facts), a copy that shares
     /// the database's relation sets. The same fixpoint
-    /// [`crate::eval::eval_program_with`] computes from scratch.
+    /// [`crate::eval::eval_program`] computes from scratch.
     pub fn refresh(&mut self, base: &Instance) -> Instance {
         if base.epoch() != self.applied_epoch {
             let replayable = base.delta_since(self.applied_epoch).filter(|es| {
@@ -604,7 +604,7 @@ pub fn view_stats(p: &Program, w: &ViewWriter, strategy: EvalStrategy) -> Option
 mod tests {
     use super::*;
     use crate::delta_rule::BINDS;
-    use crate::eval::eval_program_with;
+    use crate::eval::eval_program;
     use crate::program::parse_program;
     use parlog_relal::atom::{Atom, Term};
     use parlog_relal::fact::fact;
@@ -635,7 +635,7 @@ mod tests {
     fn assert_matches_scratch(view: &mut MaterializedView, base: &Instance) {
         let via_view = view.refresh(base);
         let binds = take(&BINDS);
-        let scratch = eval_program_with(&view.program, base, view.strategy).unwrap();
+        let scratch = eval_program(&view.program, base, view.strategy).unwrap();
         BINDS.with(|c| c.set(binds));
         assert_eq!(via_view.sorted_facts(), scratch.sorted_facts());
     }
@@ -1176,7 +1176,7 @@ mod tests {
             }
         }
         // Layered stacks: a tail run and tombstones under every relation.
-        let _ = eval_program_with(&p, &db.clone(), EvalStrategy::Wcoj);
+        let _ = eval_program(&p, &db.clone(), EvalStrategy::Wcoj);
         db.remove(&fact("R", &[1, 2]));
         db.insert(fact("S", &[9, 5]));
         db.remove(&fact("T", &[1, 1]));

@@ -190,7 +190,8 @@ mod tests {
         let db = Instance::from_facts([fact("E", &[1, 2]), fact("E", &[2, 3])]);
         let wf = well_founded(&p, &db).unwrap();
         assert!(wf.undefined_facts().is_empty());
-        let strat = crate::eval::eval_program(&p, &db).unwrap();
+        let strat =
+            crate::eval::eval_program(&p, &db, parlog_relal::eval::EvalStrategy::Indexed).unwrap();
         assert_eq!(wf.true_facts, strat);
     }
 

@@ -21,12 +21,11 @@
 //! corruptions from the plan installed with [`Cluster::with_faults`], on
 //! the verified-round clock:
 //!
-//! * [`Cluster::compute_union_verified`] — prove, audit at once, commit:
-//!   the committed union equals the fault-free answer even under active
-//!   corruption (verify-then-commit, zero detection latency);
-//! * [`Cluster::compute_union_corrupted`] — prove, commit blind: the
-//!   unprotected path, kept as the fault matrix's UNSOUND regression
-//!   witness;
+//! * [`Cluster::compute_union_verified`] with `audit` — prove, audit at
+//!   once, commit: the committed union equals the fault-free answer even
+//!   under active corruption (verify-then-commit, zero detection
+//!   latency); without `audit` — prove, commit blind: the unprotected
+//!   path, kept as the fault matrix's UNSOUND regression witness;
 //! * the supervisor's cadenced driver (`parlog_supervisor::verify`) —
 //!   prove every round, audit every few rounds.
 
@@ -155,34 +154,18 @@ impl VerifiedRound {
 }
 
 impl Cluster {
-    /// **Verify-then-commit computation phase**: prove, audit at once
-    /// (detection latency 0), commit. The committed state is
-    /// byte-identical to a fault-free `compute_query` run.
-    pub fn compute_union_verified(
-        &mut self,
-        u: &UnionQuery,
-        strategy: EvalStrategy,
-    ) -> VerifiedRound {
-        self.verified_round(u, strategy, true)
-    }
-
-    /// The **unprotected** path: prove and commit blindly, exactly as
-    /// `compute_query` would. Kept as the fault matrix's regression
-    /// witness that corruption without verification is UNSOUND — the
-    /// committed union silently diverges from the fault-free answer.
-    /// Returns which servers were tampered with.
-    pub fn compute_union_corrupted(
-        &mut self,
-        u: &UnionQuery,
-        strategy: EvalStrategy,
-    ) -> Vec<usize> {
-        self.verified_round(u, strategy, false).corrupted
-    }
-
     /// The next verified computation round over the servers' current
-    /// states: prove under the installed plan's corruptions, audit at
-    /// once when `audit`, commit every answer.
-    fn verified_round(
+    /// states: prove under the installed plan's corruptions, then commit
+    /// every answer.
+    ///
+    /// With `audit`, this is **verify-then-commit**: every proof is
+    /// checked before the commit (detection latency 0), and the committed
+    /// state is byte-identical to a fault-free `compute_query` run.
+    /// Without it, the round commits blindly, exactly as `compute_query`
+    /// would — the fault matrix's regression witness that corruption
+    /// without verification is UNSOUND: the committed union silently
+    /// diverges from the fault-free answer, and `detected` stays empty.
+    pub fn compute_union_verified(
         &mut self,
         u: &UnionQuery,
         strategy: EvalStrategy,
@@ -250,7 +233,11 @@ mod tests {
 
     /// One verified round of `q`.
     fn verify(c: &mut Cluster, q: &ConjunctiveQuery) -> VerifiedRound {
-        c.compute_union_verified(&UnionQuery::new(vec![q.clone()]), EvalStrategy::Indexed)
+        c.compute_union_verified(
+            &UnionQuery::new(vec![q.clone()]),
+            EvalStrategy::Indexed,
+            true,
+        )
     }
 
     #[test]
@@ -299,8 +286,9 @@ mod tests {
 
         let plan = FaultPlan::none(7).with_corruption(0, 1, CorruptKind::Inject);
         let mut c = seeded_with(3, plan);
-        let tampered = c.compute_union_corrupted(&u, EvalStrategy::Indexed);
-        assert_eq!(tampered, vec![1]);
+        let blind = c.compute_union_verified(&u, EvalStrategy::Indexed, false);
+        assert_eq!(blind.corrupted, vec![1]);
+        assert!(blind.detected.is_empty(), "no audit, no detection");
         assert_ne!(
             c.union_all(),
             truth,

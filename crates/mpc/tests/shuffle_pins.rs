@@ -102,7 +102,7 @@ fn hc_triangle_verified_is_pinned() {
         let mut c = Cluster::new(hc.servers()).with_parallelism(threads);
         seed_cluster(&mut c, &db, InitialPartition::RoundRobin);
         c.communicate(|f| hc.destinations(f));
-        let round = c.compute_union_verified(&u, EvalStrategy::Auto);
+        let round = c.compute_union_verified(&u, EvalStrategy::Auto, true);
         assert!(round.clean());
         let out = c.union_all();
         assert_eq!(out, eval_query(&q, &db));

@@ -91,12 +91,12 @@ proptest! {
         let u = join_query();
         let reference: Vec<String> = {
             let mut c = seeded_cluster(&db, 3, 1);
-            c.compute_union_verified(&u, EvalStrategy::Naive);
+            c.compute_union_verified(&u, EvalStrategy::Naive, true);
             (0..3).map(|s| to_json(&snapshot(&c.local(s)))).collect()
         };
         for strategy in STRATEGIES {
             let mut c = seeded_cluster(&db, 3, threads);
-            let round = c.compute_union_verified(&u, strategy);
+            let round = c.compute_union_verified(&u, strategy, true);
             prop_assert!(round.clean());
             for (s, want) in reference.iter().enumerate() {
                 prop_assert_eq!(&to_json(&snapshot(&c.local(s))), want);
@@ -148,12 +148,12 @@ proptest! {
         let kind = CorruptKind::ALL[kind_idx];
         let truth = {
             let mut c = seeded_cluster(&db, 3, 1);
-            c.compute_union_verified(&u, EvalStrategy::Indexed);
+            c.compute_union_verified(&u, EvalStrategy::Indexed, true);
             c.union_all()
         };
         let plan = FaultPlan::none(seed).with_corruption(0, victim, kind);
         let mut c = seeded_cluster(&db, 3, 1).with_faults(plan);
-        let round = c.compute_union_verified(&u, EvalStrategy::Indexed);
+        let round = c.compute_union_verified(&u, EvalStrategy::Indexed, true);
         prop_assert_eq!(&round.corrupted, &vec![victim]);
         prop_assert_eq!(round.detected.len(), 1, "corruption slipped past the checker");
         prop_assert_eq!(round.detected[0].0, victim);
@@ -174,7 +174,7 @@ fn detect_quarantine_heal_visible_on_the_timeline() {
         .with_faults(plan)
         .with_trace(TraceHandle::to(sink.clone()));
     let shard1_root = snapshot(&c.local(1));
-    let round = c.compute_union_verified(&join_query(), EvalStrategy::Indexed);
+    let round = c.compute_union_verified(&join_query(), EvalStrategy::Indexed, true);
     assert_eq!(round.detected.len(), 1);
 
     let tl = sink.timeline();
@@ -204,7 +204,11 @@ fn verified_round_matches_unverified_compute_when_honest() {
     let mut plain = seeded_cluster(&db, 4, 1);
     plain.compute_query(&q, EvalStrategy::Indexed);
     let mut verified = seeded_cluster(&db, 4, 1);
-    verified.compute_union_verified(&UnionQuery::new(vec![q.clone()]), EvalStrategy::Indexed);
+    verified.compute_union_verified(
+        &UnionQuery::new(vec![q.clone()]),
+        EvalStrategy::Indexed,
+        true,
+    );
     for s in 0..4 {
         assert_eq!(plain.local(s), verified.local(s));
     }

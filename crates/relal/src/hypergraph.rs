@@ -194,7 +194,9 @@ impl TreeDecomposition {
         self.bags.iter().map(|b| b.len().max(1)).max().unwrap_or(1) - 1
     }
 
-    /// Depth of the bag tree (root = depth 0).
+    /// Depth of the bag tree (root = depth 0). Loops forever on a parent
+    /// cycle: call it on a decomposition [`TreeDecomposition::validate`]
+    /// accepts.
     pub fn depth(&self) -> usize {
         let mut max = 0;
         for i in 0..self.bags.len() {
@@ -210,13 +212,44 @@ impl TreeDecomposition {
     }
 
     /// Validate the decomposition properties; used by tests and by GYM
-    /// before trusting a user-supplied decomposition.
+    /// before trusting a user-supplied decomposition. `parent` must form
+    /// one tree: every index in range, the root its own parent and the
+    /// only such bag, and every bag's parent walk reaching the root
+    /// within `bags.len()` steps (so there is no cycle).
     pub fn validate(&self, q: &ConjunctiveQuery) -> Result<(), String> {
-        if self.bags.len() != self.parent.len() {
+        let n = self.bags.len();
+        if self.parent.len() != n {
             return Err("bags/parent length mismatch".into());
         }
         if self.atom_bag.len() != q.body.len() {
             return Err("atom_bag must cover every body atom".into());
+        }
+        let out_of_range = |what: &str, i: usize| format!("{what} {i} is not one of the {n} bags");
+        if self.root >= n {
+            return Err(out_of_range("root", self.root));
+        }
+        if let Some(&p) = self.parent.iter().find(|&&p| p >= n) {
+            return Err(out_of_range("parent", p));
+        }
+        if let Some(&b) = self.atom_bag.iter().find(|&&b| b >= n) {
+            return Err(out_of_range("atom bag", b));
+        }
+        if self.parent[self.root] != self.root {
+            return Err(format!("the root {} has a parent", self.root));
+        }
+        if let Some(i) = (0..n).find(|&i| self.parent[i] == i && i != self.root) {
+            return Err(format!("bag {i} is its own parent but not the root"));
+        }
+        for i in 0..n {
+            let mut j = i;
+            for _ in 0..n {
+                j = self.parent[j];
+            }
+            if j != self.root {
+                return Err(format!(
+                    "bag {i}'s parent walk does not reach the root: a cycle"
+                ));
+            }
         }
         for (ai, &b) in self.atom_bag.iter().enumerate() {
             let vars: BTreeSet<Var> = q.body[ai].variables().into_iter().collect();
@@ -499,6 +532,62 @@ mod tests {
         let td = tree_decomposition(&q);
         td.validate(&q).unwrap();
         assert_eq!(td.width(), 2);
+    }
+
+    /// The 3-path's decomposition into one bag per atom, `{x,y}`,
+    /// `{y,z}`, `{z,w}`, under the given parent pointers and root.
+    fn path(parent: Vec<usize>, root: usize) -> (TreeDecomposition, ConjunctiveQuery) {
+        let q = parse_query("H(x,w) <- R(x,y), S(y,z), T(z,w)").unwrap();
+        let bags = (q.body.iter())
+            .map(|a| a.variables().into_iter().collect())
+            .collect();
+        let td = TreeDecomposition {
+            bags,
+            parent,
+            root,
+            atom_bag: vec![0, 1, 2],
+        };
+        (td, q)
+    }
+
+    fn reshaped(parent: Vec<usize>, root: usize) -> Result<(), String> {
+        let (td, q) = path(parent, root);
+        td.validate(&q)
+    }
+
+    #[test]
+    fn validate_accepts_a_reshaped_tree() {
+        assert_eq!(reshaped(vec![0, 0, 1], 0), Ok(()));
+        assert_eq!(reshaped(vec![1, 1, 1], 1), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_out_of_range_indices() {
+        assert!(reshaped(vec![0, 0, 1], 3).unwrap_err().contains("root 3"));
+        assert!(reshaped(vec![0, 7, 1], 0).unwrap_err().contains("parent 7"));
+        let (mut td, q) = path(vec![0, 0, 1], 0);
+        td.atom_bag[1] = 9;
+        assert!(td.validate(&q).unwrap_err().contains("atom bag 9"));
+    }
+
+    #[test]
+    fn validate_rejects_a_second_self_parented_bag() {
+        let err = reshaped(vec![0, 1, 1], 0).unwrap_err();
+        assert!(err.contains("bag 1 is its own parent"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_a_parent_cycle() {
+        // Bags 1 and 2 point at each other: `depth()` would loop forever.
+        let err = reshaped(vec![0, 2, 1], 0).unwrap_err();
+        assert!(err.contains("a cycle"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_a_root_with_a_parent() {
+        // Every walk passes the root, but the root's own walk leaves it.
+        let err = reshaped(vec![1, 0, 1], 0).unwrap_err();
+        assert!(err.contains("the root 0 has a parent"), "{err}");
     }
 
     #[test]

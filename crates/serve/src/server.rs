@@ -22,7 +22,7 @@
 
 use crate::admission::{AdmissionGate, Overload, Permit};
 use crate::plan::{PlanCache, PlanCacheStats, PlanKind};
-use parlog_datalog::eval::eval_program_with;
+use parlog_datalog::eval::eval_program;
 use parlog_datalog::maintain::ViewWriter;
 use parlog_datalog::program::{Program, ProgramError};
 use parlog_relal::eval::EvalStrategy;
@@ -235,9 +235,9 @@ impl Session<'_> {
                 };
                 let out = match frozen {
                     Some(out) => Arc::clone(out),
-                    None => Arc::new(
-                        eval_program_with(p, inst, *strategy).map_err(ServeError::Program)?,
-                    ),
+                    None => {
+                        Arc::new(eval_program(p, inst, *strategy).map_err(ServeError::Program)?)
+                    }
                 };
                 (Answer::Relation(out), Some(hit))
             }
@@ -370,7 +370,7 @@ mod tests {
         let a = parse_program("TC(x,y) <- E(x,y). TC(x,z) <- E(x,y), TC(y,z).").unwrap();
         let b = parse_program("T2(x,z) <- E(x,y), E(y,z).").unwrap();
         let s = EvalStrategy::Auto;
-        let a_out = Arc::new(eval_program_with(&a, &base(), s).unwrap());
+        let a_out = Arc::new(eval_program(&a, &base(), s).unwrap());
         let snap = server.store().publish_with(|_| {
             let mut views = parlog_relal::fastmap::fxmap();
             let a_source = view_key_source(&a, s).into();
@@ -385,7 +385,7 @@ mod tests {
         let r = session.execute(&Request::Program(b.clone(), s)).unwrap();
         assert_eq!(r.generation, snap.generation());
         let answer = r.answer.relation().unwrap();
-        assert_eq!(**answer, eval_program_with(&b, &base(), s).unwrap());
+        assert_eq!(**answer, eval_program(&b, &base(), s).unwrap());
         assert!(answer.contains(&fact("T2", &[1, 3])));
         assert!(!answer.contains(&fact("TC", &[1, 3])));
     }

@@ -1,9 +1,9 @@
 //! The supervision loop over the transducer substrate.
 //!
 //! [`supervise`] runs a [`SimRun`] through the substrate's own loop to
-//! quiescence, [`SimRun::run_until_quiet`] — the loop
-//! `SimRun::run_faulty` runs with a no-op hook — and interleaves a control
-//! plane in the hook it calls before every delivery choice:
+//! quiescence, [`SimRun::run_until_quiet`] — the loop a simulated
+//! `parlog_transducer::run` runs with a no-op hook — and interleaves a
+//! control plane in the hook it calls before every delivery choice:
 //!
 //! 1. **Probing.** Every `probe_every` virtual-clock ticks the
 //!    supervisor pings every node; a live node's response is a heartbeat
@@ -51,8 +51,8 @@ use parlog_faults::{mix64, FaultPlan};
 use parlog_relal::instance::Instance;
 use parlog_trace::{FaultEvent, FaultEventKind, TraceEvent, TraceHandle};
 use parlog_transducer::faulty::FaultStats;
-use parlog_transducer::program::{Ctx, TransducerProgram};
-use parlog_transducer::scheduler::{Schedule, SimRun};
+use parlog_transducer::program::TransducerProgram;
+use parlog_transducer::scheduler::{RunCtx, RunMode, SimRun};
 
 /// Tunables of the supervision loop.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
@@ -363,32 +363,33 @@ impl Monitor<'_> {
     }
 }
 
-/// Run `program` to quiescence under `plan` with the full supervisor
-/// stack active; see the module docs for the loop's four duties.
+/// Run `program` to quiescence as the simulated run `rc` describes (no
+/// plan: fault-free) with the full supervisor stack active; see the
+/// module docs for the loop's four duties. Panics unless `rc.mode` is
+/// [`RunMode::Simulated`]: the probes run on the simulator's clock.
 ///
 /// `mode` states whether the query the program computes is monotone —
 /// it decides the degradation contract when a crash cannot be healed.
 ///
 /// The data plane's message-level counters and crash/recovery/heal
-/// events flow to `trace` through the scheduler, and the control plane
-/// adds its own decision timeline — `Suspect` (info = φ·1000),
+/// events flow to `rc.trace` through the scheduler, and the control
+/// plane adds its own decision timeline — `Suspect` (info = φ·1000),
 /// `FalseSuspicion`, `ConfirmDead` (info = detection latency) and, at
 /// close-out, one `Degrade` or `Refuse` per unhealed node (info = lost
 /// shard size). `TraceHandle::off()` reproduces the untraced run exactly.
-#[allow(clippy::too_many_arguments)]
 pub fn supervise<P: TransducerProgram + ?Sized>(
     program: &P,
     shards: &[Instance],
-    ctx: Ctx,
-    schedule: Schedule,
-    plan: &FaultPlan,
+    rc: &RunCtx<'_>,
     mode: QueryMode,
     config: &SupervisorConfig,
-    trace: &TraceHandle,
 ) -> SupervisedRun {
-    let mut run = SimRun::new(program, shards, ctx);
-    run.set_trace(trace.clone());
-    run.install_plan(plan);
+    let RunMode::Simulated(schedule) = rc.mode else {
+        panic!("supervision probes on the simulator's clock: it needs a simulated run");
+    };
+    let fault_free = FaultPlan::none(0);
+    let (plan, trace) = (rc.faults.unwrap_or(&fault_free), &rc.trace);
+    let mut run = SimRun::new(program, shards, rc);
     let (mut rng, mut rr) = (schedule.rng(), 0);
     let n = run.n();
     let mut mon = Monitor {
@@ -546,6 +547,8 @@ mod tests {
     use parlog_relal::parser::parse_query;
     use parlog_transducer::distribution::hash_distribution;
     use parlog_transducer::prelude::{CoordinatedBroadcast, MonotoneBroadcast};
+    use parlog_transducer::program::Ctx;
+    use parlog_transducer::scheduler::Schedule;
 
     fn setup() -> (MonotoneBroadcast, Vec<Instance>, Instance) {
         let q = parse_query("H(x,z) <- E(x,y), E(y,z)").unwrap();
@@ -561,12 +564,10 @@ mod tests {
         let out = supervise(
             &p,
             &shards,
-            Ctx::oblivious(),
-            Schedule::Random(7),
-            &FaultPlan::none(7),
+            &RunCtx::simulated(Ctx::oblivious(), Schedule::Random(7))
+                .with_faults(&FaultPlan::none(7)),
             QueryMode::Monotone,
             &SupervisorConfig::default(),
-            &TraceHandle::off(),
         );
         assert!(out.verdict.is_exact());
         assert_eq!(out.verdict.answer().unwrap(), &expected);
@@ -583,12 +584,9 @@ mod tests {
         let out = supervise(
             &p,
             &shards,
-            Ctx::oblivious(),
-            Schedule::Random(2),
-            &plan,
+            &RunCtx::simulated(Ctx::oblivious(), Schedule::Random(2)).with_faults(&plan),
             QueryMode::Monotone,
             &SupervisorConfig::default(),
-            &TraceHandle::off(),
         );
         assert!(out.verdict.is_exact(), "heal must restore full coverage");
         assert_eq!(out.verdict.answer().unwrap(), &expected);
@@ -618,12 +616,9 @@ mod tests {
         let out = supervise(
             &p,
             &shards,
-            Ctx::oblivious(),
-            Schedule::Random(2),
-            &plan,
+            &RunCtx::simulated(Ctx::oblivious(), Schedule::Random(2)).with_faults(&plan),
             QueryMode::Monotone,
             &config,
-            &TraceHandle::off(),
         );
         let Degraded::Partial {
             answer,
@@ -659,12 +654,9 @@ mod tests {
         let out = supervise(
             &p,
             &shards,
-            Ctx::aware(3),
-            Schedule::Random(1),
-            &plan,
+            &RunCtx::simulated(Ctx::aware(3), Schedule::Random(1)).with_faults(&plan),
             QueryMode::of(&q),
             &config,
-            &TraceHandle::off(),
         );
         let Degraded::Refused {
             reason,
@@ -694,12 +686,11 @@ mod tests {
         let out = supervise(
             &p,
             &shards,
-            Ctx::oblivious(),
-            Schedule::Random(5),
-            &plan,
+            &RunCtx::simulated(Ctx::oblivious(), Schedule::Random(5))
+                .with_faults(&plan)
+                .with_trace(TraceHandle::to(sink.clone())),
             QueryMode::Monotone,
             &SupervisorConfig::default(),
-            &TraceHandle::to(sink.clone()),
         );
         assert_eq!(
             out.report.heals, 0,
@@ -760,12 +751,9 @@ mod tests {
         let out = supervise(
             &p,
             &shards,
-            Ctx::oblivious(),
-            Schedule::Random(5),
-            &plan,
+            &RunCtx::simulated(Ctx::oblivious(), Schedule::Random(5)).with_faults(&plan),
             QueryMode::Monotone,
             &SupervisorConfig::default(),
-            &TraceHandle::off(),
         );
         assert!(
             out.verdict.is_exact(),
@@ -792,12 +780,9 @@ mod tests {
         let out = supervise(
             &p,
             &shards,
-            Ctx::oblivious(),
-            Schedule::Random(2),
-            &plan,
+            &RunCtx::simulated(Ctx::oblivious(), Schedule::Random(2)).with_faults(&plan),
             QueryMode::Monotone,
             &SupervisorConfig::default(),
-            &TraceHandle::off(),
         );
         assert_eq!(out.report.heals, 1);
         let d = &out.report.detections[0];
@@ -838,12 +823,9 @@ mod tests {
         let out = supervise(
             &p,
             &shards,
-            Ctx::oblivious(),
-            Schedule::Random(9),
-            &plan,
+            &RunCtx::simulated(Ctx::oblivious(), Schedule::Random(9)).with_faults(&plan),
             QueryMode::NonMonotone,
             &config,
-            &TraceHandle::off(),
         );
         assert!(out.report.quorum_losses > 0, "the gate must have fired");
         assert_eq!(out.report.heals, 0, "a minority must not act");
@@ -881,12 +863,11 @@ mod tests {
             let out = supervise(
                 &p,
                 &shards,
-                Ctx::oblivious(),
-                Schedule::Random(2),
-                &plan,
+                &RunCtx::simulated(Ctx::oblivious(), Schedule::Random(2))
+                    .with_faults(&plan)
+                    .with_trace(TraceHandle::to(sink.clone())),
                 QueryMode::Monotone,
                 &SupervisorConfig::default(),
-                &TraceHandle::to(sink.clone()),
             );
             (out, sink)
         };
@@ -940,15 +921,14 @@ mod tests {
         let out = supervise(
             &p,
             &shards,
-            Ctx::oblivious(),
-            Schedule::Random(2),
-            &FaultPlan::crash_stop(2, 0, 6),
+            &RunCtx::simulated(Ctx::oblivious(), Schedule::Random(2))
+                .with_faults(&FaultPlan::crash_stop(2, 0, 6))
+                .with_trace(TraceHandle::to(sink.clone())),
             QueryMode::Monotone,
             &SupervisorConfig {
                 max_heals: 0,
                 ..SupervisorConfig::default()
             },
-            &TraceHandle::to(sink.clone()),
         );
         assert!(matches!(out.verdict, Degraded::Partial { .. }));
         let timeline = sink.timeline();
@@ -971,12 +951,10 @@ mod tests {
             let out = supervise(
                 &p,
                 &shards,
-                Ctx::oblivious(),
-                Schedule::Random(3),
-                &FaultPlan::lossy(3, 0.3).with_retransmit(Default::default()),
+                &RunCtx::simulated(Ctx::oblivious(), Schedule::Random(3))
+                    .with_faults(&FaultPlan::lossy(3, 0.3).with_retransmit(Default::default())),
                 QueryMode::Monotone,
                 &SupervisorConfig::default(),
-                &TraceHandle::off(),
             );
             (
                 out.verdict.answer().cloned(),
@@ -1002,12 +980,11 @@ mod tests {
             supervise(
                 &p,
                 &shards,
-                Ctx::oblivious(),
-                Schedule::Random(seed),
-                plan,
+                &RunCtx::simulated(Ctx::oblivious(), Schedule::Random(seed))
+                    .with_faults(plan)
+                    .with_trace(TraceHandle::to(sink.clone())),
                 QueryMode::Monotone,
                 &SupervisorConfig::default(),
-                &TraceHandle::to(sink.clone()),
             );
             let tl = sink.timeline();
             tl.iter()

@@ -28,7 +28,7 @@ use parlog_transducer::distribution::hash_distribution;
 use parlog_transducer::network::QueryFunction;
 use parlog_transducer::prelude::MonotoneBroadcast;
 use parlog_transducer::program::Ctx;
-use parlog_transducer::scheduler::{run_with_faults, Schedule};
+use parlog_transducer::scheduler::{run, RunCtx, RunOutcome, Schedule};
 
 /// Strategy: a small random edge relation.
 fn small_edges(max_facts: usize, domain: u64) -> impl Strategy<Value = Instance> {
@@ -92,24 +92,20 @@ proptest! {
         let shards = hash_distribution(&db, n, 5);
         let plan = FaultPlan::partitioned(pseed, PartitionPlan::seeded(pseed, n, 24));
 
-        let (out, stats) = run_with_faults(
-            &program, &shards, Ctx::oblivious(), Schedule::Random(sseed), &plan,
-        );
+        let rc = RunCtx::simulated(Ctx::oblivious(), Schedule::Random(sseed));
+        let RunOutcome { output: out, stats, .. } =
+            run(&program, &shards, &rc.clone().with_faults(&plan));
         prop_assert_eq!(&out, &expected, "partitioned run diverged from ground truth");
 
         // Byte-identical to the fault-free run under the same schedule…
-        let (fault_free, _) = run_with_faults(
-            &program, &shards, Ctx::oblivious(), Schedule::Random(sseed),
-            &FaultPlan::none(pseed),
-        );
+        let none = FaultPlan::none(pseed);
+        let fault_free = run(&program, &shards, &rc.clone().with_faults(&none)).output;
         prop_assert_eq!(canon(&out), canon(&fault_free));
 
         // …and deterministic: the same seeds replay the same run.
-        let (again, stats2) = run_with_faults(
-            &program, &shards, Ctx::oblivious(), Schedule::Random(sseed), &plan,
-        );
-        prop_assert_eq!(canon(&out), canon(&again));
-        prop_assert_eq!(stats.partitioned, stats2.partitioned);
+        let again = run(&program, &shards, &rc.with_faults(&plan));
+        prop_assert_eq!(canon(&out), canon(&again.output));
+        prop_assert_eq!(stats.partitioned, again.stats.partitioned);
     }
 
     /// (b) On the MPC substrate, a seeded partition over the

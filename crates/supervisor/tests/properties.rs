@@ -15,11 +15,10 @@ use parlog_relal::fact::fact;
 use parlog_relal::instance::Instance;
 use parlog_relal::parser::parse_query;
 use parlog_supervisor::prelude::*;
-use parlog_trace::TraceHandle;
 use parlog_transducer::distribution::hash_distribution;
 use parlog_transducer::prelude::MonotoneBroadcast;
 use parlog_transducer::program::Ctx;
-use parlog_transducer::scheduler::Schedule;
+use parlog_transducer::scheduler::{RunCtx, Schedule};
 
 /// Strategy: a small random edge relation.
 fn small_edges(max_facts: usize, domain: u64) -> impl Strategy<Value = Instance> {
@@ -80,16 +79,9 @@ proptest! {
         let shards = hash_distribution(&db, 3, 5);
         let p = MonotoneBroadcast::new(q);
         let config = SupervisorConfig { max_heals: 0, ..SupervisorConfig::default() };
-        let out = supervise(
-            &p,
-            &shards,
-            Ctx::oblivious(),
-            Schedule::Random(seed),
-            &FaultPlan::crash_stop(seed, node, at_step),
-            QueryMode::Monotone,
-            &config,
-            &TraceHandle::off(),
-        );
+        let plan = FaultPlan::crash_stop(seed, node, at_step);
+        let rc = RunCtx::simulated(Ctx::oblivious(), Schedule::Random(seed)).with_faults(&plan);
+        let out = supervise(&p, &shards, &rc, QueryMode::Monotone, &config);
         let answer = out.verdict.answer().expect("monotone runs always answer");
         prop_assert!(answer.is_subset_of(&expected));
         if let Degraded::Partial { certificate, .. } = &out.verdict {
@@ -145,16 +137,8 @@ proptest! {
         } else {
             FaultPlan::none(seed)
         };
-        let out = supervise(
-            &p,
-            &shards,
-            Ctx::oblivious(),
-            Schedule::Random(seed),
-            &plan,
-            QueryMode::Monotone,
-            &SupervisorConfig::default(),
-            &TraceHandle::off(),
-        );
+        let rc = RunCtx::simulated(Ctx::oblivious(), Schedule::Random(seed)).with_faults(&plan);
+        let out = supervise(&p, &shards, &rc, QueryMode::Monotone, &SupervisorConfig::default());
         prop_assert_eq!(out.report.false_suspicions, 0);
         if !crash {
             prop_assert_eq!(out.report.suspicions, 0);

@@ -10,7 +10,7 @@
 
 use crate::distribution::{ideal_distribution, standard_family};
 use crate::program::{Ctx, TransducerProgram};
-use crate::scheduler::{run_heartbeats_only, run_with_ctx, Schedule};
+use crate::scheduler::{run, RunCtx, RunMode, Schedule};
 use parlog_relal::instance::Instance;
 
 /// The outcome of a consistency sweep.
@@ -47,33 +47,19 @@ where
     P: TransducerProgram + ?Sized,
     C: Fn(usize) -> Ctx,
 {
-    let mut report = ConsistencyReport {
-        runs: 0,
-        failures: Vec::new(),
-    };
+    let mut setups = Vec::new();
     for &n in network_sizes {
-        for (dist_name, shards) in standard_family(db, n, 0x5eed) {
-            let mut schedules = vec![Schedule::Fifo, Schedule::Lifo];
-            schedules.extend(seeds.iter().map(|&s| Schedule::Random(s)));
-            for schedule in schedules {
-                report.runs += 1;
-                let out = run_with_ctx(program, &shards, ctx_of(n), schedule);
-                if out != *expected {
-                    report.failures.push(format!(
-                        "n={n} dist={dist_name} schedule={schedule:?}: got {} facts, expected {}",
-                        out.len(),
-                        expected.len()
-                    ));
-                }
-            }
+        for (dist, shards) in standard_family(db, n, 0x5eed) {
+            setups.push((format!("n={n} dist={dist}"), shards, ctx_of(n)));
         }
     }
-    report
+    check_eventual_consistency_with(program, expected, &setups, seeds)
 }
 
 /// Like [`check_eventual_consistency`] but over explicitly provided
 /// (name, shards, ctx) setups — for policy-aware programs whose
-/// distribution must agree with the policy.
+/// distribution must agree with the policy. Each setup runs under FIFO,
+/// LIFO and one seeded-random schedule per seed.
 pub fn check_eventual_consistency_with<P>(
     program: &P,
     expected: &Instance,
@@ -83,19 +69,19 @@ pub fn check_eventual_consistency_with<P>(
 where
     P: TransducerProgram + ?Sized,
 {
+    let mut schedules = vec![Schedule::Fifo, Schedule::Lifo];
+    schedules.extend(seeds.iter().map(|&s| Schedule::Random(s)));
+    let runs = setups.len() * schedules.len();
     let mut report = ConsistencyReport {
-        runs: 0,
+        runs,
         failures: Vec::new(),
     };
     for (name, shards, ctx) in setups {
-        let mut schedules = vec![Schedule::Fifo, Schedule::Lifo];
-        schedules.extend(seeds.iter().map(|&s| Schedule::Random(s)));
-        for schedule in schedules {
-            report.runs += 1;
-            let out = run_with_ctx(program, shards, ctx.clone(), schedule);
+        for &schedule in &schedules {
+            let out = run(program, shards, &RunCtx::simulated(ctx.clone(), schedule)).output;
             if out != *expected {
                 report.failures.push(format!(
-                    "setup={name} schedule={schedule:?}: got {} facts, expected {}",
+                    "{name} schedule={schedule:?}: got {} facts, expected {}",
                     out.len(),
                     expected.len()
                 ));
@@ -119,8 +105,8 @@ pub fn check_coordination_free<P>(
 where
     P: TransducerProgram + ?Sized,
 {
-    let out = run_heartbeats_only(program, &ideal_distribution(db, n), ctx);
-    out == *expected
+    let rc = RunCtx::new(ctx, RunMode::HeartbeatsOnly);
+    run(program, &ideal_distribution(db, n), &rc).output == *expected
 }
 
 #[cfg(test)]

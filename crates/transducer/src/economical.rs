@@ -11,7 +11,7 @@
 //! For full CQs without self-joins this is complete — every valuation's
 //! required facts are atom-matching — while everything else stays local.
 //! The saving is measured against [`crate::programs::monotone::MonotoneBroadcast`]
-//! via [`crate::scheduler::SimRun::facts_broadcast`].
+//! via [`crate::RunOutcome::facts_broadcast`].
 
 use crate::network::NodeState;
 use crate::program::{Broadcast, Ctx, TransducerProgram};
@@ -86,7 +86,7 @@ mod tests {
     use super::*;
     use crate::distribution::hash_distribution;
     use crate::programs::monotone::MonotoneBroadcast;
-    use crate::scheduler::{Schedule, SimRun};
+    use crate::scheduler::{run, RunCtx, Schedule};
     use parlog_relal::fact::fact;
     use parlog_relal::instance::Instance;
     use parlog_relal::parser::parse_query;
@@ -114,9 +114,8 @@ mod tests {
         assert_eq!(expected.len(), 20);
         let p = EconomicalBroadcast::new(q());
         let dist = hash_distribution(&db, 3, 5);
-        let mut run = SimRun::new(&p, &dist, Ctx::oblivious());
-        run.run(&p, Schedule::Random(1));
-        assert_eq!(run.outputs(), expected);
+        let rc = RunCtx::simulated(Ctx::oblivious(), Schedule::Random(1));
+        assert_eq!(run(&p, &dist, &rc).output, expected);
     }
 
     #[test]
@@ -124,15 +123,11 @@ mod tests {
         let db = db_with_noise();
         let dist = hash_distribution(&db, 3, 5);
 
-        let eco = EconomicalBroadcast::new(q());
-        let mut eco_run = SimRun::new(&eco, &dist, Ctx::oblivious());
-        eco_run.run(&eco, Schedule::Fifo);
+        let rc = RunCtx::simulated(Ctx::oblivious(), Schedule::Fifo);
+        let eco_run = run(&EconomicalBroadcast::new(q()), &dist, &rc);
+        let naive_run = run(&MonotoneBroadcast::new(q()), &dist, &rc);
 
-        let naive = MonotoneBroadcast::new(q());
-        let mut naive_run = SimRun::new(&naive, &dist, Ctx::oblivious());
-        naive_run.run(&naive, Schedule::Fifo);
-
-        assert_eq!(eco_run.outputs(), naive_run.outputs());
+        assert_eq!(eco_run.output, naive_run.output);
         assert!(
             eco_run.facts_broadcast < naive_run.facts_broadcast,
             "economical {} vs naive {}",

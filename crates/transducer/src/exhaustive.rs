@@ -96,7 +96,7 @@ pub fn explore_schedules<P: TransducerProgram + ?Sized>(
         dups: max_dups,
         lossy: false,
     };
-    search.visit(&SimRun::new(program, shards, ctx), budget);
+    search.visit(&SimRun::setup(program, shards, ctx), budget);
     search.report
 }
 

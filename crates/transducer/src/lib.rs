@@ -17,9 +17,11 @@
 //! * [`network`] — node states, write-only outputs, message buffers;
 //! * [`program`] — the transducer-program trait (network-aware or
 //!   oblivious, optionally policy-aware);
-//! * [`scheduler`] — fair asynchronous runs under seeded-random, FIFO,
-//!   LIFO and adversarial schedules, plus the heartbeat-only mode used by
-//!   the coordination-freeness test;
+//! * [`scheduler`] — [`run`], the one entry for every run: a [`RunCtx`]
+//!   carries the program context, the [`RunMode`] (simulated under a
+//!   seeded-random, FIFO, LIFO or round-robin schedule; heartbeat-only,
+//!   the mode the coordination-freeness test uses; or threaded), the
+//!   fault plan and the trace;
 //! * [`exhaustive`] — a small-case model checker that walks the
 //!   [`SimRun`] runtime itself through every delivery order and every
 //!   placement of a few adversarial drops and duplicates;
@@ -34,8 +36,8 @@
 //!   checkers quantifying over seeds × networks × distributions;
 //! * [`economical`] — the Ketsman–Neven economical broadcasting strategy
 //!   for full CQs without self-joins (Section 6);
-//! * [`threaded`] — a crossbeam-based true-multithreaded runtime for the
-//!   same programs, cross-validated against the simulator;
+//! * [`threaded`] — the crossbeam-based true-multithreaded runtime
+//!   behind [`RunMode::Threaded`], cross-validated against the simulator;
 //! * [`faulty`] — fault injection (drop/duplicate/reorder/delay,
 //!   crash-stop, crash-recover, ack/retransmit) driven by seeded
 //!   [`parlog_faults::FaultPlan`]s: the model's no-loss and no-failure
@@ -55,8 +57,9 @@
 //!     fact("E", &[1, 2]), fact("E", &[2, 3]), fact("E", &[3, 1]),
 //! ]);
 //! let program = MonotoneBroadcast::new(q.clone());
-//! let out = run_to_quiescence(&program, &hash_distribution(&db, 3, 7), 42);
-//! assert_eq!(out, eval_query(&q, &db));
+//! let rc = RunCtx::simulated(Ctx::oblivious(), Schedule::Random(42));
+//! let out = run(&program, &hash_distribution(&db, 3, 7), &rc);
+//! assert_eq!(out.output, eval_query(&q, &db));
 //! ```
 
 pub mod consistency;
@@ -73,7 +76,7 @@ pub mod threaded;
 pub use faulty::{FaultStats, Health};
 pub use network::{NodeState, QueryFunction};
 pub use program::{Ctx, TransducerProgram};
-pub use scheduler::{run_to_quiescence, run_with_faults, Schedule, SimRun};
+pub use scheduler::{run, RunCtx, RunMode, RunOutcome, Schedule, SimRun};
 
 /// Commonly used items.
 pub mod prelude {
@@ -91,8 +94,5 @@ pub mod prelude {
     pub use crate::programs::distinct::PolicyAwareCq;
     pub use crate::programs::distinct_sets::DistinctCompleteSets;
     pub use crate::programs::monotone::MonotoneBroadcast;
-    pub use crate::programs::reliable::ReliableBroadcast;
-    pub use crate::scheduler::{
-        run_heartbeats_only, run_to_quiescence, run_with_faults, Schedule, SimRun,
-    };
+    pub use crate::scheduler::{run, RunCtx, RunMode, RunOutcome, Schedule, SimRun};
 }

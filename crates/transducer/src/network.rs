@@ -1,5 +1,6 @@
 //! Node state for relational transducer networks.
 
+use parlog_relal::eval::EvalStrategy;
 use parlog_relal::fact::Fact;
 use parlog_relal::instance::Instance;
 use parlog_relal::query::{ConjunctiveQuery, UnionQuery};
@@ -26,7 +27,7 @@ impl QueryFunction for UnionQuery {
 
 impl QueryFunction for parlog_datalog::program::Program {
     fn eval(&self, db: &Instance) -> Instance {
-        parlog_datalog::eval::eval_program(self, db).unwrap_or_default()
+        parlog_datalog::eval::eval_program(self, db, EvalStrategy::Indexed).unwrap_or_default()
     }
 }
 

@@ -232,10 +232,27 @@ impl TransducerProgram for CoordinatedBroadcast {
 mod tests {
     use super::*;
     use crate::distribution::{hash_distribution, ideal_distribution, single_node_distribution};
-    use crate::scheduler::{run_heartbeats_only, run_to_quiescence, run_with_ctx, Schedule};
+    use crate::scheduler::{run, RunCtx, RunMode, RunOutcome, Schedule};
     use parlog_relal::fact::fact;
     use parlog_relal::instance::Instance;
     use parlog_relal::parser::parse_query;
+
+    /// A simulated run under `schedule`, network-aware, faulted by `plan`.
+    fn sim(
+        p: &CoordinatedBroadcast,
+        dist: &[Instance],
+        schedule: Schedule,
+        plan: Option<&parlog_faults::FaultPlan>,
+    ) -> RunOutcome {
+        let rc = RunCtx::simulated(Ctx::aware(dist.len()), schedule);
+        run(p, dist, &RunCtx { faults: plan, ..rc })
+    }
+
+    /// A heartbeat-only run's output.
+    fn heartbeats(p: &CoordinatedBroadcast, dist: &[Instance]) -> Instance {
+        let rc = RunCtx::new(Ctx::aware(dist.len()), RunMode::HeartbeatsOnly);
+        run(p, dist, &rc).output
+    }
 
     fn open_triangle_query() -> parlog_relal::ConjunctiveQuery {
         parse_query("H(x,y,z) <- E(x,y), E(y,z), not E(z,x)").unwrap()
@@ -264,7 +281,10 @@ mod tests {
             hash_distribution(&db, 4, 8),
         ] {
             for seed in 0..4 {
-                assert_eq!(run_to_quiescence(&p, &dist, seed), expected);
+                assert_eq!(
+                    sim(&p, &dist, Schedule::Random(seed), None).output,
+                    expected
+                );
             }
         }
     }
@@ -277,7 +297,7 @@ mod tests {
         let expected = parlog_relal::eval::eval_query(&q, &db);
         let p = CoordinatedBroadcast::new(q);
         let dist = hash_distribution(&db, 3, 2);
-        let out = run_with_ctx(&p, &dist, Ctx::aware(3), Schedule::Lifo);
+        let out = sim(&p, &dist, Schedule::Lifo, None).output;
         assert_eq!(out, expected);
     }
 
@@ -288,7 +308,7 @@ mod tests {
         let db = graph();
         let q = open_triangle_query();
         let p = CoordinatedBroadcast::new(q);
-        let out = run_heartbeats_only(&p, &ideal_distribution(&db, 3), Ctx::aware(3));
+        let out = heartbeats(&p, &ideal_distribution(&db, 3));
         assert!(out.is_empty(), "barrier must block without messages");
     }
 
@@ -298,7 +318,7 @@ mod tests {
         let q = open_triangle_query();
         let expected = parlog_relal::eval::eval_query(&q, &db);
         let p = CoordinatedBroadcast::new(q);
-        let out = run_heartbeats_only(&p, &ideal_distribution(&db, 1), Ctx::aware(1));
+        let out = heartbeats(&p, &ideal_distribution(&db, 1));
         assert_eq!(out, expected);
     }
 
@@ -307,7 +327,6 @@ mod tests {
         // The fix for the duplication unsoundness found by the fault
         // matrix: with sequence-numbered idempotent delivery the barrier
         // is exact under the very fault that breaks the plain counter.
-        use crate::scheduler::run_with_faults;
         use parlog_faults::{FaultClass, FaultPlan};
         let db = graph();
         let q = open_triangle_query();
@@ -317,13 +336,13 @@ mod tests {
         for seed in 1..=3u64 {
             let plan = FaultPlan::for_class(FaultClass::Duplicate, seed);
             let fixed = CoordinatedBroadcast::idempotent(q.clone());
-            let (out, stats) =
-                run_with_faults(&fixed, &dist, Ctx::aware(3), Schedule::Random(seed), &plan);
+            let RunOutcome {
+                output: out, stats, ..
+            } = sim(&fixed, &dist, Schedule::Random(seed), Some(&plan));
             assert!(stats.duplicated > 0, "the plan must actually duplicate");
             assert_eq!(out, expected, "idempotent barrier, seed {seed}");
             let plain = CoordinatedBroadcast::new(q.clone());
-            let (out, _) =
-                run_with_faults(&plain, &dist, Ctx::aware(3), Schedule::Random(seed), &plan);
+            let out = sim(&plain, &dist, Schedule::Random(seed), Some(&plan)).output;
             if out != expected {
                 witness_deviated = true;
             }
@@ -346,7 +365,10 @@ mod tests {
             hash_distribution(&db, 3, 7),
         ] {
             for seed in 0..3 {
-                assert_eq!(run_to_quiescence(&p, &dist, seed), expected);
+                assert_eq!(
+                    sim(&p, &dist, Schedule::Random(seed), None).output,
+                    expected
+                );
             }
         }
     }
@@ -364,11 +386,14 @@ mod tests {
             hash_distribution(&db, 4, 8),
         ] {
             for seed in 0..3 {
-                assert_eq!(run_to_quiescence(&p, &dist, seed), expected);
+                assert_eq!(
+                    sim(&p, &dist, Schedule::Random(seed), None).output,
+                    expected
+                );
             }
         }
         // Single node: its own ack is already a strict majority.
-        let out = run_heartbeats_only(&p, &ideal_distribution(&db, 1), Ctx::aware(1));
+        let out = heartbeats(&p, &ideal_distribution(&db, 1));
         assert_eq!(
             out,
             parlog_relal::eval::eval_query(&open_triangle_query(), &db)
@@ -377,7 +402,6 @@ mod tests {
 
     #[test]
     fn quorum_gated_barrier_converges_after_partition_heals() {
-        use crate::scheduler::run_with_faults;
         use parlog_faults::{FaultPlan, PartitionPlan};
         let db = graph();
         let q = open_triangle_query();
@@ -387,8 +411,9 @@ mod tests {
             let plan =
                 FaultPlan::partitioned(seed, PartitionPlan::split(0, 30 + seed as usize, &[0]));
             let p = CoordinatedBroadcast::quorum_gated(q.clone());
-            let (out, stats) =
-                run_with_faults(&p, &dist, Ctx::aware(3), Schedule::Random(seed), &plan);
+            let RunOutcome {
+                output: out, stats, ..
+            } = sim(&p, &dist, Schedule::Random(seed), Some(&plan));
             assert!(stats.partitioned > 0, "seed {seed}: the split must bite");
             assert_eq!(out, expected, "seed {seed}: flushed acks commit exactly");
         }
@@ -396,14 +421,15 @@ mod tests {
 
     #[test]
     fn quorum_gated_barrier_blocks_instead_of_diverging_under_permanent_split() {
-        use crate::scheduler::run_with_faults;
         use parlog_faults::{FaultPlan, PartitionPlan};
         let db = graph();
         let q = open_triangle_query();
         let dist = hash_distribution(&db, 3, 2);
         let plan = FaultPlan::partitioned(9, PartitionPlan::permanent_split(0, &[0]));
         let p = CoordinatedBroadcast::quorum_gated(q);
-        let (out, stats) = run_with_faults(&p, &dist, Ctx::aware(3), Schedule::Random(9), &plan);
+        let RunOutcome {
+            output: out, stats, ..
+        } = sim(&p, &dist, Schedule::Random(9), Some(&plan));
         assert!(stats.partitioned > 0, "the split must bite");
         // Neither side may commit an answer computed over split data: a
         // non-monotone commit without full data would be *wrong*, so
@@ -418,7 +444,7 @@ mod tests {
         let q = open_triangle_query();
         let p = CoordinatedBroadcast::new(q.clone());
         let dist = ideal_distribution(&db, 2);
-        let out = run_to_quiescence(&p, &dist, 5);
+        let out = sim(&p, &dist, Schedule::Random(5), None).output;
         assert_eq!(out, parlog_relal::eval::eval_query(&q, &db));
     }
 }

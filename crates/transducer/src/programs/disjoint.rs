@@ -132,7 +132,7 @@ impl TransducerProgram for DisjointComponent {
 mod tests {
     use super::*;
     use crate::distribution::{ideal_distribution, policy_distribution};
-    use crate::scheduler::{run_heartbeats_only, run_with_ctx, Schedule};
+    use crate::scheduler::{run, RunCtx, RunMode, Schedule};
     use parlog_relal::fact::fact;
     use parlog_relal::policy::{DomainGuidedPolicy, ReplicateAll};
 
@@ -146,7 +146,12 @@ mod tests {
         )
         .unwrap();
         move |db: &Instance| {
-            let out = parlog_datalog::eval::eval_program(&p, db).unwrap();
+            let out = parlog_datalog::eval::eval_program(
+                &p,
+                db,
+                parlog_relal::eval::EvalStrategy::Indexed,
+            )
+            .unwrap();
             Instance::from_facts(out.relation(rel("NTC")).cloned().collect::<Vec<_>>())
         }
     }
@@ -171,7 +176,7 @@ mod tests {
         let p = DisjointComponent::new(ntc_query());
         for schedule in [Schedule::Random(5), Schedule::Fifo, Schedule::Lifo] {
             let ctx = Ctx::oblivious().with_policy(policy.clone());
-            let out = run_with_ctx(&p, &shards, ctx, schedule);
+            let out = run(&p, &shards, &RunCtx::simulated(ctx, schedule)).output;
             assert_eq!(out, expected, "{schedule:?}");
         }
     }
@@ -183,7 +188,12 @@ mod tests {
         let expected = q.eval(&db);
         let p = DisjointComponent::new(ntc_query());
         let ctx = Ctx::oblivious().with_policy(Arc::new(ReplicateAll { num_nodes: 3 }));
-        let out = run_heartbeats_only(&p, &ideal_distribution(&db, 3), ctx);
+        let out = run(
+            &p,
+            &ideal_distribution(&db, 3),
+            &RunCtx::new(ctx, RunMode::HeartbeatsOnly),
+        )
+        .output;
         assert_eq!(out, expected);
     }
 
@@ -191,7 +201,6 @@ mod tests {
     fn prefix_outputs_stay_sound() {
         // Q¬TC on a partial component would wrongly claim unreachability;
         // the closure certificates prevent any such premature output.
-        use crate::scheduler::SimRun;
         let db = two_component_graph();
         let q = ntc_query();
         let expected = q.eval(&db);
@@ -199,7 +208,8 @@ mod tests {
         let shards = policy_distribution(&db, policy.as_ref());
         let p = DisjointComponent::new(ntc_query());
         let ctx = Ctx::oblivious().with_policy(policy);
-        let mut run = SimRun::new(&p, &shards, ctx);
+        let rc = RunCtx::simulated(ctx, Schedule::Random(21));
+        let mut run = crate::scheduler::SimRun::new(&p, &shards, &rc);
         let mut rng = rand::SeedableRng::seed_from_u64(21);
         let mut rr = 0;
         loop {
@@ -246,7 +256,7 @@ mod tests {
         let shards = policy_distribution(&db, policy.as_ref());
         let p = DisjointComponent::new(q);
         let ctx = Ctx::oblivious().with_policy(policy);
-        let out = run_with_ctx(&p, &shards, ctx, Schedule::Random(2));
+        let out = run(&p, &shards, &RunCtx::simulated(ctx, Schedule::Random(2))).output;
         assert_eq!(out, expected);
     }
 }

@@ -89,7 +89,7 @@ impl TransducerProgram for PolicyAwareCq {
 mod tests {
     use super::*;
     use crate::distribution::{ideal_distribution, policy_distribution};
-    use crate::scheduler::{run_heartbeats_only, run_with_ctx, Schedule};
+    use crate::scheduler::{run, RunCtx, RunMode, Schedule};
     use parlog_relal::fact::fact;
     use parlog_relal::instance::Instance;
     use parlog_relal::parser::parse_query;
@@ -121,7 +121,7 @@ mod tests {
         let p = PolicyAwareCq::new(q);
         for schedule in [Schedule::Random(3), Schedule::Fifo, Schedule::Lifo] {
             let ctx = Ctx::oblivious().with_policy(policy.clone());
-            let out = run_with_ctx(&p, &shards, ctx, schedule);
+            let out = run(&p, &shards, &RunCtx::simulated(ctx, schedule)).output;
             assert_eq!(out, expected, "{schedule:?}");
         }
     }
@@ -135,7 +135,7 @@ mod tests {
         let shards = policy_distribution(&db, policy.as_ref());
         let p = PolicyAwareCq::new(q);
         let ctx = Ctx::oblivious().with_policy(policy.clone());
-        let out = run_with_ctx(&p, &shards, ctx, Schedule::Random(1));
+        let out = run(&p, &shards, &RunCtx::simulated(ctx, Schedule::Random(1))).output;
         assert_eq!(out, expected);
     }
 
@@ -149,14 +149,18 @@ mod tests {
         let policy = Arc::new(ReplicateAll { num_nodes: 3 });
         let p = PolicyAwareCq::new(q);
         let ctx = Ctx::oblivious().with_policy(policy);
-        let out = run_heartbeats_only(&p, &ideal_distribution(&db, 3), ctx);
+        let out = run(
+            &p,
+            &ideal_distribution(&db, 3),
+            &RunCtx::new(ctx, RunMode::HeartbeatsOnly),
+        )
+        .output;
         assert_eq!(out, expected);
     }
 
     #[test]
     fn outputs_are_sound_at_every_prefix() {
         // No fact outside Q(I) is ever output, at any point of any run.
-        use crate::scheduler::SimRun;
         let db = graph();
         let q = open_triangle_query();
         let expected = parlog_relal::eval::eval_query(&q, &db);
@@ -164,7 +168,8 @@ mod tests {
         let shards = policy_distribution(&db, policy.as_ref());
         let p = PolicyAwareCq::new(q);
         let ctx = Ctx::oblivious().with_policy(policy);
-        let mut run = SimRun::new(&p, &shards, ctx);
+        let rc = RunCtx::simulated(ctx, Schedule::Random(7));
+        let mut run = crate::scheduler::SimRun::new(&p, &shards, &rc);
         let mut rng = rand::SeedableRng::seed_from_u64(7);
         let mut rr = 0;
         loop {
@@ -188,7 +193,7 @@ mod tests {
         let shards = policy_distribution(&db, policy.as_ref());
         let p = PolicyAwareCq::new(q);
         let ctx = Ctx::oblivious().with_policy(policy);
-        let out = run_with_ctx(&p, &shards, ctx, Schedule::Fifo);
+        let out = run(&p, &shards, &RunCtx::simulated(ctx, Schedule::Fifo)).output;
         assert_eq!(out, expected);
     }
 }

@@ -137,7 +137,7 @@ impl TransducerProgram for DistinctCompleteSets {
 mod tests {
     use super::*;
     use crate::distribution::{ideal_distribution, policy_distribution};
-    use crate::scheduler::{run_heartbeats_only, run_with_ctx, Schedule, SimRun};
+    use crate::scheduler::{run, RunCtx, RunMode, Schedule, SimRun};
     use parlog_relal::fact::fact;
     use parlog_relal::parser::parse_query;
     use parlog_relal::policy::{DistributionPolicy, ReplicateAll};
@@ -184,7 +184,12 @@ mod tests {
         let db = graph();
         let expected = open_q().eval(&db);
         let ctx = Ctx::oblivious().with_policy(Arc::new(ReplicateAll { num_nodes: 3 }));
-        let out = run_heartbeats_only(&program(), &ideal_distribution(&db, 3), ctx);
+        let out = run(
+            &program(),
+            &ideal_distribution(&db, 3),
+            &RunCtx::new(ctx, RunMode::HeartbeatsOnly),
+        )
+        .output;
         assert_eq!(out, expected);
     }
 
@@ -196,7 +201,7 @@ mod tests {
         let shards = policy_distribution(&db, policy.as_ref());
         for schedule in [Schedule::Random(2), Schedule::Fifo, Schedule::Lifo] {
             let ctx = Ctx::oblivious().with_policy(policy.clone());
-            let out = run_with_ctx(&program(), &shards, ctx, schedule);
+            let out = run(&program(), &shards, &RunCtx::simulated(ctx, schedule)).output;
             assert_eq!(out, expected, "{schedule:?}");
         }
     }
@@ -209,7 +214,8 @@ mod tests {
         let shards = policy_distribution(&db, policy.as_ref());
         let ctx = Ctx::oblivious().with_policy(policy);
         let p = program();
-        let mut run = SimRun::new(&p, &shards, ctx);
+        let rc = RunCtx::simulated(ctx, Schedule::Random(5));
+        let mut run = SimRun::new(&p, &shards, &rc);
         let mut rng = rand::SeedableRng::seed_from_u64(5);
         let mut rr = 0;
         loop {

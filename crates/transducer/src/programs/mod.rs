@@ -7,11 +7,14 @@
 //! | [`coordinated::CoordinatedBroadcast`] | not coordination-free | Ex. 5.1(2) | any generic query |
 //! | [`distinct::PolicyAwareCq`] | F1 = A1 ⊇ (CQ¬ ∩ Mdistinct) | Ex. 5.4 | domain-distinct-monotone CQ¬ |
 //! | [`disjoint::DisjointComponent`] | F2 = A2 = Mdisjoint | §5.2.2 | domain-disjoint-monotone |
-//! | [`reliable::ReliableBroadcast`] | explicit coordination | failure model (ours) | any wrapped program, under loss |
+//!
+//! Reliability under loss is no program here: any of them runs under a
+//! plan built with `FaultPlan::with_retransmit`, and the runtime's
+//! acks and retransmissions are its measured, explicit coordination.
 
 pub mod coordinated;
 pub mod disjoint;
 pub mod distinct;
 pub mod distinct_sets;
 pub mod monotone;
-pub mod reliable;
+mod reliable;

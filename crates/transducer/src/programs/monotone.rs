@@ -59,7 +59,7 @@ impl TransducerProgram for MonotoneBroadcast {
 mod tests {
     use super::*;
     use crate::distribution::{hash_distribution, ideal_distribution, single_node_distribution};
-    use crate::scheduler::{run_heartbeats_only, run_to_quiescence};
+    use crate::scheduler::{run, RunCtx, RunMode, Schedule, SimRun};
     use parlog_relal::fact::fact;
     use parlog_relal::instance::Instance;
     use parlog_relal::parser::parse_query;
@@ -90,7 +90,8 @@ mod tests {
             hash_distribution(&db, 3, 7),
         ] {
             for seed in 0..5 {
-                assert_eq!(run_to_quiescence(&p, &dist, seed), expected);
+                let rc = RunCtx::simulated(Ctx::oblivious(), Schedule::Random(seed));
+                assert_eq!(run(&p, &dist, &rc).output, expected);
             }
         }
     }
@@ -100,7 +101,12 @@ mod tests {
         let db = triangle_graph();
         let expected = parlog_relal::eval::eval_query(&q(), &db);
         let p = MonotoneBroadcast::new(q());
-        let out = run_heartbeats_only(&p, &ideal_distribution(&db, 3), Ctx::oblivious());
+        let out = run(
+            &p,
+            &ideal_distribution(&db, 3),
+            &RunCtx::new(Ctx::oblivious(), RunMode::HeartbeatsOnly),
+        )
+        .output;
         assert_eq!(out, expected);
     }
 
@@ -114,7 +120,12 @@ mod tests {
         let expected = parlog_relal::eval::eval_query(&q(), &db);
         let p = MonotoneBroadcast::new(q());
         let dist = hash_distribution(&db, 3, 1);
-        let out = run_heartbeats_only(&p, &dist, Ctx::oblivious());
+        let out = run(
+            &p,
+            &dist,
+            &RunCtx::new(Ctx::oblivious(), RunMode::HeartbeatsOnly),
+        )
+        .output;
         assert!(out.is_subset_of(&expected));
         assert_ne!(out, expected, "the hash split separates the triangle");
     }
@@ -126,20 +137,30 @@ mod tests {
         )
         .unwrap();
         let db = Instance::from_facts([fact("E", &[1, 2]), fact("E", &[2, 3])]);
-        let expected = parlog_datalog::eval::eval_program(&p_dl, &db).unwrap();
+        let expected = parlog_datalog::eval::eval_program(
+            &p_dl,
+            &db,
+            parlog_relal::eval::EvalStrategy::Indexed,
+        )
+        .unwrap();
         let prog = MonotoneBroadcast::new(p_dl);
-        let out = run_to_quiescence(&prog, &hash_distribution(&db, 2, 3), 9);
+        let out = run(
+            &prog,
+            &hash_distribution(&db, 2, 3),
+            &RunCtx::simulated(Ctx::oblivious(), Schedule::Random(9)),
+        )
+        .output;
         assert_eq!(out, expected);
     }
 
     #[test]
     fn outputs_are_never_retracted() {
         // Eventual consistency: outputs only grow along a run.
-        use crate::scheduler::{Schedule, SimRun};
         let db = triangle_graph();
         let p = MonotoneBroadcast::new(q());
         let dist = hash_distribution(&db, 3, 5);
-        let mut run = SimRun::new(&p, &dist, Ctx::oblivious());
+        let rc = RunCtx::simulated(Ctx::oblivious(), Schedule::Random(11));
+        let mut run = SimRun::new(&p, &dist, &rc);
         let mut rng = rand::SeedableRng::seed_from_u64(11);
         let mut rr = 0;
         let mut prev = run.outputs();

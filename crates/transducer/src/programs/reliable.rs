@@ -1,109 +1,16 @@
-//! Ack/retransmit-with-backoff — reliability as *explicit coordination*.
-//!
-//! The survey's model assumes messages are never lost; drop that
-//! assumption and eventual consistency fails even for monotone programs
-//! (the transport eats derivations). Reliability can be bought back, but
-//! only by coordinating: every delivery is acknowledged, and unacked
-//! copies are retransmitted with exponential backoff until the retry
-//! budget runs out. [`ReliableBroadcast`] wraps any transducer program
-//! with that protocol — the wrapped program is unchanged; the acks and
-//! retransmissions are runtime traffic, tallied in
-//! [`FaultStats::coordination_messages`](crate::faulty::FaultStats::coordination_messages)
-//! so the price of reliability is a number, not a slogan.
-//!
-//! This mirrors the CALM trade-off: a monotone program is free of
-//! *semantic* coordination (waiting to know it has heard everything) but
-//! still needs *transport* coordination the moment the channel may lose
-//! messages. The two costs are separable, and this module measures the
-//! second one.
-
-use crate::faulty::FaultStats;
-use crate::network::NodeState;
-use crate::program::{Broadcast, Ctx, TransducerProgram};
-use crate::scheduler::{Schedule, SimRun};
-use parlog_faults::{FaultPlan, RetransmitPolicy};
-use parlog_relal::fact::Fact;
-use parlog_relal::instance::Instance;
-
-/// A transducer program wrapped in the ack/retransmit protocol.
-///
-/// Program semantics (init / on-fact / heartbeat) delegate verbatim to
-/// the inner program; the coordination lives in the runtime and is
-/// switched on by [`ReliableBroadcast::run`], which forces the fault
-/// plan's retransmit policy.
-pub struct ReliableBroadcast<P> {
-    inner: P,
-    policy: RetransmitPolicy,
-    name: String,
-}
-
-impl<P: TransducerProgram> ReliableBroadcast<P> {
-    /// Wrap `inner` with the default retransmit policy.
-    pub fn new(inner: P) -> ReliableBroadcast<P> {
-        ReliableBroadcast::with_policy(inner, RetransmitPolicy::default())
-    }
-
-    /// Wrap `inner` with an explicit policy.
-    pub fn with_policy(inner: P, policy: RetransmitPolicy) -> ReliableBroadcast<P> {
-        let name = format!("reliable({})", inner.name());
-        ReliableBroadcast {
-            inner,
-            policy,
-            name,
-        }
-    }
-
-    /// The retransmit policy in force.
-    pub fn policy(&self) -> RetransmitPolicy {
-        self.policy
-    }
-
-    /// Run to quiescence under `plan` with the ack/retransmit protocol
-    /// active (the plan's own retransmit setting is overridden by this
-    /// wrapper's policy). Returns the outputs and the fault statistics —
-    /// `stats.coordination_messages()` is what reliability cost.
-    pub fn run(
-        &self,
-        shards: &[Instance],
-        ctx: Ctx,
-        schedule: Schedule,
-        plan: &FaultPlan,
-    ) -> (Instance, FaultStats) {
-        let plan = plan.clone().with_retransmit(self.policy);
-        let mut run = SimRun::new(self, shards, ctx);
-        run.run_faulty(self, schedule, Some(&plan));
-        (run.outputs(), run.fault_stats())
-    }
-}
-
-impl<P: TransducerProgram> TransducerProgram for ReliableBroadcast<P> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn requires_all(&self) -> bool {
-        self.inner.requires_all()
-    }
-
-    fn init(&self, node: &mut NodeState, ctx: &Ctx) -> Broadcast {
-        self.inner.init(node, ctx)
-    }
-
-    fn on_fact(&self, node: &mut NodeState, from: usize, fact: &Fact, ctx: &Ctx) -> Broadcast {
-        self.inner.on_fact(node, from, fact, ctx)
-    }
-
-    fn heartbeat(&self, node: &mut NodeState, ctx: &Ctx) -> Broadcast {
-        self.inner.heartbeat(node, ctx)
-    }
-}
+//! Reliability under loss, priced on the monotone broadcast: the
+//! runtime's acks and retransmissions under a `with_retransmit` plan.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::distribution::hash_distribution;
+    use crate::faulty::FaultStats;
+    use crate::program::Ctx;
     use crate::programs::monotone::MonotoneBroadcast;
+    use crate::scheduler::{run, RunCtx, Schedule};
+    use parlog_faults::{FaultPlan, RetransmitPolicy};
     use parlog_relal::fact::fact;
+    use parlog_relal::instance::Instance;
     use parlog_relal::parser::parse_query;
 
     fn setup() -> (MonotoneBroadcast, Vec<Instance>, Instance) {
@@ -114,28 +21,33 @@ mod tests {
         (MonotoneBroadcast::new(q), shards, expected)
     }
 
+    /// Run `p` under `plan` with the ack/retransmit protocol of `policy`.
+    fn reliable(
+        p: &MonotoneBroadcast,
+        shards: &[Instance],
+        seed: u64,
+        plan: &FaultPlan,
+        policy: RetransmitPolicy,
+    ) -> (Instance, FaultStats) {
+        let plan = plan.clone().with_retransmit(policy);
+        let rc = RunCtx::simulated(Ctx::oblivious(), Schedule::Random(seed)).with_faults(&plan);
+        let out = run(p, shards, &rc);
+        (out.output, out.stats)
+    }
+
     #[test]
     fn retransmit_restores_completeness_under_loss() {
         let (p, shards, expected) = setup();
         for seed in [1u64, 2, 3] {
             let plan = FaultPlan::lossy(seed, 0.4);
             // Without coordination: incomplete (sound but lossy).
-            let (bare, bare_stats) = crate::scheduler::run_with_faults(
-                &p,
-                &shards,
-                Ctx::oblivious(),
-                Schedule::Random(seed),
-                &plan,
-            );
-            assert!(bare.is_subset_of(&expected));
-            assert!(bare_stats.dropped > 0, "the plan must actually drop");
-            assert_eq!(bare_stats.coordination_messages(), 0);
+            let rc = RunCtx::simulated(Ctx::oblivious(), Schedule::Random(seed)).with_faults(&plan);
+            let bare = run(&p, &shards, &rc);
+            assert!(bare.output.is_subset_of(&expected));
+            assert!(bare.stats.dropped > 0, "the plan must actually drop");
+            assert_eq!(bare.stats.coordination_messages(), 0);
             // With ack/retransmit: exact, at a measurable message cost.
-            let reliable = ReliableBroadcast::new(MonotoneBroadcast::new(
-                parse_query("H(x,z) <- E(x,y), E(y,z)").unwrap(),
-            ));
-            let (out, stats) =
-                reliable.run(&shards, Ctx::oblivious(), Schedule::Random(seed), &plan);
+            let (out, stats) = reliable(&p, &shards, seed, &plan, RetransmitPolicy::default());
             assert_eq!(out, expected, "seed {seed}");
             assert!(
                 stats.coordination_messages() > 0,
@@ -148,9 +60,8 @@ mod tests {
     #[test]
     fn zero_loss_reliable_run_pays_only_acks() {
         let (p, shards, expected) = setup();
-        let reliable = ReliableBroadcast::new(p);
         let plan = FaultPlan::none(9);
-        let (out, stats) = reliable.run(&shards, Ctx::oblivious(), Schedule::Random(9), &plan);
+        let (out, stats) = reliable(&p, &shards, 9, &plan, RetransmitPolicy::default());
         assert_eq!(out, expected);
         assert_eq!(stats.retransmissions, 0, "nothing was lost");
         assert!(stats.acks > 0, "every delivery is still acknowledged");
@@ -158,29 +69,19 @@ mod tests {
 
     #[test]
     fn jittered_backoff_keeps_coordination_cost_measured() {
-        // Satellite check: switching retransmission from fixed-interval
-        // to capped-exponential-with-jitter must not lose any accounting
-        // — every retransmission and ack is still counted, completeness
-        // is still restored, and the whole schedule stays deterministic.
-        let (_, shards, expected) = setup();
+        // Switching retransmission from fixed-interval to
+        // capped-exponential-with-jitter must not lose any accounting —
+        // every retransmission and ack is still counted, completeness is
+        // still restored, and the whole schedule stays deterministic.
+        let (p, shards, expected) = setup();
         let policy = RetransmitPolicy {
             max_retries: 10,
             backoff_base: 1,
             backoff_cap: 8,
             jitter_pct: 50,
         };
-        let run_once = |seed: u64| {
-            let reliable = ReliableBroadcast::with_policy(
-                MonotoneBroadcast::new(parse_query("H(x,z) <- E(x,y), E(y,z)").unwrap()),
-                policy,
-            );
-            reliable.run(
-                &shards,
-                Ctx::oblivious(),
-                Schedule::Random(seed),
-                &FaultPlan::lossy(seed, 0.4),
-            )
-        };
+        let run_once =
+            |seed: u64| reliable(&p, &shards, seed, &FaultPlan::lossy(seed, 0.4), policy);
         let (out_a, stats_a) = run_once(2);
         let (out_b, stats_b) = run_once(2);
         assert_eq!(out_a, expected, "jittered retransmit restores completeness");
@@ -199,10 +100,8 @@ mod tests {
         // A crash-stopped destination can never ack: the sender must give
         // up after max_retries, so retransmissions stay bounded.
         let (p, shards, _expected) = setup();
-        let policy = RetransmitPolicy::fixed(3, 1);
-        let reliable = ReliableBroadcast::with_policy(p, policy);
         let plan = FaultPlan::crash_stop(4, 1, 2);
-        let (_, stats) = reliable.run(&shards, Ctx::oblivious(), Schedule::Random(4), &plan);
+        let (_, stats) = reliable(&p, &shards, 4, &plan, RetransmitPolicy::fixed(3, 1));
         // Each undeliverable copy retries at most max_retries times.
         assert!(stats.retransmissions <= (stats.lost_in_crash + 1) * 3);
     }

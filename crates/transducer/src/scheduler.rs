@@ -77,15 +77,33 @@ pub struct SimRun {
     trace: TraceHandle,
     ctx: Ctx,
     /// Total messages delivered so far.
-    pub delivered: usize,
+    delivered: usize,
     /// Total facts broadcast (before fan-out to n−1 receivers).
-    pub facts_broadcast: usize,
+    facts_broadcast: usize,
 }
 
 impl SimRun {
-    /// Set up a network: one node per shard, run `init` everywhere, queue
-    /// the initial broadcasts.
+    /// Set up a network for the run `rc` describes: one node per shard,
+    /// `init` everywhere with the initial broadcasts queued, then the
+    /// trace attached and the fault plan installed, in that order (the
+    /// init broadcasts are routed through the plan's injector). Panics on
+    /// a plan's MPC-only fields ([`FaultPlan::mpc_only`]).
     pub fn new<P: TransducerProgram + ?Sized>(
+        program: &P,
+        shards: &[Instance],
+        rc: &RunCtx<'_>,
+    ) -> SimRun {
+        let mut run = SimRun::setup(program, shards, rc.ctx.clone());
+        run.trace = rc.trace.clone();
+        if let Some(plan) = rc.faults {
+            run.install_plan(plan);
+        }
+        run
+    }
+
+    /// The network after `init`, with no trace and no fault plan: the
+    /// start state [`SimRun::new`] and the exhaustive explorer build on.
+    pub(crate) fn setup<P: TransducerProgram + ?Sized>(
         program: &P,
         shards: &[Instance],
         ctx: Ctx,
@@ -132,14 +150,6 @@ impl SimRun {
         self.faults.stats
     }
 
-    /// Attach a trace handle: message-level comm counters and the
-    /// crash / recovery / heal timeline are delivered to its sink. The
-    /// default is `TraceHandle::off()` — a single branch per site, no
-    /// allocation, when tracing is off.
-    pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = trace;
-    }
-
     /// Liveness of node `i`.
     pub fn health(&self, i: usize) -> Health {
         self.faults.health[i]
@@ -150,11 +160,6 @@ impl SimRun {
     /// recovery against this clock.
     pub fn clock(&self) -> usize {
         self.faults.clock
-    }
-
-    /// The installed partition schedule, if any.
-    pub fn partition(&self) -> Option<&parlog_faults::PartitionPlan> {
-        self.faults.partition()
     }
 
     /// Is the directed link `from → to` severed by an open partition
@@ -185,11 +190,6 @@ impl SimRun {
     /// a crash, and what a supervisor re-replicates when the node won't.
     pub fn shard(&self, i: usize) -> &Instance {
         &self.shards[i]
-    }
-
-    /// Undelivered copies currently buffered at node `i`.
-    pub fn buffered(&self, i: usize) -> usize {
-        self.buffers[i].len()
     }
 
     /// The copies buffered at node `dest`, as `(from, fact)`.
@@ -251,12 +251,7 @@ impl SimRun {
     /// the injector, and the already-buffered init broadcasts are
     /// re-routed through it too, so init messages are as faulty as any
     /// others. With a benign plan this is the identity.
-    ///
-    /// # Panics
-    /// Panics if the plan sets `corruptions` or `speculation`
-    /// ([`FaultPlan::mpc_only`]): both are faults of the MPC cluster's
-    /// rounds, which a transducer network does not have.
-    pub fn install_plan(&mut self, plan: &FaultPlan) {
+    fn install_plan(&mut self, plan: &FaultPlan) {
         crate::faulty::refuse_mpc_only(plan);
         self.faults.install(plan);
         self.partition_open = vec![false; plan.partition.as_ref().map_or(0, |p| p.epochs.len())];
@@ -587,45 +582,14 @@ impl SimRun {
         changed
     }
 
-    /// Run deliveries and heartbeats until quiescence. Panics after an
-    /// absurd number of steps (divergence guard). Equivalent to
-    /// [`SimRun::run_faulty`] with no plan — both drive the same loop.
-    pub fn run<P: TransducerProgram + ?Sized>(&mut self, program: &P, schedule: Schedule) {
-        self.run_faulty(program, schedule, None);
-    }
-
-    /// **Failure injection**: run under a [`FaultPlan`] — or, with
-    /// `plan = None`, the plain fault-free run: the fault-free case is
-    /// this exact code path with an inert injector, not a separate
-    /// implementation (regression-tested by
-    /// `zero_loss_rate_equals_normal_run`).
-    ///
-    /// Faults outside the survey's model (loss, crashes) break eventual
-    /// consistency — the no-loss assumption is load-bearing — but never
-    /// soundness; see the tests and the fault-tolerance matrix in
-    /// `parlog`.
-    pub fn run_faulty<P: TransducerProgram + ?Sized>(
-        &mut self,
-        program: &P,
-        schedule: Schedule,
-        plan: Option<&FaultPlan>,
-    ) {
-        if let Some(plan) = plan {
-            self.install_plan(plan);
-        }
-        let (mut rng, mut rr) = (schedule.rng(), 0);
-        self.run_until_quiet(program, schedule, &mut rng, &mut rr, |_| {});
-    }
-
     /// The one loop to quiescence: deliver by `schedule` (its `rng` and
     /// round-robin cursor `rr` carry over between calls), fast-forward
     /// the clock to parked releases, recoveries and unfired crashes when
     /// nothing is deliverable, then run heartbeat rounds; return once the
     /// buffers are empty, heartbeats change nothing and no fault work is
     /// pending. `before_step` runs before every delivery choice — where a
-    /// supervisor's control plane probes; [`SimRun::run_faulty`] passes a
-    /// no-op. Panics after an absurd number of deliveries (divergence
-    /// guard).
+    /// supervisor's control plane probes; [`run`] passes a no-op. Panics
+    /// after an absurd number of deliveries (divergence guard).
     pub fn run_until_quiet<P, F>(
         &mut self,
         program: &P,
@@ -672,66 +636,129 @@ impl SimRun {
         }
         out
     }
-}
 
-/// Run a program on the given shards to quiescence under a seeded-random
-/// fair schedule; the context is network-aware iff the program requires
-/// `All`. Returns the union of the outputs.
-pub fn run_to_quiescence<P: TransducerProgram + ?Sized>(
-    program: &P,
-    shards: &[Instance],
-    seed: u64,
-) -> Instance {
-    let ctx = if program.requires_all() {
-        Ctx::aware(shards.len())
-    } else {
-        Ctx::oblivious()
-    };
-    run_with_ctx(program, shards, ctx, Schedule::Random(seed))
-}
-
-/// Run with an explicit context and schedule.
-pub fn run_with_ctx<P: TransducerProgram + ?Sized>(
-    program: &P,
-    shards: &[Instance],
-    ctx: Ctx,
-    schedule: Schedule,
-) -> Instance {
-    let mut run = SimRun::new(program, shards, ctx);
-    run.run(program, schedule);
-    run.outputs()
-}
-
-/// Run under a fault plan to quiescence; returns the union of outputs
-/// and what the injector did. The one-call entry point for fault
-/// experiments (the fault-tolerance matrix, the proptests, E18).
-pub fn run_with_faults<P: TransducerProgram + ?Sized>(
-    program: &P,
-    shards: &[Instance],
-    ctx: Ctx,
-    schedule: Schedule,
-    plan: &FaultPlan,
-) -> (Instance, FaultStats) {
-    let mut run = SimRun::new(program, shards, ctx);
-    run.run_faulty(program, schedule, Some(plan));
-    (run.outputs(), run.fault_stats())
-}
-
-/// Heartbeat-only execution: messages may be *sent* but are never read —
-/// the mode the coordination-freeness definition quantifies over. Runs
-/// init plus heartbeat rounds until the outputs stabilize.
-pub fn run_heartbeats_only<P: TransducerProgram + ?Sized>(
-    program: &P,
-    shards: &[Instance],
-    ctx: Ctx,
-) -> Instance {
-    let mut run = SimRun::new(program, shards, ctx);
-    for _ in 0..shards.len() + 2 {
-        if !run.heartbeat_round(program) {
-            break;
+    fn outcome(&self) -> RunOutcome {
+        RunOutcome {
+            output: self.outputs(),
+            stats: self.fault_stats(),
+            delivered: self.delivered,
+            facts_broadcast: self.facts_broadcast,
+            clock: self.clock(),
         }
     }
-    run.outputs()
+}
+
+/// The mutually exclusive ways a run proceeds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunMode {
+    /// The simulator, delivering by the schedule until quiescence.
+    Simulated(Schedule),
+    /// The simulator with messages sent but never read: `init`, then
+    /// heartbeat rounds until the outputs stabilize — the mode the
+    /// coordination-freeness definition quantifies over.
+    HeartbeatsOnly,
+    /// One OS thread per node ([`crate::threaded`]): real concurrency,
+    /// cross-validated against the simulator.
+    Threaded,
+}
+
+/// What a run takes besides the program and the shards.
+#[derive(Clone)]
+pub struct RunCtx<'a> {
+    /// The context handed to every transition.
+    pub ctx: Ctx,
+    /// Simulated under a schedule, heartbeat-only, or threaded.
+    pub mode: RunMode,
+    /// The fault plan; `None` is the fault-free run, the same code path
+    /// with an inert injector (`zero_loss_rate_equals_normal_run`).
+    pub faults: Option<&'a FaultPlan>,
+    /// Comm counters and the crash / recovery / heal timeline.
+    pub trace: TraceHandle,
+}
+
+impl<'a> RunCtx<'a> {
+    /// A fault-free, untraced run in `mode`.
+    pub fn new(ctx: Ctx, mode: RunMode) -> RunCtx<'a> {
+        RunCtx {
+            ctx,
+            mode,
+            faults: None,
+            trace: TraceHandle::off(),
+        }
+    }
+
+    /// A simulated run under `schedule`.
+    pub fn simulated(ctx: Ctx, schedule: Schedule) -> RunCtx<'a> {
+        RunCtx::new(ctx, RunMode::Simulated(schedule))
+    }
+
+    /// The same run under `plan`.
+    pub fn with_faults(mut self, plan: &'a FaultPlan) -> RunCtx<'a> {
+        self.faults = Some(plan);
+        self
+    }
+
+    /// The same run reporting to `trace`.
+    pub fn with_trace(self, trace: TraceHandle) -> RunCtx<'a> {
+        RunCtx { trace, ..self }
+    }
+}
+
+/// What a run produced.
+#[derive(Debug, Clone)]
+pub struct RunOutcome {
+    /// The union of the nodes' outputs — the result of the run.
+    pub output: Instance,
+    /// What the injector did (all zeros for fault-free runs).
+    pub stats: FaultStats,
+    /// Messages delivered.
+    pub delivered: usize,
+    /// Facts broadcast, before fan-out to the n − 1 receivers.
+    pub facts_broadcast: usize,
+    /// The virtual clock at the end: deliveries plus the fast-forward
+    /// jumps to parked releases, recoveries and crashes. A threaded run
+    /// parks nothing, so its clock is its delivery count.
+    pub clock: usize,
+}
+
+/// **The one run entry.** Runs `program` on one node per shard as `rc`
+/// says. Faults outside the survey's model (loss, crashes) break eventual
+/// consistency — the no-loss assumption is load-bearing — but never
+/// soundness; see the fault-tolerance matrix in `parlog`.
+///
+/// # Panics
+/// Panics on a plan with `corruptions` or `speculation` (faults of MPC
+/// rounds), on a heartbeat-only run with a fault plan (it sends no
+/// message to fault), on a threaded run with a trace or with crashes,
+/// `retransmit` or a partition (they need the simulator's clock), and
+/// when an `All`-requiring program gets an oblivious context.
+pub fn run<P: TransducerProgram + ?Sized>(
+    program: &P,
+    shards: &[Instance],
+    rc: &RunCtx<'_>,
+) -> RunOutcome {
+    match rc.mode {
+        RunMode::Threaded => crate::threaded::run_threaded(program, shards, rc),
+        RunMode::Simulated(schedule) => {
+            let mut run = SimRun::new(program, shards, rc);
+            let (mut rng, mut rr) = (schedule.rng(), 0);
+            run.run_until_quiet(program, schedule, &mut rng, &mut rr, |_| {});
+            run.outcome()
+        }
+        RunMode::HeartbeatsOnly => {
+            assert!(
+                rc.faults.is_none(),
+                "a heartbeat-only run reads no message, so a fault plan has nothing to act on"
+            );
+            let mut run = SimRun::new(program, shards, rc);
+            for _ in 0..shards.len() + 2 {
+                if !run.heartbeat_round(program) {
+                    break;
+                }
+            }
+            run.outcome()
+        }
+    }
 }
 
 #[cfg(test)]
@@ -739,6 +766,20 @@ mod tests {
     use super::*;
     use crate::program::Broadcast;
     use parlog_relal::fact::fact;
+
+    /// Deliver by `schedule` from its own dice until quiescence.
+    fn finish<P: TransducerProgram>(run: &mut SimRun, program: &P, schedule: Schedule) {
+        let (mut rng, mut rr) = (schedule.rng(), 0);
+        run.run_until_quiet(program, schedule, &mut rng, &mut rr, |_| {});
+    }
+
+    fn oblivious<'a>(schedule: Schedule) -> RunCtx<'a> {
+        RunCtx::simulated(Ctx::oblivious(), schedule)
+    }
+
+    fn heartbeats_only<'a>() -> RunCtx<'a> {
+        RunCtx::new(Ctx::oblivious(), RunMode::HeartbeatsOnly)
+    }
 
     /// A toy program: output every received fact, broadcast local facts.
     struct Echo;
@@ -780,8 +821,8 @@ mod tests {
             Schedule::Lifo,
             Schedule::RoundRobin,
         ] {
-            let mut run = SimRun::new(&Echo, &shards, Ctx::oblivious());
-            run.run(&Echo, schedule);
+            let mut run = SimRun::new(&Echo, &shards, &oblivious(schedule));
+            finish(&mut run, &Echo, schedule);
             assert_eq!(run.outputs().len(), 2, "{schedule:?}");
             // Every node saw both facts.
             for n in &run.nodes {
@@ -796,10 +837,9 @@ mod tests {
             Instance::from_facts([fact("R", &[1])]),
             Instance::from_facts([fact("R", &[1])]),
         ];
-        let mut run = SimRun::new(&Echo, &shards, Ctx::oblivious());
-        run.run(&Echo, Schedule::Fifo);
+        let out = run(&Echo, &shards, &oblivious(Schedule::Fifo));
         // Each node broadcast the same fact once: 2 broadcasts total.
-        assert_eq!(run.facts_broadcast, 2);
+        assert_eq!(out.facts_broadcast, 2);
     }
 
     #[test]
@@ -808,21 +848,23 @@ mod tests {
             Instance::from_facts([fact("R", &[1])]),
             Instance::from_facts([fact("R", &[2])]),
         ];
-        let out = run_heartbeats_only(&Echo, &shards, Ctx::oblivious());
+        let out = run(&Echo, &shards, &heartbeats_only());
         // Init outputs local data; messages are never read, so outputs
         // are exactly the union of the initial shards' outputs.
-        assert_eq!(out.len(), 2);
-        // But the nodes never learned each other's facts — check via a
-        // full run that *does* deliver: deliveries counted.
-        let mut run = SimRun::new(&Echo, &shards, Ctx::oblivious());
-        run.run(&Echo, Schedule::Fifo);
-        assert!(run.delivered > 0);
+        assert_eq!(out.output.len(), 2);
+        assert_eq!(out.delivered, 0);
+        // A full run does deliver.
+        assert!(run(&Echo, &shards, &oblivious(Schedule::Fifo)).delivered > 0);
     }
 
-    /// Install `plan` on a one-node echo network.
+    /// Run the one-node echo network as `rc` says.
+    fn echo(rc: &RunCtx<'_>) -> RunOutcome {
+        run(&Echo, &[Instance::from_facts([fact("E", &[1, 2])])], rc)
+    }
+
+    /// Run the one-node echo network under `plan`, simulated.
     fn install(plan: &FaultPlan) {
-        let shards = [Instance::from_facts([fact("E", &[1, 2])])];
-        SimRun::new(&Echo, &shards, Ctx::oblivious()).install_plan(plan);
+        echo(&oblivious(Schedule::Fifo).with_faults(plan));
     }
 
     #[test]
@@ -837,6 +879,13 @@ mod tests {
     fn a_sim_run_refuses_speculation() {
         use parlog_faults::SpeculationPolicy;
         install(&FaultPlan::none(1).with_speculation(SpeculationPolicy::default()));
+    }
+
+    #[test]
+    #[should_panic(expected = "a heartbeat-only run reads no message")]
+    fn a_heartbeat_only_run_refuses_a_fault_plan() {
+        let plan = FaultPlan::lossy(1, 0.5);
+        echo(&heartbeats_only().with_faults(&plan));
     }
 
     #[test]
@@ -857,7 +906,7 @@ mod tests {
                 Vec::new()
             }
         }
-        SimRun::new(&NeedsAll, &[Instance::new()], Ctx::oblivious());
+        run(&NeedsAll, &[Instance::new()], &oblivious(Schedule::Fifo));
     }
 
     #[test]
@@ -871,14 +920,12 @@ mod tests {
         let p = MonotoneBroadcast::new(q);
         let shards = crate::distribution::hash_distribution(&db, 4, 3);
         // Lossless: complete.
-        let mut ok = SimRun::new(&p, &shards, Ctx::oblivious());
-        ok.run(&p, Schedule::Random(5));
-        assert_eq!(ok.outputs(), expected);
+        let rc = oblivious(Schedule::Random(5));
+        assert_eq!(run(&p, &shards, &rc).output, expected);
         // Heavy loss: strictly incomplete (but still sound — outputs are
         // never wrong, only missing).
-        let mut lossy = SimRun::new(&p, &shards, Ctx::oblivious());
-        lossy.run_faulty(&p, Schedule::Random(5), Some(&FaultPlan::lossy(5, 0.9)));
-        let out = lossy.outputs();
+        let plan = FaultPlan::lossy(5, 0.9);
+        let out = run(&p, &shards, &rc.with_faults(&plan)).output;
         assert!(out.is_subset_of(&expected));
         assert_ne!(out, expected, "90% loss must lose derivations");
     }
@@ -889,18 +936,18 @@ mod tests {
             Instance::from_facts([fact("R", &[1])]),
             Instance::from_facts([fact("R", &[2])]),
         ];
-        let mut a = SimRun::new(&Echo, &shards, Ctx::oblivious());
-        a.run_faulty(&Echo, Schedule::Random(7), Some(&FaultPlan::lossy(7, 0.0)));
-        let mut b = SimRun::new(&Echo, &shards, Ctx::oblivious());
-        b.run(&Echo, Schedule::Random(7));
-        assert_eq!(a.outputs(), b.outputs());
+        let rc = oblivious(Schedule::Random(7));
+        let plan = FaultPlan::lossy(7, 0.0);
+        let a = run(&Echo, &shards, &rc.clone().with_faults(&plan));
+        let b = run(&Echo, &shards, &rc);
+        assert_eq!(a.output, b.output);
     }
 
     #[test]
     fn single_node_network() {
         let shards = vec![Instance::from_facts([fact("R", &[5])])];
-        let out = run_to_quiescence(&Echo, &shards, 3);
-        assert_eq!(out.len(), 1);
+        let out = run(&Echo, &shards, &oblivious(Schedule::Random(3)));
+        assert_eq!(out.output.len(), 1);
     }
 
     #[test]
@@ -917,8 +964,9 @@ mod tests {
         for seed in [1u64, 2, 3] {
             let plan =
                 FaultPlan::partitioned(seed, parlog_faults::PartitionPlan::split(0, 40, &[0, 1]));
-            let mut run = SimRun::new(&p, &shards, Ctx::oblivious());
-            run.run_faulty(&p, Schedule::Random(seed), Some(&plan));
+            let rc = oblivious(Schedule::Random(seed)).with_faults(&plan);
+            let mut run = SimRun::new(&p, &shards, &rc);
+            finish(&mut run, &p, Schedule::Random(seed));
             assert_eq!(run.outputs(), expected, "seed {seed}");
             assert!(run.fault_stats().partitioned > 0, "the split must bite");
             assert_eq!(run.held_by_partition(), 0, "everything flushed on heal");
@@ -938,8 +986,12 @@ mod tests {
         let shards = crate::distribution::hash_distribution(&db, 4, 3);
         let plan =
             FaultPlan::partitioned(7, parlog_faults::PartitionPlan::permanent_split(0, &[0]));
-        let mut run = SimRun::new(&p, &shards, Ctx::oblivious());
-        run.run_faulty(&p, Schedule::Random(7), Some(&plan));
+        let mut run = SimRun::new(
+            &p,
+            &shards,
+            &oblivious(Schedule::Random(7)).with_faults(&plan),
+        );
+        finish(&mut run, &p, Schedule::Random(7));
         let out = run.outputs();
         assert!(out.is_subset_of(&expected), "sound on every side");
         assert_ne!(out, expected, "a permanent split must lose derivations");
@@ -961,17 +1013,16 @@ mod tests {
         let shards = crate::distribution::hash_distribution(&db, 4, 3);
         let plan = FaultPlan::crash_stop(2, 0, 0);
         // Unhealed: the dead node's shard is missing from the answer.
-        let mut broken = SimRun::new(&p, &shards, Ctx::oblivious());
-        broken.run_faulty(&p, Schedule::Random(2), Some(&plan));
-        let partial = broken.outputs();
+        let rc = oblivious(Schedule::Random(2)).with_faults(&plan);
+        let partial = run(&p, &shards, &rc).output;
         assert!(partial.is_subset_of(&expected));
         assert_ne!(partial, expected, "losing node 0 must lose derivations");
         // Healed: survivor 1 adopts shard 0 and the run converges.
-        let mut healed = SimRun::new(&p, &shards, Ctx::oblivious());
-        healed.run_faulty(&p, Schedule::Random(2), Some(&plan));
+        let mut healed = SimRun::new(&p, &shards, &rc);
+        finish(&mut healed, &p, Schedule::Random(2));
         let adopted = healed.adopt_shard(&p, 0, 1);
         assert_eq!(adopted, shards[0].len());
-        healed.run(&p, Schedule::Random(2));
+        finish(&mut healed, &p, Schedule::Random(2));
         assert_eq!(healed.outputs(), expected);
         assert!(healed.clock() > 0);
     }
@@ -998,13 +1049,11 @@ mod tests {
             epochs: vec![epoch(0, 30, 0), epoch(10, usize::MAX, 3)],
         };
         let sink = Arc::new(MemSink::new());
-        let mut run = SimRun::new(&p, &shards, Ctx::oblivious());
-        run.set_trace(TraceHandle::to(sink.clone()));
-        run.run_faulty(
-            &p,
-            Schedule::Random(3),
-            Some(&FaultPlan::partitioned(3, plan)),
-        );
+        let plan = FaultPlan::partitioned(3, plan);
+        let rc = oblivious(Schedule::Random(3))
+            .with_faults(&plan)
+            .with_trace(TraceHandle::to(sink.clone()));
+        run(&p, &shards, &rc);
         let timeline: Vec<_> = sink
             .timeline()
             .iter()

@@ -12,19 +12,27 @@
 //! counter is zero and a node's channel is empty, no further message can
 //! ever arrive for it (nodes only send while processing), so it may stop.
 
-use crate::faulty::corrupt_in_transit;
+use crate::faulty::{corrupt_in_transit, refuse_mpc_only, FaultStats};
 use crate::network::NodeState;
 use crate::program::{Ctx, TransducerProgram};
+use crate::scheduler::{RunCtx, RunOutcome};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
+use parlog_faults::{FaultInjector, MessageFate};
 use parlog_relal::fact::Fact;
+use parlog_relal::fastmap::{fxset, FxSet};
 use parlog_relal::instance::Instance;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
-/// Run a program on the given shards with one thread per node; returns
-/// the union of outputs after global quiescence.
+/// The threaded arm of [`crate::run`]: one scoped thread per node until
+/// global quiescence. Message faults roll their fate per copy on a shared
+/// seeded injector at send time; reordering and delay need none — OS
+/// scheduling supplies both. Straggler entries *are* honored:
+/// a slowed node sleeps proportionally to `slowdown − 1` for every
+/// message it processes (tallied in `straggler_stalls`), stretching real
+/// tail latency without changing what is computed — the scenario the
+/// supervisor's speculative re-execution targets.
 ///
 /// **Limitation:** quiescence detection assumes heartbeats do not
 /// broadcast once a node's queue is idle — a node exits when the global
@@ -33,44 +41,28 @@ use std::time::Duration;
 /// still address it afterwards. All programs in this crate have
 /// message-free heartbeats; for heartbeat-broadcasting programs use the
 /// simulator ([`crate::scheduler`]), whose quiescence check is global.
-pub fn run_threaded<P>(program: Arc<P>, shards: &[Instance], ctx: Ctx) -> Instance
-where
-    P: TransducerProgram + 'static + ?Sized,
-{
-    run_threaded_faulty(program, shards, ctx, None).0
-}
-
-/// [`run_threaded`] with message-level fault injection: each copy rolls
-/// its fate (drop / duplicate / deliver) on a shared seeded injector at
-/// send time. Reordering and delay need no injector here — OS scheduling
-/// already supplies both — and node crashes are a simulator-only feature
-/// (the simulator owns a global clock to time them against; real threads
-/// do not). Straggler entries *are* honored: a slowed node sleeps
-/// proportionally to `slowdown − 1` for every message it processes
-/// (tallied in `straggler_stalls`), stretching real tail latency without
-/// changing what is computed — the scenario the supervisor's speculative
-/// re-execution targets. Returns the union of outputs plus the
-/// injector's tally.
 ///
 /// # Panics
-/// Panics on a plan with crashes, `retransmit` or a partition (they
+/// Panics with a trace (the OS's interleaving is no replayable
+/// timeline), on a plan with crashes, `retransmit` or a partition (they
 /// need the simulator's clock), or with `corruptions` or `speculation`
 /// (faults of MPC rounds).
-pub fn run_threaded_faulty<P>(
-    program: Arc<P>,
-    shards: &[Instance],
-    ctx: Ctx,
-    plan: Option<&parlog_faults::FaultPlan>,
-) -> (Instance, crate::faulty::FaultStats)
+pub(crate) fn run_threaded<P>(program: &P, shards: &[Instance], rc: &RunCtx<'_>) -> RunOutcome
 where
-    P: TransducerProgram + 'static + ?Sized,
+    P: TransducerProgram + ?Sized,
 {
-    assert!(!shards.is_empty());
+    assert!(!shards.is_empty(), "a network needs at least one node");
     if program.requires_all() {
-        assert!(ctx.all.is_some(), "program requires the All relation");
+        assert!(rc.ctx.all.is_some(), "program requires the All relation");
     }
+    assert!(
+        !rc.trace.is_on(),
+        "the threaded runtime keeps no trace: its interleaving is the OS's, \
+         not a replayable timeline; trace a simulated run"
+    );
+    let plan = rc.faults;
     if let Some(p) = plan {
-        crate::faulty::refuse_mpc_only(p);
+        refuse_mpc_only(p);
         assert!(
             p.crashes.is_empty() && p.retransmit.is_none() && p.partition.is_none(),
             "the threaded runtime injects message faults only; crash, \
@@ -78,135 +70,152 @@ where
              epochs are timed against its virtual clock)"
         );
     }
-    let injector = Arc::new(Mutex::new(plan.map(|p| p.injector())));
-    let stats = Arc::new(Mutex::new(crate::faulty::FaultStats::default()));
-    let slowdowns: Vec<f64> = (0..shards.len())
-        .map(|i| plan.map_or(1.0, |p| p.slowdown(i)))
-        .collect();
-    let n = shards.len();
-    let mut senders: Vec<Sender<(usize, Fact)>> = Vec::with_capacity(n);
-    let mut receivers: Vec<Receiver<(usize, Fact)>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (s, r) = unbounded();
-        senders.push(s);
-        receivers.push(r);
+    let (senders, receivers): (Vec<_>, Vec<_>) = shards.iter().map(|_| unbounded()).unzip();
+    let net = Network {
+        ctx: &rc.ctx,
+        injector: Mutex::new(plan.map(|p| p.injector())),
+        stats: Mutex::new(FaultStats::default()),
+        in_flight: AtomicUsize::new(0),
+        delivered: AtomicUsize::new(0),
+        facts_broadcast: AtomicUsize::new(0),
+        senders,
+    };
+    let mut output = Instance::new();
+    std::thread::scope(|scope| {
+        let nodes: Vec<_> = (shards.iter().zip(&receivers).enumerate())
+            .map(|(id, (shard, receiver))| {
+                let slowdown = plan.map_or(1.0, |p| p.slowdown(id));
+                let net = &net;
+                scope.spawn(move || net.node(program, id, shard, receiver, slowdown))
+            })
+            .collect();
+        for node in nodes {
+            output.extend_from(&node.join().expect("node thread panicked"));
+        }
+    });
+    let delivered = net.delivered.into_inner();
+    RunOutcome {
+        output,
+        stats: net.stats.into_inner(),
+        delivered,
+        facts_broadcast: net.facts_broadcast.into_inner(),
+        clock: delivered,
     }
-    let in_flight = Arc::new(AtomicUsize::new(0));
-    let outputs: Arc<Mutex<Vec<Instance>>> = Arc::new(Mutex::new(vec![Instance::new(); n]));
+}
 
-    let mut handles = Vec::with_capacity(n);
-    for (id, shard) in shards.iter().enumerate() {
-        let program = Arc::clone(&program);
-        let ctx = ctx.clone();
-        let receiver = receivers[id].clone();
-        let senders = senders.clone();
-        let in_flight = Arc::clone(&in_flight);
-        let outputs = Arc::clone(&outputs);
-        let shard = shard.clone();
-        let injector = Arc::clone(&injector);
-        let stats = Arc::clone(&stats);
-        let slowdown = slowdowns[id];
-        handles.push(std::thread::spawn(move || {
-            let mut node = NodeState::new(id, shard);
-            let mut sent: parlog_relal::fastmap::FxSet<Fact> = parlog_relal::fastmap::fxset();
-            let broadcast = |facts: Vec<Fact>, sent: &mut parlog_relal::fastmap::FxSet<Fact>| {
-                for f in facts {
-                    if !sent.insert(f.clone()) {
-                        continue;
+/// What the node threads share: channels, injector and tallies.
+struct Network<'a> {
+    ctx: &'a Ctx,
+    injector: Mutex<Option<FaultInjector>>,
+    stats: Mutex<FaultStats>,
+    /// Copies sent and not yet processed.
+    in_flight: AtomicUsize,
+    delivered: AtomicUsize,
+    facts_broadcast: AtomicUsize,
+    senders: Vec<Sender<(usize, Fact)>>,
+}
+
+impl Network<'_> {
+    /// Node `id`'s thread: `init`, then messages until global quiescence.
+    fn node<P: TransducerProgram + ?Sized>(
+        &self,
+        program: &P,
+        id: usize,
+        shard: &Instance,
+        receiver: &Receiver<(usize, Fact)>,
+        slowdown: f64,
+    ) -> Instance {
+        let mut node = NodeState::new(id, shard.clone());
+        let mut sent: FxSet<Fact> = fxset();
+        self.broadcast(id, program.init(&mut node, self.ctx), &mut sent);
+        loop {
+            match receiver.recv_timeout(Duration::from_millis(2)) {
+                Ok((from, fact)) => {
+                    if slowdown > 1.0 {
+                        // A straggler stalls per message: real wall-clock
+                        // tail latency, same computed answer.
+                        std::thread::sleep(Duration::from_micros(((slowdown - 1.0) * 50.0) as u64));
+                        self.stats.lock().straggler_stalls += 1;
                     }
-                    for (dest, s) in senders.iter().enumerate() {
-                        if dest != id {
-                            // Per-copy fate roll on the shared injector
-                            // (1 copy normally; 0 on drop, 2 on dup; a
-                            // "delayed" copy is just sent — the OS already
-                            // delays arbitrarily).
-                            let copies = match injector.lock().as_mut() {
-                                None => 1,
-                                Some(inj) => match inj.fate() {
-                                    parlog_faults::MessageFate::Deliver => 1,
-                                    parlog_faults::MessageFate::Drop => {
-                                        stats.lock().dropped += 1;
-                                        0
-                                    }
-                                    parlog_faults::MessageFate::Duplicate => {
-                                        stats.lock().duplicated += 1;
-                                        2
-                                    }
-                                    parlog_faults::MessageFate::Delay(_) => {
-                                        stats.lock().delayed += 1;
-                                        1
-                                    }
-                                    parlog_faults::MessageFate::Corrupt(e) => {
-                                        // Deliver one tampered copy instead
-                                        // of the original.
-                                        let t = corrupt_in_transit(f.clone(), e, &mut stats.lock());
-                                        in_flight.fetch_add(1, Ordering::SeqCst);
-                                        s.send((id, t)).expect("receiver alive");
-                                        0
-                                    }
-                                },
-                            };
-                            for _ in 0..copies {
-                                in_flight.fetch_add(1, Ordering::SeqCst);
-                                s.send((id, f.clone())).expect("receiver alive");
-                            }
-                        }
-                    }
+                    self.delivered.fetch_add(1, Ordering::Relaxed);
+                    let out = program.on_fact(&mut node, from, &fact, self.ctx);
+                    self.broadcast(id, out, &mut sent);
+                    self.in_flight.fetch_sub(1, Ordering::SeqCst);
                 }
-            };
-            let init_out = program.init(&mut node, &ctx);
-            broadcast(init_out, &mut sent);
-            loop {
-                match receiver.recv_timeout(Duration::from_millis(2)) {
-                    Ok((from, fact)) => {
-                        if slowdown > 1.0 {
-                            // A straggler stalls per message: real wall-
-                            // clock tail latency, same computed answer.
-                            std::thread::sleep(Duration::from_micros(
-                                ((slowdown - 1.0) * 50.0) as u64,
-                            ));
-                            stats.lock().straggler_stalls += 1;
+                Err(_) => {
+                    // Quiescent? No in-flight messages can appear once
+                    // the counter is zero and all channels are idle.
+                    if self.in_flight.load(Ordering::SeqCst) == 0 && receiver.is_empty() {
+                        let hb = program.heartbeat(&mut node, self.ctx);
+                        if hb.is_empty() {
+                            break;
                         }
-                        let out = program.on_fact(&mut node, from, &fact, &ctx);
-                        broadcast(out, &mut sent);
-                        in_flight.fetch_sub(1, Ordering::SeqCst);
-                    }
-                    Err(_) => {
-                        // Quiescent? No in-flight messages can appear once
-                        // the counter is zero and all channels are idle.
-                        if in_flight.load(Ordering::SeqCst) == 0 && receiver.is_empty() {
-                            let hb = program.heartbeat(&mut node, &ctx);
-                            if hb.is_empty() {
-                                break;
-                            }
-                            broadcast(hb, &mut sent);
-                        }
+                        self.broadcast(id, hb, &mut sent);
                     }
                 }
             }
-            outputs.lock()[id] = node.output_so_far().clone();
-        }));
+        }
+        node.output_so_far().clone()
     }
-    drop(senders);
-    for h in handles {
-        h.join().expect("node thread panicked");
+
+    /// Send each fact of `facts` not yet in `sent` to every other node.
+    fn broadcast(&self, id: usize, facts: Vec<Fact>, sent: &mut FxSet<Fact>) {
+        for f in facts {
+            if !sent.insert(f.clone()) {
+                continue;
+            }
+            self.facts_broadcast.fetch_add(1, Ordering::Relaxed);
+            for (dest, s) in self.senders.iter().enumerate() {
+                if dest == id {
+                    continue;
+                }
+                // Per-copy fate roll on the shared injector (1 copy
+                // normally; 0 on drop, 2 on dup; a "delayed" copy is just
+                // sent — the OS already delays arbitrarily).
+                let copies = match self.injector.lock().as_mut() {
+                    None => 1,
+                    Some(inj) => match inj.fate() {
+                        MessageFate::Deliver => 1,
+                        MessageFate::Drop => {
+                            self.stats.lock().dropped += 1;
+                            0
+                        }
+                        MessageFate::Duplicate => {
+                            self.stats.lock().duplicated += 1;
+                            2
+                        }
+                        MessageFate::Delay(_) => {
+                            self.stats.lock().delayed += 1;
+                            1
+                        }
+                        MessageFate::Corrupt(e) => {
+                            // One tampered copy instead of the original.
+                            let t = corrupt_in_transit(f.clone(), e, &mut self.stats.lock());
+                            self.in_flight.fetch_add(1, Ordering::SeqCst);
+                            s.send((id, t)).expect("receiver alive");
+                            0
+                        }
+                    },
+                };
+                for _ in 0..copies {
+                    self.in_flight.fetch_add(1, Ordering::SeqCst);
+                    s.send((id, f.clone())).expect("receiver alive");
+                }
+            }
+        }
     }
-    let mut union = Instance::new();
-    for o in outputs.lock().iter() {
-        union.extend_from(o);
-    }
-    let tally = *stats.lock();
-    (union, tally)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::distribution::hash_distribution;
+    use crate::program::Ctx;
     use crate::programs::coordinated::CoordinatedBroadcast;
     use crate::programs::monotone::MonotoneBroadcast;
-    use crate::scheduler::run_to_quiescence;
+    use crate::scheduler::{run, RunCtx, RunMode, Schedule};
+    use parlog_faults::FaultPlan;
     use parlog_relal::fact::fact;
+    use parlog_relal::instance::Instance;
     use parlog_relal::parser::parse_query;
 
     fn db() -> Instance {
@@ -215,25 +224,33 @@ mod tests {
         )
     }
 
+    fn threaded<'a>(ctx: Ctx) -> RunCtx<'a> {
+        RunCtx::new(ctx, RunMode::Threaded)
+    }
+
     #[test]
     fn threaded_matches_simulator_for_monotone() {
         let q = parse_query("H(x,z) <- E(x,y), E(y,z)").unwrap();
         let expected = parlog_relal::eval::eval_query(&q, &db());
-        let p = Arc::new(MonotoneBroadcast::new(q));
+        let p = MonotoneBroadcast::new(q);
         let dist = hash_distribution(&db(), 4, 9);
-        let threaded = run_threaded(p.clone(), &dist, Ctx::oblivious());
-        let simulated = run_to_quiescence(p.as_ref(), &dist, 4);
+        let threaded = run(&p, &dist, &threaded(Ctx::oblivious())).output;
+        let simulated = run(
+            &p,
+            &dist,
+            &RunCtx::simulated(Ctx::oblivious(), Schedule::Random(4)),
+        );
         assert_eq!(threaded, expected);
-        assert_eq!(simulated, expected);
+        assert_eq!(simulated.output, expected);
     }
 
     #[test]
     fn threaded_matches_simulator_for_coordinated() {
         let q = parse_query("H(x,y,z) <- E(x,y), E(y,z), not E(z,x)").unwrap();
         let expected = parlog_relal::eval::eval_query(&q, &db());
-        let p = Arc::new(CoordinatedBroadcast::new(q));
+        let p = CoordinatedBroadcast::new(q);
         let dist = hash_distribution(&db(), 3, 2);
-        let threaded = run_threaded(p.clone(), &dist, Ctx::aware(3));
+        let threaded = run(&p, &dist, &threaded(Ctx::aware(3))).output;
         assert_eq!(threaded, expected);
     }
 
@@ -242,62 +259,95 @@ mod tests {
         // Duplicate copies under real concurrency: receivers are sets, so
         // the monotone program's output is unchanged — the within-model
         // faults are harmless even off the simulator.
-        use parlog_faults::FaultPlan;
         let q = parse_query("H(x,z) <- E(x,y), E(y,z)").unwrap();
         let expected = parlog_relal::eval::eval_query(&q, &db());
-        let p = Arc::new(MonotoneBroadcast::new(q));
+        let p = MonotoneBroadcast::new(q);
         let dist = hash_distribution(&db(), 4, 9);
         let plan = FaultPlan::duplicating(13, 0.5);
-        let (out, stats) = run_threaded_faulty(p, &dist, Ctx::oblivious(), Some(&plan));
-        assert_eq!(out, expected);
-        assert!(stats.duplicated > 0, "the plan must actually duplicate");
+        let out = run(&p, &dist, &threaded(Ctx::oblivious()).with_faults(&plan));
+        assert_eq!(out.output, expected);
+        assert!(out.stats.duplicated > 0, "the plan must actually duplicate");
     }
 
     #[test]
     fn threaded_loss_stays_sound() {
-        use parlog_faults::FaultPlan;
         let q = parse_query("H(x,z) <- E(x,y), E(y,z)").unwrap();
         let expected = parlog_relal::eval::eval_query(&q, &db());
-        let p = Arc::new(MonotoneBroadcast::new(q));
+        let p = MonotoneBroadcast::new(q);
         let dist = hash_distribution(&db(), 4, 9);
         let plan = FaultPlan::lossy(13, 0.6);
-        let (out, stats) = run_threaded_faulty(p, &dist, Ctx::oblivious(), Some(&plan));
-        assert!(out.is_subset_of(&expected), "loss must never create facts");
-        assert!(stats.dropped > 0);
+        let out = run(&p, &dist, &threaded(Ctx::oblivious()).with_faults(&plan));
+        assert!(
+            out.output.is_subset_of(&expected),
+            "loss must never create facts"
+        );
+        assert!(out.stats.dropped > 0);
+    }
+
+    /// Run `H(x) <- E(x,y)` threaded on one node as `rc` says.
+    fn one_node(rc: &RunCtx<'_>) {
+        let p = MonotoneBroadcast::new(parse_query("H(x) <- E(x,y)").unwrap());
+        run(&p, &[db()], rc);
     }
 
     #[test]
     #[should_panic(expected = "message faults only")]
     fn threaded_rejects_crash_plans() {
-        use parlog_faults::FaultPlan;
-        let q = parse_query("H(x) <- E(x,y)").unwrap();
-        let p = Arc::new(MonotoneBroadcast::new(q));
-        let plan = FaultPlan::crash_stop(1, 0, 3);
-        run_threaded_faulty(p, &[db()], Ctx::oblivious(), Some(&plan));
+        one_node(&threaded(Ctx::oblivious()).with_faults(&FaultPlan::crash_stop(1, 0, 3)));
+    }
+
+    #[test]
+    #[should_panic(expected = "message faults only")]
+    fn threaded_rejects_retransmit_plans() {
+        let plan = FaultPlan::lossy(1, 0.2).with_retransmit(Default::default());
+        one_node(&threaded(Ctx::oblivious()).with_faults(&plan));
+    }
+
+    #[test]
+    #[should_panic(expected = "message faults only")]
+    fn threaded_rejects_partition_plans() {
+        let split = parlog_faults::PartitionPlan::split(0, 10, &[0]);
+        one_node(&threaded(Ctx::oblivious()).with_faults(&FaultPlan::partitioned(1, split)));
     }
 
     #[test]
     #[should_panic(expected = "cannot enforce `corruptions`")]
     fn threaded_refuses_corruptions() {
-        use parlog_faults::{CorruptKind, FaultPlan};
-        let q = parse_query("H(x) <- E(x,y)").unwrap();
-        let p = Arc::new(MonotoneBroadcast::new(q));
+        use parlog_faults::CorruptKind;
         let plan = FaultPlan::none(1).with_corruption(0, 0, CorruptKind::Inject);
-        run_threaded_faulty(p, &[db()], Ctx::oblivious(), Some(&plan));
+        one_node(&threaded(Ctx::oblivious()).with_faults(&plan));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot enforce `speculation`")]
+    fn threaded_refuses_speculation() {
+        use parlog_faults::SpeculationPolicy;
+        let plan = FaultPlan::none(1).with_speculation(SpeculationPolicy::default());
+        one_node(&threaded(Ctx::oblivious()).with_faults(&plan));
+    }
+
+    #[test]
+    #[should_panic(expected = "the threaded runtime keeps no trace")]
+    fn threaded_refuses_a_trace() {
+        use parlog_trace::{MemSink, TraceHandle};
+        let sink = std::sync::Arc::new(MemSink::new());
+        one_node(&threaded(Ctx::oblivious()).with_trace(TraceHandle::to(sink)));
     }
 
     #[test]
     fn threaded_straggler_stalls_but_computes_the_same() {
-        use parlog_faults::FaultPlan;
         let q = parse_query("H(x,z) <- E(x,y), E(y,z)").unwrap();
         let expected = parlog_relal::eval::eval_query(&q, &db());
-        let p = Arc::new(MonotoneBroadcast::new(q));
+        let p = MonotoneBroadcast::new(q);
         let dist = hash_distribution(&db(), 4, 9);
         let plan = FaultPlan::none(1).with_straggler(2, 3.0);
-        let (out, stats) = run_threaded_faulty(p, &dist, Ctx::oblivious(), Some(&plan));
-        assert_eq!(out, expected, "a slow node changes latency, not answers");
+        let out = run(&p, &dist, &threaded(Ctx::oblivious()).with_faults(&plan));
+        assert_eq!(
+            out.output, expected,
+            "a slow node changes latency, not answers"
+        );
         assert!(
-            stats.straggler_stalls > 0,
+            out.stats.straggler_stalls > 0,
             "the straggler must actually stall"
         );
     }
@@ -306,8 +356,9 @@ mod tests {
     fn single_node_threaded() {
         let q = parse_query("H(x) <- E(x,y)").unwrap();
         let expected = parlog_relal::eval::eval_query(&q, &db());
-        let p = Arc::new(MonotoneBroadcast::new(q));
-        let out = run_threaded(p, &[db()], Ctx::oblivious());
-        assert_eq!(out, expected);
+        let p = MonotoneBroadcast::new(q);
+        let out = run(&p, &[db()], &threaded(Ctx::oblivious()));
+        assert_eq!(out.output, expected);
+        assert_eq!(out.delivered, 0, "one node has no one to hear from");
     }
 }

@@ -21,7 +21,7 @@
 //! strategies and thread counts — the property suite pins this.
 
 use crate::snapshot::{snapshot, SnapshotId};
-use parlog_datalog::eval::eval_program_with;
+use parlog_datalog::eval::eval_program;
 use parlog_datalog::program::{Program, ProgramError, ADOM};
 use parlog_relal::atom::{Atom, Term};
 use parlog_relal::eval::{satisfying_valuations, EvalStrategy, QueryPlan};
@@ -279,7 +279,7 @@ pub fn prove_program(
     edb: &Instance,
     strategy: EvalStrategy,
 ) -> Result<(Instance, ProgramCertificate), ProgramError> {
-    let model = eval_program_with(p, edb, strategy)?;
+    let model = eval_program(p, edb, strategy)?;
     let strat = p.stratify()?;
     let mut db = edb.clone();
     for f in adom_facts(p, edb) {

@@ -65,7 +65,7 @@ fn main() {
     let shards = policy_distribution(&graph, policy.as_ref());
     let f1 = PolicyAwareCq::new(open);
     let ctx = Ctx::oblivious().with_policy(policy);
-    let out = parlog::transducer::scheduler::run_with_ctx(&f1, &shards, ctx, Schedule::Random(1));
+    let out = run(&f1, &shards, &RunCtx::simulated(ctx, Schedule::Random(1))).output;
     println!("Example 5.4 — open triangles, policy-aware (F1):");
     println!("  output matches Q(I): {}\n", out == open_expected);
 
@@ -76,7 +76,7 @@ fn main() {
     let shards = policy_distribution(&graph, policy.as_ref());
     let f2 = DisjointComponent::new(datalog_query(parlog::queries::ntc_program(), "NTC"));
     let ctx = Ctx::oblivious().with_policy(policy);
-    let out = parlog::transducer::scheduler::run_with_ctx(&f2, &shards, ctx, Schedule::Random(2));
+    let out = run(&f2, &shards, &RunCtx::simulated(ctx, Schedule::Random(2))).output;
     println!("§5.2.2 — ¬TC, domain-guided components (F2):");
     println!(
         "  output matches Q(I): {} ({} facts)\n",

@@ -62,7 +62,12 @@ fn main() {
     let expected = eval_query(&tri, &graph);
     let program = MonotoneBroadcast::new(tri);
     let shards = hash_distribution(&graph, 4, 3);
-    let out = run_to_quiescence(&program, &shards, 9);
+    let out = run(
+        &program,
+        &shards,
+        &RunCtx::simulated(Ctx::oblivious(), Schedule::Random(9)),
+    )
+    .output;
     assert_eq!(out, expected);
     println!("Transducer network (4 nodes, monotone broadcast):");
     println!("  triangles found   = {}", out.len());

@@ -8,7 +8,6 @@ use parlog::prelude::*;
 use parlog::relal::policy::{DomainGuidedPolicy, ReplicateAll};
 use parlog::transducer::distribution::{ideal_distribution, policy_distribution};
 use parlog::transducer::prelude::*;
-use parlog::transducer::scheduler::run_with_ctx;
 use std::sync::Arc;
 
 fn graph() -> Instance {
@@ -64,18 +63,19 @@ fn f1_matrix() {
             let shards = policy_distribution(&db, policy.as_ref());
             for schedule in [Schedule::Random(3), Schedule::Fifo, Schedule::Lifo] {
                 let ctx = Ctx::oblivious().with_policy(policy.clone());
-                let out = run_with_ctx(&program, &shards, ctx, schedule);
+                let out = run(&program, &shards, &RunCtx::simulated(ctx, schedule)).output;
                 assert_eq!(out, expected, "n={n} pseed={pseed} {schedule:?}");
             }
         }
     }
     // Coordination-free via the replicate-all witness.
     let ctx = Ctx::oblivious().with_policy(Arc::new(ReplicateAll { num_nodes: 3 }));
-    let out = parlog::transducer::scheduler::run_heartbeats_only(
+    let out = run(
         &program,
         &ideal_distribution(&db, 3),
-        ctx,
-    );
+        &RunCtx::new(ctx, RunMode::HeartbeatsOnly),
+    )
+    .output;
     assert_eq!(out, expected);
 }
 
@@ -93,7 +93,7 @@ fn f2_matrix() {
                 DisjointComponent::new(datalog_query(parlog::queries::ntc_program(), "NTC"));
             for schedule in [Schedule::Random(9), Schedule::Lifo] {
                 let ctx = Ctx::oblivious().with_policy(policy.clone());
-                let out = run_with_ctx(&program, &shards, ctx, schedule);
+                let out = run(&program, &shards, &RunCtx::simulated(ctx, schedule)).output;
                 assert_eq!(out, expected, "n={n} pseed={pseed} {schedule:?}");
             }
         }

@@ -185,16 +185,12 @@ fn economical_broadcast_saves_communication() {
     let expected = eval_query(&q, &db);
     let shards = hash_distribution(&db, 3, 7);
 
-    let eco = EconomicalBroadcast::new(q.clone());
-    let mut eco_run = parlog::transducer::SimRun::new(&eco, &shards, Ctx::oblivious());
-    eco_run.run(&eco, Schedule::Random(3));
+    let rc = RunCtx::simulated(Ctx::oblivious(), Schedule::Random(3));
+    let eco_run = run(&EconomicalBroadcast::new(q.clone()), &shards, &rc);
+    let naive_run = run(&MonotoneBroadcast::new(q), &shards, &rc);
 
-    let naive = MonotoneBroadcast::new(q);
-    let mut naive_run = parlog::transducer::SimRun::new(&naive, &shards, Ctx::oblivious());
-    naive_run.run(&naive, Schedule::Random(3));
-
-    assert_eq!(eco_run.outputs(), expected);
-    assert_eq!(naive_run.outputs(), expected);
+    assert_eq!(eco_run.output, expected);
+    assert_eq!(naive_run.output, expected);
     assert!(eco_run.facts_broadcast < naive_run.facts_broadcast);
 }
 
@@ -202,14 +198,23 @@ fn economical_broadcast_saves_communication() {
 /// query (transitive closure) under a random distribution.
 #[test]
 fn threaded_and_simulated_runtimes_agree() {
-    use std::sync::Arc;
     let db = datagen::random_graph("E", 15, 40, 9);
     let p = parlog::queries::tc_program();
-    let expected = parlog::datalog::eval_program(&p, &db).unwrap();
-    let program = Arc::new(MonotoneBroadcast::new(p));
+    let expected = parlog::datalog::eval_program(&p, &db, EvalStrategy::Indexed).unwrap();
+    let program = MonotoneBroadcast::new(p);
     let shards = random_distribution(&db, 3, 11);
-    let sim = run_to_quiescence(program.as_ref(), &shards, 13);
-    let thr = parlog::transducer::threaded::run_threaded(program, &shards, Ctx::oblivious());
+    let sim = run(
+        &program,
+        &shards,
+        &RunCtx::simulated(Ctx::oblivious(), Schedule::Random(13)),
+    )
+    .output;
+    let thr = run(
+        &program,
+        &shards,
+        &RunCtx::new(Ctx::oblivious(), RunMode::Threaded),
+    )
+    .output;
     assert_eq!(sim, expected);
     assert_eq!(thr, expected);
 }

@@ -196,8 +196,12 @@ fn example_5_4() {
     let shards = policy_distribution(&db, policy.as_ref());
     let program = PolicyAwareCq::new(q);
     let ctx = Ctx::oblivious().with_policy(policy);
-    let out =
-        parlog::transducer::scheduler::run_with_ctx(&program, &shards, ctx, Schedule::Random(2));
+    let out = run(
+        &program,
+        &shards,
+        &RunCtx::simulated(ctx, Schedule::Random(2)),
+    )
+    .output;
     assert_eq!(out, expected);
 }
 
@@ -240,9 +244,9 @@ fn example_5_13() {
     );
     // And ¬TC evaluates correctly through the engine.
     let db = Instance::from_facts([fact("E", &[1, 2]), fact("E", &[2, 3])]);
-    let ntc = parlog::relal::symbols::rel("NTC");
     let out =
-        parlog::datalog::eval::eval_predicate(&parlog::queries::ntc_program(), &db, ntc).unwrap();
+        parlog::datalog::eval_program(&parlog::queries::ntc_program(), &db, EvalStrategy::Indexed)
+            .unwrap();
     assert!(out.contains(&fact("NTC", &[3, 1])));
     assert!(!out.contains(&fact("NTC", &[1, 3])));
 }

@@ -75,7 +75,7 @@ proptest! {
             "TC(x,y) <- E(x,y)\nTC(x,y) <- TC(x,z), E(z,y)\nBoth(x,y) <- TC(x,y), R(x,y)",
         ).unwrap();
         prop_assert_eq!(
-            parlog::datalog::eval_program(&p, &db).unwrap(),
+            parlog::datalog::eval_program(&p, &db, EvalStrategy::Indexed).unwrap(),
             parlog::datalog::eval_program_naive(&p, &db).unwrap()
         );
     }
@@ -125,7 +125,8 @@ proptest! {
         let expected = eval_query(&q, &db);
         let program = MonotoneBroadcast::new(q);
         let shards = hash_distribution(&db, n, seed);
-        prop_assert_eq!(run_to_quiescence(&program, &shards, seed), expected);
+        let rc = RunCtx::simulated(Ctx::oblivious(), Schedule::Random(seed));
+        prop_assert_eq!(run(&program, &shards, &rc).output, expected);
     }
 
     /// Minimal valuations derive the same outputs as all valuations:
@@ -602,10 +603,10 @@ proptest! {
              Loop(x) <- E(x,x)",
         )
         .unwrap();
-        let reference = parlog::datalog::eval_program(&p, &db).unwrap();
+        let reference = parlog::datalog::eval_program(&p, &db, EvalStrategy::Indexed).unwrap();
         for strategy in [EvalStrategy::Naive, EvalStrategy::Wcoj, EvalStrategy::Auto] {
             prop_assert_eq!(
-                parlog::datalog::eval_program_with(&p, &db, strategy).unwrap(),
+                parlog::datalog::eval_program(&p, &db, strategy).unwrap(),
                 reference.clone(),
                 "strategy {:?}",
                 strategy
@@ -633,7 +634,7 @@ proptest! {
         init in prop::collection::vec((0..2u8, 0..4u64, 0..4u64), 0..10),
         ops in prop::collection::vec((0..2u8, 0..4u8, 0..4u64, 0..4u64, 0..3u8), 1..16),
     ) {
-        use parlog::datalog::{eval_program_with, MaterializedView};
+        use parlog::datalog::{eval_program, MaterializedView};
         use parlog::relal::eval::EvalStrategy;
         let programs = [
             // Transitive closure: one recursive stratum (DRed).
@@ -690,7 +691,7 @@ proptest! {
             if cut != 0 && i != last {
                 continue;
             }
-            let scratch = eval_program_with(&p, &db, EvalStrategy::Indexed).unwrap();
+            let scratch = eval_program(&p, &db, EvalStrategy::Indexed).unwrap();
             for (view, s) in views.iter_mut().zip(strategies) {
                 prop_assert_eq!(
                     view.refresh(&db),
@@ -858,9 +859,8 @@ proptest! {
             plan.dup_prob = dup;
             plan.delay_prob = delay;
             plan.max_delay = 6;
-            let (out, _) = run_with_faults(
-                &p, &shards, Ctx::oblivious(), Schedule::Random(seed), &plan,
-            );
+            let rc = RunCtx::simulated(Ctx::oblivious(), Schedule::Random(seed));
+            let out = run(&p, &shards, &rc.with_faults(&plan)).output;
             prop_assert_eq!(&out, &expected, "seed {}", seed);
         }
     }
@@ -880,18 +880,15 @@ proptest! {
         let p = MonotoneBroadcast::new(q);
         let shards = hash_distribution(&db, 3, 7);
         let plan = FaultPlan::lossy(seed, drop_prob);
-        let (out, stats) = run_with_faults(
-            &p, &shards, Ctx::oblivious(), Schedule::Random(seed), &plan,
-        );
-        prop_assert!(out.is_subset_of(&expected));
+        let rc = RunCtx::simulated(Ctx::oblivious(), Schedule::Random(seed));
+        let lossy = run(&p, &shards, &rc.clone().with_faults(&plan));
+        prop_assert!(lossy.output.is_subset_of(&expected));
         // And reliability restores completeness whenever anything dropped.
-        if stats.dropped > 0 {
-            let reliable = ReliableBroadcast::new(p);
-            let (rel_out, rel_stats) = reliable.run(
-                &shards, Ctx::oblivious(), Schedule::Random(seed), &plan,
-            );
-            prop_assert_eq!(&rel_out, &expected);
-            prop_assert!(rel_stats.coordination_messages() > 0);
+        if lossy.stats.dropped > 0 {
+            let reliable = plan.with_retransmit(Default::default());
+            let out = run(&p, &shards, &rc.with_faults(&reliable));
+            prop_assert_eq!(&out.output, &expected);
+            prop_assert!(out.stats.coordination_messages() > 0);
         }
     }
 }
@@ -906,7 +903,7 @@ proptest! {
 /// reinserted. All four strategies, no full rebuild.
 #[test]
 fn dred_rederives_alternatives_several_steps_deep() {
-    use parlog::datalog::{eval_program_with, MaterializedView};
+    use parlog::datalog::{eval_program, MaterializedView};
     use parlog::relal::eval::EvalStrategy;
     use parlog::relal::fact::fact;
     let p =
@@ -929,7 +926,7 @@ fn dred_rederives_alternatives_several_steps_deep() {
     db.remove(&fact("E", &[3, 100]));
     db.remove(&fact("E", &[9, 10]));
     db.insert(fact("E", &[9, 10]));
-    let scratch = eval_program_with(&p, &db, EvalStrategy::Indexed).unwrap();
+    let scratch = eval_program(&p, &db, EvalStrategy::Indexed).unwrap();
     assert!(scratch.contains(&fact("TC", &[0, 12])));
     assert!(!scratch.contains(&fact("TC", &[0, 7])));
     for (view, s) in views.iter_mut().zip(strategies) {
