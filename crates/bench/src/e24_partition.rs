@@ -31,7 +31,7 @@
 
 use crate::{f3, json_record, section, Table};
 use parlog::faults::{FaultPlan, PartitionPlan};
-use parlog::mpc::cluster::{Cluster, Routing};
+use parlog::mpc::cluster::{Cluster, Fate};
 use parlog::mpc::quorum::{coordination_barrier, BarrierOutcome};
 use parlog::prelude::*;
 use parlog::relal::fact::fact;
@@ -290,7 +290,7 @@ fn mpc_drain() -> Vec<DrainRow> {
         let held = c.held_by_partition();
         let mut drain_rounds = 0usize;
         while c.held_by_partition() > 0 {
-            c.reshuffle(|_, _| Routing::Keep);
+            c.route(&[], |_, _, _| Fate::Keep);
             drain_rounds += 1;
             assert!(drain_rounds <= 16, "drain must terminate");
         }

@@ -102,7 +102,8 @@ enum Json {
     Str(String),
     Arr(Vec<Json>),
     Obj(Vec<(String, Json)>),
-    Lit,
+    /// `true`, `false` or `null`, kept as its text.
+    Lit(String),
 }
 
 impl Json {
@@ -146,9 +147,12 @@ impl Json {
                 }
                 Json::Num(s.parse().expect("a number"))
             }
-            _ => {
-                while chars.next_if(char::is_ascii_alphabetic).is_some() {}
-                Json::Lit
+            c => {
+                let mut s = String::from(c);
+                while let Some(c) = chars.next_if(char::is_ascii_alphabetic) {
+                    s.push(c);
+                }
+                Json::Lit(s)
             }
         }
     }
@@ -168,71 +172,325 @@ impl Json {
         }
     }
 
+    /// An object's field `key`, or an array's element at index `key`.
     fn get(&self, key: &str) -> &Json {
-        let Json::Obj(fields) = self else {
-            panic!("`{key}` of a non-object");
-        };
-        &fields.iter().find(|(k, _)| k == key).expect(key).1
-    }
-
-    /// The element of an array of objects whose `key` is `want`.
-    fn find(&self, key: &str, want: impl Fn(&Json) -> bool) -> &Json {
-        let Json::Arr(items) = self else {
-            panic!("a search of a non-array");
-        };
-        items.iter().find(|v| want(v.get(key))).expect(key)
-    }
-
-    fn num(&self) -> f64 {
-        match self {
-            Json::Num(x) => *x,
-            other => panic!("{other:?} is not a number"),
+        match (self, key.parse::<usize>()) {
+            (Json::Obj(fields), _) => &fields.iter().find(|(k, _)| k == key).expect(key).1,
+            (Json::Arr(items), Ok(i)) => &items[i],
+            _ => panic!("`{key}` of {self:?}"),
         }
     }
+
+    /// The value at `path`: fields joined by `.` (outside brackets), each
+    /// followed by any number of selectors — `[i]` picks an array's `i`th
+    /// element, `[key=cell]` the first element whose `key` reads as
+    /// `cell`, and `[k1=c1&k2=c2]` the first that matches both.
+    fn at(&self, path: &str) -> &Json {
+        let mut value = self;
+        let mut depth = 0;
+        let segments = path.split(|c| {
+            depth += (c == '[') as i32 - (c == ']') as i32;
+            c == '.' && depth == 0
+        });
+        for segment in segments.filter(|s| !s.is_empty()) {
+            let (field, selectors) = segment.split_at(segment.find('[').unwrap_or(segment.len()));
+            if !field.is_empty() {
+                value = value.get(field);
+            }
+            for selector in selectors.split_terminator(']') {
+                let selector = selector.strip_prefix('[').expect(path);
+                let Json::Arr(items) = value else {
+                    panic!("`{selector}` of a non-array in `{path}`");
+                };
+                value = match selector.parse::<usize>() {
+                    Ok(i) => &items[i],
+                    Err(_) => items
+                        .iter()
+                        .find(|item| {
+                            selector.split('&').all(|cond| {
+                                let (key, cell) = cond.split_once('=').expect(path);
+                                item.get(key).reads_as(cell).is_ok()
+                            })
+                        })
+                        .unwrap_or_else(|| panic!("no element matches `[{selector}]` in `{path}`")),
+                };
+            }
+        }
+        value
+    }
+
+    /// Does a document `cell` quote this value? A string or literal
+    /// as its text; a number to the precision the cell gives it — within
+    /// half a unit of its last digit — where a space groups digits and
+    /// a trailing `×` marks a ratio.
+    fn reads_as(&self, cell: &str) -> Result<(), String> {
+        let quoted = match self {
+            Json::Str(s) => s == cell,
+            Json::Lit(s) => s == cell,
+            Json::Num(x) => {
+                let digits: String = cell
+                    .trim_end_matches('×')
+                    .chars()
+                    .filter(|c| !c.is_whitespace())
+                    .collect();
+                let places = digits.split_once('.').map_or(0, |(_, f)| f.len());
+                let half_unit = 0.5 * 10f64.powi(-(places as i32));
+                digits
+                    .parse::<f64>()
+                    .is_ok_and(|q| (q - x).abs() <= half_unit * (1.0 + 1e-9))
+            }
+            other => panic!("{other:?} is not a quotable value"),
+        };
+        quoted.then_some(()).ok_or_else(|| format!("{self:?}"))
+    }
 }
 
-/// The rows of the table that follows `marker` in `doc`, split into
-/// trimmed cells, header and separator excluded.
-fn marked_table(doc: &str, marker: &str) -> Vec<Vec<String>> {
-    let mut lines = doc.lines().skip_while(|l| !l.starts_with(marker));
-    assert!(lines.next().is_some(), "no `{marker}` line");
-    lines
-        .take_while(|l| l.starts_with('|'))
-        .skip(2)
-        .map(|l| {
-            l.trim_matches('|')
-                .split('|')
-                .map(|c| c.trim().to_string())
-                .collect()
-        })
-        .collect()
+/// The repository root, and a file in it read whole.
+fn root() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-/// E25's headline numbers in EXPERIMENTS.md sit in a marked table; each
-/// cell must be what `BENCH_e25.json` holds: counts exactly (a space
-/// groups digits), ratios as a whole number within ½ of the record's.
+fn read(path: &std::path::Path) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// The documents whose tables quote committed records.
+const QUOTING_DOCS: [&str; 2] = ["README.md", "EXPERIMENTS.md"];
+
+/// Every cell of every table `doc` marks as quoted from `BENCH_<id>.json`
+/// (all records when `id` is `None`), each compared with the record;
+/// returns the number of cells compared.
+///
+/// A marked table follows a line
+/// `<!-- quoted from BENCH_eNN.json; row: PATH; cells: C1, …, Ck -->`.
+/// Each `Ci` is `-` (a label, not compared) or the path of column `i`'s
+/// value below the row's `PATH` (`row:` may be left out: the record
+/// itself). In both paths `{j}` stands for the row's `j`th cell, so a
+/// row's labels select what its other cells quote; see [`Json::at`]
+/// for the path syntax and [`Json::reads_as`] for what matches.
+fn check_quoted_tables(doc_name: &str, id: Option<&str>) -> usize {
+    const MARK: &str = "<!-- quoted from BENCH_";
+    let doc = read(&root().join(doc_name));
+    let mut lines = doc.lines().enumerate();
+    let mut compared = 0;
+    while let Some((at, line)) = lines.next() {
+        let Some(spec) = line.strip_prefix(MARK) else {
+            continue;
+        };
+        let (record, spec) = spec.split_once(".json;").expect(line);
+        if id.is_some_and(|id| id != record) {
+            continue;
+        }
+        let json = Json::parse(&read(&root().join(format!("BENCH_{record}.json"))));
+        let spec = spec.trim().strip_suffix("-->").expect(line);
+        let (mut row_path, mut cells) = ("", None);
+        for part in spec.split(';').map(str::trim) {
+            if let Some(p) = part.strip_prefix("row:") {
+                row_path = p.trim();
+            } else if let Some(c) = part.strip_prefix("cells:") {
+                cells = Some(c.split(',').map(str::trim).collect::<Vec<_>>());
+            }
+        }
+        let cells = cells.unwrap_or_else(|| panic!("{doc_name}:{}: no `cells:`", at + 1));
+        let rows: Vec<Vec<String>> = lines
+            .by_ref()
+            .map(|(_, l)| l)
+            .take_while(|l| l.starts_with('|'))
+            .skip(2)
+            .map(|l| {
+                let cells = l.trim_matches('|').split('|');
+                cells.map(|c| c.trim().replace('`', "")).collect()
+            })
+            .collect();
+        assert!(
+            !rows.is_empty(),
+            "{doc_name}:{}: the marked table has no rows",
+            at + 1
+        );
+        for row in &rows {
+            let fill = |template: &str| {
+                let mut path = template.to_string();
+                for (j, cell) in row.iter().enumerate() {
+                    path = path.replace(&format!("{{{}}}", j + 1), cell);
+                }
+                path
+            };
+            assert_eq!(row.len(), cells.len(), "{doc_name}:{}: {row:?}", at + 1);
+            let base = json.at(&fill(row_path));
+            for (cell, template) in row.iter().zip(&cells).filter(|(_, t)| **t != "-") {
+                let path = fill(template);
+                if let Err(held) = base.at(&path).reads_as(cell) {
+                    panic!(
+                        "{doc_name}:{}: `{cell}` quotes `{path}` of BENCH_{record}.json, \
+                         which holds {held}; row {row:?}",
+                        at + 1
+                    );
+                }
+                compared += 1;
+            }
+        }
+    }
+    compared
+}
+
+/// (i) Every number README and the E-sections quote from a committed
+/// record sits in a marked table, and every cell of those tables is
+/// what the record holds: an edit to one number, or a record that moves
+/// under a quote, fails here.
+#[test]
+fn quoted_numbers_match_their_records() {
+    let compared: usize = QUOTING_DOCS
+        .iter()
+        .map(|d| check_quoted_tables(d, None))
+        .sum();
+    assert!(compared > 0, "no marked table quotes a record");
+}
+
+/// E25's headline table, the first marked one, on its own.
 #[test]
 fn e25_quoted_table_matches_the_record() {
-    let root = format!("{}/../..", env!("CARGO_MANIFEST_DIR"));
-    let read = |f: &str| std::fs::read_to_string(format!("{root}/{f}")).expect(f);
-    let doc = read("EXPERIMENTS.md");
-    let record = Json::parse(&read("BENCH_e25.json"));
-    let rows = marked_table(&doc, "<!-- quoted from BENCH_e25.json;");
-    assert!(!rows.is_empty(), "the marked E25 table has no rows");
-    let count = |cell: &str| cell.replace(' ', "").parse::<f64>().expect(cell);
-    for row in &rows {
-        let [workload, n, delta, refresh, scratch, ratio] = &row[..] else {
-            panic!("a six-cell row: {row:?}");
-        };
-        let tier = record
-            .get("workloads")
-            .find("workload", |w| matches!(w, Json::Str(s) if s == workload))
-            .get("tiers")
-            .find("n", |v| v.num() == count(n));
-        let field = |name: &str| tier.get(&format!("{delta}_{name}")).num();
-        assert_eq!(count(refresh), field("refresh_ops"), "{row:?}");
-        assert_eq!(count(scratch), field("scratch_ops"), "{row:?}");
-        let quoted = count(ratio.strip_suffix('×').expect("a ratio ends in ×"));
-        assert!((quoted - field("ratio")).abs() <= 0.5, "{row:?}");
+    assert!(check_quoted_tables("EXPERIMENTS.md", Some("e25")) > 0);
+}
+
+/// Every `*.md` and `*.rs` file under the repository root (and every
+/// file under `.claude/`), skipping build output and VCS metadata.
+fn repo_files() -> Vec<std::path::PathBuf> {
+    fn walk(dir: &std::path::Path, under_claude: bool, out: &mut Vec<std::path::PathBuf>) {
+        for entry in std::fs::read_dir(dir)
+            .expect("a readable directory")
+            .flatten()
+        {
+            let path = entry.path();
+            let name = entry.file_name().to_string_lossy().into_owned();
+            if path.is_dir() {
+                if name != "target" && name != ".git" {
+                    walk(&path, under_claude || name == ".claude", out);
+                }
+            } else if under_claude || name.ends_with(".md") || name.ends_with(".rs") {
+                out.push(path);
+            }
+        }
     }
+    let mut out = Vec::new();
+    walk(&root(), false, &mut out);
+    out
+}
+
+/// DESIGN.md's headings, each as `(N, text)`: `N` is the number of the
+/// `## N.` section a heading sits in, and the text is the heading's
+/// after its `#`s (a `## N.` heading's own text drops the `N.`).
+fn design_headings() -> Vec<(String, String)> {
+    let mut section = String::new();
+    let mut out = Vec::new();
+    for line in read(&root().join("DESIGN.md")).lines() {
+        let Some(text) = line.strip_prefix("##") else {
+            continue;
+        };
+        let text = text.trim_start_matches('#').trim();
+        if !line.starts_with("###") {
+            let (n, rest) = text.split_once(". ").unwrap_or(("", text));
+            section = n.to_string();
+            out.push((section.clone(), rest.to_string()));
+        } else {
+            out.push((section.clone(), text.to_string()));
+        }
+    }
+    out
+}
+
+/// The `DESIGN §N, "Heading"` citations in `text`, as `(N, Heading)`,
+/// with any line break inside a heading read as a space. One that opens
+/// a code span is a mention of the form, not a citation, and is skipped.
+fn design_citations(text: &str) -> Vec<(String, String)> {
+    const CITE: &str = "DESIGN §";
+    let text = text.split_whitespace().collect::<Vec<_>>().join(" ");
+    let mut out = Vec::new();
+    for (i, _) in text.match_indices(CITE) {
+        if text[..i].ends_with('`') {
+            continue;
+        }
+        let rest = &text[i + CITE.len()..];
+        let n: String = rest.chars().take_while(char::is_ascii_digit).collect();
+        let Some(quoted) = rest[n.len()..].strip_prefix(", \"") else {
+            continue;
+        };
+        let heading = quoted.split('"').next().expect("a closing quote");
+        out.push((n, heading.to_string()));
+    }
+    out
+}
+
+/// (ii) Every `DESIGN §N, "Heading"` citation in the repository names a
+/// heading DESIGN.md has, in section N.
+#[test]
+fn design_citations_name_existing_headings() {
+    let headings = design_headings();
+    let mut cited = 0;
+    for path in repo_files() {
+        let Ok(text) = std::fs::read_to_string(&path) else {
+            continue;
+        };
+        for (n, heading) in design_citations(&text) {
+            assert!(
+                headings.iter().any(|(s, h)| *s == n && *h == heading),
+                "{}: DESIGN §{n}, \"{heading}\" is no heading of DESIGN.md",
+                path.display()
+            );
+            cited += 1;
+        }
+    }
+    assert!(cited > 0, "no citation was found to check");
+}
+
+#[test]
+fn citations_read_across_lines_and_skip_code_spans() {
+    assert_eq!(
+        design_citations("see (DESIGN §4,\n\"Two\n words\"), DESIGN §4 alone, `DESIGN §4, \"X\"`"),
+        [("4".to_string(), "Two words".to_string())]
+    );
+}
+
+/// The test names DESIGN.md pins its sections with: every backticked
+/// name in a paragraph that starts `Pinned by:`, up to its blank line,
+/// with any `path::` prefix dropped.
+fn pinned_tests() -> Vec<String> {
+    let design = read(&root().join("DESIGN.md"));
+    let mut out = Vec::new();
+    for paragraph in design.split("\n\n") {
+        let Some(list) = paragraph.trim_start().strip_prefix("Pinned by:") else {
+            continue;
+        };
+        for name in list.split('`').skip(1).step_by(2) {
+            out.push(name.rsplit("::").next().expect("a name").to_string());
+        }
+    }
+    out
+}
+
+/// (iii) Every test a `Pinned by:` list names is a `fn` under `crates/`
+/// or `tests/`, so renaming or deleting a pinning test fails here.
+#[test]
+fn pinned_tests_exist() {
+    let pinned = pinned_tests();
+    assert!(!pinned.is_empty(), "DESIGN.md pins nothing");
+    let sources: Vec<String> = repo_files()
+        .into_iter()
+        .filter(|p| p.extension().is_some_and(|e| e == "rs"))
+        .filter(|p| {
+            let rel = p.strip_prefix(root()).expect("under the root");
+            rel.starts_with("crates") || rel.starts_with("tests")
+        })
+        .map(|p| read(&p))
+        .collect();
+    let defined = |name: &str| {
+        let decl = format!("fn {name}");
+        sources.iter().any(|src| {
+            src.match_indices(&decl).any(|(i, _)| {
+                let next = src[i + decl.len()..].chars().next();
+                next.is_some_and(|c| c == '(' || c == '<')
+            })
+        })
+    };
+    let missing: Vec<&String> = pinned.iter().filter(|n| !defined(n)).collect();
+    assert!(missing.is_empty(), "pinned tests with no `fn`: {missing:?}");
 }

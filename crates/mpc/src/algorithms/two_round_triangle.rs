@@ -23,7 +23,7 @@
 //! globally; a real system would piggyback a statistics round.
 
 use crate::algorithms::treejoin::{joined_schema, load_atoms, VarRel};
-use crate::cluster::{layer, rule, rule_unless, Routing};
+use crate::cluster::{layer, rule, rule_unless, Fate};
 use crate::datagen::heavy_hitters;
 use crate::partition::{route_by_key, HashPartitioner};
 use crate::report::RunReport;
@@ -87,21 +87,16 @@ impl TwoRoundTriangle {
         let hx = HashPartitioner::new(self.seed ^ 0x11, g);
         let hz = HashPartitioner::new(self.seed ^ 0x22, g);
         let hy = HashPartitioner::new(self.seed ^ 0x33, p);
-        let cells = |rows: &[usize], cols: &[usize]| -> Vec<usize> {
-            rows.iter()
-                .flat_map(|r| cols.iter().map(move |c| r * g + c))
-                .collect()
-        };
-        let all: Vec<usize> = (0..g).collect();
-        cluster.reshuffle(|_, f| {
+        cluster.route(&[], |_, f, out| {
             let (a, b) = (f.args[0], f.args[1]);
-            Routing::Send(match (f.rel == r_node.rel, f.rel == s_node.rel) {
-                (true, _) if is_heavy(b) => cells(&[hx.bucket(a)], &all),
-                (true, _) => vec![hy.bucket(b)],
-                (_, true) if is_heavy(a) => cells(&all, &[hz.bucket(b)]),
-                (_, true) => vec![hy.bucket(a)],
-                _ => vec![hx.bucket(b) * g + hz.bucket(a)],
-            })
+            match (f.rel == r_node.rel, f.rel == s_node.rel) {
+                (true, _) if is_heavy(b) => out.extend((0..g).map(|c| hx.bucket(a) * g + c)),
+                (true, _) => out.push(hy.bucket(b)),
+                (_, true) if is_heavy(a) => out.extend((0..g).map(|r| r * g + hz.bucket(b))),
+                (_, true) => out.push(hy.bucket(a)),
+                _ => out.push(hx.bucket(b) * g + hz.bucket(a)),
+            }
+            Fate::Send
         });
 
         // The heavy hitters "and their frequencies are known": a free

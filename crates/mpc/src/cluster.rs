@@ -11,7 +11,7 @@
 //! A server's state is a [`Shard`]: what it received, as one sorted,
 //! deduplicated trie run per relation and arity, which the computation
 //! phase's leapfrog plans read; its next state shares every run it keeps
-//! (DESIGN §4, "MPC server state").
+//! (DESIGN §4, "MPC rounds").
 //!
 //! ## Fault tolerance (checkpoint/replay)
 //!
@@ -98,33 +98,6 @@ pub enum Fate {
     /// The fact goes to every server appended, each delivery counted as
     /// load; none appended drops it.
     Send,
-}
-
-/// The fate of a fact in a [`Cluster::reshuffle`] round.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Routing {
-    /// The fact stays at its current holder — no communication, no load.
-    Keep,
-    /// The fact is sent to the given servers; each delivery counts as load
-    /// (a server hashing a fact to itself still "receives" it, as in the
-    /// model's accounting of repartitioning).
-    Send(Vec<ServerId>),
-    /// The fact is discarded.
-    Drop,
-}
-
-impl Routing {
-    /// The [`Fate`] this routing gives, its destinations appended to `out`.
-    fn fate(self, out: &mut Vec<ServerId>) -> Fate {
-        match self {
-            Routing::Keep => Fate::Keep,
-            Routing::Send(dests) => {
-                out.extend(dests);
-                Fate::Send
-            }
-            Routing::Drop => Fate::Send,
-        }
-    }
 }
 
 /// Per-round communication statistics.
@@ -728,7 +701,16 @@ impl Cluster {
     /// destinations to `out` (empty on entry) and says whether it
     /// [`Fate::Keep`]s or [`Fate::Send`]s it. Deliveries are
     /// deduplicated per destination, so a fact held by several servers
-    /// and routed alike by each counts once.
+    /// and routed alike by each counts once. The multi-round algorithms
+    /// carry intermediate relations across rounds (`Keep`, free) while
+    /// rehashing the relations of the current join (`Send`, counted at
+    /// every destination); a `Send` with nothing appended drops the fact.
+    ///
+    /// Accounting note: when the same fact is kept by one holder and
+    /// sent to that same server by another, the delivery deduplicates
+    /// against the kept copy and is not counted. Routing decisions in
+    /// this workspace are value-deterministic (all holders of a fact
+    /// choose the same fate), so the case does not arise in practice.
     ///
     /// # Panics
     /// Panics if `storage` is neither empty nor one shard per server, or
@@ -795,25 +777,6 @@ impl Cluster {
             .partition
             .as_ref()
             .is_some_and(|p| p.severed(round, from, to).is_some())
-    }
-
-    /// Communication phase with per-fact keep/send/drop decisions — the
-    /// workhorse of the multi-round algorithms, which carry intermediate
-    /// relations across rounds (`Keep`, free) while rehashing the
-    /// relations participating in the current semijoin/join (`Send`,
-    /// counted as load at every destination).
-    ///
-    /// Accounting note: when the same fact is `Keep`-retained by one
-    /// holder and `Send`-routed to that same server by another holder,
-    /// the delivery deduplicates against the kept copy and is not
-    /// counted. Routing decisions in this workspace are value-
-    /// deterministic (all holders of a fact choose the same fate), so
-    /// the case does not arise in practice.
-    pub fn reshuffle<F>(&mut self, route: F) -> &RoundStats
-    where
-        F: Fn(ServerId, &Fact) -> Routing + Sync,
-    {
-        self.route(&[], |src, f, out| route(src, f).fate(out))
     }
 
     /// Computation phase applied per server with access to the server id:
@@ -988,7 +951,7 @@ mod tests {
         let mut c = Cluster::new(2);
         c.place(0, [fact("R", &[9, 9])]);
         c.place(1, [fact("R", &[9, 9])]);
-        c.reshuffle(|_, _| Routing::Send(vec![0]));
+        c.communicate(|_| [0]);
         assert_eq!(c.local(0).len(), 1);
         assert_eq!(c.rounds()[0].received[0], 1);
     }
@@ -1208,7 +1171,7 @@ mod tests {
     }
 
     /// Drive every phase kind once: communicate, a computation that
-    /// keeps its input, reshuffle (Keep/Send/Drop), holder-dependent
+    /// keeps its input, route (keep/send/drop), holder-dependent
     /// routing, compute_per_server.
     fn mixed_phase_run(mut c: Cluster, facts: &[Fact]) -> Cluster {
         let p = c.p();
@@ -1219,16 +1182,18 @@ mod tests {
         c.compute_per_server(|_, shard| {
             shard.with_facts(shard.iter().map(|f| fact("S", &[f.args[1].0, f.args[0].0])))
         });
-        c.reshuffle(|src, f| {
+        c.route(&[], |src, f, out| {
             if f.rel == parlog_relal::symbols::rel("S") {
-                Routing::Send(vec![(f.args[0].0 as usize + src) % p])
-            } else if f.args[0].0 % 5 == 0 {
-                Routing::Drop
-            } else {
-                Routing::Keep
+                out.push((f.args[0].0 as usize + src) % p);
+            } else if f.args[0].0 % 5 != 0 {
+                return Fate::Keep;
             }
+            Fate::Send
         });
-        c.reshuffle(|src, f| Routing::Send(vec![(f.args[1].0 as usize + src) % p]));
+        c.route(&[], |src, f, out| {
+            out.push((f.args[1].0 as usize + src) % p);
+            Fate::Send
+        });
         c.compute_per_server(|s, shard| {
             Shard::from_facts(shard.iter().map(|f| fact("T", &[f.args[0].0 + s as u64])))
         });
@@ -1397,10 +1362,13 @@ mod tests {
     // verbatim as its oracle: route everything first, then one
     // sequential merge inserting fact by fact.
 
+    /// A fact's fate and destinations, as the oracle's routing reads them.
+    type Routed = (Fate, Vec<ServerId>);
+
     fn apply_deliveries(
         p: usize,
         items: &[(ServerId, Fact)],
-        routings: Vec<Routing>,
+        routings: Vec<Routed>,
     ) -> (Vec<Instance>, Vec<usize>, u64) {
         let mut next: Vec<Instance> = vec![Instance::new(); p];
         let mut received = vec![0usize; p];
@@ -1408,10 +1376,10 @@ mod tests {
         for ((src, f), routing) in items.iter().zip(routings) {
             let src = *src;
             match routing {
-                Routing::Keep => {
+                (Fate::Keep, _) => {
                     next[src].insert(f.clone());
                 }
-                Routing::Send(dests) => {
+                (Fate::Send, dests) => {
                     for &dest in &dests {
                         assert!(dest < p, "destination {dest} out of range for p={p}");
                         if next[dest].insert(f.clone()) {
@@ -1420,7 +1388,6 @@ mod tests {
                         }
                     }
                 }
-                Routing::Drop => {}
             }
         }
         (next, received, bytes)
@@ -1436,7 +1403,7 @@ mod tests {
     fn apply_deliveries_partitioned(
         p: usize,
         items: &[(ServerId, Fact)],
-        routings: Vec<Routing>,
+        routings: Vec<Routed>,
         ctx: &PartitionCtx<'_>,
     ) -> (Vec<Instance>, Vec<usize>, u64) {
         let mut next: Vec<Instance> = vec![Instance::new(); p];
@@ -1455,10 +1422,10 @@ mod tests {
         for ((src, f), routing) in items.iter().zip(routings) {
             let src = *src;
             match routing {
-                Routing::Keep => {
+                (Fate::Keep, _) => {
                     next[src].insert(f.clone());
                 }
-                Routing::Send(dests) => {
+                (Fate::Send, dests) => {
                     for &dest in &dests {
                         assert!(dest < p, "destination {dest} out of range for p={p}");
                         if ctx.plan.severed(ctx.round, src, dest).is_some() {
@@ -1469,7 +1436,6 @@ mod tests {
                         }
                     }
                 }
-                Routing::Drop => {}
             }
         }
         (next, received, bytes)
@@ -1481,10 +1447,16 @@ mod tests {
         p: usize,
         items: &[(ServerId, Fact)],
         carried: &[HeldCopy],
-        route: &(impl Fn(ServerId, &Fact) -> Routing + Sync),
+        route: &(impl Fn(ServerId, &Fact, &mut Vec<ServerId>) -> Fate + Sync),
         plan: Option<(&PartitionPlan, usize)>,
     ) -> Delivered {
-        let routings: Vec<Routing> = items.iter().map(|(src, f)| route(*src, f)).collect();
+        let routings: Vec<Routed> = items
+            .iter()
+            .map(|(src, f)| {
+                let mut dests = Vec::new();
+                (route(*src, f, &mut dests), dests)
+            })
+            .collect();
         let held_out = std::cell::RefCell::new(Vec::new());
         let (next, received, bytes) = match plan {
             None => apply_deliveries(p, items, routings),
@@ -1539,19 +1511,6 @@ mod tests {
         }
     }
 
-    /// [`mixed_route`] as a per-fact [`Routing`].
-    fn mixed_fate(p: usize, salt: u64) -> impl Fn(ServerId, &Fact) -> Routing + Sync {
-        let route = mixed_route(p, salt);
-        move |src, f| {
-            let mut out = Vec::new();
-            match route(src, f, &mut out) {
-                Fate::Keep => Routing::Keep,
-                Fate::Send if out.is_empty() => Routing::Drop,
-                Fate::Send => Routing::Send(out),
-            }
-        }
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(48))]
 
@@ -1561,8 +1520,7 @@ mod tests {
         /// and several shards of one server, one relation at two arities,
         /// arities 0 and 3, carried holds, an open or healed partition
         /// epoch, rounds below and above the sequential cut-off, at
-        /// parallelism 1, 2 and 4, through the buffer route and through
-        /// the `Routing` adapter — next shards, loads, bytes and held
+        /// parallelism 1, 2 and 4 — next shards, loads, bytes and held
         /// copies identical.
         #[test]
         fn bucketed_attempt_matches_per_fact_delivery(
@@ -1617,20 +1575,15 @@ mod tests {
                 1 => (Some((&plan, 1)), &carried),
                 _ => (Some((&plan, 2)), &carried),
             };
-            let (route, fate) = (mixed_route(p, salt), mixed_fate(p, salt));
-            let adapted = |src, f: &Fact, out: &mut Vec<ServerId>| fate(src, f).fate(out);
-            let want = deliver_per_fact(p, &items, carried, &fate, plan);
+            let route = mixed_route(p, salt);
+            let want = deliver_per_fact(p, &items, carried, &route, plan);
             for threads in [1, 2, 4] {
                 let mut holders = holders.clone();
-                for got in [
-                    deliver(p, threads, &mut holders, carried, &route, plan),
-                    deliver(p, threads, &mut holders, carried, &adapted, plan),
-                ] {
-                    assert_same_state(&got.next, &want.next, "bucketed vs per-fact");
-                    proptest::prop_assert_eq!(&got.received, &want.received);
-                    proptest::prop_assert_eq!(got.bytes, want.bytes);
-                    proptest::prop_assert_eq!(&got.held, &want.held);
-                }
+                let got = deliver(p, threads, &mut holders, carried, &route, plan);
+                assert_same_state(&got.next, &want.next, "bucketed vs per-fact");
+                proptest::prop_assert_eq!(&got.received, &want.received);
+                proptest::prop_assert_eq!(got.bytes, want.bytes);
+                proptest::prop_assert_eq!(&got.held, &want.held);
             }
         }
     }
@@ -1652,12 +1605,13 @@ mod tests {
 
         let all = Instance::from_facts(c.local.iter().chain(&storage).flat_map(Shard::iter));
         let items: Vec<(ServerId, Fact)> = all.iter().map(|f| (0, f.clone())).collect();
-        let want = deliver_per_fact(p, &items, &[], &|_, f| Routing::Send(route(f)), None);
-
-        c.route(&storage, |_, f, out| {
+        let send = |_, f: &Fact, out: &mut Vec<ServerId>| {
             out.extend(route(f));
             Fate::Send
-        });
+        };
+        let want = deliver_per_fact(p, &items, &[], &send, None);
+
+        c.route(&storage, send);
         for s in 0..p {
             assert_eq!(c.shard(s), &want.next[s], "server {s}");
         }
@@ -1685,8 +1639,11 @@ mod tests {
                 .with_faults(plan);
             c.route(&storage, mixed_route(p, 5));
             let held_open = c.held.clone();
-            c.reshuffle(|src, f| Routing::Send(vec![(f.args[0].0 as usize + src) % p]));
-            c.reshuffle(mixed_fate(p, 6));
+            c.route(&[], |src, f, out| {
+                out.push((f.args[0].0 as usize + src) % p);
+                Fate::Send
+            });
+            c.route(&[], mixed_route(p, 6));
             c.communicate(|f| vec![(f.args[0].0 % 4) as usize]);
             (c, held_open)
         };

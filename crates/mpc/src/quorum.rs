@@ -18,14 +18,14 @@
 //!   commit, so two sides of a split can never both open the barrier:
 //!   split-brain is structurally impossible.
 //!
-//! Acks ride ordinary communication rounds (a [`Cluster::reshuffle`]
+//! Acks ride ordinary communication rounds (a [`Cluster::route`]
 //! per wait round, with all data facts kept in place), so they are
 //! subject to exactly the same partition schedule as the data — held
 //! at the source while a severing epoch is open, flushed on heal. A
 //! barrier that lost quorum during a healing split therefore commits
 //! in the first wait round at or after the heal.
 
-use crate::cluster::{Cluster, Routing, ServerId};
+use crate::cluster::{Cluster, Fate, ServerId};
 use parlog_relal::fact::fact;
 use parlog_relal::shard::Relations;
 use parlog_relal::symbols::rel;
@@ -78,7 +78,7 @@ impl BarrierOutcome {
 }
 
 /// Drive a coordination barrier: seed one ack fact per server, then run
-/// wait rounds (each a [`Cluster::reshuffle`] that keeps every data
+/// wait rounds (each a [`Cluster::route`] that keeps every data
 /// fact in place and routes pending acks to `coordinator`) until the
 /// gate condition holds or `max_rounds` wait rounds are spent.
 ///
@@ -123,11 +123,12 @@ pub fn coordination_barrier(
             return BarrierOutcome::Deadlocked { acks, rounds };
         }
         rounds += 1;
-        c.reshuffle(|src, f| {
+        c.route(&[], |src, f, out| {
             if f.rel == ack && src != coordinator {
-                Routing::Send(vec![coordinator])
+                out.push(coordinator);
+                Fate::Send
             } else {
-                Routing::Keep
+                Fate::Keep
             }
         });
     }

@@ -19,7 +19,7 @@
 //! algebra never materialize anything larger than their inputs — the
 //! property reference \[47\] exploits.
 
-use crate::cluster::{layer, rule, rule_unless, Cluster, Routing};
+use crate::cluster::{layer, rule, rule_unless, Cluster, Fate};
 use crate::partition::{route_by_key, seed_cluster, HashPartitioner, InitialPartition};
 use crate::report::RunReport;
 use parlog_relal::algebra::{ArityError, Condition, RaExpr};
@@ -248,16 +248,17 @@ impl DistributedRa {
 fn grid_round(cluster: &mut Cluster, l: RelId, r: RelId, seed: u64) {
     let g = ((cluster.p() as f64).sqrt().floor() as usize).max(1);
     let h = HashPartitioner::new(seed, g);
-    cluster.reshuffle(|_, f| {
+    cluster.route(&[], |_, f, out| {
         if f.rel == l {
             let row = h.bucket_of(&f.args);
-            Routing::Send((0..g).map(|c| row * g + c).collect())
+            out.extend((0..g).map(|c| row * g + c));
         } else if f.rel == r {
             let col = h.bucket_of(&f.args);
-            Routing::Send((0..g).map(|r| r * g + col).collect())
+            out.extend((0..g).map(|r| r * g + col));
         } else {
-            Routing::Keep
+            return Fate::Keep;
         }
+        Fate::Send
     });
 }
 

@@ -44,7 +44,7 @@
 //! partition hold-and-flush is handled by draining held copies after a
 //! dirtied pass and re-running the wave schedule once healed.
 
-use crate::cluster::{layer, Cluster, Fate, Routing};
+use crate::cluster::{layer, Cluster, Fate};
 use crate::datagen::value_frequencies;
 use crate::hypercube::HypercubeAlgorithm;
 use crate::partition::deal;
@@ -585,7 +585,7 @@ impl SkewAdaptiveJoin {
         RunReport::from_cluster("skew-adaptive", cluster, db.len())
     }
 
-    /// One full wave schedule: per wave, a storage-draining reshuffle
+    /// One full wave schedule: per wave, a storage-draining round
     /// routes the wave's cohort onto its pattern blocks (head facts
     /// accumulated so far ride along load-free), then the rule `H <- body`
     /// of the *original* query runs with the input relations dropped, so
@@ -622,7 +622,7 @@ impl SkewAdaptiveJoin {
             if open && plan.and_then(|pl| pl.next_transition(clock)).is_none() {
                 return false;
             }
-            cluster.reshuffle(|_, _| Routing::Keep);
+            cluster.route(&[], |_, _, _| Fate::Keep);
         }
     }
 }

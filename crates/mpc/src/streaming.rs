@@ -20,7 +20,7 @@
 //! (hash-partition on the key, then stream each group); tests assert both
 //! the outputs and the measured memory profiles.
 
-use crate::cluster::{Cluster, Routing, ServerId};
+use crate::cluster::{Cluster, Fate, ServerId};
 use crate::partition::{
     key_bucket, route_by_key, seed_cluster, HashPartitioner, InitialPartition, KeyRoute,
 };
@@ -362,13 +362,14 @@ where
                 .place(s, inserts.iter().skip(s).step_by(p).cloned());
         }
         let routes = &self.routes;
-        self.cluster.reshuffle(|_, f| {
+        self.cluster.route(&[], |_, f, out| {
             if del.contains(f) {
-                Routing::Drop
+                Fate::Send
             } else if ins.contains(f) {
-                key_bucket(routes, f).map_or(Routing::Drop, |(_, s)| Routing::Send(vec![s]))
+                out.extend(key_bucket(routes, f).map(|(_, s)| s));
+                Fate::Send
             } else {
-                Routing::Keep
+                Fate::Keep
             }
         });
         self.rounds_pushed += 1;

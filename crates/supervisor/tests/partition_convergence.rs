@@ -17,7 +17,7 @@
 use proptest::prelude::*;
 
 use parlog_faults::{FaultPlan, PartitionPlan};
-use parlog_mpc::cluster::{Cluster, Routing};
+use parlog_mpc::cluster::{Cluster, Fate};
 use parlog_relal::eval::{eval_query, EvalStrategy};
 use parlog_relal::fact::fact;
 use parlog_relal::instance::Instance;
@@ -142,7 +142,7 @@ proptest! {
             // bounded number of Keep rounds flushes every held copy.
             let mut rounds = 0usize;
             while c.held_by_partition() > 0 && rounds < 32 {
-                c.reshuffle(|_, _| Routing::Keep);
+                c.route(&[], |_, _, _| Fate::Keep);
                 rounds += 1;
             }
             c.compute_query(&q, EvalStrategy::Indexed);

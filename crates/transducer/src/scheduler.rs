@@ -86,8 +86,10 @@ impl SimRun {
     /// Set up a network for the run `rc` describes: one node per shard,
     /// `init` everywhere with the initial broadcasts queued, then the
     /// trace attached and the fault plan installed, in that order (the
-    /// init broadcasts are routed through the plan's injector). Panics on
-    /// a plan's MPC-only fields ([`FaultPlan::mpc_only`]).
+    /// init broadcasts are routed through the plan's injector). Without a
+    /// plan the buffered init copies are booked on the trace as delivered,
+    /// as a benign plan would book them, with no fate drawn. Panics on a
+    /// plan's MPC-only fields ([`FaultPlan::mpc_only`]).
     pub fn new<P: TransducerProgram + ?Sized>(
         program: &P,
         shards: &[Instance],
@@ -95,8 +97,13 @@ impl SimRun {
     ) -> SimRun {
         let mut run = SimRun::setup(program, shards, rc.ctx.clone());
         run.trace = rc.trace.clone();
-        if let Some(plan) = rc.faults {
-            run.install_plan(plan);
+        match rc.faults {
+            Some(plan) => run.install_plan(plan),
+            None => {
+                for (_, fact) in run.buffers.iter().flatten() {
+                    run.book_wire(fact, 1, CommCounters::default());
+                }
+            }
         }
         run
     }
@@ -1025,6 +1032,33 @@ mod tests {
         finish(&mut healed, &p, Schedule::Random(2));
         assert_eq!(healed.outputs(), expected);
         assert!(healed.clock() > 0);
+    }
+
+    /// The init copies are on the wire whether or not a plan is
+    /// installed: a traced run without one books the same `sent` and
+    /// `bytes` as the same run under the benign plan.
+    #[test]
+    fn init_copies_are_booked_without_a_plan() {
+        use crate::programs::monotone::MonotoneBroadcast;
+        use parlog_trace::MemSink;
+        let q = parlog_relal::parser::parse_query("H(x,z) <- E(x,y), E(y,z)").unwrap();
+        let db = Instance::from_facts((0..20u64).map(|i| fact("E", &[i, i + 1])));
+        let p = MonotoneBroadcast::new(q);
+        let shards = crate::distribution::hash_distribution(&db, 4, 3);
+        let benign = FaultPlan::none(1);
+        let comm = |plan: Option<&FaultPlan>| {
+            let sink = Arc::new(MemSink::new());
+            let mut rc = oblivious(Schedule::Random(1)).with_trace(TraceHandle::to(sink.clone()));
+            if let Some(plan) = plan {
+                rc = rc.with_faults(plan);
+            }
+            let out = run(&p, &shards, &rc);
+            (sink.comm(), out.delivered)
+        };
+        let (bare, delivered) = comm(None);
+        let (planned, _) = comm(Some(&benign));
+        assert_eq!(bare.sent, delivered as u64, "every copy sent was booked");
+        assert_eq!((bare.sent, bare.bytes), (planned.sent, planned.bytes));
     }
 
     #[test]

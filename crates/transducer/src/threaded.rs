@@ -8,7 +8,9 @@
 //! see the tests and the `transducer` bench).
 //!
 //! Termination uses a global in-flight counter: a sender increments it
-//! before sending; a receiver decrements after processing. When the
+//! before sending; a receiver decrements after processing. Every node
+//! waits at a barrier after its `init` broadcast, so no node checks for
+//! quiescence before every `init` copy is counted. From then on, when the
 //! counter is zero and a node's channel is empty, no further message can
 //! ever arrive for it (nodes only send while processing), so it may stop.
 
@@ -23,6 +25,7 @@ use parlog_relal::fact::Fact;
 use parlog_relal::fastmap::{fxset, FxSet};
 use parlog_relal::instance::Instance;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Barrier;
 use std::time::Duration;
 
 /// The threaded arm of [`crate::run`]: one scoped thread per node until
@@ -78,6 +81,7 @@ where
         in_flight: AtomicUsize::new(0),
         delivered: AtomicUsize::new(0),
         facts_broadcast: AtomicUsize::new(0),
+        inited: Barrier::new(shards.len()),
         senders,
     };
     let mut output = Instance::new();
@@ -112,6 +116,8 @@ struct Network<'a> {
     in_flight: AtomicUsize,
     delivered: AtomicUsize,
     facts_broadcast: AtomicUsize,
+    /// Passed once every node has sent its `init` broadcast.
+    inited: Barrier,
     senders: Vec<Sender<(usize, Fact)>>,
 }
 
@@ -128,6 +134,10 @@ impl Network<'_> {
         let mut node = NodeState::new(id, shard.clone());
         let mut sent: FxSet<Fact> = fxset();
         self.broadcast(id, program.init(&mut node, self.ctx), &mut sent);
+        // A node that ran its quiescence check before a late node's
+        // `init` could exit with that node's copies still to come, and
+        // the late node would then wait forever for them to be consumed.
+        self.inited.wait();
         loop {
             match receiver.recv_timeout(Duration::from_millis(2)) {
                 Ok((from, fact)) => {
@@ -349,6 +359,68 @@ mod tests {
         assert!(
             out.stats.straggler_stalls > 0,
             "the straggler must actually stall"
+        );
+    }
+
+    /// [`MonotoneBroadcast`] whose `init` on node `slow` sleeps first.
+    struct SlowInit {
+        inner: MonotoneBroadcast,
+        slow: usize,
+    }
+
+    impl crate::program::TransducerProgram for SlowInit {
+        fn name(&self) -> &str {
+            "slow-init"
+        }
+        fn init(
+            &self,
+            node: &mut crate::network::NodeState,
+            ctx: &Ctx,
+        ) -> crate::program::Broadcast {
+            if node.id == self.slow {
+                std::thread::sleep(std::time::Duration::from_millis(30));
+            }
+            self.inner.init(node, ctx)
+        }
+        fn on_fact(
+            &self,
+            node: &mut crate::network::NodeState,
+            from: usize,
+            fact: &parlog_relal::fact::Fact,
+            ctx: &Ctx,
+        ) -> crate::program::Broadcast {
+            self.inner.on_fact(node, from, fact, ctx)
+        }
+    }
+
+    /// Only the last node holds facts, and its `init` runs well past the
+    /// receive timeout: the other nodes, idle with nothing in flight,
+    /// must still be there to consume its broadcast. A watchdog turns a
+    /// hang into a failure.
+    #[test]
+    fn a_late_init_is_consumed_before_anyone_quits() {
+        let q = parse_query("H(x,z) <- E(x,y), E(y,z)").unwrap();
+        let expected = parlog_relal::eval::eval_query(&q, &db());
+        let n = 4;
+        let mut dist = vec![Instance::new(); n];
+        dist[n - 1] = db();
+        let p = SlowInit {
+            inner: MonotoneBroadcast::new(q),
+            slow: n - 1,
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let out = run(&p, &dist, &threaded(Ctx::oblivious()));
+            tx.send(out).ok();
+        });
+        let out = rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("the threaded run reached quiescence");
+        assert_eq!(out.output, expected);
+        assert_eq!(
+            out.delivered,
+            (n - 1) * db().len(),
+            "every init copy consumed"
         );
     }
 
