@@ -9,19 +9,18 @@
 //! serialized `RunStats` are byte-identical to the sequential engine's —
 //! the thread count is unobservable in the results.
 //!
-//! The wall-clock speed-up of the parallel engine is reported, not
-//! asserted: what a host shows depends on the cores it has free (on a
-//! 2-vCPU host the skew-free triangles run 1.2–1.4× faster at p ≥ 8).
+//! The wall-clock speed-up of the parallel engine is measured by
+//! `crates/perf`: `mpc.cluster.par2_speedup` (a traced `mpc_shuffle`
+//! pass) times one HyperCube job on 1 and on 2 worker threads.
 //!
 //! Per-server max-load is recorded across p and skew: load balance is
 //! what converts worker threads into wall-clock, so the skewed workload's
-//! straggling server is visible as a smaller speedup at equal p.
+//! straggling server would show as a smaller speedup at equal p.
 //!
-//! Output: `JSON e20_timings {...}` (machine-dependent wall-clock, first)
-//! and `JSON e20_parallel_engine {...}` (deterministic, last line;
+//! Output: `JSON e20_parallel_engine {...}` (deterministic, last line;
 //! committed as `BENCH_e20.json`).
 
-use crate::{best_ms, f3, json_record, section, Table};
+use crate::{f3, json_record, section, Table};
 use parlog::mpc::cluster::Cluster;
 use parlog::mpc::datagen;
 use parlog::mpc::hypercube::HypercubeAlgorithm;
@@ -84,22 +83,6 @@ pub struct E20 {
     all_identical: bool,
 }
 
-#[derive(serde::Serialize)]
-struct TimingRow {
-    workload: String,
-    p: usize,
-    seq_ms: f64,
-    par_ms: f64,
-    speedup: f64,
-}
-
-#[derive(serde::Serialize)]
-struct Timings {
-    hardware_threads: usize,
-    worker_threads: usize,
-    rows: Vec<TimingRow>,
-}
-
 /// Compute the record, printing its tables: every configuration on the
 /// sequential and on the parallel engine.
 pub fn record() -> E20 {
@@ -153,47 +136,6 @@ pub fn record() -> E20 {
     }
 }
 
-/// The wall-clock section: both engines per configuration, best of 2.
-fn timings() -> Timings {
-    let workers = workers();
-    let q = triangle();
-    section(&format!(
-        "E20 wall-clock, best of 2 ({workers} worker threads; reported, not asserted)"
-    ));
-    let mut t = Table::new(&["workload", "p", "seq ms", "par ms", "speedup"]);
-    let mut rows = Vec::new();
-    for (name, db) in workloads() {
-        for p in SERVERS {
-            let hc = HypercubeAlgorithm::new(&q, p).unwrap();
-            let seq_ms = best_ms(2, || {
-                run_on(&hc, &db, 1);
-            });
-            let par_ms = best_ms(2, || {
-                run_on(&hc, &db, workers);
-            });
-            let speedup = seq_ms / par_ms.max(1e-9);
-            t.row(&[&name, &p, &f3(seq_ms), &f3(par_ms), &f3(speedup)]);
-            rows.push(TimingRow {
-                workload: name.to_string(),
-                p,
-                seq_ms,
-                par_ms,
-                speedup,
-            });
-        }
-    }
-    t.print();
-    Timings {
-        hardware_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        worker_threads: workers,
-        rows,
-    }
-}
-
 pub fn run() {
-    let record = record();
-    // Machine-dependent record first; the deterministic record is the
-    // final stdout line.
-    json_record("e20_timings", &timings());
-    json_record("e20_parallel_engine", &record);
+    json_record("e20_parallel_engine", &record());
 }

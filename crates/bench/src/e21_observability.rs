@@ -12,16 +12,15 @@
 //! 2. **Determinism survives instrumentation.** The deterministic trace
 //!    section (spans on the virtual clock, histograms, counters,
 //!    timeline) is byte-identical across worker-thread counts and
-//!    reruns, fault-free and faulty alike; wall-clock lives in its own
-//!    segregated record.
+//!    reruns, fault-free and faulty alike. (The sink's wall-clock
+//!    section is `crates/perf`'s to read.)
 //! 3. **The decision timeline is complete.** A supervised crash-stop
 //!    run logs `Crash → Suspect → ConfirmDead → Heal` in that order,
 //!    and the sink's message counters agree with the fault injector's
 //!    own books.
 //!
-//! Output: `JSON e21_wall {...}` (machine-dependent, first) and
-//! `JSON e21_observability {...}` (deterministic, last line; committed
-//! as `BENCH_e21.json`).
+//! Output: `JSON e21_observability {...}` (deterministic, last line;
+//! committed as `BENCH_e21.json`).
 
 use std::sync::Arc;
 
@@ -50,14 +49,14 @@ fn triangle() -> ConjunctiveQuery {
     parse_query("H(x,y,z) <- R(x,y), S(y,z), T(z,x)").unwrap()
 }
 
-/// One traced fault-free HyperCube run: deterministic JSON, the report's
-/// aggregates, and the wall-clock total.
+/// One traced fault-free HyperCube run: deterministic JSON and the
+/// report's aggregates.
 fn traced_run(
     hc: &HypercubeAlgorithm,
     q: &ConjunctiveQuery,
     db: &Instance,
     threads: usize,
-) -> (String, parlog::trace::TraceReport, u64) {
+) -> (String, parlog::trace::TraceReport) {
     let sink = Arc::new(MemSink::new());
     let mut cluster = Cluster::new(hc.servers())
         .with_parallelism(threads)
@@ -70,7 +69,7 @@ fn traced_run(
     );
     let report = sink.report_with_bound(Some(bound));
     let json = serde_json::to_string(&report).unwrap();
-    (json, report, sink.wall_report().total_ns)
+    (json, report)
 }
 
 /// One traced *faulty* run: crash in round 0, straggler, speculation.
@@ -127,12 +126,6 @@ pub struct E21 {
     loads: Vec<LoadRecord>,
     faulty_identical_across_threads: bool,
     supervised: SupervisedRecord,
-}
-
-#[derive(serde::Serialize)]
-struct Wall {
-    hardware_threads: usize,
-    traced_total_ns: u64,
 }
 
 /// Supervised crash-stop on 4 transducer nodes, traced twice.
@@ -194,23 +187,16 @@ fn supervised_section() -> SupervisedRecord {
     }
 }
 
-fn hardware_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-fn workloads() -> [(&'static str, Instance); 2] {
-    [
-        ("skew-free", datagen::triangle_db(M, DOMAIN, SEED)),
-        ("zipf-skew", datagen::triangle_heavy_db(M, DOMAIN, SEED)),
-    ]
-}
-
 /// Compute the record, printing its tables.
 pub fn record() -> E21 {
-    let hardware = hardware_threads();
+    let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
     let q = triangle();
     let mut loads: Vec<LoadRecord> = Vec::new();
-    for (name, db) in &workloads() {
+    let workloads = [
+        ("skew-free", datagen::triangle_db(M, DOMAIN, SEED)),
+        ("zipf-skew", datagen::triangle_heavy_db(M, DOMAIN, SEED)),
+    ];
+    for (name, db) in &workloads {
         section(&format!(
             "E21 {name} triangles (m = {M}/relation, domain {DOMAIN}): observed load vs m/p^(2/3)"
         ));
@@ -226,8 +212,8 @@ pub fn record() -> E21 {
         ]);
         for p in [8usize, 27] {
             let hc = HypercubeAlgorithm::new(&q, p).unwrap();
-            let (json1, report, _) = traced_run(&hc, &q, db, 1);
-            let (json8, _, _) = traced_run(&hc, &q, db, 8.min(hardware));
+            let (json1, report) = traced_run(&hc, &q, db, 1);
+            let (json8, _) = traced_run(&hc, &q, db, 8.min(hardware));
             let identical = json1 == json8;
             assert!(identical, "{name} p={p}: trace must not see thread count");
             let round = report.rounds.last().expect("one round happened");
@@ -307,26 +293,6 @@ pub fn record() -> E21 {
     }
 }
 
-/// The wall-clock section: the single-threaded traced runs' total.
-fn wall() -> Wall {
-    let q = triangle();
-    let mut traced_total_ns = 0;
-    for (_, db) in &workloads() {
-        for p in [8usize, 27] {
-            let hc = HypercubeAlgorithm::new(&q, p).unwrap();
-            traced_total_ns += traced_run(&hc, &q, db, 1).2;
-        }
-    }
-    Wall {
-        hardware_threads: hardware_threads(),
-        traced_total_ns,
-    }
-}
-
 pub fn run() {
-    let record = record();
-    // Machine-dependent record first; the deterministic record is the
-    // final stdout line.
-    json_record("e21_wall", &wall());
-    json_record("e21_observability", &record);
+    json_record("e21_observability", &record());
 }

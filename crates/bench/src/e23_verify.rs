@@ -23,11 +23,14 @@
 //!    verify-then-commit (cadence 1) is the zero-latency point of the
 //!    same trade-off.
 //!
-//! Output: `JSON e23_timings {...}` (machine-dependent, first) and
-//! `JSON e23_verify {...}` (deterministic, last line; committed as
-//! `BENCH_e23.json`).
+//! Engine and checker wall-clock are `crates/perf`'s
+//! `verify.certificate.prove_us` and `verify.checker.check_us` (a traced
+//! `mpc_shuffle` pass).
+//!
+//! Output: `JSON e23_verify {...}` (deterministic, last line; committed
+//! as `BENCH_e23.json`).
 
-use crate::{best_ms, f3, json_record, section, Table};
+use crate::{f3, json_record, section, Table};
 use parlog::faults::{CorruptKind, FaultPlan};
 use parlog::mpc::cluster::Cluster;
 use parlog::prelude::*;
@@ -123,15 +126,6 @@ struct CertRecord {
 }
 
 #[derive(serde::Serialize)]
-struct CertTiming {
-    shape: String,
-    p: usize,
-    engine_ms: f64,
-    checker_ms: f64,
-    checker_over_engine: f64,
-}
-
-#[derive(serde::Serialize)]
 struct Detection {
     sweeps: usize,
     detected: usize,
@@ -157,11 +151,6 @@ pub struct E23 {
     /// Asserted: every sweep detected, every latency = distance to the
     /// next audit.
     all_corruptions_detected: bool,
-}
-
-#[derive(serde::Serialize)]
-struct Timings {
-    rows: Vec<CertTiming>,
 }
 
 /// Compute the record, printing its tables.
@@ -319,42 +308,6 @@ pub fn record() -> E23 {
     }
 }
 
-/// The wall-clock section: prove (engine + certificate construction)
-/// against the trusted check, best of 2 each.
-fn timings() -> Timings {
-    section("E23 wall-clock: engine vs checker, best of 2");
-    let mut t = Table::new(&["shape", "p", "engine ms", "checker ms"]);
-    let mut rows = Vec::new();
-    for (shape, src, rels) in shapes() {
-        let u = UnionQuery::new(vec![parse_query(src).unwrap()]);
-        for p in [8usize, 27] {
-            let shards = server_shards(&rels, p);
-            let engine_ms = best_ms(2, || {
-                prove_all(&u, &shards);
-            });
-            let (answers, certs): (Vec<Instance>, Vec<ServerCertificate>) =
-                prove_all(&u, &shards).into_iter().unzip();
-            let checker_ms = best_ms(2, || {
-                check_cluster(&u, &shards, &answers, &certs).expect("accepted");
-            });
-            t.row(&[&shape, &p, &f3(engine_ms), &f3(checker_ms)]);
-            rows.push(CertTiming {
-                shape: shape.to_string(),
-                p,
-                engine_ms,
-                checker_ms,
-                checker_over_engine: checker_ms / engine_ms.max(1e-9),
-            });
-        }
-    }
-    t.print();
-    Timings { rows }
-}
-
 pub fn run() {
-    let record = record();
-    // Machine-dependent record first; the deterministic record is the
-    // final stdout line.
-    json_record("e23_timings", &timings());
-    json_record("e23_verify", &record);
+    json_record("e23_verify", &record());
 }

@@ -31,11 +31,15 @@
 //! * at the largest tier the work ratio (scratch ops / refresh ops) is
 //!   ≥ 10× for insert and delete deltas on both workloads.
 //!
-//! Output: `JSON e25_timings {...}` (machine-dependent, first) and
-//! `JSON e25_incremental {...}` (deterministic, last line; committed as
-//! `BENCH_e25.json`).
+//! The from-scratch fixpoint's wall-clock is `crates/perf`'s
+//! `datalog.eval.scratch_us` (`serve_mix`'s scratch programs), and the
+//! time ratio of the two paths is `datalog.maintain.scratch_vs_refresh_ratio`
+//! (a traced `view_churn` pass).
+//!
+//! Output: `JSON e25_incremental {...}` (deterministic, last line;
+//! committed as `BENCH_e25.json`).
 
-use crate::{best_ms, f3, json_record, section, Table};
+use crate::{f3, json_record, section, Table};
 use parlog_datalog::prelude::*;
 use parlog_relal::eval::EvalStrategy;
 use parlog_relal::fact::{fact, Fact};
@@ -152,13 +156,6 @@ pub struct E25 {
     workloads: Vec<WorkloadRecord>,
 }
 
-#[derive(serde::Serialize)]
-struct TimingRow {
-    workload: String,
-    n: u64,
-    scratch_ms: f64,
-}
-
 fn run_workload(w: &Workload) -> WorkloadRecord {
     let (name, src) = (w.name, w.src);
     let p = parse_program(src).unwrap();
@@ -250,35 +247,6 @@ pub fn record() -> E25 {
     }
 }
 
-/// The wall-clock section: each tier's from-scratch evaluation after
-/// the insert delta, on the warm tries the record's scratch pass reads.
-fn timings() -> Vec<TimingRow> {
-    let mut rows = Vec::new();
-    for w in &WORKLOADS {
-        let p = parse_program(w.src).unwrap();
-        for n in SIZES {
-            let mut db = (w.db)(n);
-            // Built for the warm tries its fixpoint leaves on `db`, as in
-            // the record's pass.
-            MaterializedView::new(&p, &db, EvalStrategy::Wcoj).expect("stratifies");
-            db.insert((w.delta)(n));
-            let cold = db.clone();
-            rows.push(TimingRow {
-                workload: w.name.to_string(),
-                n,
-                scratch_ms: best_ms(1, || {
-                    eval_program(&p, &cold, EvalStrategy::Wcoj).expect("scratch");
-                }),
-            });
-        }
-    }
-    rows
-}
-
 pub fn run() {
-    let record = record();
-    // Machine-dependent record first; the deterministic record is the
-    // final stdout line.
-    json_record("e25_timings", &timings());
-    json_record("e25_incremental", &record);
+    json_record("e25_incremental", &record());
 }

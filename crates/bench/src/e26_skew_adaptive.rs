@@ -24,11 +24,14 @@
 //!   heavy hitter, which is exactly what the decomposition repairs;
 //! * both engines produce identical outputs everywhere.
 //!
-//! Output: `JSON e26_timings {...}` (machine-dependent, first) and
-//! `JSON e26_skew_adaptive {...}` (deterministic, last line; committed as
-//! `BENCH_e26.json`).
+//! The engine's wall-clock on this workload is `crates/perf`'s
+//! `mpc.job.skew_join.p50_us` (an `mpc_shuffle` job on one of this
+//! grid's points).
+//!
+//! Output: `JSON e26_skew_adaptive {...}` (deterministic, last line;
+//! committed as `BENCH_e26.json`).
 
-use crate::{best_ms, f3, json_record, section, Table};
+use crate::{f3, json_record, section, Table};
 use parlog_mpc::datagen;
 use parlog_mpc::prelude::*;
 use parlog_mpc::SkewConfig;
@@ -93,14 +96,6 @@ pub struct E26 {
     slack: f64,
     points: Vec<PointRecord>,
     points_where_plain_exceeds: usize,
-}
-
-#[derive(serde::Serialize)]
-struct TimingRow {
-    s: f64,
-    p: usize,
-    skew_ms: f64,
-    plain_ms: f64,
 }
 
 fn join() -> ConjunctiveQuery {
@@ -195,34 +190,6 @@ pub fn record() -> E26 {
     }
 }
 
-/// The wall-clock section: both engines once per grid point.
-fn timings() -> Vec<TimingRow> {
-    let q = join();
-    let mut rows = Vec::new();
-    for (si, &s) in EXPONENTS.iter().enumerate() {
-        let db = zipf_join_db(s, 0xe26 + si as u64);
-        for &p in &SERVERS {
-            let alg = SkewAdaptiveJoin::from_stats(&q, &db, p, SkewConfig::default());
-            let plain = HypercubeAlgorithm::new(&q, p).expect("share LP");
-            rows.push(TimingRow {
-                s,
-                p,
-                skew_ms: best_ms(1, || {
-                    alg.run(&db);
-                }),
-                plain_ms: best_ms(1, || {
-                    plain.run(&db);
-                }),
-            });
-        }
-    }
-    rows
-}
-
 pub fn run() {
-    let record = record();
-    // Machine-dependent record first; the deterministic record is the
-    // final stdout line.
-    json_record("e26_timings", &timings());
-    json_record("e26_skew_adaptive", &record);
+    json_record("e26_skew_adaptive", &record());
 }

@@ -30,13 +30,17 @@
 //!   frozen-view hits observed (TC served in O(1)), and background
 //!   compaction installed merged runs.
 //!
-//! Output: `JSON e27_wall {...}` (machine-dependent: real threads,
-//! real clock — first) and `JSON e27_serving {...}` (deterministic,
-//! last line; committed as `BENCH_e27.json`).
+//! Wall-clock serving on real threads is `crates/perf`'s `serve_mix`
+//! workload (its end-to-end throughput and latency, and the traced
+//! `serve.latency_p99_us`); snapshot isolation under real reader
+//! threads, a live writer and a background compactor is a test of
+//! `parlog-serve` (`tests/isolation.rs`).
+//!
+//! Output: `JSON e27_serving {...}` (deterministic, last line; committed
+//! as `BENCH_e27.json`).
 
 use crate::{f3, json_record, section, Table};
-use parlog::serve::harness::{run_virtual, run_wall, VirtualReport, WorkloadSpec};
-use std::time::Instant;
+use parlog::serve::harness::{run_virtual, VirtualReport, WorkloadSpec};
 
 /// Deterministic read-scaling floor at 4 readers.
 const MIN_SPEEDUP4: f64 = 3.0;
@@ -53,12 +57,6 @@ pub struct E27 {
     baseline: VirtualReport,
     two_readers: VirtualReport,
     four_readers: VirtualReport,
-}
-
-#[derive(serde::Serialize)]
-struct E27Wall {
-    virtual_runs_ms: f64,
-    wall: parlog::serve::harness::WallServeReport,
 }
 
 /// Compute the record (the three virtual closed loops), printing its
@@ -151,33 +149,5 @@ pub fn record() -> E27 {
 }
 
 pub fn run() {
-    let t0 = Instant::now();
-    let record = record();
-    let virtual_runs_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    // The wall section: real threads, real writer, real background
-    // compactor. Reported, never asserted.
-    let wall = run_wall(&WorkloadSpec {
-        requests: 4_000,
-        ..WorkloadSpec::default()
-    });
-    println!(
-        "wall (4 readers, live writer): {} req at {} qps, p99 {} µs, {} publications",
-        wall.requests,
-        f3(wall.throughput_qps),
-        f3(wall.p99_us),
-        wall.publications
-    );
-    assert_eq!(wall.isolation_violations, 0);
-
-    // Machine-dependent record first; the deterministic record is the
-    // final stdout line.
-    json_record(
-        "e27_wall",
-        &E27Wall {
-            virtual_runs_ms,
-            wall,
-        },
-    );
-    json_record("e27_serving", &record);
+    json_record("e27_serving", &record());
 }

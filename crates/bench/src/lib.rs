@@ -4,14 +4,13 @@
 //! result lines, so every experiment's output can be pasted into
 //! EXPERIMENTS.md and machine-diffed across runs.
 //!
-//! Each module's `run` prints its tables and `JSON <label>` lines. E18–E27
-//! also compute a deterministic record in a plain `record` function, apart
-//! from their wall-clock section; `run` prints it last, and
-//! `tests/records.rs` recomputes each one against its committed
-//! `BENCH_eNN.json`.
+//! Each module's `run` prints its tables and `JSON <label>` lines, all
+//! deterministic: two runs diff byte-identical. E12–E14 and E18–E27
+//! compute their record in a plain `record` function; `run` prints it
+//! last, and `tests/records.rs` recomputes each one against its
+//! committed `BENCH_eNN.json`. Wall-clock claims are `crates/perf`'s.
 
 use std::fmt::Display;
-use std::time::Instant;
 
 pub mod e01_join_strategies;
 pub mod e02_hypercube_triangle;
@@ -25,6 +24,7 @@ pub mod e10_calm_hierarchy;
 pub mod e11_broadcast;
 pub mod e12_gym;
 pub mod e13_rounds_tradeoff;
+pub mod e14_shares_skew;
 pub mod e18_fault_matrix;
 pub mod e19_supervisor;
 pub mod e20_parallel_engine;
@@ -37,7 +37,7 @@ pub mod e26_skew_adaptive;
 pub mod e27_serving;
 
 /// Every experiment, by the id the driver takes, with its `run`.
-pub const EXPERIMENTS: [(&str, fn()); 22] = [
+pub const EXPERIMENTS: [(&str, fn()); 23] = [
     ("e01", e01_join_strategies::run),
     ("e02", e02_hypercube_triangle::run),
     ("e03", e03_load_exponents::run),
@@ -50,6 +50,7 @@ pub const EXPERIMENTS: [(&str, fn()); 22] = [
     ("e11", e11_broadcast::run),
     ("e12", e12_gym::run),
     ("e13", e13_rounds_tradeoff::run),
+    ("e14", e14_shares_skew::run),
     ("e18", e18_fault_matrix::run),
     ("e19", e19_supervisor::run),
     ("e20", e20_parallel_engine::run),
@@ -107,17 +108,6 @@ impl Table {
             line(row);
         }
     }
-}
-
-/// The fastest of `runs` wall-clock timings of `f`, in milliseconds.
-pub fn best_ms(runs: usize, mut f: impl FnMut()) -> f64 {
-    (0..runs)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64() * 1e3
-        })
-        .fold(f64::INFINITY, f64::min)
 }
 
 /// Format a float with 3 decimals (for table cells).

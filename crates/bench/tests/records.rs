@@ -4,8 +4,8 @@
 //! regenerate the file from the driver's last line:
 //! `cargo run --release -p parlog-bench -- eNN | tail -n 1 | sed 's/^JSON [a-z0-9_]* //' | python3 -m json.tool > BENCH_eNN.json`.
 //!
-//! Only the deterministic section runs; the wall-clock one is the
-//! driver's alone.
+//! Every line the driver prints is deterministic; wall-clock claims are
+//! `crates/perf`'s.
 
 use parlog_bench::*;
 use std::process::Command;
@@ -82,6 +82,7 @@ macro_rules! records {
 records! {
     e12_gym: "e12",
     e13_rounds_tradeoff: "e13",
+    e14_shares_skew: "e14",
     e18_fault_matrix: "e18",
     e19_supervisor: "e19",
     e20_parallel_engine: "e20",

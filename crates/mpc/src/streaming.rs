@@ -32,7 +32,8 @@ use std::collections::BTreeMap;
 
 /// A reducer that streams the values of one group.
 pub trait StreamingReducer {
-    /// Reset for a new group (key provided).
+    /// Start a pass over a group (key provided); called
+    /// [`StreamingReducer::passes`] times per group.
     fn begin_group(&mut self, key: &[Val]);
     /// Consume one incoming fact; may emit output facts.
     fn consume(&mut self, fact: &Fact) -> Vec<Fact>;
@@ -41,6 +42,12 @@ pub trait StreamingReducer {
     /// Current state size in registers (values held). Measured after
     /// every `consume` to determine the peak.
     fn state_size(&self) -> usize;
+    /// How many times each group is streamed through one reducer
+    /// (`begin_group` … `end_group` per pass; the register-automata
+    /// model permits a constant number).
+    fn passes(&self) -> usize {
+        1
+    }
 }
 
 /// Execution report of a streamed operator.
@@ -78,8 +85,8 @@ where
 /// …which would still be linear. The truly constant-register strategy
 /// streams the group **twice** (as the register-automata model allows
 /// multi-pass reducers): pass 1 sets a one-bit witness flag, pass 2 emits
-/// matching left facts. We model the two passes by being handed the
-/// group twice; see [`run_streamed_two_pass`].
+/// matching left facts. Its [`StreamingReducer::passes`] is 2, so every
+/// driver hands it each group twice.
 pub struct SemijoinReducer {
     left: RelId,
     right: RelId,
@@ -104,10 +111,11 @@ impl SemijoinReducer {
 
 impl StreamingReducer for SemijoinReducer {
     fn begin_group(&mut self, _key: &[Val]) {
-        if self.pass == 0 {
+        // Passes run 1, 2, 1, 2, …, so one reducer may stream many groups.
+        self.pass = self.pass % 2 + 1;
+        if self.pass == 1 {
             self.witness = false;
         }
-        self.pass += 1;
     }
 
     fn consume(&mut self, fact: &Fact) -> Vec<Fact> {
@@ -135,17 +143,9 @@ impl StreamingReducer for SemijoinReducer {
     fn state_size(&self) -> usize {
         1 // the witness flag — constant, independent of the group
     }
-}
 
-impl Drop for SemijoinReducer {
-    fn drop(&mut self) {
-        // Guard against the single-pass footgun: this reducer only emits
-        // in its second pass, so running it through `run_streamed` would
-        // silently produce nothing. (Groups it never saw — pass 0 — are
-        // fine: the reducer was constructed but unused.)
-        if self.pass == 1 && !std::thread::panicking() {
-            panic!("SemijoinReducer needs two passes — use run_streamed_two_pass");
-        }
+    fn passes(&self) -> usize {
+        2
     }
 }
 
@@ -219,23 +219,6 @@ impl StreamingReducer for JoinReducer {
     }
 }
 
-/// Two-pass streaming (the register-automata model permits a constant
-/// number of passes): each group's facts are streamed twice through the
-/// same reducer instance.
-pub fn run_streamed_two_pass<R, F>(
-    db: &Instance,
-    rels: &[(RelId, Vec<usize>)],
-    make_reducer: F,
-    p: usize,
-    seed: u64,
-) -> StreamReport
-where
-    R: StreamingReducer,
-    F: FnMut() -> R,
-{
-    DeltaStreamSession::new_two_pass(db, rels, make_reducer, p, seed).report()
-}
-
 /// A live streamed computation maintained across delta rounds.
 ///
 /// [`run_streamed`] reseeds and reshuffles the *entire* database on every
@@ -251,8 +234,8 @@ where
 /// The delta round goes through the same communication driver as every
 /// other phase, so fault plans, checkpoint/replay recovery, partition
 /// hold-and-flush and `with_parallelism` all apply unchanged; the
-/// maintained output stays equal to re-running [`run_streamed`] (or its
-/// two-pass variant) on the accumulated database.
+/// maintained output stays equal to re-running [`run_streamed`] on the
+/// accumulated database.
 pub struct DeltaStreamSession<R, F>
 where
     R: StreamingReducer,
@@ -263,7 +246,6 @@ where
     /// equal keys of different relations meet in one group.
     routes: Vec<KeyRoute>,
     make_reducer: F,
-    passes: u8,
     /// Deduplicated output of each live group, by group key.
     group_out: parlog_relal::fastmap::FxMap<Args, Vec<Fact>>,
     /// How many groups currently emit each output fact.
@@ -279,8 +261,7 @@ where
     R: StreamingReducer,
     F: FnMut() -> R,
 {
-    /// Open a session over `db` with a freshly seeded `p`-server cluster
-    /// (single-pass reducers; see [`DeltaStreamSession::new_two_pass`]).
+    /// Open a session over `db` with a freshly seeded `p`-server cluster.
     pub fn new(
         db: &Instance,
         rels: &[(RelId, Vec<usize>)],
@@ -288,19 +269,7 @@ where
         p: usize,
         seed: u64,
     ) -> DeltaStreamSession<R, F> {
-        Self::with_cluster(Cluster::new(p), db, rels, make_reducer, seed, 1)
-    }
-
-    /// Open a session whose reducers stream every group twice per
-    /// evaluation (the register-automata multi-pass model).
-    pub fn new_two_pass(
-        db: &Instance,
-        rels: &[(RelId, Vec<usize>)],
-        make_reducer: F,
-        p: usize,
-        seed: u64,
-    ) -> DeltaStreamSession<R, F> {
-        Self::with_cluster(Cluster::new(p), db, rels, make_reducer, seed, 2)
+        Self::with_cluster(Cluster::new(p), db, rels, make_reducer, seed)
     }
 
     /// Open a session on a preconfigured (empty) cluster — the way to run
@@ -311,9 +280,7 @@ where
         rels: &[(RelId, Vec<usize>)],
         make_reducer: F,
         seed: u64,
-        passes: u8,
     ) -> DeltaStreamSession<R, F> {
-        assert!(passes == 1 || passes == 2, "reducers run one or two passes");
         let h = HashPartitioner::new(seed, cluster.p());
         let routes: Vec<KeyRoute> = rels.iter().map(|(r, at)| (*r, at.clone(), h)).collect();
         seed_cluster(&mut cluster, db, InitialPartition::RoundRobin);
@@ -322,7 +289,6 @@ where
             cluster,
             routes,
             make_reducer,
-            passes,
             group_out: fxmap(),
             out_counts: fxmap(),
             output: Instance::new(),
@@ -396,7 +362,7 @@ where
         if !facts.is_empty() {
             self.max_group = self.max_group.max(facts.len());
             let mut reducer = (self.make_reducer)();
-            for _ in 0..self.passes {
+            for _ in 0..reducer.passes() {
                 reducer.begin_group(k);
                 for f in &facts {
                     fresh.extend(reducer.consume(f));
@@ -473,7 +439,7 @@ mod tests {
             db.insert(fact("S", &[k, 99]));
         }
         let rels = [(rel("R"), vec![1]), (rel("S"), vec![0])];
-        let report = run_streamed_two_pass(
+        let report = run_streamed(
             &db,
             &rels,
             || SemijoinReducer::new(rel("R"), rel("S"), rel("Semi")),
@@ -526,7 +492,7 @@ mod tests {
     fn semijoin_matches_algebra_semantics() {
         let db = Instance::from_facts([fact("R", &[1, 2]), fact("R", &[5, 9]), fact("S", &[2, 7])]);
         let rels = [(rel("R"), vec![1]), (rel("S"), vec![0])];
-        let report = run_streamed_two_pass(
+        let report = run_streamed(
             &db,
             &rels,
             || SemijoinReducer::new(rel("R"), rel("S"), rel("Semi")),
@@ -550,6 +516,27 @@ mod tests {
         assert_eq!(report.peak_state, 0);
     }
 
+    /// One semijoin reducer streaming two groups in turn must not carry
+    /// the first group's witness into the second.
+    #[test]
+    fn a_semijoin_reducer_starts_each_group_without_a_witness() {
+        let stream = |r: &mut SemijoinReducer, facts: &[Fact]| {
+            let mut out = Vec::new();
+            for _ in 0..r.passes() {
+                r.begin_group(&[]);
+                for f in facts {
+                    out.extend(r.consume(f));
+                }
+                out.extend(r.end_group());
+            }
+            out
+        };
+        let mut r = SemijoinReducer::new(rel("R"), rel("S"), rel("Semi"));
+        let witnessed = stream(&mut r, &[fact("R", &[1, 5]), fact("S", &[5, 0])]);
+        assert_eq!(witnessed, vec![fact("Semi", &[1, 5])]);
+        assert!(stream(&mut r, &[fact("R", &[2, 6])]).is_empty());
+    }
+
     /// Every key holds exactly one fact: groups of size one must still
     /// open, stream and close correctly in both one- and two-pass modes.
     #[test]
@@ -560,7 +547,7 @@ mod tests {
         }
         db.insert(fact("S", &[103, 0]));
         let rels = [(rel("R"), vec![1]), (rel("S"), vec![0])];
-        let semi = run_streamed_two_pass(
+        let semi = run_streamed(
             &db,
             &rels,
             || SemijoinReducer::new(rel("R"), rel("S"), rel("Semi")),
@@ -587,7 +574,7 @@ mod tests {
             fact("R", &[7, 9]), // key 9, not 7, despite the leading 7
         ]);
         let rels = [(rel("R"), vec![1]), (rel("S"), vec![0])];
-        let report = run_streamed_two_pass(
+        let report = run_streamed(
             &db,
             &rels,
             || SemijoinReducer::new(rel("R"), rel("S"), rel("Semi")),
@@ -652,7 +639,7 @@ mod tests {
         let cluster = Cluster::new(4)
             .with_faults(FaultPlan::none(0).with_straggler(2, 4.0))
             .with_parallelism(2);
-        let mut session = DeltaStreamSession::with_cluster(cluster, &db, &rels, mk, 13, 2);
+        let mut session = DeltaStreamSession::with_cluster(cluster, &db, &rels, mk, 13);
         let batches: Vec<(Vec<Fact>, Vec<Fact>)> = vec![
             (vec![fact("S", &[2, 0])], vec![fact("S", &[1, 0])]),
             (vec![fact("R", &[40, 2])], vec![fact("R", &[2, 2])]),
@@ -668,7 +655,7 @@ mod tests {
             session.push(&ins, &del);
             assert_eq!(
                 *session.output(),
-                run_streamed_two_pass(&db, &rels, mk, 4, 13).output,
+                run_streamed(&db, &rels, mk, 4, 13).output,
                 "maintained output diverged under faults"
             );
         }

@@ -71,11 +71,12 @@ fn cache_keys(cache: &TrieCache) -> Vec<(RelId, Vec<usize>)> {
     keys
 }
 
-/// Lock a cache mutex, recovering from poisoning: the caches hold only
+/// Lock a mutex, recovering from poisoning. A trie cache holds only
 /// rebuildable derived state, so a panic mid-update at worst leaves a
-/// stale entry behind — which the epoch check then refreshes — and must
-/// not abort every later caller.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// stale entry behind — which the epoch check then refreshes; a snapshot
+/// store's writer and current pointer are replaced whole. Either way a
+/// panicked peer must not wedge every later caller.
+pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 

@@ -39,18 +39,11 @@
 //! touches no lock at all.
 
 use crate::fastmap::{fxmap, FxMap};
-use crate::instance::Instance;
+use crate::instance::{lock_recover, Instance};
 use crate::symbols::RelId;
 use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Lock recovering from poisoning (same contract as the instance's
-/// internal caches: the guarded state is replaceable, a panicked peer
-/// must not wedge every later caller).
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
+use std::sync::{Arc, Mutex};
 
 /// The snapshot instance of `writer`: its cached tries refreshed in
 /// place, then a log-less fork of it, sealed.

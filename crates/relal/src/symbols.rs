@@ -6,15 +6,14 @@
 //! hash, while remaining printable for diagnostics and reports.
 //!
 //! Interning is global (a `OnceLock`-guarded table behind a
-//! `parking_lot::RwLock`). This mirrors how compilers intern symbols: it
+//! `std::sync::RwLock`). This mirrors how compilers intern symbols: it
 //! keeps every API in the workspace free of an explicit interner parameter.
 //! Ids are stable for the lifetime of the process, which is all the
 //! simulators and decision procedures need.
 
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// An interned relation name, e.g. `R` in `R(x, y)`.
 #[derive(
@@ -62,6 +61,18 @@ fn table() -> &'static RwLock<Interner> {
     TABLE.get_or_init(|| RwLock::new(Interner::new()))
 }
 
+/// The table, shared. A panic while holding the lock cannot leave it
+/// half-written (each entry is one push and one insert), so poisoning is
+/// ignored.
+fn read() -> RwLockReadGuard<'static, Interner> {
+    table().read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The table, exclusive (poisoning ignored as in [`read`]).
+fn write() -> RwLockWriteGuard<'static, Interner> {
+    table().write().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Intern a relation name, returning its stable id.
 ///
 /// ```
@@ -70,10 +81,10 @@ fn table() -> &'static RwLock<Interner> {
 /// assert_ne!(rel("R"), rel("S"));
 /// ```
 pub fn rel(name: &str) -> RelId {
-    if let Some(&id) = table().read().rel_ids.get(name) {
+    if let Some(&id) = read().rel_ids.get(name) {
         return id;
     }
-    let mut t = table().write();
+    let mut t = write();
     if let Some(&id) = t.rel_ids.get(name) {
         return id;
     }
@@ -91,10 +102,10 @@ pub fn rel(name: &str) -> RelId {
 /// assert_ne!(sym("a"), sym("b"));
 /// ```
 pub fn sym(name: &str) -> Sym {
-    if let Some(&id) = table().read().sym_ids.get(name) {
+    if let Some(&id) = read().sym_ids.get(name) {
         return id;
     }
-    let mut t = table().write();
+    let mut t = write();
     if let Some(&id) = t.sym_ids.get(name) {
         return id;
     }
@@ -107,7 +118,7 @@ pub fn sym(name: &str) -> Sym {
 /// Look up the name of a relation id. Returns `"?rel<n>"` for ids that were
 /// never interned (which cannot happen through the public API).
 pub fn rel_name(id: RelId) -> String {
-    let t = table().read();
+    let t = read();
     t.rel_names
         .get(id.0 as usize)
         .cloned()
@@ -118,7 +129,7 @@ pub fn rel_name(id: RelId) -> String {
 /// integers print numerically.
 pub fn val_name(v: u64) -> String {
     if v >= SYM_BASE {
-        let t = table().read();
+        let t = read();
         if let Some(name) = t.sym_names.get((v - SYM_BASE) as usize) {
             return name.clone();
         }

@@ -13,20 +13,16 @@
 //! re-pin, the reader re-evaluates its audit query against the old pin
 //! and counts a violation if a single byte moved.
 //!
-//! Two modes, two sections, same shape as every experiment in this
-//! repo:
-//!
-//! * [`run_virtual`] — single-threaded, fully deterministic. Work is
-//!   measured in relational ops (`parlog_relal::opcount`); the
-//!   *makespan* of a k-reader run is the largest per-reader op sum, so
-//!   `makespan(1 reader) / makespan(k readers)` is the deterministic
-//!   read-scaling ratio: it is ≈ k exactly because pinned reads share
-//!   the sealed snapshot lock-free and nothing serializes them. Per-
-//!   window read loads flow through `parlog-trace` as `Loads` events.
-//! * [`run_wall`] — real threads (thread-per-core sessions), a real
-//!   writer thread, a real background compactor; reports wall-clock
-//!   throughput and latency percentiles. Machine-dependent, reported
-//!   in the segregated wall section, never asserted on.
+//! [`run_virtual`] runs the loop single-threaded and fully
+//! deterministic. Work is measured in relational ops
+//! (`parlog_relal::opcount`); the *makespan* of a k-reader run is the
+//! largest per-reader op sum, so `makespan(1 reader) / makespan(k
+//! readers)` is the deterministic read-scaling ratio: it is ≈ k exactly
+//! because pinned reads share the sealed snapshot lock-free and nothing
+//! serializes them. Per-window read loads flow through `parlog-trace` as
+//! `Loads` events. Wall-clock serving is measured by `crates/perf`'s
+//! `serve_mix` workload, and isolation on real threads by
+//! `tests/isolation.rs`.
 
 use crate::compact::VirtualCompactor;
 use crate::server::{Answer, Request, Server};
@@ -37,7 +33,6 @@ use parlog_relal::instance::Instance;
 use parlog_relal::parser::{parse_query, parse_union};
 use parlog_relal::query::ConjunctiveQuery;
 use parlog_trace::{MemSink, TraceEvent, TraceHandle};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A deterministic splitmix64 step.
@@ -202,7 +197,7 @@ pub struct WorkloadSpec {
     pub nodes: usize,
     /// Total requests across all readers.
     pub requests: u64,
-    /// Logical readers (virtual mode) / reader threads (wall mode).
+    /// Logical readers.
     pub readers: usize,
     /// Zipf exponent of the request mix.
     pub zipf_s: f64,
@@ -297,10 +292,10 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
 }
 
 /// One writer batch: extend the path (grows the TC view) up to a cap —
-/// past it the transitive closure would grow quadratically without
-/// bound under a wall-clock writer — weave one triangle, drop one
-/// chord in, and periodically retract an old chord (tombstones for the
-/// compactor to chew on).
+/// past it the transitive closure would grow quadratically with the
+/// run's length — weave one triangle, drop one chord in, and
+/// periodically retract an old chord (tombstones for the compactor to
+/// chew on).
 fn writer_batch(
     w: &mut Instance,
     rng: &mut Rng,
@@ -504,159 +499,6 @@ pub fn run_virtual(spec: &WorkloadSpec) -> VirtualReport {
     }
 }
 
-/// The wall-clock section of one run: real threads, real time.
-/// Machine-dependent — never asserted on, never diffed.
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct WallServeReport {
-    /// Reader threads.
-    pub readers: usize,
-    /// Requests served.
-    pub requests: u64,
-    /// End-to-end wall time in milliseconds.
-    pub wall_ms: f64,
-    /// Aggregate requests per second.
-    pub throughput_qps: f64,
-    /// Median request latency, microseconds.
-    pub p50_us: f64,
-    /// 99th-percentile request latency, microseconds.
-    pub p99_us: f64,
-    /// 99.9th-percentile request latency, microseconds.
-    pub p999_us: f64,
-    /// Generations published by the live writer thread.
-    pub publications: u64,
-    /// Admission refusals.
-    pub refusals: u64,
-    /// Snapshot-isolation audit failures — must be 0 here too.
-    pub isolation_violations: u64,
-    /// Background-compactor merges accepted.
-    pub compactions_installed: u64,
-}
-
-/// Run the closed loop on real threads: `spec.readers` serving threads
-/// (one [`crate::Session`] each), one writer thread publishing on a
-/// wall cadence, one [`crate::BackgroundCompactor`].
-pub fn run_wall(spec: &WorkloadSpec) -> WallServeReport {
-    let base = seed_instance(spec.nodes, spec.seed);
-    let server = Server::new(base, spec.capacity);
-    server.register_view(tc_program(), EvalStrategy::Auto);
-    warm_writer(&server);
-    server.publish().expect("TC is stratifiable");
-    let catalog = catalog(spec.nodes);
-    let audit = audit_query();
-
-    let issued = AtomicU64::new(0);
-    let violations = AtomicU64::new(0);
-    let writers_done = AtomicBool::new(false);
-    let compactor = crate::compact::BackgroundCompactor::spawn(Arc::clone(server.store()));
-    let start = std::time::Instant::now();
-    let mut all_lat: Vec<u64> = Vec::with_capacity(spec.requests as usize);
-
-    std::thread::scope(|scope| {
-        let writer = scope.spawn(|| {
-            let mut wrng = Rng(mix(spec.seed ^ 0x17E5));
-            let mut next_node = spec.nodes as u64;
-            let mut chords: Vec<Fact> = Vec::new();
-            // Bound the live writer: past this many publications it
-            // idles, so a slow reader fleet is never outrun into an
-            // unbounded view (the TC cap in `writer_batch` bounds per-
-            // publication cost; this bounds their number).
-            let max_publications = 256;
-            let mut published = 0u64;
-            while !writers_done.load(Ordering::Relaxed) {
-                if published < max_publications {
-                    published += 1;
-                    server.store().mutate(|w| {
-                        writer_batch(
-                            w,
-                            &mut wrng,
-                            &mut next_node,
-                            2 * spec.nodes as u64,
-                            &mut chords,
-                            spec.writer_batch,
-                        );
-                    });
-                    server.publish().expect("TC refresh stays stratifiable");
-                }
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-        });
-        let readers: Vec<_> = (0..spec.readers)
-            .map(|r| {
-                let issued = &issued;
-                let violations = &violations;
-                let server = &server;
-                let catalog = &catalog;
-                let audit = &audit;
-                scope.spawn(move || {
-                    let mut session = server.session();
-                    let mut zipf =
-                        ZipfSampler::new(catalog.len(), spec.zipf_s, spec.seed ^ (r as u64 + 1));
-                    let mut baseline =
-                        eval_query_with(audit, session.pinned().instance(), EvalStrategy::Wcoj)
-                            .sorted_facts();
-                    let mut served = 0u64;
-                    let mut lat = Vec::new();
-                    while issued.fetch_add(1, Ordering::Relaxed) < spec.requests {
-                        if served % spec.repin_every == spec.repin_every - 1 {
-                            let now = eval_query_with(
-                                audit,
-                                session.pinned().instance(),
-                                EvalStrategy::Wcoj,
-                            )
-                            .sorted_facts();
-                            if now != baseline {
-                                violations.fetch_add(1, Ordering::Relaxed);
-                            }
-                            if session.refresh_pin() {
-                                baseline = eval_query_with(
-                                    audit,
-                                    session.pinned().instance(),
-                                    EvalStrategy::Wcoj,
-                                )
-                                .sorted_facts();
-                            }
-                        }
-                        let (_, req) = &catalog[zipf.draw()];
-                        let t = std::time::Instant::now();
-                        // In the wall closed loop a refusal just means
-                        // retry (the loop *is* the backoff).
-                        if session.execute_pinned(req).is_ok() {
-                            lat.push(t.elapsed().as_nanos() as u64);
-                            served += 1;
-                        }
-                    }
-                    lat
-                })
-            })
-            .collect();
-        for r in readers {
-            if let Ok(lat) = r.join() {
-                all_lat.extend(lat);
-            }
-        }
-        writers_done.store(true, Ordering::Relaxed);
-        let _ = writer.join();
-    });
-
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let cstats = compactor.stop();
-    all_lat.sort_unstable();
-    let served = all_lat.len() as u64;
-    WallServeReport {
-        readers: spec.readers,
-        requests: served,
-        wall_ms,
-        throughput_qps: served as f64 / (wall_ms / 1e3).max(1e-9),
-        p50_us: percentile(&all_lat, 0.50) as f64 / 1e3,
-        p99_us: percentile(&all_lat, 0.99) as f64 / 1e3,
-        p999_us: percentile(&all_lat, 0.999) as f64 / 1e3,
-        publications: server.store().publish_count(),
-        refusals: server.gate().refused(),
-        isolation_violations: violations.load(Ordering::Relaxed),
-        compactions_installed: cstats.installed,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -712,19 +554,5 @@ mod tests {
             one.makespan_ops,
             four.makespan_ops
         );
-    }
-
-    #[test]
-    fn wall_mode_smoke() {
-        let r = run_wall(&WorkloadSpec {
-            requests: 400,
-            nodes: 32,
-            readers: 2,
-            publish_every: 100,
-            ..WorkloadSpec::default()
-        });
-        assert!(r.requests > 0);
-        assert_eq!(r.isolation_violations, 0);
-        assert!(r.wall_ms > 0.0);
     }
 }

@@ -37,9 +37,8 @@
 //!   virtual-clock test mode.
 //! * [`harness`] — the closed-loop load harness for experiment E27: a
 //!   seeded Zipf request mix over the catalog, concurrent writer
-//!   publishing epochs, isolation audits on old pins, op-count
-//!   makespans for the deterministic section and wall timings for the
-//!   honest one.
+//!   publishing epochs, isolation audits on old pins, and op-count
+//!   makespans (wall-clock serving is `crates/perf`'s `serve_mix`).
 //!
 //! The guarantee the whole crate leans on: a sealed instance's
 //! `trie_layers` path is lock-free, so *every existing evaluator* —
@@ -58,7 +57,7 @@ pub mod server;
 
 pub use admission::{AdmissionGate, Overload, Permit};
 pub use compact::{BackgroundCompactor, CompactionStats, VirtualCompactor};
-pub use harness::{run_virtual, run_wall, VirtualReport, WallServeReport, WorkloadSpec};
+pub use harness::{run_virtual, VirtualReport, WorkloadSpec};
 pub use plan::{DisjunctPlan, PlanCache, PlanCacheStats, PlanKind, PreparedPlan, QueryAnalysis};
 pub use server::{Answer, Request, Response, ServeError, Server, Session};
 
@@ -66,7 +65,7 @@ pub use server::{Answer, Request, Response, ServeError, Server, Session};
 pub mod prelude {
     pub use crate::admission::{AdmissionGate, Overload, Permit};
     pub use crate::compact::{BackgroundCompactor, CompactionStats, VirtualCompactor};
-    pub use crate::harness::{run_virtual, run_wall, VirtualReport, WallServeReport, WorkloadSpec};
+    pub use crate::harness::{run_virtual, VirtualReport, WorkloadSpec};
     pub use crate::plan::{PlanCache, PlanCacheStats, QueryAnalysis};
     pub use crate::server::{Answer, Request, Response, ServeError, Server, Session};
 }

@@ -4,16 +4,21 @@
 //! answers **byte-identically** no matter how many generations
 //! `k+1..k+n` a concurrent writer publishes, under every evaluation
 //! strategy and every reader-thread count — and a plan-cache hit is
-//! indistinguishable from a cold miss.
+//! indistinguishable from a cold miss. The same holds on real threads
+//! while a live writer refreshes a registered view and a background
+//! compactor merges the writer's runs.
 
 use proptest::prelude::*;
 
+use parlog_datalog::program::parse_program;
 use parlog_relal::eval::{eval_query_with, EvalStrategy};
 use parlog_relal::fact::fact;
 use parlog_relal::instance::Instance;
 use parlog_relal::parser::parse_query;
-use parlog_serve::{Request, Server};
-use std::sync::atomic::{AtomicU64, Ordering};
+use parlog_relal::symbols::rel;
+use parlog_serve::harness::seed_instance;
+use parlog_serve::{BackgroundCompactor, Request, Server};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 const STRATEGIES: [EvalStrategy; 4] = [
@@ -133,4 +138,114 @@ proptest! {
         // changes *when* analysis happens, never what executes.
         prop_assert_eq!(hit.ops, cold_miss.ops);
     }
+}
+
+/// Reader threads, each pinned to a generation, re-run the triangle
+/// audit through their session and must read byte-identically until
+/// they re-pin, while a writer thread mutates and publishes a server
+/// with a registered TC view (each batch adds a triangle, so every
+/// publication moves the audit's answer) and a `BackgroundCompactor`
+/// merges the writer's run stacks.
+#[test]
+fn pinned_readers_hold_under_a_live_writer_view_and_compactor() {
+    const READERS: usize = 3;
+    const PUBLICATIONS: u64 = 40;
+    const NODES: u64 = 48;
+    let audit = Request::Query(
+        parse_query("H(x,y,z) <- R(x,y), S(y,z), T(z,x)").unwrap(),
+        EvalStrategy::Wcoj,
+    );
+    let tc = parse_program("TC(x,y) <- E(x,y). TC(x,z) <- E(x,y), TC(y,z).").unwrap();
+    let server = Server::new(seed_instance(NODES as usize, 7), 64);
+    server.register_view(tc.clone(), EvalStrategy::Auto);
+    // Warm tries on the writer grow run stacks at every publication,
+    // which the compactor merges.
+    for r in ["E", "R", "S", "T"] {
+        server.store().warm(rel(r), &[0, 1]);
+        server.store().warm(rel(r), &[1, 0]);
+    }
+    server.publish().unwrap();
+    let compactor = BackgroundCompactor::spawn(Arc::clone(server.store()));
+    let writer_done = AtomicBool::new(false);
+
+    let answer = |session: &mut parlog_serve::Session<'_>, req: &Request| {
+        let resp = session.execute_pinned(req).expect("within capacity");
+        assert_eq!(resp.generation, session.pinned().generation());
+        resp.answer.relation().expect("a relation").sorted_facts()
+    };
+    // Every reader pins before the writer's first publication, so its
+    // last re-pin is sure to move.
+    let sessions: Vec<_> = (0..READERS).map(|_| server.session()).collect();
+    let generations_seen: Vec<usize> = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for g in 0..PUBLICATIONS {
+                server.store().mutate(|w| {
+                    let v = 1_000 + 3 * g;
+                    w.insert(fact("E", &[NODES + g, NODES + g + 1]));
+                    w.insert(fact("R", &[v, v + 1]));
+                    w.insert(fact("S", &[v + 1, v + 2]));
+                    w.insert(fact("T", &[v + 2, v]));
+                    if g >= 2 {
+                        let old = 1_000 + 3 * (g - 2);
+                        w.remove(&fact("R", &[old, old + 1]));
+                    }
+                });
+                server.publish().unwrap();
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            writer_done.store(true, Ordering::SeqCst);
+        });
+        let readers: Vec<_> = (sessions.into_iter().enumerate())
+            .map(|(r, mut session)| {
+                let (audit, tc, writer_done) = (&audit, &tc, &writer_done);
+                let answer = &answer;
+                scope.spawn(move || {
+                    let mut baseline = answer(&mut session, audit);
+                    let mut generations = vec![session.pinned().generation()];
+                    let mut round = 0usize;
+                    loop {
+                        let done = writer_done.load(Ordering::SeqCst);
+                        let program = Request::Program(tc.clone(), EvalStrategy::Auto);
+                        session.execute_pinned(&program).expect("within capacity");
+                        let now = answer(&mut session, audit);
+                        assert_eq!(
+                            now,
+                            baseline,
+                            "reader {r} at generation {} read a moved answer",
+                            session.pinned().generation()
+                        );
+                        round += 1;
+                        if round % (r + 2) == 0 && session.refresh_pin() {
+                            baseline = answer(&mut session, audit);
+                            generations.push(session.pinned().generation());
+                        }
+                        if done {
+                            // A last re-pin after the writer's final
+                            // publication.
+                            if session.refresh_pin() {
+                                generations.push(session.pinned().generation());
+                            }
+                            return generations.len();
+                        }
+                    }
+                })
+            })
+            .collect();
+        readers.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    // Let the compactor finish one full cycle against the quiescent
+    // writer before stopping it.
+    let cycles = compactor.cycles();
+    while compactor.cycles() < cycles + 2 {
+        std::thread::yield_now();
+    }
+    let stats = compactor.stop();
+
+    assert!(
+        generations_seen.iter().all(|&g| g > 1),
+        "every reader re-pinned at least once: {generations_seen:?}"
+    );
+    assert!(stats.installed > 0, "the compactor merged runs: {stats:?}");
+    let last = server.session();
+    assert!(last.pinned().generation() > PUBLICATIONS);
 }

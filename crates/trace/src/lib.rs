@@ -35,8 +35,8 @@
 //! machine-dependent wall-clock spans. Double-run diff jobs in CI
 //! compare the former and ignore the latter.
 //!
-//! The crate is zero-dependency by design (the `serde`/`parking_lot`
-//! entries resolve to the workspace's in-repo shims): it sits below
+//! The crate is zero-dependency by design (the `serde` entry resolves
+//! to the workspace's in-repo shim): it sits below
 //! every runtime crate and must never create a dependency cycle or pull
 //! in an external crate.
 

@@ -173,7 +173,7 @@ impl MemSink {
     /// Export the deterministic section, comparing every histogram
     /// against `bound` when one is given.
     pub fn report_with_bound(&self, bound: Option<LoadBound>) -> TraceReport {
-        let d = self.data.lock();
+        let d = self.locked();
         let rounds: Vec<RoundLoadReport> = d
             .rounds
             .iter()
@@ -232,7 +232,7 @@ impl MemSink {
 
     /// Export the segregated wall-clock section.
     pub fn wall_report(&self) -> WallReport {
-        let d = self.data.lock();
+        let d = self.locked();
         let spans: Vec<WallSpan> = d
             .spans
             .iter()

@@ -8,7 +8,7 @@
 //! module for the deterministic / wall-clock split.
 
 use crate::{CommCounters, FaultEvent, Span, TraceEvent, TraceSink};
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Per-round load-histogram summary, computed when the round's
 /// [`TraceEvent::Loads`] event is recorded.
@@ -44,7 +44,7 @@ pub(crate) struct TraceData {
 /// the report methods in [`crate::report`].
 #[derive(Default)]
 pub struct MemSink {
-    pub(crate) data: Mutex<TraceData>,
+    data: Mutex<TraceData>,
 }
 
 /// Nearest-rank percentile of ascending-sorted data, `q` in `(0, 100]`.
@@ -62,25 +62,32 @@ impl MemSink {
         MemSink::default()
     }
 
+    /// The accumulated data, locked. A recorder that panicked holding
+    /// the lock left at most one event half-summarized, so poisoning is
+    /// ignored rather than wedging every later export.
+    pub(crate) fn locked(&self) -> MutexGuard<'_, TraceData> {
+        self.data.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The comm counters accumulated so far.
     pub fn comm(&self) -> CommCounters {
-        self.data.lock().comm
+        self.locked().comm
     }
 
     /// A copy of the fault / supervisor timeline so far.
     pub fn timeline(&self) -> Vec<FaultEvent> {
-        self.data.lock().timeline.clone()
+        self.locked().timeline.clone()
     }
 
     /// The per-round load summaries so far.
     pub fn rounds(&self) -> Vec<RoundLoads> {
-        self.data.lock().rounds.clone()
+        self.locked().rounds.clone()
     }
 }
 
 impl TraceSink for MemSink {
     fn record(&self, ev: &TraceEvent<'_>) {
-        let mut d = self.data.lock();
+        let mut d = self.locked();
         match ev {
             TraceEvent::Phase(span) => d.spans.push(*span),
             TraceEvent::Loads { round, received } => {

@@ -36,7 +36,7 @@
 //!   checkers quantifying over seeds × networks × distributions;
 //! * [`economical`] — the Ketsman–Neven economical broadcasting strategy
 //!   for full CQs without self-joins (Section 6);
-//! * [`threaded`] — the crossbeam-based true-multithreaded runtime
+//! * [`threaded`] — the true-multithreaded runtime on `std::sync::mpsc`
 //!   behind [`RunMode::Threaded`], cross-validated against the simulator;
 //! * [`faulty`] — fault injection (drop/duplicate/reorder/delay,
 //!   crash-stop, crash-recover, ack/retransmit) driven by seeded

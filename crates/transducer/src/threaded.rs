@@ -1,6 +1,7 @@
 //! A true-multithreaded runtime for transducer programs, built on
-//! crossbeam channels — one OS thread per node, unbounded channels as the
-//! message buffers, OS scheduling as the source of asynchrony.
+//! `std::sync::mpsc` channels — one OS thread per node, each owning its
+//! channel's receiver, unbounded channels as the message buffers, OS
+//! scheduling as the source of asynchrony.
 //!
 //! The simulator in [`crate::scheduler`] samples schedules reproducibly;
 //! this runtime cross-validates it against real concurrency: for programs
@@ -11,21 +12,20 @@
 //! before sending; a receiver decrements after processing. Every node
 //! waits at a barrier after its `init` broadcast, so no node checks for
 //! quiescence before every `init` copy is counted. From then on, when the
-//! counter is zero and a node's channel is empty, no further message can
-//! ever arrive for it (nodes only send while processing), so it may stop.
+//! counter is zero every channel is empty and no further message can
+//! ever arrive (nodes only send while processing), so a node may stop.
 
 use crate::faulty::{corrupt_in_transit, refuse_mpc_only, FaultStats};
 use crate::network::NodeState;
 use crate::program::{Ctx, TransducerProgram};
 use crate::scheduler::{RunCtx, RunOutcome};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use parlog_faults::{FaultInjector, MessageFate};
 use parlog_relal::fact::Fact;
 use parlog_relal::fastmap::{fxset, FxSet};
 use parlog_relal::instance::Instance;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Barrier;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// The threaded arm of [`crate::run`]: one scoped thread per node until
@@ -39,9 +39,9 @@ use std::time::Duration;
 ///
 /// **Limitation:** quiescence detection assumes heartbeats do not
 /// broadcast once a node's queue is idle — a node exits when the global
-/// in-flight counter is zero, its channel is empty and its own heartbeat
-/// is silent, so a *message-producing* heartbeat on another node could
-/// still address it afterwards. All programs in this crate have
+/// in-flight counter is zero and its own heartbeat is silent, so a
+/// *message-producing* heartbeat on another node could still address it
+/// afterwards, and find its receiver gone. All programs in this crate have
 /// message-free heartbeats; for heartbeat-broadcasting programs use the
 /// simulator ([`crate::scheduler`]), whose quiescence check is global.
 ///
@@ -73,7 +73,7 @@ where
              epochs are timed against its virtual clock)"
         );
     }
-    let (senders, receivers): (Vec<_>, Vec<_>) = shards.iter().map(|_| unbounded()).unzip();
+    let (senders, receivers): (Vec<_>, Vec<_>) = shards.iter().map(|_| channel()).unzip();
     let net = Network {
         ctx: &rc.ctx,
         injector: Mutex::new(plan.map(|p| p.injector())),
@@ -86,7 +86,7 @@ where
     };
     let mut output = Instance::new();
     std::thread::scope(|scope| {
-        let nodes: Vec<_> = (shards.iter().zip(&receivers).enumerate())
+        let nodes: Vec<_> = (shards.iter().zip(receivers).enumerate())
             .map(|(id, (shard, receiver))| {
                 let slowdown = plan.map_or(1.0, |p| p.slowdown(id));
                 let net = &net;
@@ -100,7 +100,10 @@ where
     let delivered = net.delivered.into_inner();
     RunOutcome {
         output,
-        stats: net.stats.into_inner(),
+        stats: net
+            .stats
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner),
         delivered,
         facts_broadcast: net.facts_broadcast.into_inner(),
         clock: delivered,
@@ -122,13 +125,19 @@ struct Network<'a> {
 }
 
 impl Network<'_> {
+    /// The shared tallies. A node that panics fails the whole run when
+    /// it is joined, so a poisoned lock is safe to read through.
+    fn stats(&self) -> MutexGuard<'_, FaultStats> {
+        self.stats.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Node `id`'s thread: `init`, then messages until global quiescence.
     fn node<P: TransducerProgram + ?Sized>(
         &self,
         program: &P,
         id: usize,
         shard: &Instance,
-        receiver: &Receiver<(usize, Fact)>,
+        receiver: Receiver<(usize, Fact)>,
         slowdown: f64,
     ) -> Instance {
         let mut node = NodeState::new(id, shard.clone());
@@ -145,7 +154,7 @@ impl Network<'_> {
                         // A straggler stalls per message: real wall-clock
                         // tail latency, same computed answer.
                         std::thread::sleep(Duration::from_micros(((slowdown - 1.0) * 50.0) as u64));
-                        self.stats.lock().straggler_stalls += 1;
+                        self.stats().straggler_stalls += 1;
                     }
                     self.delivered.fetch_add(1, Ordering::Relaxed);
                     let out = program.on_fact(&mut node, from, &fact, self.ctx);
@@ -153,9 +162,11 @@ impl Network<'_> {
                     self.in_flight.fetch_sub(1, Ordering::SeqCst);
                 }
                 Err(_) => {
-                    // Quiescent? No in-flight messages can appear once
-                    // the counter is zero and all channels are idle.
-                    if self.in_flight.load(Ordering::SeqCst) == 0 && receiver.is_empty() {
+                    // Quiescent? Every copy is counted before it is sent
+                    // and uncounted only once processed, so a zero count
+                    // means every channel is empty — and no message can
+                    // appear once the counter is zero.
+                    if self.in_flight.load(Ordering::SeqCst) == 0 {
                         let hb = program.heartbeat(&mut node, self.ctx);
                         if hb.is_empty() {
                             break;
@@ -182,25 +193,30 @@ impl Network<'_> {
                 // Per-copy fate roll on the shared injector (1 copy
                 // normally; 0 on drop, 2 on dup; a "delayed" copy is just
                 // sent — the OS already delays arbitrarily).
-                let copies = match self.injector.lock().as_mut() {
+                let copies = match self
+                    .injector
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .as_mut()
+                {
                     None => 1,
                     Some(inj) => match inj.fate() {
                         MessageFate::Deliver => 1,
                         MessageFate::Drop => {
-                            self.stats.lock().dropped += 1;
+                            self.stats().dropped += 1;
                             0
                         }
                         MessageFate::Duplicate => {
-                            self.stats.lock().duplicated += 1;
+                            self.stats().duplicated += 1;
                             2
                         }
                         MessageFate::Delay(_) => {
-                            self.stats.lock().delayed += 1;
+                            self.stats().delayed += 1;
                             1
                         }
                         MessageFate::Corrupt(e) => {
                             // One tampered copy instead of the original.
-                            let t = corrupt_in_transit(f.clone(), e, &mut self.stats.lock());
+                            let t = corrupt_in_transit(f.clone(), e, &mut self.stats());
                             self.in_flight.fetch_add(1, Ordering::SeqCst);
                             s.send((id, t)).expect("receiver alive");
                             0
